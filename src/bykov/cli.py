@@ -38,7 +38,7 @@ from .horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from .oracles import eta_composed, replay_pulse
+from .oracles import eta_composed, replay_pulse, turning_range_grid
 from .params import ParameterError, classify_region, derive_constants, load_saddle_params
 from .returncurve import (
     NoReversalsError,
@@ -99,7 +99,6 @@ def _write_manifest(
             "rtol": getattr(args, "rtol", None),
             "atol": getattr(args, "atol", None),
         },
-        "seed": getattr(args, "seed", None),
         "outputs": [str(f) for f in outputs],
         "wall_clock_s": time.monotonic() - started,
         "diagnostics": diagnostics,
@@ -124,11 +123,14 @@ def cmd_classify(args) -> int:
     path = out_dir / "region.json"
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
     if args.verify:
-        from .returncurve import turning_extrema_closed_form
-
-        lo, hi = turning_extrema_closed_form(p)
-        if abs(lo - region.a_min) > 1e-8 or abs(hi - region.a_max) > 1e-8:
-            raise VerifyFailure("numeric extrema disagree with the harmonic closed form")
+        # the grid must stay inside the closed-form range and reach both ends
+        # to within its spacing error (< 5e-10 R, see bykov.oracles)
+        lo, hi = turning_range_grid(p)
+        scale = max(1.0, abs(region.a_min), abs(region.a_max))
+        if lo < region.a_min - 1e-12 * scale or hi > region.a_max + 1e-12 * scale:
+            raise VerifyFailure("turning-function grid leaves the closed-form extrema")
+        if lo - region.a_min > 1e-9 * scale or region.a_max - hi > 1e-9 * scale:
+            raise VerifyFailure("turning-function grid falls short of the closed-form extrema")
     _write_manifest(out_dir, "classify", args, [path], {"tag": region.tag}, started)
     return EXIT_OK
 
@@ -397,13 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, flow: bool = False):
+    def common(sp):
         sp.add_argument("--config", required=True, help="JSON parameter file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--verify", action="store_true", help="replay invariants, exit 1 on failure")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampling-based checks")
-        sp.add_argument("--rtol", type=float, default=1e-10)
-        sp.add_argument("--atol", type=float, default=1e-12)
 
     sp = sub.add_parser("classify", help="region classification of a parameter point")
     common(sp)
@@ -455,13 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_multipulse)
 
     sp = sub.add_parser("simulate", help="integrate the explicit vector field")
-    common(sp, flow=True)
+    common(sp)
+    sp.add_argument("--rtol", type=float, default=1e-10)
+    sp.add_argument("--atol", type=float, default=1e-12)
     sp.add_argument("--x0", default="-0.5,-0.139,-0.8807,0.3013", help="comma-separated state")
     sp.add_argument("--T", type=float, default=500.0)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("sojourn", help="dwell-time table and growth-ratio estimate")
-    common(sp, flow=True)
+    common(sp)
+    sp.add_argument("--rtol", type=float, default=1e-10)
+    sp.add_argument("--atol", type=float, default=1e-12)
     sp.add_argument("--x0", default="-0.5,-0.139,-0.8807,0.3013")
     sp.add_argument("--T", type=float, default=500.0)
     sp.add_argument("--radius", type=float, default=0.3)

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import ParameterError, load_exact_keys
+
 __all__ = [
     "ModelConfig",
     "TrajectorySeries",
@@ -90,33 +92,15 @@ class ModelConfig:
         return {"alpha1": self.alpha1, "alpha2": self.alpha2, "lambda": self.lam, "model": self.model}
 
 
-MODEL_FIELDS = ("alpha1", "alpha2", "lambda", "model")
+MODEL_FIELDS = {"alpha1": float, "alpha2": float, "lambda": float, "model": str}
 
 
 def load_model_config(source) -> ModelConfig:
     """Load a flow config from JSON; exactly the keys alpha1, alpha2, lambda, model."""
-    import json
-    from pathlib import Path
-
-    from .params import ParameterError
-
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = dict(source)
-    unknown = sorted(set(data) - set(MODEL_FIELDS))
-    if unknown:
-        raise ParameterError(f"unknown model key(s): {', '.join(unknown)}")
-    missing = sorted(set(MODEL_FIELDS) - set(data))
-    if missing:
-        raise ParameterError(f"missing model key(s): {', '.join(missing)}")
+    data = load_exact_keys(source, MODEL_FIELDS)
     try:
         return ModelConfig(
-            alpha1=float(data["alpha1"]),
-            alpha2=float(data["alpha2"]),
-            lam=float(data["lambda"]),
-            model=str(data["model"]),
+            alpha1=data["alpha1"], alpha2=data["alpha2"], lam=data["lambda"], model=data["model"]
         )
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, circle_dist, psi_wv
-from .params import DerivedConstants, SaddleParams, classify_region, derive_constants
+from .params import DerivedConstants, SaddleParams, classify_region, derive_constants, turning_harmonic
 from .returncurve import (
     NoReversalsError,
     curve_arrays,
@@ -397,8 +397,8 @@ def build_strips(
                 angle=probe.angle,
             )
     tau_eff = tau
-    roots = turning_crossings(p) if case in ("II", "III", "IV") else []
-    if case == "III" and len(roots) == 2:
+    roots = turning_crossings(p) if case in ("II", "III") else []
+    if case == "III":
         d = roots[1] - roots[0]
         if tau_eff >= d / 2.0:
             tau_eff = 0.45 * d
@@ -408,13 +408,10 @@ def build_strips(
         # tangential crossing: the monotone pieces run between the grazing
         # angles, and strip targets must keep a wide berth from the piece
         # endpoint values (the inflection angles)
-        if len(roots) < 2:
-            from .returncurve import turning_extrema
-
-            ext = turning_extrema(p)
-            level = turning_level(p)
-            graze = ext.phi_min if abs(ext.a_min - level) < abs(ext.a_max - level) else ext.phi_max
-            roots = [graze, graze + math.pi]
+        theta = turning_harmonic(p)[2]
+        at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
+        graze = (0.5 * (theta + math.pi) if at_min else 0.5 * theta) % math.pi
+        roots = [graze, graze + math.pi]
         endpoint_margin = 10.0 * tau_eff
         notes.append(f"inflection exclusion half-width {endpoint_margin:.6g}")
 

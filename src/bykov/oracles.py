@@ -1,14 +1,18 @@
-"""Independent oracles: map compositions, flight-time checks, pulse replay.
+"""Independent oracles: map compositions, pulse replay, turning-function grid.
 
 Everything here deliberately avoids the closed-form shortcuts of
-:mod:`bykov.returncurve`; the exit curve is rebuilt step by step through the
-elementary maps so the two routes can be compared against each other.
+:mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
+step by step through the elementary maps, and the turning-function range is
+sampled from its direct trigonometric form, so the two routes can be
+compared against each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .localmaps import (
     IN_V,
@@ -24,8 +28,13 @@ from .localmaps import (
     rect_polar,
 )
 from .params import SaddleParams, derive_constants
+from .returncurve import turning_function
 
-__all__ = ["eta_composed", "composed_return", "PulseReplay", "replay_pulse"]
+__all__ = ["eta_composed", "composed_return", "PulseReplay", "replay_pulse", "turning_range_grid"]
+
+# grid spacing h = pi / 100000 puts each sampled extremum within
+# R (1 - cos h) < 5e-10 R of the true one
+TURNING_GRID_POINTS = 100_001
 
 
 def eta_composed(t: float, s: float, p: SaddleParams) -> tuple[float, float]:
@@ -87,3 +96,14 @@ def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseRe
         residual=circle_dist(x_w, x0),
         heights=tuple(heights),
     )
+
+
+def turning_range_grid(p: SaddleParams) -> tuple[float, float]:
+    """Smallest and largest value of the turning function on a uniform grid over [0, pi].
+
+    A plain sample of the direct form, with no refinement: every value is a
+    true value of A, so the grid range lies inside the exact extrema and
+    approaches them to the spacing error.
+    """
+    vals = turning_function(np.linspace(0.0, math.pi, TURNING_GRID_POINTS), p)
+    return float(np.min(vals)), float(np.max(vals))

@@ -4,9 +4,11 @@ The model near the cycle is fully determined by the six linearisation rates
 at the two saddle-foci, the transition shear ``a`` and the cross-section
 radius ``eps``.  Reversals of the exit curve exist exactly when the crossing
 level K = alpha_v * E_w / alpha_w lies between the extrema of the turning
-function (see :mod:`bykov.returncurve`); this module classifies a parameter
-point accordingly and decides rationality of the twist ratio gamma with a
-continued-fraction surrogate.
+function A(phi) (see :mod:`bykov.returncurve`).  A is a degree-two
+trigonometric polynomial, A(phi) = m + R cos(2 phi - theta), so its extrema
+m -/+ R are exact; this module classifies a parameter point accordingly and
+decides rationality of the twist ratio gamma with a continued-fraction
+surrogate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ __all__ = [
     "REGION_TAGS",
     "derive_constants",
     "is_gamma_rational",
+    "turning_harmonic",
+    "turning_level",
     "classify_region",
+    "load_exact_keys",
     "load_saddle_params",
 ]
 
@@ -117,11 +122,23 @@ def derive_constants(p: SaddleParams) -> DerivedConstants:
         g_v=p.alpha_v / p.E_v,
         g_w=-p.alpha_w / p.E_w,
         gamma=(p.alpha_w / p.alpha_v) * (p.C_v / p.E_w),
-        c1=p.eps ** (1.0 - delta_v),
+        c1=_section_power(p, "c1", "C_v", "E_v"),
         c2=(p.alpha_v / p.E_v) * log_eps,
         c3=(-p.alpha_w / p.E_w) * log_eps,
-        c4=p.eps ** (1.0 - delta_w),
+        c4=_section_power(p, "c4", "C_w", "E_w"),
     )
+
+
+def _section_power(p: SaddleParams, name: str, rate_c: str, rate_e: str) -> float:
+    """eps ** (1 - C/E) for one node; an overflow names the three fields behind it."""
+    c, e = getattr(p, rate_c), getattr(p, rate_e)
+    try:
+        return p.eps ** (1.0 - c / e)
+    except OverflowError:
+        raise ParameterError(
+            f"{name} = eps**(1 - {rate_c}/{rate_e}) overflows for "
+            f"{rate_c}={c}, {rate_e}={e}, eps={p.eps}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -198,6 +215,25 @@ class Region:
         return d
 
 
+def turning_harmonic(p: SaddleParams) -> tuple[float, float, float]:
+    """The turning function as A(phi) = m + R cos(2 phi - theta); returns (m, R, theta).
+
+    Expanding cos^2, sin^2 and sin*cos in the double angle gives
+    m = C_v (a^2 + a^-2)/2, R = (a^2 - a^-2)/2 * hypot(C_v, alpha_v) and
+    theta = atan2(alpha_v, C_v).  The extrema are m -/+ R, taken at
+    phi = (theta + pi)/2 and theta/2 (mod pi).
+    """
+    a2 = p.a * p.a
+    m = p.C_v * (a2 + 1.0 / a2) / 2.0
+    r = 0.5 * (a2 - 1.0 / a2) * math.hypot(p.C_v, p.alpha_v)
+    return m, r, math.atan2(p.alpha_v, p.C_v)
+
+
+def turning_level(p: SaddleParams) -> float:
+    """Crossing level K = alpha_v * E_w / alpha_w (equals C_v / gamma)."""
+    return p.alpha_v * p.E_w / p.alpha_w
+
+
 def classify_region(
     p: SaddleParams,
     rationality_tol: float = 1e-9,
@@ -206,22 +242,24 @@ def classify_region(
 ) -> Region:
     """Place the parameter point in one of the five reversal regions.
 
-    Membership is decided by the extrema condition a_min <= K <= a_max with
-    the extrema computed numerically (grid plus refinement); shear a = 1
-    short-circuits to the no-reversal tag because the exit coordinates are
-    then monotone regardless of K.
+    Membership is decided by the extrema condition a_min < K < a_max, i.e.
+    |K - m| < R with the exact harmonic form of :func:`turning_harmonic`;
+    shear a = 1 short-circuits to the no-reversal tag because the exit
+    coordinates are then monotone regardless of K.
     """
-    from .returncurve import turning_extrema, turning_level
-
     k = derive_constants(p)
     rationality = is_gamma_rational(k.gamma, tol=rationality_tol, q_max=q_max)
-    ext = turning_extrema(p)
+    m, r, _ = turning_harmonic(p)
+    a_min, a_max = m - r, m + r
     level = turning_level(p)
     if p.a == 1.0:
         tag = "NoReversal_aEq1"
-    elif min(abs(level - ext.a_min), abs(level - ext.a_max)) < boundary_tol:
+    elif min(abs(level - a_min), abs(level - a_max)) < boundary_tol:
         tag = "BoundaryB"
-    elif level < ext.a_min or level > ext.a_max:
+    elif abs(level - m) >= r:
+        # the test turning_crossings applies, so that an interior tag always
+        # comes with a transversal root pair, even where boundary_tol is
+        # finer than the float spacing of the extrema
         tag = "OutsideB"
     elif rationality.is_rational_within_tol:
         tag = "InteriorB_GammaRational"
@@ -229,36 +267,46 @@ def classify_region(
         tag = "DenseReversals_D"
     return Region(
         tag=tag,
-        a_min=ext.a_min,
-        a_max=ext.a_max,
+        a_min=a_min,
+        a_max=a_max,
         k=level,
         gamma_rationality=rationality,
     )
 
 
-def load_saddle_params(source: str | Path | dict) -> SaddleParams:
-    """Load parameters from JSON with exactly the eight canonical keys.
+def load_exact_keys(source: str | Path | dict, fields: dict[str, type]) -> dict:
+    """Read a JSON object whose keys are exactly ``fields``, each of its declared type.
 
-    Unknown keys are an error: a typo must not silently change the
-    dynamics.  Missing keys are reported by name.
+    ``fields`` maps a key to ``float`` (any JSON number, returned as float)
+    or ``str``.  Unknown keys are an error: a typo must not silently change
+    the dynamics.  Missing keys and mistyped values are reported by name.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     else:
-        data = dict(source)
+        data = source
     if not isinstance(data, dict):
         raise ParameterError("parameter document must be a JSON object")
-    unknown = sorted(set(data) - set(SADDLE_FIELDS))
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ParameterError(f"unknown parameter key(s): {', '.join(unknown)}")
-    missing = sorted(set(SADDLE_FIELDS) - set(data))
+    missing = sorted(set(fields) - set(data))
     if missing:
         raise ParameterError(f"missing parameter key(s): {', '.join(missing)}")
     values = {}
-    for name in SADDLE_FIELDS:
+    for name, kind in fields.items():
         value = data[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParameterError(f"{name} must be a number, got {value!r}")
-        values[name] = float(value)
-    return SaddleParams(**values)
+        if kind is float:
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            value = float(value)
+        elif not isinstance(value, kind):
+            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+        values[name] = value
+    return values
+
+
+def load_saddle_params(source: str | Path | dict) -> SaddleParams:
+    """Load parameters from JSON with exactly the eight canonical keys."""
+    return SaddleParams(**load_exact_keys(source, dict.fromkeys(SADDLE_FIELDS, float)))

@@ -21,7 +21,11 @@ which vanishes exactly where the turning function
                + alpha_v (a^2 - a^-2) sin phi cos phi
 
 crosses the level K = alpha_v E_w / alpha_w; indeed
-sign(dx_w/ds) = sign(A(phi) - K) pointwise.  Turning points come in a
+sign(dx_w/ds) = sign(A(phi) - K) pointwise.  In the double angle A is the
+harmonic m + R cos(2 phi - theta) (:func:`bykov.params.turning_harmonic`),
+so the crossings are (theta -/+ arccos((K - m)/R))/2 mod pi in closed form
+and the sign of sin(2 phi - theta) tells their direction; no grid is
+involved.  Turning points come in a
 geometric sequence s_n = s_0 exp(-n pi / g_v) and satisfy the rotation
 identity x_w(s_n) = x_w(s_0) + n pi (1 - gamma), which drives the density
 and tangency analysis.
@@ -35,21 +39,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .localmaps import BumpSpec, circle_dist, wrap_pi
-from .params import DerivedConstants, SaddleParams, classify_region, derive_constants
+from .params import (
+    DerivedConstants,
+    SaddleParams,
+    classify_region,
+    derive_constants,
+    turning_harmonic,
+    turning_level,
+)
 
 __all__ = [
     "NoReversalsError",
     "ReturnCurveSample",
-    "TurningExtrema",
     "ReversalSequence",
     "TangencyReport",
     "stretch_sq",
     "sheared_angle",
     "turning_function",
     "turning_level",
-    "turning_gradient_form",
-    "turning_extrema",
-    "turning_extrema_closed_form",
     "turning_crossings",
     "curve_sample",
     "curve_arrays",
@@ -100,147 +107,19 @@ def turning_function(phi, p: SaddleParams):
     )
 
 
-def turning_level(p: SaddleParams) -> float:
-    """Crossing level K = alpha_v * E_w / alpha_w (equals C_v / gamma)."""
-    return p.alpha_v * p.E_w / p.alpha_w
+def turning_crossings(p: SaddleParams) -> list[float]:
+    """Transversal roots of A(phi) = K in [0, pi), ascending, from the harmonic form.
 
-
-def turning_gradient_form(phi, p: SaddleParams):
-    """Quadratic form proportional to the phi-derivative of the turning function."""
-    return p.alpha_v * np.cos(2.0 * np.asarray(phi, dtype=float)) - p.C_v * np.sin(
-        2.0 * np.asarray(phi, dtype=float)
-    )
-
-
-@dataclass(frozen=True)
-class TurningExtrema:
-    """Extrema of the turning function over one period [0, pi)."""
-
-    a_min: float
-    a_max: float
-    phi_min: float
-    phi_max: float
-    method: str = "grid+refine"
-
-    def to_dict(self) -> dict:
-        return {
-            "a_min": self.a_min,
-            "a_max": self.a_max,
-            "phi_min": self.phi_min,
-            "phi_max": self.phi_max,
-            "method": self.method,
-        }
-
-
-def _golden_refine(f, lo: float, hi: float, minimize: bool, tol: float = 1e-12) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    if not minimize:
-        f1, f2 = -f1, -f2
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1) if minimize else -f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2) if minimize else -f(x2)
-    return 0.5 * (lo + hi)
-
-
-def turning_extrema(p: SaddleParams, n_grid: int = 100_001, residual_tol: float = 1e-8) -> TurningExtrema:
-    """Global extrema of the turning function by dense grid plus golden-section refinement.
-
-    The refined argmin/argmax must leave the gradient form residual below
-    ``residual_tol`` (scaled); a violation indicates a broken refinement
-    bracket and raises.
+    A(phi) - K = R (cos(2 phi - theta) - c) with c = (K - m)/R, so the roots
+    are (theta -/+ arccos c)/2 mod pi.  There are none when |K - m| >= R:
+    no shear (R = 0), or the level misses A or touches it tangentially.
     """
-    if p.a == 1.0:
-        return TurningExtrema(a_min=p.C_v, a_max=p.C_v, phi_min=0.0, phi_max=0.0)
-    grid = np.linspace(0.0, math.pi, n_grid)
-    vals = turning_function(grid, p)
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-    step = math.pi / (n_grid - 1)
-
-    def f(x: float) -> float:
-        return float(turning_function(x, p))
-
-    def polish(x: float) -> float:
-        # value-based refinement saturates at sqrt(machine eps) around a
-        # quadratic extremum; a bisection on the gradient form nails it
-        half = 2.0 * step
-        g_lo = float(turning_gradient_form(x - half, p))
-        g_hi = float(turning_gradient_form(x + half, p))
-        if (g_lo < 0.0) == (g_hi < 0.0):
-            return x
-        lo, hi = x - half, x + half
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            g_mid = float(turning_gradient_form(mid, p))
-            if (g_lo < 0.0) != (g_mid < 0.0):
-                hi = mid
-            else:
-                lo, g_lo = mid, g_mid
-        return 0.5 * (lo + hi)
-
-    phi_min = polish(_golden_refine(f, grid[i_min] - step, grid[i_min] + step, minimize=True))
-    phi_max = polish(_golden_refine(f, grid[i_max] - step, grid[i_max] + step, minimize=False))
-    a_min, a_max = f(phi_min), f(phi_max)
-    guard = 1e-12 * max(1.0, abs(a_min), abs(a_max))
-    if a_min > float(vals[i_min]) + guard or a_max < float(vals[i_max]) - guard:
-        raise RuntimeError("extremum refinement escaped its bracketing interval")
-    a_min = min(a_min, float(vals[i_min]))
-    a_max = max(a_max, float(vals[i_max]))
-    scale = max(p.alpha_v, p.C_v)
-    for phi_star in (phi_min, phi_max):
-        if abs(float(turning_gradient_form(phi_star, p))) > residual_tol * scale:
-            raise RuntimeError(
-                f"gradient-form residual too large at refined extremum phi={phi_star}"
-            )
-    return TurningExtrema(a_min=a_min, a_max=a_max, phi_min=phi_min % math.pi, phi_max=phi_max % math.pi)
-
-
-def turning_extrema_closed_form(p: SaddleParams) -> tuple[float, float]:
-    """Exact extrema from the harmonic form: mean -/+ amplitude.
-
-    A(phi) = C_v (a^2 + a^-2)/2 + (a^2 - a^-2)/2 * (C_v cos 2phi + alpha_v sin 2phi)
-    so the amplitude is (a^2 - a^-2)/2 * hypot(C_v, alpha_v).
-    """
-    a2 = p.a * p.a
-    mean = p.C_v * (a2 + 1.0 / a2) / 2.0
-    amp = 0.5 * (a2 - 1.0 / a2) * math.hypot(p.C_v, p.alpha_v)
-    return mean - amp, mean + amp
-
-
-def turning_crossings(p: SaddleParams, n_grid: int = 10_000, tol: float = 1e-13) -> list[float]:
-    """Transversal roots of A(phi) = K in [0, pi), by sign-change bracketing and bisection.
-
-    Returns an empty list when the level does not cross (outside or tangent
-    within the grid resolution); at most two roots exist because A is a
-    degree-two trigonometric polynomial.
-    """
-    level = turning_level(p)
-    grid = np.linspace(0.0, math.pi, n_grid + 1)
-    vals = np.asarray(turning_function(grid, p)) - level
-    roots: list[float] = []
-    sign = np.signbit(vals)
-    change = np.nonzero(sign[:-1] != sign[1:])[0]
-    for i in change:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        f_lo = float(vals[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            f_mid = float(turning_function(mid, p)) - level
-            if (f_lo < 0.0) != (f_mid < 0.0):
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        roots.append(0.5 * (lo + hi))
-    return sorted(r % math.pi for r in roots)
+    m, r, theta = turning_harmonic(p)
+    offset = turning_level(p) - m
+    if abs(offset) >= r:
+        return []
+    half = 0.5 * math.acos(offset / r)
+    return sorted((0.5 * theta + sign * half) % math.pi for sign in (-1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -370,17 +249,21 @@ def _reversal_entries(
     n_max: int,
     p: SaddleParams,
     k: DerivedConstants,
-    roots: list[float],
     stop_at_underflow: bool,
 ):
     """Shared enumeration of turning points phi_n = root + m*pi with s_n <= eps.
 
     The turning kind follows the crossing direction of the turning function:
-    an upward crossing (positive gradient form) makes the exit angle switch
-    from falling to rising as s decreases, i.e. a local maximum in s.
+    an upward crossing (dA/dphi = -2R sin(2 phi - theta) > 0) makes the exit
+    angle switch from falling to rising as s decreases, i.e. a local
+    maximum in s.  Raises when A does not cross the level transversally.
     """
-    grad0 = float(turning_gradient_form(roots[0], p))
-    kinds = ("maxima" if grad0 > 0 else "minima", "minima" if grad0 > 0 else "maxima")
+    roots = turning_crossings(p)
+    if len(roots) < 2:
+        raise NoReversalsError("parameter point has no transversal turning points")
+    theta = turning_harmonic(p)[2]
+    upward = math.sin(2.0 * roots[0] - theta) < 0.0
+    kinds = ("maxima", "minima") if upward else ("minima", "maxima")
     entries = []
     m = min(math.ceil((t - r) / math.pi) for r in roots)
     ln_floor = math.log(S_UNDERFLOW)
@@ -457,10 +340,7 @@ def reversal_sequence(
         return _sequence_from_entries(t, p, k, [], reason=region.tag)
     if region.tag == "BoundaryB":
         return _sequence_from_entries(t, p, k, [], reason="BoundaryB", inflection=True)
-    roots = turning_crossings(p)
-    if len(roots) < 2:
-        return _sequence_from_entries(t, p, k, [], reason="BoundaryB", inflection=True)
-    entries = _reversal_entries(t, n_max, p, k, roots, stop_at_underflow=True)
+    entries = _reversal_entries(t, n_max, p, k, stop_at_underflow=True)
     return _sequence_from_entries(t, p, k, entries)
 
 
@@ -473,10 +353,7 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     when no reversals exist.
     """
     k = derive_constants(p)
-    roots = turning_crossings(p)
-    if len(roots) < 2:
-        raise NoReversalsError("parameter point has no transversal turning points")
-    entries = _reversal_entries(t, n_max, p, k, roots, stop_at_underflow=False)
+    entries = _reversal_entries(t, n_max, p, k, stop_at_underflow=False)
     return _sequence_from_entries(t, p, k, entries)
 
 

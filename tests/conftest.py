@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bykov.params import SaddleParams
+
+# same examples on every run, and no per-example wall-clock limit on a slow host
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

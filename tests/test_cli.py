@@ -82,6 +82,47 @@ def test_classify_rejects_malformed(tmp_path, capsys):
     assert code == 2
 
 
+CASE1 = {"alpha_v": 0.2, "C_v": 1.0, "E_v": 0.8, "alpha_w": 2.5, "C_w": 4.0, "E_w": 2.0,
+         "a": 2.0, "eps": 0.5}
+
+
+@pytest.mark.parametrize("knob", [["--seed", "1"], ["--rtol", "1e-8"], ["--atol", "1e-10"]])
+def test_saddle_commands_take_no_integrator_knobs(case1_config, knob, tmp_path):
+    assert main(["classify", "--config", case1_config, "--out", str(tmp_path / "out")] + knob) == 2
+
+
+def test_classify_near_unit_shear(tmp_path):
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps({**CASE1, "alpha_v": 1.0, "a": 1.000000002}))
+    code = main(["classify", "--config", str(path), "--verify", "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+def test_classify_reports_constant_overflow(tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({**CASE1, "E_w": 0.002}))
+    code = main(["classify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("C_w", "E_w", "eps"))
+
+
+def test_strips_near_turning_maximum(tmp_path):
+    """K 8.75e-9 below the maximum: the narrow root pair still yields strips."""
+    path = tmp_path / "near_max.json"
+    path.write_text(
+        json.dumps(
+            {"alpha_v": 2.0, "C_v": 1.2, "E_v": 1.0, "alpha_w": 0.5777663453158498,
+             "C_w": 2.6, "E_w": 2.0, "a": 2.0, "eps": 0.5}
+        )
+    )
+    code = main(
+        ["strips", "--config", str(path), "--tau", "0.05", "--n-limit", "2", "--verify",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+
+
 def test_curve_single_row(dense_config, tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -211,6 +252,25 @@ def test_simulate_3d_model(tmp_path):
     assert code == 0
     header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x,y,z,r2"
+
+
+FLOW = {"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "example4d"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "parameter document must be a JSON object"),
+        ({**FLOW, "alpha1": None}, "alpha1"),
+        ({**FLOW, "alpha1": "1.0"}, "alpha1"),
+    ],
+)
+def test_simulate_rejects_malformed(doc, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg), "--T", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sojourn_self_test(flow_config, tmp_path, capsys):

@@ -144,13 +144,12 @@ def test_strips_case2_rational_gamma(rational_params):
 
 def test_strips_case4_boundary():
     """Level pinned at the turning maximum: inflection case with exclusion margin."""
-    from bykov.returncurve import turning_extrema_closed_form
+    from bykov.params import classify_region, turning_harmonic
 
     base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
-    _, hi = turning_extrema_closed_form(base)
+    m, r, _ = turning_harmonic(base)
+    hi = m + r
     p = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=hi, a=2.0, eps=0.5)
-    from bykov.params import classify_region
-
     assert classify_region(p).tag == "BoundaryB"
     family = build_strips(0.02, 2, p)
     assert family.case == "IV"

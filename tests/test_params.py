@@ -118,37 +118,6 @@ def test_classify_outside_when_level_huge():
     assert region.tag == "OutsideB"
 
 
-def test_classification_agrees_with_legacy_inequality_or_reports():
-    """Cross-check against the legacy closed-form membership inequality.
-
-    That inequality is internally inconsistent (its radicand does not match
-    the one the extremum derivation produces), so disagreements are
-    reported, not failed; the extrema-based verdict is the contract.
-    """
-    rng = np.random.default_rng(23)
-    disagreements = []
-    for _ in range(1000):
-        p = random_admissible(rng, a_min=1.02)
-        region = classify_region(p)
-        a2 = p.a * p.a
-        spread = (a2 - 1.0 / a2) * 2.0 * p.alpha_v
-        root = math.sqrt(p.alpha_v**2 + 4.0 * p.C_v**2)
-        mid = p.E_w / p.alpha_w - a2 * p.C_v / p.alpha_v
-        legacy_inside = spread / (p.C_v - root) <= mid <= spread / (p.C_v + root)
-        extrema_inside = region.tag in (
-            "InteriorB_GammaRational",
-            "DenseReversals_D",
-            "BoundaryB",
-        )
-        if legacy_inside != extrema_inside:
-            disagreements.append((p, region.tag))
-    if disagreements:
-        print(
-            f"legacy-inequality disagreements: {len(disagreements)}/1000 "
-            "(extrema-based verdict governs)"
-        )
-
-
 def test_loader_roundtrip(tmp_path):
     p = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=0.5)
     path = tmp_path / "p.json"

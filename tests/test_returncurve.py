@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bykov.localmaps import circle_dist
-from bykov.oracles import eta_composed
-from bykov.params import SaddleParams, derive_constants
+from bykov.oracles import eta_composed, turning_range_grid
+from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic
 from bykov.returncurve import (
     NoReversalsError,
     curve_arrays,
@@ -17,8 +20,6 @@ from bykov.returncurve import (
     sheared_angle,
     stretch_sq,
     turning_crossings,
-    turning_extrema,
-    turning_extrema_closed_form,
     turning_function,
     turning_level,
 )
@@ -119,22 +120,32 @@ def test_turning_function_quarter_pi_value():
         assert float(turning_function(phi_target, p)) == pytest.approx(a_fd, rel=1e-6)
 
 
+def assert_extrema_match_grid(p: SaddleParams):
+    """Closed-form extrema against the plain grid oracle and their own angles."""
+    region = classify_region(p)
+    scale = max(1.0, abs(region.a_min), abs(region.a_max))
+    lo, hi = turning_range_grid(p)
+    assert region.a_min - 1e-12 * scale <= lo and hi <= region.a_max + 1e-12 * scale
+    theta = turning_harmonic(p)[2]
+    phi_min, phi_max = (0.5 * (theta + math.pi)) % math.pi, (0.5 * theta) % math.pi
+    assert float(turning_function(phi_min, p)) == pytest.approx(region.a_min, rel=1e-12, abs=1e-12 * scale)
+    assert float(turning_function(phi_max, p)) == pytest.approx(region.a_max, rel=1e-12, abs=1e-12 * scale)
+    return region
+
+
 def test_extrema_shear_free():
     p = SaddleParams(alpha_v=1.0, C_v=0.8, E_v=1.0, alpha_w=1.0, C_w=1.0, E_w=1.0, a=1.0, eps=0.5)
-    ext = turning_extrema(p)
-    assert ext.a_min == ext.a_max == pytest.approx(0.8)
+    region = assert_extrema_match_grid(p)
+    assert region.a_min == region.a_max == pytest.approx(0.8)
 
 
 def test_extrema_grid_vs_closed_form():
     rng = np.random.default_rng(41)
     for _ in range(50):
         p = random_admissible(rng, a_min=1.05)
-        ext = turning_extrema(p)
-        lo, hi = turning_extrema_closed_form(p)
-        assert ext.a_min == pytest.approx(lo, rel=1e-10, abs=1e-10)
-        assert ext.a_max == pytest.approx(hi, rel=1e-10, abs=1e-10)
+        region = assert_extrema_match_grid(p)
         # the maximum dominates the axis sample A(0) = C_v a^2
-        assert ext.a_max >= float(turning_function(0.0, p)) - 1e-12
+        assert region.a_max >= float(turning_function(0.0, p)) - 1e-12
 
 
 def test_exit_curve_resonant_cancellation(unit_params):
@@ -374,3 +385,64 @@ def test_turning_crossings_bracket_all_roots(dense_params):
     level = turning_level(dense_params)
     for r in roots:
         assert float(turning_function(r, dense_params)) == pytest.approx(level, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def near_max_params(dense_params):
+    """Dense fixture with K 8.75e-9 below the turning maximum: a narrow transversal pair."""
+    return replace(dense_params, alpha_w=0.5777663453158498)
+
+
+def test_near_maximum_keeps_the_root_pair(near_max_params):
+    p = near_max_params
+    region = classify_region(p)
+    assert region.a_max - region.k == pytest.approx(8.75e-9, rel=1e-3)
+    assert region.tag in ("InteriorB_GammaRational", "DenseReversals_D")
+    roots = turning_crossings(p)
+    assert len(roots) == 2
+    seq = reversal_sequence(0.0, 100, p)
+    assert len(seq) == 100
+    report = find_tangency(0.0, 0.0, 1000, p)
+    assert 0.0 <= report.amplitude <= math.pi
+
+
+def test_interior_tag_implies_root_pair_at_float_resolution():
+    """Huge rates put boundary_tol below the float spacing of the extrema."""
+    interior = 0
+    for c_v in (1e7, 1e8):
+        base = SaddleParams(alpha_v=1.0, C_v=c_v, E_v=c_v, alpha_w=1.0, C_w=1.0, E_w=1.0, a=2.0, eps=0.5)
+        m, r, _ = turning_harmonic(base)
+        for level in (m - r, m + r):
+            for _ in range(8):
+                level = math.nextafter(level, m)
+                p = replace(base, alpha_w=1.0 / level)
+                if classify_region(p).tag in ("InteriorB_GammaRational", "DenseReversals_D"):
+                    interior += 1
+                    assert len(turning_crossings(p)) == 2
+    assert interior > 0
+
+
+@given(
+    rates=st.lists(st.floats(-1.1, 1.1), min_size=5, max_size=5),
+    log_shear=st.floats(-9.0, math.log10(2.0)),
+    log_inside=st.floats(-12.0, -1.0),
+    near_min=st.booleans(),
+)
+def test_interior_level_has_two_accurate_roots(rates, log_shear, log_inside, near_min):
+    """K a fraction 1e-12..1e-1 of the spread inside an extremum, a - 1 in 1e-9..2."""
+    alpha_v, C_v, E_v, C_w, E_w = (math.exp(x) for x in rates)
+    p = SaddleParams(alpha_v=alpha_v, C_v=C_v, E_v=E_v, alpha_w=1.0, C_w=C_w, E_w=E_w,
+                     a=1.0 + 10.0**log_shear, eps=0.5)
+    m, r, _ = turning_harmonic(p)
+    inside = 10.0**log_inside * 2.0 * r
+    level = (m - r) + inside if near_min else (m + r) - inside
+    if level <= 0.0:
+        return
+    p = replace(p, alpha_w=alpha_v * E_w / level)
+    if classify_region(p).tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
+        return
+    roots = turning_crossings(p)
+    assert len(roots) == 2
+    k = turning_level(p)
+    for root in roots:
+        assert abs(float(turning_function(root, p)) - k) <= 1e-12 * max(1.0, m + r)
