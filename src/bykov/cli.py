@@ -35,10 +35,11 @@ from .horseshoe import (
     build_strips,
     find_multipulse,
     jacobian_report,
+    return_jacobian,
     strip_family_violations,
     strip_image_report,
 )
-from .oracles import eta_composed, replay_pulse, turning_range_grid
+from .oracles import eta_composed, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import ParameterError, classify_region, derive_constants, load_saddle_params
 from .returncurve import (
     NoReversalsError,
@@ -53,7 +54,7 @@ EXIT_USAGE = 2
 
 CURVE_HEADER = "s,t,phi,x_w,x_w_mod_2pi,y_w,dxw_ds"
 STRIPS_HEADER = "n,t,a_n,b_n"
-JACOBIAN_HEADER = "x,y,det_fd,trace_fd,det_cf,trace_cf,class"
+JACOBIAN_HEADER = "x,y,det,trace,class"
 TRAJ_HEADER = "t,x1,x2,x3,x4,r2"
 
 
@@ -263,38 +264,31 @@ def cmd_jacobian(args) -> int:
     started = time.monotonic()
     p = load_saddle_params(args.config)
     rows = [JACOBIAN_HEADER]
-    flagged = 0
+    worst_miss = 0.0
     for kk in range(args.k_min, args.k_max + 1):
         y = 2.0**-kk
         if y > p.eps:
             continue
         rep = jacobian_report(args.x, y, p)
-        flagged += (not rep.det_agrees) + (not rep.trace_agrees)
         if args.verify:
-            scale = max(abs(rep.det_fd), abs(rep.trace_fd), 1.0)
-            if rep.fd_refinement_gap > 1e-4 * scale:
-                raise VerifyFailure(
-                    f"finite-difference stencil not converged at y={y}: gap {rep.fd_refinement_gap}"
-                )
-        rows.append(
-            ",".join(
-                [
-                    _fmt(rep.x),
-                    _fmt(rep.y),
-                    _fmt(rep.det_fd),
-                    _fmt(rep.trace_fd),
-                    _fmt(rep.det_cf),
-                    _fmt(rep.trace_cf),
-                    rep.eigen_class,
-                ]
-            )
-        )
+            # the exact Jacobian against Richardson differences of the
+            # elementary-map composition
+            fd, gap = return_jacobian_fd(args.x, y, p)
+            scale = max(abs(float(np.linalg.det(fd))), abs(float(np.trace(fd))), 1.0)
+            if gap > 1e-4 * scale:
+                raise VerifyFailure(f"finite-difference stencil not converged at y={y}: gap {gap}")
+            miss = float(np.max(np.abs(return_jacobian(args.x, y, p) - fd)) / max(1.0, np.max(np.abs(fd))))
+            if miss > 1e-5:
+                raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
+            worst_miss = max(worst_miss, miss)
+        rows.append(",".join([_fmt(rep.x), _fmt(rep.y), _fmt(rep.det), _fmt(rep.trace), rep.eigen_class]))
+    diagnostics: dict = {"count": len(rows) - 1}
+    if args.verify:
+        diagnostics["oracle_rel_error"] = worst_miss
     out_dir = Path(args.out)
     path = out_dir / "jacobian.csv"
     _atomic_write(path, "\n".join(rows) + "\n")
-    _write_manifest(
-        out_dir, "jacobian", args, [path], {"closed_form_flags": flagged}, started
-    )
+    _write_manifest(out_dir, "jacobian", args, [path], diagnostics, started)
     return EXIT_OK
 
 

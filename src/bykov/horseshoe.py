@@ -5,9 +5,10 @@ quarter-turn transition: g(x, y) = (y_w(x, y), -x_w(x, y)) with the second
 coordinate reduced to (-pi, pi].  A horizontal strip across the rectangle
 [0, tau]^2 is a band a_n(t) <= s <= b_n(t) on which the exit angle sweeps a
 full copy of [-tau, 0] modulo 2*pi; the quarter turn then stands the image
-vertically across the same rectangle.  Hyperbolicity of g is diagnosed by
-finite differences with the legacy closed forms carried along as flagged
-cross-checks.
+vertically across the same rectangle.  Hyperbolicity of g is read off its
+exact Jacobian, assembled from the partials of the exit-curve kernel
+:func:`bykov.returncurve.exit_curve`; finite differences of the return map
+live only in :mod:`bykov.oracles`, as the test and ``--verify`` oracle.
 """
 
 from __future__ import annotations
@@ -18,22 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, circle_dist, psi_wv
-from .params import DerivedConstants, SaddleParams, classify_region, derive_constants, turning_harmonic
+from .params import DerivedConstants, Region, SaddleParams, classify_region, derive_constants, turning_harmonic
 from .returncurve import (
     NoReversalsError,
-    curve_arrays,
     curve_sample,
+    exit_curve,
     reversal_angle_set,
-    stretch_sq,
     turning_crossings,
-    turning_function,
-    turning_level,
 )
 
 __all__ = [
     "ResonanceError",
     "PeriodicTangencyError",
     "return_map",
+    "return_jacobian",
     "JacobianReport",
     "jacobian_report",
     "PeriodicTangencyResult",
@@ -49,6 +48,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 LN_FLOOR = math.log(1e-300)
+# an eigenvalue modulus this close to 1 is not called hyperbolic
+UNIT_TOL = 1e-6
 
 
 class ResonanceError(ValueError):
@@ -77,52 +78,33 @@ def return_map(p_in: WallPoint, p: SaddleParams, bump: BumpSpec | None = None) -
     return psi_wv(WallPoint(section=OUT_W, x=sample.x_w, y=sample.y_w), bump)
 
 
-def _raw_return(t: float, s: float, p: SaddleParams, k: DerivedConstants) -> tuple[float, float]:
-    """Unreduced return components (y_w, -x_w); differences of these are wrap-free."""
-    _, x_w, y_w, _ = curve_arrays(t, s, p, k)
-    return float(y_w), float(-x_w)
+def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
+    """Exact Jacobian of the unreduced return (y_w, -x_w) at (x, y), y > 0.
+
+    J = [[y_w (ln y)_t, y_w (ln y)_u / y], [-x_t, -x_u / y]] from the
+    partials of the exit-curve kernel in u = ln y.
+    """
+    if y <= 0.0:
+        raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
+    curve = exit_curve(x, math.log(y), p)
+    y_w = np.exp(curve.log_y)
+    return np.array(
+        [
+            [y_w * curve.log_y_t, y_w * curve.log_y_u / y],
+            [-curve.x_t, -curve.x_u / y],
+        ]
+    )
 
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Finite-difference and closed-form derivative data of the return map at a point."""
+    """Determinant, trace and eigenvalue class of the return-map Jacobian at a point."""
 
     x: float
     y: float
-    det_fd: float
-    trace_fd: float
-    det_cf: float
-    trace_cf: float
+    det: float
+    trace: float
     eigen_class: str
-    det_agrees: bool
-    trace_agrees: bool
-    fd_refinement_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "det_fd": self.det_fd,
-            "trace_fd": self.trace_fd,
-            "det_cf": self.det_cf,
-            "trace_cf": self.trace_cf,
-            "class": self.eigen_class,
-            "det_agrees": self.det_agrees,
-            "trace_agrees": self.trace_agrees,
-        }
-
-
-def _fd_matrix(t: float, s: float, p: SaddleParams, k: DerivedConstants, h_x: float, h_y: float):
-    fxp = _raw_return(t + h_x, s, p, k)
-    fxm = _raw_return(t - h_x, s, p, k)
-    fyp = _raw_return(t, s + h_y, p, k)
-    fym = _raw_return(t, s - h_y, p, k)
-    return np.array(
-        [
-            [(fxp[0] - fxm[0]) / (2 * h_x), (fyp[0] - fym[0]) / (2 * h_y)],
-            [(fxp[1] - fxm[1]) / (2 * h_x), (fyp[1] - fym[1]) / (2 * h_y)],
-        ]
-    )
 
 
 def _eigen_moduli(trace: float, det: float) -> tuple[float, float]:
@@ -136,55 +118,13 @@ def _eigen_moduli(trace: float, det: float) -> tuple[float, float]:
     return m[0], m[1]
 
 
-def jacobian_report(
-    x: float,
-    y: float,
-    p: SaddleParams,
-    agree_tol: float = 1e-6,
-    unit_tol: float = 1e-6,
-) -> JacobianReport:
-    """Derivative diagnostics of the unperturbed return map at (x, y).
-
-    ``det_fd``/``trace_fd`` come from Richardson-extrapolated centered
-    differences with step h = max(1e-7, 1e-7*y); the closed forms are
-    legacy expressions kept as cross-checks only: when they disagree beyond
-    ``agree_tol`` (relative) the report flags it and the finite-difference
-    values govern the eigenvalue classification.
-    """
-    if y <= 0.0:
-        raise ValueError(f"jacobian_report requires y > 0, got {y}")
-    k = derive_constants(p)
-    # angle direction takes the absolute step; the height direction must
-    # scale with y or the stencil would cross the stable manifold
-    h_x = max(1e-7, 1e-7 * y)
-    h_y = 1e-7 * y
-    coarse = _fd_matrix(x, y, p, k, h_x, h_y)
-    fine = _fd_matrix(x, y, p, k, h_x / 2.0, h_y / 2.0)
-    fd = (4.0 * fine - coarse) / 3.0
-    gap = float(np.max(np.abs(fine - coarse)))
-    det_fd = float(fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0])
-    trace_fd = float(fd[0, 0] + fd[1, 1])
-
-    phi = -k.g_v * math.log(y) + x + k.c2
-    a = p.a
-    shear2 = a * a - 1.0 / (a * a)
-    c = float(stretch_sq(phi, a))
-    sc = math.sin(phi) * math.cos(phi)
-    det_cf = (
-        k.c1**k.delta_w
-        * k.delta
-        * y ** (k.delta - 1.0)
-        * c ** (k.delta_w / 2.0 - 1.0)
-        * (1.0 + (k.c4 - 1.0) * k.g_w * shear2 * sc)
-    )
-    level = turning_level(p)
-    trace_cf = (
-        -(k.c1**k.delta_w) * k.delta_w * y**k.delta * c ** (k.delta_w / 2.0 - 1.0) * shear2 * sc
-        + (1.0 / y) * (p.alpha_w / (p.E_w * p.E_v * c)) * (float(turning_function(phi, p)) - level)
-    )
-
-    m1, m2 = _eigen_moduli(trace_fd, det_fd)
-    if abs(m1 - 1.0) < unit_tol or abs(m2 - 1.0) < unit_tol:
+def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
+    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian."""
+    jac = return_jacobian(x, y, p)
+    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+    trace = float(jac[0, 0] + jac[1, 1])
+    m1, m2 = _eigen_moduli(trace, det)
+    if abs(m1 - 1.0) < UNIT_TOL or abs(m2 - 1.0) < UNIT_TOL:
         eigen_class = "non-hyperbolic-within-tol"
     elif m2 < 1.0:
         eigen_class = "double-contraction"
@@ -192,22 +132,7 @@ def jacobian_report(
         eigen_class = "double-expansion"
     else:
         eigen_class = "saddle"
-
-    def _agrees(fd_val: float, cf_val: float) -> bool:
-        return abs(fd_val - cf_val) <= agree_tol * max(abs(fd_val), 1e-300)
-
-    return JacobianReport(
-        x=x,
-        y=y,
-        det_fd=det_fd,
-        trace_fd=trace_fd,
-        det_cf=float(det_cf),
-        trace_cf=float(trace_cf),
-        eigen_class=eigen_class,
-        det_agrees=_agrees(det_fd, float(det_cf)),
-        trace_agrees=_agrees(trace_fd, float(trace_cf)),
-        fd_refinement_gap=gap,
-    )
+    return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=eigen_class)
 
 
 @dataclass(frozen=True)
@@ -251,39 +176,34 @@ def detect_periodic_tangency(
     )
 
 
-def _xw_scalar(t: float, u: float, p: SaddleParams, k: DerivedConstants) -> float:
-    """Exit angle at s = e^u; scalar fast path for bisection loops."""
-    phi = -k.g_v * u + t + k.c2
-    a = p.a
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    c = a * a * cphi * cphi + sphi * sphi / (a * a)
-    kq = math.floor(2.0 * phi / math.pi)
-    base = math.atan2(sphi / a, a * cphi)
-    arg = base + TWO_PI * round(((kq + 0.5) * (math.pi / 2.0) - base) / TWO_PI)
-    return -k.g_w * k.delta_v * u - 0.5 * k.g_w * math.log(c) + arg + k.c3 - k.g_w * math.log(k.c1)
-
-
 def _solve_xw(
-    t: float,
+    t: np.ndarray,
     target: float,
-    u_lo: float,
-    u_hi: float,
+    u_lo: np.ndarray,
+    u_hi: np.ndarray,
     p: SaddleParams,
     k: DerivedConstants,
     tol: float = 1e-13,
-) -> float:
-    """Bisection for x_w(t, e^u) = target on a monotone u-interval."""
-    f_lo = _xw_scalar(t, u_lo, p, k) - target
-    f_hi = _xw_scalar(t, u_hi, p, k) - target
-    if (f_lo < 0.0) == (f_hi < 0.0):
+) -> np.ndarray:
+    """Bisection for x_w(t, e^u) = target on monotone u-intervals, one per t.
+
+    Each element stops on its own once its bracket is at most ``tol`` wide,
+    so it ends where a scalar bisection from the same bracket would.
+    """
+    below_lo = exit_curve(t, u_lo, p, k).x_w - target < 0.0
+    below_hi = exit_curve(t, u_hi, p, k).x_w - target < 0.0
+    if np.any(below_lo == below_hi):
         raise RuntimeError("target not bracketed by the monotone interval")
-    while u_hi - u_lo > tol:
+    active = u_hi - u_lo > tol
+    while np.any(active):
         mid = 0.5 * (u_lo + u_hi)
-        f_mid = _xw_scalar(t, mid, p, k) - target
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            u_hi = mid
-        else:
-            u_lo, f_lo = mid, f_mid
+        below_mid = exit_curve(t, mid, p, k).x_w - target < 0.0
+        to_lo = active & (below_lo != below_mid)
+        to_hi = active & ~to_lo
+        u_hi = np.where(to_lo, mid, u_hi)
+        u_lo = np.where(to_hi, mid, u_lo)
+        below_lo = np.where(to_hi, below_mid, below_lo)
+        active = u_hi - u_lo > tol
     return 0.5 * (u_lo + u_hi)
 
 
@@ -325,35 +245,47 @@ _CASE_OF_TAG = {
 }
 
 
+def _period_pieces(p: SaddleParams, region: Region) -> list[tuple[float, float, int]]:
+    """Monotone phi-pieces of one period of the turning function, ascending.
+
+    Each is (phi_lo, phi_hi, sign) with the sign of A - K on the piece; the
+    pieces repeat with period pi.  A transversal crossing starts a piece
+    with A > K when it is upward, i.e. when dA/dphi = -2R sin(2 phi - theta)
+    > 0: the direction test of the reversal kinds.  At the boundary of B the
+    level grazes one extremum, once per period, and A - K keeps one sign
+    between the grazes: negative below the maximum, positive above the
+    minimum.
+    """
+    theta = turning_harmonic(p)[2]
+    if region.tag == "BoundaryB":
+        at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
+        graze = (0.5 * (theta + math.pi) if at_min else 0.5 * theta) % math.pi
+        return [(graze, graze + math.pi, 1 if at_min else -1)]
+    r0, r1 = turning_crossings(p)
+    sign = 1 if math.sin(2.0 * r0 - theta) < 0.0 else -1
+    return [(r0, r1, sign), (r1, r0 + math.pi, -sign)]
+
+
 def _case_pieces(
     t: float,
-    p: SaddleParams,
     k: DerivedConstants,
-    roots: list[float],
+    period: list[tuple[float, float, int]],
     want_sign: int,
     max_pieces: int,
-):
-    """Monotone phi-pieces (ascending) with the requested turning sign.
+) -> list[tuple[float, float]]:
+    """Copies of the ``period`` pieces shifted by multiples of pi, from phi = t on.
 
-    Returns (phi_lo, phi_hi) pairs; s decreases as phi grows.
+    Keeps those on which A - K has the sign ``want_sign`` and returns them
+    as (phi_lo, phi_hi) pairs, ascending; s decreases as phi grows.
     """
-    level = turning_level(p)
-    out = []
-    m = min(math.ceil((t - r) / math.pi) for r in roots)
-    seq: list[float] = []
+    out: list[tuple[float, float]] = []
+    m = min(math.ceil((t - lo) / math.pi) for lo, _, _ in period)
     while len(out) < max_pieces:
-        for r in sorted(roots):
-            phi_n = r + m * math.pi
-            if phi_n < t:
-                continue
-            seq.append(phi_n)
-            if len(seq) >= 2:
-                lo, hi = seq[-2], seq[-1]
-                mid_val = float(turning_function(0.5 * (lo + hi), p)) - level
-                if (1 if mid_val > 0 else -1) == want_sign:
-                    out.append((lo, hi))
-                    if len(out) >= max_pieces:
-                        break
+        for lo, hi, sign in period:
+            if sign == want_sign and lo + m * math.pi >= t:
+                out.append((lo + m * math.pi, hi + m * math.pi))
+                if len(out) >= max_pieces:
+                    break
         m += 1
         if (k.c2 + t - m * math.pi) / k.g_v < LN_FLOOR:
             break
@@ -397,9 +329,9 @@ def build_strips(
                 angle=probe.angle,
             )
     tau_eff = tau
-    roots = turning_crossings(p) if case in ("II", "III") else []
+    period = [] if case == "I" else _period_pieces(p, region)
     if case == "III":
-        d = roots[1] - roots[0]
+        d = period[0][1] - period[0][0]
         if tau_eff >= d / 2.0:
             tau_eff = 0.45 * d
             notes.append(f"tau shrunk to {tau_eff:.6g} (< half the root separation {d:.6g})")
@@ -408,16 +340,12 @@ def build_strips(
         # tangential crossing: the monotone pieces run between the grazing
         # angles, and strip targets must keep a wide berth from the piece
         # endpoint values (the inflection angles)
-        theta = turning_harmonic(p)[2]
-        at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
-        graze = (0.5 * (theta + math.pi) if at_min else 0.5 * theta) % math.pi
-        roots = [graze, graze + math.pi]
         endpoint_margin = 10.0 * tau_eff
         notes.append(f"inflection exclusion half-width {endpoint_margin:.6g}")
 
     for grid_n in (t_samples, 4 * (t_samples - 1) + 1):
         t_grid = np.linspace(0.0, tau_eff, grid_n)
-        strips = _collect_strips(tau_eff, n_limit, p, k, case, roots, t_grid, slack, endpoint_margin)
+        strips = _collect_strips(tau_eff, n_limit, p, k, case, period, t_grid, slack, endpoint_margin)
         family = StripFamily(
             tau=tau_eff,
             tau_requested=tau,
@@ -438,14 +366,16 @@ def _collect_strips(
     p: SaddleParams,
     k: DerivedConstants,
     case: str,
-    roots: list[float],
+    period: list[tuple[float, float, int]],
     t_grid: np.ndarray,
     slack: float,
     endpoint_margin: float,
 ) -> list[Strip]:
     increasing = k.gamma > 1.0
     strips: list[Strip] = []
-    ts = [float(t) for t in t_grid]
+
+    def x_at(u):
+        return exit_curve(t_grid, u, p, k).x_w
 
     def targets_for(winding: int) -> tuple[float, float]:
         # a-boundary carries the -tau residue for increasing exit angle,
@@ -454,38 +384,34 @@ def _collect_strips(
             return TWO_PI * winding - tau, TWO_PI * winding
         return TWO_PI * winding, TWO_PI * winding - tau
 
-    def solve_strip(winding: int, u_los: list[float], u_his: list[float]) -> Strip | None:
+    def solve_strip(winding: int, u_los: np.ndarray, u_his: np.ndarray) -> Strip | None:
         tgt_a, tgt_b = targets_for(winding)
-        a_vals = np.empty(len(ts))
-        b_vals = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            u_lo, u_hi = u_los[i], u_his[i]
-            x_lo = _xw_scalar(t, u_lo, p, k)
-            x_hi = _xw_scalar(t, u_hi, p, k)
-            x_min, x_max = min(x_lo, x_hi), max(x_lo, x_hi)
-            for tgt in (tgt_a, tgt_b):
-                if not (x_min + endpoint_margin <= tgt <= x_max - endpoint_margin):
-                    return None
-            if i == 0:
-                # cheap height gate before paying for the bisections: the
-                # exit height at the interpolated target location must be
-                # at least near the rectangle width already
-                frac = (0.5 * (tgt_a + tgt_b) - x_lo) / (x_hi - x_lo)
-                u_est = u_lo + min(max(frac, 0.0), 1.0) * (u_hi - u_lo)
-                y_est = float(curve_arrays(t, math.exp(u_est), p, k)[2])
-                if y_est > 4.0 * tau:
-                    return None
-            u_a = _solve_xw(t, tgt_a, u_lo, u_hi, p, k)
-            u_b = _solve_xw(t, tgt_b, u_lo, u_hi, p, k)
-            a_vals[i] = math.exp(min(u_a, u_b))
-            b_vals[i] = math.exp(max(u_a, u_b))
+        x_lo, x_hi = x_at(u_los), x_at(u_his)
+        x_min, x_max = np.minimum(x_lo, x_hi), np.maximum(x_lo, x_hi)
+        for tgt in (tgt_a, tgt_b):
+            if not np.all((x_min + endpoint_margin <= tgt) & (tgt <= x_max - endpoint_margin)):
+                return None
+        # cheap height gate before paying for the bisections: the exit
+        # height at the interpolated target location must be at least near
+        # the rectangle width already
+        frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
+        u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
+        if exit_curve(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
+            return None
+        u_a = _solve_xw(t_grid, tgt_a, u_los, u_his, p, k)
+        u_b = _solve_xw(t_grid, tgt_b, u_los, u_his, p, k)
+        # libm's exp, not numpy's: the two can differ in the last bit, and
+        # the boundaries are written to strips.csv, which stays bit-stable
+        a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b)])
+        b_vals = np.array([math.exp(u) for u in np.maximum(u_a, u_b)])
         # the return image must stay inside the rectangle's width: its
         # horizontal extent is the exit height, so early windings whose
         # heights still exceed tau are skipped (strips accumulate downward)
-        for i, t in enumerate(ts):
-            for s_chk in np.linspace(a_vals[i], b_vals[i], 5):
-                if float(curve_arrays(t, float(s_chk), p, k)[2]) > tau:
-                    return None
+        s_chk = np.linspace(a_vals, b_vals, 5)
+        with np.errstate(under="ignore"):
+            heights = np.exp(exit_curve(t_grid, np.log(s_chk), p, k).log_y)
+        if np.any(heights > tau):
+            return None
         return Strip(
             index=len(strips),
             winding=winding,
@@ -497,29 +423,26 @@ def _collect_strips(
         )
 
     if case == "I":
-        u_top = math.log(p.eps)
-        x_tops = [_xw_scalar(t, u_top, p, k) for t in ts]
+        u_tops = np.full(len(t_grid), math.log(p.eps))
+        x_tops = x_at(u_tops)
         if increasing:
-            w = math.floor((min(x_tops) - slack - tau) / TWO_PI)
+            w = math.floor((float(np.min(x_tops)) - slack - tau) / TWO_PI)
         else:
-            w = math.ceil((max(x_tops) + slack + tau) / TWO_PI)
+            w = math.ceil((float(np.max(x_tops)) + slack + tau) / TWO_PI)
         # march a bracket cursor downward in u for every t; x_w is monotone
         # on the whole tail so [cursor, top] always brackets the targets
-        cursors = [(u_top, x_tops[i]) for i in range(len(ts))]
+        u_cur, x_cur = u_tops, x_tops
         while len(strips) < n_limit:
             tgt_a, tgt_b = targets_for(w)
             beyond = min(tgt_a, tgt_b) - 1.0 if increasing else max(tgt_a, tgt_b) + 1.0
-            u_los = []
-            for i, t in enumerate(ts):
-                u_cur, x_cur = cursors[i]
-                while (x_cur >= beyond) if increasing else (x_cur <= beyond):
-                    u_cur -= 1.0
-                    if u_cur < LN_FLOOR:
-                        return strips
-                    x_cur = _xw_scalar(t, u_cur, p, k)
-                cursors[i] = (u_cur, x_cur)
-                u_los.append(u_cur)
-            strip = solve_strip(w, u_los, [u_top] * len(ts))
+            behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
+            while np.any(behind):
+                u_cur = np.where(behind, u_cur - 1.0, u_cur)
+                if np.any(u_cur < LN_FLOOR):
+                    return strips
+                x_cur = x_at(u_cur)
+                behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
+            strip = solve_strip(w, u_cur, u_tops)
             if strip is not None:
                 strips.append(strip)
             w = w - 1 if increasing else w + 1
@@ -528,29 +451,19 @@ def _collect_strips(
     # cases II/III/IV: monotone pieces between consecutive reversals
     want_sign = 1 if increasing else -1
     max_pieces = max(64, 16 * n_limit)
-    pieces = _case_pieces(0.0, p, k, roots, want_sign, max_pieces)
-    for lo, hi in pieces:
+    for lo, hi in _case_pieces(0.0, k, period, want_sign, max_pieces):
         if len(strips) >= n_limit:
             break
         if (k.c2 - hi) / k.g_v < LN_FLOOR:
             break
-        u_los = [(k.c2 + t - hi) / k.g_v for t in ts]
-        u_his = [(k.c2 + t - lo) / k.g_v for t in ts]
+        u_los = (k.c2 + t_grid - hi) / k.g_v
+        u_his = (k.c2 + t_grid - lo) / k.g_v
         # candidate windings common to all t
-        ok: set[int] | None = None
-        for i, t in enumerate(ts):
-            x_a = _xw_scalar(t, u_los[i], p, k)
-            x_b = _xw_scalar(t, u_his[i], p, k)
-            x_min, x_max = min(x_a, x_b), max(x_a, x_b)
-            lo_w = math.ceil((x_min + endpoint_margin + tau) / TWO_PI)
-            hi_w = math.floor((x_max - endpoint_margin) / TWO_PI)
-            cand = set(range(lo_w, hi_w + 1))
-            ok = cand if ok is None else (ok & cand)
-            if not ok:
-                break
-        if not ok:
-            continue
-        for w in sorted(ok, reverse=increasing):
+        x_a, x_b = x_at(u_los), x_at(u_his)
+        lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
+        hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
+        windings = range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1)
+        for w in windings:
             strip = solve_strip(w, u_los, u_his)
             if strip is not None:
                 strips.append(strip)
@@ -564,26 +477,32 @@ def strip_family_violations(family: StripFamily, p: SaddleParams, tol: float = 1
     k = derive_constants(p)
     out: list[str] = []
     increasing = family.gamma > 1.0
+    lo_res = -family.tau if increasing else 0.0
+    hi_res = 0.0 if increasing else -family.tau
+    fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
     for strip in family.strips:
-        for i, t in enumerate(strip.t_grid):
-            a, b = float(strip.a_of_t[i]), float(strip.b_of_t[i])
-            if not 0.0 < a < b <= p.eps:
+        t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
+        ordered = (0.0 < a) & (a < b) & (b <= p.eps)
+        # out-of-order samples are reported as such; evaluate them at eps
+        a = np.where(ordered, a, p.eps)
+        b = np.where(ordered, b, p.eps)
+        x_a = exit_curve(t_grid, np.log(a), p, k).x_w
+        x_b = exit_curve(t_grid, np.log(b), p, k).x_w
+        miss_a = np.abs(np.remainder(x_a - lo_res + math.pi, TWO_PI) - math.pi) > tol
+        miss_b = np.abs(np.remainder(x_b - hi_res + math.pi, TWO_PI) - math.pi) > tol
+        # dx_w/ds = x_u / s has the sign of x_u
+        slope = exit_curve(t_grid, np.log(a + fracs * (b - a)), p, k).x_u
+        wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
+        for i, t in enumerate(t_grid):
+            if not ordered[i]:
                 out.append(f"strip {strip.index}: boundaries out of order at t={t}")
                 continue
-            xa = curve_sample(float(t), a, p, k).x_w
-            xb = curve_sample(float(t), b, p, k).x_w
-            lo_res = -family.tau if increasing else 0.0
-            hi_res = 0.0 if increasing else -family.tau
-            if circle_dist(xa, lo_res) > tol:
+            if miss_a[i]:
                 out.append(f"strip {strip.index}: lower boundary misses target at t={t}")
-            if circle_dist(xb, hi_res) > tol:
+            if miss_b[i]:
                 out.append(f"strip {strip.index}: upper boundary misses target at t={t}")
-            for frac in (0.125, 0.375, 0.625, 0.875):
-                s_mid = a + frac * (b - a)
-                d = curve_sample(float(t), s_mid, p, k).dxw_ds
-                if increasing and d <= 0 or (not increasing and d >= 0):
-                    out.append(f"strip {strip.index}: wrong monotonicity inside at t={t}")
-                    break
+            if wrong[i]:
+                out.append(f"strip {strip.index}: wrong monotonicity inside at t={t}")
     for i, t in enumerate(family.strips[0].t_grid if family.strips else []):
         spans = sorted(
             (float(s.a_of_t[i]), float(s.b_of_t[i]), s.index) for s in family.strips
@@ -601,24 +520,20 @@ def strip_image_report(family: StripFamily, p: SaddleParams, boundary_samples: i
     boundary curves (it must span [0, tau]) and the horizontal extent (it
     must stay inside the rectangle's width).
     """
+    k = derive_constants(p)
     out = []
     for strip in family.strips:
-        xs: list[float] = []
-        ys: list[float] = []
-        for i, t in enumerate(strip.t_grid):
-            for s in (float(strip.a_of_t[i]), float(strip.b_of_t[i])):
-                img = return_map(WallPoint(section=IN_V, x=float(t), y=s), p)
-                xs.append(img.x)
-                ys.append(img.y)
-        for j in (0, len(strip.t_grid) - 1):
-            t_edge = float(strip.t_grid[j])
-            a, b = float(strip.a_of_t[j]), float(strip.b_of_t[j])
-            for s in np.linspace(a, b, boundary_samples):
-                img = return_map(WallPoint(section=IN_V, x=t_edge, y=float(s)), p)
-                xs.append(img.x)
-                ys.append(img.y)
-        y_lo, y_hi = min(ys), max(ys)
-        x_lo, x_hi = min(xs), max(xs)
+        t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
+        edges = [0, len(t_grid) - 1]
+        ts = np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], boundary_samples)])
+        ss = np.concatenate([a, b, np.linspace(a[edges], b[edges], boundary_samples, axis=1).ravel()])
+        curve = exit_curve(ts, np.log(ss), p, k)
+        # the return map is (x, y) -> (y_w, -x_w) with the height reduced
+        with np.errstate(under="ignore"):
+            xs = np.exp(curve.log_y)
+        ys = np.remainder(math.pi - curve.x_w, TWO_PI) - math.pi
+        y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+        x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
         out.append(
             {
                 "index": strip.index,

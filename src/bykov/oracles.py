@@ -1,10 +1,11 @@
-"""Independent oracles: map compositions, pulse replay, turning-function grid.
+"""Independent oracles: map compositions, pulse replay, return-map finite
+differences, turning-function grid.
 
 Everything here deliberately avoids the closed-form shortcuts of
 :mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
-step by step through the elementary maps, and the turning-function range is
-sampled from its direct trigonometric form, so the two routes can be
-compared against each other.
+step by step through the elementary maps (and differentiated numerically
+from there), and the turning-function range is sampled from its direct
+trigonometric form, so the two routes can be compared against each other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from .localmaps import (
 from .params import SaddleParams, derive_constants
 from .returncurve import turning_function
 
-__all__ = ["eta_composed", "composed_return", "PulseReplay", "replay_pulse", "turning_range_grid"]
+__all__ = [
+    "eta_composed",
+    "composed_return",
+    "PulseReplay",
+    "replay_pulse",
+    "return_jacobian_fd",
+    "turning_range_grid",
+]
 
 # grid spacing h = pi / 100000 puts each sampled extremum within
 # R (1 - cos h) < 5e-10 R of the true one
@@ -96,6 +104,31 @@ def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseRe
         residual=circle_dist(x_w, x0),
         heights=tuple(heights),
     )
+
+
+def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray, float]:
+    """Finite-difference Jacobian of the unreduced return (y_w, -x_w) at (x, y).
+
+    Richardson-extrapolated centred differences of :func:`eta_composed`
+    with steps h = (max(1e-7, 1e-7 y), 1e-7 y) and h/2; the height step
+    scales with y so that the stencil never crosses the stable manifold.
+    Returns the extrapolated matrix and the largest entry change between
+    the two step sizes, a measure of how far the stencil has converged.
+    """
+
+    def raw(t: float, s: float) -> np.ndarray:
+        x_w, y_w = eta_composed(t, s, p)
+        return np.array([y_w, -x_w])
+
+    def centred(h_x: float, h_y: float) -> np.ndarray:
+        d_x = (raw(x + h_x, y) - raw(x - h_x, y)) / (2.0 * h_x)
+        d_y = (raw(x, y + h_y) - raw(x, y - h_y)) / (2.0 * h_y)
+        return np.column_stack([d_x, d_y])
+
+    h_x, h_y = max(1e-7, 1e-7 * y), 1e-7 * y
+    coarse = centred(h_x, h_y)
+    fine = centred(h_x / 2.0, h_y / 2.0)
+    return (4.0 * fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse)))
 
 
 def turning_range_grid(p: SaddleParams) -> tuple[float, float]:

@@ -130,15 +130,18 @@ def derive_constants(p: SaddleParams) -> DerivedConstants:
 
 
 def _section_power(p: SaddleParams, name: str, rate_c: str, rate_e: str) -> float:
-    """eps ** (1 - C/E) for one node; an overflow names the three fields behind it."""
+    """eps ** (1 - C/E) for one node; an overflow or underflow names the three fields behind it."""
     c, e = getattr(p, rate_c), getattr(p, rate_e)
     try:
-        return p.eps ** (1.0 - c / e)
+        value = p.eps ** (1.0 - c / e)
     except OverflowError:
-        raise ParameterError(
-            f"{name} = eps**(1 - {rate_c}/{rate_e}) overflows for "
-            f"{rate_c}={c}, {rate_e}={e}, eps={p.eps}"
-        ) from None
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    failure = "underflows to 0" if value == 0.0 else "overflows"
+    raise ParameterError(
+        f"{name} = eps**(1 - {rate_c}/{rate_e}) {failure} for {rate_c}={c}, {rate_e}={e}, eps={p.eps}"
+    )
 
 
 @dataclass(frozen=True)

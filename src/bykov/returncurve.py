@@ -10,12 +10,16 @@ unwound to the quarter turn containing phi, the curve is
     x_w(s)   = -g_w delta_v ln s - (g_w/2) ln C(phi) + Phi(phi) + c3 - g_w ln c1
     y_w(s)   = c4 c1^delta_w s^delta C(phi)^(delta_w/2)
 
-Differentiating (Phi' = 1/C, C' = -2(a^2 - a^-2) sin phi cos phi) gives
+:func:`exit_curve` evaluates it in u = ln s, where phi is affine in (t, u)
+and ln y_w is exact down to any depth.  With sigma = a^2 - a^-2,
+sc = sin phi cos phi, Phi' = 1/C and C' = -2 sigma sc, the partials are
 
-    dx_w/ds  = -(1/s) [ g_w delta_v
-                        + (g_v g_w (a^2 - a^-2) sin phi cos phi + g_v) / C(phi) ]
+    x_t      = B/C                          B = 1 + g_w sigma sc
+    x_u      = -(g_w delta_v + g_v B/C)
+    (ln y)_t = -delta_w sigma sc/C
+    (ln y)_u = delta + delta_w g_v sigma sc/C
 
-which vanishes exactly where the turning function
+and dx_w/ds = x_u/s vanishes exactly where the turning function
 
     A(phi)   = C_v a^2 cos^2 phi + (C_v/a^2) sin^2 phi
                + alpha_v (a^2 - a^-2) sin phi cos phi
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +63,10 @@ __all__ = [
     "turning_function",
     "turning_level",
     "turning_crossings",
+    "ExitCurve",
+    "exit_curve",
     "curve_sample",
     "curve_arrays",
-    "dxw_ds",
     "reversal_sequence",
     "reversal_angle_set",
     "rotation_identity_residual",
@@ -149,35 +155,56 @@ class ReturnCurveSample:
         }
 
 
-def curve_arrays(t: float, s, p: SaddleParams, k: DerivedConstants | None = None):
-    """Vectorised exit-curve evaluation; returns (phi, x_w, y_w, dxw_ds) arrays.
+class ExitCurve(NamedTuple):
+    """Exit curve at (t, u = ln s) with the exact partials of x_w and ln y_w."""
 
-    The height is computed in log space so that extremely small s degrades
-    gracefully to a zero (not a NaN) height.
+    phi: np.ndarray
+    x_w: np.ndarray
+    log_y: np.ndarray
+    x_t: np.ndarray
+    x_u: np.ndarray
+    log_y_t: np.ndarray
+    log_y_u: np.ndarray
+
+
+def exit_curve(t, u, p: SaddleParams, k: DerivedConstants | None = None) -> ExitCurve:
+    """The one exit-curve kernel; broadcasts over t and u = ln s.
+
+    Working in u keeps every value finite for any s > 0: the height is
+    returned as ln y_w, which the caller exponentiates (an underflow then
+    degrades to a zero height, not a NaN).
     """
     if k is None:
         k = derive_constants(p)
+    u = np.asarray(u, dtype=float)
+    phi = -k.g_v * u + t + k.c2
+    a = p.a
+    sigma = a * a - 1.0 / (a * a)
+    c = stretch_sq(phi, a)
+    ln_c = np.log(c)
+    x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + sheared_angle(phi, a) + k.c3 - k.g_w * math.log(k.c1)
+    log_y = math.log(k.c4) + k.delta_w * math.log(k.c1) + k.delta * u + 0.5 * k.delta_w * ln_c
+    sc = np.sin(phi) * np.cos(phi)
+    return ExitCurve(
+        phi=phi,
+        x_w=x_w,
+        log_y=log_y,
+        x_t=(1.0 + k.g_w * sigma * sc) / c,
+        x_u=-(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / c),
+        log_y_t=-k.delta_w * sigma * sc / c,
+        log_y_u=k.delta + k.delta_w * k.g_v * sigma * sc / c,
+    )
+
+
+def curve_arrays(t: float, s, p: SaddleParams, k: DerivedConstants | None = None):
+    """The exit curve in s; returns (phi, x_w, y_w, dxw_ds) arrays."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
         raise ValueError("curve parameter s must be strictly positive")
-    ln_s = np.log(s_arr)
-    phi = -k.g_v * ln_s + t + k.c2
-    a = p.a
-    shear2 = a * a - 1.0 / (a * a)
-    c = stretch_sq(phi, a)
-    arg = sheared_angle(phi, a)
-    x_w = -k.g_w * k.delta_v * ln_s - 0.5 * k.g_w * np.log(c) + arg + k.c3 - k.g_w * math.log(k.c1)
-    log_y = (
-        math.log(k.c4)
-        + k.delta_w * math.log(k.c1)
-        + k.delta * ln_s
-        + 0.5 * k.delta_w * np.log(c)
-    )
+    curve = exit_curve(t, np.log(s_arr), p, k)
     with np.errstate(under="ignore"):
-        y_w = np.exp(log_y)
-    sc = np.sin(phi) * np.cos(phi)
-    dxw = -(k.g_w * k.delta_v + (k.g_v * k.g_w * shear2 * sc + k.g_v) / c) / s_arr
-    return phi, x_w, y_w, dxw
+        y_w = np.exp(curve.log_y)
+    return curve.phi, curve.x_w, y_w, curve.x_u / s_arr
 
 
 def curve_sample(t: float, s: float, p: SaddleParams, k: DerivedConstants | None = None) -> ReturnCurveSample:
@@ -187,37 +214,6 @@ def curve_sample(t: float, s: float, p: SaddleParams, k: DerivedConstants | None
     phi, x_w, y_w, dxw = curve_arrays(t, s, p, k)
     return ReturnCurveSample(
         s=float(s), t=float(t), phi=float(phi), x_w=float(x_w), y_w=float(y_w), dxw_ds=float(dxw)
-    )
-
-
-def dxw_ds(t: float, s: float, p: SaddleParams, k: DerivedConstants | None = None) -> float:
-    """Derivative of the exit angle along the vertical segment."""
-    return float(curve_arrays(t, s, p, k)[3])
-
-
-def _yw_from_log_s(log_s, phi, p: SaddleParams, k: DerivedConstants):
-    """Exit heights from exact log-s values; underflow degrades to 0.0."""
-    log_y = (
-        math.log(k.c4)
-        + k.delta_w * math.log(k.c1)
-        + k.delta * np.asarray(log_s, dtype=float)
-        + 0.5 * k.delta_w * np.log(np.asarray(stretch_sq(phi, p.a), dtype=float))
-    )
-    with np.errstate(under="ignore"):
-        return np.exp(log_y)
-
-
-def _xw_at_phi(phi_n: float, t: float, p: SaddleParams, k: DerivedConstants) -> float:
-    """Exit angle at the curve parameter s where phi(s) = phi_n (any positive s)."""
-    ln_s = (k.c2 + t - phi_n) / k.g_v
-    a = p.a
-    c = float(stretch_sq(phi_n, a))
-    return (
-        -k.g_w * k.delta_v * ln_s
-        - 0.5 * k.g_w * math.log(c)
-        + float(sheared_angle(phi_n, a))
-        + k.c3
-        - k.g_w * math.log(k.c1)
     )
 
 
@@ -283,40 +279,22 @@ def _reversal_entries(
 
 
 def _sequence_from_entries(t, p, k, entries, reason=None, inflection=False) -> ReversalSequence:
-    if not entries:
-        return ReversalSequence(
-            t=t,
-            s_values=np.empty(0),
-            log_s_values=np.empty(0),
-            phi_values=np.empty(0),
-            x_values=np.empty(0),
-            kinds=(),
-            reason=reason,
-            inflection=inflection,
-        )
-    phis = np.array([e[0] for e in entries])
-    log_s = np.array([e[1] for e in entries])
-    kinds = tuple(e[2] for e in entries)
+    phis = np.array([e[0] for e in entries], dtype=float)
+    log_s = np.array([e[1] for e in entries], dtype=float)
     with np.errstate(under="ignore"):
         s_vals = np.exp(log_s)
     # exit angles via the rotation identity anchored at the first entry of
     # each parity class; direct evaluation would underflow in s
-    x_vals = np.empty(len(entries))
-    anchor: dict[int, tuple[float, float]] = {}
-    for i, phi_n in enumerate(phis):
-        parity = i % 2
-        if parity not in anchor:
-            anchor[parity] = (phi_n, _xw_at_phi(phi_n, t, p, k))
-        phi_a, x_a = anchor[parity]
-        m = round((phi_n - phi_a) / math.pi)
-        x_vals[i] = x_a + m * math.pi * (1.0 - k.gamma)
+    parity = np.arange(len(entries)) % 2
+    turns = np.round((phis - phis[parity]) / math.pi)
+    x_vals = exit_curve(t, log_s[:2], p, k).x_w[parity] + turns * math.pi * (1.0 - k.gamma)
     return ReversalSequence(
         t=t,
         s_values=s_vals,
         log_s_values=log_s,
         phi_values=phis,
         x_values=x_vals,
-        kinds=kinds,
+        kinds=tuple(e[2] for e in entries),
         reason=reason,
         inflection=inflection,
     )
@@ -447,7 +425,8 @@ def find_tangency(
     signed = wrap_pi(x0 - x_best)
     # cylinder position of the chosen reversal point
     center_x = wrap_pi(x0 - signed)
-    heights = _yw_from_log_s(angles.log_s_values, angles.phi_values, p, k)
+    with np.errstate(under="ignore"):
+        heights = np.exp(exit_curve(t, angles.log_s_values, p, k).log_y)
     center_y = float(heights[best])
     # keep the support clear of the other turning points
     sep = math.inf

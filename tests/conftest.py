@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from bykov.params import SaddleParams
 
@@ -62,3 +63,13 @@ def random_admissible(rng: np.random.Generator, a_min: float = 1.0) -> SaddlePar
         a=float(rng.uniform(a_min, 3.0)),
         eps=float(rng.uniform(0.2, 0.9)),
     )
+
+
+# random_admissible as a hypothesis strategy, drawing eps = 1 (where
+# c1 = c4 = 1) alongside eps in [0.2, 0.9]
+admissible_params = st.builds(
+    lambda rates, a, eps: SaddleParams(*(math.exp(x) for x in rates), a=a, eps=eps),
+    rates=st.lists(st.floats(-1.1, 1.1), min_size=6, max_size=6),
+    a=st.floats(1.0, 3.0),
+    eps=st.one_of(st.just(1.0), st.floats(0.2, 0.9)),
+)

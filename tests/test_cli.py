@@ -107,6 +107,17 @@ def test_classify_reports_constant_overflow(tmp_path, capsys):
     assert all(name in err for name in ("C_w", "E_w", "eps"))
 
 
+@pytest.mark.parametrize("command", [["curve", "--s-min", "1e-3", "--s-max", "1.0"], ["jacobian"]])
+def test_saddle_commands_report_constant_underflow(command, tmp_path, capsys):
+    # eps > 1 with a large C_w/E_w: c4 = eps**(1 - C_w/E_w) underflows to 0
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({**CASE1, "E_w": 0.002, "eps": 2.0}))
+    code = main([command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "c4" in err and all(name in err for name in ("C_w", "E_w", "eps"))
+
+
 def test_strips_near_turning_maximum(tmp_path):
     """K 8.75e-9 below the maximum: the narrow root pair still yields strips."""
     path = tmp_path / "near_max.json"
@@ -216,11 +227,11 @@ def test_tangency_and_multipulse(dense_config, case1_config, tmp_path, capsys):
 def test_jacobian_sweep(case1_config, tmp_path):
     code = main(
         ["jacobian", "--config", case1_config, "--k-min", "4", "--k-max", "12",
-         "--out", str(tmp_path / "out")]
+         "--verify", "--out", str(tmp_path / "out")]
     )
     assert code == 0
     lines = (tmp_path / "out" / "jacobian.csv").read_text().strip().splitlines()
-    assert lines[0] == "x,y,det_fd,trace_fd,det_cf,trace_cf,class"
+    assert lines[0] == "x,y,det,trace,class"
     dets = [float(r.split(",")[2]) for r in lines[1:]]
     assert all(b < a for a, b in zip(dets, dets[1:]))
 

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bykov.horseshoe import (
     PeriodicTangencyError,
@@ -17,7 +20,17 @@ from bykov.horseshoe import (
 from bykov.localmaps import IN_V, OUT_W, WallPoint, circle_dist, psi_wv
 from bykov.oracles import composed_return, replay_pulse
 from bykov.params import SaddleParams, derive_constants
-from bykov.returncurve import curve_sample, reversal_angle_set, reversal_sequence, turning_function, turning_level
+from bykov.returncurve import (
+    S_UNDERFLOW,
+    curve_sample,
+    exit_curve,
+    reversal_angle_set,
+    reversal_sequence,
+    stretch_sq,
+    turning_function,
+    turning_level,
+)
+from conftest import admissible_params
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,38 +199,87 @@ def test_trace_sign_constant_inside_strips(dense_params):
         assert len(signs) == 1
 
 
-def test_jacobian_closed_form_agreement_unit_eps():
-    # with eps = 1 the legacy determinant formula coincides with the truth
-    p = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=1.0)
+def printed_det(x: float, y: float, p: SaddleParams, factor=None) -> float:
+    """The return-map determinant as printed in the paper, at (x, y).
+
+    Its last factor is 1 + (c4 - 1) g_w sigma sc; ``factor`` replaces it.
+    """
+    k = derive_constants(p)
+    phi = -k.g_v * math.log(y) + x + k.c2
+    sigma = p.a * p.a - 1.0 / (p.a * p.a)
+    c = float(stretch_sq(phi, p.a))
+    if factor is None:
+        factor = 1.0 + (k.c4 - 1.0) * k.g_w * sigma * math.sin(phi) * math.cos(phi)
+    return k.c1**k.delta_w * k.delta * y ** (k.delta - 1.0) * c ** (k.delta_w / 2.0 - 1.0) * factor
+
+
+def test_jacobian_printed_determinant_erratum(case1_params):
+    """Erratum: the printed determinant holds at eps = 1 only; its last factor should be c4.
+
+    The exact determinant is delta y_w / (s C) = delta c4 c1^delta_w
+    s^(delta - 1) C^(delta_w/2 - 1).  At eps = 1, c4 = 1 and the printed
+    factor 1 + (c4 - 1) g_w sigma sc is 1 as well.
+    """
+    unit = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=1.0)
     rng = np.random.default_rng(43)
     for _ in range(200):
-        rep = jacobian_report(float(rng.uniform(0, 0.4)), float(rng.uniform(1e-4, 1.0)), p)
-        assert rep.det_agrees, (rep.det_fd, rep.det_cf)
-
-
-def test_jacobian_flags_discrepancy_off_unit_eps(case1_params):
-    """eps != 1: the legacy determinant misses the c4 factor; never a silent pass."""
-    rng = np.random.default_rng(47)
-    flagged = 0
+        x, y = float(rng.uniform(0, 0.4)), float(rng.uniform(1e-4, 1.0))
+        assert printed_det(x, y, unit) == pytest.approx(jacobian_report(x, y, unit).det, rel=1e-12)
+    c4 = derive_constants(case1_params).c4
+    worst = 0.0
     for _ in range(300):
-        rep = jacobian_report(
-            float(rng.uniform(0, 0.4)), float(rng.uniform(1e-4, case1_params.eps)), case1_params
-        )
-        rel = abs(rep.det_fd - rep.det_cf) / max(abs(rep.det_fd), 1e-300)
-        assert rep.det_agrees == (rel <= 1e-6)
-        flagged += not rep.det_agrees
-    assert flagged > 0
+        x, y = float(rng.uniform(0, 0.4)), float(rng.uniform(1e-4, case1_params.eps))
+        det = jacobian_report(x, y, case1_params).det
+        assert printed_det(x, y, case1_params, factor=c4) == pytest.approx(det, rel=1e-12)
+        worst = max(worst, abs(printed_det(x, y, case1_params) / det - 1.0))
+    # as printed, the formula is off by far more than any rounding
+    assert worst > 0.1
+
+
+@given(p=admissible_params, t=st.floats(0.0, TWO_PI), depth=st.floats(0.0, 1.0))
+def test_jacobian_determinant_closed_form(p, t, depth):
+    """det J = delta y_w / (s C(phi)) wherever y_w is a normal float, s from eps down to 1e-300."""
+    k = derive_constants(p)
+    s = math.exp(math.log(p.eps) + depth * (math.log(S_UNDERFLOW) - math.log(p.eps)))
+    curve = exit_curve(t, math.log(s), p, k)
+    y_w = math.exp(curve.log_y)
+    if y_w < sys.float_info.min:
+        return
+    want = k.delta * y_w / (s * float(stretch_sq(curve.phi, p.a)))
+    assert jacobian_report(t, s, p).det == pytest.approx(want, rel=1e-12)
+
+
+def test_case4_pieces_have_full_length():
+    """At the boundary of B each monotone piece runs from one grazing angle to the next."""
+    from bykov.horseshoe import _case_pieces, _period_pieces
+    from bykov.params import classify_region, turning_harmonic
+
+    base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
+    m, r, _ = turning_harmonic(base)
+    p = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=m + r, a=2.0, eps=0.5)
+    region = classify_region(p)
+    assert region.tag == "BoundaryB"
+    k = derive_constants(p)
+    counts = []
+    for sign in (1, -1):
+        pieces = _case_pieces(0.0, k, _period_pieces(p, region), sign, 64)
+        assert all(hi - lo >= math.pi / 4 for lo, hi in pieces)
+        # A - K < 0 between grazes of the maximum
+        mids = [float(turning_function(0.5 * (lo + hi), p)) - turning_level(p) for lo, hi in pieces]
+        assert all((v > 0) == (sign > 0) for v in mids)
+        counts.append(len(pieces))
+    assert counts == [0, 64]
 
 
 def test_jacobian_determinant_decays_monotonically(case1_params):
-    dets = [jacobian_report(0.1, 2.0**-k, case1_params).det_fd for k in range(4, 21)]
+    dets = [jacobian_report(0.1, 2.0**-k, case1_params).det for k in range(4, 21)]
     assert all(d > 0 for d in dets)
     assert all(b < a for a, b in zip(dets, dets[1:]))
     assert dets[-1] < 1e-8
 
 
 def test_jacobian_trace_grows_outside(case1_params):
-    traces = [abs(jacobian_report(0.1, 2.0**-k, case1_params).trace_fd) for k in range(4, 21)]
+    traces = [abs(jacobian_report(0.1, 2.0**-k, case1_params).trace) for k in range(4, 21)]
     assert traces[-1] > traces[0]
     assert all(b > a for a, b in zip(traces[6:], traces[7:]))
     assert traces[-1] > 1e4

@@ -10,9 +10,11 @@ from bykov.localmaps import circle_dist
 from bykov.oracles import eta_composed, turning_range_grid
 from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic
 from bykov.returncurve import (
+    S_UNDERFLOW,
     NoReversalsError,
     curve_arrays,
     curve_sample,
+    exit_curve,
     find_tangency,
     reversal_angle_set,
     reversal_sequence,
@@ -23,7 +25,7 @@ from bykov.returncurve import (
     turning_function,
     turning_level,
 )
-from conftest import random_admissible
+from conftest import admissible_params, random_admissible
 
 TWO_PI = 2.0 * math.pi
 
@@ -446,3 +448,28 @@ def test_interior_level_has_two_accurate_roots(rates, log_shear, log_inside, nea
     k = turning_level(p)
     for root in roots:
         assert abs(float(turning_function(root, p)) - k) <= 1e-12 * max(1.0, m + r)
+
+
+@given(p=admissible_params, t=st.floats(0.0, TWO_PI), depth=st.floats(0.0, 1.0))
+def test_exit_curve_partials_match_centred_differences(p, t, depth):
+    """The kernel's four partials against centred differences in (t, u), u from ln eps to ln 1e-300.
+
+    Richardson-extrapolated steps 1e-4 and 5e-5; agreement to 1e-6 relative
+    to max(1, |partial|).
+    """
+    k = derive_constants(p)
+    u = math.log(p.eps) + depth * (math.log(S_UNDERFLOW) - math.log(p.eps))
+
+    def values(tt, uu):
+        curve = exit_curve(tt, uu, p, k)
+        return np.array([curve.x_w, curve.log_y])
+
+    def centred(h):
+        d_t = (values(t + h, u) - values(t - h, u)) / (2.0 * h)
+        d_u = (values(t, u + h) - values(t, u - h)) / (2.0 * h)
+        return np.array([d_t[0], d_u[0], d_t[1], d_u[1]])
+
+    fd = (4.0 * centred(5e-5) - centred(1e-4)) / 3.0
+    curve = exit_curve(t, u, p, k)
+    exact = np.array([curve.x_t, curve.x_u, curve.log_y_t, curve.log_y_u])
+    assert np.all(np.abs(fd - exact) <= 1e-6 * np.maximum(1.0, np.abs(exact))), (fd, exact)
