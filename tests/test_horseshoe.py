@@ -213,19 +213,24 @@ def printed_det(x: float, y: float, p: SaddleParams, factor=None) -> float:
     return k.c1**k.delta_w * k.delta * y ** (k.delta - 1.0) * c ** (k.delta_w / 2.0 - 1.0) * factor
 
 
-def test_jacobian_printed_determinant_erratum(case1_params):
-    """Erratum: the printed determinant holds at eps = 1 only; its last factor should be c4.
+def test_jacobian_closed_form_agreement_unit_eps():
+    """At eps = 1 the printed determinant is exact.
 
     The exact determinant is delta y_w / (s C) = delta c4 c1^delta_w
     s^(delta - 1) C^(delta_w/2 - 1).  At eps = 1, c4 = 1 and the printed
     factor 1 + (c4 - 1) g_w sigma sc is 1 as well.
     """
-    unit = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=1.0)
+    p = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=1.0)
     rng = np.random.default_rng(43)
     for _ in range(200):
         x, y = float(rng.uniform(0, 0.4)), float(rng.uniform(1e-4, 1.0))
-        assert printed_det(x, y, unit) == pytest.approx(jacobian_report(x, y, unit).det, rel=1e-12)
+        assert printed_det(x, y, p) == pytest.approx(jacobian_report(x, y, p).det, rel=1e-12)
+
+
+def test_jacobian_flags_discrepancy_off_unit_eps(case1_params):
+    """Erratum: off eps = 1 the printed determinant is wrong; its last factor should be c4."""
     c4 = derive_constants(case1_params).c4
+    rng = np.random.default_rng(47)
     worst = 0.0
     for _ in range(300):
         x, y = float(rng.uniform(0, 0.4)), float(rng.uniform(1e-4, case1_params.eps))
