@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -270,3 +271,55 @@ def test_sphere_invariance_3d_rhs():
         x = rng.uniform(-1, 1, 3)
         x /= np.linalg.norm(x)
         assert abs(float(np.dot(x, rhs(x, cfg3)))) < 1e-14
+
+
+# sha256 of times.tobytes() + states.tobytes(), accepted, rejected, and the
+# step-control totals as float.hex(): any change in operation order in the
+# integrator shows here, even one that moves a trajectory by a single ulp.
+DIM3_START = (0.3, 0.4, math.sqrt(1.0 - 0.25))
+PINNED_RUNS = {
+    "example4d": (
+        dict(x0=FIG_START, T=40.0, rtol=1e-9, atol=1e-11, config=CFG),
+        ("7636dc3bc325ab31e876e935f01056f35eccf09f24227819960686a7d256bebc", 897, 10),
+        ("0x1.1230d6e4f7072p-30", "0x1.18ce7814ef090p-21"),
+    ),
+    "example4d_same_lift": (
+        dict(
+            x0=FIG_START, T=40.0, rtol=1e-9, atol=1e-11,
+            config=ModelConfig(alpha1=1.0, alpha2=-0.1, model="example4d_same_lift"),
+        ),
+        ("becdd02df2d2c93d79f38dd0378a08057a7fe6ed66439ee64973f3e1f5cfb726", 1017, 14),
+        ("0x1.125a4de8f0898p-30", "0x1.3b7decf730a0cp-21"),
+    ),
+    "dim3": (
+        dict(
+            x0=DIM3_START, T=40.0, rtol=1e-9, atol=1e-11,
+            config=ModelConfig(alpha1=1.0, alpha2=-0.1, model="dim3"),
+        ),
+        ("548072a5ad9484a277f0bba2288eb3b3f22208f5e8f8d12921ce2a0e27b8a384", 754, 4),
+        ("0x1.0944a903c2dc9p-30", "0x1.be21dc7b3cf8cp-22"),
+    ),
+    "renormalized": (
+        dict(
+            x0=FIG_START, T=20.0, rtol=1e-8, atol=1e-10,
+            config=ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.05), renormalize=True,
+        ),
+        ("b51b4a165e50e4046eecae5b16ca69cabddbb70f1bf7cf9178e7014f89b82f7c", 324, 9),
+        ("0x1.555ffe6861b9cp-27", "0x1.13f3c327d8704p-20"),
+    ),
+    "underflow": (
+        dict(x0=FIG_START, T=10.0, rtol=1e-8, atol=1e-10, config=CFG, max_sample_spacing=1e-14),
+        ("bf03afccbb5b5c571ca23bcca4e651f2aa7bfdb2dc42a045a8a72262a00ffbea", 0, 0),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_integrate_bit_for_bit(name):
+    kwargs, (digest, accepted, rejected), (max_err, budget) = PINNED_RUNS[name]
+    series = integrate(**kwargs)
+    got = hashlib.sha256(series.times.tobytes() + series.states.tobytes()).hexdigest()
+    assert (got, series.accepted, series.rejected) == (digest, accepted, rejected)
+    assert (series.max_error_estimate.hex(), series.error_budget.hex()) == (max_err, budget)
+    assert (series.failure is not None) == (name == "underflow")
