@@ -323,20 +323,30 @@ def _simulate(args):
     return config, series
 
 
+def _traj_header(config) -> str:
+    return TRAJ_HEADER if config.dim == 4 else "t,x,y,z,r2"
+
+
+def _collapse(series, config) -> dict | None:
+    """Where the orbit fell exactly onto a coordinate subspace, named by its CSV column."""
+    if series.collapse is None:
+        return None
+    j, t = series.collapse
+    return {"coordinate": _traj_header(config).split(",")[j + 1], "t": t}
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     config, series = _simulate(args)
-    rows = [TRAJ_HEADER if config.dim == 4 else "t,x,y,z,r2"]
-    r2 = series.r2()
-    for i, t in enumerate(series.times):
-        state = series.states[i]
-        rows.append(",".join([_fmt(t)] + [_fmt(v) for v in state] + [_fmt(r2[i])]))
+    table = np.column_stack([series.times, series.states, series.r2()]).tolist()
+    rows = [_traj_header(config)] + [",".join(map(repr, row)) for row in table]
     diagnostics: dict = {
         "accepted": series.accepted,
         "rejected": series.rejected,
         "max_error_estimate": series.max_error_estimate,
         "failure": series.failure,
         "renormalized": series.renormalized,
+        "collapse": _collapse(series, config),
     }
     if config.dim == 4:
         diagnostics["sphere_residual"] = sphere_residual(series)
@@ -379,9 +389,8 @@ def cmd_sojourn(args) -> int:
     out_dir = Path(args.out)
     path = out_dir / "sojourn.json"
     _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
-    _write_manifest(
-        out_dir, "sojourn", args, [path], {"median_ratio": report.median_ratio}, started
-    )
+    diagnostics = {"median_ratio": report.median_ratio, "collapse": _collapse(series, config)}
+    _write_manifest(out_dir, "sojourn", args, [path], diagnostics, started)
     return EXIT_OK
 
 

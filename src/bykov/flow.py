@@ -17,9 +17,17 @@ quotient by the rotation; its third equation carries a1 (x^2 - y^2), which
 is the form that keeps the unit sphere invariant and the poles at
 equilibrium.
 
+The right-hand side from ``make_rhs`` is elementwise: the integrator
+calls it on a sequence of floats, and the diagnostics call it once on the
+numpy columns of a whole series, with the same operations in the same
+order, so both see the same bits.
+
 Integration uses a Dormand-Prince 5(4) embedded pair with FSAL, PI-free
 elementary step control, and a velocity cap that keeps consecutive output
-samples closer than 0.05 in state norm without interpolation.
+samples closer than 0.05 in state norm without interpolation.  The seven
+stages are written out over the state components; a run that leaves a
+coordinate exactly 0.0 after it started nonzero is flagged in
+``TrajectorySeries.collapse``.
 """
 
 from __future__ import annotations
@@ -107,7 +115,12 @@ def load_model_config(source) -> ModelConfig:
 
 
 def make_rhs(config: ModelConfig):
-    """Scalar-tuple right-hand side closure (fast path for the integrator)."""
+    """Right-hand side closure ``f(y) -> tuple`` for a state ``y`` of ``dim`` entries.
+
+    The entries may be floats (one state, as the integrator calls it) or
+    equal-length numpy arrays (one column per coordinate, a whole series at
+    once); every operation is elementwise, so both give the same bits.
+    """
     a1, a2, lam = config.alpha1, config.alpha2, config.lam
     if config.model == "dim3":
 
@@ -200,7 +213,13 @@ def equilibria_spectrum(config: ModelConfig) -> SpectrumReport:
 
 @dataclass(frozen=True)
 class TrajectorySeries:
-    """Integration output: samples plus step-control metadata."""
+    """Integration output: samples plus step-control metadata.
+
+    ``collapse`` is ``(j, t)`` when coordinate ``j`` started nonzero and is
+    exactly 0.0 at sample time ``t`` (the earliest such sample, lowest ``j``
+    first), else None.  Such an orbit sits on an invariant subspace it can
+    never leave; the run is still returned with ``failure`` None.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -213,6 +232,7 @@ class TrajectorySeries:
     failure: str | None = None
     renormalized: bool = False
     config: ModelConfig | None = None
+    collapse: tuple[int, float] | None = None
 
     def r2(self) -> np.ndarray:
         return np.sum(self.states**2, axis=1)
@@ -237,6 +257,19 @@ _DP_E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# The tableau unpacked once for the written-out stages of ``integrate``.
+# a72 = 0 is skipped there; the zero weights b2, b7, e2 are kept, because
+# 0.0 * k is -0.0, nan or 0.0 depending on k and the step must not change.
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _DP_A[1:]
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _DP_B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 def integrate(
@@ -294,23 +327,39 @@ def integrate(
             failure = f"step-size underflow at t={t}"
             break
         h = min(h, T - t)
-        ks = [k1]
-        for i in range(1, 7):
-            acc = [0.0] * dim
-            for j, aij in enumerate(_DP_A[i]):
-                if aij != 0.0:
-                    kj = ks[j]
-                    for m in range(dim):
-                        acc[m] += aij * kj[m]
-            ks.append(f(tuple(y[m] + h * acc[m] for m in range(dim))))
-        y_new = tuple(
-            y[m] + h * sum(_DP_B[i] * ks[i][m] for i in range(7)) for m in range(dim)
-        )
+        # every increment sum starts from 0.0, so a sum of -0.0 terms is
+        # +0.0; test_integrate_bit_for_bit pins the resulting bits
+        k2 = f([v + h * (0.0 + _A21 * c1) for v, c1 in zip(y, k1)])
+        k3 = f([v + h * (0.0 + _A31 * c1 + _A32 * c2) for v, c1, c2 in zip(y, k1, k2)])
+        k4 = f([
+            v + h * (0.0 + _A41 * c1 + _A42 * c2 + _A43 * c3)
+            for v, c1, c2, c3 in zip(y, k1, k2, k3)
+        ])
+        k5 = f([
+            v + h * (0.0 + _A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4)
+            for v, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+        ])
+        k6 = f([
+            v + h * (0.0 + _A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4 + _A65 * c5)
+            for v, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)
+        ])
+        k7 = f([
+            v + h * (0.0 + _A71 * c1 + _A73 * c3 + _A74 * c4 + _A75 * c5 + _A76 * c6)
+            for v, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
+        ])
+        ks = list(zip(k1, k2, k3, k4, k5, k6, k7))
+        y_new = [
+            v + h * (
+                0.0 + _B1 * c1 + _B2 * c2 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6 + _B7 * c7
+            )
+            for v, (c1, c2, c3, c4, c5, c6, c7) in zip(y, ks)
+        ]
         err = 0.0
-        for m in range(dim):
-            e = h * sum(_DP_E[i] * ks[i][m] for i in range(7))
-            sc = atol + rtol * max(abs(y[m]), abs(y_new[m]))
-            err += (e / sc) ** 2
+        for v, w, (c1, c2, c3, c4, c5, c6, c7) in zip(y, y_new, ks):
+            e = h * (
+                0.0 + _E1 * c1 + _E2 * c2 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7
+            )
+            err += (e / (atol + rtol * max(abs(v), abs(w)))) ** 2
         err = math.sqrt(err / dim)
         dy = math.dist(y, y_new)
         if err <= 1.0 and dy <= max_sample_spacing:
@@ -321,7 +370,7 @@ def integrate(
                 y = tuple(v / norm for v in y)
                 k1 = f(y)
             else:
-                k1 = ks[6]
+                k1 = k7
             times.append(t)
             states.append(y)
             accepted += 1
@@ -333,9 +382,11 @@ def integrate(
         if dy > max_sample_spacing:
             factor = min(factor, 0.7 * max_sample_spacing / dy)
         h *= min(5.0, max(0.2, factor))
+    times = np.array(times)
+    states = np.array(states)
     return TrajectorySeries(
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         accepted=accepted,
         rejected=rejected,
         max_error_estimate=max_err,
@@ -345,7 +396,15 @@ def integrate(
         failure=failure,
         renormalized=renormalize,
         config=config,
+        collapse=_first_collapse(times, states),
     )
+
+
+def _first_collapse(times: np.ndarray, states: np.ndarray) -> tuple[int, float] | None:
+    zero = states == 0.0
+    zero[:, zero[0]] = False
+    rows, cols = np.nonzero(zero)  # row-major: earliest sample, then lowest coordinate
+    return (int(cols[0]), float(times[rows[0]])) if len(rows) else None
 
 
 def sphere_residual(series: TrajectorySeries, band: float = 1e-3, settle: float = 8.0) -> float:
@@ -372,6 +431,19 @@ def sphere_residual(series: TrajectorySeries, band: float = 1e-3, settle: float 
     t_start = series.times[inside[0]] + settle
     tail = dev[series.times >= t_start]
     return float(tail.max()) if len(tail) else math.inf
+
+
+def _within(states: np.ndarray, pole, radius: float) -> np.ndarray:
+    """Mask of the samples closer than ``radius`` to ``pole``, as ``math.dist`` decides.
+
+    The numpy norm and ``math.dist`` may differ in the last bits, so samples
+    within a relative 1e-12 of the radius are settled by ``math.dist``.
+    """
+    dist = np.sqrt(sum((column - c) ** 2 for column, c in zip(states.T, pole)))
+    near = dist < radius
+    for i in np.flatnonzero(np.abs(dist - radius) <= 1e-12 * radius):
+        near[i] = math.dist(states[i].tolist(), pole) < radius
+    return near
 
 
 @dataclass(frozen=True)
@@ -417,41 +489,47 @@ def chirality_check(
         series = integrate(
             (-0.5, -0.139, -0.8807, 0.3013), T=200.0, rtol=1e-9, atol=1e-11, config=config
         )
-    f = make_rhs(config)
-    max_resid = 0.0
-    signs = {"v": [], "w": []}
-    ranges = {"v": [math.inf, -math.inf], "w": [math.inf, -math.inf]}
-    counts = {"v": 0, "w": 0}
-    for state in series.states:
-        x1, x2, x3, x4 = (float(v) for v in state)
-        d = f((x1, x2, x3, x4))
-        cross = x1 * d[1] - x2 * d[0]
+    states = series.states
+    x1, x2, _, x4 = states.T
+    # Python floats overflow to inf and nan silently; so does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2, _, _ = make_rhs(config)(tuple(states.T))
+        cross = x1 * d2 - x2 * d1
+        del d1, d2
         plane = x1 * x1 + x2 * x2
         rot = 1.0 if config.model == "example4d_same_lift" else x4
-        max_resid = max(max_resid, abs(cross - rot * plane))
-        if plane <= plane_floor:
-            continue
-        theta_dot = cross / plane
-        for node, pole in (("v", V_POLE), ("w", W_POLE)):
-            if math.dist((x1, x2, x3, x4), pole) < radius:
-                counts[node] += 1
-                signs[node].append(math.copysign(1.0, theta_dot))
-                ranges[node][0] = min(ranges[node][0], theta_dot)
-                ranges[node][1] = max(ranges[node][1], theta_dot)
+        # fmax skips nan residuals, as the builtin max did
+        max_resid = float(np.fmax.reduce(np.abs(cross - rot * plane), initial=0.0))
+    measurable = plane > plane_floor
+    signs = {}
+    ranges = {}
+    counts = {}
+    for node, pole in (("v", V_POLE), ("w", W_POLE)):
+        near = _within(states, pole, radius) & measurable
+        theta_dot = cross[near] / plane[near]
+        counts[node] = len(theta_dot)
+        signs[node] = np.copysign(1.0, theta_dot)
+        # argmin/argmax pick the first of equal extremes, so a range that
+        # ends at zero keeps the sign of the first zero seen
+        ranges[node] = (
+            (float(theta_dot[np.argmin(theta_dot)]), float(theta_dot[np.argmax(theta_dot)]))
+            if len(theta_dot)
+            else (math.inf, -math.inf)
+        )
     if counts["v"] == 0 or counts["w"] == 0:
         return ChiralityReport(
             verdict="inconclusive",
             message="no trajectory samples near one of the equilibria; integrate longer",
-            theta_dot_near_v=tuple(ranges["v"]),
-            theta_dot_near_w=tuple(ranges["w"]),
+            theta_dot_near_v=ranges["v"],
+            theta_dot_near_w=ranges["w"],
             samples_near_v=counts["v"],
             samples_near_w=counts["w"],
             max_identity_residual=max_resid,
         )
-    v_pos = all(s > 0 for s in signs["v"])
-    v_neg = all(s < 0 for s in signs["v"])
-    w_pos = all(s > 0 for s in signs["w"])
-    w_neg = all(s < 0 for s in signs["w"])
+    v_pos = bool(np.all(signs["v"] > 0))
+    v_neg = bool(np.all(signs["v"] < 0))
+    w_pos = bool(np.all(signs["w"] > 0))
+    w_neg = bool(np.all(signs["w"] < 0))
     if (v_pos and w_neg) or (v_neg and w_pos):
         verdict, msg = "different", "angular velocity changes sign between the nodes"
     elif (v_pos and w_pos) or (v_neg and w_neg):
@@ -461,8 +539,8 @@ def chirality_check(
     return ChiralityReport(
         verdict=verdict,
         message=msg,
-        theta_dot_near_v=tuple(ranges["v"]),
-        theta_dot_near_w=tuple(ranges["w"]),
+        theta_dot_near_v=ranges["v"],
+        theta_dot_near_w=ranges["w"],
         samples_near_v=counts["v"],
         samples_near_w=counts["w"],
         max_identity_residual=max_resid,

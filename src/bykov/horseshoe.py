@@ -142,14 +142,6 @@ class PeriodicTangencyResult:
     angle: float | None
     distance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "witness_n": self.witness_n,
-            "angle": self.angle,
-            "distance": self.distance,
-        }
-
 
 def detect_periodic_tangency(
     p: SaddleParams,

@@ -71,10 +71,6 @@ class WallPoint:
     x: float
     y: float
 
-    @property
-    def x_mod_2pi(self) -> float:
-        return self.x % TWO_PI
-
     def to_dict(self) -> dict:
         return {"section": self.section, "x": self.x, "y": self.y}
 

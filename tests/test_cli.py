@@ -244,6 +244,7 @@ def test_simulate_manifest_and_verify(flow_config, tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "simulate_manifest.json").read_text())
     assert manifest["diagnostics"]["chirality"] in ("different", "inconclusive")
+    assert manifest["diagnostics"]["collapse"] is None
     traj = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
     assert traj[0] == "t,x1,x2,x3,x4,r2"
     assert len(traj) > 10
@@ -251,6 +252,18 @@ def test_simulate_manifest_and_verify(flow_config, tmp_path):
         import os
 
         assert os.path.exists(name) and os.path.getsize(name) > 0
+
+
+def test_simulate_reports_collapse(flow_config, tmp_path):
+    code = main(
+        ["simulate", "--config", flow_config, "--T", "10", "--rtol", "1e-8", "--atol", "1e-10",
+         "--x0", "1e-322,0,0,1", "--verify", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "simulate_manifest.json").read_text())
+    collapse = manifest["diagnostics"]["collapse"]
+    assert collapse["coordinate"] == "x1" and 0.0 < collapse["t"] < 10.0
+    assert manifest["diagnostics"]["failure"] is None
 
 
 def test_simulate_3d_model(tmp_path):
@@ -292,3 +305,5 @@ def test_sojourn_self_test(flow_config, tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["median_ratio"] > 1.0
+    manifest = json.loads((tmp_path / "out" / "sojourn_manifest.json").read_text())
+    assert manifest["diagnostics"]["collapse"] is None

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from bykov.flow import (
+    V_POLE,
+    W_POLE,
+    ChiralityReport,
     InsufficientDataError,
+    TrajectorySeries,
     ModelConfig,
     chirality_check,
     equilibria_spectrum,
@@ -200,6 +204,103 @@ def test_chirality_same_for_control_lift():
     assert rep.max_identity_residual < 1e-12
 
 
+def _chirality_loop(config, series, radius=0.2, plane_floor=1e-20):
+    """Per-sample reference for ``chirality_check``: one Python float pass over the series."""
+    f = make_rhs(config)
+    max_resid = 0.0
+    signs = {"v": [], "w": []}
+    ranges = {"v": [math.inf, -math.inf], "w": [math.inf, -math.inf]}
+    for state in series.states:
+        x1, x2, x3, x4 = (float(v) for v in state)
+        d = f((x1, x2, x3, x4))
+        cross = x1 * d[1] - x2 * d[0]
+        plane = x1 * x1 + x2 * x2
+        rot = 1.0 if config.model == "example4d_same_lift" else x4
+        max_resid = max(max_resid, abs(cross - rot * plane))
+        if plane <= plane_floor:
+            continue
+        theta_dot = cross / plane
+        for node, pole in (("v", V_POLE), ("w", W_POLE)):
+            if math.dist((x1, x2, x3, x4), pole) < radius:
+                signs[node].append(math.copysign(1.0, theta_dot))
+                ranges[node][0] = min(ranges[node][0], theta_dot)
+                ranges[node][1] = max(ranges[node][1], theta_dot)
+    pos = {n: all(s > 0 for s in signs[n]) for n in signs}
+    neg = {n: all(s < 0 for s in signs[n]) for n in signs}
+    if not (signs["v"] and signs["w"]):
+        verdict, msg = "inconclusive", "no trajectory samples near one of the equilibria; integrate longer"
+    elif (pos["v"] and neg["w"]) or (neg["v"] and pos["w"]):
+        verdict, msg = "different", "angular velocity changes sign between the nodes"
+    elif (pos["v"] and pos["w"]) or (neg["v"] and neg["w"]):
+        verdict, msg = "same", "angular velocity keeps its sign at both nodes"
+    else:
+        verdict, msg = "inconclusive", "mixed angular-velocity signs near a node"
+    return ChiralityReport(
+        verdict=verdict,
+        message=msg,
+        theta_dot_near_v=tuple(ranges["v"]),
+        theta_dot_near_w=tuple(ranges["w"]),
+        samples_near_v=len(signs["v"]),
+        samples_near_w=len(signs["w"]),
+        max_identity_residual=max_resid,
+    )
+
+
+def _hand_series(states):
+    return TrajectorySeries(
+        times=np.arange(float(len(states))),
+        states=np.array(states),
+        accepted=len(states) - 1,
+        rejected=0,
+        max_error_estimate=0.0,
+        error_budget=0.0,
+        rtol=0.0,
+        atol=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, T, rtol, atol",
+    [("example4d", 500.0, 1e-10, 1e-12), ("example4d_same_lift", 200.0, 1e-9, 1e-11)],
+)
+def test_chirality_matches_per_sample_loop(model, T, rtol, atol):
+    cfg = ModelConfig(alpha1=1.0, alpha2=-0.1, model=model)
+    series = integrate(FIG_START, T=T, rtol=rtol, atol=atol, config=cfg)
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(chirality_check(cfg, series)) == repr(_chirality_loop(cfg, series))
+
+
+def test_chirality_signed_zero_and_plane_floor():
+    # x1^2 rounds up to the smallest subnormal, x1 * (x4 x1) rounds to a
+    # zero carrying the sign of x4: theta_dot is +0.0 near v and -0.0 near w
+    tiny = 1.58e-162
+    series = _hand_series([
+        (0.1, 0.0, 0.0, 0.99),
+        (tiny, 0.0, 0.0, 0.98),
+        (1e-11, 0.0, 0.0, 1.0),
+        (0.0, 0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0, 0.0),
+        (tiny, 0.0, 0.0, -0.98),
+        (0.1, 0.0, 0.0, -0.99),
+        (0.0, 0.0, 0.0, -1.0),
+        # a sum of squares in numpy puts these a last bit on the other side
+        # of radius 0.2 than math.dist does: out, then in
+        (0.12240425968235416, 0.1453714152183817, -0.0611456011136618, 1.012065003666333),
+        (0.0051413094050552065, -0.17731770497542912, 0.0923315022149281, 0.9973747117143262),
+    ])
+    rep = chirality_check(CFG, series, plane_floor=0.0)
+    assert repr(rep) == repr(_chirality_loop(CFG, series, plane_floor=0.0))
+    assert rep.verdict == "different"
+    assert (rep.samples_near_v, rep.samples_near_w) == (4, 2)
+    assert rep.theta_dot_near_v[0] == 0.0 and math.copysign(1.0, rep.theta_dot_near_v[0]) == 1.0
+    assert rep.theta_dot_near_w[1] == 0.0 and math.copysign(1.0, rep.theta_dot_near_w[1]) == -1.0
+    # at the default floor the subnormal planes and the 1e-22 plane are not measured
+    rep = chirality_check(CFG, series)
+    assert repr(rep) == repr(_chirality_loop(CFG, series))
+    assert (rep.samples_near_v, rep.samples_near_w) == (2, 1)
+    assert rep.theta_dot_near_v[0] > 0.0 > rep.theta_dot_near_w[1]
+
+
 def test_chirality_inconclusive_without_samples():
     series = integrate(FIG_START, T=0.5, rtol=1e-8, atol=1e-10, config=CFG)
     rep = chirality_check(CFG, series)
@@ -253,6 +354,25 @@ def test_step_underflow_marks_partial_series():
     assert series.failure is not None
     assert "underflow" in series.failure
     assert series.times[-1] < 10.0
+
+
+def test_collapse_flagged_without_failure():
+    # a subnormal x1 at the north pole: the rotation hands it to x2 while the
+    # contraction rounds it away, so x1 reaches exactly 0.0 within T=10
+    series = integrate((1e-322, 0.0, 0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=CFG)
+    assert series.failure is None
+    j, t = series.collapse
+    assert j == 0 and 0.0 < t < 10.0
+    i = int(np.flatnonzero(series.times == t)[0])
+    assert series.states[i, 0] == 0.0 and np.all(series.states[:i, 0] != 0.0)
+
+
+def test_collapse_none_on_a_regular_run():
+    series = integrate(FIG_START, T=40.0, rtol=1e-9, atol=1e-11, config=CFG)
+    assert series.collapse is None
+    # coordinates that start at 0.0 are not collapses
+    series = integrate((0.6, -0.3, 0.0, 0.74), T=20.0, rtol=1e-8, atol=1e-10, config=CFG)
+    assert series.collapse is None and np.all(series.states[:, 2] == 0.0)
 
 
 def test_spectrum_3d_matches_numeric_jacobian():
