@@ -338,8 +338,11 @@ def _collapse(series, config) -> dict | None:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     config, series = _simulate(args)
-    table = np.column_stack([series.times, series.states, series.r2()]).tolist()
-    rows = [_traj_header(config)] + [",".join(map(repr, row)) for row in table]
+    # one row at a time: a nested list of the whole table would add its
+    # Python floats to the peak memory of the run
+    table = np.column_stack([series.times, series.states, series.r2()])
+    rows = [_traj_header(config)]
+    rows += [",".join(map(repr, row)) for row in map(np.ndarray.tolist, table)]
     diagnostics: dict = {
         "accepted": series.accepted,
         "rejected": series.rejected,
