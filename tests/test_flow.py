@@ -246,19 +246,6 @@ def _chirality_loop(config, series, radius=0.2, plane_floor=1e-20):
     )
 
 
-def _hand_series(states):
-    return TrajectorySeries(
-        times=np.arange(float(len(states))),
-        states=np.array(states),
-        accepted=len(states) - 1,
-        rejected=0,
-        max_error_estimate=0.0,
-        error_budget=0.0,
-        rtol=0.0,
-        atol=0.0,
-    )
-
-
 @pytest.mark.parametrize(
     "model, T, rtol, atol",
     [("example4d", 500.0, 1e-10, 1e-12), ("example4d_same_lift", 200.0, 1e-9, 1e-11)],
@@ -274,7 +261,7 @@ def test_chirality_signed_zero_and_plane_floor():
     # x1^2 rounds up to the smallest subnormal, x1 * (x4 x1) rounds to a
     # zero carrying the sign of x4: theta_dot is +0.0 near v and -0.0 near w
     tiny = 1.58e-162
-    series = _hand_series([
+    states = np.array([
         (0.1, 0.0, 0.0, 0.99),
         (tiny, 0.0, 0.0, 0.98),
         (1e-11, 0.0, 0.0, 1.0),
@@ -288,6 +275,10 @@ def test_chirality_signed_zero_and_plane_floor():
         (0.12240425968235416, 0.1453714152183817, -0.0611456011136618, 1.012065003666333),
         (0.0051413094050552065, -0.17731770497542912, 0.0923315022149281, 0.9973747117143262),
     ])
+    series = TrajectorySeries(
+        times=np.arange(float(len(states))), states=states, accepted=len(states) - 1,
+        rejected=0, max_error_estimate=0.0, error_budget=0.0, rtol=0.0, atol=0.0,
+    )
     rep = chirality_check(CFG, series, plane_floor=0.0)
     assert repr(rep) == repr(_chirality_loop(CFG, series, plane_floor=0.0))
     assert rep.verdict == "different"
