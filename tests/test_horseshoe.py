@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -382,3 +383,75 @@ def test_multipulse_three_pulse_replay_structure(case1_params):
         assert 0.0 < mid.y <= case1_params.eps
         final = curve_sample(mid.x, mid.y, case1_params)
         assert circle_dist(final.x_w, 0.0) < 1e-8
+
+
+def _pulse_digest(points) -> str:
+    """sha256 over float.hex of every s, trace coordinate and residual."""
+    rows = [
+        " ".join([pt.s.hex(), pt.residual.hex()] + [f"{x.hex()},{y.hex()}" for x, y in pt.trace])
+        for pt in points
+    ]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+# (fixture, n, keyword arguments) -> (point count, digest), from the scalar
+# return-chain search the array path replaced
+PINNED_PULSES = {
+    "case1-n2": (
+        "case1_params", 2, {},
+        (4, "94ded5a94dac65e0766aa356feec5c033a4fbd267ead067592f1e8041fb53961"),
+    ),
+    "case1-n3": (
+        "case1_params", 3, {},
+        (4, "5175c095cfab7b776a9154b2d9c797a86aa08f07c08f3ea048dd1faa885ebbbe"),
+    ),
+    "case1-n4": (
+        "case1_params", 4, {},
+        (3, "e299f74bb801d85a18022c198ac8af62dbc14bfe910761507340277012f5a3f1"),
+    ),
+    "case1-n2-window": (
+        "case1_params", 2, {"s_window": (1e-6, 0.5), "max_points": 50},
+        (3, "bdf93c2cb9253bd74f349fafd1f6d5e4dd0737983d67af3abb05aca6a9608954"),
+    ),
+    "case1-n2-x0": (
+        "case1_params", 2, {"x0": 1.0},
+        (4, "0b8880951896b2251ca92b7e7a99b4c14fc7cd5798b78e09489517687bc55687"),
+    ),
+    "dense-n3": (
+        "dense_params", 3, {},
+        (4, "a133a9ad21b249aa92e7f63bc35f324751ff84a24d69cd63244505deb84fd6ab"),
+    ),
+    "rational-n4-x0": (
+        "rational_params", 4, {"x0": 0.3},
+        (4, "eddd2b39573efdbe8eedff67ad4a711a9e83a7fbe09ef73609aa8f41d298bb8a"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PULSES))
+def test_multipulse_bit_for_bit(name, request):
+    fixture, n, kwargs, (count, digest) = PINNED_PULSES[name]
+    points = find_multipulse(n, request.getfixturevalue(fixture), **kwargs)
+    assert (len(points), _pulse_digest(points)) == (count, digest)
+
+
+# sha256 of a_of_t + b_of_t over all strips of build_strips(tau, 5, p)
+PINNED_STRIPS = {
+    ("case1_params", 0.05): "0d089bec2e88254c468303e3ba64bb827a71f4fa423512a8ee3252ddcc863afc",
+    ("case1_params", 0.25): "7b923392f54dea9476752b0fc77943f14725618b1abb83cc7c5ef1a9528ba50e",
+    ("case1_params", 0.4): "68ca8666cdb4745f8e5b3cfcf767f7e7bcc45f6a7bb7b01d5367225f045b0a05",
+    ("dense_params", 0.05): "47bbe8d69a0af593f0dc1424c41a93d919700e83674241c1a0c5bcfa8c230211",
+    ("dense_params", 0.25): "aa1965fc879602bb8614f01a4cc20d7adc326f553e81ce7535555c3fb40d6bb9",
+    ("dense_params", 0.4): "1c338f3cc5481ca8975a58fe428d9e5f77c9040e313d3284c9267587389564b7",
+    ("rational_params", 0.05): "163c339575200c5c7512b4af435c80cb2a6a5660bccb7caecdaca613ad4f20dd",
+    ("rational_params", 0.25): "1f5788a26dd432a9bd1df81429d0fd6a30827091a7ccc025299a4b18168112b9",
+    ("rational_params", 0.4): "3561f727dfdc0d4f32842aaeb98d11860685e7553ee452a336dcc77c34a78cf7",
+}
+
+
+@pytest.mark.parametrize("fixture,tau", sorted(PINNED_STRIPS))
+def test_build_strips_bit_for_bit(fixture, tau, request):
+    family = build_strips(tau, 5, request.getfixturevalue(fixture))
+    assert len(family) == 5
+    got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
+    assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
