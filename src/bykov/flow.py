@@ -96,9 +96,6 @@ class ModelConfig:
     def dim(self) -> int:
         return 3 if self.model == "dim3" else 4
 
-    def to_dict(self) -> dict:
-        return {"alpha1": self.alpha1, "alpha2": self.alpha2, "lambda": self.lam, "model": self.model}
-
 
 MODEL_FIELDS = {"alpha1": float, "alpha2": float, "lambda": float, "model": str}
 
@@ -172,14 +169,6 @@ class SpectrumReport:
     eigenvalues_w: tuple[complex, ...]
     rates: dict
     delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues_v": [[z.real, z.imag] for z in self.eigenvalues_v],
-            "eigenvalues_w": [[z.real, z.imag] for z in self.eigenvalues_w],
-            "rates": self.rates,
-            "delta": self.delta,
-        }
 
 
 def equilibria_spectrum(config: ModelConfig) -> SpectrumReport:
@@ -378,7 +367,11 @@ def integrate(
             err_budget += err * rtol
         else:
             rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+        if err > 0.0:
+            factor = 0.9 * err ** -0.2
+        else:
+            # a nan estimate (a non-finite stage) is a rejection that shrinks h
+            factor = 5.0 if err == 0.0 else 0.2
         if dy > max_sample_spacing:
             factor = min(factor, 0.7 * max_sample_spacing / dy)
         h *= min(5.0, max(0.2, factor))
@@ -455,17 +448,6 @@ class ChiralityReport:
     samples_near_v: int
     samples_near_w: int
     max_identity_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "message": self.message,
-            "theta_dot_near_v": list(self.theta_dot_near_v),
-            "theta_dot_near_w": list(self.theta_dot_near_w),
-            "samples_near_v": self.samples_near_v,
-            "samples_near_w": self.samples_near_w,
-            "max_identity_residual": self.max_identity_residual,
-        }
 
 
 def chirality_check(
@@ -580,9 +562,9 @@ class SojournReport:
 
 
 def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
-    poles = {"v": np.array(V_POLE[: series.states.shape[1]]), "w": np.array(W_POLE[: series.states.shape[1]])}
-    if series.states.shape[1] == 3:
-        poles = {"v": np.array((0.0, 0.0, 1.0)), "w": np.array((0.0, 0.0, -1.0))}
+    # the 3D model's poles (0, 0, +-1) are the last coordinates of the 4D ones
+    dim = series.states.shape[1]
+    poles = {"v": np.array(V_POLE[-dim:]), "w": np.array(W_POLE[-dim:])}
     dist = {n: np.linalg.norm(series.states - pole, axis=1) for n, pole in poles.items()}
     dwells: list[Dwell] = []
     current: str | None = None

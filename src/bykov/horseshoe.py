@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -168,35 +169,38 @@ def detect_periodic_tangency(
     )
 
 
-def _solve_xw(
-    t: np.ndarray,
-    target: float,
-    u_lo: np.ndarray,
-    u_hi: np.ndarray,
-    p: SaddleParams,
-    k: DerivedConstants,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Bisection for x_w(t, e^u) = target on monotone u-intervals, one per t.
+def _bisect(fn, target, lo, hi, tol: float = 1e-13) -> np.ndarray:
+    """Bisection for fn(u) = target over float arrays of brackets [lo, hi].
 
-    Each element stops on its own once its bracket is at most ``tol`` wide,
-    so it ends where a scalar bisection from the same bracket would.
+    ``fn`` maps an array of u to an array of values.  Each element stops on
+    its own once its bracket is at most ``tol`` wide, so it ends where a
+    scalar bisection from the same bracket would.  A bracket that reaches
+    |u| >= 512, where the default tol is below one ulp, stops instead once
+    it is no wider than one ulp of its larger end.  An element comes back
+    nan when its bracket does not straddle the target or when ``fn`` turns
+    non-finite on it.
     """
-    below_lo = exit_curve(t, u_lo, p, k).x_w - target < 0.0
-    below_hi = exit_curve(t, u_hi, p, k).x_w - target < 0.0
-    if np.any(below_lo == below_hi):
-        raise RuntimeError("target not bracketed by the monotone interval")
-    active = u_hi - u_lo > tol
-    while np.any(active):
-        mid = 0.5 * (u_lo + u_hi)
-        below_mid = exit_curve(t, mid, p, k).x_w - target < 0.0
+    tol = np.maximum(tol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    f_lo = fn(lo) - target
+    f_hi = fn(hi) - target
+    below_lo = f_lo < 0.0
+    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below_lo != (f_hi < 0.0))
+    active = ok & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid) - target
+        finite = np.isfinite(f_mid)
+        if not finite.all():
+            ok &= finite | ~active
+            active &= ok
+        below_mid = f_mid < 0.0
         to_lo = active & (below_lo != below_mid)
-        to_hi = active & ~to_lo
-        u_hi = np.where(to_lo, mid, u_hi)
-        u_lo = np.where(to_hi, mid, u_lo)
+        to_hi = active ^ to_lo
+        hi = np.where(to_lo, mid, hi)
+        lo = np.where(to_hi, mid, lo)
         below_lo = np.where(to_hi, below_mid, below_lo)
-        active = u_hi - u_lo > tol
-    return 0.5 * (u_lo + u_hi)
+        active = ok & (hi - lo > tol)
+    return np.where(ok, 0.5 * (lo + hi), np.nan)
 
 
 @dataclass(frozen=True)
@@ -390,8 +394,10 @@ def _collect_strips(
         u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
         if exit_curve(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
             return None
-        u_a = _solve_xw(t_grid, tgt_a, u_los, u_his, p, k)
-        u_b = _solve_xw(t_grid, tgt_b, u_los, u_his, p, k)
+        u_a = _bisect(x_at, tgt_a, u_los, u_his)
+        u_b = _bisect(x_at, tgt_b, u_los, u_his)
+        if np.isnan(u_a).any() or np.isnan(u_b).any():
+            raise RuntimeError("target not bracketed by the monotone interval")
         # libm's exp, not numpy's: the two can differ in the last bit, and
         # the boundaries are written to strips.csv, which stays bit-stable
         a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b)])
@@ -551,42 +557,29 @@ class PulsePoint:
     residual: float
 
 
-def _grid_crossings(values: np.ndarray, us: np.ndarray, x0: float, from_top: bool = True):
-    """(u-bracket, target) pairs where the unreduced angle crosses x0 mod 2*pi.
+def _wrap_pi(x: np.ndarray) -> np.ndarray:
+    """Array form of :func:`bykov.localmaps.wrap_pi`, bit for bit."""
+    r = np.fmod(x, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
 
-    ``from_top`` scans the window downward (shallower crossings first);
-    refinement windows that accumulate at their top edge are scanned the
-    other way so the well-conditioned roots come first.
+
+def _chain_angle(u, depth: int, p: SaddleParams, k: DerivedConstants) -> np.ndarray:
+    """Exit angle after ``depth`` returns of the points (0, e^u) of the incoming wall.
+
+    The array form of ``depth`` calls of :func:`return_map` followed by
+    :func:`curve_sample`, on the exit-curve kernel.  An element is nan once
+    its orbit leaves the height range (0, eps]; an overflowing seed counts
+    as off-section.  Seeds use libm's exp, as the strip boundaries do.
     """
-    hits = []
-    order = range(len(us) - 2, -1, -1) if from_top else range(len(us) - 1)
-    for i in order:
-        v0, v1 = values[i], values[i + 1]
-        if not (np.isfinite(v0) and np.isfinite(v1)):
-            continue
-        lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
-        k_lo = math.ceil((lo - x0) / TWO_PI)
-        k_hi = math.floor((hi - x0) / TWO_PI)
-        for kk in range(k_lo, k_hi + 1):
-            hits.append(((float(us[i]), float(us[i + 1])), x0 + TWO_PI * kk))
-    return hits
-
-
-def _bisect_fn(fn, target: float, u_lo: float, u_hi: float, tol: float = 1e-13) -> float | None:
-    f_lo = fn(u_lo) - target
-    f_hi = fn(u_hi) - target
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (f_lo < 0) == (f_hi < 0):
-        return None
-    while u_hi - u_lo > tol:
-        mid = 0.5 * (u_lo + u_hi)
-        f_mid = fn(mid) - target
-        if not math.isfinite(f_mid):
-            return None
-        if (f_lo < 0) != (f_mid < 0):
-            u_hi = mid
-        else:
-            u_lo, f_lo = mid, f_mid
-    return 0.5 * (u_lo + u_hi)
+    u = np.asarray(u, dtype=float)
+    y = np.array([math.exp(v) if v < 709.0 else math.inf for v in u.ravel()]).reshape(u.shape)
+    x = np.zeros_like(y)
+    with np.errstate(under="ignore"):
+        for _ in range(depth + 1):
+            y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
+            curve = exit_curve(x, np.log(y), p, k)
+            x, y = np.exp(curve.log_y), _wrap_pi(-curve.x_w)
+    return curve.x_w
 
 
 def find_multipulse(
@@ -603,7 +596,9 @@ def find_multipulse(
     applies the first-return map n-2 times and re-solves the crossing on
     the image curve, refining the parameter geometrically toward the seed
     where the previous level touched the trace (images accumulate there).
-    An empty list means no crossing in the window, which is not an error.
+    Every level runs whole u-grids through :func:`_chain_angle` and refines
+    all crossings in one :func:`_bisect`.  An empty list means no crossing
+    in the window, which is not an error.
     """
     if n < 2:
         raise ValueError(f"pulse count must be at least 2, got {n}")
@@ -616,23 +611,8 @@ def find_multipulse(
         drift = abs(1.0 - k.gamma) * k.g_v
         u_lo = max(u_hi - (8.0 * math.pi / max(drift, 1e-3)) - TWO_PI / k.g_v, LN_FLOOR / 4)
 
-    def chain_point(u: float, depth: int) -> WallPoint | None:
-        point = WallPoint(section=IN_V, x=0.0, y=math.exp(u))
-        for _ in range(depth):
-            point = return_map(point, p)
-            if not 0.0 < point.y <= p.eps:
-                return None
-        return point
-
-    def exit_angle(u: float, depth: int) -> float:
-        point = chain_point(u, depth)
-        if point is None:
-            return math.nan
-        return curve_sample(point.x, point.y, p, k).x_w
-
-    def solve_level(depth: int, u_window: tuple[float, float], refine_to: float | None):
-        """Crossing parameters of the depth-th image curve inside the window."""
-        a, b = u_window
+    def solve_level(depth: int, a: float, b: float, refine_to: float | None) -> list[float]:
+        """Crossing parameters of the depth-th image curve inside [a, b]."""
         if refine_to is None:
             n_grid = max(64, int((b - a) / (math.pi / (k.g_v * grid_per_period))) + 1)
             us = np.linspace(a, b, min(n_grid, 200_000))
@@ -645,74 +625,70 @@ def find_multipulse(
                 span *= ratio
                 pts.append(a + span if refine_to == a else b - span)
             us = np.unique(np.array(pts))
-        vals = np.array([exit_angle(float(u), depth) for u in us])
-        found = []
+        vals = _chain_angle(us, depth, p, k)
+        # every multiple of 2*pi (shifted by x0) between the values at the
+        # two ends of a grid cell is one bracketed crossing
+        v0, v1 = vals[:-1], vals[1:]
+        cells = np.flatnonzero(np.isfinite(v0) & np.isfinite(v1))
         # harvest away from the accumulation end: those roots are the
         # well-conditioned ones
-        from_top = refine_to is None or refine_to == a
-        for (lo, hi), tgt in _grid_crossings(vals, us, x0, from_top=from_top):
-            root = _bisect_fn(lambda u: exit_angle(u, depth), tgt, lo, hi)
-            if root is not None:
-                found.append(root)
-            if len(found) >= max_points * 4:
-                break
-        return found
+        if refine_to is None or refine_to == a:
+            cells = cells[::-1]
+        k_lo = np.ceil((np.minimum(v0, v1)[cells] - x0) / TWO_PI)
+        k_hi = np.floor((np.maximum(v0, v1)[cells] - x0) / TWO_PI)
+        counts = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(int)
+        cell = np.repeat(cells, counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
+        roots = _bisect(partial(_chain_angle, depth=depth, p=p, k=k), x0 + TWO_PI * winding, us[cell], us[cell + 1])
+        return roots[~np.isnan(roots)][: max_points * 4].tolist()
 
-    def accumulation_window(u_r: float, depth_prev: int) -> tuple[float, float, float] | None:
-        """Sub-window next to a crossing where the following return stays on-section.
+    def accumulation_windows(roots: np.ndarray, depth_prev: int) -> list[tuple[float, float, float]]:
+        """Sub-windows next to crossings where the following return stays on-section.
 
         The next-return height is positive where the previous-level angle
         sits just below its crossing value, so march geometrically away
-        from the root on that side until the angle has moved by almost eps.
+        from each root on that side until the angle has moved by almost eps.
         """
-        base = exit_angle(u_r, depth_prev)
-        scale = max(1.0, abs(u_r))
-        d0 = 1e-11 * scale
-        g_minus = exit_angle(u_r - d0, depth_prev)
-        g_plus = exit_angle(u_r + d0, depth_prev)
-        if math.isfinite(g_minus) and g_minus < base:
-            sign = -1.0
-        elif math.isfinite(g_plus) and g_plus < base:
-            sign = 1.0
-        else:
-            return None
-        d_prev, d = d0, d0
-        threshold = base - 0.999 * p.eps
-        for _ in range(200):
-            d *= 2.0
-            g = exit_angle(u_r + sign * d, depth_prev)
-            if not math.isfinite(g) or g <= threshold:
-                break
-            d_prev = d
-        else:
-            return None
-        edge = _bisect_fn(
-            lambda u: exit_angle(u, depth_prev),
-            threshold,
-            *sorted((u_r + sign * d_prev, u_r + sign * d)),
+        d0 = 1e-11 * np.maximum(1.0, np.abs(roots))
+        base, g_minus, g_plus = _chain_angle([roots, roots - d0, roots + d0], depth_prev, p, k)
+        sign = np.where(
+            np.isfinite(g_minus) & (g_minus < base),
+            -1.0,
+            np.where(np.isfinite(g_plus) & (g_plus < base), 1.0, np.nan),
         )
-        if edge is None:
-            # the image curve left the section before sweeping a full eps;
-            # use the last on-section sample as the window edge
-            edge = u_r + sign * d_prev
-        near = u_r + sign * d0
-        lo, hi = sorted((edge, near))
-        return lo, hi, (hi if sign < 0 else lo)
+        threshold = base - 0.999 * p.eps
+        steps = d0[:, None] * 2.0 ** np.arange(201)
+        g = _chain_angle(roots[:, None] + sign[:, None] * steps[:, 1:], depth_prev, p, k)
+        stop = ~np.isfinite(g) | (g <= threshold[:, None])
+        first = np.argmax(stop, axis=1)
+        rows = np.arange(len(roots))
+        d_prev, d = steps[rows, first], steps[rows, first + 1]
+        inside = roots + sign * d_prev
+        edge = _bisect(
+            partial(_chain_angle, depth=depth_prev, p=p, k=k),
+            threshold,
+            np.minimum(inside, roots + sign * d),
+            np.maximum(inside, roots + sign * d),
+        )
+        # the image curve left the section before sweeping a full eps: use
+        # the last on-section sample as the window edge
+        edge = np.where(np.isnan(edge), inside, edge)
+        near = roots + sign * d0
+        windows = []
+        for i in np.flatnonzero(~np.isnan(sign) & stop.any(axis=1)):
+            lo, hi = sorted((float(edge[i]), float(near[i])))
+            windows.append((lo, hi, hi if sign[i] < 0 else lo))
+        return windows
 
-    roots = solve_level(0, (u_lo, u_hi), None)
+    roots = solve_level(0, u_lo, u_hi, None)
     for depth in range(1, n - 1):
         next_roots: list[float] = []
-        for u_r in roots:
-            win = accumulation_window(u_r, depth - 1)
-            if win is None:
-                continue
-            w_lo, w_hi, acc_end = win
-            next_roots.extend(solve_level(depth, (w_lo, w_hi), refine_to=acc_end))
+        for w_lo, w_hi, acc_end in accumulation_windows(np.array(roots), depth - 1):
+            next_roots.extend(solve_level(depth, w_lo, w_hi, refine_to=acc_end))
             if len(next_roots) >= max_points * 2:
                 break
         roots = next_roots
-        if not roots:
-            return []
     out: list[PulsePoint] = []
     for u in roots:
         if len(out) >= max_points:

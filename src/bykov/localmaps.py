@@ -94,9 +94,6 @@ class RectPoint:
     X: float
     Y: float
 
-    def to_dict(self) -> dict:
-        return {"X": self.X, "Y": self.Y}
-
 
 def phi_v(p: WallPoint, k: DerivedConstants) -> DiskPoint:
     """Local map through the first node: wall ``In_v`` to disk ``Out_v``.

@@ -143,17 +143,6 @@ class ReturnCurveSample:
     def x_w_mod_2pi(self) -> float:
         return self.x_w % TWO_PI
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "phi": self.phi,
-            "x_w": self.x_w,
-            "x_w_mod_2pi": self.x_w_mod_2pi,
-            "y_w": self.y_w,
-            "dxw_ds": self.dxw_ds,
-        }
-
 
 class ExitCurve(NamedTuple):
     """Exit curve at (t, u = ln s) with the exact partials of x_w and ln y_w."""

@@ -266,6 +266,14 @@ def test_simulate_reports_collapse(flow_config, tmp_path):
     assert manifest["diagnostics"]["failure"] is None
 
 
+def test_simulate_overflowing_start_fails_verify(flow_config, tmp_path):
+    code = main(
+        ["simulate", "--config", flow_config, "--x0", "1e155,1,0,0", "--T", "1", "--verify",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+
+
 def test_simulate_3d_model(tmp_path):
     cfg = tmp_path / "m3.json"
     cfg.write_text(json.dumps({"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "dim3"}))

@@ -358,6 +358,14 @@ def test_collapse_flagged_without_failure():
     assert series.states[i, 0] == 0.0 and np.all(series.states[:i, 0] != 0.0)
 
 
+def test_overflowing_start_ends_on_underflow():
+    # r^2 overflows, the stages turn nan, and every nan error estimate must
+    # shrink h until the step-size floor ends the run
+    series = integrate((1e155, 1.0, 0.0, 0.0), T=1.0, config=CFG)
+    assert series.failure is not None and series.failure.startswith("step-size underflow")
+    assert series.accepted == 0 and len(series.times) == 1
+
+
 def test_collapse_none_on_a_regular_run():
     series = integrate(FIG_START, T=40.0, rtol=1e-9, atol=1e-11, config=CFG)
     assert series.collapse is None
@@ -373,6 +381,15 @@ def test_spectrum_3d_matches_numeric_jacobian():
         got = np.sort_complex(np.linalg.eigvals(numeric_jacobian(cfg3, pole)))
         want = np.sort_complex(np.array(expected))
         assert float(np.max(np.abs(got - want))) < 1e-6
+
+
+def test_sojourn_3d_dwells_at_both_poles():
+    # the 3D model's nodes sit at (0, 0, +-1)
+    cfg3 = ModelConfig(alpha1=1.0, alpha2=-0.1, model="dim3")
+    series = integrate((0.1, 0.4, 0.9), T=300.0, rtol=1e-9, atol=1e-11, config=cfg3)
+    rep = sojourn_analysis(series)
+    assert {d.node for d in rep.dwells} == {"v", "w"}
+    assert rep.median_ratio > 1.0
 
 
 def test_sphere_invariance_3d_rhs():

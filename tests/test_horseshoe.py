@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from bykov.horseshoe import (
     PeriodicTangencyError,
     ResonanceError,
+    _bisect,
+    _chain_angle,
     build_strips,
     detect_periodic_tangency,
     find_multipulse,
@@ -455,3 +457,72 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     assert len(family) == 5
     got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
     assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_chain_angle_matches_scalar_return(fixture, request):
+    """The array chain is return_map followed by curve_sample, bit for bit."""
+    p = request.getfixturevalue(fixture)
+    k = derive_constants(p)
+    us = np.random.default_rng(5).uniform(math.log(1e-8), math.log(p.eps), size=200)
+    expected = []
+    for u in us:
+        mid = return_map(WallPoint(section=IN_V, x=0.0, y=math.exp(u)), p)
+        on_section = 0.0 < mid.y <= p.eps
+        expected.append(curve_sample(mid.x, mid.y, p).x_w if on_section else math.nan)
+    got = _chain_angle(us, 1, p, k)
+    assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+    assert 0 < sum(math.isnan(v) for v in expected) < len(us)
+    # seeds above the section, or overflowing, are off-section, not errors
+    assert np.all(np.isnan(_chain_angle([math.log(p.eps) + 1.0, 800.0], 1, p, k)))
+
+
+@pytest.mark.parametrize("x0", [1.0, -1.0])
+def test_multipulse_off_trace_search_stays_on_section(dense_params, x0):
+    # the doubling march walks past the top of the section; those samples
+    # end the march instead of raising
+    for pt in find_multipulse(3, dense_params, x0=x0):
+        assert replay_pulse(pt.s, 3, dense_params, x0=x0).residual < 1e-8
+
+
+def test_multipulse_deep_window_terminates(case1_params):
+    # near s = 1e-300, |u| > 512 and a 1e-13 bracket holds no double inside
+    # it; the bisection must stop there rather than spin
+    points = find_multipulse(2, case1_params, s_window=(1e-300, 1e-290))
+    assert points and all(0.0 < pt.s < 1e-289 and pt.residual <= 5e-9 for pt in points)
+
+
+def _scalar_bisect(fn, target, lo, hi, tol=1e-13):
+    """One bracket at a time: the reference the array bisection must match."""
+    f_lo, f_hi = fn(lo) - target, fn(hi) - target
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (f_lo < 0) == (f_hi < 0):
+        return math.nan
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid) - target
+        if not math.isfinite(f_mid):
+            return math.nan
+        if (f_lo < 0) != (f_mid < 0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_matches_scalar_reference():
+    def cubic(u):
+        # nan on the hole (1.0, 1.1), as an orbit that leaves the section
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 1.0) & (u < 1.1), np.nan, u * u * u - 2.0 * u)
+
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-3.0, 3.0, 400)
+    hi = lo + rng.uniform(0.0, 2.0, 400)
+    target = rng.uniform(-2.0, 2.0, 400)
+    got = _bisect(cubic, target, lo, hi)
+    want = [_scalar_bisect(lambda v: float(cubic(v)), *args) for args in zip(target, lo, hi)]
+    assert [float(g).hex() for g in got] == [w.hex() for w in want]
+    # some brackets straddle a root of the cubic but meet the hole on the way
+    clean = [_scalar_bisect(lambda v: v**3 - 2.0 * v, *args) for args in zip(target, lo, hi)]
+    assert any(math.isnan(w) and not math.isnan(c) for w, c in zip(want, clean))
+    assert 50 < sum(not math.isnan(w) for w in want) < 400
