@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -379,6 +380,43 @@ def test_find_tangency_stagnates_for_rational_gamma(rational_params):
 def test_find_tangency_requires_reversals(case1_params):
     with pytest.raises(NoReversalsError):
         find_tangency(0.0, 0.0, 100, case1_params)
+
+
+def _tangency_digest(report) -> str:
+    """sha256 over float.hex of the chosen reversal, the bump and the history."""
+    fields = [report.x_best, report.log_s_best, report.amplitude, *report.bump.center, report.bump.radius]
+    rows = [" ".join(v.hex() for v in fields)] + [f"{n} {d.hex()}" for n, d in report.history]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def _interior_draws(count: int = 5) -> list[SaddleParams]:
+    """The first ``count`` seeded draws of random_admissible whose level lies inside the turning range."""
+    rng = np.random.default_rng(11)
+    draws = []
+    while len(draws) < count:
+        p = random_admissible(rng)
+        if classify_region(p).tag in ("InteriorB_GammaRational", "DenseReversals_D"):
+            draws.append(p)
+    return draws
+
+
+# (x0, t, n_max) -> digest of find_tangency on the dense fixture (first two)
+# and on the five interior draws
+PINNED_TANGENCIES = [
+    ((0.0, 0.0, 1000), "8ea7f2ba3d1f40543e8204e674f67917de6f07367810a65a00b7ccdfbd62f02a"),
+    ((1.0, 0.2, 200), "c0bfab9b9ef0aed50390501d2cf7cf9ddf7d3fb3efe0d8736dc2cd195e691234"),
+    ((0.7, 0.3, 300), "0bf251b09ecaa1faf7b0032cc76ce581cd4f679b47ced0c6434e7b3204f1c6c0"),
+    ((0.7, 0.3, 300), "70dedc021452058bd7ccacbe21e09eebc6b0389785b4e0db0b235c3e726be3e3"),
+    ((0.7, 0.3, 300), "b7b91cf6520ec7d2eb10dbbfe725145a9dcc7d24fabdeda3c6a82415bd9b0c41"),
+    ((0.7, 0.3, 300), "39027a6678e19577173887061dd0ca0654bc5054f9a2965204455db4b3a350a6"),
+    ((0.7, 0.3, 300), "4ca139161f6d3afab6cd652986d7a80b4333eaf745b6fd4cd75245afc5cd9ec8"),
+]
+
+
+def test_find_tangency_bit_for_bit(dense_params):
+    points = [dense_params, dense_params, *_interior_draws()]
+    got = [_tangency_digest(find_tangency(*args, p)) for p, (args, _) in zip(points, PINNED_TANGENCIES)]
+    assert got == [digest for _, digest in PINNED_TANGENCIES]
 
 
 def test_turning_crossings_bracket_all_roots(dense_params):
