@@ -53,7 +53,6 @@ __all__ = [
     "chirality_check",
     "sojourn_analysis",
     "invariant_subspace_residuals",
-    "numeric_jacobian",
 ]
 
 MODEL_NAMES = ("dim3", "example4d", "example4d_same_lift")
@@ -224,7 +223,8 @@ class TrajectorySeries:
     collapse: tuple[int, float] | None = None
 
     def r2(self) -> np.ndarray:
-        return np.sum(self.states**2, axis=1)
+        with np.errstate(over="ignore"):
+            return np.sum(self.states**2, axis=1)
 
 
 _DP_A = (
@@ -432,7 +432,8 @@ def _within(states: np.ndarray, pole, radius: float) -> np.ndarray:
     The numpy norm and ``math.dist`` may differ in the last bits, so samples
     within a relative 1e-12 of the radius are settled by ``math.dist``.
     """
-    dist = np.sqrt(sum((column - c) ** 2 for column, c in zip(states.T, pole)))
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(sum((column - c) ** 2 for column, c in zip(states.T, pole)))
     near = dist < radius
     for i in np.flatnonzero(np.abs(dist - radius) <= 1e-12 * radius):
         near[i] = math.dist(states[i].tolist(), pole) < radius
@@ -694,17 +695,3 @@ def synthetic_dwell_series(
         rtol=0.0,
         atol=0.0,
     )
-
-
-def numeric_jacobian(config: ModelConfig, state, h: float = 1e-6) -> np.ndarray:
-    """Centered finite-difference Jacobian of the vector field at a state."""
-    state = np.asarray(state, dtype=float)
-    n = len(state)
-    J = np.empty((n, n))
-    for j in range(n):
-        dp = state.copy()
-        dm = state.copy()
-        dp[j] += h
-        dm[j] -= h
-        J[:, j] = (rhs(dp, config) - rhs(dm, config)) / (2.0 * h)
-    return J

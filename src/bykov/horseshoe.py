@@ -9,6 +9,11 @@ vertically across the same rectangle.  Hyperbolicity of g is read off its
 exact Jacobian, assembled from the partials of the exit-curve kernel
 :func:`bykov.returncurve.exit_curve`; finite differences of the return map
 live only in :mod:`bykov.oracles`, as the test and ``--verify`` oracle.
+Everything that needs only x_w and ln y_w (the strip bisections, which
+solve both boundaries of a strip in one call, the return chain of the
+multi-pulse search, the strip checks and images) runs on the kernel's
+values step, which skips the partials; only the Jacobian and the
+monotonicity check of the strip invariants pay for them.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, circle_dist, psi_wv
 from .params import DerivedConstants, Region, SaddleParams, classify_region, derive_constants, turning_harmonic
 from .returncurve import (
     NoReversalsError,
+    _exit_values,
     curve_sample,
     exit_curve,
     reversal_angle_set,
@@ -370,8 +376,13 @@ def _collect_strips(
     increasing = k.gamma > 1.0
     strips: list[Strip] = []
 
+    t_pair = np.concatenate([t_grid, t_grid])
+
     def x_at(u):
-        return exit_curve(t_grid, u, p, k).x_w
+        return _exit_values(t_grid, u, p, k).x_w
+
+    def x_pair(u):
+        return _exit_values(t_pair, u, p, k).x_w
 
     def targets_for(winding: int) -> tuple[float, float]:
         # a-boundary carries the -tau residue for increasing exit angle,
@@ -392,12 +403,15 @@ def _collect_strips(
         # the rectangle width already
         frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
         u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
-        if exit_curve(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
+        if _exit_values(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
             return None
-        u_a = _bisect(x_at, tgt_a, u_los, u_his)
-        u_b = _bisect(x_at, tgt_b, u_los, u_his)
-        if np.isnan(u_a).any() or np.isnan(u_b).any():
+        # both boundaries in one bisection; each bracket stops on its own
+        n = len(t_grid)
+        targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
+        u_ab = _bisect(x_pair, targets, np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his]))
+        if np.isnan(u_ab).any():
             raise RuntimeError("target not bracketed by the monotone interval")
+        u_a, u_b = u_ab[:n], u_ab[n:]
         # libm's exp, not numpy's: the two can differ in the last bit, and
         # the boundaries are written to strips.csv, which stays bit-stable
         a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b)])
@@ -407,7 +421,7 @@ def _collect_strips(
         # heights still exceed tau are skipped (strips accumulate downward)
         s_chk = np.linspace(a_vals, b_vals, 5)
         with np.errstate(under="ignore"):
-            heights = np.exp(exit_curve(t_grid, np.log(s_chk), p, k).log_y)
+            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p, k).log_y)
         if np.any(heights > tau):
             return None
         return Strip(
@@ -484,8 +498,8 @@ def strip_family_violations(family: StripFamily, p: SaddleParams, tol: float = 1
         # out-of-order samples are reported as such; evaluate them at eps
         a = np.where(ordered, a, p.eps)
         b = np.where(ordered, b, p.eps)
-        x_a = exit_curve(t_grid, np.log(a), p, k).x_w
-        x_b = exit_curve(t_grid, np.log(b), p, k).x_w
+        x_ab = _exit_values(np.concatenate([t_grid, t_grid]), np.log(np.concatenate([a, b])), p, k).x_w
+        x_a, x_b = np.split(x_ab, 2)
         miss_a = np.abs(np.remainder(x_a - lo_res + math.pi, TWO_PI) - math.pi) > tol
         miss_b = np.abs(np.remainder(x_b - hi_res + math.pi, TWO_PI) - math.pi) > tol
         # dx_w/ds = x_u / s has the sign of x_u
@@ -525,7 +539,7 @@ def strip_image_report(family: StripFamily, p: SaddleParams, boundary_samples: i
         edges = [0, len(t_grid) - 1]
         ts = np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], boundary_samples)])
         ss = np.concatenate([a, b, np.linspace(a[edges], b[edges], boundary_samples, axis=1).ravel()])
-        curve = exit_curve(ts, np.log(ss), p, k)
+        curve = _exit_values(ts, np.log(ss), p, k)
         # the return map is (x, y) -> (y_w, -x_w) with the height reduced
         with np.errstate(under="ignore"):
             xs = np.exp(curve.log_y)
@@ -577,7 +591,7 @@ def _chain_angle(u, depth: int, p: SaddleParams, k: DerivedConstants) -> np.ndar
     with np.errstate(under="ignore"):
         for _ in range(depth + 1):
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
-            curve = exit_curve(x, np.log(y), p, k)
+            curve = _exit_values(x, np.log(y), p, k)
             x, y = np.exp(curve.log_y), _wrap_pi(-curve.x_w)
     return curve.x_w
 

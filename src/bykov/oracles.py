@@ -1,5 +1,5 @@
-"""Independent oracles: map compositions, pulse replay, return-map finite
-differences, turning-function grid.
+"""Independent oracles: map compositions, pulse replay, return-map and
+vector-field finite differences, turning-function grid.
 
 Everything here deliberately avoids the closed-form shortcuts of
 :mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import ModelConfig, rhs
 from .localmaps import (
     IN_V,
     OUT_W,
@@ -37,6 +38,7 @@ __all__ = [
     "PulseReplay",
     "replay_pulse",
     "return_jacobian_fd",
+    "numeric_jacobian",
     "turning_range_grid",
 ]
 
@@ -129,6 +131,20 @@ def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray,
     coarse = centred(h_x, h_y)
     fine = centred(h_x / 2.0, h_y / 2.0)
     return (4.0 * fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse)))
+
+
+def numeric_jacobian(config: ModelConfig, state, h: float = 1e-6) -> np.ndarray:
+    """Centered finite-difference Jacobian of the vector field at a state."""
+    state = np.asarray(state, dtype=float)
+    n = len(state)
+    J = np.empty((n, n))
+    for j in range(n):
+        dp = state.copy()
+        dm = state.copy()
+        dp[j] += h
+        dm[j] -= h
+        J[:, j] = (rhs(dp, config) - rhs(dm, config)) / (2.0 * h)
+    return J
 
 
 def turning_range_grid(p: SaddleParams) -> tuple[float, float]:

@@ -11,8 +11,13 @@ unwound to the quarter turn containing phi, the curve is
     y_w(s)   = c4 c1^delta_w s^delta C(phi)^(delta_w/2)
 
 :func:`exit_curve` evaluates it in u = ln s, where phi is affine in (t, u)
-and ln y_w is exact down to any depth.  With sigma = a^2 - a^-2,
-sc = sin phi cos phi, Phi' = 1/C and C' = -2 sigma sc, the partials are
+and ln y_w is exact down to any depth.  The formula itself lives in the
+values step :func:`_exit_values`, which takes sin phi and cos phi once and
+returns x_w and ln y_w; the strip bisections, the return chain and the
+tangency heights call it directly.  :func:`exit_curve` adds the partials on
+top, so they are built only where a Jacobian or a slope needs them.  With
+sigma = a^2 - a^-2, sc = sin phi cos phi, Phi' = 1/C and C' = -2 sigma sc,
+the partials are
 
     x_t      = B/C                          B = 1 + g_w sigma sc
     x_u      = -(g_w delta_v + g_v B/C)
@@ -81,11 +86,19 @@ class NoReversalsError(ValueError):
     """Requested reversal-based construction on a parameter point without reversals."""
 
 
+def _stretch(cos, sin, a: float):
+    return (a * a) * cos * cos + (sin * sin) / (a * a)
+
+
+def _unwound(phi, cos, sin, a: float):
+    k = np.floor(2.0 * phi / np.pi)
+    base = np.arctan2(sin / a, a * cos)
+    return base + TWO_PI * np.rint(((k + 0.5) * (np.pi / 2.0) - base) / TWO_PI)
+
+
 def stretch_sq(phi, a: float):
     """Squared radial stretch of a unit vector at angle phi under diag(a, 1/a)."""
-    c = np.cos(phi)
-    s = np.sin(phi)
-    return (a * a) * c * c + (s * s) / (a * a)
+    return _stretch(np.cos(phi), np.sin(phi), a)
 
 
 def sheared_angle(phi, a: float):
@@ -95,9 +108,7 @@ def sheared_angle(phi, a: float):
     same interval [k pi/2, (k+1) pi/2] as phi; that pins the 2*pi branch.
     """
     arr = np.asarray(phi, dtype=float)
-    k = np.floor(2.0 * arr / np.pi)
-    base = np.arctan2(np.sin(arr) / a, a * np.cos(arr))
-    out = base + TWO_PI * np.round(((k + 0.5) * (np.pi / 2.0) - base) / TWO_PI)
+    out = _unwound(arr, np.cos(arr), np.sin(arr), a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,28 +167,49 @@ class ExitCurve(NamedTuple):
     log_y_u: np.ndarray
 
 
+class _ExitValues(NamedTuple):
+    """Exit curve at (t, u = ln s) without partials, plus what the partials reuse."""
+
+    phi: np.ndarray
+    x_w: np.ndarray
+    log_y: np.ndarray
+    sin: np.ndarray
+    cos: np.ndarray
+    stretch: np.ndarray
+
+
+def _exit_values(t, u, p: SaddleParams, k: DerivedConstants) -> _ExitValues:
+    """The exit-curve formula: x_w and ln y_w with one sin and one cos of phi."""
+    u = np.asarray(u, dtype=float)
+    phi = -k.g_v * u + t + k.c2
+    sin = np.sin(phi)
+    cos = np.cos(phi)
+    c = _stretch(cos, sin, p.a)
+    ln_c = np.log(c)
+    x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + _unwound(phi, cos, sin, p.a) + k.c3 - k.g_w * math.log(k.c1)
+    log_y = math.log(k.c4) + k.delta_w * math.log(k.c1) + k.delta * u + 0.5 * k.delta_w * ln_c
+    return _ExitValues(phi, x_w, log_y, sin, cos, c)
+
+
 def exit_curve(t, u, p: SaddleParams, k: DerivedConstants | None = None) -> ExitCurve:
-    """The one exit-curve kernel; broadcasts over t and u = ln s.
+    """The one exit-curve kernel with its partials; broadcasts over t and u = ln s.
 
     Working in u keeps every value finite for any s > 0: the height is
     returned as ln y_w, which the caller exponentiates (an underflow then
-    degrades to a zero height, not a NaN).
+    degrades to a zero height, not a NaN).  Callers that need only x_w and
+    ln y_w use the values step :func:`_exit_values`, which skips the partials.
     """
     if k is None:
         k = derive_constants(p)
-    u = np.asarray(u, dtype=float)
-    phi = -k.g_v * u + t + k.c2
+    v = _exit_values(t, u, p, k)
     a = p.a
     sigma = a * a - 1.0 / (a * a)
-    c = stretch_sq(phi, a)
-    ln_c = np.log(c)
-    x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + sheared_angle(phi, a) + k.c3 - k.g_w * math.log(k.c1)
-    log_y = math.log(k.c4) + k.delta_w * math.log(k.c1) + k.delta * u + 0.5 * k.delta_w * ln_c
-    sc = np.sin(phi) * np.cos(phi)
+    c = v.stretch
+    sc = v.sin * v.cos
     return ExitCurve(
-        phi=phi,
-        x_w=x_w,
-        log_y=log_y,
+        phi=v.phi,
+        x_w=v.x_w,
+        log_y=v.log_y,
         x_t=(1.0 + k.g_w * sigma * sc) / c,
         x_u=-(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / c),
         log_y_t=-k.delta_w * sigma * sc / c,
@@ -276,7 +308,7 @@ def _sequence_from_entries(t, p, k, entries, reason=None, inflection=False) -> R
     # each parity class; direct evaluation would underflow in s
     parity = np.arange(len(entries)) % 2
     turns = np.round((phis - phis[parity]) / math.pi)
-    x_vals = exit_curve(t, log_s[:2], p, k).x_w[parity] + turns * math.pi * (1.0 - k.gamma)
+    x_vals = _exit_values(t, log_s[:2], p, k).x_w[parity] + turns * math.pi * (1.0 - k.gamma)
     return ReversalSequence(
         t=t,
         s_values=s_vals,
@@ -415,7 +447,7 @@ def find_tangency(
     # cylinder position of the chosen reversal point
     center_x = wrap_pi(x0 - signed)
     with np.errstate(under="ignore"):
-        heights = np.exp(exit_curve(t, angles.log_s_values, p, k).log_y)
+        heights = np.exp(_exit_values(t, angles.log_s_values, p, k).log_y)
     center_y = float(heights[best])
     # keep the support clear of the other turning points
     sep = math.inf

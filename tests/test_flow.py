@@ -17,12 +17,12 @@ from bykov.flow import (
     invariant_subspace_residuals,
     load_model_config,
     make_rhs,
-    numeric_jacobian,
     rhs,
     sojourn_analysis,
     sphere_residual,
     synthetic_dwell_series,
 )
+from bykov.oracles import numeric_jacobian
 from bykov.params import ParameterError
 
 CFG = ModelConfig(alpha1=1.0, alpha2=-0.1)

@@ -13,6 +13,7 @@ from bykov.params import SaddleParams, classify_region, derive_constants, turnin
 from bykov.returncurve import (
     S_UNDERFLOW,
     NoReversalsError,
+    _exit_values,
     curve_arrays,
     curve_sample,
     exit_curve,
@@ -511,3 +512,36 @@ def test_exit_curve_partials_match_centred_differences(p, t, depth):
     curve = exit_curve(t, u, p, k)
     exact = np.array([curve.x_t, curve.x_u, curve.log_y_t, curve.log_y_u])
     assert np.all(np.abs(fd - exact) <= 1e-6 * np.maximum(1.0, np.abs(exact))), (fd, exact)
+
+
+def _kernel_reference(t, u, p, k):
+    """x_w and ln y_w in the kernel's operation order, from the public stretch_sq and sheared_angle."""
+    u = np.asarray(u, dtype=float)
+    phi = -k.g_v * u + t + k.c2
+    ln_c = np.log(stretch_sq(phi, p.a))
+    x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + sheared_angle(phi, p.a) + k.c3 - k.g_w * math.log(k.c1)
+    log_y = math.log(k.c4) + k.delta_w * math.log(k.c1) + k.delta * u + 0.5 * k.delta_w * ln_c
+    return x_w, log_y
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@given(p=admissible_params, t=st.floats(-TWO_PI, TWO_PI), depth=st.floats(0.0, 1.0))
+def test_values_path_matches_exit_curve(p, t, depth):
+    """The values step gives exit_curve's x_w and ln y_w bit for bit, scalar and broadcast, down to s = 1e-300."""
+    k = derive_constants(p)
+    u_eps, u_floor = math.log(p.eps), math.log(S_UNDERFLOW)
+    u = u_eps + depth * (u_floor - u_eps)
+    # a (3, 1) column of t against a row of u reaching ln 1e-300
+    ts = t + np.array([[0.0], [0.25], [3.0]])
+    us = np.array([u_eps, u, 0.5 * (u + u_floor), u_floor])
+    for args in ((t, u), (ts, us), (t, us)):
+        values = _exit_values(*args, p, k)
+        curve = exit_curve(*args, p, k)
+        ref_x, ref_log_y = _kernel_reference(*args, p, k)
+        assert np.shape(values.x_w) == np.shape(curve.x_w) == np.broadcast(*args).shape
+        assert _hex(values.x_w) == _hex(curve.x_w) == _hex(ref_x)
+        assert _hex(values.log_y) == _hex(curve.log_y) == _hex(ref_log_y)
+        assert _hex(values.phi) == _hex(curve.phi)
