@@ -147,6 +147,16 @@ def test_build_strips_refuses_periodic_tangency(rational_params):
     assert probe.found and probe.witness_n is not None
 
 
+def test_detect_periodic_tangency_bit_for_bit(rational_params):
+    x_hit = float(reversal_angle_set(0.0, 64, rational_params).x_values[3] % TWO_PI)
+    got = [repr(detect_periodic_tangency(rational_params, x0=x0)) for x0 in (0.0, x_hit)]
+    assert got == [
+        "PeriodicTangencyResult(found=False, witness_n=None, angle=0.47387798728937014, "
+        "distance=0.4738779872892458)",
+        "PeriodicTangencyResult(found=True, witness_n=3, angle=5.186266967674135, distance=0.0)",
+    ]
+
+
 def test_strips_case2_rational_gamma(rational_params):
     probe = detect_periodic_tangency(rational_params, x0=0.0)
     if probe.found:
@@ -170,6 +180,8 @@ def test_strips_case4_boundary():
     family = build_strips(0.02, 2, p)
     assert family.case == "IV"
     assert len(family) == 2
+    got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
+    assert got.hexdigest() == "f0bcbc40443751d11054c5523dddceebdfef0cb5f4769f4ffbefe36d36be8c00"
     assert strip_family_violations(family, p) == []
     report = strip_image_report(family, p)
     assert all(r["spans_vertically"] and r["within_width"] for r in report)

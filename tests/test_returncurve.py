@@ -420,6 +420,55 @@ def test_find_tangency_bit_for_bit(dense_params):
     assert got == [digest for _, digest in PINNED_TANGENCIES]
 
 
+def _sequence_digest(*seqs) -> str:
+    """sha256 over float.hex of phi, ln s, s and x_w and over the kinds of each sequence."""
+    rows = []
+    for seq in seqs:
+        for values in (seq.phi_values, seq.log_s_values, seq.s_values, seq.x_values):
+            rows.append(" ".join(float(v).hex() for v in values))
+        rows.append(" ".join(seq.kinds))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+# (point, t, n_max, digest of reversal_sequence and reversal_angle_set): the
+# dense fixture over a t x n_max grid, the rational and near-maximum
+# fixtures and the five interior draws
+PINNED_SEQUENCES = [
+    ("dense", 0.0, 1, "ccea1a923cca47411832d31f20335aec6a4ff5f62bd80a3a7f5976502b45872f"),
+    ("dense", 0.0, 2, "4558311d73f3c6d1594c7f33c30a4cb3898007b35eb35698c264dda43ca68a7f"),
+    ("dense", 0.0, 3, "317324c205a71f524b37b9baf703f068d11ffa1bb8a5750f78194e7a37e247c7"),
+    ("dense", 0.0, 1000, "61c70a1798c596b189c0f179f5586150f372a6fd21439ac7919379d78e7b92f1"),
+    ("dense", 0.0, 10000, "67b9f054847086475829a5376a43e1c008fe52752855c98ff543acdd949c9298"),
+    ("dense", 0.3, 1, "cf364b3134f6b7ad27e311e313fce1709f76373340a71c480e6f9ee26b2d97f5"),
+    ("dense", 0.3, 2, "5a845e2e5be76fe77443534a374c9baf79d255edb03e3beb5411c5ac5f7f8389"),
+    ("dense", 0.3, 3, "b5fa892a47f27218fc93b26efc6976651cab137da2f9b7a878b50b8334a2ae4e"),
+    ("dense", 0.3, 1000, "a1bfe7e019f4fd9a4a9688617444649d961f9609f37c0b40f866f48716c2f800"),
+    ("dense", 0.3, 10000, "f47d01ebe62abbbfda15911c5f51108192b1fe5c11f48e56d77e03f2d1c6807b"),
+    ("dense", -1.0, 1, "6a855bb182bf9da3044c05a3c3c3b84da0d4baa362d9d6cc670697e073b06dcb"),
+    ("dense", -1.0, 2, "3c6f9ad0d7f9a554c118fcd8ab5bb26ccb948181ea247c299deee0f2cb9fef74"),
+    ("dense", -1.0, 3, "40d199666395a23e628813fdfee116a968c5e8d56e847fbd429d92f22208aa29"),
+    ("dense", -1.0, 1000, "02cd44869bfed82f2c39b5a1e82f54e3f7b64d7827308091b0c2732fea40e535"),
+    ("dense", -1.0, 10000, "55828bbd5e8fffa4f87f9bea0ad66bb58cd6efa4cb82ccbabbe3fa120ef70045"),
+    ("rational", 0.0, 1000, "46b89af1ade37e5dbf498972e629a85022cdb1c6de29f86d747fdc175185f711"),
+    ("near-max", 0.0, 1000, "3d939e345bb365406931debdc0348c7eb2bc5d36e52c4cb37413eb9ced00b403"),
+    ("draw0", 0.3, 3000, "25a41da2c0be1ab268414c83f31615520fd32f25413da461f46555827bb3b91b"),
+    ("draw1", 0.3, 3000, "48ff03eae7c5c9b9efd928f5b0dba491eda1e3eae5b0b8dd190c123dd14c25cd"),
+    ("draw2", 0.3, 3000, "649321a387b3f743350cb934ff72636af01f9bde15b03b970e161d820462876d"),
+    ("draw3", 0.3, 3000, "d5271465b79729ca415349b9b29797f24842dc4497a448de4e2915c59322f82a"),
+    ("draw4", 0.3, 3000, "9e844f5bd9a742fa09d54ea2a13f921177a3dd72f3af8c2720f0e8bf11911f83"),
+]
+
+
+def test_reversal_sequence_bit_for_bit(dense_params, rational_params, near_max_params):
+    points = {"dense": dense_params, "rational": rational_params, "near-max": near_max_params}
+    points.update({f"draw{i}": p for i, p in enumerate(_interior_draws())})
+    got = []
+    for name, t, n_max, _ in PINNED_SEQUENCES:
+        p = points[name]
+        got.append((name, t, n_max, _sequence_digest(reversal_sequence(t, n_max, p), reversal_angle_set(t, n_max, p))))
+    assert got == PINNED_SEQUENCES
+
+
 def test_turning_crossings_bracket_all_roots(dense_params):
     roots = turning_crossings(dense_params)
     assert len(roots) == 2
