@@ -190,11 +190,10 @@ def cmd_reversals(args) -> int:
             )
         )
     if args.verify and len(seq) >= 3:
-        k = derive_constants(p)
-        for i in range(len(seq) - 2):
-            ratio = seq.s_values[i + 2] / seq.s_values[i]
-            if seq.s_values[i + 2] > 0 and abs(ratio / math.exp(-math.pi / k.g_v) - 1.0) > 1e-10:
-                raise VerifyFailure("period ratio s_{n+2}/s_n violated")
+        period = math.exp(-math.pi / derive_constants(p).g_v)
+        s = seq.s_values
+        if np.any((s[2:] > 0) & (np.abs(s[2:] / s[:-2] / period - 1.0) > 1e-10)):
+            raise VerifyFailure("period ratio s_{n+2}/s_n violated")
         for i in range(min(len(seq), 32)):
             s = float(seq.s_values[i])
             if s > 1e-280:

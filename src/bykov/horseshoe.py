@@ -3,8 +3,9 @@
 The first return to the incoming wall is the exit curve followed by the
 quarter-turn transition: g(x, y) = (y_w(x, y), -x_w(x, y)) with the second
 coordinate reduced to (-pi, pi].  A horizontal strip across the rectangle
-[0, tau]^2 is a band a_n(t) <= s <= b_n(t) on which the exit angle sweeps a
-full copy of [-tau, 0] modulo 2*pi; the quarter turn then stands the image
+[0, tau]^2 is a band a_n(t) <= s <= b_n(t), inside a monotone piece between
+reversals (taken from the reversal lattice), on which the exit angle sweeps
+a full copy of [-tau, 0] mod 2*pi; the quarter turn then stands the image
 vertically across the same rectangle.  Hyperbolicity of g is read off its
 exact Jacobian, assembled from the partials of the exit-curve kernel
 :func:`bykov.returncurve.exit_curve`; finite differences of the return map
@@ -24,11 +25,12 @@ from functools import partial
 
 import numpy as np
 
-from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, circle_dist, psi_wv
+from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, _angle_dist, _wrap_pi, circle_dist, psi_wv
 from .params import DerivedConstants, Region, SaddleParams, classify_region, derive_constants, turning_harmonic
 from .returncurve import (
     NoReversalsError,
     _exit_values,
+    _pi_lattice,
     curve_sample,
     exit_curve,
     reversal_angle_set,
@@ -165,7 +167,7 @@ def detect_periodic_tangency(
         angles = reversal_angle_set(t, n_probe, p)
     except NoReversalsError:
         return PeriodicTangencyResult(found=False, witness_n=None, angle=None, distance=math.inf)
-    dist = np.abs(np.remainder(angles.x_values - x0 + math.pi, TWO_PI) - math.pi)
+    dist = _angle_dist(angles.x_values, x0)
     best = int(np.argmin(dist))
     return PeriodicTangencyResult(
         found=bool(dist[best] < tol),
@@ -270,28 +272,22 @@ def _period_pieces(p: SaddleParams, region: Region) -> list[tuple[float, float, 
 
 def _case_pieces(
     t: float,
-    k: DerivedConstants,
     period: list[tuple[float, float, int]],
     want_sign: int,
     max_pieces: int,
 ) -> list[tuple[float, float]]:
     """Copies of the ``period`` pieces shifted by multiples of pi, from phi = t on.
 
-    Keeps those on which A - K has the sign ``want_sign`` and returns them
-    as (phi_lo, phi_hi) pairs, ascending; s decreases as phi grows.
+    Keeps the first ``max_pieces`` on which A - K has the sign ``want_sign``
+    and returns them as (phi_lo, phi_hi) pairs, ascending; s decreases as
+    phi grows, and the caller stops at s-underflow.  The signs repeat with
+    the period, so ``len(period)`` lattice points per wanted piece suffice.
     """
-    out: list[tuple[float, float]] = []
-    m = min(math.ceil((t - lo) / math.pi) for lo, _, _ in period)
-    while len(out) < max_pieces:
-        for lo, hi, sign in period:
-            if sign == want_sign and lo + m * math.pi >= t:
-                out.append((lo + m * math.pi, hi + m * math.pi))
-                if len(out) >= max_pieces:
-                    break
-        m += 1
-        if (k.c2 + t - m * math.pi) / k.g_v < LN_FLOOR:
-            break
-    return out
+    los, his, signs = (np.array(column) for column in zip(*period))
+    m, j = _pi_lattice(los, t, len(period) * max_pieces)
+    wanted = np.flatnonzero(signs[j] == want_sign)[:max_pieces]
+    shift = m[wanted] * math.pi
+    return list(zip((los[j[wanted]] + shift).tolist(), (his[j[wanted]] + shift).tolist()))
 
 
 def build_strips(
@@ -463,7 +459,7 @@ def _collect_strips(
     # cases II/III/IV: monotone pieces between consecutive reversals
     want_sign = 1 if increasing else -1
     max_pieces = max(64, 16 * n_limit)
-    for lo, hi in _case_pieces(0.0, k, period, want_sign, max_pieces):
+    for lo, hi in _case_pieces(0.0, period, want_sign, max_pieces):
         if len(strips) >= n_limit:
             break
         if (k.c2 - hi) / k.g_v < LN_FLOOR:
@@ -500,8 +496,8 @@ def strip_family_violations(family: StripFamily, p: SaddleParams, tol: float = 1
         b = np.where(ordered, b, p.eps)
         x_ab = _exit_values(np.concatenate([t_grid, t_grid]), np.log(np.concatenate([a, b])), p, k).x_w
         x_a, x_b = np.split(x_ab, 2)
-        miss_a = np.abs(np.remainder(x_a - lo_res + math.pi, TWO_PI) - math.pi) > tol
-        miss_b = np.abs(np.remainder(x_b - hi_res + math.pi, TWO_PI) - math.pi) > tol
+        miss_a = _angle_dist(x_a, lo_res) > tol
+        miss_b = _angle_dist(x_b, hi_res) > tol
         # dx_w/ds = x_u / s has the sign of x_u
         slope = exit_curve(t_grid, np.log(a + fracs * (b - a)), p, k).x_u
         wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
@@ -569,12 +565,6 @@ class PulsePoint:
     n: int
     trace: tuple[tuple[float, float], ...]
     residual: float
-
-
-def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Array form of :func:`bykov.localmaps.wrap_pi`, bit for bit."""
-    r = np.fmod(x, TWO_PI)
-    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
 
 
 def _chain_angle(u, depth: int, p: SaddleParams, k: DerivedConstants) -> np.ndarray:

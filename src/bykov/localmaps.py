@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import DerivedConstants, SaddleParams
 
 __all__ = [
@@ -61,6 +63,17 @@ def wrap_pi(x: float) -> float:
 def circle_dist(x: float, y: float) -> float:
     """Distance between two angles on the circle of circumference 2*pi."""
     return abs(wrap_pi(x - y))
+
+
+def _wrap_pi(x: np.ndarray) -> np.ndarray:
+    """Array form of :func:`wrap_pi`, bit for bit."""
+    r = np.fmod(x, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
+
+
+def _angle_dist(x: np.ndarray, x0: float) -> np.ndarray:
+    """Distances on the circle from the angles ``x`` to ``x0``, as |(x - x0 + pi) mod 2*pi - pi|."""
+    return np.abs(np.remainder(x - x0 + math.pi, TWO_PI) - math.pi)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ sign(dx_w/ds) = sign(A(phi) - K) pointwise.  In the double angle A is the
 harmonic m + R cos(2 phi - theta) (:func:`bykov.params.turning_harmonic`),
 so the crossings are (theta -/+ arccos((K - m)/R))/2 mod pi in closed form
 and the sign of sin(2 phi - theta) tells their direction; no grid is
-involved.  Turning points come in a
-geometric sequence s_n = s_0 exp(-n pi / g_v) and satisfy the rotation
-identity x_w(s_n) = x_w(s_0) + n pi (1 - gamma), which drives the density
-and tangency analysis.
+involved.  The turning points form the lattice phi_n = root_j + m pi
+(:func:`_pi_lattice`; every walk over them is an array expression on it),
+so s_n = s_0 exp(-n pi / g_v) and x_w(s_n) = x_w(s_0) + n pi (1 - gamma),
+the rotation identity that drives the density and tangency analysis.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .localmaps import BumpSpec, circle_dist, wrap_pi
+from .localmaps import BumpSpec, _angle_dist, _wrap_pi, wrap_pi
 from .params import (
     DerivedConstants,
     SaddleParams,
@@ -261,14 +261,28 @@ class ReversalSequence:
         return len(self.s_values)
 
 
+def _pi_lattice(bases, t: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` angles bases[j] + m*pi >= t, ascending, as index arrays (m, j).
+
+    ``bases`` ascend within [0, pi], so the lattice ascends by m, then j.
+    Only the first two periods from the start can hold angles below t.
+    """
+    count = max(count, 0)
+    n = len(bases)
+    m, j = np.divmod(np.arange(count + 2 * n), n)
+    m += min(math.ceil((t - b) / math.pi) for b in bases)
+    keep = np.flatnonzero(np.asarray(bases)[j] + m * math.pi >= t)[:count]
+    return m[keep], j[keep]
+
+
 def _reversal_entries(
     t: float,
     n_max: int,
     p: SaddleParams,
     k: DerivedConstants,
     stop_at_underflow: bool,
-):
-    """Shared enumeration of turning points phi_n = root + m*pi with s_n <= eps.
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Turning points phi_n = root + m*pi >= t, ascending: (phi_n, ln s_n, kinds).
 
     The turning kind follows the crossing direction of the turning function:
     an upward crossing (dA/dphi = -2R sin(2 phi - theta) > 0) makes the exit
@@ -278,46 +292,36 @@ def _reversal_entries(
     roots = turning_crossings(p)
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
+    ln_floor = math.log(S_UNDERFLOW)
+    if stop_at_underflow:
+        # no more turning points than this lie above s = 1e-300
+        n_max = min(n_max, 2 * int((k.c2 - k.g_v * ln_floor) / math.pi + 2))
+    m, j = _pi_lattice(roots, t, n_max)
+    phis = np.asarray(roots)[j] + m * math.pi
+    log_s = (k.c2 + t - phis) / k.g_v
+    # ln s_n descends, so the entries above the floor are a prefix
+    cut = np.searchsorted(-log_s, -ln_floor, side="right") if stop_at_underflow else len(j)
     theta = turning_harmonic(p)[2]
     upward = math.sin(2.0 * roots[0] - theta) < 0.0
     kinds = ("maxima", "minima") if upward else ("minima", "maxima")
-    entries = []
-    m = min(math.ceil((t - r) / math.pi) for r in roots)
-    ln_floor = math.log(S_UNDERFLOW)
-    while len(entries) < n_max:
-        batch = sorted((r + m * math.pi, j) for j, r in enumerate(roots))
-        for phi_n, j in batch:
-            if phi_n < t:
-                continue
-            ln_s = (k.c2 + t - phi_n) / k.g_v
-            if stop_at_underflow and ln_s < ln_floor:
-                return entries
-            entries.append((phi_n, ln_s, kinds[j]))
-            if len(entries) >= n_max:
-                break
-        m += 1
-    return entries
+    return phis[:cut], log_s[:cut], tuple(kinds[i] for i in j[:cut].tolist())
 
 
-def _sequence_from_entries(t, p, k, entries, reason=None, inflection=False) -> ReversalSequence:
-    phis = np.array([e[0] for e in entries], dtype=float)
-    log_s = np.array([e[1] for e in entries], dtype=float)
+def _sequence_from_entries(t, p, k, phis, log_s, kinds) -> ReversalSequence:
     with np.errstate(under="ignore"):
         s_vals = np.exp(log_s)
-    # exit angles via the rotation identity anchored at the first entry of
-    # each parity class; direct evaluation would underflow in s
-    parity = np.arange(len(entries)) % 2
-    turns = np.round((phis - phis[parity]) / math.pi)
-    x_vals = _exit_values(t, log_s[:2], p, k).x_w[parity] + turns * math.pi * (1.0 - k.gamma)
+    # exit angles via the rotation identity: entry n lies n // 2 periods past
+    # the first entry of its parity class; direct evaluation would underflow
+    n = np.arange(len(phis))
+    parity = n % 2
+    x_vals = _exit_values(t, log_s[:2], p, k).x_w[parity] + (n // 2) * math.pi * (1.0 - k.gamma)
     return ReversalSequence(
         t=t,
         s_values=s_vals,
         log_s_values=log_s,
         phi_values=phis,
         x_values=x_vals,
-        kinds=tuple(e[2] for e in entries),
-        reason=reason,
-        inflection=inflection,
+        kinds=kinds,
     )
 
 
@@ -335,12 +339,10 @@ def reversal_sequence(
     """
     k = derive_constants(p)
     region = classify_region(p, rationality_tol=rationality_tol, q_max=q_max)
-    if region.tag in ("NoReversal_aEq1", "OutsideB"):
-        return _sequence_from_entries(t, p, k, [], reason=region.tag)
-    if region.tag == "BoundaryB":
-        return _sequence_from_entries(t, p, k, [], reason="BoundaryB", inflection=True)
-    entries = _reversal_entries(t, n_max, p, k, stop_at_underflow=True)
-    return _sequence_from_entries(t, p, k, entries)
+    if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
+        none = np.empty(0)
+        return ReversalSequence(t, none, none, none, none, (), reason=region.tag, inflection=region.tag == "BoundaryB")
+    return _sequence_from_entries(t, p, k, *_reversal_entries(t, n_max, p, k, stop_at_underflow=True))
 
 
 def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
@@ -352,8 +354,7 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     when no reversals exist.
     """
     k = derive_constants(p)
-    entries = _reversal_entries(t, n_max, p, k, stop_at_underflow=False)
-    return _sequence_from_entries(t, p, k, entries)
+    return _sequence_from_entries(t, p, k, *_reversal_entries(t, n_max, p, k, stop_at_underflow=False))
 
 
 def rotation_identity_residual(s0: float, n: int, t: float, p: SaddleParams) -> float:
@@ -422,26 +423,21 @@ def find_tangency(
     admitted.
     """
     region = classify_region(p)
+    if region.tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
+        # OutsideB / boundary / a=1 have no reversal points at all
+        raise NoReversalsError(
+            f"no reversal points available for tangency construction (region {region.tag})"
+        )
     warning = None
     if region.tag == "InteriorB_GammaRational":
         warning = "gamma is rational within tolerance; reversal angles form a finite set"
-    elif region.tag not in ("DenseReversals_D",):
-        # OutsideB / boundary / a=1 have no reversal points at all
-        seq = reversal_sequence(t, 1, p)
-        if len(seq) == 0:
-            raise NoReversalsError(
-                f"no reversal points available for tangency construction (region {region.tag})"
-            )
     angles = reversal_angle_set(t, n_max, p)
     k = derive_constants(p)
-    dist = np.abs(np.remainder(angles.x_values - x0 + math.pi, TWO_PI) - math.pi)
+    dist = _angle_dist(angles.x_values, x0)
     best = int(np.argmin(dist))
-    history = []
-    running = math.inf
-    for i, d in enumerate(dist):
-        if d < running:
-            running = float(d)
-            history.append((i + 1, running))
+    # a record wherever the running minimum drops
+    records = np.flatnonzero(np.diff(np.minimum.accumulate(dist), prepend=math.inf) < 0.0)
+    history = tuple(zip((records + 1).tolist(), dist[records].tolist()))
     x_best = float(angles.x_values[best])
     signed = wrap_pi(x0 - x_best)
     # cylinder position of the chosen reversal point
@@ -449,13 +445,13 @@ def find_tangency(
     with np.errstate(under="ignore"):
         heights = np.exp(_exit_values(t, angles.log_s_values, p, k).log_y)
     center_y = float(heights[best])
-    # keep the support clear of the other turning points
-    sep = math.inf
-    for i in range(len(angles.x_values)):
-        if i == best:
-            continue
-        gap = math.hypot(circle_dist(float(angles.x_values[i]), x_best), float(heights[i]) - center_y)
-        sep = min(sep, gap)
+    # keep the support clear of the other turning points; the nearest one's
+    # gap is taken again from math.hypot, which np.hypot can miss by an ulp
+    gap_x = np.abs(_wrap_pi(angles.x_values - x_best))
+    gap_x[best] = math.inf
+    gap_y = heights - center_y
+    near = int(np.argmin(np.hypot(gap_x, gap_y)))
+    sep = math.hypot(gap_x[near], gap_y[near])
     radius = max(min(default_radius, 0.45 * sep), 1e-12)
     bump = BumpSpec(amplitude=signed, center=(center_x, center_y), radius=radius)
     return TangencyReport(
@@ -469,5 +465,5 @@ def find_tangency(
         bump=bump,
         region_tag=region.tag,
         warning=warning,
-        history=tuple(history),
+        history=history,
     )

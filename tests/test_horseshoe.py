@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bykov.horseshoe import (
+    LN_FLOOR,
     PeriodicTangencyError,
     ResonanceError,
     _bisect,
+    _case_pieces,
     _chain_angle,
+    _period_pieces,
     build_strips,
     detect_periodic_tangency,
     find_multipulse,
@@ -22,7 +27,7 @@ from bykov.horseshoe import (
 )
 from bykov.localmaps import IN_V, OUT_W, WallPoint, circle_dist, psi_wv
 from bykov.oracles import composed_return, replay_pulse
-from bykov.params import SaddleParams, derive_constants
+from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic
 from bykov.returncurve import (
     S_UNDERFLOW,
     curve_sample,
@@ -170,8 +175,6 @@ def test_strips_case2_rational_gamma(rational_params):
 
 def test_strips_case4_boundary():
     """Level pinned at the turning maximum: inflection case with exclusion margin."""
-    from bykov.params import classify_region, turning_harmonic
-
     base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
     m, r, _ = turning_harmonic(base)
     hi = m + r
@@ -271,24 +274,67 @@ def test_jacobian_determinant_closed_form(p, t, depth):
 
 def test_case4_pieces_have_full_length():
     """At the boundary of B each monotone piece runs from one grazing angle to the next."""
-    from bykov.horseshoe import _case_pieces, _period_pieces
-    from bykov.params import classify_region, turning_harmonic
-
     base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
     m, r, _ = turning_harmonic(base)
     p = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=m + r, a=2.0, eps=0.5)
     region = classify_region(p)
     assert region.tag == "BoundaryB"
-    k = derive_constants(p)
     counts = []
     for sign in (1, -1):
-        pieces = _case_pieces(0.0, k, _period_pieces(p, region), sign, 64)
+        pieces = _case_pieces(0.0, _period_pieces(p, region), sign, 64)
         assert all(hi - lo >= math.pi / 4 for lo, hi in pieces)
         # A - K < 0 between grazes of the maximum
         mids = [float(turning_function(0.5 * (lo + hi), p)) - turning_level(p) for lo, hi in pieces]
         assert all((v > 0) == (sign > 0) for v in mids)
         counts.append(len(pieces))
     assert counts == [0, 64]
+
+
+def _case_pieces_loop(t, k, period, want_sign, max_pieces):
+    """The period-by-period walk the lattice form replaced, with its own underflow cut."""
+    out = []
+    m = min(math.ceil((t - lo) / math.pi) for lo, _, _ in period)
+    while len(out) < max_pieces:
+        for lo, hi, sign in period:
+            if sign == want_sign and lo + m * math.pi >= t:
+                out.append((lo + m * math.pi, hi + m * math.pi))
+                if len(out) >= max_pieces:
+                    break
+        m += 1
+        if (k.c2 + t - m * math.pi) / k.g_v < LN_FLOOR:
+            break
+    return out
+
+
+@given(
+    p=admissible_params,
+    shape=st.sampled_from(["interior", "graze-min", "graze-max"]),
+    t=st.floats(-TWO_PI, TWO_PI),
+    max_pieces=st.integers(1, 3000),
+)
+def test_case_pieces_match_period_loop(p, shape, t, max_pieces):
+    """Both signs, cases II/III and IV: the loop's pieces bit for bit, up to where the strips stop.
+
+    The loop also cut at s-underflow; the lattice leaves that to the strip
+    collection, which stops at the first piece past the floor.  3000 pieces
+    run as well, which reach the floor at nearly every point.
+    """
+    if shape != "interior":
+        m, r, _ = turning_harmonic(p)
+        level = m - r if shape == "graze-min" else m + r
+        if level <= 0.0:
+            return
+        p = replace(p, alpha_w=p.alpha_v * p.E_w / level)
+    region = classify_region(p)
+    if region.tag not in (("BoundaryB",) if shape != "interior" else ("InteriorB_GammaRational", "DenseReversals_D")):
+        return
+    k = derive_constants(p)
+    period = _period_pieces(p, region)
+    for sign, count in itertools.product((1, -1), (max_pieces, 3000)):
+        want = _case_pieces_loop(t, k, period, sign, count)
+        got = _case_pieces(t, period, sign, count)
+        assert [(lo.hex(), hi.hex()) for lo, hi in got[: len(want)]] == [(lo.hex(), hi.hex()) for lo, hi in want]
+        assert all((k.c2 + t - hi) / k.g_v < LN_FLOOR for _, hi in got[len(want):])
 
 
 def test_jacobian_determinant_decays_monotonically(case1_params):

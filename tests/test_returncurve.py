@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from bykov.returncurve import (
     S_UNDERFLOW,
     NoReversalsError,
     _exit_values,
+    _reversal_entries,
     curve_arrays,
     curve_sample,
     exit_curve,
@@ -379,8 +381,14 @@ def test_find_tangency_stagnates_for_rational_gamma(rational_params):
 
 
 def test_find_tangency_requires_reversals(case1_params):
-    with pytest.raises(NoReversalsError):
-        find_tangency(0.0, 0.0, 100, case1_params)
+    base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
+    m, r, _ = turning_harmonic(base)
+    boundary = replace(base, E_w=m + r)
+    points = {"OutsideB": case1_params, "NoReversal_aEq1": replace(case1_params, a=1.0), "BoundaryB": boundary}
+    for tag, p in points.items():
+        assert classify_region(p).tag == tag
+        with pytest.raises(NoReversalsError, match=rf"\(region {tag}\)"):
+            find_tangency(0.0, 0.0, 100, p)
 
 
 def _tangency_digest(report) -> str:
@@ -467,6 +475,52 @@ def test_reversal_sequence_bit_for_bit(dense_params, rational_params, near_max_p
         p = points[name]
         got.append((name, t, n_max, _sequence_digest(reversal_sequence(t, n_max, p), reversal_angle_set(t, n_max, p))))
     assert got == PINNED_SEQUENCES
+
+
+def _reversal_loop(t, n_max, p, k, stop_at_underflow):
+    """The period-by-period walk the lattice form replaced: (phi_n, ln s_n, kind) per turning point."""
+    roots = turning_crossings(p)
+    if len(roots) < 2:
+        raise NoReversalsError("parameter point has no transversal turning points")
+    theta = turning_harmonic(p)[2]
+    upward = math.sin(2.0 * roots[0] - theta) < 0.0
+    kinds = ("maxima", "minima") if upward else ("minima", "maxima")
+    entries = []
+    m = min(math.ceil((t - r) / math.pi) for r in roots)
+    ln_floor = math.log(S_UNDERFLOW)
+    while len(entries) < n_max:
+        batch = sorted((r + m * math.pi, j) for j, r in enumerate(roots))
+        for phi_n, j in batch:
+            if phi_n < t:
+                continue
+            ln_s = (k.c2 + t - phi_n) / k.g_v
+            if stop_at_underflow and ln_s < ln_floor:
+                return entries
+            entries.append((phi_n, ln_s, kinds[j]))
+            if len(entries) >= n_max:
+                break
+        m += 1
+    return entries
+
+
+@given(p=admissible_params, t=st.floats(-TWO_PI, TWO_PI), n_max=st.integers(1, 3000))
+def test_reversal_entries_match_period_loop(p, t, n_max):
+    """The lattice enumeration gives the period loop's turning points, bit for bit.
+
+    Both with and without the underflow cut; n_max = 3000 runs as well,
+    which passes s-underflow at nearly every point.
+    """
+    k = derive_constants(p)
+    if len(turning_crossings(p)) < 2:
+        with pytest.raises(NoReversalsError):
+            _reversal_entries(t, n_max, p, k, True)
+        return
+    for n, stop_at_underflow in itertools.product((n_max, 3000), (True, False)):
+        phis, log_s, kinds = _reversal_entries(t, n, p, k, stop_at_underflow)
+        got = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in zip(phis.tolist(), log_s.tolist(), kinds)]
+        want = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in _reversal_loop(t, n, p, k, stop_at_underflow)]
+        assert len(phis) == len(log_s) == len(kinds)
+        assert got == want
 
 
 def test_turning_crossings_bracket_all_roots(dense_params):
