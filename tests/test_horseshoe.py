@@ -326,7 +326,8 @@ def test_case_pieces_match_period_loop(p, shape, t, max_pieces):
             return
         p = replace(p, alpha_w=p.alpha_v * p.E_w / level)
     region = classify_region(p)
-    if region.tag not in (("BoundaryB",) if shape != "interior" else ("InteriorB_GammaRational", "DenseReversals_D")):
+    interior = ("InteriorB_GammaRational", "DenseReversals_D")
+    if region.tag not in (interior if shape == "interior" else ("BoundaryB",)):
         return
     k = derive_constants(p)
     period = _period_pieces(p, region)

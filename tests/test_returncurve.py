@@ -391,6 +391,34 @@ def test_find_tangency_requires_reversals(case1_params):
             find_tangency(0.0, 0.0, 100, p)
 
 
+@given(
+    p=admissible_params,
+    x0=st.floats(-math.pi, math.pi),
+    t=st.floats(-TWO_PI, TWO_PI),
+    n_max=st.integers(1, 3000),
+)
+def test_find_tangency_matches_per_reversal_loops(p, x0, t, n_max):
+    """The running-minimum history and the bump radius equal the per-reversal loops they replaced."""
+    if classify_region(p).tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
+        return
+    report = find_tangency(x0, t, n_max, p)
+    angles = reversal_angle_set(t, n_max, p)
+    history, running = [], math.inf
+    for i, d in enumerate(np.abs(np.remainder(angles.x_values - x0 + math.pi, TWO_PI) - math.pi)):
+        if d < running:
+            running = float(d)
+            history.append((i + 1, running))
+    with np.errstate(under="ignore"):
+        heights = np.exp(_exit_values(t, angles.log_s_values, p, derive_constants(p)).log_y)
+    best = report.n_best
+    sep = math.inf
+    for i, x in enumerate(angles.x_values):
+        if i != best:
+            sep = min(sep, math.hypot(circle_dist(float(x), report.x_best), float(heights[i] - heights[best])))
+    assert report.history == tuple(history)
+    assert report.bump.radius == max(min(0.05, 0.45 * sep), 1e-12)
+
+
 def _tangency_digest(report) -> str:
     """sha256 over float.hex of the chosen reversal, the bump and the history."""
     fields = [report.x_best, report.log_s_best, report.amplitude, *report.bump.center, report.bump.radius]
@@ -475,6 +503,12 @@ def test_reversal_sequence_bit_for_bit(dense_params, rational_params, near_max_p
         p = points[name]
         got.append((name, t, n_max, _sequence_digest(reversal_sequence(t, n_max, p), reversal_angle_set(t, n_max, p))))
     assert got == PINNED_SEQUENCES
+
+
+def test_reversal_sequence_work_ends_at_underflow(dense_params):
+    """A huge n_max costs no more than the turning points above s = 1e-300."""
+    seq = reversal_sequence(0.0, 10**12, dense_params)
+    assert _sequence_digest(seq) == _sequence_digest(reversal_sequence(0.0, 10**4, dense_params))
 
 
 def _reversal_loop(t, n_max, p, k, stop_at_underflow):
