@@ -59,6 +59,8 @@ TWO_PI = 2.0 * math.pi
 LN_FLOOR = math.log(1e-300)
 # an eigenvalue modulus this close to 1 is not called hyperbolic
 UNIT_TOL = 1e-6
+# least distance of a strip target from the exit angle at a piece end
+SLACK = 1e-9
 
 
 class ResonanceError(ValueError):
@@ -152,26 +154,21 @@ class PeriodicTangencyResult:
     distance: float
 
 
-def detect_periodic_tangency(
-    p: SaddleParams,
-    x0: float = 0.0,
-    n_probe: int = 4096,
-    tol: float = 1e-9,
-    t: float = 0.0,
-) -> PeriodicTangencyResult:
-    """True when some reversal angle coincides with the stable-manifold trace x0.
+def detect_periodic_tangency(p: SaddleParams, x0: float = 0.0) -> PeriodicTangencyResult:
+    """True when one of the first 4096 reversal angles at t = 0 lies within 1e-9 of the trace x0.
 
     Parameter points without reversals are trivially clean.
     """
     try:
-        angles = reversal_angle_set(t, n_probe, p)
+        angles = reversal_angle_set(0.0, 4096, p)
     except NoReversalsError:
         return PeriodicTangencyResult(found=False, witness_n=None, angle=None, distance=math.inf)
     dist = _angle_dist(angles.x_values, x0)
     best = int(np.argmin(dist))
+    found = bool(dist[best] < 1e-9)
     return PeriodicTangencyResult(
-        found=bool(dist[best] < tol),
-        witness_n=best if dist[best] < tol else None,
+        found=found,
+        witness_n=best if found else None,
         angle=float(angles.x_values[best] % TWO_PI),
         distance=float(dist[best]),
     )
@@ -290,15 +287,7 @@ def _case_pieces(
     return list(zip((los[j[wanted]] + shift).tolist(), (his[j[wanted]] + shift).tolist()))
 
 
-def build_strips(
-    tau: float,
-    n_limit: int,
-    p: SaddleParams,
-    t_samples: int = 33,
-    slack: float = 1e-9,
-    rationality_tol: float = 1e-9,
-    q_max: int = 10**4,
-) -> StripFamily:
+def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     """Horizontal strips across [0, tau]^2 whose return images stand vertically across it.
 
     Case I (no reversals): one strip per full winding of the monotone exit
@@ -306,15 +295,17 @@ def build_strips(
     consecutive reversals whose image covers a full copy of the target
     window; for dense reversals tau is shrunk below half the root
     separation.  Case IV treats the tangential crossing as Case II/III with
-    an exclusion zone around the inflection angles.  Construction retries
-    once on a four-fold finer t-grid if an invariant fails marginally.
+    an exclusion zone around the inflection angles.  The case follows
+    :func:`bykov.params.classify_region` at its default rationality policy.
+    Boundaries are solved on a 33-point t-grid; construction retries once on
+    a four-fold finer grid if an invariant fails marginally.
     """
     k = derive_constants(p)
     if abs(k.gamma - 1.0) < 1e-12:
         raise ResonanceError("gamma = 1 resonance is detected and rejected, not analysed")
     if not 0.0 < tau <= min(math.pi, p.eps):
         raise ValueError(f"tau must lie in (0, min(pi, eps)], got {tau}")
-    region = classify_region(p, rationality_tol=rationality_tol, q_max=q_max)
+    region = classify_region(p)
     case = _CASE_OF_TAG[region.tag]
     notes: list[str] = [f"region {region.tag}"]
     if case == "II":
@@ -333,7 +324,7 @@ def build_strips(
         if tau_eff >= d / 2.0:
             tau_eff = 0.45 * d
             notes.append(f"tau shrunk to {tau_eff:.6g} (< half the root separation {d:.6g})")
-    endpoint_margin = slack
+    endpoint_margin = SLACK
     if case == "IV":
         # tangential crossing: the monotone pieces run between the grazing
         # angles, and strip targets must keep a wide berth from the piece
@@ -341,9 +332,9 @@ def build_strips(
         endpoint_margin = 10.0 * tau_eff
         notes.append(f"inflection exclusion half-width {endpoint_margin:.6g}")
 
-    for grid_n in (t_samples, 4 * (t_samples - 1) + 1):
+    for grid_n in (33, 129):
         t_grid = np.linspace(0.0, tau_eff, grid_n)
-        strips = _collect_strips(tau_eff, n_limit, p, k, case, period, t_grid, slack, endpoint_margin)
+        strips = _collect_strips(tau_eff, n_limit, p, k, case, period, t_grid, endpoint_margin)
         family = StripFamily(
             tau=tau_eff,
             tau_requested=tau,
@@ -366,7 +357,6 @@ def _collect_strips(
     case: str,
     period: list[tuple[float, float, int]],
     t_grid: np.ndarray,
-    slack: float,
     endpoint_margin: float,
 ) -> list[Strip]:
     increasing = k.gamma > 1.0
@@ -434,9 +424,9 @@ def _collect_strips(
         u_tops = np.full(len(t_grid), math.log(p.eps))
         x_tops = x_at(u_tops)
         if increasing:
-            w = math.floor((float(np.min(x_tops)) - slack - tau) / TWO_PI)
+            w = math.floor((float(np.min(x_tops)) - SLACK - tau) / TWO_PI)
         else:
-            w = math.ceil((float(np.max(x_tops)) + slack + tau) / TWO_PI)
+            w = math.ceil((float(np.max(x_tops)) + SLACK + tau) / TWO_PI)
         # march a bracket cursor downward in u for every t; x_w is monotone
         # on the whole tail so [cursor, top] always brackets the targets
         u_cur, x_cur = u_tops, x_tops
@@ -480,8 +470,11 @@ def _collect_strips(
     return strips
 
 
-def strip_family_violations(family: StripFamily, p: SaddleParams, tol: float = 1e-9) -> list[str]:
-    """Replay the strip invariants; returns human-readable violations (empty when clean)."""
+def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
+    """Replay the strip invariants; returns human-readable violations (empty when clean).
+
+    A boundary misses its target when its exit angle is more than 1e-9 off.
+    """
     k = derive_constants(p)
     out: list[str] = []
     increasing = family.gamma > 1.0
@@ -496,8 +489,8 @@ def strip_family_violations(family: StripFamily, p: SaddleParams, tol: float = 1
         b = np.where(ordered, b, p.eps)
         x_ab = _exit_values(np.concatenate([t_grid, t_grid]), np.log(np.concatenate([a, b])), p, k).x_w
         x_a, x_b = np.split(x_ab, 2)
-        miss_a = _angle_dist(x_a, lo_res) > tol
-        miss_b = _angle_dist(x_b, hi_res) > tol
+        miss_a = _angle_dist(x_a, lo_res) > 1e-9
+        miss_b = _angle_dist(x_b, hi_res) > 1e-9
         # dx_w/ds = x_u / s has the sign of x_u
         slope = exit_curve(t_grid, np.log(a + fracs * (b - a)), p, k).x_u
         wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
@@ -521,20 +514,21 @@ def strip_family_violations(family: StripFamily, p: SaddleParams, tol: float = 1
     return out
 
 
-def strip_image_report(family: StripFamily, p: SaddleParams, boundary_samples: int = 33) -> list[dict]:
+def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     """Check that each strip's return image stands vertically across the rectangle.
 
     Reports, per strip, the height range covered by the image of the four
     boundary curves (it must span [0, tau]) and the horizontal extent (it
-    must stay inside the rectangle's width).
+    must stay inside the rectangle's width).  The two side curves are
+    sampled at 33 heights each.
     """
     k = derive_constants(p)
     out = []
     for strip in family.strips:
         t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
         edges = [0, len(t_grid) - 1]
-        ts = np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], boundary_samples)])
-        ss = np.concatenate([a, b, np.linspace(a[edges], b[edges], boundary_samples, axis=1).ravel()])
+        ts = np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], 33)])
+        ss = np.concatenate([a, b, np.linspace(a[edges], b[edges], 33, axis=1).ravel()])
         curve = _exit_values(ts, np.log(ss), p, k)
         # the return map is (x, y) -> (y_w, -x_w) with the height reduced
         with np.errstate(under="ignore"):
@@ -592,14 +586,14 @@ def find_multipulse(
     x0: float = 0.0,
     s_window: tuple[float, float] | None = None,
     max_points: int = 4,
-    grid_per_period: int = 48,
 ) -> list[PulsePoint]:
     """Points of the unstable-manifold segment whose orbit closes onto the stable trace.
 
     n = 2 solves the crossing equation on the exit curve directly; higher n
     applies the first-return map n-2 times and re-solves the crossing on
     the image curve, refining the parameter geometrically toward the seed
-    where the previous level touched the trace (images accumulate there).
+    where the previous level touched the trace (images accumulate there);
+    the first level samples 48 points per pi of the angle phi.
     Every level runs whole u-grids through :func:`_chain_angle` and refines
     all crossings in one :func:`_bisect`.  An empty list means no crossing
     in the window, which is not an error.
@@ -618,7 +612,7 @@ def find_multipulse(
     def solve_level(depth: int, a: float, b: float, refine_to: float | None) -> list[float]:
         """Crossing parameters of the depth-th image curve inside [a, b]."""
         if refine_to is None:
-            n_grid = max(64, int((b - a) / (math.pi / (k.g_v * grid_per_period))) + 1)
+            n_grid = max(64, int((b - a) / (math.pi / (k.g_v * 48))) + 1)
             us = np.linspace(a, b, min(n_grid, 200_000))
         else:
             # geometric refinement toward the accumulation end

@@ -25,6 +25,8 @@ __all__ = [
     "GammaRationality",
     "Region",
     "REGION_TAGS",
+    "RATIONALITY_TOL",
+    "Q_MAX",
     "derive_constants",
     "is_gamma_rational",
     "turning_harmonic",
@@ -43,6 +45,11 @@ REGION_TAGS = (
     "InteriorB_GammaRational",
     "DenseReversals_D",
 )
+
+# The rationality policy: gamma counts as rational when a convergent p/q
+# with q <= Q_MAX lies within RATIONALITY_TOL of it (see classify_region).
+RATIONALITY_TOL = 1e-10
+Q_MAX = 10**4
 
 
 class ParameterError(ValueError):
@@ -159,11 +166,12 @@ class GammaRationality:
         return asdict(self)
 
 
-def is_gamma_rational(gamma: float, tol: float = 1e-9, q_max: int = 10**6) -> GammaRationality:
+def is_gamma_rational(gamma: float, tol: float = RATIONALITY_TOL, q_max: int = Q_MAX) -> GammaRationality:
     """Continued-fraction surrogate for the undecidable irrationality test.
 
     Walks the convergents p/q of gamma with q <= q_max and reports the best
     one; gamma counts as rational when the best error is below ``tol``.
+    Any pair is accepted here; :func:`classify_region` holds the guard.
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
@@ -237,19 +245,23 @@ def turning_level(p: SaddleParams) -> float:
     return p.alpha_v * p.E_w / p.alpha_w
 
 
-def classify_region(
-    p: SaddleParams,
-    rationality_tol: float = 1e-9,
-    q_max: int = 10**6,
-    boundary_tol: float = 1e-9,
-) -> Region:
+def classify_region(p: SaddleParams, rationality_tol: float = RATIONALITY_TOL, q_max: int = Q_MAX) -> Region:
     """Place the parameter point in one of the five reversal regions.
 
     Membership is decided by the extrema condition a_min < K < a_max, i.e.
     |K - m| < R with the exact harmonic form of :func:`turning_harmonic`;
     shear a = 1 short-circuits to the no-reversal tag because the exit
-    coordinates are then monotone regardless of K.
+    coordinates are then monotone regardless of K.  Inside B the rationality
+    policy picks the tag.  By Dirichlet's theorem every gamma has a p/q,
+    q <= q_max, within 1/(q q_max), so a pair with q_max**2 * rationality_tol
+    > 0.01 would call nearly every gamma rational and is refused, as is a
+    tolerance that is not positive.
     """
+    if not 0.0 < q_max**2 * rationality_tol <= 0.01:
+        raise ParameterError(
+            f"rationality_tol={rationality_tol} and q_max={q_max} must satisfy "
+            "0 < q_max**2 * rationality_tol <= 0.01 to tell rational from irrational gamma"
+        )
     k = derive_constants(p)
     rationality = is_gamma_rational(k.gamma, tol=rationality_tol, q_max=q_max)
     m, r, _ = turning_harmonic(p)
@@ -257,11 +269,11 @@ def classify_region(
     level = turning_level(p)
     if p.a == 1.0:
         tag = "NoReversal_aEq1"
-    elif min(abs(level - a_min), abs(level - a_max)) < boundary_tol:
+    elif min(abs(level - a_min), abs(level - a_max)) < 1e-9:
         tag = "BoundaryB"
     elif abs(level - m) >= r:
         # the test turning_crossings applies, so that an interior tag always
-        # comes with a transversal root pair, even where boundary_tol is
+        # comes with a transversal root pair, even where the boundary band is
         # finer than the float spacing of the extrema
         tag = "OutsideB"
     elif rationality.is_rational_within_tol:

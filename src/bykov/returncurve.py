@@ -51,6 +51,7 @@ import numpy as np
 from .localmaps import BumpSpec, _angle_dist, _wrap_pi, wrap_pi
 from .params import (
     DerivedConstants,
+    ParameterError,
     SaddleParams,
     classify_region,
     derive_constants,
@@ -267,7 +268,6 @@ def _pi_lattice(bases, t: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     ``bases`` ascend within [0, pi], so the lattice ascends by m, then j.
     Only the first two periods from the start can hold angles below t.
     """
-    count = max(count, 0)
     n = len(bases)
     m, j = np.divmod(np.arange(count + 2 * n), n)
     m += min(math.ceil((t - b) / math.pi) for b in bases)
@@ -325,20 +325,21 @@ def _sequence_from_entries(t, p, k, phis, log_s, kinds) -> ReversalSequence:
     )
 
 
-def reversal_sequence(
-    t: float,
-    n_max: int,
-    p: SaddleParams,
-    rationality_tol: float = 1e-9,
-    q_max: int = 10**6,
-) -> ReversalSequence:
-    """Turning points s_n of the exit curve, largest first, capped at underflow.
+def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+
+
+def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
+    """The first ``n_max`` turning points s_n of the exit curve, largest first, capped at underflow.
 
     Empty (with a reason) when the parameter point admits no reversals;
-    a tangential crossing is reported as an inflection.
+    a tangential crossing is reported as an inflection.  Rational and
+    dense gamma give the same sequence, so no rationality policy enters.
     """
+    _check_n_max(n_max)
     k = derive_constants(p)
-    region = classify_region(p, rationality_tol=rationality_tol, q_max=q_max)
+    region = classify_region(p)
     if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
         none = np.empty(0)
         return ReversalSequence(t, none, none, none, none, (), reason=region.tag, inflection=region.tag == "BoundaryB")
@@ -353,6 +354,7 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     degrade to zero; ``log_s_values`` remains exact throughout.  Raises
     when no reversals exist.
     """
+    _check_n_max(n_max)
     k = derive_constants(p)
     return _sequence_from_entries(t, p, k, *_reversal_entries(t, n_max, p, k, stop_at_underflow=False))
 
@@ -406,22 +408,17 @@ class TangencyReport:
         }
 
 
-def find_tangency(
-    x0: float,
-    t: float,
-    n_max: int,
-    p: SaddleParams,
-    default_radius: float = 0.05,
-) -> TangencyReport:
+def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyReport:
     """Nearest reversal to the stable-manifold trace and the bump moving the trace onto it.
 
     Scans the first ``n_max`` turning points, picks the one whose exit
     angle is closest to ``x0`` on the circle, and returns a compactly
-    supported displacement of that exact amplitude whose support excludes
-    the neighbouring turning points.  The recorded history of running
-    minima shows how the distance shrinks as more turning points are
-    admitted.
+    supported displacement of that exact amplitude, of radius at most 0.05,
+    whose support excludes the neighbouring turning points.  The recorded
+    history of running minima shows how the distance shrinks as more
+    turning points are admitted.
     """
+    _check_n_max(n_max)
     region = classify_region(p)
     if region.tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
         # OutsideB / boundary / a=1 have no reversal points at all
@@ -452,7 +449,7 @@ def find_tangency(
     gap_y = heights - center_y
     near = int(np.argmin(np.hypot(gap_x, gap_y)))
     sep = math.hypot(gap_x[near], gap_y[near])
-    radius = max(min(default_radius, 0.45 * sep), 1e-12)
+    radius = max(min(0.05, 0.45 * sep), 1e-12)
     bump = BumpSpec(amplitude=signed, center=(center_x, center_y), radius=radius)
     return TangencyReport(
         x0=x0,

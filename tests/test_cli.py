@@ -75,6 +75,31 @@ def test_classify_fixtures(case1_config, dense_config, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["tag"] == "DenseReversals_D"
 
 
+def test_classify_refuses_policy_past_dirichlet_bound(dense_config, tmp_path, capsys):
+    code = main(["classify", "--config", dense_config, "--q-max", "1000000", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rationality_tol" in err and "q_max" in err
+    assert not (tmp_path / "out" / "region.json").exists()
+
+
+def test_tangency_dense_at_default_policy(dense_config, tmp_path, capsys):
+    assert main(["tangency", "--config", dense_config, "--n-max", "100", "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["region_tag"] == "DenseReversals_D" and doc["warning"] is None
+
+
+@pytest.mark.parametrize(
+    "command", [["tangency", "--n-max", "0"], ["reversals", "--n-max", "-3", "--verify"]]
+)
+def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command[0], "--config", dense_config, "--out", str(out), *command[1:]])
+    assert code == 2
+    assert "n_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alpha_v": 1.0, "oops": 2}))
@@ -84,6 +109,15 @@ def test_classify_rejects_malformed(tmp_path, capsys):
 
 CASE1 = {"alpha_v": 0.2, "C_v": 1.0, "E_v": 0.8, "alpha_w": 2.5, "C_w": 4.0, "E_w": 2.0,
          "a": 2.0, "eps": 0.5}
+
+
+@pytest.mark.parametrize("text, message", [(json.dumps(CASE1), "no reversal points"), ("{alpha_v: 1", "error:")])
+def test_tangency_error_paths(text, message, tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(text)
+    assert main(["tangency", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("knob", [["--seed", "1"], ["--rtol", "1e-8"], ["--atol", "1e-10"]])

@@ -106,7 +106,7 @@ def test_build_strips_case1(case1_params):
 
 
 def test_build_strips_case3(dense_params):
-    family = build_strips(0.4, 5, dense_params, q_max=10**4)
+    family = build_strips(0.4, 5, dense_params)
     assert family.case == "III"
     assert len(family) == 5
     assert strip_family_violations(family, dense_params) == []
@@ -131,7 +131,7 @@ def test_build_strips_shrinks_tau():
     roots = turning_crossings(p)
     d = roots[1] - roots[0]
     assert 0.4 >= d / 2.0
-    family = build_strips(0.4, 2, p, q_max=10**4)
+    family = build_strips(0.4, 2, p)
     assert family.case == "III"
     assert family.tau < d / 2.0
     assert any("shrunk" in note for note in family.notes)
@@ -204,7 +204,7 @@ def test_detect_periodic_tangency_trivially_false(case1_params, dense_params):
 
 
 def test_trace_sign_constant_inside_strips(dense_params):
-    family = build_strips(0.4, 4, dense_params, q_max=10**4)
+    family = build_strips(0.4, 4, dense_params)
     level = turning_level(dense_params)
     k = derive_constants(dense_params)
     for strip in family.strips:
@@ -353,15 +353,15 @@ def test_jacobian_trace_grows_outside(case1_params):
 
 
 def test_saddle_classification_inside_strips(case1_params, dense_params):
-    for p, q_max in ((case1_params, 10**6), (dense_params, 10**4)):
-        family = build_strips(0.4, 5, p, q_max=q_max)
+    for p in (case1_params, dense_params):
+        family = build_strips(0.4, 5, p)
         classes = [jacobian_report(t, s, p).eigen_class for t, s in strip_samples(family)]
         assert classes.count("saddle") / len(classes) >= 0.99
 
 
 def test_double_contraction_near_reversal(dense_params):
     """At a turning point the expanding direction dies: both eigenvalues inside the circle."""
-    seq = reversal_sequence(0.0, 6, dense_params, q_max=10**4)
+    seq = reversal_sequence(0.0, 6, dense_params)
     found = False
     for i in range(len(seq)):
         s = float(seq.s_values[i])

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+from bykov import horseshoe, params, returncurve
 from bykov.params import (
     ParameterError,
     SaddleParams,
@@ -88,6 +90,76 @@ def test_rationality_sqrt2_small_denominators():
     assert not rec.is_rational_within_tol
     assert (rec.p, rec.q) == (8119, 5741)
     assert rec.error == pytest.approx(1.0727040367086715e-08, rel=1e-6)
+
+
+def test_rational_share_at_default_policy():
+    gammas = np.random.default_rng(0).uniform(0.1, 5.0, size=10**4)
+    rational = sum(is_gamma_rational(float(g)).is_rational_within_tol for g in gammas)
+    assert rational / len(gammas) < 0.01
+
+
+def test_default_policy_separates_small_denominators_from_irrationals():
+    fractions = {p / q for q in range(1, 200) for p in range(1, 5 * q + 1)}
+    assert all(is_gamma_rational(g).is_rational_within_tol for g in fractions)
+    irrationals = [math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), (1.0 + math.sqrt(5.0)) / 2.0, math.e, math.pi]
+    assert not any(is_gamma_rational(g).is_rational_within_tol for g in irrationals)
+
+
+def test_classify_interior_tags_at_default_policy(dense_params, rational_params):
+    assert classify_region(dense_params).tag == "DenseReversals_D"
+    assert classify_region(rational_params).tag == "InteriorB_GammaRational"
+
+
+@pytest.mark.parametrize("tol,q_max", [(1e-9, 10**6), (2e-10, 10**4), (0.0, 10**4), (-1.0, 10**4), (math.nan, 10**4)])
+def test_classify_refuses_unusable_policy(rational_params, tol, q_max):
+    with pytest.raises(ParameterError, match="rationality_tol.*q_max"):
+        classify_region(rational_params, rationality_tol=tol, q_max=q_max)
+
+
+# parameter names of every public function of the saddle-map modules: a new
+# knob has to be added here
+PUBLIC_SIGNATURES = {
+    params: {
+        "derive_constants": ("p",),
+        "is_gamma_rational": ("gamma", "tol", "q_max"),
+        "turning_harmonic": ("p",),
+        "turning_level": ("p",),
+        "classify_region": ("p", "rationality_tol", "q_max"),
+        "load_exact_keys": ("source", "fields"),
+        "load_saddle_params": ("source",),
+    },
+    returncurve: {
+        "stretch_sq": ("phi", "a"),
+        "sheared_angle": ("phi", "a"),
+        "turning_function": ("phi", "p"),
+        "turning_level": ("p",),
+        "turning_crossings": ("p",),
+        "exit_curve": ("t", "u", "p", "k"),
+        "curve_sample": ("t", "s", "p", "k"),
+        "curve_arrays": ("t", "s", "p", "k"),
+        "reversal_sequence": ("t", "n_max", "p"),
+        "reversal_angle_set": ("t", "n_max", "p"),
+        "rotation_identity_residual": ("s0", "n", "t", "p"),
+        "find_tangency": ("x0", "t", "n_max", "p"),
+    },
+    horseshoe: {
+        "return_map": ("p_in", "p", "bump"),
+        "return_jacobian": ("x", "y", "p"),
+        "jacobian_report": ("x", "y", "p"),
+        "detect_periodic_tangency": ("p", "x0"),
+        "build_strips": ("tau", "n_limit", "p"),
+        "strip_family_violations": ("family", "p"),
+        "strip_image_report": ("family", "p"),
+        "find_multipulse": ("n", "p", "x0", "s_window", "max_points"),
+    },
+}
+
+
+@pytest.mark.parametrize("module", list(PUBLIC_SIGNATURES), ids=lambda m: m.__name__)
+def test_public_signatures(module):
+    public = {name: getattr(module, name) for name in module.__all__}
+    got = {name: tuple(inspect.signature(fn).parameters) for name, fn in public.items() if inspect.isfunction(fn)}
+    assert got == PUBLIC_SIGNATURES[module]
 
 
 def test_classify_a_equals_one():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bykov.localmaps import circle_dist
 from bykov.oracles import eta_composed, turning_range_grid
-from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic
+from bykov.params import ParameterError, SaddleParams, classify_region, derive_constants, turning_harmonic
 from bykov.returncurve import (
     S_UNDERFLOW,
     NoReversalsError,
@@ -247,7 +247,7 @@ def test_reversal_sequence_empty_outside(case1_params):
 
 
 def test_reversal_sequence_dense(dense_params):
-    seq = reversal_sequence(0.0, 40, dense_params, q_max=10**4)
+    seq = reversal_sequence(0.0, 40, dense_params)
     assert len(seq) == 40
     assert np.all(np.diff(seq.s_values) < 0.0)
     k = derive_constants(dense_params)
@@ -262,7 +262,7 @@ def test_reversal_sequence_dense(dense_params):
 
 
 def test_reversal_kinds_match_second_difference(dense_params):
-    seq = reversal_sequence(0.0, 8, dense_params, q_max=10**4)
+    seq = reversal_sequence(0.0, 8, dense_params)
     for i in range(len(seq)):
         s = float(seq.s_values[i])
         h = 1e-5 * s
@@ -274,7 +274,7 @@ def test_reversal_kinds_match_second_difference(dense_params):
 
 
 def test_reversal_angles_match_direct_evaluation(dense_params):
-    seq = reversal_sequence(0.3, 30, dense_params, q_max=10**4)
+    seq = reversal_sequence(0.3, 30, dense_params)
     for i in range(len(seq)):
         s = float(seq.s_values[i])
         if s < 1e-200:
@@ -378,6 +378,15 @@ def test_find_tangency_stagnates_for_rational_gamma(rational_params):
     assert amps[0] == pytest.approx(amps[2], abs=1e-9)
     assert amps[2] > 1e-3  # generic target is never approached
     assert find_tangency(1.0, 0.0, 100, rational_params).warning is not None
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params"])
+@pytest.mark.parametrize("fn", [reversal_sequence, reversal_angle_set, find_tangency])
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_n_max_is_refused_before_the_region(fixture, fn, n_max, request):
+    args = (0.0, 0.0, n_max) if fn is find_tangency else (0.0, n_max)
+    with pytest.raises(ParameterError, match=rf"n_max must be >= 1, got {n_max}"):
+        fn(*args, request.getfixturevalue(fixture))
 
 
 def test_find_tangency_requires_reversals(case1_params):
