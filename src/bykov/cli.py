@@ -1,5 +1,12 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts out.
 
+Each ``cmd_*`` loads its config, computes and replays its ``--verify``
+checks, then returns ``(file_name, content, diagnostics)``; ``_run`` writes
+that one artifact and its manifest.  A ``.json`` artifact is a document,
+written with ``indent=2`` and echoed to stdout; a ``.csv`` artifact is a
+list of rows and is not echoed.  Nothing is written or echoed unless the
+command and its checks succeed, so a failed ``--verify`` leaves no files.
+
 Exit codes: 0 success, 1 invariant violation under --verify, 2 usage or
 config error.  Data files carry no timestamps, so identical inputs produce
 byte-identical output; run metadata (including wall-clock) goes to the
@@ -28,6 +35,7 @@ from .flow import (
     load_model_config,
     sojourn_analysis,
     sphere_residual,
+    synthetic_dwell_series,
 )
 from .horseshoe import (
     build_strips,
@@ -68,54 +76,15 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _digest(path: str | None) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    args: argparse.Namespace,
-    outputs: list[Path],
-    diagnostics: dict,
-    started: float,
-) -> Path:
-    for f in outputs:
-        if not f.exists() or f.stat().st_size == 0:
-            raise RuntimeError(f"declared output {f} missing or empty")
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "config_digest": _digest(getattr(args, "config", None)),
-        "tolerances": {
-            "rtol": getattr(args, "rtol", None),
-            "atol": getattr(args, "atol", None),
-        },
-        "outputs": [str(f) for f in outputs],
-        "wall_clock_s": time.monotonic() - started,
-        "diagnostics": diagnostics,
-    }
-    path = out_dir / f"{command}_manifest.json"
-    _atomic_write(path, json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
+def cmd_classify(args):
     p = load_saddle_params(args.config)
     region = classify_region(p, rationality_tol=args.rationality_tol, q_max=args.q_max)
     doc = region.to_dict()
     doc["constants"] = derive_constants(p).to_dict()
-    print(json.dumps(doc, indent=2))
-    out_dir = Path(args.out)
-    path = out_dir / "region.json"
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
     if args.verify:
         # the grid must stay inside the closed-form range and reach both ends
         # to within its spacing error (< 5e-10 R, see bykov.oracles)
@@ -125,12 +94,10 @@ def cmd_classify(args) -> int:
             raise VerifyFailure("turning-function grid leaves the closed-form extrema")
         if lo - region.a_min > 1e-9 * scale or region.a_max - hi > 1e-9 * scale:
             raise VerifyFailure("turning-function grid falls short of the closed-form extrema")
-    _write_manifest(out_dir, "classify", args, [path], {"tag": region.tag}, started)
-    return EXIT_OK
+    return "region.json", doc, {"tag": region.tag}
 
 
-def cmd_curve(args) -> int:
-    started = time.monotonic()
+def cmd_curve(args):
     p = load_saddle_params(args.config)
     if not (0.0 < args.s_min < args.s_max <= p.eps):
         raise ParameterError(
@@ -156,15 +123,10 @@ def cmd_curve(args) -> int:
             y_ok = abs(y_c) < 1e-250 or abs(c.y_w / y_c - 1.0) < 1e-9
             if abs(c.x_w - x_c) > 1e-9 or not y_ok:
                 raise VerifyFailure(f"curve row at s={s} disagrees with the composition oracle")
-    out_dir = Path(args.out)
-    path = out_dir / (args.out_csv or "curve.csv")
-    _atomic_write(path, "\n".join(rows) + "\n")
-    _write_manifest(out_dir, "curve", args, [path], {"n_samples": args.n_samples}, started)
-    return EXIT_OK
+    return "curve.csv", rows, {"n_samples": args.n_samples}
 
 
-def cmd_reversals(args) -> int:
-    started = time.monotonic()
+def cmd_reversals(args):
     p = load_saddle_params(args.config)
     seq = reversal_sequence(args.t, args.n_max, p)
     rows = ["n,s,log_s,phi,x_w,x_w_mod_2pi,kind"]
@@ -193,33 +155,20 @@ def cmd_reversals(args) -> int:
                 d = abs(curve_sample(args.t, s, p).dxw_ds)
                 if d > 1e-8 / s:
                     raise VerifyFailure(f"nonzero turning derivative at reversal {i}")
-    out_dir = Path(args.out)
-    path = out_dir / "reversals.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    _write_manifest(
-        out_dir, "reversals", args, [path], {"count": len(seq), "reason": seq.reason}, started
-    )
-    return EXIT_OK
+    return "reversals.csv", rows, {"count": len(seq), "reason": seq.reason}
 
 
-def cmd_tangency(args) -> int:
-    started = time.monotonic()
+def cmd_tangency(args):
     p = load_saddle_params(args.config)
     report = find_tangency(args.x0, args.t, args.n_max, p)
-    print(json.dumps(report.to_dict(), indent=2))
     if args.verify:
         history = report.history
         if any(b[1] > a[1] for a, b in zip(history, history[1:])):
             raise VerifyFailure("running minimum distance is not non-increasing")
-    out_dir = Path(args.out)
-    path = out_dir / "tangency.json"
-    _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
-    _write_manifest(out_dir, "tangency", args, [path], {"amplitude": report.amplitude}, started)
-    return EXIT_OK
+    return "tangency.json", report.to_dict(), {"amplitude": report.amplitude}
 
 
-def cmd_strips(args) -> int:
-    started = time.monotonic()
+def cmd_strips(args):
     p = load_saddle_params(args.config)
     family = build_strips(args.tau, args.n_limit, p)
     rows = [STRIPS_HEADER]
@@ -245,23 +194,24 @@ def cmd_strips(args) -> int:
         if bad:
             raise VerifyFailure(f"strip image fails to stand across the rectangle: {bad[0]}")
         diagnostics["image_checks"] = len(images)
-    out_dir = Path(args.out)
-    path = out_dir / "strips.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    _write_manifest(out_dir, "strips", args, [path], diagnostics, started)
-    return EXIT_OK
+    return "strips.csv", rows, diagnostics
 
 
-def cmd_jacobian(args) -> int:
-    started = time.monotonic()
+def cmd_jacobian(args):
     p = load_saddle_params(args.config)
+    if args.k_min > args.k_max:
+        raise ParameterError(f"need k_min <= k_max, got k_min={args.k_min}, k_max={args.k_max}")
+    derive_constants(p)  # a config error surfaces here, not as a height of the sweep
     rows = [JACOBIAN_HEADER]
     worst_miss = 0.0
     for kk in range(args.k_min, args.k_max + 1):
         y = 2.0**-kk
         if y > p.eps:
             continue
-        rep = jacobian_report(args.x, y, p)
+        try:
+            rep = jacobian_report(args.x, y, p)
+        except ValueError as exc:
+            raise ParameterError(f"k_max={args.k_max} is too deep at k={kk}: {exc}") from exc
         if args.verify:
             # the exact Jacobian against Richardson differences of the
             # elementary-map composition
@@ -277,15 +227,10 @@ def cmd_jacobian(args) -> int:
     diagnostics: dict = {"count": len(rows) - 1}
     if args.verify:
         diagnostics["oracle_rel_error"] = worst_miss
-    out_dir = Path(args.out)
-    path = out_dir / "jacobian.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    _write_manifest(out_dir, "jacobian", args, [path], diagnostics, started)
-    return EXIT_OK
+    return "jacobian.csv", rows, diagnostics
 
 
-def cmd_multipulse(args) -> int:
-    started = time.monotonic()
+def cmd_multipulse(args):
     p = load_saddle_params(args.config)
     if (args.s_min is None) != (args.s_max is None):
         raise ParameterError("--s-min and --s-max must be given together")
@@ -295,17 +240,12 @@ def cmd_multipulse(args) -> int:
         {"s": pt.s, "n": pt.n, "residual": pt.residual, "trace": [list(x) for x in pt.trace]}
         for pt in points
     ]
-    print(json.dumps(doc, indent=2))
     if args.verify:
         for pt in points:
             replay = replay_pulse(pt.s, pt.n, p, x0=args.x0)
             if replay.residual > 1e-8:
                 raise VerifyFailure(f"pulse replay misses the trace by {replay.residual}")
-    out_dir = Path(args.out)
-    path = out_dir / "multipulse.json"
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-    _write_manifest(out_dir, "multipulse", args, [path], {"count": len(points)}, started)
-    return EXIT_OK
+    return "multipulse.json", doc, {"count": len(points)}
 
 
 def _simulate(args):
@@ -327,8 +267,7 @@ def _collapse(series, config) -> dict | None:
     return {"coordinate": _traj_header(config).split(",")[j + 1], "t": t}
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args):
     config, series = _simulate(args)
     # one row at a time: a nested list of the whole table would add its
     # Python floats to the peak memory of the run
@@ -340,7 +279,6 @@ def cmd_simulate(args) -> int:
         "rejected": series.rejected,
         "max_error_estimate": series.max_error_estimate,
         "failure": series.failure,
-        "renormalized": series.renormalized,
         "collapse": _collapse(series, config),
     }
     if config.dim == 4:
@@ -357,22 +295,14 @@ def cmd_simulate(args) -> int:
         spacing = float(np.max(np.linalg.norm(np.diff(series.states, axis=0), axis=1)))
         if spacing > 0.05:
             raise VerifyFailure(f"sample spacing {spacing} exceeds 0.05")
-    out_dir = Path(args.out)
-    path = out_dir / "trajectory.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    _write_manifest(out_dir, "simulate", args, [path], diagnostics, started)
-    return EXIT_OK
+    return "trajectory.csv", rows, diagnostics
 
 
-def cmd_sojourn(args) -> int:
-    started = time.monotonic()
+def cmd_sojourn(args):
     config, series = _simulate(args)
     report = sojourn_analysis(series, neighborhood_radius=args.radius)
-    print(json.dumps(report.to_dict(), indent=2))
     if args.verify:
         # self-test of the analyzer on a synthetic series with known ratio
-        from .flow import synthetic_dwell_series
-
         durations = []
         dur = 1.0
         for i in range(10):
@@ -381,11 +311,32 @@ def cmd_sojourn(args) -> int:
         syn = sojourn_analysis(synthetic_dwell_series(durations), neighborhood_radius=0.3)
         if abs(syn.median_ratio - 1.5**2) > 1e-6:
             raise VerifyFailure(f"analyzer self-test recovered {syn.median_ratio}, wanted 2.25")
-    out_dir = Path(args.out)
-    path = out_dir / "sojourn.json"
-    _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
     diagnostics = {"median_ratio": report.median_ratio, "collapse": _collapse(series, config)}
-    _write_manifest(out_dir, "sojourn", args, [path], diagnostics, started)
+    return "sojourn.json", report.to_dict(), diagnostics
+
+
+def _run(args) -> int:
+    """Run ``args.fn``; write its artifact and manifest atomically, echoing a JSON artifact."""
+    started = time.monotonic()
+    name, content, diagnostics = args.fn(args)
+    if name.endswith(".json"):
+        text = json.dumps(content, indent=2)
+        print(text)
+    else:
+        text = "\n".join(content)
+    out_dir = Path(args.out)
+    path = out_dir / name
+    _atomic_write(path, text + "\n")
+    manifest = {
+        "command": args.command,
+        "tool_version": __version__,
+        "config_digest": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "tolerances": {"rtol": getattr(args, "rtol", None), "atol": getattr(args, "atol", None)},
+        "outputs": [str(path)],
+        "wall_clock_s": time.monotonic() - started,
+        "diagnostics": diagnostics,
+    }
+    _atomic_write(out_dir / f"{args.command}_manifest.json", json.dumps(manifest, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -414,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-min", type=float, required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--n-samples", type=int, default=200)
-    sp.add_argument("--out-csv", default=None)
     sp.set_defaults(fn=cmd_curve)
 
     sp = sub.add_parser("reversals", help="turning points of the exit curve")
@@ -451,20 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-max", type=float, default=None)
     sp.set_defaults(fn=cmd_multipulse)
 
+    def flow_run(sp):
+        common(sp)
+        sp.add_argument("--rtol", type=float, default=1e-10)
+        sp.add_argument("--atol", type=float, default=1e-12)
+        sp.add_argument("--x0", default="-0.5,-0.139,-0.8807,0.3013", help="comma-separated state")
+        sp.add_argument("--T", type=float, default=500.0)
+
     sp = sub.add_parser("simulate", help="integrate the explicit vector field")
-    common(sp)
-    sp.add_argument("--rtol", type=float, default=1e-10)
-    sp.add_argument("--atol", type=float, default=1e-12)
-    sp.add_argument("--x0", default="-0.5,-0.139,-0.8807,0.3013", help="comma-separated state")
-    sp.add_argument("--T", type=float, default=500.0)
+    flow_run(sp)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("sojourn", help="dwell-time table and growth-ratio estimate")
-    common(sp)
-    sp.add_argument("--rtol", type=float, default=1e-10)
-    sp.add_argument("--atol", type=float, default=1e-12)
-    sp.add_argument("--x0", default="-0.5,-0.139,-0.8807,0.3013")
-    sp.add_argument("--T", type=float, default=500.0)
+    flow_run(sp)
     sp.add_argument("--radius", type=float, default=0.3)
     sp.set_defaults(fn=cmd_sojourn)
 
@@ -479,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalise other codes
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        return _run(args)
     except VerifyFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -60,6 +60,17 @@ MODEL_NAMES = ("dim3", "example4d", "example4d_same_lift")
 V_POLE = (0.0, 0.0, 0.0, 1.0)
 W_POLE = (0.0, 0.0, 0.0, -1.0)
 
+# largest integration step
+H_MAX = 1.0
+# |r^2 - 1| that counts as on the sphere, and the time allowed after first
+# reaching it for the radial transient to die out
+SPHERE_BAND = 1e-3
+SPHERE_SETTLE = 8.0
+# distance from a pole within which the angular velocity is sampled
+CHIRALITY_RADIUS = 0.2
+# leading dwells dropped as transient
+DWELL_DISCARD = 2
+
 
 class InsufficientDataError(ValueError):
     """The series does not contain enough dwell episodes for the requested statistic."""
@@ -215,11 +226,7 @@ class TrajectorySeries:
     rejected: int
     max_error_estimate: float
     error_budget: float
-    rtol: float
-    atol: float
     failure: str | None = None
-    renormalized: bool = False
-    config: ModelConfig | None = None
     collapse: tuple[int, float] | None = None
 
     def r2(self) -> np.ndarray:
@@ -266,23 +273,23 @@ def integrate(
     T: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    config: ModelConfig | None = None,
+    *,
+    config: ModelConfig,
     max_sample_spacing: float = 0.05,
-    h_max: float = 1.0,
-    renormalize: bool = False,
 ) -> TrajectorySeries:
     """Adaptive Dormand-Prince 5(4) integration over [0, T].
 
-    Every accepted step is an output sample; the step size is capped so
-    consecutive samples differ by less than ``max_sample_spacing`` in state
-    norm, which keeps the series dense without interpolation error.
-    ``renormalize`` optionally projects 4D states back to the unit sphere
-    after each step (reported in the metadata, off by default: sphere
-    invariance is one of the things being measured).  Step-size underflow
-    returns the partial series with a failure marker.
+    Every accepted step is an output sample; the step size is capped at
+    ``H_MAX`` and so that consecutive samples differ by less than
+    ``max_sample_spacing`` in state norm, which keeps the series dense
+    without interpolation error.  States are never projected back onto the
+    sphere: sphere invariance is one of the things being measured.
+    Step-size underflow returns the partial series with a failure marker.
     """
-    if config is None:
-        raise ValueError("config is required")
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ParameterError(f"rtol must be finite and >= 0, got {rtol}")
+    if not (math.isfinite(atol) and atol > 0.0):
+        raise ParameterError(f"atol must be finite and > 0, got {atol}")
     x0 = tuple(float(v) for v in x0)
     if len(x0) != config.dim:
         raise ValueError(f"initial state must have dimension {config.dim}, got {len(x0)}")
@@ -290,8 +297,6 @@ def integrate(
         raise ValueError("initial state must be finite")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    if renormalize and config.dim != 4:
-        raise ValueError("renormalization is defined for the 4D model only")
     f = make_rhs(config)
     dim = config.dim
     t = 0.0
@@ -308,7 +313,7 @@ def integrate(
     # stop within an ulp-scale sliver of the horizon: adding a remainder
     # below ulp(t) would stall the loop
     while T - t > 1e-12 * max(1.0, T):
-        h = min(h, h_max)
+        h = min(h, H_MAX)
         speed = math.sqrt(sum(v * v for v in k1))
         if speed > 0:
             h = min(h, margin / speed)
@@ -354,12 +359,7 @@ def integrate(
         if err <= 1.0 and dy <= max_sample_spacing:
             t += h
             y = y_new
-            if renormalize:
-                norm = math.sqrt(sum(v * v for v in y))
-                y = tuple(v / norm for v in y)
-                k1 = f(y)
-            else:
-                k1 = k7
+            k1 = k7
             times.append(t)
             states.append(y)
             accepted += 1
@@ -384,11 +384,7 @@ def integrate(
         rejected=rejected,
         max_error_estimate=max_err,
         error_budget=err_budget,
-        rtol=rtol,
-        atol=atol,
         failure=failure,
-        renormalized=renormalize,
-        config=config,
         collapse=_first_collapse(times, states),
     )
 
@@ -400,15 +396,15 @@ def _first_collapse(times: np.ndarray, states: np.ndarray) -> tuple[int, float] 
     return (int(cols[0]), float(times[rows[0]])) if len(rows) else None
 
 
-def sphere_residual(series: TrajectorySeries, band: float = 1e-3, settle: float = 8.0) -> float:
+def sphere_residual(series: TrajectorySeries) -> float:
     """Worst |r^2 - 1| once the trajectory has genuinely reached the sphere.
 
-    On-sphere starts are measured over the whole run.  Off-sphere starts
-    are measured after the radial transient: from the first band entry plus
-    a settle period (the radial contraction rate at the sphere is 2, so the
-    deterministic remainder after the settle period is below the
-    measurement floor).  The zero state is the one excluded equilibrium of
-    the radial dynamics and is rejected.
+    On-sphere starts (within ``SPHERE_BAND``) are measured over the whole
+    run.  Off-sphere starts are measured after the radial transient: from
+    the first band entry plus ``SPHERE_SETTLE`` (the radial contraction
+    rate at the sphere is 2, so the deterministic remainder after the
+    settle period is below the measurement floor).  The zero state is the
+    one excluded equilibrium of the radial dynamics and is rejected.
     """
     if series.states.shape[1] != 4:
         raise ValueError("sphere residual is defined for the 4D model")
@@ -416,12 +412,12 @@ def sphere_residual(series: TrajectorySeries, band: float = 1e-3, settle: float 
     if r2[0] == 0.0:
         raise ValueError("zero initial state: the radial dynamics excludes the origin")
     dev = np.abs(r2 - 1.0)
-    if dev[0] <= band:
+    if dev[0] <= SPHERE_BAND:
         return float(dev.max())
-    inside = np.nonzero(dev <= band)[0]
+    inside = np.nonzero(dev <= SPHERE_BAND)[0]
     if len(inside) == 0:
         return math.inf
-    t_start = series.times[inside[0]] + settle
+    t_start = series.times[inside[0]] + SPHERE_SETTLE
     tail = dev[series.times >= t_start]
     return float(tail.max()) if len(tail) else math.inf
 
@@ -453,25 +449,21 @@ class ChiralityReport:
 
 def chirality_check(
     config: ModelConfig,
-    series: TrajectorySeries | None = None,
-    radius: float = 0.2,
+    series: TrajectorySeries,
     plane_floor: float = 1e-20,
 ) -> ChiralityReport:
     """Compare the angular-velocity sign near the two poles.
 
     theta' = (x1 x2' - x2 x1') / (x1^2 + x2^2) is evaluated on trajectory
-    samples within ``radius`` of each pole; the verdict is "different" when
-    the signs are opposite throughout, "same" when they agree throughout.
+    samples within ``CHIRALITY_RADIUS`` of each pole; the verdict is
+    "different" when the signs are opposite throughout, "same" when they
+    agree throughout.
     The algebraic identity x1 x2' - x2 x1' = rot * (x1^2 + x2^2) (rot = x4
     for the lift with chirality, rot = 1 for the control lift) is asserted
     pointwise along the whole series.
     """
     if config.dim != 4:
         raise ValueError("chirality is diagnosed on the 4D models")
-    if series is None:
-        series = integrate(
-            (-0.5, -0.139, -0.8807, 0.3013), T=200.0, rtol=1e-9, atol=1e-11, config=config
-        )
     states = series.states
     x1, x2, _, x4 = states.T
     # Python floats overflow to inf and nan silently; so does this
@@ -488,7 +480,7 @@ def chirality_check(
     ranges = {}
     counts = {}
     for node, pole in (("v", V_POLE), ("w", W_POLE)):
-        near = _within(states, pole, radius) & measurable
+        near = _within(states, pole, CHIRALITY_RADIUS) & measurable
         theta_dot = cross[near] / plane[near]
         counts[node] = len(theta_dot)
         signs[node] = np.copysign(1.0, theta_dot)
@@ -598,16 +590,12 @@ def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
     return dwells
 
 
-def sojourn_analysis(
-    series: TrajectorySeries,
-    neighborhood_radius: float = 0.3,
-    discard: int = 2,
-) -> SojournReport:
+def sojourn_analysis(series: TrajectorySeries, neighborhood_radius: float = 0.3) -> SojournReport:
     """Dwell episodes near the two nodes and the geometric growth of their lengths.
 
     The headline statistic is the median of ratios of consecutive same-node
-    dwell durations, computed after dropping the first ``discard`` dwells
-    (transient) and a final dwell cut off by the horizon.
+    dwell durations, computed after dropping the first ``DWELL_DISCARD``
+    dwells (transient) and a final dwell cut off by the horizon.
     """
     dwells = _dwell_segments(series, neighborhood_radius)
     if dwells and dwells[-1].t_exit >= float(series.times[-1]):
@@ -616,7 +604,7 @@ def sojourn_analysis(
         raise InsufficientDataError(
             f"need at least 2 complete dwell episodes, found {len(dwells)}"
         )
-    usable = dwells[discard:]
+    usable = dwells[DWELL_DISCARD:]
     durations: dict[str, list[float]] = {"v": [], "w": []}
     for d in usable:
         durations[d.node].append(d.duration)
@@ -633,7 +621,7 @@ def sojourn_analysis(
         ratios_v=ratios["v"],
         ratios_w=ratios["w"],
         median_ratio=median,
-        discarded=discard,
+        discarded=DWELL_DISCARD,
     )
 
 
@@ -658,16 +646,13 @@ def invariant_subspace_residuals(series: TrajectorySeries, config: ModelConfig) 
     return out
 
 
-def synthetic_dwell_series(
-    durations: list[tuple[str, float]],
-    transit: float = 1.0,
-    radius: float = 0.3,
-) -> TrajectorySeries:
+def synthetic_dwell_series(durations: list[tuple[str, float]]) -> TrajectorySeries:
     """Hand-built series with prescribed dwell durations (analyzer self-test).
 
-    Boundary samples sit exactly at the detection radius, so the
+    Boundary samples sit exactly at the detection radius 0.3, so the
     interpolated crossing times coincide with the prescribed boundaries and
-    the analyzer must recover the injected durations exactly.
+    the analyzer must recover the injected durations exactly; the transit
+    between dwells takes unit time.
     """
     poles = {"v": np.array(V_POLE), "w": np.array(W_POLE)}
     far = np.array((0.0, 0.0, 1.0, 0.0))
@@ -676,13 +661,13 @@ def synthetic_dwell_series(
     t = 0.0
     for node, duration in durations:
         pole = poles[node]
-        rim = pole + radius * (far - pole) / np.linalg.norm(far - pole)
+        rim = pole + 0.3 * (far - pole) / np.linalg.norm(far - pole)
         times.extend([t, t + 1e-9, t + duration - 1e-9, t + duration])
         states.extend([rim, pole, pole, rim])
         t += duration
-        times.append(t + transit / 2.0)
+        times.append(t + 0.5)
         states.append(far)
-        t += transit
+        t += 1.0
     times.append(t)
     states.append(far)
     return TrajectorySeries(
@@ -692,6 +677,4 @@ def synthetic_dwell_series(
         rejected=0,
         max_error_estimate=0.0,
         error_budget=0.0,
-        rtol=0.0,
-        atol=0.0,
     )

@@ -26,7 +26,15 @@ from functools import partial
 import numpy as np
 
 from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, _angle_dist, _wrap_pi, circle_dist, psi_wv
-from .params import DerivedConstants, Region, SaddleParams, classify_region, derive_constants, turning_harmonic
+from .params import (
+    DerivedConstants,
+    ParameterError,
+    Region,
+    SaddleParams,
+    classify_region,
+    derive_constants,
+    turning_harmonic,
+)
 from .returncurve import (
     NoReversalsError,
     _exit_values,
@@ -93,18 +101,24 @@ def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
     """Exact Jacobian of the unreduced return (y_w, -x_w) at (x, y), y > 0.
 
     J = [[y_w (ln y)_t, y_w (ln y)_u / y], [-x_t, -x_u / y]] from the
-    partials of the exit-curve kernel in u = ln y.
+    partials of the exit-curve kernel in u = ln y.  At subnormal y the
+    divisions overflow; a Jacobian with an entry that is not finite is
+    refused rather than classified.
     """
     if y <= 0.0:
         raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
     curve = exit_curve(x, math.log(y), p)
-    y_w = np.exp(curve.log_y)
-    return np.array(
-        [
-            [y_w * curve.log_y_t, y_w * curve.log_y_u / y],
-            [-curve.x_t, -curve.x_u / y],
-        ]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_w = np.exp(curve.log_y)
+        jac = np.array(
+            [
+                [y_w * curve.log_y_t, y_w * curve.log_y_u / y],
+                [-curve.x_t, -curve.x_u / y],
+            ]
+        )
+    if not np.all(np.isfinite(jac)):
+        raise ValueError(f"the return-map Jacobian is not finite at y={y}")
+    return jac
 
 
 @dataclass(frozen=True)
@@ -300,6 +314,8 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     Boundaries are solved on a 33-point t-grid; construction retries once on
     a four-fold finer grid if an invariant fails marginally.
     """
+    if n_limit < 1:
+        raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
     k = derive_constants(p)
     if abs(k.gamma - 1.0) < 1e-12:
         raise ResonanceError("gamma = 1 resonance is detected and rejected, not analysed")
@@ -600,6 +616,8 @@ def find_multipulse(
     """
     if n < 2:
         raise ValueError(f"pulse count must be at least 2, got {n}")
+    if s_window is not None and not 0.0 < s_window[0] < min(s_window[1], p.eps):
+        raise ParameterError(f"s_window must satisfy 0 < s_min < min(s_max, eps), got {s_window}, eps={p.eps}")
     k = derive_constants(p)
     u_hi = math.log(p.eps) - 1e-12
     if s_window is not None:

@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from bykov.cli import main
+from bykov.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -97,6 +98,27 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
     code = main([command[0], "--config", dense_config, "--out", str(out), *command[1:]])
     assert code == 2
     assert "n_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        (["multipulse", "--s-min", "-1", "--s-max", "0.1"], ["s_window"]),
+        (["multipulse", "--s-min", "0.1", "--s-max", "0.001"], ["s_window"]),
+        (["strips", "--n-limit", "0", "--verify"], ["n_limit"]),
+        (["jacobian", "--k-min", "9", "--k-max", "4"], ["k_min", "k_max"]),
+        (["jacobian", "--k-min", "1030", "--k-max", "1030"], ["k_max", "y="]),
+        (["jacobian", "--k-min", "1075", "--k-max", "1075"], ["k_max", "y > 0"]),
+    ],
+    ids=["negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y"],
+)
+def test_search_ranges_are_refused(command, fields, case1_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command[0], "--config", case1_config, "--out", str(out), *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(field in err for field in fields)
     assert not out.exists()
 
 
@@ -339,6 +361,26 @@ def test_simulate_rejects_malformed(doc, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sojourn"])
+@pytest.mark.parametrize(
+    "tolerances, field",
+    [
+        (["--rtol", "0", "--atol", "0"], "atol"),
+        (["--atol", "0", "--x0", "0.5,0.5,0,0.7"], "atol"),
+        (["--atol", "nan"], "atol"),
+        (["--rtol", "-1"], "rtol"),
+        (["--rtol", "inf"], "rtol"),
+    ],
+    ids=["both-zero", "zero-atol", "nan-atol", "negative-rtol", "inf-rtol"],
+)
+def test_flow_tolerances_are_refused(command, tolerances, field, flow_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command, "--config", flow_config, "--T", "1", "--out", str(out), *tolerances])
+    assert code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sojourn_self_test(flow_config, tmp_path, capsys):
     code = main(
         ["sojourn", "--config", flow_config, "--T", "150", "--rtol", "1e-8",
@@ -349,3 +391,34 @@ def test_sojourn_self_test(flow_config, tmp_path, capsys):
     assert doc["median_ratio"] > 1.0
     manifest = json.loads((tmp_path / "out" / "sojourn_manifest.json").read_text())
     assert manifest["diagnostics"]["collapse"] is None
+
+
+OPTIONS = {
+    "classify": ["--config", "--out", "--verify", "--rationality-tol", "--q-max"],
+    "curve": ["--config", "--out", "--verify", "--t", "--s-min", "--s-max", "--n-samples"],
+    "reversals": ["--config", "--out", "--verify", "--t", "--n-max"],
+    "tangency": ["--config", "--out", "--verify", "--x0", "--t", "--n-max"],
+    "strips": ["--config", "--out", "--verify", "--tau", "--n-limit"],
+    "jacobian": ["--config", "--out", "--verify", "--x", "--k-min", "--k-max"],
+    "multipulse": ["--config", "--out", "--verify", "--n", "--x0", "--s-min", "--s-max"],
+    "simulate": ["--config", "--out", "--verify", "--rtol", "--atol", "--x0", "--T"],
+    "sojourn": ["--config", "--out", "--verify", "--rtol", "--atol", "--x0", "--T", "--radius"],
+}
+
+
+def test_subcommand_options():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [opt for action in sp._actions for opt in action.option_strings if opt not in ("-h", "--help")]
+        for name, sp in commands.choices.items()
+    }
+    assert got == OPTIONS
+
+
+def test_failed_verify_writes_and_prints_nothing(case1_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("bykov.cli.turning_range_grid", lambda p: (-math.inf, math.inf))
+    out = tmp_path / "out"
+    assert main(["classify", "--config", case1_config, "--verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "verification failed" in captured.err
+    assert not out.exists()

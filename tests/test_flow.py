@@ -172,12 +172,6 @@ def test_sphere_residual_rejects_origin():
         sphere_residual(series)
 
 
-def test_renormalized_mode_reported():
-    series = integrate(FIG_START, T=5.0, rtol=1e-8, atol=1e-10, config=CFG, renormalize=True)
-    assert series.renormalized
-    assert float(np.max(np.abs(series.r2()[1:] - 1.0))) < 1e-12
-
-
 def test_chirality_different_and_identity():
     series = integrate(FIG_START, T=120.0, rtol=1e-9, atol=1e-11, config=CFG)
     rep = chirality_check(CFG, series)
@@ -199,7 +193,8 @@ def test_chirality_identity_random_states():
 
 def test_chirality_same_for_control_lift():
     cfg = ModelConfig(alpha1=1.0, alpha2=-0.1, model="example4d_same_lift")
-    rep = chirality_check(cfg)
+    series = integrate(FIG_START, T=200.0, rtol=1e-9, atol=1e-11, config=cfg)
+    rep = chirality_check(cfg, series)
     assert rep.verdict == "same"
     assert rep.max_identity_residual < 1e-12
 
@@ -277,7 +272,7 @@ def test_chirality_signed_zero_and_plane_floor():
     ])
     series = TrajectorySeries(
         times=np.arange(float(len(states))), states=states, accepted=len(states) - 1,
-        rejected=0, max_error_estimate=0.0, error_budget=0.0, rtol=0.0, atol=0.0,
+        rejected=0, max_error_estimate=0.0, error_budget=0.0,
     )
     rep = chirality_check(CFG, series, plane_floor=0.0)
     assert repr(rep) == repr(_chirality_loop(CFG, series, plane_floor=0.0))
@@ -426,14 +421,6 @@ PINNED_RUNS = {
         ),
         ("548072a5ad9484a277f0bba2288eb3b3f22208f5e8f8d12921ce2a0e27b8a384", 754, 4),
         ("0x1.0944a903c2dc9p-30", "0x1.be21dc7b3cf8cp-22"),
-    ),
-    "renormalized": (
-        dict(
-            x0=FIG_START, T=20.0, rtol=1e-8, atol=1e-10,
-            config=ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.05), renormalize=True,
-        ),
-        ("b51b4a165e50e4046eecae5b16ca69cabddbb70f1bf7cf9178e7014f89b82f7c", 324, 9),
-        ("0x1.555ffe6861b9cp-27", "0x1.13f3c327d8704p-20"),
     ),
     "underflow": (
         dict(x0=FIG_START, T=10.0, rtol=1e-8, atol=1e-10, config=CFG, max_sample_spacing=1e-14),

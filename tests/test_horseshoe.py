@@ -345,6 +345,13 @@ def test_jacobian_determinant_decays_monotonically(case1_params):
     assert dets[-1] < 1e-8
 
 
+@pytest.mark.parametrize("k", [1024, 1030])
+def test_jacobian_refused_where_it_overflows(case1_params, k):
+    # -x_u / y overflows at subnormal heights; the result must not be classified
+    with pytest.raises(ValueError, match="not finite at y="):
+        jacobian_report(0.1, 2.0**-k, case1_params)
+
+
 def test_jacobian_trace_grows_outside(case1_params):
     traces = [abs(jacobian_report(0.1, 2.0**-k, case1_params).trace) for k in range(4, 21)]
     assert traces[-1] > traces[0]

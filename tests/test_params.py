@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bykov import horseshoe, params, returncurve
+from bykov import flow, horseshoe, localmaps, oracles, params, returncurve
 from bykov.params import (
     ParameterError,
     SaddleParams,
@@ -151,6 +151,35 @@ PUBLIC_SIGNATURES = {
         "strip_family_violations": ("family", "p"),
         "strip_image_report": ("family", "p"),
         "find_multipulse": ("n", "p", "x0", "s_window", "max_points"),
+    },
+    flow: {
+        "load_model_config": ("source",),
+        "rhs": ("state", "config"),
+        "make_rhs": ("config",),
+        "equilibria_spectrum": ("config",),
+        "integrate": ("x0", "T", "rtol", "atol", "config", "max_sample_spacing"),
+        "sphere_residual": ("series",),
+        "chirality_check": ("config", "series", "plane_floor"),
+        "sojourn_analysis": ("series", "neighborhood_radius"),
+        "invariant_subspace_residuals": ("series", "config"),
+    },
+    localmaps: {
+        "phi_v": ("p", "k"),
+        "phi_w": ("p", "k"),
+        "psi_vw": ("p", "a"),
+        "psi_wv": ("p", "bump"),
+        "polar_rect": ("p",),
+        "rect_polar": ("p", "branch_hint", "section"),
+        "wrap_pi": ("x",),
+        "circle_dist": ("x", "y"),
+    },
+    oracles: {
+        "eta_composed": ("t", "s", "p"),
+        "composed_return": ("point", "p", "bump"),
+        "replay_pulse": ("s0", "n", "p", "x0"),
+        "return_jacobian_fd": ("x", "y", "p"),
+        "numeric_jacobian": ("config", "state", "h"),
+        "turning_range_grid": ("p",),
     },
 }
 
