@@ -2,10 +2,12 @@
 
 Each ``cmd_*`` loads its config, computes and replays its ``--verify``
 checks, then returns ``(file_name, content, diagnostics)``; ``_run`` writes
-that one artifact and its manifest.  A ``.json`` artifact is a document,
-written with ``indent=2`` and echoed to stdout; a ``.csv`` artifact is a
-list of rows and is not echoed.  Nothing is written or echoed unless the
-command and its checks succeed, so a failed ``--verify`` leaves no files.
+that one artifact and its manifest.  A ``.json`` artifact is the command's
+result object as it is, a result dataclass written as its fields in
+declaration order (``dataclasses.asdict``), with ``indent=2``, and echoed
+to stdout; a ``.csv`` artifact is a list of rows and is not echoed.
+Nothing is written or echoed unless the command and its checks succeed,
+so a failed ``--verify`` leaves no files.
 
 Exit codes: 0 success, 1 invariant violation under --verify, 2 usage or
 config error.  Data files carry no timestamps, so identical inputs produce
@@ -16,6 +18,7 @@ manifest instead.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -83,8 +86,7 @@ def _fmt(value: float) -> str:
 def cmd_classify(args):
     p = load_saddle_params(args.config)
     region = classify_region(p, rationality_tol=args.rationality_tol, q_max=args.q_max)
-    doc = region.to_dict()
-    doc["constants"] = derive_constants(p).to_dict()
+    doc = {**vars(region), "constants": derive_constants(p)}
     if args.verify:
         # the grid must stay inside the closed-form range and reach both ends
         # to within its spacing error (< 5e-10 R, see bykov.oracles)
@@ -165,7 +167,7 @@ def cmd_tangency(args):
         history = report.history
         if any(b[1] > a[1] for a, b in zip(history, history[1:])):
             raise VerifyFailure("running minimum distance is not non-increasing")
-    return "tangency.json", report.to_dict(), {"amplitude": report.amplitude}
+    return "tangency.json", report, {"amplitude": report.amplitude}
 
 
 def cmd_strips(args):
@@ -236,16 +238,12 @@ def cmd_multipulse(args):
         raise ParameterError("--s-min and --s-max must be given together")
     window = (args.s_min, args.s_max) if args.s_min is not None else None
     points = find_multipulse(args.n, p, x0=args.x0, s_window=window)
-    doc = [
-        {"s": pt.s, "n": pt.n, "residual": pt.residual, "trace": [list(x) for x in pt.trace]}
-        for pt in points
-    ]
     if args.verify:
         for pt in points:
             replay = replay_pulse(pt.s, pt.n, p, x0=args.x0)
             if replay.residual > 1e-8:
                 raise VerifyFailure(f"pulse replay misses the trace by {replay.residual}")
-    return "multipulse.json", doc, {"count": len(points)}
+    return "multipulse.json", points, {"count": len(points)}
 
 
 def _simulate(args):
@@ -312,7 +310,7 @@ def cmd_sojourn(args):
         if abs(syn.median_ratio - 1.5**2) > 1e-6:
             raise VerifyFailure(f"analyzer self-test recovered {syn.median_ratio}, wanted 2.25")
     diagnostics = {"median_ratio": report.median_ratio, "collapse": _collapse(series, config)}
-    return "sojourn.json", report.to_dict(), diagnostics
+    return "sojourn.json", report, diagnostics
 
 
 def _run(args) -> int:
@@ -320,7 +318,7 @@ def _run(args) -> int:
     started = time.monotonic()
     name, content, diagnostics = args.fn(args)
     if name.endswith(".json"):
-        text = json.dumps(content, indent=2)
+        text = json.dumps(content, indent=2, default=dataclasses.asdict)
         print(text)
     else:
         text = "\n".join(content)

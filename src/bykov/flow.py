@@ -527,10 +527,7 @@ class Dwell:
     node: str
     t_enter: float
     t_exit: float
-
-    @property
-    def duration(self) -> float:
-        return self.t_exit - self.t_enter
+    duration: float
 
 
 @dataclass(frozen=True)
@@ -540,18 +537,6 @@ class SojournReport:
     ratios_w: tuple[float, ...]
     median_ratio: float
     discarded: int
-
-    def to_dict(self) -> dict:
-        return {
-            "dwells": [
-                {"node": d.node, "t_enter": d.t_enter, "t_exit": d.t_exit, "duration": d.duration}
-                for d in self.dwells
-            ],
-            "ratios_v": list(self.ratios_v),
-            "ratios_w": list(self.ratios_w),
-            "median_ratio": self.median_ratio,
-            "discarded": self.discarded,
-        }
 
 
 def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
@@ -580,13 +565,15 @@ def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
                 break
         if node != current:
             if current is not None:
-                dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=crossing(i, dist[current], radius)))
+                t_exit = crossing(i, dist[current], radius)
+                dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
             if node is not None:
                 t_enter = crossing(i, dist[node], radius) if i > 0 else float(times[0])
             current = node
     if current is not None:
         # open-ended final dwell: keep it marked by exit at the horizon
-        dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=float(times[-1])))
+        t_exit = float(times[-1])
+        dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
     return dwells
 
 

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, _angle_dist, _wrap_pi, circle_dist, psi_wv
+from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, _angle_dist, _wrap_pi, psi_wv
 from .params import (
     DerivedConstants,
     ParameterError,
@@ -78,11 +78,6 @@ class ResonanceError(ValueError):
 class PeriodicTangencyError(ValueError):
     """A reversal point sits on the stable-manifold trace; strips are refused."""
 
-    def __init__(self, message: str, witness_n: int, angle: float):
-        super().__init__(message)
-        self.witness_n = witness_n
-        self.angle = angle
-
 
 def return_map(p_in: WallPoint, p: SaddleParams, bump: BumpSpec | None = None) -> WallPoint:
     """First-return map on the incoming wall: quarter turn after the exit curve.
@@ -133,14 +128,33 @@ class JacobianReport:
 
 
 def _eigen_moduli(trace: float, det: float) -> tuple[float, float]:
-    disc = trace * trace - 4.0 * det
+    """Moduli of the eigenvalues of a real 2x2 matrix, ascending, from its trace and determinant.
+
+    The discriminant is taken of trace and det scaled by the least power of
+    two above max(|trace|, sqrt|det|), so it cannot overflow; scaling by a
+    power of two is exact, so the moduli are those of the unscaled formula
+    wherever that one neither overflows nor underflows.
+    """
+    e = math.frexp(max(abs(trace), math.sqrt(abs(det))))[1]
+    t, d = math.ldexp(trace, -e), math.ldexp(det, -2 * e)
+    disc = t * t - 4.0 * d
     if disc >= 0.0:
         root = math.sqrt(disc)
-        l1, l2 = (trace - root) / 2.0, (trace + root) / 2.0
-        m = sorted((abs(l1), abs(l2)))
+        m = sorted((abs(t - root) / 2.0, abs(t + root) / 2.0))
     else:
-        m = [math.sqrt(det)] * 2
-    return m[0], m[1]
+        m = [math.sqrt(d)] * 2
+    return math.ldexp(m[0], e), math.ldexp(m[1], e)
+
+
+def _eigen_class(m1: float, m2: float) -> str:
+    """Hyperbolicity class of eigenvalue moduli m1 <= m2; within UNIT_TOL of 1 is not hyperbolic."""
+    if abs(m1 - 1.0) < UNIT_TOL or abs(m2 - 1.0) < UNIT_TOL:
+        return "non-hyperbolic-within-tol"
+    if m2 < 1.0:
+        return "double-contraction"
+    if m1 > 1.0:
+        return "double-expansion"
+    return "saddle"
 
 
 def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
@@ -148,15 +162,7 @@ def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
     jac = return_jacobian(x, y, p)
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
     trace = float(jac[0, 0] + jac[1, 1])
-    m1, m2 = _eigen_moduli(trace, det)
-    if abs(m1 - 1.0) < UNIT_TOL or abs(m2 - 1.0) < UNIT_TOL:
-        eigen_class = "non-hyperbolic-within-tol"
-    elif m2 < 1.0:
-        eigen_class = "double-contraction"
-    elif m1 > 1.0:
-        eigen_class = "double-expansion"
-    else:
-        eigen_class = "saddle"
+    eigen_class = _eigen_class(*_eigen_moduli(trace, det))
     return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=eigen_class)
 
 
@@ -231,9 +237,6 @@ class Strip:
     t_grid: np.ndarray
     a_of_t: np.ndarray
     b_of_t: np.ndarray
-    # unreduced exit-angle targets solved at the two boundaries
-    target_a: float
-    target_b: float
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,6 @@ class StripFamily:
     """Disjoint horizontal strips across [0, tau]^2 plus construction metadata."""
 
     tau: float
-    tau_requested: float
     case: str
     gamma: float
     strips: tuple[Strip, ...]
@@ -329,9 +331,7 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
         if probe.found:
             raise PeriodicTangencyError(
                 f"periodic tangency at reversal {probe.witness_n} (angle {probe.angle:.6g}); "
-                "strip images are not guaranteed to cross the unstable-manifold trace",
-                witness_n=probe.witness_n,
-                angle=probe.angle,
+                "strip images are not guaranteed to cross the unstable-manifold trace"
             )
     tau_eff = tau
     period = [] if case == "I" else _period_pieces(p, region)
@@ -353,7 +353,6 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
         strips = _collect_strips(tau_eff, n_limit, p, k, case, period, t_grid, endpoint_margin)
         family = StripFamily(
             tau=tau_eff,
-            tau_requested=tau,
             case=case,
             gamma=k.gamma,
             strips=tuple(strips),
@@ -432,8 +431,6 @@ def _collect_strips(
             t_grid=t_grid.copy(),
             a_of_t=a_vals,
             b_of_t=b_vals,
-            target_a=tgt_a,
-            target_b=tgt_b,
         )
 
     if case == "I":
@@ -573,27 +570,29 @@ class PulsePoint:
 
     s: float
     n: int
-    trace: tuple[tuple[float, float], ...]
     residual: float
+    trace: tuple[tuple[float, float], ...]
 
 
-def _chain_angle(u, depth: int, p: SaddleParams, k: DerivedConstants) -> np.ndarray:
-    """Exit angle after ``depth`` returns of the points (0, e^u) of the incoming wall.
+def _return_chain(u, depth: int, p: SaddleParams, k: DerivedConstants) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exit angle and height (x_w, y_w) at each of ``depth + 1`` returns of the points (0, e^u).
 
-    The array form of ``depth`` calls of :func:`return_map` followed by
-    :func:`curve_sample`, on the exit-curve kernel.  An element is nan once
-    its orbit leaves the height range (0, eps]; an overflowing seed counts
+    The array form of :func:`curve_sample` and :func:`return_map` in turn,
+    on the exit-curve kernel.  An element is nan from the first return
+    whose start leaves the height range (0, eps]; an overflowing seed counts
     as off-section.  Seeds use libm's exp, as the strip boundaries do.
     """
     u = np.asarray(u, dtype=float)
     y = np.array([math.exp(v) if v < 709.0 else math.inf for v in u.ravel()]).reshape(u.shape)
     x = np.zeros_like(y)
+    steps = []
     with np.errstate(under="ignore"):
         for _ in range(depth + 1):
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
             curve = _exit_values(x, np.log(y), p, k)
-            x, y = np.exp(curve.log_y), _wrap_pi(-curve.x_w)
-    return curve.x_w
+            steps.append((curve.x_w, np.exp(curve.log_y)))
+            x, y = steps[-1][1], _wrap_pi(-curve.x_w)
+    return steps
 
 
 def find_multipulse(
@@ -609,9 +608,12 @@ def find_multipulse(
     applies the first-return map n-2 times and re-solves the crossing on
     the image curve, refining the parameter geometrically toward the seed
     where the previous level touched the trace (images accumulate there);
-    the first level samples 48 points per pi of the angle phi.
-    Every level runs whole u-grids through :func:`_chain_angle` and refines
-    all crossings in one :func:`_bisect`.  An empty list means no crossing
+    the first level samples 48 points per pi of the angle phi.  Only the
+    last level targets x0 + 2 pi k; an intermediate return must land on
+    the section near height 0, so its level targets 2 pi k.
+    Every level runs whole u-grids through :func:`_return_chain` and refines
+    all crossings in one :func:`_bisect`; each point's trace and residual
+    come from one more pass of the chain.  An empty list means no crossing
     in the window, which is not an error.
     """
     if n < 2:
@@ -627,6 +629,9 @@ def find_multipulse(
         drift = abs(1.0 - k.gamma) * k.g_v
         u_lo = max(u_hi - (8.0 * math.pi / max(drift, 1e-3)) - TWO_PI / k.g_v, LN_FLOOR / 4)
 
+    def angle(u, depth: int) -> np.ndarray:
+        return _return_chain(u, depth, p, k)[-1][0]
+
     def solve_level(depth: int, a: float, b: float, refine_to: float | None) -> list[float]:
         """Crossing parameters of the depth-th image curve inside [a, b]."""
         if refine_to is None:
@@ -641,22 +646,23 @@ def find_multipulse(
                 span *= ratio
                 pts.append(a + span if refine_to == a else b - span)
             us = np.unique(np.array(pts))
-        vals = _chain_angle(us, depth, p, k)
-        # every multiple of 2*pi (shifted by x0) between the values at the
-        # two ends of a grid cell is one bracketed crossing
+        vals = angle(us, depth)
+        target = x0 if depth == n - 2 else 0.0
+        # every multiple of 2*pi (shifted by the target) between the values
+        # at the two ends of a grid cell is one bracketed crossing
         v0, v1 = vals[:-1], vals[1:]
         cells = np.flatnonzero(np.isfinite(v0) & np.isfinite(v1))
         # harvest away from the accumulation end: those roots are the
         # well-conditioned ones
         if refine_to is None or refine_to == a:
             cells = cells[::-1]
-        k_lo = np.ceil((np.minimum(v0, v1)[cells] - x0) / TWO_PI)
-        k_hi = np.floor((np.maximum(v0, v1)[cells] - x0) / TWO_PI)
+        k_lo = np.ceil((np.minimum(v0, v1)[cells] - target) / TWO_PI)
+        k_hi = np.floor((np.maximum(v0, v1)[cells] - target) / TWO_PI)
         counts = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(int)
         cell = np.repeat(cells, counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)
         winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
-        roots = _bisect(partial(_chain_angle, depth=depth, p=p, k=k), x0 + TWO_PI * winding, us[cell], us[cell + 1])
+        roots = _bisect(partial(angle, depth=depth), target + TWO_PI * winding, us[cell], us[cell + 1])
         return roots[~np.isnan(roots)][: max_points * 4].tolist()
 
     def accumulation_windows(roots: np.ndarray, depth_prev: int) -> list[tuple[float, float, float]]:
@@ -667,7 +673,7 @@ def find_multipulse(
         from each root on that side until the angle has moved by almost eps.
         """
         d0 = 1e-11 * np.maximum(1.0, np.abs(roots))
-        base, g_minus, g_plus = _chain_angle([roots, roots - d0, roots + d0], depth_prev, p, k)
+        base, g_minus, g_plus = angle([roots, roots - d0, roots + d0], depth_prev)
         sign = np.where(
             np.isfinite(g_minus) & (g_minus < base),
             -1.0,
@@ -675,14 +681,14 @@ def find_multipulse(
         )
         threshold = base - 0.999 * p.eps
         steps = d0[:, None] * 2.0 ** np.arange(201)
-        g = _chain_angle(roots[:, None] + sign[:, None] * steps[:, 1:], depth_prev, p, k)
+        g = angle(roots[:, None] + sign[:, None] * steps[:, 1:], depth_prev)
         stop = ~np.isfinite(g) | (g <= threshold[:, None])
         first = np.argmax(stop, axis=1)
         rows = np.arange(len(roots))
         d_prev, d = steps[rows, first], steps[rows, first + 1]
         inside = roots + sign * d_prev
         edge = _bisect(
-            partial(_chain_angle, depth=depth_prev, p=p, k=k),
+            partial(angle, depth=depth_prev),
             threshold,
             np.minimum(inside, roots + sign * d),
             np.maximum(inside, roots + sign * d),
@@ -705,25 +711,17 @@ def find_multipulse(
             if len(next_roots) >= max_points * 2:
                 break
         roots = next_roots
-    out: list[PulsePoint] = []
-    for u in roots:
-        if len(out) >= max_points:
-            break
-        s0 = math.exp(u)
-        trace: list[tuple[float, float]] = []
-        point = WallPoint(section=IN_V, x=0.0, y=s0)
-        ok = True
-        for _ in range(n - 1):
-            sample = curve_sample(point.x, point.y, p, k)
-            trace.append((sample.x_w, sample.y_w))
-            point = psi_wv(WallPoint(section=OUT_W, x=sample.x_w, y=sample.y_w))
-            if not 0.0 < point.y <= p.eps and len(trace) < n - 1:
-                ok = False
-                break
-        residual = circle_dist(trace[-1][0], x0) if ok else math.inf
-        # roots hugging the accumulation edge cannot be resolved to the
-        # contract tolerance in this parametrisation; drop them
-        if not ok or residual > 5e-9:
-            continue
-        out.append(PulsePoint(s=s0, n=n, trace=tuple(trace), residual=residual))
-    return out
+    chain = _return_chain(roots, n - 2, p, k)
+    residual = np.abs(_wrap_pi(chain[-1][0] - x0))
+    # an orbit that left the section has a nan residual; roots hugging the
+    # accumulation edge cannot be resolved to the contract tolerance in
+    # this parametrisation; both are dropped
+    return [
+        PulsePoint(
+            s=math.exp(roots[i]),
+            n=n,
+            residual=float(residual[i]),
+            trace=tuple((float(x_w[i]), float(y_w[i])) for x_w, y_w in chain),
+        )
+        for i in np.flatnonzero(residual <= 5e-9)[:max_points]
+    ]

@@ -84,9 +84,6 @@ class WallPoint:
     x: float
     y: float
 
-    def to_dict(self) -> dict:
-        return {"section": self.section, "x": self.x, "y": self.y}
-
 
 @dataclass(frozen=True)
 class DiskPoint:
@@ -95,9 +92,6 @@ class DiskPoint:
     section: str
     r: float
     phi: float
-
-    def to_dict(self) -> dict:
-        return {"section": self.section, "r": self.r, "phi": self.phi}
 
 
 @dataclass(frozen=True)

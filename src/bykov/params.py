@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -106,9 +106,6 @@ class DerivedConstants:
     c3: float
     c4: float
 
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
-
 
 def derive_constants(p: SaddleParams) -> DerivedConstants:
     """Compute saddle indices, twist rates and section constants.
@@ -161,9 +158,6 @@ class GammaRationality:
     error: float
     tol: float
     q_max: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def is_gamma_rational(gamma: float, tol: float = RATIONALITY_TOL, q_max: int = Q_MAX) -> GammaRationality:
@@ -219,11 +213,6 @@ class Region:
     a_max: float
     k: float
     gamma_rationality: GammaRationality
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["gamma_rationality"] = self.gamma_rationality.to_dict()
-        return d
 
 
 def turning_harmonic(p: SaddleParams) -> tuple[float, float, float]:

@@ -256,7 +256,6 @@ class ReversalSequence:
     x_values: np.ndarray
     kinds: tuple[str, ...]
     reason: str | None = None
-    inflection: bool = False
 
     def __len__(self) -> int:
         return len(self.s_values)
@@ -334,7 +333,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     """The first ``n_max`` turning points s_n of the exit curve, largest first, capped at underflow.
 
     Empty (with a reason) when the parameter point admits no reversals;
-    a tangential crossing is reported as an inflection.  Rational and
+    a tangential crossing has the reason ``BoundaryB``.  Rational and
     dense gamma give the same sequence, so no rationality policy enters.
     """
     _check_n_max(n_max)
@@ -342,7 +341,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     region = classify_region(p)
     if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
         none = np.empty(0)
-        return ReversalSequence(t, none, none, none, none, (), reason=region.tag, inflection=region.tag == "BoundaryB")
+        return ReversalSequence(t, none, none, none, none, (), reason=region.tag)
     return _sequence_from_entries(t, p, k, *_reversal_entries(t, n_max, p, k, stop_at_underflow=True))
 
 
@@ -387,25 +386,6 @@ class TangencyReport:
     region_tag: str
     warning: str | None
     history: tuple[tuple[int, float], ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "t": self.t,
-            "n_max": self.n_max,
-            "n_best": self.n_best,
-            "x_best": self.x_best,
-            "log_s_best": self.log_s_best,
-            "amplitude": self.amplitude,
-            "bump": {
-                "amplitude": self.bump.amplitude,
-                "center": list(self.bump.center),
-                "radius": self.bump.radius,
-            },
-            "region_tag": self.region_tag,
-            "warning": self.warning,
-            "history": [list(h) for h in self.history],
-        }
 
 
 def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyReport:

@@ -3,9 +3,11 @@
 Each pinned command runs on a committed example config; its data file and
 its stdout must be the same bytes, with the pinned sha256.  The schema pin
 lists the keys of every JSON object an artifact holds, by the result type
-it serializes, so that a change of format is a deliberate change here.
+it serializes, so that a change of format is a deliberate change here; the
+CLI writes a result dataclass as its fields, so they are the same names.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -13,6 +15,11 @@ from pathlib import Path
 import pytest
 
 from bykov.cli import main
+from bykov.flow import Dwell, SojournReport
+from bykov.horseshoe import PulsePoint
+from bykov.localmaps import BumpSpec
+from bykov.params import DerivedConstants, GammaRationality, Region
+from bykov.returncurve import TangencyReport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
@@ -91,3 +98,12 @@ def test_json_artifact_keys(tmp_path, capsys):
     sojourn = json.loads(_run("sojourn-readme", tmp_path / "s", capsys))
     assert tuple(sojourn) == SCHEMA["SojournReport"]
     assert sojourn["dwells"] and all(tuple(d) == SCHEMA["Dwell"] for d in sojourn["dwells"])
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Region, GammaRationality, DerivedConstants, TangencyReport, BumpSpec, PulsePoint, SojournReport, Dwell],
+    ids=lambda cls: cls.__name__,
+)
+def test_result_fields_are_the_artifact_keys(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == SCHEMA[cls.__name__]

@@ -15,12 +15,14 @@ from bykov.horseshoe import (
     ResonanceError,
     _bisect,
     _case_pieces,
-    _chain_angle,
+    _eigen_class,
     _period_pieces,
+    _return_chain,
     build_strips,
     detect_periodic_tangency,
     find_multipulse,
     jacobian_report,
+    return_jacobian,
     return_map,
     strip_family_violations,
     strip_image_report,
@@ -352,6 +354,25 @@ def test_jacobian_refused_where_it_overflows(case1_params, k):
         jacobian_report(0.1, 2.0**-k, case1_params)
 
 
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params"])
+@pytest.mark.parametrize("x", [0.1, 0.0, -1.3])
+def test_eigen_class_matches_eigvals_at_every_height(fixture, x, request):
+    # past |trace| ~ 1.3e154 the unscaled discriminant overflowed and a
+    # saddle was classed double-expansion; only the two lowest heights, where
+    # -x_u / y overflows, are refused
+    p = request.getfixturevalue(fixture)
+    refused = []
+    for k in range(4, 1024):
+        try:
+            rep = jacobian_report(x, 2.0**-k, p)
+        except ValueError:
+            refused.append(k)
+            continue
+        moduli = sorted(np.abs(np.linalg.eigvals(return_jacobian(x, 2.0**-k, p))))
+        assert rep.eigen_class == _eigen_class(*moduli), k
+    assert set(refused) <= {1022, 1023}
+
+
 def test_jacobian_trace_grows_outside(case1_params):
     traces = [abs(jacobian_report(0.1, 2.0**-k, case1_params).trace) for k in range(4, 21)]
     assert traces[-1] > traces[0]
@@ -463,7 +484,8 @@ def _pulse_digest(points) -> str:
 
 
 # (fixture, n, keyword arguments) -> (point count, digest), from the scalar
-# return-chain search the array path replaced
+# return-chain search the array path replaced; rational-n4-x0 re-pinned
+# when the intermediate levels began to target 2 pi k in place of x0 + 2 pi k
 PINNED_PULSES = {
     "case1-n2": (
         "case1_params", 2, {},
@@ -491,7 +513,7 @@ PINNED_PULSES = {
     ),
     "rational-n4-x0": (
         "rational_params", 4, {"x0": 0.3},
-        (4, "eddd2b39573efdbe8eedff67ad4a711a9e83a7fbe09ef73609aa8f41d298bb8a"),
+        (4, "efefe5866a87c4fbeed49973995799872c1afc1d0611c94a0dc239a2d6144333"),
     ),
 }
 
@@ -527,20 +549,22 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
 def test_chain_angle_matches_scalar_return(fixture, request):
-    """The array chain is return_map followed by curve_sample, bit for bit."""
+    """Each step of the array chain is curve_sample, then return_map, bit for bit."""
     p = request.getfixturevalue(fixture)
     k = derive_constants(p)
     us = np.random.default_rng(5).uniform(math.log(1e-8), math.log(p.eps), size=200)
     expected = []
     for u in us:
+        first = curve_sample(0.0, math.exp(u), p)
         mid = return_map(WallPoint(section=IN_V, x=0.0, y=math.exp(u)), p)
-        on_section = 0.0 < mid.y <= p.eps
-        expected.append(curve_sample(mid.x, mid.y, p).x_w if on_section else math.nan)
-    got = _chain_angle(us, 1, p, k)
-    assert [float(v).hex() for v in got] == [v.hex() for v in expected]
-    assert 0 < sum(math.isnan(v) for v in expected) < len(us)
+        second = curve_sample(mid.x, mid.y, p) if 0.0 < mid.y <= p.eps else None
+        expected.append((first.x_w, first.y_w) + ((second.x_w, second.y_w) if second else (math.nan, math.nan)))
+    (x1, y1), (x2, y2) = _return_chain(us, 1, p, k)
+    got = zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in expected]
+    assert 0 < sum(math.isnan(row[2]) for row in expected) < len(us)
     # seeds above the section, or overflowing, are off-section, not errors
-    assert np.all(np.isnan(_chain_angle([math.log(p.eps) + 1.0, 800.0], 1, p, k)))
+    assert np.all(np.isnan(_return_chain([math.log(p.eps) + 1.0, 800.0], 1, p, k)[-1][0]))
 
 
 @pytest.mark.parametrize("x0", [1.0, -1.0])
@@ -549,6 +573,18 @@ def test_multipulse_off_trace_search_stays_on_section(dense_params, x0):
     # end the march instead of raising
     for pt in find_multipulse(3, dense_params, x0=x0):
         assert replay_pulse(pt.s, 3, dense_params, x0=x0).residual < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("x0", [1.0, -1.0, 0.3])
+def test_multipulse_off_trace_intermediate_returns(case1_params, x0, n):
+    # an intermediate return lands on the section near height 0 whatever
+    # the final target, so n >= 3 finds points for x0 != 0 as for x0 = 0
+    points = find_multipulse(n, case1_params, x0=x0)
+    assert len(points) >= 3
+    for pt in points:
+        replay = replay_pulse(pt.s, n, case1_params, x0=x0)
+        assert replay.out_w_crossings == n and replay.residual < 1e-8
 
 
 def test_multipulse_deep_window_terminates(case1_params):

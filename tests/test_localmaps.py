@@ -209,15 +209,6 @@ def test_segment_maps_to_spiral(case1_params):
     assert abs(phis[-1]) > 5.0
 
 
-def test_points_serialize_with_section_tags():
-    assert WallPoint(section=OUT_W, x=1.0, y=0.1).to_dict() == {
-        "section": "Out_w",
-        "x": 1.0,
-        "y": 0.1,
-    }
-    assert DiskPoint(section=IN_W, r=0.2, phi=7.0).to_dict()["section"] == "In_w"
-
-
 def test_wrap_helpers():
     assert wrap_pi(math.pi) == pytest.approx(math.pi)
     assert wrap_pi(-math.pi) == pytest.approx(math.pi)
