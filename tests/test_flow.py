@@ -422,6 +422,15 @@ PINNED_RUNS = {
         ("548072a5ad9484a277f0bba2288eb3b3f22208f5e8f8d12921ce2a0e27b8a384", 754, 4),
         ("0x1.0944a903c2dc9p-30", "0x1.be21dc7b3cf8cp-22"),
     ),
+    # the only pin with lam != 0: it covers the symmetry-breaking terms
+    "lam": (
+        dict(
+            x0=FIG_START, T=40.0, rtol=1e-9, atol=1e-11,
+            config=ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.05),
+        ),
+        ("05aa0473b8a52be762354504f895bac6ef94d7342cd5f693477e5c893c66897c", 897, 8),
+        ("0x1.12d692d6c10f5p-30", "0x1.191e1eed71792p-21"),
+    ),
     "underflow": (
         dict(x0=FIG_START, T=10.0, rtol=1e-8, atol=1e-10, config=CFG, max_sample_spacing=1e-14),
         ("bf03afccbb5b5c571ca23bcca4e651f2aa7bfdb2dc42a045a8a72262a00ffbea", 0, 0),
