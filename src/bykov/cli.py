@@ -309,7 +309,12 @@ def cmd_sojourn(args):
         syn = sojourn_analysis(synthetic_dwell_series(durations), neighborhood_radius=0.3)
         if abs(syn.median_ratio - 1.5**2) > 1e-6:
             raise VerifyFailure(f"analyzer self-test recovered {syn.median_ratio}, wanted 2.25")
-    diagnostics = {"median_ratio": report.median_ratio, "collapse": _collapse(series, config)}
+    diagnostics = {
+        "accepted": series.accepted,
+        "rejected": series.rejected,
+        "median_ratio": report.median_ratio,
+        "collapse": _collapse(series, config),
+    }
     return "sojourn.json", report, diagnostics
 
 

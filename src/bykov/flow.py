@@ -17,17 +17,18 @@ quotient by the rotation; its third equation carries a1 (x^2 - y^2), which
 is the form that keeps the unit sphere invariant and the poles at
 equilibrium.
 
-The right-hand side from ``make_rhs`` is elementwise: the integrator
-calls it on a sequence of floats, and the diagnostics call it once on the
-numpy columns of a whole series, with the same operations in the same
-order, so both see the same bits.
+The right-hand side from ``make_rhs`` takes the coordinates as separate
+arguments and is elementwise: the integrator calls it on floats, and the
+diagnostics call it once on the numpy columns of a whole series, with the
+same operations in the same order, so both see the same bits.
 
 Integration uses a Dormand-Prince 5(4) embedded pair with FSAL, PI-free
 elementary step control, and a velocity cap that keeps consecutive output
-samples closer than 0.05 in state norm without interpolation.  The seven
-stages are written out over the state components; a run that leaves a
-coordinate exactly 0.0 after it started nonzero is flagged in
-``TrajectorySeries.collapse``.
+samples closer than 0.05 in state norm without interpolation.  One step,
+written out over four coordinate slots held in local variables, serves
+all three models: the 3D model's fourth slot is 0.0 with derivative 0.0.
+A run that leaves a coordinate exactly 0.0 after it started nonzero is
+flagged in ``TrajectorySeries.collapse``.
 """
 
 from __future__ import annotations
@@ -122,31 +123,30 @@ def load_model_config(source) -> ModelConfig:
 
 
 def make_rhs(config: ModelConfig):
-    """Right-hand side closure ``f(y) -> tuple`` for a state ``y`` of ``dim`` entries.
+    """Right-hand side ``f(x1, x2, x3, x4)`` (or ``f(x, y, z)``) returning a tuple.
 
-    The entries may be floats (one state, as the integrator calls it) or
-    equal-length numpy arrays (one column per coordinate, a whole series at
-    once); every operation is elementwise, so both give the same bits.
+    The coordinates are separate arguments.  They may be floats (one state,
+    as the integrator calls it) or equal-length numpy arrays (one column per
+    coordinate, a whole series at once); every operation is elementwise, so
+    both give the same bits.
     """
     a1, a2, lam = config.alpha1, config.alpha2, config.lam
     if config.model == "dim3":
 
-        def f3(y):
-            x, yy, z = y
-            r2 = x * x + yy * yy + z * z
+        def f3(x, y, z):
+            r2 = x * x + y * y + z * z
             q = 1.0 - r2
             return (
                 x * q - a1 * x * z + a2 * x * z * z,
-                yy * q + a1 * yy * z + a2 * yy * z * z,
-                z * q + a1 * (x * x - yy * yy) - a2 * z * (x * x + yy * yy),
+                y * q + a1 * y * z + a2 * y * z * z,
+                z * q + a1 * (x * x - y * y) - a2 * z * (x * x + y * y),
             )
 
         return f3
 
     same = config.model == "example4d_same_lift"
 
-    def f4(y):
-        x1, x2, x3, x4 = y
+    def f4(x1, x2, x3, x4):
         r2 = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
         q = 1.0 - r2
         rot = 1.0 if same else x4
@@ -168,7 +168,7 @@ def rhs(state, config: ModelConfig) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     if state.shape != (config.dim,):
         raise ValueError(f"state must have shape ({config.dim},), got {state.shape}")
-    return np.array(make_rhs(config)(tuple(state)))
+    return np.array(make_rhs(config)(*state))
 
 
 @dataclass(frozen=True)
@@ -285,6 +285,11 @@ def integrate(
     without interpolation error.  States are never projected back onto the
     sphere: sphere invariance is one of the things being measured.
     Step-size underflow returns the partial series with a failure marker.
+
+    The step runs on four coordinate slots.  The 3D model fills the fourth
+    with 0.0 and gives it the derivative 0.0, so it stays exactly 0.0 and
+    adds exactly 0.0 to the error sum and to the sample distance; the error
+    norm still averages over ``config.dim`` coordinates.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ParameterError(f"rtol must be finite and >= 0, got {rtol}")
@@ -297,11 +302,18 @@ def integrate(
         raise ValueError("initial state must be finite")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    f = make_rhs(config)
     dim = config.dim
+    f = make_rhs(config)
+    if dim == 3:
+        f3 = f
+
+        def f(x, y, z, _):
+            dx, dy, dz = f3(x, y, z)
+            return dx, dy, dz, 0.0
+
     t = 0.0
-    y = x0
-    k1 = f(y)
+    y1, y2, y3, y4 = y = x0 + (0.0,) * (4 - dim)
+    k1_1, k1_2, k1_3, k1_4 = f(y1, y2, y3, y4)
     h = 1e-4
     times = [0.0]
     states = [y]
@@ -314,7 +326,7 @@ def integrate(
     # below ulp(t) would stall the loop
     while T - t > 1e-12 * max(1.0, T):
         h = min(h, H_MAX)
-        speed = math.sqrt(sum(v * v for v in k1))
+        speed = math.sqrt(k1_1 * k1_1 + k1_2 * k1_2 + k1_3 * k1_3 + k1_4 * k1_4)
         if speed > 0:
             h = min(h, margin / speed)
         if h < 1e-13 * max(1.0, t, T * 1e-3):
@@ -323,43 +335,77 @@ def integrate(
         h = min(h, T - t)
         # every increment sum starts from 0.0, so a sum of -0.0 terms is
         # +0.0; test_integrate_bit_for_bit pins the resulting bits
-        k2 = f([v + h * (0.0 + _A21 * c1) for v, c1 in zip(y, k1)])
-        k3 = f([v + h * (0.0 + _A31 * c1 + _A32 * c2) for v, c1, c2 in zip(y, k1, k2)])
-        k4 = f([
-            v + h * (0.0 + _A41 * c1 + _A42 * c2 + _A43 * c3)
-            for v, c1, c2, c3 in zip(y, k1, k2, k3)
-        ])
-        k5 = f([
-            v + h * (0.0 + _A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4)
-            for v, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
-        ])
-        k6 = f([
-            v + h * (0.0 + _A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4 + _A65 * c5)
-            for v, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)
-        ])
-        k7 = f([
-            v + h * (0.0 + _A71 * c1 + _A73 * c3 + _A74 * c4 + _A75 * c5 + _A76 * c6)
-            for v, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
-        ])
-        ks = list(zip(k1, k2, k3, k4, k5, k6, k7))
-        y_new = [
-            v + h * (
-                0.0 + _B1 * c1 + _B2 * c2 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6 + _B7 * c7
-            )
-            for v, (c1, c2, c3, c4, c5, c6, c7) in zip(y, ks)
-        ]
-        err = 0.0
-        for v, w, (c1, c2, c3, c4, c5, c6, c7) in zip(y, y_new, ks):
-            e = h * (
-                0.0 + _E1 * c1 + _E2 * c2 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7
-            )
-            err += (e / (atol + rtol * max(abs(v), abs(w)))) ** 2
-        err = math.sqrt(err / dim)
-        dy = math.dist(y, y_new)
+        k2_1, k2_2, k2_3, k2_4 = f(
+            y1 + h * (0.0 + _A21 * k1_1),
+            y2 + h * (0.0 + _A21 * k1_2),
+            y3 + h * (0.0 + _A21 * k1_3),
+            y4 + h * (0.0 + _A21 * k1_4),
+        )
+        k3_1, k3_2, k3_3, k3_4 = f(
+            y1 + h * (0.0 + _A31 * k1_1 + _A32 * k2_1),
+            y2 + h * (0.0 + _A31 * k1_2 + _A32 * k2_2),
+            y3 + h * (0.0 + _A31 * k1_3 + _A32 * k2_3),
+            y4 + h * (0.0 + _A31 * k1_4 + _A32 * k2_4),
+        )
+        k4_1, k4_2, k4_3, k4_4 = f(
+            y1 + h * (0.0 + _A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
+            y2 + h * (0.0 + _A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
+            y3 + h * (0.0 + _A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
+            y4 + h * (0.0 + _A41 * k1_4 + _A42 * k2_4 + _A43 * k3_4),
+        )
+        k5_1, k5_2, k5_3, k5_4 = f(
+            y1 + h * (0.0 + _A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
+            y2 + h * (0.0 + _A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
+            y3 + h * (0.0 + _A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
+            y4 + h * (0.0 + _A51 * k1_4 + _A52 * k2_4 + _A53 * k3_4 + _A54 * k4_4),
+        )
+        k6_1, k6_2, k6_3, k6_4 = f(
+            y1 + h * (0.0 + _A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
+            y2 + h * (0.0 + _A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2),
+            y3 + h * (0.0 + _A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3),
+            y4 + h * (0.0 + _A61 * k1_4 + _A62 * k2_4 + _A63 * k3_4 + _A64 * k4_4 + _A65 * k5_4),
+        )
+        k7_1, k7_2, k7_3, k7_4 = f(
+            y1 + h * (0.0 + _A71 * k1_1 + _A73 * k3_1 + _A74 * k4_1 + _A75 * k5_1 + _A76 * k6_1),
+            y2 + h * (0.0 + _A71 * k1_2 + _A73 * k3_2 + _A74 * k4_2 + _A75 * k5_2 + _A76 * k6_2),
+            y3 + h * (0.0 + _A71 * k1_3 + _A73 * k3_3 + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
+            y4 + h * (0.0 + _A71 * k1_4 + _A73 * k3_4 + _A74 * k4_4 + _A75 * k5_4 + _A76 * k6_4),
+        )
+        w1 = y1 + h * (
+            0.0 + _B1 * k1_1 + _B2 * k2_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1 + _B7 * k7_1
+        )
+        w2 = y2 + h * (
+            0.0 + _B1 * k1_2 + _B2 * k2_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2 + _B7 * k7_2
+        )
+        w3 = y3 + h * (
+            0.0 + _B1 * k1_3 + _B2 * k2_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3 + _B7 * k7_3
+        )
+        w4 = y4 + h * (
+            0.0 + _B1 * k1_4 + _B2 * k2_4 + _B3 * k3_4 + _B4 * k4_4 + _B5 * k5_4 + _B6 * k6_4 + _B7 * k7_4
+        )
+        # the scaled error terms, summed left to right from 0.0
+        err = math.sqrt((
+            0.0
+            + (h * (
+                0.0 + _E1 * k1_1 + _E2 * k2_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
+            ) / (atol + rtol * max(abs(y1), abs(w1)))) ** 2
+            + (h * (
+                0.0 + _E1 * k1_2 + _E2 * k2_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2
+            ) / (atol + rtol * max(abs(y2), abs(w2)))) ** 2
+            + (h * (
+                0.0 + _E1 * k1_3 + _E2 * k2_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3
+            ) / (atol + rtol * max(abs(y3), abs(w3)))) ** 2
+            + (h * (
+                0.0 + _E1 * k1_4 + _E2 * k2_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4 + _E7 * k7_4
+            ) / (atol + rtol * max(abs(y4), abs(w4)))) ** 2
+        ) / dim)
+        w = (w1, w2, w3, w4)
+        dy = math.dist(y, w)
         if err <= 1.0 and dy <= max_sample_spacing:
             t += h
-            y = y_new
-            k1 = k7
+            y = w
+            y1, y2, y3, y4 = w
+            k1_1, k1_2, k1_3, k1_4 = k7_1, k7_2, k7_3, k7_4
             times.append(t)
             states.append(y)
             accepted += 1
@@ -376,7 +422,8 @@ def integrate(
             factor = min(factor, 0.7 * max_sample_spacing / dy)
         h *= min(5.0, max(0.2, factor))
     times = np.array(times)
-    states = np.array(states)
+    # the 3D model's fourth slot is dropped
+    states = np.ascontiguousarray(np.array(states)[:, :dim])
     return TrajectorySeries(
         times=times,
         states=states,
@@ -468,7 +515,7 @@ def chirality_check(
     x1, x2, _, x4 = states.T
     # Python floats overflow to inf and nan silently; so does this
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2, _, _ = make_rhs(config)(tuple(states.T))
+        d1, d2, _, _ = make_rhs(config)(*states.T)
         cross = x1 * d2 - x2 * d1
         del d1, d2
         plane = x1 * x1 + x2 * x2
@@ -544,10 +591,12 @@ def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
     dim = series.states.shape[1]
     poles = {"v": np.array(V_POLE[-dim:]), "w": np.array(W_POLE[-dim:])}
     dist = {n: np.linalg.norm(series.states - pole, axis=1) for n, pole in poles.items()}
+    times = series.times
+    # the node of each sample: 0 for none, 1 for v, 2 for w (v first when both are near)
+    code = np.where(dist["v"] < radius, 1, np.where(dist["w"] < radius, 2, 0))
     dwells: list[Dwell] = []
     current: str | None = None
     t_enter = 0.0
-    times = series.times
 
     def crossing(i: int, d: np.ndarray, radius: float) -> float:
         # linear interpolation of the boundary crossing between samples i-1, i
@@ -557,19 +606,15 @@ def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
         w = (radius - d0) / (d1 - d0)
         return float(times[i - 1] + w * (times[i] - times[i - 1]))
 
-    for i in range(len(times)):
-        node = None
-        for n in ("v", "w"):
-            if dist[n][i] < radius:
-                node = n
-                break
-        if node != current:
-            if current is not None:
-                t_exit = crossing(i, dist[current], radius)
-                dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
-            if node is not None:
-                t_enter = crossing(i, dist[node], radius) if i > 0 else float(times[0])
-            current = node
+    # only the samples where the node changes; the run starts at no node
+    for i in np.flatnonzero(np.diff(code, prepend=0)).tolist():
+        node = (None, "v", "w")[code[i]]
+        if current is not None:
+            t_exit = crossing(i, dist[current], radius)
+            dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
+        if node is not None:
+            t_enter = crossing(i, dist[node], radius) if i > 0 else float(times[0])
+        current = node
     if current is not None:
         # open-ended final dwell: keep it marked by exit at the horizon
         t_exit = float(times[-1])

@@ -391,6 +391,7 @@ def test_sojourn_self_test(flow_config, tmp_path, capsys):
     assert doc["median_ratio"] > 1.0
     manifest = json.loads((tmp_path / "out" / "sojourn_manifest.json").read_text())
     assert manifest["diagnostics"]["collapse"] is None
+    assert (manifest["diagnostics"]["accepted"], manifest["diagnostics"]["rejected"]) == (2081, 12)
 
 
 OPTIONS = {

@@ -3,14 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bykov.flow import (
+    _DP_A,
+    _DP_B,
+    _DP_E,
+    H_MAX,
+    MODEL_NAMES,
     V_POLE,
     W_POLE,
     ChiralityReport,
+    Dwell,
     InsufficientDataError,
     TrajectorySeries,
     ModelConfig,
+    _dwell_segments,
+    _first_collapse,
     chirality_check,
     equilibria_spectrum,
     integrate,
@@ -186,7 +196,7 @@ def test_chirality_identity_random_states():
     worst = 0.0
     for _ in range(1000):
         x = tuple(rng.uniform(-1.0, 1.0, 4))
-        d = f(x)
+        d = f(*x)
         worst = max(worst, abs(x[0] * d[1] - x[1] * d[0] - x[3] * (x[0] ** 2 + x[1] ** 2)))
     assert worst < 1e-12
 
@@ -207,7 +217,7 @@ def _chirality_loop(config, series, radius=0.2, plane_floor=1e-20):
     ranges = {"v": [math.inf, -math.inf], "w": [math.inf, -math.inf]}
     for state in series.states:
         x1, x2, x3, x4 = (float(v) for v in state)
-        d = f((x1, x2, x3, x4))
+        d = f(x1, x2, x3, x4)
         cross = x1 * d[1] - x2 * d[0]
         plane = x1 * x1 + x2 * x2
         rot = 1.0 if config.model == "example4d_same_lift" else x4
@@ -447,3 +457,211 @@ def test_integrate_bit_for_bit(name):
     assert (got, series.accepted, series.rejected) == (digest, accepted, rejected)
     assert (series.max_error_estimate.hex(), series.error_budget.hex()) == (max_err, budget)
     assert (series.failure is not None) == (name == "underflow")
+
+
+# The tableau as the list-comprehension reference below unpacks it.
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _DP_A[1:]
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _DP_B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
+
+def _integrate_lists(x0, T, rtol, atol, *, config, max_sample_spacing=0.05):
+    """Reference DP5 step: per-stage lists over ``zip`` of the state, ``dim`` entries each.
+
+    The speed cap adds the squares left to right from 0.0, as the builtin
+    ``sum`` did before Python 3.12 compensated float sums.
+    """
+    f = make_rhs(config)
+    dim = config.dim
+    t = 0.0
+    y = tuple(float(v) for v in x0)
+    k1 = f(*y)
+    h = 1e-4
+    times = [0.0]
+    states = [y]
+    accepted = rejected = 0
+    max_err = 0.0
+    err_budget = 0.0
+    failure = None
+    margin = 0.9 * max_sample_spacing
+    while T - t > 1e-12 * max(1.0, T):
+        h = min(h, H_MAX)
+        square_sum = 0.0
+        for v in k1:
+            square_sum += v * v
+        speed = math.sqrt(square_sum)
+        if speed > 0:
+            h = min(h, margin / speed)
+        if h < 1e-13 * max(1.0, t, T * 1e-3):
+            failure = f"step-size underflow at t={t}"
+            break
+        h = min(h, T - t)
+        k2 = f(*[v + h * (0.0 + _A21 * c1) for v, c1 in zip(y, k1)])
+        k3 = f(*[v + h * (0.0 + _A31 * c1 + _A32 * c2) for v, c1, c2 in zip(y, k1, k2)])
+        k4 = f(*[
+            v + h * (0.0 + _A41 * c1 + _A42 * c2 + _A43 * c3)
+            for v, c1, c2, c3 in zip(y, k1, k2, k3)
+        ])
+        k5 = f(*[
+            v + h * (0.0 + _A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4)
+            for v, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+        ])
+        k6 = f(*[
+            v + h * (0.0 + _A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4 + _A65 * c5)
+            for v, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)
+        ])
+        k7 = f(*[
+            v + h * (0.0 + _A71 * c1 + _A73 * c3 + _A74 * c4 + _A75 * c5 + _A76 * c6)
+            for v, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
+        ])
+        ks = list(zip(k1, k2, k3, k4, k5, k6, k7))
+        y_new = [
+            v + h * (
+                0.0 + _B1 * c1 + _B2 * c2 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6 + _B7 * c7
+            )
+            for v, (c1, c2, c3, c4, c5, c6, c7) in zip(y, ks)
+        ]
+        err = 0.0
+        for v, w, (c1, c2, c3, c4, c5, c6, c7) in zip(y, y_new, ks):
+            e = h * (
+                0.0 + _E1 * c1 + _E2 * c2 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7
+            )
+            err += (e / (atol + rtol * max(abs(v), abs(w)))) ** 2
+        err = math.sqrt(err / dim)
+        dy = math.dist(y, y_new)
+        if err <= 1.0 and dy <= max_sample_spacing:
+            t += h
+            y = y_new
+            k1 = k7
+            times.append(t)
+            states.append(y)
+            accepted += 1
+            max_err = max(max_err, err * rtol)
+            err_budget += err * rtol
+        else:
+            rejected += 1
+        if err > 0.0:
+            factor = 0.9 * err ** -0.2
+        else:
+            factor = 5.0 if err == 0.0 else 0.2
+        if dy > max_sample_spacing:
+            factor = min(factor, 0.7 * max_sample_spacing / dy)
+        h *= min(5.0, max(0.2, factor))
+    times = np.array(times)
+    states = np.array(states)
+    return TrajectorySeries(
+        times=times,
+        states=states,
+        accepted=accepted,
+        rejected=rejected,
+        max_error_estimate=max_err,
+        error_budget=err_budget,
+        failure=failure,
+        collapse=_first_collapse(times, states),
+    )
+
+
+def _series_bits(series):
+    collapse = series.collapse and (series.collapse[0], series.collapse[1].hex())
+    return (
+        series.times.tobytes(),
+        series.states.shape,
+        series.states.tobytes(),
+        series.accepted,
+        series.rejected,
+        series.max_error_estimate.hex(),
+        series.error_budget.hex(),
+        series.failure,
+        collapse,
+    )
+
+
+@st.composite
+def flow_runs(draw):
+    """Keyword arguments of one ``integrate`` call: model, start, tolerances, horizon."""
+    model = draw(st.sampled_from(MODEL_NAMES))
+    dim = 3 if model == "dim3" else 4
+    lam = 0.0 if model == "dim3" else draw(st.sampled_from((0.0, 0.05)))
+    direction = draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(lambda v: math.hypot(*v) > 0.1)
+    )
+    radius = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
+    norm = math.hypot(*direction)
+    x0 = [radius * v / norm for v in direction]
+    if draw(st.booleans()):
+        x0[draw(st.integers(0, dim - 1))] = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(5e-301, 2e-300))
+    return dict(
+        x0=tuple(x0),
+        T=draw(st.floats(0.5, 30.0)),
+        rtol=draw(st.floats(1e-11, 1e-6)),
+        atol=1e-12,
+        config=ModelConfig(alpha1=1.0, alpha2=-0.1, lam=lam, model=model),
+        max_sample_spacing=draw(st.sampled_from((0.05, 0.01))),
+    )
+
+
+# the overflowing start ends on a step-size underflow, the subnormal one on a collapse
+@example(run=dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG))
+@example(run=dict(x0=(1e-322, 0.0, 0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=CFG))
+@settings(max_examples=40)
+@given(run=flow_runs())
+def test_integrate_matches_list_reference(run):
+    assert _series_bits(integrate(**run)) == _series_bits(_integrate_lists(**run))
+
+
+def _dwell_loop(series, radius):
+    """Reference for ``_dwell_segments``: one pass over every sample."""
+    dim = series.states.shape[1]
+    poles = {"v": np.array(V_POLE[-dim:]), "w": np.array(W_POLE[-dim:])}
+    dist = {n: np.linalg.norm(series.states - pole, axis=1) for n, pole in poles.items()}
+    dwells = []
+    current = None
+    t_enter = 0.0
+    times = series.times
+
+    def crossing(i, d, radius):
+        d0, d1 = d[i - 1], d[i]
+        if d1 == d0:
+            return float(times[i])
+        w = (radius - d0) / (d1 - d0)
+        return float(times[i - 1] + w * (times[i] - times[i - 1]))
+
+    for i in range(len(times)):
+        node = None
+        for n in ("v", "w"):
+            if dist[n][i] < radius:
+                node = n
+                break
+        if node != current:
+            if current is not None:
+                t_exit = crossing(i, dist[current], radius)
+                dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
+            if node is not None:
+                t_enter = crossing(i, dist[node], radius) if i > 0 else float(times[0])
+            current = node
+    if current is not None:
+        t_exit = float(times[-1])
+        dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
+    return dwells
+
+
+def test_dwell_segments_match_sample_loop():
+    ac9 = integrate(FIG_START, T=500.0, rtol=1e-10, atol=1e-12, config=CFG)
+    dim3 = integrate(
+        (0.1, 0.4, 0.9), T=300.0, rtol=1e-9, atol=1e-11,
+        config=ModelConfig(alpha1=1.0, alpha2=-0.1, model="dim3"),
+    )
+    synthetic = synthetic_dwell_series([("v" if i % 2 == 0 else "w", 1.5**i) for i in range(10)])
+    for series in (ac9, dim3, synthetic):
+        for radius in (0.2, 0.3):
+            got = _dwell_segments(series, radius)
+            # repr tells every float bit apart, -0.0 from 0.0 too
+            assert repr(got) == repr(_dwell_loop(series, radius))
+            assert len(got) > 2
