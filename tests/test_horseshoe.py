@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bykov import horseshoe
 from bykov.horseshoe import (
     LN_FLOOR,
+    SLACK,
     PeriodicTangencyError,
     ResonanceError,
+    Strip,
     _bisect,
     _case_pieces,
     _eigen_class,
@@ -32,6 +35,7 @@ from bykov.oracles import composed_return, replay_pulse
 from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic
 from bykov.returncurve import (
     S_UNDERFLOW,
+    _exit_values,
     curve_sample,
     exit_curve,
     reversal_angle_set,
@@ -545,6 +549,204 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     assert len(family) == 5
     got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
     assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
+
+
+def _collect_strips_per_strip(tau, n_limit, p, k, case, period, t_grid, endpoint_margin):
+    """Reference collector: one bisection, and one height check, per strip in turn."""
+    increasing = k.gamma > 1.0
+    strips = []
+
+    t_pair = np.concatenate([t_grid, t_grid])
+
+    def x_at(u):
+        return _exit_values(t_grid, u, p, k).x_w
+
+    def x_pair(u):
+        return _exit_values(t_pair, u, p, k).x_w
+
+    def targets_for(winding):
+        if increasing:
+            return TWO_PI * winding - tau, TWO_PI * winding
+        return TWO_PI * winding, TWO_PI * winding - tau
+
+    def solve_strip(winding, u_los, u_his):
+        tgt_a, tgt_b = targets_for(winding)
+        x_lo, x_hi = x_at(u_los), x_at(u_his)
+        x_min, x_max = np.minimum(x_lo, x_hi), np.maximum(x_lo, x_hi)
+        for tgt in (tgt_a, tgt_b):
+            if not np.all((x_min + endpoint_margin <= tgt) & (tgt <= x_max - endpoint_margin)):
+                return None
+        frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
+        u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
+        if _exit_values(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
+            return None
+        n = len(t_grid)
+        targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
+        u_ab = _bisect(x_pair, targets, np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his]))
+        if np.isnan(u_ab).any():
+            raise RuntimeError("target not bracketed by the monotone interval")
+        u_a, u_b = u_ab[:n], u_ab[n:]
+        a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b)])
+        b_vals = np.array([math.exp(u) for u in np.maximum(u_a, u_b)])
+        s_chk = np.linspace(a_vals, b_vals, 5)
+        with np.errstate(under="ignore"):
+            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p, k).log_y)
+        if np.any(heights > tau):
+            return None
+        return Strip(index=len(strips), winding=winding, t_grid=t_grid.copy(), a_of_t=a_vals, b_of_t=b_vals)
+
+    if case == "I":
+        u_tops = np.full(len(t_grid), math.log(p.eps))
+        x_tops = x_at(u_tops)
+        if increasing:
+            w = math.floor((float(np.min(x_tops)) - SLACK - tau) / TWO_PI)
+        else:
+            w = math.ceil((float(np.max(x_tops)) + SLACK + tau) / TWO_PI)
+        u_cur, x_cur = u_tops, x_tops
+        while len(strips) < n_limit:
+            tgt_a, tgt_b = targets_for(w)
+            beyond = min(tgt_a, tgt_b) - 1.0 if increasing else max(tgt_a, tgt_b) + 1.0
+            behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
+            while np.any(behind):
+                u_cur = np.where(behind, u_cur - 1.0, u_cur)
+                if np.any(u_cur < LN_FLOOR):
+                    return strips
+                x_cur = x_at(u_cur)
+                behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
+            strip = solve_strip(w, u_cur, u_tops)
+            if strip is not None:
+                strips.append(strip)
+            w = w - 1 if increasing else w + 1
+        return strips
+
+    want_sign = 1 if increasing else -1
+    for lo, hi in _case_pieces(0.0, period, want_sign, max(64, 16 * n_limit)):
+        if len(strips) >= n_limit:
+            break
+        if (k.c2 - hi) / k.g_v < LN_FLOOR:
+            break
+        u_los = (k.c2 + t_grid - hi) / k.g_v
+        u_his = (k.c2 + t_grid - lo) / k.g_v
+        x_a, x_b = x_at(u_los), x_at(u_his)
+        lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
+        hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
+        windings = range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1)
+        for w in windings:
+            strip = solve_strip(w, u_los, u_his)
+            if strip is not None:
+                strips.append(strip)
+                if len(strips) >= n_limit:
+                    break
+    return strips
+
+
+@pytest.fixture(scope="module")
+def boundary_params() -> SaddleParams:
+    """Case IV: the crossing level pinned at the turning maximum."""
+    base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
+    m, r, _ = turning_harmonic(base)
+    return replace(base, E_w=m + r)
+
+
+# gamma < 1, where the exit angle decreases down the section and the
+# windings count upward: one point outside B and one inside
+@pytest.fixture(scope="module")
+def mirror_outside_params() -> SaddleParams:
+    return SaddleParams(alpha_v=1.3, C_v=0.8, E_v=1.4, alpha_w=1.0, C_w=0.6, E_w=2.1, a=1.1, eps=0.7)
+
+
+@pytest.fixture(scope="module")
+def mirror_interior_params() -> SaddleParams:
+    return SaddleParams(alpha_v=0.9, C_v=0.4, E_v=0.7, alpha_w=0.5, C_w=1.1, E_w=0.75, a=1.9, eps=0.55)
+
+
+def _family_bits(tau, n_limit, p):
+    """Everything build_strips returns, floats as hex; a refusal as its repr."""
+    try:
+        family = build_strips(tau, n_limit, p)
+    except (RuntimeError, ValueError) as exc:
+        return repr(exc)
+    hexes = lambda values: [v.hex() for v in values.tolist()]
+    strips = [(s.index, s.winding, hexes(s.t_grid), hexes(s.a_of_t), hexes(s.b_of_t)) for s in family.strips]
+    return family.tau.hex(), family.case, family.gamma.hex(), family.notes, strips
+
+
+def _strip_draws(fixture):
+    # the case IV exclusion zone is ten rectangle-widths wide, so its tau is small
+    lo, hi = (0.005, 0.03) if fixture == "boundary_params" else (0.05, 0.45)
+    return np.random.default_rng(12).uniform(lo, hi, 3).tolist()
+
+
+STRIP_FIXTURES = [
+    "case1_params",
+    "dense_params",
+    "rational_params",
+    "boundary_params",
+    "mirror_outside_params",
+    "mirror_interior_params",
+]
+
+
+@pytest.mark.parametrize("n_limit", [1, 3, 5, 9])
+@pytest.mark.parametrize("fixture", STRIP_FIXTURES)
+def test_build_strips_matches_per_strip_reference(fixture, n_limit, request, monkeypatch):
+    p = request.getfixturevalue(fixture)
+    got = [_family_bits(tau, n_limit, p) for tau in _strip_draws(fixture)]
+    monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
+    want = [_family_bits(tau, n_limit, p) for tau in _strip_draws(fixture)]
+    assert got == want
+    assert sum(isinstance(bits, tuple) and len(bits[-1]) == n_limit for bits in got) >= 2
+
+
+@pytest.mark.parametrize("fixture", STRIP_FIXTURES)
+def test_build_strips_retry_matches_per_strip_reference(fixture, request, monkeypatch):
+    # the 33-point family always reports a violation, so every build refines
+    p = request.getfixturevalue(fixture)
+    replay = horseshoe.strip_family_violations
+    monkeypatch.setattr(
+        horseshoe,
+        "strip_family_violations",
+        lambda family, p: replay(family, p) if any("refined" in n for n in family.notes) else ["forced"],
+    )
+    got = [_family_bits(tau, 5, p) for tau in _strip_draws(fixture)]
+    monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
+    want = [_family_bits(tau, 5, p) for tau in _strip_draws(fixture)]
+    assert got == want
+    assert all(len(strip[2]) == 129 for bits in got for strip in bits[-1])
+    assert sum(len(bits[-1]) == 5 for bits in got) >= 2
+
+
+def test_strip_family_violations_messages(dense_params):
+    """Corrupted strips: every kind of violation, in (strip, t) order, then the overlaps in t order."""
+    family = build_strips(0.25, 3, dense_params)
+    assert strip_family_violations(family, dense_params) == []
+    (a0, b0), (a1, b1), (a2, b2) = ((s.a_of_t.copy(), s.b_of_t.copy()) for s in family.strips)
+    a0[3], b0[3] = b0[3], a0[3]  # swapped
+    b0[30] = 0.6  # above eps
+    a1[5] *= 1.0 + 1e-6
+    b1[9] *= 1.0 - 1e-6
+    a1[20] = b2[20]  # touches the strip below
+    b2[12] *= 30.0  # reaches past the reversal that ends its piece
+    corrupted = replace(
+        family,
+        strips=tuple(replace(s, a_of_t=a, b_of_t=b) for s, a, b in zip(family.strips, (a0, a1, a2), (b0, b1, b2))),
+    )
+    t = family.strips[0].t_grid
+    assert strip_family_violations(corrupted, dense_params) == [
+        f"strip 0: boundaries out of order at t={t[3]}",
+        f"strip 0: boundaries out of order at t={t[30]}",
+        f"strip 1: lower boundary misses target at t={t[5]}",
+        f"strip 1: upper boundary misses target at t={t[9]}",
+        f"strip 1: lower boundary misses target at t={t[20]}",
+        f"strip 1: wrong monotonicity inside at t={t[20]}",
+        f"strip 2: upper boundary misses target at t={t[12]}",
+        f"strip 2: wrong monotonicity inside at t={t[12]}",
+        f"strips 2 and 1 overlap in s at t={t[12]}",
+        f"strips 2 and 1 overlap in s at t={t[20]}",
+    ]
+    assert [str(v) for v in t[[3, 30, 5, 9, 20, 12]]] == [
+        "0.0234375", "0.234375", "0.0390625", "0.0703125", "0.15625", "0.09375"
+    ]
 
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
