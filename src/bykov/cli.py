@@ -50,7 +50,7 @@ from .horseshoe import (
 )
 from .oracles import eta_composed, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import Q_MAX, RATIONALITY_TOL, ParameterError, classify_region, derive_constants, load_saddle_params
-from .returncurve import curve_sample, find_tangency, reversal_sequence
+from .returncurve import curve_arrays, curve_sample, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -108,22 +108,18 @@ def cmd_curve(args):
     if args.n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {args.n_samples}")
     if args.n_samples == 1:
-        s_values = [args.s_min]
+        s_values = np.array([args.s_min])
     else:
-        s_values = list(np.geomspace(args.s_min, args.s_max, args.n_samples))
+        s_values = np.geomspace(args.s_min, args.s_max, args.n_samples)
+    columns = (v.tolist() for v in (s_values, *curve_arrays(args.t, s_values, p)))
+    t = float(args.t)
     rows = [CURVE_HEADER]
-    for s in s_values:
-        c = curve_sample(args.t, float(s), p)
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (c.s, c.t, c.phi, c.x_w, c.x_w_mod_2pi, c.y_w, c.dxw_ds)
-            )
-        )
+    for s, phi, x_w, y_w, dxw_ds in zip(*columns):
+        rows.append(",".join(_fmt(v) for v in (s, t, phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)))
         if args.verify:
-            x_c, y_c = eta_composed(args.t, float(s), p)
-            y_ok = abs(y_c) < 1e-250 or abs(c.y_w / y_c - 1.0) < 1e-9
-            if abs(c.x_w - x_c) > 1e-9 or not y_ok:
+            x_c, y_c = eta_composed(args.t, s, p)
+            y_ok = abs(y_c) < 1e-250 or abs(y_w / y_c - 1.0) < 1e-9
+            if abs(x_w - x_c) > 1e-9 or not y_ok:
                 raise VerifyFailure(f"curve row at s={s} disagrees with the composition oracle")
     return "curve.csv", rows, {"n_samples": args.n_samples}
 

@@ -333,43 +333,46 @@ def integrate(
             failure = f"step-size underflow at t={t}"
             break
         h = min(h, T - t)
-        # every increment sum starts from 0.0, so a sum of -0.0 terms is
-        # +0.0; test_integrate_bit_for_bit pins the resulting bits
+        # a stage increment of -0.0 (all its terms -0.0) can only flip the
+        # sign of a zero stage input; the polynomial right-hand side turns
+        # that into signed zeros only, and the b and e sums, which start
+        # from 0.0, absorb them, so the steps are those of starting every
+        # increment from 0.0
         k2_1, k2_2, k2_3, k2_4 = f(
-            y1 + h * (0.0 + _A21 * k1_1),
-            y2 + h * (0.0 + _A21 * k1_2),
-            y3 + h * (0.0 + _A21 * k1_3),
-            y4 + h * (0.0 + _A21 * k1_4),
+            y1 + h * (_A21 * k1_1),
+            y2 + h * (_A21 * k1_2),
+            y3 + h * (_A21 * k1_3),
+            y4 + h * (_A21 * k1_4),
         )
         k3_1, k3_2, k3_3, k3_4 = f(
-            y1 + h * (0.0 + _A31 * k1_1 + _A32 * k2_1),
-            y2 + h * (0.0 + _A31 * k1_2 + _A32 * k2_2),
-            y3 + h * (0.0 + _A31 * k1_3 + _A32 * k2_3),
-            y4 + h * (0.0 + _A31 * k1_4 + _A32 * k2_4),
+            y1 + h * (_A31 * k1_1 + _A32 * k2_1),
+            y2 + h * (_A31 * k1_2 + _A32 * k2_2),
+            y3 + h * (_A31 * k1_3 + _A32 * k2_3),
+            y4 + h * (_A31 * k1_4 + _A32 * k2_4),
         )
         k4_1, k4_2, k4_3, k4_4 = f(
-            y1 + h * (0.0 + _A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-            y2 + h * (0.0 + _A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
-            y3 + h * (0.0 + _A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
-            y4 + h * (0.0 + _A41 * k1_4 + _A42 * k2_4 + _A43 * k3_4),
+            y1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
+            y2 + h * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
+            y3 + h * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
+            y4 + h * (_A41 * k1_4 + _A42 * k2_4 + _A43 * k3_4),
         )
         k5_1, k5_2, k5_3, k5_4 = f(
-            y1 + h * (0.0 + _A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
-            y2 + h * (0.0 + _A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
-            y3 + h * (0.0 + _A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
-            y4 + h * (0.0 + _A51 * k1_4 + _A52 * k2_4 + _A53 * k3_4 + _A54 * k4_4),
+            y1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
+            y2 + h * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
+            y3 + h * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
+            y4 + h * (_A51 * k1_4 + _A52 * k2_4 + _A53 * k3_4 + _A54 * k4_4),
         )
         k6_1, k6_2, k6_3, k6_4 = f(
-            y1 + h * (0.0 + _A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
-            y2 + h * (0.0 + _A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2),
-            y3 + h * (0.0 + _A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3),
-            y4 + h * (0.0 + _A61 * k1_4 + _A62 * k2_4 + _A63 * k3_4 + _A64 * k4_4 + _A65 * k5_4),
+            y1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
+            y2 + h * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2),
+            y3 + h * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3),
+            y4 + h * (_A61 * k1_4 + _A62 * k2_4 + _A63 * k3_4 + _A64 * k4_4 + _A65 * k5_4),
         )
         k7_1, k7_2, k7_3, k7_4 = f(
-            y1 + h * (0.0 + _A71 * k1_1 + _A73 * k3_1 + _A74 * k4_1 + _A75 * k5_1 + _A76 * k6_1),
-            y2 + h * (0.0 + _A71 * k1_2 + _A73 * k3_2 + _A74 * k4_2 + _A75 * k5_2 + _A76 * k6_2),
-            y3 + h * (0.0 + _A71 * k1_3 + _A73 * k3_3 + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
-            y4 + h * (0.0 + _A71 * k1_4 + _A73 * k3_4 + _A74 * k4_4 + _A75 * k5_4 + _A76 * k6_4),
+            y1 + h * (_A71 * k1_1 + _A73 * k3_1 + _A74 * k4_1 + _A75 * k5_1 + _A76 * k6_1),
+            y2 + h * (_A71 * k1_2 + _A73 * k3_2 + _A74 * k4_2 + _A75 * k5_2 + _A76 * k6_2),
+            y3 + h * (_A71 * k1_3 + _A73 * k3_3 + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
+            y4 + h * (_A71 * k1_4 + _A73 * k3_4 + _A74 * k4_4 + _A75 * k5_4 + _A76 * k6_4),
         )
         w1 = y1 + h * (
             0.0 + _B1 * k1_1 + _B2 * k2_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1 + _B7 * k7_1

@@ -10,11 +10,12 @@ vertically across the same rectangle.  Hyperbolicity of g is read off its
 exact Jacobian, assembled from the partials of the exit-curve kernel
 :func:`bykov.returncurve.exit_curve`; finite differences of the return map
 live only in :mod:`bykov.oracles`, as the test and ``--verify`` oracle.
-Everything that needs only x_w and ln y_w (the strip bisections, which
-solve both boundaries of a strip in one call, the return chain of the
-multi-pulse search, the strip checks and images) runs on the kernel's
-values step, which skips the partials; only the Jacobian and the
-monotonicity check of the strip invariants pay for them.
+Everything that needs only x_w and ln y_w (the strip bisection, which
+solves the boundaries of every strip a family still needs in one call,
+the return chain of the multi-pulse search, the strip checks and images,
+each one call for the whole family) runs on the kernel's values step,
+which skips the partials; only the Jacobian and the monotonicity check of
+the strip invariants pay for them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -374,16 +376,21 @@ def _collect_strips(
     t_grid: np.ndarray,
     endpoint_margin: float,
 ) -> list[Strip]:
-    increasing = k.gamma > 1.0
-    strips: list[Strip] = []
+    """The first ``n_limit`` strips of the family on ``t_grid``, in construction order.
 
-    t_pair = np.concatenate([t_grid, t_grid])
+    Candidate windings arrive in order from the Case I cursor march or the
+    monotone pieces, each with its brackets and the exit angles there.
+    Those that pass the cheap gates are solved in batches of as many as
+    strips are still missing, all boundaries in one bisection: a batch
+    never holds a candidate that the strip count would have cut off, and
+    each bracket stops on its own, so the strips are those of solving one
+    candidate at a time.
+    """
+    increasing = k.gamma > 1.0
+    n = len(t_grid)
 
     def x_at(u):
         return _exit_values(t_grid, u, p, k).x_w
-
-    def x_pair(u):
-        return _exit_values(t_pair, u, p, k).x_w
 
     def targets_for(winding: int) -> tuple[float, float]:
         # a-boundary carries the -tau residue for increasing exit angle,
@@ -392,94 +399,96 @@ def _collect_strips(
             return TWO_PI * winding - tau, TWO_PI * winding
         return TWO_PI * winding, TWO_PI * winding - tau
 
-    def solve_strip(winding: int, u_los: np.ndarray, u_his: np.ndarray) -> Strip | None:
+    def passes_gates(winding: int, u_los, u_his, x_lo, x_hi) -> bool:
         tgt_a, tgt_b = targets_for(winding)
-        x_lo, x_hi = x_at(u_los), x_at(u_his)
         x_min, x_max = np.minimum(x_lo, x_hi), np.maximum(x_lo, x_hi)
         for tgt in (tgt_a, tgt_b):
             if not np.all((x_min + endpoint_margin <= tgt) & (tgt <= x_max - endpoint_margin)):
-                return None
-        # cheap height gate before paying for the bisections: the exit
+                return False
+        # cheap height gate before paying for the bisection: the exit
         # height at the interpolated target location must be at least near
         # the rectangle width already
         frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
         u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
-        if _exit_values(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
-            return None
-        # both boundaries in one bisection; each bracket stops on its own
-        n = len(t_grid)
-        targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
-        u_ab = _bisect(x_pair, targets, np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his]))
-        if np.isnan(u_ab).any():
-            raise RuntimeError("target not bracketed by the monotone interval")
-        u_a, u_b = u_ab[:n], u_ab[n:]
-        # libm's exp, not numpy's: the two can differ in the last bit, and
-        # the boundaries are written to strips.csv, which stays bit-stable
-        a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b)])
-        b_vals = np.array([math.exp(u) for u in np.maximum(u_a, u_b)])
-        # the return image must stay inside the rectangle's width: its
-        # horizontal extent is the exit height, so early windings whose
-        # heights still exceed tau are skipped (strips accumulate downward)
-        s_chk = np.linspace(a_vals, b_vals, 5)
-        with np.errstate(under="ignore"):
-            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p, k).log_y)
-        if np.any(heights > tau):
-            return None
-        return Strip(
-            index=len(strips),
-            winding=winding,
-            t_grid=t_grid.copy(),
-            a_of_t=a_vals,
-            b_of_t=b_vals,
-        )
+        return not _exit_values(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau)
 
-    if case == "I":
-        u_tops = np.full(len(t_grid), math.log(p.eps))
+    def candidates():
+        """(winding, u_los, u_his) of every gated candidate, in construction order."""
+        if case != "I":
+            # cases II/III/IV: monotone pieces between consecutive reversals
+            want_sign = 1 if increasing else -1
+            for lo, hi in _case_pieces(0.0, period, want_sign, max(64, 16 * n_limit)):
+                if (k.c2 - hi) / k.g_v < LN_FLOOR:
+                    return
+                u_los = (k.c2 + t_grid - hi) / k.g_v
+                u_his = (k.c2 + t_grid - lo) / k.g_v
+                # candidate windings common to all t
+                x_a, x_b = x_at(u_los), x_at(u_his)
+                lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
+                hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
+                for w in range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1):
+                    if passes_gates(w, u_los, u_his, x_a, x_b):
+                        yield w, u_los, u_his
+            return
+        u_tops = np.full(n, math.log(p.eps))
         x_tops = x_at(u_tops)
         if increasing:
             w = math.floor((float(np.min(x_tops)) - SLACK - tau) / TWO_PI)
         else:
             w = math.ceil((float(np.max(x_tops)) + SLACK + tau) / TWO_PI)
-        # march a bracket cursor downward in u for every t; x_w is monotone
-        # on the whole tail so [cursor, top] always brackets the targets
+        # case I: march a bracket cursor downward in u for every t; x_w is
+        # monotone on the whole tail so [cursor, top] always brackets the
+        # targets, until the cursor reaches the floor
         u_cur, x_cur = u_tops, x_tops
-        while len(strips) < n_limit:
+        while True:
             tgt_a, tgt_b = targets_for(w)
             beyond = min(tgt_a, tgt_b) - 1.0 if increasing else max(tgt_a, tgt_b) + 1.0
             behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
             while np.any(behind):
                 u_cur = np.where(behind, u_cur - 1.0, u_cur)
                 if np.any(u_cur < LN_FLOOR):
-                    return strips
+                    return
                 x_cur = x_at(u_cur)
                 behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
-            strip = solve_strip(w, u_cur, u_tops)
-            if strip is not None:
-                strips.append(strip)
+            if passes_gates(w, u_cur, u_tops, x_cur, x_tops):
+                yield w, u_cur, u_tops
             w = w - 1 if increasing else w + 1
-        return strips
 
-    # cases II/III/IV: monotone pieces between consecutive reversals
-    want_sign = 1 if increasing else -1
-    max_pieces = max(64, 16 * n_limit)
-    for lo, hi in _case_pieces(0.0, period, want_sign, max_pieces):
-        if len(strips) >= n_limit:
+    strips: list[Strip] = []
+    stream = candidates()
+    while len(strips) < n_limit:
+        batch = list(islice(stream, n_limit - len(strips)))
+        if not batch:
             break
-        if (k.c2 - hi) / k.g_v < LN_FLOOR:
-            break
-        u_los = (k.c2 + t_grid - hi) / k.g_v
-        u_his = (k.c2 + t_grid - lo) / k.g_v
-        # candidate windings common to all t
-        x_a, x_b = x_at(u_los), x_at(u_his)
-        lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
-        hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
-        windings = range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1)
-        for w in windings:
-            strip = solve_strip(w, u_los, u_his)
-            if strip is not None:
-                strips.append(strip)
-                if len(strips) >= n_limit:
-                    break
+        # both boundaries of every candidate in one bisection
+        windings, u_los, u_his = zip(*batch)
+        m = len(batch)
+        targets = np.repeat([targets_for(w) for w in windings], n)
+        t_all = np.tile(t_grid, 2 * m)
+        u_ab = _bisect(
+            lambda u: _exit_values(t_all, u, p, k).x_w,
+            targets,
+            np.repeat(u_los, 2, axis=0).ravel(),
+            np.repeat(u_his, 2, axis=0).ravel(),
+        )
+        if np.isnan(u_ab).any():
+            raise RuntimeError("target not bracketed by the monotone interval")
+        u_a, u_b = u_ab.reshape(m, 2, n).transpose(1, 0, 2)
+        # libm's exp, not numpy's: the two can differ in the last bit, and
+        # the boundaries are written to strips.csv, which stays bit-stable
+        a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b).ravel().tolist()]).reshape(m, n)
+        b_vals = np.array([math.exp(u) for u in np.maximum(u_a, u_b).ravel().tolist()]).reshape(m, n)
+        # the return image must stay inside the rectangle's width: its
+        # horizontal extent is the exit height, so early windings whose
+        # heights still exceed tau are skipped (strips accumulate downward);
+        # one linspace per candidate, since linspace changes its formula for
+        # a whole call when any of its steps is zero
+        s_chk = np.stack([np.linspace(a, b, 5) for a, b in zip(a_vals, b_vals)])
+        with np.errstate(under="ignore"):
+            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p, k).log_y)
+        for w, a, b, h in zip(windings, a_vals, b_vals, heights):
+            if not np.any(h > tau):
+                strips.append(Strip(index=len(strips), winding=w, t_grid=t_grid.copy(), a_of_t=a, b_of_t=b))
     return strips
 
 
@@ -487,43 +496,50 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     """Replay the strip invariants; returns human-readable violations (empty when clean).
 
     A boundary misses its target when its exit angle is more than 1e-9 off.
+    The whole family is evaluated at once; the messages come strip by strip
+    in t order, then the overlaps in t order.
     """
+    if not family.strips:
+        return []
     k = derive_constants(p)
-    out: list[str] = []
     increasing = family.gamma > 1.0
     lo_res = -family.tau if increasing else 0.0
     hi_res = 0.0 if increasing else -family.tau
+    # one row per strip; the strips of a family share their t-grid length
+    t_grid = np.array([s.t_grid for s in family.strips])
+    t = t_grid.ravel()
+    a = np.concatenate([s.a_of_t for s in family.strips])
+    b = np.concatenate([s.b_of_t for s in family.strips])
+    ordered = (0.0 < a) & (a < b) & (b <= p.eps)
+    # out-of-order samples are reported as such; evaluate them at eps
+    a = np.where(ordered, a, p.eps)
+    b = np.where(ordered, b, p.eps)
+    x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p, k).x_w, 2)
+    miss_a = _angle_dist(x_a, lo_res) > 1e-9
+    miss_b = _angle_dist(x_b, hi_res) > 1e-9
+    # dx_w/ds = x_u / s has the sign of x_u
     fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
-    for strip in family.strips:
-        t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
-        ordered = (0.0 < a) & (a < b) & (b <= p.eps)
-        # out-of-order samples are reported as such; evaluate them at eps
-        a = np.where(ordered, a, p.eps)
-        b = np.where(ordered, b, p.eps)
-        x_ab = _exit_values(np.concatenate([t_grid, t_grid]), np.log(np.concatenate([a, b])), p, k).x_w
-        x_a, x_b = np.split(x_ab, 2)
-        miss_a = _angle_dist(x_a, lo_res) > 1e-9
-        miss_b = _angle_dist(x_b, hi_res) > 1e-9
-        # dx_w/ds = x_u / s has the sign of x_u
-        slope = exit_curve(t_grid, np.log(a + fracs * (b - a)), p, k).x_u
-        wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
-        for i, t in enumerate(t_grid):
-            if not ordered[i]:
-                out.append(f"strip {strip.index}: boundaries out of order at t={t}")
-                continue
-            if miss_a[i]:
-                out.append(f"strip {strip.index}: lower boundary misses target at t={t}")
-            if miss_b[i]:
-                out.append(f"strip {strip.index}: upper boundary misses target at t={t}")
-            if wrong[i]:
-                out.append(f"strip {strip.index}: wrong monotonicity inside at t={t}")
-    for i, t in enumerate(family.strips[0].t_grid if family.strips else []):
-        spans = sorted(
-            (float(s.a_of_t[i]), float(s.b_of_t[i]), s.index) for s in family.strips
-        )
-        for (a1, b1, i1), (a2, b2, i2) in zip(spans, spans[1:]):
+    slope = exit_curve(t, np.log(a + fracs * (b - a)), p, k).x_u
+    wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
+    out: list[str] = []
+    for i in np.flatnonzero(~ordered | miss_a | miss_b | wrong).tolist():
+        head = f"strip {family.strips[i // t_grid.shape[1]].index}:"
+        if not ordered[i]:
+            out.append(f"{head} boundaries out of order at t={t[i]}")
+            continue
+        if miss_a[i]:
+            out.append(f"{head} lower boundary misses target at t={t[i]}")
+        if miss_b[i]:
+            out.append(f"{head} upper boundary misses target at t={t[i]}")
+        if wrong[i]:
+            out.append(f"{head} wrong monotonicity inside at t={t[i]}")
+    # at each t, the spans sorted by (a, b, index); neighbours must not touch
+    columns = zip(*(zip(s.a_of_t.tolist(), s.b_of_t.tolist(), [s.index] * len(s.t_grid)) for s in family.strips))
+    for t_i, spans in zip(t_grid[0], columns):
+        spans = sorted(spans)
+        for (_, b1, i1), (a2, _, i2) in zip(spans, spans[1:]):
             if b1 >= a2:
-                out.append(f"strips {i1} and {i2} overlap in s at t={t}")
+                out.append(f"strips {i1} and {i2} overlap in s at t={t_i}")
     return out
 
 
@@ -533,35 +549,38 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     Reports, per strip, the height range covered by the image of the four
     boundary curves (it must span [0, tau]) and the horizontal extent (it
     must stay inside the rectangle's width).  The two side curves are
-    sampled at 33 heights each.
+    sampled at 33 heights each.  All strips go through one kernel call.
     """
+    if not family.strips:
+        return []
     k = derive_constants(p)
-    out = []
+    ts, ss = [], []
     for strip in family.strips:
         t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
         edges = [0, len(t_grid) - 1]
-        ts = np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], 33)])
-        ss = np.concatenate([a, b, np.linspace(a[edges], b[edges], 33, axis=1).ravel()])
-        curve = _exit_values(ts, np.log(ss), p, k)
-        # the return map is (x, y) -> (y_w, -x_w) with the height reduced
-        with np.errstate(under="ignore"):
-            xs = np.exp(curve.log_y)
-        ys = np.remainder(math.pi - curve.x_w, TWO_PI) - math.pi
-        y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
-        x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-        out.append(
-            {
-                "index": strip.index,
-                "winding": strip.winding,
-                "image_y_min": y_lo,
-                "image_y_max": y_hi,
-                "image_x_min": x_lo,
-                "image_x_max": x_hi,
-                "spans_vertically": y_lo <= 1e-6 and y_hi >= family.tau - 1e-6,
-                "within_width": 0.0 <= x_lo and x_hi <= family.tau,
-            }
-        )
-    return out
+        ts.append(np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], 33)]))
+        ss.append(np.concatenate([a, b, np.linspace(a[edges], b[edges], 33, axis=1).ravel()]))
+    starts = np.cumsum([0] + [len(t) for t in ts[:-1]])
+    curve = _exit_values(np.concatenate(ts), np.log(np.concatenate(ss)), p, k)
+    # the return map is (x, y) -> (y_w, -x_w) with the height reduced
+    with np.errstate(under="ignore"):
+        xs = np.exp(curve.log_y)
+    ys = np.remainder(math.pi - curve.x_w, TWO_PI) - math.pi
+    y_los, y_his = np.minimum.reduceat(ys, starts).tolist(), np.maximum.reduceat(ys, starts).tolist()
+    x_los, x_his = np.minimum.reduceat(xs, starts).tolist(), np.maximum.reduceat(xs, starts).tolist()
+    return [
+        {
+            "index": strip.index,
+            "winding": strip.winding,
+            "image_y_min": y_lo,
+            "image_y_max": y_hi,
+            "image_x_min": x_lo,
+            "image_x_max": x_hi,
+            "spans_vertically": y_lo <= 1e-6 and y_hi >= family.tau - 1e-6,
+            "within_width": 0.0 <= x_lo and x_hi <= family.tau,
+        }
+        for strip, y_lo, y_hi, x_lo, x_hi in zip(family.strips, y_los, y_his, x_los, x_his)
+    ]
 
 
 @dataclass(frozen=True)

@@ -302,8 +302,8 @@ def _reversal_entries(
     cut = np.searchsorted(-log_s, -ln_floor, side="right") if stop_at_underflow else len(j)
     theta = turning_harmonic(p)[2]
     upward = math.sin(2.0 * roots[0] - theta) < 0.0
-    kinds = ("maxima", "minima") if upward else ("minima", "maxima")
-    return phis[:cut], log_s[:cut], tuple(kinds[i] for i in j[:cut].tolist())
+    kinds = np.array(("maxima", "minima") if upward else ("minima", "maxima"), dtype=object)
+    return phis[:cut], log_s[:cut], tuple(kinds[j[:cut]].tolist())
 
 
 def _sequence_from_entries(t, p, k, phis, log_s, kinds) -> ReversalSequence:
