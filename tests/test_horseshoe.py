@@ -666,7 +666,10 @@ def _family_bits(tau, n_limit, p):
         family = build_strips(tau, n_limit, p)
     except (RuntimeError, ValueError) as exc:
         return repr(exc)
-    hexes = lambda values: [v.hex() for v in values.tolist()]
+
+    def hexes(values):
+        return [v.hex() for v in values.tolist()]
+
     strips = [(s.index, s.winding, hexes(s.t_grid), hexes(s.a_of_t), hexes(s.b_of_t)) for s in family.strips]
     return family.tau.hex(), family.case, family.gamma.hex(), family.notes, strips
 
