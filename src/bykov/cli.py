@@ -50,7 +50,7 @@ from .horseshoe import (
 )
 from .oracles import eta_composed, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import Q_MAX, RATIONALITY_TOL, ParameterError, classify_region, derive_constants, load_saddle_params
-from .returncurve import curve_arrays, curve_sample, find_tangency, reversal_sequence
+from .returncurve import curve_arrays, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -111,7 +111,11 @@ def cmd_curve(args):
         s_values = np.array([args.s_min])
     else:
         s_values = np.geomspace(args.s_min, args.s_max, args.n_samples)
-    columns = (v.tolist() for v in (s_values, *curve_arrays(args.t, s_values, p)))
+    phi, x_w, y_w, dxw_ds = curve_arrays(args.t, s_values, p)
+    deep = np.flatnonzero(~np.isfinite(dxw_ds))
+    if deep.size:
+        raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={_fmt(s_values[deep[0]])}")
+    columns = (v.tolist() for v in (s_values, phi, x_w, y_w, dxw_ds))
     t = float(args.t)
     rows = [CURVE_HEADER]
     for s, phi, x_w, y_w, dxw_ds in zip(*columns):
@@ -147,12 +151,12 @@ def cmd_reversals(args):
         s = seq.s_values
         if np.any((s[2:] > 0) & (np.abs(s[2:] / s[:-2] / period - 1.0) > 1e-10)):
             raise VerifyFailure("period ratio s_{n+2}/s_n violated")
-        for i in range(min(len(seq), 32)):
-            s = float(seq.s_values[i])
-            if s > 1e-280:
-                d = abs(curve_sample(args.t, s, p).dxw_ds)
-                if d > 1e-8 / s:
-                    raise VerifyFailure(f"nonzero turning derivative at reversal {i}")
+        # the heights descend, so those above 1e-280 are a prefix
+        s = seq.s_values[:32]
+        s = s[s > 1e-280]
+        bad = np.flatnonzero(np.abs(curve_arrays(args.t, s, p)[3]) > 1e-8 / s)
+        if bad.size:
+            raise VerifyFailure(f"nonzero turning derivative at reversal {bad[0]}")
     return "reversals.csv", rows, {"count": len(seq), "reason": seq.reason}
 
 

@@ -27,7 +27,6 @@ from itertools import islice
 
 import numpy as np
 
-from .localmaps import IN_V, OUT_W, BumpSpec, WallPoint, _angle_dist, _wrap_pi, psi_wv
 from .params import (
     DerivedConstants,
     ParameterError,
@@ -38,10 +37,12 @@ from .params import (
     turning_harmonic,
 )
 from .returncurve import (
+    TWO_PI,
     NoReversalsError,
+    _angle_dist,
     _exit_values,
     _pi_lattice,
-    curve_sample,
+    _wrap_pi,
     exit_curve,
     reversal_angle_set,
     turning_crossings,
@@ -50,7 +51,6 @@ from .returncurve import (
 __all__ = [
     "ResonanceError",
     "PeriodicTangencyError",
-    "return_map",
     "return_jacobian",
     "JacobianReport",
     "jacobian_report",
@@ -65,7 +65,6 @@ __all__ = [
     "find_multipulse",
 ]
 
-TWO_PI = 2.0 * math.pi
 LN_FLOOR = math.log(1e-300)
 # an eigenvalue modulus this close to 1 is not called hyperbolic
 UNIT_TOL = 1e-6
@@ -79,19 +78,6 @@ class ResonanceError(ValueError):
 
 class PeriodicTangencyError(ValueError):
     """A reversal point sits on the stable-manifold trace; strips are refused."""
-
-
-def return_map(p_in: WallPoint, p: SaddleParams, bump: BumpSpec | None = None) -> WallPoint:
-    """First-return map on the incoming wall: quarter turn after the exit curve.
-
-    Output heights <= 0 mean the orbit came back on or below the stable
-    manifold of the first node; the caller decides whether that terminates
-    the itinerary (it does for connection hunting).
-    """
-    if p_in.section != IN_V:
-        raise ValueError(f"return_map expects a point on {IN_V}, got {p_in.section}")
-    sample = curve_sample(p_in.x, p_in.y, p)
-    return psi_wv(WallPoint(section=OUT_W, x=sample.x_w, y=sample.y_w), bump)
 
 
 def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
@@ -596,10 +582,11 @@ class PulsePoint:
 def _return_chain(u, depth: int, p: SaddleParams, k: DerivedConstants) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exit angle and height (x_w, y_w) at each of ``depth + 1`` returns of the points (0, e^u).
 
-    The array form of :func:`curve_sample` and :func:`return_map` in turn,
-    on the exit-curve kernel.  An element is nan from the first return
-    whose start leaves the height range (0, eps]; an overflowing seed counts
-    as off-section.  Seeds use libm's exp, as the strip boundaries do.
+    Each return is :func:`curve_sample` on the exit-curve kernel, then the
+    quarter turn (y_w, -x_w) with the height reduced to (-pi, pi].  An
+    element is nan from the first return whose start leaves the height range
+    (0, eps]; an overflowing seed counts as off-section.  Seeds use libm's
+    exp, as the strip boundaries do.
     """
     u = np.asarray(u, dtype=float)
     y = np.array([math.exp(v) if v < 709.0 else math.inf for v in u.ravel()]).reshape(u.shape)

@@ -1,11 +1,19 @@
-"""Independent oracles: map compositions, pulse replay, return-map and
-vector-field finite differences, turning-function grid.
+"""Independent oracles: the elementary maps and their compositions, pulse
+replay, return-map and vector-field finite differences, turning-function grid.
 
 Everything here deliberately avoids the closed-form shortcuts of
 :mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
 step by step through the elementary maps (and differentiated numerically
 from there), and the turning-function range is sampled from its direct
 trigonometric form, so the two routes can be compared against each other.
+
+Each node sits in a cylindrical neighbourhood whose boundary splits into a
+wall (angle/height coordinates ``x, y``) and a top disk (polar ``r, phi``).
+Trajectories enter the first node through the wall ``In_v``, exit through
+the disk ``Out_v``, enter the second node through the disk ``In_w`` and
+exit through the wall ``Out_w``.  Angles are stored unreduced; spiral
+winding counts carry real information and reduction happens only at
+comparison sites.
 """
 
 from __future__ import annotations
@@ -16,23 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import ModelConfig, rhs
-from .localmaps import (
-    IN_V,
-    OUT_W,
-    BumpSpec,
-    WallPoint,
-    circle_dist,
-    phi_v,
-    phi_w,
-    polar_rect,
-    psi_vw,
-    psi_wv,
-    rect_polar,
-)
-from .params import SaddleParams, derive_constants
-from .returncurve import turning_function
+from .params import DerivedConstants, SaddleParams, derive_constants
+from .returncurve import TWO_PI, BumpSpec, circle_dist, turning_function, wrap_pi
 
 __all__ = [
+    "IN_V",
+    "OUT_V",
+    "IN_W",
+    "OUT_W",
+    "OnManifoldError",
+    "WallPoint",
+    "DiskPoint",
+    "RectPoint",
+    "phi_v",
+    "phi_w",
+    "psi_vw",
+    "psi_wv",
+    "polar_rect",
+    "rect_polar",
+    "flight_map_v",
+    "flight_map_w",
     "eta_composed",
     "composed_return",
     "PulseReplay",
@@ -45,6 +56,147 @@ __all__ = [
 # grid spacing h = pi / 100000 puts each sampled extremum within
 # R (1 - cos h) < 5e-10 R of the true one
 TURNING_GRID_POINTS = 100_001
+
+IN_V = "In_v"
+OUT_V = "Out_v"
+IN_W = "In_w"
+OUT_W = "Out_w"
+
+
+class OnManifoldError(ValueError):
+    """The point lies on an invariant manifold and never reaches the target section."""
+
+
+@dataclass(frozen=True)
+class WallPoint:
+    """Point on a cylinder-wall section: angle ``x`` (unreduced), height ``y``."""
+
+    section: str
+    x: float
+    y: float
+
+
+@dataclass(frozen=True)
+class DiskPoint:
+    """Point on a disk section in polar coordinates; ``phi`` unreduced."""
+
+    section: str
+    r: float
+    phi: float
+
+
+@dataclass(frozen=True)
+class RectPoint:
+    """Rectangular coordinates on a disk section."""
+
+    X: float
+    Y: float
+
+
+def phi_v(p: WallPoint, k: DerivedConstants) -> DiskPoint:
+    """Local map through the first node: wall ``In_v`` to disk ``Out_v``.
+
+    (x, y) with 0 < y <= eps is sent to (r, phi) = (c1 * y**delta_v,
+    -g_v*ln(y) + x + c2).  Heights y <= 0 lie on (or below) the stable
+    manifold and never exit.
+    """
+    if p.section != IN_V:
+        raise ValueError(f"phi_v expects a point on {IN_V}, got {p.section}")
+    if p.y <= 0.0:
+        raise OnManifoldError("point on the stable manifold of the first node (y <= 0)")
+    return DiskPoint(
+        section=OUT_V,
+        r=k.c1 * p.y**k.delta_v,
+        phi=-k.g_v * math.log(p.y) + p.x + k.c2,
+    )
+
+
+def phi_w(p: DiskPoint, k: DerivedConstants) -> WallPoint:
+    """Local map through the second node: disk ``In_w`` to wall ``Out_w``.
+
+    (r, phi) with 0 < r <= eps is sent to (x, y) = (c3 - g_w*ln(r) + phi,
+    c4 * r**delta_w); the output angle is unreduced.
+    """
+    if p.section != IN_W:
+        raise ValueError(f"phi_w expects a point on {IN_W}, got {p.section}")
+    if p.r <= 0.0:
+        raise OnManifoldError("point on the stable manifold of the second node (r <= 0)")
+    return WallPoint(
+        section=OUT_W,
+        x=k.c3 - k.g_w * math.log(p.r) + p.phi,
+        y=k.c4 * p.r**k.delta_w,
+    )
+
+
+def psi_vw(p: RectPoint, a: float) -> RectPoint:
+    """Transition between the disks: the area-preserving shear (X, Y) -> (aX, Y/a)."""
+    return RectPoint(X=a * p.X, Y=p.Y / a)
+
+
+def psi_wv(p: WallPoint, bump: BumpSpec | None = None) -> WallPoint:
+    """Transition from wall ``Out_w`` to wall ``In_v``: a quarter-turn of the chart.
+
+    The section charts are rotated against each other by pi/2, so
+    (x, y) -> (y, -x): the unstable-manifold trace {y = 0} of the second
+    node lands on the vertical segment {x = 0} of ``In_v`` and the strip
+    target [-tau, 0] in x lands on heights [0, tau].  An optional bump
+    displaces the x-coordinate before the turn, which bends the
+    stable-manifold trace {x = 0} without touching anything outside the
+    support disk.  The output height is reduced to (-pi, pi]; a value <= 0
+    means the point arrived on or below the stable manifold of the first
+    node.
+    """
+    if p.section != OUT_W:
+        raise ValueError(f"psi_wv expects a point on {OUT_W}, got {p.section}")
+    x_eff = p.x
+    if bump is not None:
+        x_eff += bump.displacement(wrap_pi(p.x), p.y)
+    return WallPoint(section=IN_V, x=p.y, y=wrap_pi(-x_eff))
+
+
+def polar_rect(p: DiskPoint) -> RectPoint:
+    return RectPoint(X=p.r * math.cos(p.phi), Y=p.r * math.sin(p.phi))
+
+
+def rect_polar(p: RectPoint, branch_hint: float, section: str = IN_W) -> DiskPoint:
+    """Convert back to polar, choosing the angle branch closest to ``branch_hint``.
+
+    The hint resolves the winding count that plain atan2 loses; it must be
+    within pi of the true unwound angle.
+    """
+    if p.X == 0.0 and p.Y == 0.0:
+        raise OnManifoldError("origin of the disk lies on the one-dimensional connection")
+    base = math.atan2(p.Y, p.X)
+    phi = base + TWO_PI * round((branch_hint - base) / TWO_PI)
+    return DiskPoint(section=section, r=math.hypot(p.X, p.Y), phi=phi)
+
+
+def flight_map_v(x: float, y: float, p: SaddleParams) -> DiskPoint:
+    """Time-of-flight oracle for :func:`phi_v` using exact exponentials.
+
+    Integrates the linear node dynamics from (rho, theta, z) = (eps, x, y)
+    until z = eps; independent of the closed-form map.
+    """
+    if y <= 0.0:
+        raise OnManifoldError("point on the stable manifold of the first node (y <= 0)")
+    flight = math.log(p.eps / y) / p.E_v
+    return DiskPoint(
+        section=OUT_V,
+        r=p.eps * math.exp(-p.C_v * flight),
+        phi=x + p.alpha_v * flight,
+    )
+
+
+def flight_map_w(r: float, phi: float, p: SaddleParams) -> WallPoint:
+    """Time-of-flight oracle for :func:`phi_w` (enter disk at z = eps, exit at rho = eps)."""
+    if r <= 0.0:
+        raise OnManifoldError("point on the stable manifold of the second node (r <= 0)")
+    flight = math.log(p.eps / r) / p.E_w
+    return WallPoint(
+        section=OUT_W,
+        x=phi - p.alpha_w * flight,
+        y=p.eps * math.exp(-p.C_w * flight),
+    )
 
 
 def eta_composed(t: float, s: float, p: SaddleParams) -> tuple[float, float]:
@@ -62,10 +214,10 @@ def eta_composed(t: float, s: float, p: SaddleParams) -> tuple[float, float]:
     return out.x, out.y
 
 
-def composed_return(point: WallPoint, p: SaddleParams, bump: BumpSpec | None = None) -> WallPoint:
+def composed_return(point: WallPoint, p: SaddleParams) -> WallPoint:
     """First-return image built through the elementary maps only."""
     x_w, y_w = eta_composed(point.x, point.y, p)
-    return psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w), bump)
+    return psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w))
 
 
 @dataclass(frozen=True)

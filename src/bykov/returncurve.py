@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .localmaps import BumpSpec, _angle_dist, _wrap_pi, wrap_pi
 from .params import (
     DerivedConstants,
     ParameterError,
@@ -64,8 +63,9 @@ __all__ = [
     "ReturnCurveSample",
     "ReversalSequence",
     "TangencyReport",
-    "stretch_sq",
-    "sheared_angle",
+    "BumpSpec",
+    "wrap_pi",
+    "circle_dist",
     "turning_function",
     "turning_level",
     "turning_crossings",
@@ -87,6 +87,58 @@ class NoReversalsError(ValueError):
     """Requested reversal-based construction on a parameter point without reversals."""
 
 
+def wrap_pi(x: float) -> float:
+    """Representative of x mod 2*pi in (-pi, pi]."""
+    r = math.fmod(x, TWO_PI)
+    if r > math.pi:
+        r -= TWO_PI
+    elif r <= -math.pi:
+        r += TWO_PI
+    return r
+
+
+def circle_dist(x: float, y: float) -> float:
+    """Distance between two angles on the circle of circumference 2*pi."""
+    return abs(wrap_pi(x - y))
+
+
+def _wrap_pi(x: np.ndarray) -> np.ndarray:
+    """Array form of :func:`wrap_pi`, bit for bit."""
+    r = np.fmod(x, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
+
+
+def _angle_dist(x: np.ndarray, x0: float) -> np.ndarray:
+    """Distances on the circle from the angles ``x`` to ``x0``, as |(x - x0 + pi) mod 2*pi - pi|."""
+    return np.abs(np.remainder(x - x0 + math.pi, TWO_PI) - math.pi)
+
+
+@dataclass(frozen=True)
+class BumpSpec:
+    """Compactly supported smooth displacement applied by the wall transition (:func:`bykov.oracles.psi_wv`).
+
+    The profile is the standard mollifier amplitude * exp(1 - 1/(1 - (d/radius)^2))
+    on the support disk of the given radius around ``center`` (cylinder
+    metric: circle distance in x, euclidean in y) and identically zero
+    outside it.
+    """
+
+    amplitude: float
+    center: tuple[float, float]
+    radius: float
+
+    def __post_init__(self) -> None:
+        if self.radius <= 0.0:
+            raise ValueError(f"bump radius must be positive, got {self.radius}")
+
+    def displacement(self, x: float, y: float) -> float:
+        d2 = circle_dist(x, self.center[0]) ** 2 + (y - self.center[1]) ** 2
+        u = d2 / (self.radius * self.radius)
+        if u >= 1.0:
+            return 0.0
+        return self.amplitude * math.exp(1.0 - 1.0 / (1.0 - u))
+
+
 def _stretch(cos, sin, a: float):
     return (a * a) * cos * cos + (sin * sin) / (a * a)
 
@@ -95,22 +147,6 @@ def _unwound(phi, cos, sin, a: float):
     k = np.floor(2.0 * phi / np.pi)
     base = np.arctan2(sin / a, a * cos)
     return base + TWO_PI * np.rint(((k + 0.5) * (np.pi / 2.0) - base) / TWO_PI)
-
-
-def stretch_sq(phi, a: float):
-    """Squared radial stretch of a unit vector at angle phi under diag(a, 1/a)."""
-    return _stretch(np.cos(phi), np.sin(phi), a)
-
-
-def sheared_angle(phi, a: float):
-    """Angle of (a cos phi, sin phi / a), unwound to the quarter turn containing phi.
-
-    The shear preserves the open quadrants, so the image angle lies in the
-    same interval [k pi/2, (k+1) pi/2] as phi; that pins the 2*pi branch.
-    """
-    arr = np.asarray(phi, dtype=float)
-    out = _unwound(arr, np.cos(arr), np.sin(arr), a)
-    return float(out) if out.ndim == 0 else out
 
 
 def turning_function(phi, p: SaddleParams):
@@ -150,10 +186,6 @@ class ReturnCurveSample:
     x_w: float
     y_w: float
     dxw_ds: float
-
-    @property
-    def x_w_mod_2pi(self) -> float:
-        return self.x_w % TWO_PI
 
 
 class ExitCurve(NamedTuple):
@@ -226,7 +258,10 @@ def curve_arrays(t: float, s, p: SaddleParams, k: DerivedConstants | None = None
     curve = exit_curve(t, np.log(s_arr), p, k)
     with np.errstate(under="ignore"):
         y_w = np.exp(curve.log_y)
-    return curve.phi, curve.x_w, y_w, curve.x_u / s_arr
+    # at subnormal s the slope overflows; the caller decides what to refuse
+    with np.errstate(over="ignore"):
+        dxw_ds = curve.x_u / s_arr
+    return curve.phi, curve.x_w, y_w, dxw_ds
 
 
 def curve_sample(t: float, s: float, p: SaddleParams, k: DerivedConstants | None = None) -> ReturnCurveSample:

@@ -17,9 +17,8 @@ import pytest
 from bykov.cli import main
 from bykov.flow import Dwell, SojournReport
 from bykov.horseshoe import PulsePoint
-from bykov.localmaps import BumpSpec
 from bykov.params import DerivedConstants, GammaRationality, Region
-from bykov.returncurve import TangencyReport
+from bykov.returncurve import BumpSpec, TangencyReport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 

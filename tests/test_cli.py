@@ -110,8 +110,11 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         (["jacobian", "--k-min", "9", "--k-max", "4"], ["k_min", "k_max"]),
         (["jacobian", "--k-min", "1030", "--k-max", "1030"], ["k_max", "y="]),
         (["jacobian", "--k-min", "1075", "--k-max", "1075"], ["k_max", "y > 0"]),
+        # the slope dx_w/ds = x_u / s overflows, which would also warn
+        (["curve", "--s-min", "1e-320", "--s-max", "1e-300", "--n-samples", "50", "--t", "100"],
+         ["s_min=1e-320", "dxw_ds", "s=1e-320"]),
     ],
-    ids=["negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y"],
+    ids=["negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y", "subnormal-s"],
 )
 def test_search_ranges_are_refused(command, fields, case1_config, tmp_path, capsys):
     out = tmp_path / "out"

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bykov.localmaps import (
+from bykov.oracles import (
     IN_V,
     IN_W,
     OUT_V,
     OUT_W,
-    BumpSpec,
     DiskPoint,
     OnManifoldError,
     RectPoint,
     WallPoint,
-    circle_dist,
     flight_map_v,
     flight_map_w,
     phi_v,
@@ -22,9 +20,9 @@ from bykov.localmaps import (
     psi_vw,
     psi_wv,
     rect_polar,
-    wrap_pi,
 )
 from bykov.params import SaddleParams, derive_constants
+from bykov.returncurve import BumpSpec, circle_dist, wrap_pi
 from conftest import random_admissible
 
 

@@ -1,11 +1,13 @@
+import ast
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bykov import flow, horseshoe, localmaps, oracles, params, returncurve
+from bykov import flow, horseshoe, oracles, params, returncurve
 from bykov.params import (
     ParameterError,
     SaddleParams,
@@ -129,8 +131,8 @@ PUBLIC_SIGNATURES = {
         "load_saddle_params": ("source",),
     },
     returncurve: {
-        "stretch_sq": ("phi", "a"),
-        "sheared_angle": ("phi", "a"),
+        "wrap_pi": ("x",),
+        "circle_dist": ("x", "y"),
         "turning_function": ("phi", "p"),
         "turning_level": ("p",),
         "turning_crossings": ("p",),
@@ -143,7 +145,6 @@ PUBLIC_SIGNATURES = {
         "find_tangency": ("x0", "t", "n_max", "p"),
     },
     horseshoe: {
-        "return_map": ("p_in", "p", "bump"),
         "return_jacobian": ("x", "y", "p"),
         "jacobian_report": ("x", "y", "p"),
         "detect_periodic_tangency": ("p", "x0"),
@@ -163,19 +164,17 @@ PUBLIC_SIGNATURES = {
         "sojourn_analysis": ("series", "neighborhood_radius"),
         "invariant_subspace_residuals": ("series", "config"),
     },
-    localmaps: {
+    oracles: {
         "phi_v": ("p", "k"),
         "phi_w": ("p", "k"),
         "psi_vw": ("p", "a"),
         "psi_wv": ("p", "bump"),
         "polar_rect": ("p",),
         "rect_polar": ("p", "branch_hint", "section"),
-        "wrap_pi": ("x",),
-        "circle_dist": ("x", "y"),
-    },
-    oracles: {
+        "flight_map_v": ("x", "y", "p"),
+        "flight_map_w": ("r", "phi", "p"),
         "eta_composed": ("t", "s", "p"),
-        "composed_return": ("point", "p", "bump"),
+        "composed_return": ("point", "p"),
         "replay_pulse": ("s0", "n", "p", "x0"),
         "return_jacobian_fd": ("x", "y", "p"),
         "numeric_jacobian": ("config", "state", "h"),
@@ -189,6 +188,42 @@ def test_public_signatures(module):
     public = {name: getattr(module, name) for name in module.__all__}
     got = {name: tuple(inspect.signature(fn).parameters) for name, fn in public.items() if inspect.isfunction(fn)}
     assert got == PUBLIC_SIGNATURES[module]
+
+
+# the oracles that ``bykov <command> --verify`` replays; nothing else in
+# production may import from bykov.oracles, which holds the elementary maps
+VERIFY_ORACLES = {"eta_composed", "replay_pulse", "return_jacobian_fd", "turning_range_grid"}
+BYKOV_MODULES = {"__init__", "params", "returncurve", "horseshoe", "flow", "oracles"}
+
+
+def _bykov_imports(path: Path) -> set[tuple[str, str]]:
+    """(bykov module, imported name) for every import of the package in a source file.
+
+    A whole module m, as in ``import bykov.m`` or ``from . import m``, is (m, "*").
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name.partition(".") for a in node.names]
+            found |= {(sub or "__init__", "*") for pkg, _, sub in names if pkg == "bykov"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "bykov"):
+            module = node.module if node.level else node.module.partition(".")[2]
+            if module:
+                found |= {(module, a.name) for a in node.names}
+            else:
+                found |= {(a.name, "*") if a.name in BYKOV_MODULES else ("__init__", a.name) for a in node.names}
+    return found
+
+
+PRODUCTION_SOURCES = [p for p in sorted(Path(params.__file__).parent.glob("*.py")) if p.stem != "oracles"]
+
+
+@pytest.mark.parametrize("path", PRODUCTION_SOURCES, ids=lambda p: p.name)
+def test_production_imports_no_elementary_map(path):
+    imports = _bykov_imports(path)
+    assert {module for module, _ in imports} <= BYKOV_MODULES
+    from_oracles = {name for module, name in imports if module == "oracles"}
+    assert from_oracles == (VERIFY_ORACLES if path.stem == "cli" else set())
 
 
 def test_classify_a_equals_one():

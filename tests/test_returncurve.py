@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bykov.localmaps import circle_dist
 from bykov.oracles import eta_composed, turning_range_grid
 from bykov.params import ParameterError, SaddleParams, classify_region, derive_constants, turning_harmonic
 from bykov.returncurve import (
@@ -16,6 +15,9 @@ from bykov.returncurve import (
     NoReversalsError,
     _exit_values,
     _reversal_entries,
+    _stretch,
+    _unwound,
+    circle_dist,
     curve_arrays,
     curve_sample,
     exit_curve,
@@ -23,15 +25,25 @@ from bykov.returncurve import (
     reversal_angle_set,
     reversal_sequence,
     rotation_identity_residual,
-    sheared_angle,
-    stretch_sq,
     turning_crossings,
     turning_function,
     turning_level,
+    wrap_pi,
 )
 from conftest import admissible_params, random_admissible
 
 TWO_PI = 2.0 * math.pi
+
+
+def stretch_sq(phi, a):
+    """Squared radial stretch of a unit vector at angle phi under diag(a, 1/a)."""
+    return _stretch(np.cos(phi), np.sin(phi), a)
+
+
+def sheared_angle(phi, a):
+    """Angle of (a cos phi, sin phi / a), unwound to the quarter turn containing phi."""
+    phi = np.asarray(phi, dtype=float)
+    return _unwound(phi, np.cos(phi), np.sin(phi), a)
 
 
 def unwound_angle_oracle(phi: float, a: float, steps: int = 4096) -> float:
@@ -355,8 +367,6 @@ def test_find_tangency_creates_second_order_contact(dense_params):
     trace {x + b(x, y) = x0} must vanish at the chosen reversal point with
     zero slope and same-sign quadratic tails (touch without crossing).
     """
-    from bykov.localmaps import wrap_pi
-
     rep = find_tangency(0.0, 0.0, 60, dense_params)
     s_star = math.exp(rep.log_s_best)
 
@@ -661,7 +671,7 @@ def test_exit_curve_partials_match_centred_differences(p, t, depth):
 
 
 def _kernel_reference(t, u, p, k):
-    """x_w and ln y_w in the kernel's operation order, from the public stretch_sq and sheared_angle."""
+    """x_w and ln y_w in the kernel's operation order, from the test-local stretch_sq and sheared_angle."""
     u = np.asarray(u, dtype=float)
     phi = -k.g_v * u + t + k.c2
     ln_c = np.log(stretch_sq(phi, p.a))
