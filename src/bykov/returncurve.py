@@ -256,12 +256,9 @@ def curve_arrays(t: float, s, p: SaddleParams, k: DerivedConstants | None = None
     if np.any(s_arr <= 0.0):
         raise ValueError("curve parameter s must be strictly positive")
     curve = exit_curve(t, np.log(s_arr), p, k)
-    with np.errstate(under="ignore"):
-        y_w = np.exp(curve.log_y)
     # at subnormal s the slope overflows; the caller decides what to refuse
-    with np.errstate(over="ignore"):
-        dxw_ds = curve.x_u / s_arr
-    return curve.phi, curve.x_w, y_w, dxw_ds
+    with np.errstate(under="ignore", over="ignore"):
+        return curve.phi, curve.x_w, np.exp(curve.log_y), curve.x_u / s_arr
 
 
 def curve_sample(t: float, s: float, p: SaddleParams, k: DerivedConstants | None = None) -> ReturnCurveSample:
