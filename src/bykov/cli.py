@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .flow import (
+    SAMPLE_SPACING,
     chirality_check,
     integrate,
     invariant_subspace_residuals,
@@ -48,8 +49,8 @@ from .horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from .oracles import eta_composed, replay_pulse, return_jacobian_fd, turning_range_grid
-from .params import Q_MAX, RATIONALITY_TOL, ParameterError, classify_region, derive_constants, load_saddle_params
+from .oracles import OnManifoldError, eta_composed, replay_pulse, return_jacobian_fd, turning_range_grid
+from .params import ParameterError, classify_region, load_saddle_params
 from .returncurve import curve_arrays, find_tangency, reversal_sequence
 
 EXIT_OK = 0
@@ -83,10 +84,24 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cell(value) -> str:
+    return value if isinstance(value, str) else str(value) if isinstance(value, int) else _fmt(value)
+
+
+def _csv(header: str, *columns) -> list[str]:
+    """Rows of a CSV artifact: strings and ints as they are, floats through :func:`_fmt`."""
+    return [header] + [",".join(map(_cell, row)) for row in zip(*columns)]
+
+
+def _too_deep(args, s: float, exc: OnManifoldError) -> ParameterError:
+    """The --verify oracle cannot represent the point at s: a field-level refusal."""
+    return ParameterError(f"s_min={args.s_min} is too deep for --verify: the oracle cannot represent s={_fmt(s)}: {exc}")
+
+
 def cmd_classify(args):
     p = load_saddle_params(args.config)
-    region = classify_region(p, rationality_tol=args.rationality_tol, q_max=args.q_max)
-    doc = {**vars(region), "constants": derive_constants(p)}
+    region = classify_region(p)
+    doc = {**vars(region), "constants": p.constants}
     if args.verify:
         # the grid must stay inside the closed-form range and reach both ends
         # to within its spacing error (< 5e-10 R, see bykov.oracles)
@@ -115,15 +130,15 @@ def cmd_curve(args):
     deep = np.flatnonzero(~np.isfinite(dxw_ds))
     if deep.size:
         raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={_fmt(s_values[deep[0]])}")
-    columns = (v.tolist() for v in (s_values, phi, x_w, y_w, dxw_ds))
-    t = float(args.t)
-    rows = [CURVE_HEADER]
-    for s, phi, x_w, y_w, dxw_ds in zip(*columns):
-        rows.append(",".join(_fmt(v) for v in (s, t, phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)))
-        if args.verify:
-            x_c, y_c = eta_composed(args.t, s, p)
-            y_ok = abs(y_c) < 1e-250 or abs(y_w / y_c - 1.0) < 1e-9
-            if abs(x_w - x_c) > 1e-9 or not y_ok:
+    rows = _csv(CURVE_HEADER, s_values, [args.t] * len(s_values), phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)
+    if args.verify:
+        for s, x, y in zip(s_values.tolist(), x_w.tolist(), y_w.tolist()):
+            try:
+                x_c, y_c = eta_composed(args.t, s, p)
+            except OnManifoldError as exc:
+                raise _too_deep(args, s, exc) from exc
+            y_ok = abs(y_c) < 1e-250 or abs(y / y_c - 1.0) < 1e-9
+            if abs(x - x_c) > 1e-9 or not y_ok:
                 raise VerifyFailure(f"curve row at s={s} disagrees with the composition oracle")
     return "curve.csv", rows, {"n_samples": args.n_samples}
 
@@ -131,23 +146,10 @@ def cmd_curve(args):
 def cmd_reversals(args):
     p = load_saddle_params(args.config)
     seq = reversal_sequence(args.t, args.n_max, p)
-    rows = ["n,s,log_s,phi,x_w,x_w_mod_2pi,kind"]
-    for i in range(len(seq)):
-        rows.append(
-            ",".join(
-                [
-                    str(i),
-                    _fmt(seq.s_values[i]),
-                    _fmt(seq.log_s_values[i]),
-                    _fmt(seq.phi_values[i]),
-                    _fmt(seq.x_values[i]),
-                    _fmt(seq.x_values[i] % (2 * math.pi)),
-                    seq.kinds[i],
-                ]
-            )
-        )
+    columns = (seq.s_values, seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % (2 * math.pi))
+    rows = _csv("n,s,log_s,phi,x_w,x_w_mod_2pi,kind", range(len(seq)), *columns, seq.kinds)
     if args.verify and len(seq) >= 3:
-        period = math.exp(-math.pi / derive_constants(p).g_v)
+        period = math.exp(-math.pi / p.constants.g_v)
         s = seq.s_values
         if np.any((s[2:] > 0) & (np.abs(s[2:] / s[:-2] / period - 1.0) > 1e-10)):
             raise VerifyFailure("period ratio s_{n+2}/s_n violated")
@@ -173,14 +175,10 @@ def cmd_tangency(args):
 def cmd_strips(args):
     p = load_saddle_params(args.config)
     family = build_strips(args.tau, args.n_limit, p)
-    rows = [STRIPS_HEADER]
-    for strip in family.strips:
-        for i, t in enumerate(strip.t_grid):
-            rows.append(
-                ",".join(
-                    [str(strip.index), _fmt(t), _fmt(strip.a_of_t[i]), _fmt(strip.b_of_t[i])]
-                )
-            )
+    strips = family.strips
+    index = [strip.index for strip in strips for _ in strip.t_grid]
+    t, a, b = ([v for strip in strips for v in getattr(strip, name)] for name in ("t_grid", "a_of_t", "b_of_t"))
+    rows = _csv(STRIPS_HEADER, index, t, a, b)
     diagnostics = {
         "case": family.case,
         "tau": family.tau,
@@ -203,8 +201,8 @@ def cmd_jacobian(args):
     p = load_saddle_params(args.config)
     if args.k_min > args.k_max:
         raise ParameterError(f"need k_min <= k_max, got k_min={args.k_min}, k_max={args.k_max}")
-    derive_constants(p)  # a config error surfaces here, not as a height of the sweep
-    rows = [JACOBIAN_HEADER]
+    p.constants  # a config error surfaces here, not as a height of the sweep
+    reports = []
     worst_miss = 0.0
     for kk in range(args.k_min, args.k_max + 1):
         y = 2.0**-kk
@@ -225,8 +223,9 @@ def cmd_jacobian(args):
             if miss > 1e-5:
                 raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
             worst_miss = max(worst_miss, miss)
-        rows.append(",".join([_fmt(rep.x), _fmt(rep.y), _fmt(rep.det), _fmt(rep.trace), rep.eigen_class]))
-    diagnostics: dict = {"count": len(rows) - 1}
+        reports.append((rep.x, rep.y, rep.det, rep.trace, rep.eigen_class))
+    rows = _csv(JACOBIAN_HEADER, *zip(*reports))
+    diagnostics: dict = {"count": len(reports)}
     if args.verify:
         diagnostics["oracle_rel_error"] = worst_miss
     return "jacobian.csv", rows, diagnostics
@@ -240,7 +239,10 @@ def cmd_multipulse(args):
     points = find_multipulse(args.n, p, x0=args.x0, s_window=window)
     if args.verify:
         for pt in points:
-            replay = replay_pulse(pt.s, pt.n, p, x0=args.x0)
+            try:
+                replay = replay_pulse(pt.s, pt.n, p, x0=args.x0)
+            except OnManifoldError as exc:
+                raise _too_deep(args, pt.s, exc) from exc
             if replay.residual > 1e-8:
                 raise VerifyFailure(f"pulse replay misses the trace by {replay.residual}")
     return "multipulse.json", points, {"count": len(points)}
@@ -291,8 +293,8 @@ def cmd_simulate(args):
             if resid > 1e-12:
                 raise VerifyFailure(f"x3 = 0 subspace drift {resid}")
         spacing = float(np.max(np.linalg.norm(np.diff(series.states, axis=0), axis=1)))
-        if spacing > 0.05:
-            raise VerifyFailure(f"sample spacing {spacing} exceeds 0.05")
+        if spacing > SAMPLE_SPACING:
+            raise VerifyFailure(f"sample spacing {spacing} exceeds {SAMPLE_SPACING}")
     return "trajectory.csv", rows, diagnostics
 
 
@@ -358,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="region classification of a parameter point")
     common(sp)
-    sp.add_argument("--rationality-tol", type=float, default=RATIONALITY_TOL)
-    sp.add_argument("--q-max", type=int, default=Q_MAX)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("curve", help="exit-curve samples as CSV")

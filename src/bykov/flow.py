@@ -24,11 +24,11 @@ same operations in the same order, so both see the same bits.
 
 Integration uses a Dormand-Prince 5(4) embedded pair with FSAL, PI-free
 elementary step control, and a velocity cap that keeps consecutive output
-samples closer than 0.05 in state norm without interpolation.  One step,
-written out over four coordinate slots held in local variables, serves
-all three models: the 3D model's fourth slot is 0.0 with derivative 0.0.
-A run that leaves a coordinate exactly 0.0 after it started nonzero is
-flagged in ``TrajectorySeries.collapse``.
+samples closer than ``SAMPLE_SPACING`` in state norm without
+interpolation.  One step, written out over four coordinate slots held in
+local variables, serves all three models: the 3D model's fourth slot is
+0.0 with derivative 0.0.  A run that leaves a coordinate exactly 0.0
+after it started nonzero is flagged in ``TrajectorySeries.collapse``.
 """
 
 from __future__ import annotations
@@ -63,12 +63,16 @@ W_POLE = (0.0, 0.0, 0.0, -1.0)
 
 # largest integration step
 H_MAX = 1.0
+# largest state-norm distance between consecutive output samples
+SAMPLE_SPACING = 0.05
 # |r^2 - 1| that counts as on the sphere, and the time allowed after first
 # reaching it for the radial transient to die out
 SPHERE_BAND = 1e-3
 SPHERE_SETTLE = 8.0
-# distance from a pole within which the angular velocity is sampled
+# distance from a pole within which the angular velocity is sampled, and
+# the least x1^2 + x2^2 at which it is measured
 CHIRALITY_RADIUS = 0.2
+PLANE_FLOOR = 1e-20
 # leading dwells dropped as transient
 DWELL_DISCARD = 2
 
@@ -275,13 +279,12 @@ def integrate(
     atol: float = 1e-12,
     *,
     config: ModelConfig,
-    max_sample_spacing: float = 0.05,
 ) -> TrajectorySeries:
     """Adaptive Dormand-Prince 5(4) integration over [0, T].
 
     Every accepted step is an output sample; the step size is capped at
     ``H_MAX`` and so that consecutive samples differ by less than
-    ``max_sample_spacing`` in state norm, which keeps the series dense
+    ``SAMPLE_SPACING`` in state norm, which keeps the series dense
     without interpolation error.  States are never projected back onto the
     sphere: sphere invariance is one of the things being measured.
     Step-size underflow returns the partial series with a failure marker.
@@ -321,7 +324,7 @@ def integrate(
     max_err = 0.0
     err_budget = 0.0
     failure = None
-    margin = 0.9 * max_sample_spacing
+    margin = 0.9 * SAMPLE_SPACING
     # stop within an ulp-scale sliver of the horizon: adding a remainder
     # below ulp(t) would stall the loop
     while T - t > 1e-12 * max(1.0, T):
@@ -404,7 +407,7 @@ def integrate(
         ) / dim)
         w = (w1, w2, w3, w4)
         dy = math.dist(y, w)
-        if err <= 1.0 and dy <= max_sample_spacing:
+        if err <= 1.0 and dy <= SAMPLE_SPACING:
             t += h
             y = w
             y1, y2, y3, y4 = w
@@ -421,8 +424,8 @@ def integrate(
         else:
             # a nan estimate (a non-finite stage) is a rejection that shrinks h
             factor = 5.0 if err == 0.0 else 0.2
-        if dy > max_sample_spacing:
-            factor = min(factor, 0.7 * max_sample_spacing / dy)
+        if dy > SAMPLE_SPACING:
+            factor = min(factor, 0.7 * SAMPLE_SPACING / dy)
         h *= min(5.0, max(0.2, factor))
     times = np.array(times)
     # the 3D model's fourth slot is dropped
@@ -497,17 +500,13 @@ class ChiralityReport:
     max_identity_residual: float
 
 
-def chirality_check(
-    config: ModelConfig,
-    series: TrajectorySeries,
-    plane_floor: float = 1e-20,
-) -> ChiralityReport:
+def chirality_check(config: ModelConfig, series: TrajectorySeries) -> ChiralityReport:
     """Compare the angular-velocity sign near the two poles.
 
     theta' = (x1 x2' - x2 x1') / (x1^2 + x2^2) is evaluated on trajectory
-    samples within ``CHIRALITY_RADIUS`` of each pole; the verdict is
-    "different" when the signs are opposite throughout, "same" when they
-    agree throughout.
+    samples within ``CHIRALITY_RADIUS`` of each pole where x1^2 + x2^2
+    exceeds ``PLANE_FLOOR``; the verdict is "different" when the signs are
+    opposite throughout, "same" when they agree throughout.
     The algebraic identity x1 x2' - x2 x1' = rot * (x1^2 + x2^2) (rot = x4
     for the lift with chirality, rot = 1 for the control lift) is asserted
     pointwise along the whole series.
@@ -525,7 +524,7 @@ def chirality_check(
         rot = 1.0 if config.model == "example4d_same_lift" else x4
         # fmax skips nan residuals, as the builtin max did
         max_resid = float(np.fmax.reduce(np.abs(cross - rot * plane), initial=0.0))
-    measurable = plane > plane_floor
+    measurable = plane > PLANE_FLOOR
     signs = {}
     ranges = {}
     counts = {}
@@ -541,21 +540,13 @@ def chirality_check(
             if len(theta_dot)
             else (math.inf, -math.inf)
         )
-    if counts["v"] == 0 or counts["w"] == 0:
-        return ChiralityReport(
-            verdict="inconclusive",
-            message="no trajectory samples near one of the equilibria; integrate longer",
-            theta_dot_near_v=ranges["v"],
-            theta_dot_near_w=ranges["w"],
-            samples_near_v=counts["v"],
-            samples_near_w=counts["w"],
-            max_identity_residual=max_resid,
-        )
     v_pos = bool(np.all(signs["v"] > 0))
     v_neg = bool(np.all(signs["v"] < 0))
     w_pos = bool(np.all(signs["w"] > 0))
     w_neg = bool(np.all(signs["w"] < 0))
-    if (v_pos and w_neg) or (v_neg and w_pos):
+    if counts["v"] == 0 or counts["w"] == 0:
+        verdict, msg = "inconclusive", "no trajectory samples near one of the equilibria; integrate longer"
+    elif (v_pos and w_neg) or (v_neg and w_pos):
         verdict, msg = "different", "angular velocity changes sign between the nodes"
     elif (v_pos and w_pos) or (v_neg and w_neg):
         verdict, msg = "same", "angular velocity keeps its sign at both nodes"

@@ -28,12 +28,10 @@ from itertools import islice
 import numpy as np
 
 from .params import (
-    DerivedConstants,
     ParameterError,
     Region,
     SaddleParams,
     classify_region,
-    derive_constants,
     turning_harmonic,
 )
 from .returncurve import (
@@ -306,8 +304,8 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
-    k = derive_constants(p)
-    if abs(k.gamma - 1.0) < 1e-12:
+    gamma = p.constants.gamma
+    if abs(gamma - 1.0) < 1e-12:
         raise ResonanceError("gamma = 1 resonance is detected and rejected, not analysed")
     if not 0.0 < tau <= min(math.pi, p.eps):
         raise ValueError(f"tau must lie in (0, min(pi, eps)], got {tau}")
@@ -338,11 +336,11 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
 
     for grid_n in (33, 129):
         t_grid = np.linspace(0.0, tau_eff, grid_n)
-        strips = _collect_strips(tau_eff, n_limit, p, k, case, period, t_grid, endpoint_margin)
+        strips = _collect_strips(tau_eff, n_limit, p, case, period, t_grid, endpoint_margin)
         family = StripFamily(
             tau=tau_eff,
             case=case,
-            gamma=k.gamma,
+            gamma=gamma,
             strips=tuple(strips),
             notes=tuple(notes),
         )
@@ -356,7 +354,6 @@ def _collect_strips(
     tau: float,
     n_limit: int,
     p: SaddleParams,
-    k: DerivedConstants,
     case: str,
     period: list[tuple[float, float, int]],
     t_grid: np.ndarray,
@@ -372,11 +369,12 @@ def _collect_strips(
     each bracket stops on its own, so the strips are those of solving one
     candidate at a time.
     """
+    k = p.constants
     increasing = k.gamma > 1.0
     n = len(t_grid)
 
     def x_at(u):
-        return _exit_values(t_grid, u, p, k).x_w
+        return _exit_values(t_grid, u, p).x_w
 
     def targets_for(winding: int) -> tuple[float, float]:
         # a-boundary carries the -tau residue for increasing exit angle,
@@ -396,7 +394,7 @@ def _collect_strips(
         # the rectangle width already
         frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
         u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
-        return not _exit_values(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau)
+        return not _exit_values(t_grid[0], u_est, p).log_y > math.log(4.0 * tau)
 
     def candidates():
         """(winding, u_los, u_his) of every gated candidate, in construction order."""
@@ -452,7 +450,7 @@ def _collect_strips(
         targets = np.repeat([targets_for(w) for w in windings], n)
         t_all = np.tile(t_grid, 2 * m)
         u_ab = _bisect(
-            lambda u: _exit_values(t_all, u, p, k).x_w,
+            lambda u: _exit_values(t_all, u, p).x_w,
             targets,
             np.repeat(u_los, 2, axis=0).ravel(),
             np.repeat(u_his, 2, axis=0).ravel(),
@@ -471,7 +469,7 @@ def _collect_strips(
         # a whole call when any of its steps is zero
         s_chk = np.stack([np.linspace(a, b, 5) for a, b in zip(a_vals, b_vals)])
         with np.errstate(under="ignore"):
-            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p, k).log_y)
+            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
         for w, a, b, h in zip(windings, a_vals, b_vals, heights):
             if not np.any(h > tau):
                 strips.append(Strip(index=len(strips), winding=w, t_grid=t_grid.copy(), a_of_t=a, b_of_t=b))
@@ -487,7 +485,6 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     """
     if not family.strips:
         return []
-    k = derive_constants(p)
     increasing = family.gamma > 1.0
     lo_res = -family.tau if increasing else 0.0
     hi_res = 0.0 if increasing else -family.tau
@@ -500,12 +497,12 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     # out-of-order samples are reported as such; evaluate them at eps
     a = np.where(ordered, a, p.eps)
     b = np.where(ordered, b, p.eps)
-    x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p, k).x_w, 2)
+    x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p).x_w, 2)
     miss_a = _angle_dist(x_a, lo_res) > 1e-9
     miss_b = _angle_dist(x_b, hi_res) > 1e-9
     # dx_w/ds = x_u / s has the sign of x_u
     fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
-    slope = exit_curve(t, np.log(a + fracs * (b - a)), p, k).x_u
+    slope = exit_curve(t, np.log(a + fracs * (b - a)), p).x_u
     wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
     out: list[str] = []
     for i in np.flatnonzero(~ordered | miss_a | miss_b | wrong).tolist():
@@ -539,7 +536,6 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     """
     if not family.strips:
         return []
-    k = derive_constants(p)
     ts, ss = [], []
     for strip in family.strips:
         t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
@@ -547,7 +543,7 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
         ts.append(np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], 33)]))
         ss.append(np.concatenate([a, b, np.linspace(a[edges], b[edges], 33, axis=1).ravel()]))
     starts = np.cumsum([0] + [len(t) for t in ts[:-1]])
-    curve = _exit_values(np.concatenate(ts), np.log(np.concatenate(ss)), p, k)
+    curve = _exit_values(np.concatenate(ts), np.log(np.concatenate(ss)), p)
     # the return map is (x, y) -> (y_w, -x_w) with the height reduced
     with np.errstate(under="ignore"):
         xs = np.exp(curve.log_y)
@@ -579,7 +575,7 @@ class PulsePoint:
     trace: tuple[tuple[float, float], ...]
 
 
-def _return_chain(u, depth: int, p: SaddleParams, k: DerivedConstants) -> list[tuple[np.ndarray, np.ndarray]]:
+def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exit angle and height (x_w, y_w) at each of ``depth + 1`` returns of the points (0, e^u).
 
     Each return is :func:`curve_sample` on the exit-curve kernel, then the
@@ -595,7 +591,7 @@ def _return_chain(u, depth: int, p: SaddleParams, k: DerivedConstants) -> list[t
     with np.errstate(under="ignore"):
         for _ in range(depth + 1):
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
-            curve = _exit_values(x, np.log(y), p, k)
+            curve = _exit_values(x, np.log(y), p)
             steps.append((curve.x_w, np.exp(curve.log_y)))
             x, y = steps[-1][1], _wrap_pi(-curve.x_w)
     return steps
@@ -626,7 +622,7 @@ def find_multipulse(
         raise ValueError(f"pulse count must be at least 2, got {n}")
     if s_window is not None and not 0.0 < s_window[0] < min(s_window[1], p.eps):
         raise ParameterError(f"s_window must satisfy 0 < s_min < min(s_max, eps), got {s_window}, eps={p.eps}")
-    k = derive_constants(p)
+    k = p.constants
     u_hi = math.log(p.eps) - 1e-12
     if s_window is not None:
         u_lo = math.log(s_window[0])
@@ -636,7 +632,7 @@ def find_multipulse(
         u_lo = max(u_hi - (8.0 * math.pi / max(drift, 1e-3)) - TWO_PI / k.g_v, LN_FLOOR / 4)
 
     def angle(u, depth: int) -> np.ndarray:
-        return _return_chain(u, depth, p, k)[-1][0]
+        return _return_chain(u, depth, p)[-1][0]
 
     def solve_level(depth: int, a: float, b: float, refine_to: float | None) -> list[float]:
         """Crossing parameters of the depth-th image curve inside [a, b]."""
@@ -717,7 +713,7 @@ def find_multipulse(
             if len(next_roots) >= max_points * 2:
                 break
         roots = next_roots
-    chain = _return_chain(roots, n - 2, p, k)
+    chain = _return_chain(roots, n - 2, p)
     residual = np.abs(_wrap_pi(chain[-1][0] - x0))
     # an orbit that left the section has a nan residual; roots hugging the
     # accumulation edge cannot be resolved to the contract tolerance in

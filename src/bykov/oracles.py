@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import ModelConfig, rhs
-from .params import DerivedConstants, SaddleParams, derive_constants
+from .params import DerivedConstants, SaddleParams
 from .returncurve import TWO_PI, BumpSpec, circle_dist, turning_function, wrap_pi
 
 __all__ = [
@@ -158,8 +158,8 @@ def polar_rect(p: DiskPoint) -> RectPoint:
     return RectPoint(X=p.r * math.cos(p.phi), Y=p.r * math.sin(p.phi))
 
 
-def rect_polar(p: RectPoint, branch_hint: float, section: str = IN_W) -> DiskPoint:
-    """Convert back to polar, choosing the angle branch closest to ``branch_hint``.
+def rect_polar(p: RectPoint, branch_hint: float) -> DiskPoint:
+    """Convert back to polar on ``In_w``, choosing the angle branch closest to ``branch_hint``.
 
     The hint resolves the winding count that plain atan2 loses; it must be
     within pi of the true unwound angle.
@@ -168,7 +168,7 @@ def rect_polar(p: RectPoint, branch_hint: float, section: str = IN_W) -> DiskPoi
         raise OnManifoldError("origin of the disk lies on the one-dimensional connection")
     base = math.atan2(p.Y, p.X)
     phi = base + TWO_PI * round((branch_hint - base) / TWO_PI)
-    return DiskPoint(section=section, r=math.hypot(p.X, p.Y), phi=phi)
+    return DiskPoint(section=IN_W, r=math.hypot(p.X, p.Y), phi=phi)
 
 
 def flight_map_v(x: float, y: float, p: SaddleParams) -> DiskPoint:
@@ -206,11 +206,10 @@ def eta_composed(t: float, s: float, p: SaddleParams) -> tuple[float, float]:
     hint: the shear maps each open quadrant to itself, so the unwound image
     angle stays within a quarter turn of the input.
     """
-    k = derive_constants(p)
-    disk = phi_v(WallPoint(section=IN_V, x=t, y=s), k)
+    disk = phi_v(WallPoint(section=IN_V, x=t, y=s), p.constants)
     sheared = psi_vw(polar_rect(disk), p.a)
     unwound = rect_polar(sheared, branch_hint=disk.phi)
-    out = phi_w(unwound, k)
+    out = phi_w(unwound, p.constants)
     return out.x, out.y
 
 
@@ -285,8 +284,9 @@ def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray,
     return (4.0 * fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse)))
 
 
-def numeric_jacobian(config: ModelConfig, state, h: float = 1e-6) -> np.ndarray:
-    """Centered finite-difference Jacobian of the vector field at a state."""
+def numeric_jacobian(config: ModelConfig, state) -> np.ndarray:
+    """Centered finite-difference Jacobian of the vector field at a state, step 1e-6."""
+    h = 1e-6
     state = np.asarray(state, dtype=float)
     n = len(state)
     J = np.empty((n, n))

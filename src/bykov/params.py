@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 __all__ = [
@@ -46,8 +47,10 @@ REGION_TAGS = (
     "DenseReversals_D",
 )
 
-# The rationality policy: gamma counts as rational when a convergent p/q
-# with q <= Q_MAX lies within RATIONALITY_TOL of it (see classify_region).
+# The one rationality policy: gamma counts as rational when a convergent
+# p/q with q <= Q_MAX lies within RATIONALITY_TOL of it.  By Dirichlet's
+# theorem every gamma has a p/q, q <= Q_MAX, within 1/(q Q_MAX), so past
+# Q_MAX**2 * RATIONALITY_TOL = 0.01 nearly every gamma would count as rational.
 RATIONALITY_TOL = 1e-10
 Q_MAX = 10**4
 
@@ -90,6 +93,11 @@ class SaddleParams:
     def to_dict(self) -> dict[str, float]:
         return {name: float(getattr(self, name)) for name in SADDLE_FIELDS}
 
+    @cached_property
+    def constants(self) -> DerivedConstants:
+        """The point's :class:`DerivedConstants`, computed on first use and kept."""
+        return derive_constants(self)
+
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -114,8 +122,6 @@ def derive_constants(p: SaddleParams) -> DerivedConstants:
     two nodes have different chirality, so the angular rate at the second
     node enters with the opposite sign.
     """
-    if not isinstance(p, SaddleParams):
-        p = SaddleParams(**dict(p))
     delta_v = p.C_v / p.E_v
     delta_w = p.C_w / p.E_w
     log_eps = math.log(p.eps)
@@ -160,17 +166,15 @@ class GammaRationality:
     q_max: int
 
 
-def is_gamma_rational(gamma: float, tol: float = RATIONALITY_TOL, q_max: int = Q_MAX) -> GammaRationality:
+def is_gamma_rational(gamma: float) -> GammaRationality:
     """Continued-fraction surrogate for the undecidable irrationality test.
 
-    Walks the convergents p/q of gamma with q <= q_max and reports the best
-    one; gamma counts as rational when the best error is below ``tol``.
-    Any pair is accepted here; :func:`classify_region` holds the guard.
+    Walks the convergents p/q of gamma with q <= Q_MAX and reports the best
+    one; gamma counts as rational when the best error is below
+    ``RATIONALITY_TOL``.
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    if q_max < 1:
-        raise ParameterError(f"q_max must be >= 1, got {q_max}")
     p_prev, q_prev = 1, 0
     p_cur, q_cur = int(math.floor(gamma)), 1
     best_p, best_q = p_cur, q_cur
@@ -184,19 +188,19 @@ def is_gamma_rational(gamma: float, tol: float = RATIONALITY_TOL, q_max: int = Q
         x -= digit
         p_next = digit * p_cur + p_prev
         q_next = digit * q_cur + q_prev
-        if q_next > q_max:
+        if q_next > Q_MAX:
             break
         err = abs(gamma - p_next / q_next)
         if err < best_err:
             best_err, best_p, best_q = err, p_next, q_next
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
     return GammaRationality(
-        is_rational_within_tol=bool(best_err < tol),
+        is_rational_within_tol=bool(best_err < RATIONALITY_TOL),
         p=best_p,
         q=best_q,
         error=best_err,
-        tol=tol,
-        q_max=q_max,
+        tol=RATIONALITY_TOL,
+        q_max=Q_MAX,
     )
 
 
@@ -234,25 +238,16 @@ def turning_level(p: SaddleParams) -> float:
     return p.alpha_v * p.E_w / p.alpha_w
 
 
-def classify_region(p: SaddleParams, rationality_tol: float = RATIONALITY_TOL, q_max: int = Q_MAX) -> Region:
+def classify_region(p: SaddleParams) -> Region:
     """Place the parameter point in one of the five reversal regions.
 
     Membership is decided by the extrema condition a_min < K < a_max, i.e.
     |K - m| < R with the exact harmonic form of :func:`turning_harmonic`;
     shear a = 1 short-circuits to the no-reversal tag because the exit
-    coordinates are then monotone regardless of K.  Inside B the rationality
-    policy picks the tag.  By Dirichlet's theorem every gamma has a p/q,
-    q <= q_max, within 1/(q q_max), so a pair with q_max**2 * rationality_tol
-    > 0.01 would call nearly every gamma rational and is refused, as is a
-    tolerance that is not positive.
+    coordinates are then monotone regardless of K.  Inside B the one
+    rationality policy (``RATIONALITY_TOL``, ``Q_MAX``) picks the tag.
     """
-    if not 0.0 < q_max**2 * rationality_tol <= 0.01:
-        raise ParameterError(
-            f"rationality_tol={rationality_tol} and q_max={q_max} must satisfy "
-            "0 < q_max**2 * rationality_tol <= 0.01 to tell rational from irrational gamma"
-        )
-    k = derive_constants(p)
-    rationality = is_gamma_rational(k.gamma, tol=rationality_tol, q_max=q_max)
+    rationality = is_gamma_rational(p.constants.gamma)
     m, r, _ = turning_harmonic(p)
     a_min, a_max = m - r, m + r
     level = turning_level(p)

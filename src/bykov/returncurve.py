@@ -49,11 +49,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import (
-    DerivedConstants,
     ParameterError,
     SaddleParams,
     classify_region,
-    derive_constants,
     turning_harmonic,
     turning_level,
 )
@@ -211,8 +209,9 @@ class _ExitValues(NamedTuple):
     stretch: np.ndarray
 
 
-def _exit_values(t, u, p: SaddleParams, k: DerivedConstants) -> _ExitValues:
+def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
     """The exit-curve formula: x_w and ln y_w with one sin and one cos of phi."""
+    k = p.constants
     u = np.asarray(u, dtype=float)
     phi = -k.g_v * u + t + k.c2
     sin = np.sin(phi)
@@ -224,7 +223,7 @@ def _exit_values(t, u, p: SaddleParams, k: DerivedConstants) -> _ExitValues:
     return _ExitValues(phi, x_w, log_y, sin, cos, c)
 
 
-def exit_curve(t, u, p: SaddleParams, k: DerivedConstants | None = None) -> ExitCurve:
+def exit_curve(t, u, p: SaddleParams) -> ExitCurve:
     """The one exit-curve kernel with its partials; broadcasts over t and u = ln s.
 
     Working in u keeps every value finite for any s > 0: the height is
@@ -232,9 +231,8 @@ def exit_curve(t, u, p: SaddleParams, k: DerivedConstants | None = None) -> Exit
     degrades to a zero height, not a NaN).  Callers that need only x_w and
     ln y_w use the values step :func:`_exit_values`, which skips the partials.
     """
-    if k is None:
-        k = derive_constants(p)
-    v = _exit_values(t, u, p, k)
+    k = p.constants
+    v = _exit_values(t, u, p)
     a = p.a
     sigma = a * a - 1.0 / (a * a)
     c = v.stretch
@@ -250,22 +248,22 @@ def exit_curve(t, u, p: SaddleParams, k: DerivedConstants | None = None) -> Exit
     )
 
 
-def curve_arrays(t: float, s, p: SaddleParams, k: DerivedConstants | None = None):
+def curve_arrays(t: float, s, p: SaddleParams):
     """The exit curve in s; returns (phi, x_w, y_w, dxw_ds) arrays."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
         raise ValueError("curve parameter s must be strictly positive")
-    curve = exit_curve(t, np.log(s_arr), p, k)
+    curve = exit_curve(t, np.log(s_arr), p)
     # at subnormal s the slope overflows; the caller decides what to refuse
     with np.errstate(under="ignore", over="ignore"):
         return curve.phi, curve.x_w, np.exp(curve.log_y), curve.x_u / s_arr
 
 
-def curve_sample(t: float, s: float, p: SaddleParams, k: DerivedConstants | None = None) -> ReturnCurveSample:
+def curve_sample(t: float, s: float, p: SaddleParams) -> ReturnCurveSample:
     """Image on the outgoing wall of the point (t, s) on the incoming wall."""
     if not 0.0 < s <= p.eps:
         raise ValueError(f"curve parameter s must lie in (0, eps], got {s}")
-    phi, x_w, y_w, dxw = curve_arrays(t, s, p, k)
+    phi, x_w, y_w, dxw = curve_arrays(t, s, p)
     return ReturnCurveSample(
         s=float(s), t=float(t), phi=float(phi), x_w=float(x_w), y_w=float(y_w), dxw_ds=float(dxw)
     )
@@ -310,7 +308,6 @@ def _reversal_entries(
     t: float,
     n_max: int,
     p: SaddleParams,
-    k: DerivedConstants,
     stop_at_underflow: bool,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Turning points phi_n = root + m*pi >= t, ascending: (phi_n, ln s_n, kinds).
@@ -323,6 +320,7 @@ def _reversal_entries(
     roots = turning_crossings(p)
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
+    k = p.constants
     ln_floor = math.log(S_UNDERFLOW)
     if stop_at_underflow:
         # no more turning points than this lie above s = 1e-300
@@ -338,14 +336,14 @@ def _reversal_entries(
     return phis[:cut], log_s[:cut], tuple(kinds[j[:cut]].tolist())
 
 
-def _sequence_from_entries(t, p, k, phis, log_s, kinds) -> ReversalSequence:
+def _sequence_from_entries(t, p, phis, log_s, kinds) -> ReversalSequence:
     with np.errstate(under="ignore"):
         s_vals = np.exp(log_s)
     # exit angles via the rotation identity: entry n lies n // 2 periods past
     # the first entry of its parity class; direct evaluation would underflow
     n = np.arange(len(phis))
     parity = n % 2
-    x_vals = _exit_values(t, log_s[:2], p, k).x_w[parity] + (n // 2) * math.pi * (1.0 - k.gamma)
+    x_vals = _exit_values(t, log_s[:2], p).x_w[parity] + (n // 2) * math.pi * (1.0 - p.constants.gamma)
     return ReversalSequence(
         t=t,
         s_values=s_vals,
@@ -369,12 +367,11 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     dense gamma give the same sequence, so no rationality policy enters.
     """
     _check_n_max(n_max)
-    k = derive_constants(p)
     region = classify_region(p)
     if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
         none = np.empty(0)
         return ReversalSequence(t, none, none, none, none, (), reason=region.tag)
-    return _sequence_from_entries(t, p, k, *_reversal_entries(t, n_max, p, k, stop_at_underflow=True))
+    return _sequence_from_entries(t, p, *_reversal_entries(t, n_max, p, stop_at_underflow=True))
 
 
 def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
@@ -386,20 +383,19 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     when no reversals exist.
     """
     _check_n_max(n_max)
-    k = derive_constants(p)
-    return _sequence_from_entries(t, p, k, *_reversal_entries(t, n_max, p, k, stop_at_underflow=False))
+    return _sequence_from_entries(t, p, *_reversal_entries(t, n_max, p, stop_at_underflow=False))
 
 
 def rotation_identity_residual(s0: float, n: int, t: float, p: SaddleParams) -> float:
     """|x_w(s0 e^{-n pi/g_v}) - x_w(s0) - n pi (1 - gamma)|, both points evaluated directly."""
-    k = derive_constants(p)
+    k = p.constants
     if not 0.0 < s0 <= p.eps:
         raise ValueError(f"s0 must lie in (0, eps], got {s0}")
     s_n = s0 * math.exp(-n * math.pi / k.g_v)
     if not 0.0 < s_n <= p.eps:
         raise ValueError(f"shifted parameter {s_n} left (0, eps]")
-    x0 = curve_sample(t, s0, p, k).x_w
-    xn = curve_sample(t, s_n, p, k).x_w
+    x0 = curve_sample(t, s0, p).x_w
+    xn = curve_sample(t, s_n, p).x_w
     return abs(xn - x0 - n * math.pi * (1.0 - k.gamma))
 
 
@@ -441,7 +437,6 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     if region.tag == "InteriorB_GammaRational":
         warning = "gamma is rational within tolerance; reversal angles form a finite set"
     angles = reversal_angle_set(t, n_max, p)
-    k = derive_constants(p)
     dist = _angle_dist(angles.x_values, x0)
     best = int(np.argmin(dist))
     # a record wherever the running minimum drops
@@ -452,7 +447,7 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     # cylinder position of the chosen reversal point
     center_x = wrap_pi(x0 - signed)
     with np.errstate(under="ignore"):
-        heights = np.exp(_exit_values(t, angles.log_s_values, p, k).log_y)
+        heights = np.exp(_exit_values(t, angles.log_s_values, p).log_y)
     center_y = float(heights[best])
     # keep the support clear of the other turning points; the nearest one's
     # gap is taken again from math.hypot, which np.hypot can miss by an ulp

@@ -104,7 +104,7 @@ def test_ac3_classification_matches_observed_reversals():
         samples = int(1500 * periods)
         u = np.linspace(0.0, periods * math.pi / k.g_v, samples)
         s = p.eps * np.exp(-u)
-        dx = curve_arrays(0.0, s, p, k)[3]
+        dx = curve_arrays(0.0, s, p)[3]
         observed = bool(np.any(np.signbit(dx[:-1]) != np.signbit(dx[1:])))
         expected = region.tag in ("InteriorB_GammaRational", "DenseReversals_D")
         if observed != expected:

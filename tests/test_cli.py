@@ -66,22 +66,8 @@ def test_classify_a_equals_one(tmp_path, capsys):
 def test_classify_fixtures(case1_config, dense_config, tmp_path, capsys):
     assert main(["classify", "--config", case1_config, "--out", str(tmp_path / "o1"), "--verify"]) == 0
     assert json.loads(capsys.readouterr().out)["tag"] == "OutsideB"
-    assert (
-        main(
-            ["classify", "--config", dense_config, "--out", str(tmp_path / "o2"),
-             "--q-max", "10000"]
-        )
-        == 0
-    )
+    assert main(["classify", "--config", dense_config, "--out", str(tmp_path / "o2")]) == 0
     assert json.loads(capsys.readouterr().out)["tag"] == "DenseReversals_D"
-
-
-def test_classify_refuses_policy_past_dirichlet_bound(dense_config, tmp_path, capsys):
-    code = main(["classify", "--config", dense_config, "--q-max", "1000000", "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "rationality_tol" in err and "q_max" in err
-    assert not (tmp_path / "out" / "region.json").exists()
 
 
 def test_tangency_dense_at_default_policy(dense_config, tmp_path, capsys):
@@ -122,6 +108,25 @@ def test_search_ranges_are_refused(command, fields, case1_config, tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert all(field in err for field in fields)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fixture", ["case1_config", "dense_config"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["curve", "--s-min", "1e-300", "--s-max", "0.5", "--n-samples", "300", "--t", "0.3", "--verify"],
+        ["multipulse", "--n", "2", "--s-min", "1e-300", "--s-max", "1e-290", "--verify"],
+    ],
+    ids=["curve", "multipulse"],
+)
+def test_verify_refuses_points_below_the_oracle(command, fixture, request, tmp_path, capsys):
+    # the oracle's disk radius c1 s^delta_v underflows to 0 at these depths
+    out = tmp_path / "out"
+    code = main([command[0], "--config", request.getfixturevalue(fixture), "--out", str(out), *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: s_min=1e-300 is too deep for --verify") and "s=" in err
     assert not out.exists()
 
 
@@ -398,7 +403,7 @@ def test_sojourn_self_test(flow_config, tmp_path, capsys):
 
 
 OPTIONS = {
-    "classify": ["--config", "--out", "--verify", "--rationality-tol", "--q-max"],
+    "classify": ["--config", "--out", "--verify"],
     "curve": ["--config", "--out", "--verify", "--t", "--s-min", "--s-max", "--n-samples"],
     "reversals": ["--config", "--out", "--verify", "--t", "--n-max"],
     "tangency": ["--config", "--out", "--verify", "--x0", "--t", "--n-max"],

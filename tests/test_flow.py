@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bykov import flow
 from bykov.flow import (
     _DP_A,
     _DP_B,
     _DP_E,
     H_MAX,
     MODEL_NAMES,
+    SAMPLE_SPACING,
     V_POLE,
     W_POLE,
     ChiralityReport,
@@ -262,7 +264,7 @@ def test_chirality_matches_per_sample_loop(model, T, rtol, atol):
     assert repr(chirality_check(cfg, series)) == repr(_chirality_loop(cfg, series))
 
 
-def test_chirality_signed_zero_and_plane_floor():
+def test_chirality_signed_zero_and_plane_floor(monkeypatch):
     # x1^2 rounds up to the smallest subnormal, x1 * (x4 x1) rounds to a
     # zero carrying the sign of x4: theta_dot is +0.0 near v and -0.0 near w
     tiny = 1.58e-162
@@ -284,13 +286,15 @@ def test_chirality_signed_zero_and_plane_floor():
         times=np.arange(float(len(states))), states=states, accepted=len(states) - 1,
         rejected=0, max_error_estimate=0.0, error_budget=0.0,
     )
-    rep = chirality_check(CFG, series, plane_floor=0.0)
+    monkeypatch.setattr(flow, "PLANE_FLOOR", 0.0)
+    rep = chirality_check(CFG, series)
     assert repr(rep) == repr(_chirality_loop(CFG, series, plane_floor=0.0))
     assert rep.verdict == "different"
     assert (rep.samples_near_v, rep.samples_near_w) == (4, 2)
     assert rep.theta_dot_near_v[0] == 0.0 and math.copysign(1.0, rep.theta_dot_near_v[0]) == 1.0
     assert rep.theta_dot_near_w[1] == 0.0 and math.copysign(1.0, rep.theta_dot_near_w[1]) == -1.0
     # at the default floor the subnormal planes and the 1e-22 plane are not measured
+    monkeypatch.undo()
     rep = chirality_check(CFG, series)
     assert repr(rep) == repr(_chirality_loop(CFG, series))
     assert (rep.samples_near_v, rep.samples_near_w) == (2, 1)
@@ -344,12 +348,10 @@ def test_invariant_planes_3d():
 
 
 def test_step_underflow_marks_partial_series():
-    series = integrate(
-        FIG_START, T=10.0, rtol=1e-8, atol=1e-10, config=CFG, max_sample_spacing=1e-14
-    )
+    series = integrate((1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG)
     assert series.failure is not None
     assert "underflow" in series.failure
-    assert series.times[-1] < 10.0
+    assert series.times[-1] < 1.0
 
 
 def test_collapse_flagged_without_failure():
@@ -442,8 +444,8 @@ PINNED_RUNS = {
         ("0x1.12d692d6c10f5p-30", "0x1.191e1eed71792p-21"),
     ),
     "underflow": (
-        dict(x0=FIG_START, T=10.0, rtol=1e-8, atol=1e-10, config=CFG, max_sample_spacing=1e-14),
-        ("bf03afccbb5b5c571ca23bcca4e651f2aa7bfdb2dc42a045a8a72262a00ffbea", 0, 0),
+        dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG),
+        ("15c3b77e8047619ca54565708254709128f8252414937a88a92cd733bc88e145", 0, 13),
         ("0x0.0p+0", "0x0.0p+0"),
     ),
 }
@@ -472,7 +474,7 @@ _B1, _B2, _B3, _B4, _B5, _B6, _B7 = _DP_B
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
-def _integrate_lists(x0, T, rtol, atol, *, config, max_sample_spacing=0.05):
+def _integrate_lists(x0, T, rtol, atol, *, config):
     """Reference DP5 step: per-stage lists over ``zip`` of the state, ``dim`` entries each.
 
     The speed cap adds the squares left to right from 0.0, as the builtin
@@ -490,6 +492,7 @@ def _integrate_lists(x0, T, rtol, atol, *, config, max_sample_spacing=0.05):
     max_err = 0.0
     err_budget = 0.0
     failure = None
+    max_sample_spacing = SAMPLE_SPACING
     margin = 0.9 * max_sample_spacing
     while T - t > 1e-12 * max(1.0, T):
         h = min(h, H_MAX)
@@ -603,7 +606,6 @@ def flow_runs(draw):
         rtol=draw(st.floats(1e-11, 1e-6)),
         atol=1e-12,
         config=ModelConfig(alpha1=1.0, alpha2=-0.1, lam=lam, model=model),
-        max_sample_spacing=draw(st.sampled_from((0.05, 0.01))),
     )
 
 

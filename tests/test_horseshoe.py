@@ -272,7 +272,7 @@ def test_jacobian_determinant_closed_form(p, t, depth):
     """det J = delta y_w / (s C(phi)) wherever y_w is a normal float, s from eps down to 1e-300."""
     k = derive_constants(p)
     s = math.exp(math.log(p.eps) + depth * (math.log(S_UNDERFLOW) - math.log(p.eps)))
-    curve = exit_curve(t, math.log(s), p, k)
+    curve = exit_curve(t, math.log(s), p)
     y_w = math.exp(curve.log_y)
     if y_w < sys.float_info.min:
         return
@@ -553,18 +553,19 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
 
 
-def _collect_strips_per_strip(tau, n_limit, p, k, case, period, t_grid, endpoint_margin):
+def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_margin):
     """Reference collector: one bisection, and one height check, per strip in turn."""
+    k = p.constants
     increasing = k.gamma > 1.0
     strips = []
 
     t_pair = np.concatenate([t_grid, t_grid])
 
     def x_at(u):
-        return _exit_values(t_grid, u, p, k).x_w
+        return _exit_values(t_grid, u, p).x_w
 
     def x_pair(u):
-        return _exit_values(t_pair, u, p, k).x_w
+        return _exit_values(t_pair, u, p).x_w
 
     def targets_for(winding):
         if increasing:
@@ -580,7 +581,7 @@ def _collect_strips_per_strip(tau, n_limit, p, k, case, period, t_grid, endpoint
                 return None
         frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
         u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
-        if _exit_values(t_grid[0], u_est, p, k).log_y > math.log(4.0 * tau):
+        if _exit_values(t_grid[0], u_est, p).log_y > math.log(4.0 * tau):
             return None
         n = len(t_grid)
         targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
@@ -592,7 +593,7 @@ def _collect_strips_per_strip(tau, n_limit, p, k, case, period, t_grid, endpoint
         b_vals = np.array([math.exp(u) for u in np.maximum(u_a, u_b)])
         s_chk = np.linspace(a_vals, b_vals, 5)
         with np.errstate(under="ignore"):
-            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p, k).log_y)
+            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
         if np.any(heights > tau):
             return None
         return Strip(index=len(strips), winding=winding, t_grid=t_grid.copy(), a_of_t=a_vals, b_of_t=b_vals)
@@ -758,7 +759,6 @@ def test_strip_family_violations_messages(dense_params):
 def test_chain_angle_matches_scalar_return(fixture, request):
     """Each step of the array chain is curve_sample, then return_map, bit for bit."""
     p = request.getfixturevalue(fixture)
-    k = derive_constants(p)
     us = np.random.default_rng(5).uniform(math.log(1e-8), math.log(p.eps), size=200)
     expected = []
     for u in us:
@@ -766,12 +766,12 @@ def test_chain_angle_matches_scalar_return(fixture, request):
         mid = return_map(WallPoint(section=IN_V, x=0.0, y=math.exp(u)), p)
         second = curve_sample(mid.x, mid.y, p) if 0.0 < mid.y <= p.eps else None
         expected.append((first.x_w, first.y_w) + ((second.x_w, second.y_w) if second else (math.nan, math.nan)))
-    (x1, y1), (x2, y2) = _return_chain(us, 1, p, k)
+    (x1, y1), (x2, y2) = _return_chain(us, 1, p)
     got = zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
     assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in expected]
     assert 0 < sum(math.isnan(row[2]) for row in expected) < len(us)
     # seeds above the section, or overflowing, are off-section, not errors
-    assert np.all(np.isnan(_return_chain([math.log(p.eps) + 1.0, 800.0], 1, p, k)[-1][0]))
+    assert np.all(np.isnan(_return_chain([math.log(p.eps) + 1.0, 800.0], 1, p)[-1][0]))
 
 
 @pytest.mark.parametrize("x0", [1.0, -1.0])

@@ -9,6 +9,8 @@ import pytest
 
 from bykov import flow, horseshoe, oracles, params, returncurve
 from bykov.params import (
+    Q_MAX,
+    RATIONALITY_TOL,
     ParameterError,
     SaddleParams,
     classify_region,
@@ -80,15 +82,15 @@ def test_validation_names_offending_field(field, value):
 
 
 def test_rationality_integers():
-    rec = is_gamma_rational(2.0, tol=1e-12, q_max=10**6)
+    rec = is_gamma_rational(2.0)
     assert rec.is_rational_within_tol and (rec.p, rec.q) == (2, 1)
-    rec = is_gamma_rational(1.0, tol=1e-12, q_max=10**6)
+    rec = is_gamma_rational(1.0)
     assert rec.is_rational_within_tol and (rec.p, rec.q) == (1, 1)
 
 
 def test_rationality_sqrt2_small_denominators():
     # best convergent with q <= 1e4 is 8119/5741, error ~1.07e-8
-    rec = is_gamma_rational(math.sqrt(2.0), tol=1e-12, q_max=10**4)
+    rec = is_gamma_rational(math.sqrt(2.0))
     assert not rec.is_rational_within_tol
     assert (rec.p, rec.q) == (8119, 5741)
     assert rec.error == pytest.approx(1.0727040367086715e-08, rel=1e-6)
@@ -112,10 +114,10 @@ def test_classify_interior_tags_at_default_policy(dense_params, rational_params)
     assert classify_region(rational_params).tag == "InteriorB_GammaRational"
 
 
-@pytest.mark.parametrize("tol,q_max", [(1e-9, 10**6), (2e-10, 10**4), (0.0, 10**4), (-1.0, 10**4), (math.nan, 10**4)])
-def test_classify_refuses_unusable_policy(rational_params, tol, q_max):
-    with pytest.raises(ParameterError, match="rationality_tol.*q_max"):
-        classify_region(rational_params, rationality_tol=tol, q_max=q_max)
+def test_policy_within_dirichlet_bound():
+    # every gamma has a p/q, q <= Q_MAX, within 1/(q Q_MAX): past this bound
+    # nearly every gamma would count as rational
+    assert 0.0 < Q_MAX**2 * RATIONALITY_TOL <= 0.01
 
 
 # parameter names of every public function of the saddle-map modules: a new
@@ -123,10 +125,10 @@ def test_classify_refuses_unusable_policy(rational_params, tol, q_max):
 PUBLIC_SIGNATURES = {
     params: {
         "derive_constants": ("p",),
-        "is_gamma_rational": ("gamma", "tol", "q_max"),
+        "is_gamma_rational": ("gamma",),
         "turning_harmonic": ("p",),
         "turning_level": ("p",),
-        "classify_region": ("p", "rationality_tol", "q_max"),
+        "classify_region": ("p",),
         "load_exact_keys": ("source", "fields"),
         "load_saddle_params": ("source",),
     },
@@ -136,9 +138,9 @@ PUBLIC_SIGNATURES = {
         "turning_function": ("phi", "p"),
         "turning_level": ("p",),
         "turning_crossings": ("p",),
-        "exit_curve": ("t", "u", "p", "k"),
-        "curve_sample": ("t", "s", "p", "k"),
-        "curve_arrays": ("t", "s", "p", "k"),
+        "exit_curve": ("t", "u", "p"),
+        "curve_sample": ("t", "s", "p"),
+        "curve_arrays": ("t", "s", "p"),
         "reversal_sequence": ("t", "n_max", "p"),
         "reversal_angle_set": ("t", "n_max", "p"),
         "rotation_identity_residual": ("s0", "n", "t", "p"),
@@ -158,9 +160,9 @@ PUBLIC_SIGNATURES = {
         "rhs": ("state", "config"),
         "make_rhs": ("config",),
         "equilibria_spectrum": ("config",),
-        "integrate": ("x0", "T", "rtol", "atol", "config", "max_sample_spacing"),
+        "integrate": ("x0", "T", "rtol", "atol", "config"),
         "sphere_residual": ("series",),
-        "chirality_check": ("config", "series", "plane_floor"),
+        "chirality_check": ("config", "series"),
         "sojourn_analysis": ("series", "neighborhood_radius"),
         "invariant_subspace_residuals": ("series", "config"),
     },
@@ -170,14 +172,14 @@ PUBLIC_SIGNATURES = {
         "psi_vw": ("p", "a"),
         "psi_wv": ("p", "bump"),
         "polar_rect": ("p",),
-        "rect_polar": ("p", "branch_hint", "section"),
+        "rect_polar": ("p", "branch_hint"),
         "flight_map_v": ("x", "y", "p"),
         "flight_map_w": ("r", "phi", "p"),
         "eta_composed": ("t", "s", "p"),
         "composed_return": ("point", "p"),
         "replay_pulse": ("s0", "n", "p", "x0"),
         "return_jacobian_fd": ("x", "y", "p"),
-        "numeric_jacobian": ("config", "state", "h"),
+        "numeric_jacobian": ("config", "state"),
         "turning_range_grid": ("p",),
     },
 }
@@ -190,9 +192,10 @@ def test_public_signatures(module):
     assert got == PUBLIC_SIGNATURES[module]
 
 
-# the oracles that ``bykov <command> --verify`` replays; nothing else in
-# production may import from bykov.oracles, which holds the elementary maps
-VERIFY_ORACLES = {"eta_composed", "replay_pulse", "return_jacobian_fd", "turning_range_grid"}
+# the oracles that ``bykov <command> --verify`` replays, and the error they
+# raise on a point they cannot represent; nothing else in production may
+# import from bykov.oracles, which holds the elementary maps
+VERIFY_ORACLES = {"eta_composed", "replay_pulse", "return_jacobian_fd", "turning_range_grid", "OnManifoldError"}
 BYKOV_MODULES = {"__init__", "params", "returncurve", "horseshoe", "flow", "oracles"}
 
 

@@ -223,7 +223,7 @@ def test_height_limit_and_angle_divergence():
         k = derive_constants(p)
         assert (k.gamma > 1.0) == (sign < 0)
         s = 10.0 ** -np.arange(1, 13, dtype=float)
-        _, x_w, y_w, _ = curve_arrays(0.0, s, p, k)
+        _, x_w, y_w, _ = curve_arrays(0.0, s, p)
         assert np.all(np.diff(y_w) < 0.0)
         assert y_w[-1] < 1e-10
         # windowed trend: average over one reversal period to kill oscillation
@@ -236,7 +236,7 @@ def test_shear_free_derivative_constant_sign():
     k = derive_constants(p)
     assert k.gamma != 1.0
     s = np.geomspace(p.eps, 1e-12, 10_000)
-    dx = curve_arrays(0.0, s, p, k)[3]
+    dx = curve_arrays(0.0, s, p)[3]
     assert np.all(dx < 0.0) or np.all(dx > 0.0)
 
 
@@ -428,7 +428,7 @@ def test_find_tangency_matches_per_reversal_loops(p, x0, t, n_max):
             running = float(d)
             history.append((i + 1, running))
     with np.errstate(under="ignore"):
-        heights = np.exp(_exit_values(t, angles.log_s_values, p, derive_constants(p)).log_y)
+        heights = np.exp(_exit_values(t, angles.log_s_values, p).log_y)
     best = report.n_best
     sep = math.inf
     for i, x in enumerate(angles.x_values):
@@ -566,10 +566,10 @@ def test_reversal_entries_match_period_loop(p, t, n_max):
     k = derive_constants(p)
     if len(turning_crossings(p)) < 2:
         with pytest.raises(NoReversalsError):
-            _reversal_entries(t, n_max, p, k, True)
+            _reversal_entries(t, n_max, p, True)
         return
     for n, stop_at_underflow in itertools.product((n_max, 3000), (True, False)):
-        phis, log_s, kinds = _reversal_entries(t, n, p, k, stop_at_underflow)
+        phis, log_s, kinds = _reversal_entries(t, n, p, stop_at_underflow)
         got = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in zip(phis.tolist(), log_s.tolist(), kinds)]
         want = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in _reversal_loop(t, n, p, k, stop_at_underflow)]
         assert len(phis) == len(log_s) == len(kinds)
@@ -652,11 +652,10 @@ def test_exit_curve_partials_match_centred_differences(p, t, depth):
     Richardson-extrapolated steps 1e-4 and 5e-5; agreement to 1e-6 relative
     to max(1, |partial|).
     """
-    k = derive_constants(p)
     u = math.log(p.eps) + depth * (math.log(S_UNDERFLOW) - math.log(p.eps))
 
     def values(tt, uu):
-        curve = exit_curve(tt, uu, p, k)
+        curve = exit_curve(tt, uu, p)
         return np.array([curve.x_w, curve.log_y])
 
     def centred(h):
@@ -665,7 +664,7 @@ def test_exit_curve_partials_match_centred_differences(p, t, depth):
         return np.array([d_t[0], d_u[0], d_t[1], d_u[1]])
 
     fd = (4.0 * centred(5e-5) - centred(1e-4)) / 3.0
-    curve = exit_curve(t, u, p, k)
+    curve = exit_curve(t, u, p)
     exact = np.array([curve.x_t, curve.x_u, curve.log_y_t, curve.log_y_u])
     assert np.all(np.abs(fd - exact) <= 1e-6 * np.maximum(1.0, np.abs(exact))), (fd, exact)
 
@@ -694,8 +693,8 @@ def test_values_path_matches_exit_curve(p, t, depth):
     ts = t + np.array([[0.0], [0.25], [3.0]])
     us = np.array([u_eps, u, 0.5 * (u + u_floor), u_floor])
     for args in ((t, u), (ts, us), (t, us)):
-        values = _exit_values(*args, p, k)
-        curve = exit_curve(*args, p, k)
+        values = _exit_values(*args, p)
+        curve = exit_curve(*args, p)
         ref_x, ref_log_y = _kernel_reference(*args, p, k)
         assert np.shape(values.x_w) == np.shape(curve.x_w) == np.broadcast(*args).shape
         assert _hex(values.x_w) == _hex(curve.x_w) == _hex(ref_x)
