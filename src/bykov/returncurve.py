@@ -317,10 +317,10 @@ def _reversal_entries(
     angle switch from falling to rising as s decreases, i.e. a local
     maximum in s.  Raises when A does not cross the level transversally.
     """
+    k = p.constants
     roots = turning_crossings(p)
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
-    k = p.constants
     ln_floor = math.log(S_UNDERFLOW)
     if stop_at_underflow:
         # no more turning points than this lie above s = 1e-300
