@@ -299,6 +299,8 @@ def cmd_simulate(args):
 
 
 def cmd_sojourn(args):
+    if not args.radius > 0.0:
+        raise ParameterError(f"--radius must be > 0, got {args.radius}")
     config, series = _simulate(args)
     report = sojourn_analysis(series, neighborhood_radius=args.radius)
     if args.verify:
@@ -323,6 +325,11 @@ def cmd_sojourn(args):
 def _run(args) -> int:
     """Run ``args.fn``; write its artifact and manifest atomically, echoing a JSON artifact."""
     started = time.monotonic()
+    # nan passes no comparison, so it slips through every range check
+    # written as one; inf would run a search or a horizon without end
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
     name, content, diagnostics = args.fn(args)
     if name.endswith(".json"):
         text = json.dumps(content, indent=2, default=dataclasses.asdict)

@@ -389,22 +389,21 @@ def integrate(
         w4 = y4 + h * (
             0.0 + _B1 * k1_4 + _B2 * k2_4 + _B3 * k3_4 + _B4 * k4_4 + _B5 * k5_4 + _B6 * k6_4 + _B7 * k7_4
         )
-        # the scaled error terms, summed left to right from 0.0
-        err = math.sqrt((
-            0.0
-            + (h * (
-                0.0 + _E1 * k1_1 + _E2 * k2_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
-            ) / (atol + rtol * max(abs(y1), abs(w1)))) ** 2
-            + (h * (
-                0.0 + _E1 * k1_2 + _E2 * k2_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2
-            ) / (atol + rtol * max(abs(y2), abs(w2)))) ** 2
-            + (h * (
-                0.0 + _E1 * k1_3 + _E2 * k2_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3
-            ) / (atol + rtol * max(abs(y3), abs(w3)))) ** 2
-            + (h * (
-                0.0 + _E1 * k1_4 + _E2 * k2_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4 + _E7 * k7_4
-            ) / (atol + rtol * max(abs(y4), abs(w4)))) ** 2
-        ) / dim)
+        # the scaled error terms, summed left to right from 0.0; squared as
+        # e * e, which overflows to inf (a rejection) where ** 2 would raise
+        e1 = h * (
+            0.0 + _E1 * k1_1 + _E2 * k2_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
+        ) / (atol + rtol * max(abs(y1), abs(w1)))
+        e2 = h * (
+            0.0 + _E1 * k1_2 + _E2 * k2_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2
+        ) / (atol + rtol * max(abs(y2), abs(w2)))
+        e3 = h * (
+            0.0 + _E1 * k1_3 + _E2 * k2_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3
+        ) / (atol + rtol * max(abs(y3), abs(w3)))
+        e4 = h * (
+            0.0 + _E1 * k1_4 + _E2 * k2_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4 + _E7 * k7_4
+        ) / (atol + rtol * max(abs(y4), abs(w4)))
+        err = math.sqrt((0.0 + e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4) / dim)
         w = (w1, w2, w3, w4)
         dy = math.dist(y, w)
         if err <= 1.0 and dy <= SAMPLE_SPACING:

@@ -180,37 +180,75 @@ def detect_periodic_tangency(p: SaddleParams, x0: float = 0.0) -> PeriodicTangen
     )
 
 
+# kernel points per call up to which _bisect adds levels to its bisection
+# tree: on a few brackets a kernel call costs its overhead, not arithmetic
+TREE_POINTS = 250
+
+
 def _bisect(fn, target, lo, hi, tol: float = 1e-13) -> np.ndarray:
     """Bisection for fn(u) = target over float arrays of brackets [lo, hi].
 
-    ``fn`` maps an array of u to an array of values.  Each element stops on
-    its own once its bracket is at most ``tol`` wide, so it ends where a
-    scalar bisection from the same bracket would.  A bracket that reaches
-    |u| >= 512, where the default tol is below one ulp, stops instead once
-    it is no wider than one ulp of its larger end.  An element comes back
-    nan when its bracket does not straddle the target or when ``fn`` turns
-    non-finite on it.
+    ``fn`` maps an array of u to an array of values, element by element,
+    and takes a ``(rows, n)`` array against the ``n`` brackets: both ends
+    go in one call, then each call advances every bracket by L halvings.
+    L is the most levels whose ``2**L - 1`` midpoints per bracket keep a
+    call within ``TREE_POINTS`` points, and at least 1, where this is one
+    halving per call.  The midpoints form a bisection tree held in order,
+    each node ``0.5 * (lo + hi)`` of the bracket the levels above leave
+    it, and the walk down the tree takes the serial steps on the serial
+    floats, so every root is bit for bit that of one halving per call.
+    The strip batches (hundreds of brackets, where the kernel costs real
+    arithmetic) take one or two levels, the multi-pulse levels (a few
+    brackets, where a call costs its overhead) four or five.  Each element
+    stops on its own once its bracket is at most ``tol`` wide, so it ends
+    where a scalar bisection from the same bracket would.  A bracket that
+    reaches |u| >= 512, where the default tol is below one ulp, stops
+    instead once it is no wider than one ulp of its larger end.  An element
+    comes back nan when its bracket does not straddle the target or when
+    ``fn`` turns non-finite on it.
     """
+    n = len(lo)
     tol = np.maximum(tol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    f_lo = fn(lo) - target
-    f_hi = fn(hi) - target
+    f_lo, f_hi = fn(np.stack([lo, hi])) - target
+    # lo only ever moves onto a mid of its own sign
     below_lo = f_lo < 0.0
     ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below_lo != (f_hi < 0.0))
     active = ok & (hi - lo > tol)
+    levels = max(1, (TREE_POINTS // max(n, 1) + 1).bit_length() - 1)
+    # the tree in order: the bounds in the first and last rows and the
+    # 2**L - 1 midpoints between them, the nodes of a level a stride apart;
+    # f_tree keeps fn - target in the same rows
+    tree = np.empty((2**levels + 1, n))
+    tree[0], tree[-1] = lo, hi
+    lo, hi = tree[0], tree[-1]
+    f_tree = np.zeros_like(tree)
+    steps = [2 ** (levels - level) for level in range(levels)]
+    columns = np.arange(n)
     while active.any():
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid) - target
-        finite = np.isfinite(f_mid)
-        if not finite.all():
-            ok &= finite | ~active
-            active &= ok
-        below_mid = f_mid < 0.0
-        to_lo = active & (below_lo != below_mid)
-        to_hi = active ^ to_lo
-        hi = np.where(to_lo, mid, hi)
-        lo = np.where(to_hi, mid, lo)
-        below_lo = np.where(to_hi, below_mid, below_lo)
-        active = ok & (hi - lo > tol)
+        for step in steps:
+            # each node halfway between the two nodes above that bound it
+            tree[step // 2 :: step] = 0.5 * (tree[:-1:step] + tree[step::step])
+        np.subtract(fn(tree[1:-1]), target, out=f_tree[1:-1])
+        flips = (f_tree < 0.0) != below_lo
+        finite = np.isfinite(f_tree)
+        all_finite = finite.all()
+        # every bracket starts at the root, the one node of the top level
+        node, at = 0, 0
+        for step in steps:
+            level = slice(step // 2, None, step)
+            mid = tree[level][at]
+            if not all_finite:
+                ok &= finite[level][at] | ~active
+                active &= ok
+            to_lo = active & flips[level][at]
+            to_hi = active ^ to_lo
+            np.copyto(hi, mid, where=to_lo)
+            np.copyto(lo, mid, where=to_hi)
+            active = ok & (hi - lo > tol)
+            if step > 2:
+                # on to the upper child where lo moved, else the lower one
+                node = 2 * node + to_hi
+                at = (node, columns)
     return np.where(ok, 0.5 * (lo + hi), np.nan)
 
 
@@ -585,7 +623,8 @@ def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.n
     exp, as the strip boundaries do.
     """
     u = np.asarray(u, dtype=float)
-    y = np.array([math.exp(v) if v < 709.0 else math.inf for v in u.ravel()]).reshape(u.shape)
+    y = np.fromiter(map(math.exp, np.minimum(u, 709.0).ravel().tolist()), float, u.size).reshape(u.shape)
+    y = np.where(u < 709.0, y, math.inf)
     x = np.zeros_like(y)
     steps = []
     with np.errstate(under="ignore"):
@@ -614,9 +653,11 @@ def find_multipulse(
     last level targets x0 + 2 pi k; an intermediate return must land on
     the section near height 0, so its level targets 2 pi k.
     Every level runs whole u-grids through :func:`_return_chain` and refines
-    all crossings in one :func:`_bisect`; each point's trace and residual
-    come from one more pass of the chain.  An empty list means no crossing
-    in the window, which is not an error.
+    all crossings in one :func:`_bisect`, which advances a level's few
+    brackets by four or five halvings per pass of the chain; each point's
+    trace and residual come from one more pass.  A level without crossings
+    leaves no window for the next, so the search stops there.  An empty
+    list means no crossing in the window, which is not an error.
     """
     if n < 2:
         raise ValueError(f"pulse count must be at least 2, got {n}")
@@ -707,12 +748,17 @@ def find_multipulse(
 
     roots = solve_level(0, u_lo, u_hi, None)
     for depth in range(1, n - 1):
+        if not roots:
+            break
         next_roots: list[float] = []
         for w_lo, w_hi, acc_end in accumulation_windows(np.array(roots), depth - 1):
             next_roots.extend(solve_level(depth, w_lo, w_hi, refine_to=acc_end))
             if len(next_roots) >= max_points * 2:
                 break
         roots = next_roots
+    if not roots:
+        # a level without crossings leaves no window for the next one
+        return []
     chain = _return_chain(roots, n - 2, p)
     residual = np.abs(_wrap_pi(chain[-1][0] - x0))
     # an orbit that left the section has a nan residual; roots hugging the

@@ -338,6 +338,17 @@ def test_simulate_overflowing_start_fails_verify(flow_config, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("verify, code", [([], 0), (["--verify"], 1)])
+def test_simulate_unmeetable_tolerance_ends_on_underflow(verify, code, flow_config, tmp_path):
+    # each squared error term overflows; that is a rejection, not a traceback
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", flow_config, "--rtol", "0", "--atol", "1e-300", "--T", "1", "--out", str(out)]
+    assert main(argv + verify) == code
+    if not verify:
+        manifest = json.loads((out / "simulate_manifest.json").read_text())
+        assert manifest["diagnostics"]["failure"].startswith("step-size underflow")
+
+
 def test_simulate_3d_model(tmp_path):
     cfg = tmp_path / "m3.json"
     cfg.write_text(json.dumps({"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "dim3"}))
@@ -386,6 +397,39 @@ def test_flow_tolerances_are_refused(command, tolerances, field, flow_config, tm
     code = main([command, "--config", flow_config, "--T", "1", "--out", str(out), *tolerances])
     assert code == 2
     assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["curve", "--s-min", "1e-3", "--s-max", "0.1", "--t", "nan"], "--t must be finite"),
+        (["curve", "--s-min", "nan", "--s-max", "0.1"], "--s-min must be finite"),
+        (["curve", "--s-min", "1e-3", "--s-max", "inf"], "--s-max must be finite"),
+        (["reversals", "--t", "inf"], "--t must be finite"),
+        (["tangency", "--x0", "nan"], "--x0 must be finite"),
+        (["tangency", "--t=-inf"], "--t must be finite"),
+        (["strips", "--tau", "nan"], "--tau must be finite"),
+        (["jacobian", "--x", "nan"], "--x must be finite"),
+        (["multipulse", "--x0", "nan"], "--x0 must be finite"),
+        (["multipulse", "--x0", "inf"], "--x0 must be finite"),
+        (["multipulse", "--s-min", "1e-3", "--s-max", "nan"], "--s-max must be finite"),
+        (["multipulse", "--s-min=-inf", "--s-max", "0.1"], "--s-min must be finite"),
+        (["simulate", "--T", "nan"], "--T must be finite"),
+        (["simulate", "--T", "inf"], "--T must be finite"),
+        (["simulate", "--rtol", "nan"], "--rtol must be finite"),
+        (["sojourn", "--T", "nan"], "--T must be finite"),
+        (["sojourn", "--atol", "inf"], "--atol must be finite"),
+        (["sojourn", "--radius", "nan"], "--radius must be finite"),
+        (["sojourn", "--radius", "-1"], "--radius must be > 0"),
+    ],
+)
+def test_non_finite_options_are_refused(command, message, case1_config, flow_config, tmp_path, capsys):
+    config = flow_config if command[0] in ("simulate", "sojourn") else case1_config
+    out = tmp_path / "out"
+    code = main([command[0], "--config", config, "--out", str(out), *command[1:]])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -348,9 +348,11 @@ def test_invariant_planes_3d():
 
 
 def test_step_underflow_marks_partial_series():
-    series = integrate((1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG)
+    # a well-scaled start at a tolerance no step can meet: every squared
+    # error term overflows to inf, a rejection, until h reaches the floor
+    series = integrate(FIG_START, T=1.0, rtol=0.0, atol=1e-300, config=CFG)
     assert series.failure is not None
-    assert "underflow" in series.failure
+    assert series.failure.startswith("step-size underflow")
     assert series.times[-1] < 1.0
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bykov import horseshoe
@@ -794,6 +794,37 @@ def test_multipulse_off_trace_intermediate_returns(case1_params, x0, n):
         assert replay.out_w_crossings == n and replay.residual < 1e-8
 
 
+def test_multipulse_stops_at_first_empty_level(case1_params, monkeypatch):
+    # on case I the levels run dry after about a dozen returns; a search that
+    # walked on through every empty level would chain 10**5 returns per call
+    depths = []
+    chain = horseshoe._return_chain
+
+    def counted(u, depth, p):
+        assert depth < 20, "the search went on past an empty level"
+        depths.append(depth)
+        return chain(u, depth, p)
+
+    monkeypatch.setattr(horseshoe, "_return_chain", counted)
+    assert find_multipulse(100_000, case1_params) == []
+    assert depths
+
+
+def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
+    # one kernel call per tree of halvings: at most a third of the 284 return
+    # chains of one halving per call
+    calls = []
+    chain = horseshoe._return_chain
+
+    def counted(u, depth, p):
+        calls.append(np.size(u))
+        return chain(u, depth, p)
+
+    monkeypatch.setattr(horseshoe, "_return_chain", counted)
+    assert len(find_multipulse(4, case1_params)) == 3
+    assert len(calls) <= 284 // 3
+
+
 def test_multipulse_deep_window_terminates(case1_params):
     # near s = 1e-300, |u| > 512 and a 1e-13 bracket holds no double inside
     # it; the bisection must stop there rather than spin
@@ -835,3 +866,66 @@ def test_bisect_matches_scalar_reference():
     clean = [_scalar_bisect(lambda v: v**3 - 2.0 * v, *args) for args in zip(target, lo, hi)]
     assert any(math.isnan(w) and not math.isnan(c) for w, c in zip(want, clean))
     assert 50 < sum(not math.isnan(w) for w in want) < 400
+
+
+def _serial_bisect(fn, target, lo, hi, tol=1e-13):
+    """The array bisection at one halving per call of fn: the reference of the tree walk."""
+    tol = np.maximum(tol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    f_lo = fn(lo) - target
+    f_hi = fn(hi) - target
+    below_lo = f_lo < 0.0
+    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below_lo != (f_hi < 0.0))
+    active = ok & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid) - target
+        finite = np.isfinite(f_mid)
+        if not finite.all():
+            ok &= finite | ~active
+            active &= ok
+        below_mid = f_mid < 0.0
+        to_lo = active & (below_lo != below_mid)
+        to_hi = active ^ to_lo
+        hi = np.where(to_lo, mid, hi)
+        lo = np.where(to_hi, mid, lo)
+        below_lo = np.where(to_hi, below_mid, below_lo)
+        active = ok & (hi - lo > tol)
+    return np.where(ok, 0.5 * (lo + hi), np.nan)
+
+
+@given(
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    center=st.sampled_from([0.0, -700.0, 600.0]),
+    hole=st.booleans(),
+)
+@example(n=1, seed=0, center=0.0, hole=True)
+@example(n=400, seed=1, center=-700.0, hole=True)
+def test_bisect_tree_matches_serial(n, seed, center, hole):
+    """Several halvings per call of fn give the roots of one halving per call, bit for bit.
+
+    n = 1 takes the deepest tree, n = 400 one level; centers at |u| >= 512
+    run into the one-ulp stop, and the hole turns fn nan on part of the
+    brackets, as an orbit that leaves the section.
+    """
+    sizes = []
+
+    def cubic(u):
+        # a serial bisection of these brackets ends within 60 calls
+        assert len(sizes) < 100, "the bisection does not converge"
+        sizes.append(np.size(u))
+        v = u - center
+        values = v * v * v - 2.0 * v
+        return np.where((v > 1.0) & (v < 1.1), np.nan, values) if hole else values
+
+    rng = np.random.default_rng(seed)
+    lo = center + rng.uniform(-3.0, 3.0, n)
+    # some brackets do not straddle the target, some are empty
+    hi = lo + rng.choice([0.0, 1e-14, 0.5, 2.0], n) * rng.uniform(0.0, 1.0, n)
+    target = rng.uniform(-2.0, 2.0, n)
+    want = _serial_bisect(cubic, target, lo, hi)
+    sizes.clear()
+    got = _bisect(cubic, target, lo, hi)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    # both ends in one call, then whole trees of at most TREE_POINTS points
+    assert sizes[0] == 2 * n and all(size <= max(horseshoe.TREE_POINTS, n) for size in sizes[1:])
