@@ -749,16 +749,14 @@ def find_multipulse(
     roots = solve_level(0, u_lo, u_hi, None)
     for depth in range(1, n - 1):
         if not roots:
-            break
+            # a level without crossings leaves no window for the next one
+            return []
         next_roots: list[float] = []
         for w_lo, w_hi, acc_end in accumulation_windows(np.array(roots), depth - 1):
             next_roots.extend(solve_level(depth, w_lo, w_hi, refine_to=acc_end))
             if len(next_roots) >= max_points * 2:
                 break
         roots = next_roots
-    if not roots:
-        # a level without crossings leaves no window for the next one
-        return []
     chain = _return_chain(roots, n - 2, p)
     residual = np.abs(_wrap_pi(chain[-1][0] - x0))
     # an orbit that left the section has a nan residual; roots hugging the

@@ -817,7 +817,7 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
     chain = horseshoe._return_chain
 
     def counted(u, depth, p):
-        calls.append(np.size(u))
+        calls.append(depth)
         return chain(u, depth, p)
 
     monkeypatch.setattr(horseshoe, "_return_chain", counted)
