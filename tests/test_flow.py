@@ -414,6 +414,7 @@ def test_sphere_invariance_3d_rhs():
 # step-control totals as float.hex(): any change in operation order in the
 # integrator shows here, even one that moves a trajectory by a single ulp.
 DIM3_START = (0.3, 0.4, math.sqrt(1.0 - 0.25))
+LAM_CFG = ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.05)
 PINNED_RUNS = {
     "example4d": (
         dict(x0=FIG_START, T=40.0, rtol=1e-9, atol=1e-11, config=CFG),
@@ -436,14 +437,24 @@ PINNED_RUNS = {
         ("548072a5ad9484a277f0bba2288eb3b3f22208f5e8f8d12921ce2a0e27b8a384", 754, 4),
         ("0x1.0944a903c2dc9p-30", "0x1.be21dc7b3cf8cp-22"),
     ),
-    # the only pin with lam != 0: it covers the symmetry-breaking terms
+    # the symmetry-breaking terms
     "lam": (
-        dict(
-            x0=FIG_START, T=40.0, rtol=1e-9, atol=1e-11,
-            config=ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.05),
-        ),
+        dict(x0=FIG_START, T=40.0, rtol=1e-9, atol=1e-11, config=LAM_CFG),
         ("05aa0473b8a52be762354504f895bac6ef94d7342cd5f693477e5c893c66897c", 897, 8),
         ("0x1.12d692d6c10f5p-30", "0x1.191e1eed71792p-21"),
+    ),
+    # a start on the x3 = 0 plane whose zero is -0.0, with lam != 0: the
+    # step must keep every signed zero the symmetry-breaking terms make
+    "lam_signed_zero": (
+        dict(x0=(0.6, -0.3, -0.0, 0.74), T=40.0, rtol=1e-9, atol=1e-11, config=LAM_CFG),
+        ("71b4a5c9c3b06856bceb91c0fcd0bf46d0b405d1d40184e9e467bd2b7bc47d95", 772, 4),
+        ("0x1.03f0b5dab6852p-30", "0x1.d9d0759aa941ap-22"),
+    ),
+    # the subnormal x1 falls to exactly 0.0 at t = 1.3906
+    "collapse": (
+        dict(x0=(1e-322, 0.0, -0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=LAM_CFG),
+        ("8c347718d59de53ba6fb5e030bad7f7d803fa43190284738c8172f03d70b0c93", 16, 0),
+        ("0x0.0p+0", "0x0.0p+0"),
     ),
     "underflow": (
         dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG),
@@ -461,6 +472,7 @@ def test_integrate_bit_for_bit(name):
     assert (got, series.accepted, series.rejected) == (digest, accepted, rejected)
     assert (series.max_error_estimate.hex(), series.error_budget.hex()) == (max_err, budget)
     assert (series.failure is not None) == (name == "underflow")
+    assert (series.collapse is not None) == (name == "collapse")
 
 
 # The tableau as the list-comprehension reference below unpacks it.
@@ -611,9 +623,15 @@ def flow_runs(draw):
     )
 
 
-# the overflowing start ends on a step-size underflow, the subnormal one on a collapse
+# the overflowing start ends on a step-size underflow, the subnormal one on
+# a collapse; the last two start on a -0.0 coordinate
 @example(run=dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG))
 @example(run=dict(x0=(1e-322, 0.0, 0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=CFG))
+@example(run=dict(x0=(0.6, -0.3, -0.0, 0.74), T=20.0, rtol=1e-8, atol=1e-12, config=LAM_CFG))
+@example(run=dict(
+    x0=(-0.0, 0.4, math.sqrt(1.0 - 0.16)), T=20.0, rtol=1e-8, atol=1e-12,
+    config=ModelConfig(alpha1=1.0, alpha2=-0.1, model="dim3"),
+))
 @settings(max_examples=40)
 @given(run=flow_runs())
 def test_integrate_matches_list_reference(run):
