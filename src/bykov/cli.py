@@ -339,6 +339,11 @@ def _run(args) -> int:
     out_dir = Path(args.out)
     path = out_dir / name
     _atomic_write(path, text + "\n")
+    # the manifest is strict JSON: a non-finite diagnostic is null there,
+    # and its value is spelled out under "non_finite"
+    non_finite = {
+        key: repr(value) for key, value in diagnostics.items() if isinstance(value, float) and not math.isfinite(value)
+    }
     manifest = {
         "command": args.command,
         "tool_version": __version__,
@@ -346,9 +351,10 @@ def _run(args) -> int:
         "tolerances": {"rtol": getattr(args, "rtol", None), "atol": getattr(args, "atol", None)},
         "outputs": [str(path)],
         "wall_clock_s": time.monotonic() - started,
-        "diagnostics": diagnostics,
+        "diagnostics": {key: None if key in non_finite else value for key, value in diagnostics.items()},
+        "non_finite": non_finite,
     }
-    _atomic_write(out_dir / f"{args.command}_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out_dir / f"{args.command}_manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

@@ -17,23 +17,28 @@ quotient by the rotation; its third equation carries a1 (x^2 - y^2), which
 is the form that keeps the unit sphere invariant and the poles at
 equilibrium.
 
-The right-hand side from ``make_rhs`` takes the coordinates as separate
-arguments and is elementwise: the integrator calls it on floats, and the
-diagnostics call it once on the numpy columns of a whole series, with the
-same operations in the same order, so both see the same bits.
+Each model's vector field is one source text (``_FIELDS``).  Two functions
+are compiled from it on first use: the right-hand side from ``make_rhs``,
+which takes the coordinates as separate arguments and is elementwise, and
+the integrator's step, which has the field inlined at each stage.  The
+diagnostics call the right-hand side once on the numpy columns of a whole
+series, so they see the bits of the operations the step ran.
 
 Integration uses a Dormand-Prince 5(4) embedded pair with FSAL, PI-free
 elementary step control, and a velocity cap that keeps consecutive output
 samples closer than ``SAMPLE_SPACING`` in state norm without
-interpolation.  One step, written out over four coordinate slots held in
-local variables, serves all three models: the 3D model's fourth slot is
-0.0 with derivative 0.0.  A run that leaves a coordinate exactly 0.0
-after it started nonzero is flagged in ``TrajectorySeries.collapse``.
+interpolation.  The step is written out over the model's coordinate slots
+(three for the 3D model, four for the lifts), with the tableau as float
+literals.  A run that leaves a coordinate exactly 0.0 after it started
+nonzero is flagged in ``TrajectorySeries.collapse``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +103,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.model not in MODEL_NAMES:
             raise ValueError(f"model must be one of {MODEL_NAMES}, got {self.model!r}")
+        for name in ("alpha1", "alpha2", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.alpha2 < 0.0 < self.alpha1):
             raise ValueError(
                 f"need alpha2 < 0 < alpha1, got alpha1={self.alpha1}, alpha2={self.alpha2}"
@@ -126,45 +135,48 @@ def load_model_config(source) -> ModelConfig:
         raise ParameterError(str(exc)) from exc
 
 
+# The vector fields, one source text per model: ``make_rhs`` and the step
+# of ``integrate`` are both compiled from it.  The inputs are x1..x4 (x1..x3
+# for the 3D model, its x, y, z), the outputs d1..d4, and a1, a2, lam the
+# coefficients.  Each square is formed once; s + x4 * x4 is the sum
+# x1^2 + x2^2 + x3^2 + x4^2 in the same order, so the bits are those of the
+# formulas in the module docstring.
+_FIELD_4D = """\
+p1 = x1 * x1
+p2 = x2 * x2
+p3 = x3 * x3
+s = p1 + p2 + p3
+q = 1.0 - (s + x4 * x4)
+d1 = x1 * q - {rot} * x2 - a1 * x1 * x4 + a2 * x1 * x4 * x4
+d2 = x2 * q + {rot} * x1 - a1 * x2 * x4 + a2 * x2 * x4 * x4
+d3 = x3 * q + a1 * x3 * x4 + a2 * x3 * x4 * x4 + lam * x1 * x2 * x4
+d4 = x4 * q - a1 * (p3 - p1 - p2) - a2 * x4 * s - lam * x1 * x2 * x3
+"""
+_FIELDS = {
+    "dim3": """\
+p1 = x1 * x1
+p2 = x2 * x2
+s = p1 + p2
+q = 1.0 - (s + x3 * x3)
+d1 = x1 * q - a1 * x1 * x3 + a2 * x1 * x3 * x3
+d2 = x2 * q + a1 * x2 * x3 + a2 * x2 * x3 * x3
+d3 = x3 * q + a1 * (p1 - p2) - a2 * x3 * s
+""",
+    # the angular rate in the (x1, x2) plane: x4, or 1 for the control lift
+    "example4d": _FIELD_4D.format(rot="x4"),
+    "example4d_same_lift": _FIELD_4D.format(rot="1.0"),
+}
+
+
 def make_rhs(config: ModelConfig):
-    """Right-hand side ``f(x1, x2, x3, x4)`` (or ``f(x, y, z)``) returning a tuple.
+    """Right-hand side ``f(x1, x2, x3, x4)`` (or ``f(x1, x2, x3)``) returning a tuple.
 
-    The coordinates are separate arguments.  They may be floats (one state,
-    as the integrator calls it) or equal-length numpy arrays (one column per
-    coordinate, a whole series at once); every operation is elementwise, so
-    both give the same bits.
+    The coordinates are separate arguments.  They may be floats (one state)
+    or equal-length numpy arrays (one column per coordinate, a whole series
+    at once); every operation is elementwise, so both give the same bits,
+    and they are the operations of the step ``integrate`` runs.
     """
-    a1, a2, lam = config.alpha1, config.alpha2, config.lam
-    if config.model == "dim3":
-
-        def f3(x, y, z):
-            r2 = x * x + y * y + z * z
-            q = 1.0 - r2
-            return (
-                x * q - a1 * x * z + a2 * x * z * z,
-                y * q + a1 * y * z + a2 * y * z * z,
-                z * q + a1 * (x * x - y * y) - a2 * z * (x * x + y * y),
-            )
-
-        return f3
-
-    same = config.model == "example4d_same_lift"
-
-    def f4(x1, x2, x3, x4):
-        r2 = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
-        q = 1.0 - r2
-        rot = 1.0 if same else x4
-        return (
-            x1 * q - rot * x2 - a1 * x1 * x4 + a2 * x1 * x4 * x4,
-            x2 * q + rot * x1 - a1 * x2 * x4 + a2 * x2 * x4 * x4,
-            x3 * q + a1 * x3 * x4 + a2 * x3 * x4 * x4 + lam * x1 * x2 * x4,
-            x4 * q
-            - a1 * (x3 * x3 - x1 * x1 - x2 * x2)
-            - a2 * x4 * (x1 * x1 + x2 * x2 + x3 * x3)
-            - lam * x1 * x2 * x3,
-        )
-
-    return f4
+    return _compiled(config.model)["make_rhs"](config.alpha1, config.alpha2, config.lam)
 
 
 def rhs(state, config: ModelConfig) -> np.ndarray:
@@ -257,19 +269,154 @@ _DP_E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
-# The tableau unpacked once for the written-out stages of ``integrate``.
-# a72 = 0 is skipped there; the zero weights b2, b7, e2 are kept, because
-# 0.0 * k is -0.0, nan or 0.0 depending on k and the step must not change.
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _DP_A[1:]
-_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _DP_B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
+# The DP5 loop of ``integrate``, generated per model over its coordinate
+# slots j: the stage lines, the field at each stage and the b and e sums
+# come from ``_step_lines``.  Step control is written as comparisons:
+# ``min(a, b)`` is ``b if b < a else a`` and ``max(a, b)`` is
+# ``b if b > a else a``, the builtins' results, nan included.
+_RUN = """\
+def run({ys}, T, rtol, atol, a1, a2, lam):
+    sqrt = math.sqrt
+    dist = math.dist
+    {xs} = {ys}
+{k1}
+    t = 0.0
+    h = 1e-4
+    y = ({ys},)
+    times = [0.0]
+    states = [y]
+    add_time = times.append
+    add_state = states.append
+    accepted = rejected = 0
+    max_err = 0.0
+    err_budget = 0.0
+    failure = None
+    # stop within an ulp-scale sliver of the horizon: adding a remainder
+    # below ulp(t) would stall the loop
+    stop = 1e-12 * max(1.0, T)
+    floor = max(1.0, T * 1e-3)
+    while T - t > stop:
+        if h > {h_max!r}:
+            h = {h_max!r}
+        speed = sqrt({speed2})
+        if speed > 0:
+            cap = {margin!r} / speed
+            if cap < h:
+                h = cap
+        if h < 1e-13 * (t if t > floor else floor):
+            failure = f"step-size underflow at t={{t}}"
+            break
+        rest = T - t
+        if rest < h:
+            h = rest
+{steps}
+        err = sqrt(({err2}) / {n})
+        w = ({ws},)
+        dy = dist(y, w)
+        if err <= 1.0 and dy <= {spacing!r}:
+            t += h
+            y = w
+            {ys} = w
+            {k1s} = {k7s}
+            add_time(t)
+            add_state(y)
+            accepted += 1
+            scaled = err * rtol
+            if scaled > max_err:
+                max_err = scaled
+            err_budget += scaled
+        else:
+            rejected += 1
+        if err > 0.0:
+            factor = 0.9 * err ** -0.2
+        else:
+            # a nan estimate (a non-finite stage) is a rejection that shrinks h
+            factor = 5.0 if err == 0.0 else 0.2
+        if dy > {spacing!r}:
+            cap = {shrink!r} / dy
+            if cap < factor:
+                factor = cap
+        h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
+    return times, states, accepted, rejected, max_err, err_budget, failure
+"""
+
+_MAKE_RHS = """\
+def make_rhs(a1, a2, lam):
+    def rhs({xs}):
+{field}
+        return {ds}
+    return rhs
+"""
+
+
+def _step_lines(field: str, n: int) -> list[str]:
+    """Stages 2 to 7, the new state w and the scaled error terms e of one step.
+
+    The tableau enters as float literals (``repr`` round-trips exactly).  A
+    stage increment skips its zero weight a72; a stage increment of -0.0
+    (all its terms -0.0) can only flip the sign of a zero stage input, which
+    the polynomial field turns into signed zeros only, and the b and e sums,
+    which start from 0.0, absorb them.  The b and e sums keep their zero
+    weights b2, b7, e2, because 0.0 * k is -0.0, nan or 0.0 depending on k.
+    """
+    slots = range(1, n + 1)
+
+    def combination(weights, j: int, total: bool) -> str:
+        terms = [f"{c!r} * k{i}_{j}" for i, c in enumerate(weights, 1) if total or c != 0.0]
+        return " + ".join(["0.0", *terms] if total else terms)
+
+    lines = []
+    for i in range(2, 8):
+        lines += [f"x{j} = y{j} + h * ({combination(_DP_A[i - 1], j, False)})" for j in slots]
+        lines += _stage(field, i)
+    lines += [f"w{j} = y{j} + h * ({combination(_DP_B, j, True)})" for j in slots]
+    for j in slots:
+        # squared later as e * e, which overflows to inf (a rejection) where
+        # ** 2 would raise
+        lines += [
+            f"n = abs(y{j})",
+            f"m = abs(w{j})",
+            f"e{j} = h * ({combination(_DP_E, j, True)}) / (atol + rtol * (m if m > n else n))",
+        ]
+    return lines
+
+
+def _stage(field: str, i: int) -> list[str]:
+    """The field with its outputs d1..d4 renamed to stage i's k{i}_1..k{i}_4."""
+    return re.sub(r"\bd(\d)\b", rf"k{i}_\1", field).splitlines()
+
+
+@functools.cache
+def _compiled(model: str) -> dict:
+    """``make_rhs(a1, a2, lam)`` and the DP5 ``run`` of one model, from its field text."""
+    field = _FIELDS[model]
+    n = 3 if model == "dim3" else 4
+
+    def listed(name: str) -> str:
+        return ", ".join(f"{name}{j}" for j in range(1, n + 1))
+
+    source = _MAKE_RHS.format(
+        xs=listed("x"), ds=listed("d"), field=textwrap.indent(field, " " * 8)
+    ) + _RUN.format(
+        n=n,
+        xs=listed("x"),
+        ys=listed("y"),
+        ws=listed("w"),
+        k1s=listed("k1_"),
+        k7s=listed("k7_"),
+        k1=textwrap.indent("\n".join(_stage(field, 1)), " " * 4),
+        steps=textwrap.indent("\n".join(_step_lines(field, n)), " " * 8),
+        speed2=" + ".join(f"k1_{j} * k1_{j}" for j in range(1, n + 1)),
+        err2=" + ".join(["0.0"] + [f"e{j} * e{j}" for j in range(1, n + 1)]),
+        h_max=H_MAX,
+        spacing=SAMPLE_SPACING,
+        margin=0.9 * SAMPLE_SPACING,
+        shrink=0.7 * SAMPLE_SPACING,
+    )
+    namespace = {"math": math}
+    exec(compile(source, f"<bykov.flow {model}>", "exec"), namespace)
+    return namespace
 
 
 def integrate(
@@ -289,10 +436,9 @@ def integrate(
     sphere: sphere invariance is one of the things being measured.
     Step-size underflow returns the partial series with a failure marker.
 
-    The step runs on four coordinate slots.  The 3D model fills the fourth
-    with 0.0 and gives it the derivative 0.0, so it stays exactly 0.0 and
-    adds exactly 0.0 to the error sum and to the sample distance; the error
-    norm still averages over ``config.dim`` coordinates.
+    The loop runs the model's generated step (``_compiled``): the seven
+    stages written out over the model's ``config.dim`` coordinate slots,
+    with its vector field inlined and the tableau as constants.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ParameterError(f"rtol must be finite and >= 0, got {rtol}")
@@ -305,130 +451,12 @@ def integrate(
         raise ValueError("initial state must be finite")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    dim = config.dim
-    f = make_rhs(config)
-    if dim == 3:
-        f3 = f
-
-        def f(x, y, z, _):
-            dx, dy, dz = f3(x, y, z)
-            return dx, dy, dz, 0.0
-
-    t = 0.0
-    y1, y2, y3, y4 = y = x0 + (0.0,) * (4 - dim)
-    k1_1, k1_2, k1_3, k1_4 = f(y1, y2, y3, y4)
-    h = 1e-4
-    times = [0.0]
-    states = [y]
-    accepted = rejected = 0
-    max_err = 0.0
-    err_budget = 0.0
-    failure = None
-    margin = 0.9 * SAMPLE_SPACING
-    # stop within an ulp-scale sliver of the horizon: adding a remainder
-    # below ulp(t) would stall the loop
-    while T - t > 1e-12 * max(1.0, T):
-        h = min(h, H_MAX)
-        speed = math.sqrt(k1_1 * k1_1 + k1_2 * k1_2 + k1_3 * k1_3 + k1_4 * k1_4)
-        if speed > 0:
-            h = min(h, margin / speed)
-        if h < 1e-13 * max(1.0, t, T * 1e-3):
-            failure = f"step-size underflow at t={t}"
-            break
-        h = min(h, T - t)
-        # a stage increment of -0.0 (all its terms -0.0) can only flip the
-        # sign of a zero stage input; the polynomial right-hand side turns
-        # that into signed zeros only, and the b and e sums, which start
-        # from 0.0, absorb them, so the steps are those of starting every
-        # increment from 0.0
-        k2_1, k2_2, k2_3, k2_4 = f(
-            y1 + h * (_A21 * k1_1),
-            y2 + h * (_A21 * k1_2),
-            y3 + h * (_A21 * k1_3),
-            y4 + h * (_A21 * k1_4),
-        )
-        k3_1, k3_2, k3_3, k3_4 = f(
-            y1 + h * (_A31 * k1_1 + _A32 * k2_1),
-            y2 + h * (_A31 * k1_2 + _A32 * k2_2),
-            y3 + h * (_A31 * k1_3 + _A32 * k2_3),
-            y4 + h * (_A31 * k1_4 + _A32 * k2_4),
-        )
-        k4_1, k4_2, k4_3, k4_4 = f(
-            y1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-            y2 + h * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
-            y3 + h * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
-            y4 + h * (_A41 * k1_4 + _A42 * k2_4 + _A43 * k3_4),
-        )
-        k5_1, k5_2, k5_3, k5_4 = f(
-            y1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
-            y2 + h * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
-            y3 + h * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
-            y4 + h * (_A51 * k1_4 + _A52 * k2_4 + _A53 * k3_4 + _A54 * k4_4),
-        )
-        k6_1, k6_2, k6_3, k6_4 = f(
-            y1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
-            y2 + h * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2),
-            y3 + h * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3),
-            y4 + h * (_A61 * k1_4 + _A62 * k2_4 + _A63 * k3_4 + _A64 * k4_4 + _A65 * k5_4),
-        )
-        k7_1, k7_2, k7_3, k7_4 = f(
-            y1 + h * (_A71 * k1_1 + _A73 * k3_1 + _A74 * k4_1 + _A75 * k5_1 + _A76 * k6_1),
-            y2 + h * (_A71 * k1_2 + _A73 * k3_2 + _A74 * k4_2 + _A75 * k5_2 + _A76 * k6_2),
-            y3 + h * (_A71 * k1_3 + _A73 * k3_3 + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
-            y4 + h * (_A71 * k1_4 + _A73 * k3_4 + _A74 * k4_4 + _A75 * k5_4 + _A76 * k6_4),
-        )
-        w1 = y1 + h * (
-            0.0 + _B1 * k1_1 + _B2 * k2_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1 + _B7 * k7_1
-        )
-        w2 = y2 + h * (
-            0.0 + _B1 * k1_2 + _B2 * k2_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2 + _B7 * k7_2
-        )
-        w3 = y3 + h * (
-            0.0 + _B1 * k1_3 + _B2 * k2_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3 + _B7 * k7_3
-        )
-        w4 = y4 + h * (
-            0.0 + _B1 * k1_4 + _B2 * k2_4 + _B3 * k3_4 + _B4 * k4_4 + _B5 * k5_4 + _B6 * k6_4 + _B7 * k7_4
-        )
-        # the scaled error terms, summed left to right from 0.0; squared as
-        # e * e, which overflows to inf (a rejection) where ** 2 would raise
-        e1 = h * (
-            0.0 + _E1 * k1_1 + _E2 * k2_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
-        ) / (atol + rtol * max(abs(y1), abs(w1)))
-        e2 = h * (
-            0.0 + _E1 * k1_2 + _E2 * k2_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2
-        ) / (atol + rtol * max(abs(y2), abs(w2)))
-        e3 = h * (
-            0.0 + _E1 * k1_3 + _E2 * k2_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3
-        ) / (atol + rtol * max(abs(y3), abs(w3)))
-        e4 = h * (
-            0.0 + _E1 * k1_4 + _E2 * k2_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4 + _E7 * k7_4
-        ) / (atol + rtol * max(abs(y4), abs(w4)))
-        err = math.sqrt((0.0 + e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4) / dim)
-        w = (w1, w2, w3, w4)
-        dy = math.dist(y, w)
-        if err <= 1.0 and dy <= SAMPLE_SPACING:
-            t += h
-            y = w
-            y1, y2, y3, y4 = w
-            k1_1, k1_2, k1_3, k1_4 = k7_1, k7_2, k7_3, k7_4
-            times.append(t)
-            states.append(y)
-            accepted += 1
-            max_err = max(max_err, err * rtol)
-            err_budget += err * rtol
-        else:
-            rejected += 1
-        if err > 0.0:
-            factor = 0.9 * err ** -0.2
-        else:
-            # a nan estimate (a non-finite stage) is a rejection that shrinks h
-            factor = 5.0 if err == 0.0 else 0.2
-        if dy > SAMPLE_SPACING:
-            factor = min(factor, 0.7 * SAMPLE_SPACING / dy)
-        h *= min(5.0, max(0.2, factor))
+    run = _compiled(config.model)["run"]
+    times, states, accepted, rejected, max_err, err_budget, failure = run(
+        *x0, T, rtol, atol, config.alpha1, config.alpha2, config.lam
+    )
     times = np.array(times)
-    # the 3D model's fourth slot is dropped
-    states = np.ascontiguousarray(np.array(states)[:, :dim])
+    states = np.array(states)
     return TrajectorySeries(
         times=times,
         states=states,

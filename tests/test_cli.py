@@ -349,6 +349,37 @@ def test_simulate_unmeetable_tolerance_ends_on_underflow(verify, code, flow_conf
         assert manifest["diagnostics"]["failure"].startswith("step-size underflow")
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_manifest_is_strict_json(flow_config, tmp_path):
+    # the run never enters the sphere band, so its sphere residual is inf
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", flow_config, "--rtol", "0", "--atol", "1e-300", "--T", "1", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = _strict_json((out / "simulate_manifest.json").read_text())
+    assert manifest["diagnostics"]["sphere_residual"] is None
+    assert manifest["non_finite"] == {"sphere_residual": "inf"}
+    assert main(argv[:-2] + ["--T", "20", "--rtol", "1e-8", "--out", str(out)]) == 0
+    manifest = _strict_json((out / "simulate_manifest.json").read_text())
+    assert manifest["diagnostics"]["sphere_residual"] < 1e-7 and manifest["non_finite"] == {}
+
+
+@pytest.mark.parametrize("key, value", [("lambda", math.nan), ("lambda", math.inf), ("alpha1", math.inf)])
+def test_simulate_refuses_non_finite_coefficients(key, value, tmp_path, capsys):
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "example4d", key: value}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--T", "1", "--out", str(out)]) == 2
+    field = "lam" if key == "lambda" else key
+    assert f"{field} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_3d_model(tmp_path):
     cfg = tmp_path / "m3.json"
     cfg.write_text(json.dumps({"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "dim3"}))

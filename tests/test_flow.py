@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,10 @@ def test_config_validation():
         ModelConfig(alpha1=0.5, alpha2=-0.6)
     with pytest.raises(ValueError, match="lam"):
         ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.2, model="dim3")
+    for name in ("alpha1", "alpha2", "lam"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ModelConfig(**{"alpha1": 1.0, "alpha2": -0.1, name: value})
 
 
 def test_loader_exact_keys(tmp_path):
@@ -475,6 +480,57 @@ def test_integrate_bit_for_bit(name):
     assert (series.collapse is not None) == (name == "collapse")
 
 
+def _reference_field(config):
+    """The vector field as written out formula by formula, independent of ``flow._FIELDS``."""
+    a1, a2, lam = config.alpha1, config.alpha2, config.lam
+    if config.model == "dim3":
+
+        def f3(x, y, z):
+            r2 = x * x + y * y + z * z
+            q = 1.0 - r2
+            return (
+                x * q - a1 * x * z + a2 * x * z * z,
+                y * q + a1 * y * z + a2 * y * z * z,
+                z * q + a1 * (x * x - y * y) - a2 * z * (x * x + y * y),
+            )
+
+        return f3
+    same = config.model == "example4d_same_lift"
+
+    def f4(x1, x2, x3, x4):
+        r2 = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
+        q = 1.0 - r2
+        rot = 1.0 if same else x4
+        return (
+            x1 * q - rot * x2 - a1 * x1 * x4 + a2 * x1 * x4 * x4,
+            x2 * q + rot * x1 - a1 * x2 * x4 + a2 * x2 * x4 * x4,
+            x3 * q + a1 * x3 * x4 + a2 * x3 * x4 * x4 + lam * x1 * x2 * x4,
+            x4 * q
+            - a1 * (x3 * x3 - x1 * x1 - x2 * x2)
+            - a2 * x4 * (x1 * x1 + x2 * x2 + x3 * x3)
+            - lam * x1 * x2 * x3,
+        )
+
+    return f4
+
+
+@pytest.mark.parametrize(
+    "model, lam",
+    [("dim3", 0.0), ("example4d", 0.0), ("example4d", 0.05), ("example4d_same_lift", 0.0), ("example4d_same_lift", 0.05)],
+)
+def test_make_rhs_columns_match_reference_field(model, lam):
+    cfg = ModelConfig(alpha1=1.0, alpha2=-0.1, lam=lam, model=model)
+    # every sign of zero, subnormals, values whose squares overflow, and random states
+    special = (0.0, -0.0, 5e-324, -1e-300, 0.7, -1.0, 1e155)
+    grid = np.array(list(itertools.product(special, repeat=cfg.dim)))
+    states = np.vstack([grid, np.random.default_rng(61).uniform(-1.5, 1.5, (500, cfg.dim))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = make_rhs(cfg)(*states.T)
+    f = _reference_field(cfg)
+    for row, got in zip(states.tolist(), zip(*(c.tolist() for c in columns))):
+        assert [v.hex() for v in got] == [v.hex() for v in f(*row)]
+
+
 # The tableau as the list-comprehension reference below unpacks it.
 (
     (_A21,),
@@ -494,7 +550,7 @@ def _integrate_lists(x0, T, rtol, atol, *, config):
     The speed cap adds the squares left to right from 0.0, as the builtin
     ``sum`` did before Python 3.12 compensated float sums.
     """
-    f = make_rhs(config)
+    f = _reference_field(config)
     dim = config.dim
     t = 0.0
     y = tuple(float(v) for v in x0)
