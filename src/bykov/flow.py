@@ -176,7 +176,8 @@ def make_rhs(config: ModelConfig):
     at once); every operation is elementwise, so both give the same bits,
     and they are the operations of the step ``integrate`` runs.
     """
-    return _compiled(config.model)["make_rhs"](config.alpha1, config.alpha2, config.lam)
+    factory, _ = _compiled(config.model)
+    return factory(config.alpha1, config.alpha2, config.lam)
 
 
 def rhs(state, config: ModelConfig) -> np.ndarray:
@@ -388,7 +389,7 @@ def _stage(field: str, i: int) -> list[str]:
 
 
 @functools.cache
-def _compiled(model: str) -> dict:
+def _compiled(model: str) -> tuple:
     """``make_rhs(a1, a2, lam)`` and the DP5 ``run`` of one model, from its field text."""
     field = _FIELDS[model]
     n = 3 if model == "dim3" else 4
@@ -416,7 +417,7 @@ def _compiled(model: str) -> dict:
     )
     namespace = {"math": math}
     exec(compile(source, f"<bykov.flow {model}>", "exec"), namespace)
-    return namespace
+    return namespace["make_rhs"], namespace["run"]
 
 
 def integrate(
@@ -451,7 +452,7 @@ def integrate(
         raise ValueError("initial state must be finite")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    run = _compiled(config.model)["run"]
+    _, run = _compiled(config.model)
     times, states, accepted, rejected, max_err, err_budget, failure = run(
         *x0, T, rtol, atol, config.alpha1, config.alpha2, config.lam
     )
