@@ -680,8 +680,10 @@ def flow_runs(draw):
 
 
 # the overflowing start ends on a step-size underflow, the subnormal one on
-# a collapse; the last two start on a -0.0 coordinate
+# a collapse; at atol = 1e-30 the rejections shrink h by the factor's floor
+# of 0.2; the last two start on a -0.0 coordinate
 @example(run=dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG))
+@example(run=dict(x0=FIG_START, T=0.01, rtol=0.0, atol=1e-30, config=CFG))
 @example(run=dict(x0=(1e-322, 0.0, 0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=CFG))
 @example(run=dict(x0=(0.6, -0.3, -0.0, 0.74), T=20.0, rtol=1e-8, atol=1e-12, config=LAM_CFG))
 @example(run=dict(
