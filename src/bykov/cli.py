@@ -32,14 +32,15 @@ import numpy as np
 
 from . import __version__
 from .flow import (
+    DWELL_DISCARD,
     SAMPLE_SPACING,
+    boundary_residual,
     chirality_check,
     integrate,
     invariant_subspace_residuals,
     load_model_config,
     sojourn_analysis,
     sphere_residual,
-    synthetic_dwell_series,
 )
 from .horseshoe import (
     build_strips,
@@ -250,7 +251,12 @@ def cmd_multipulse(args):
 
 def _simulate(args):
     config = load_model_config(args.config)
-    x0 = [float(v) for v in args.x0.split(",")]
+    try:
+        x0 = [float(v) for v in args.x0.split(",")]
+    except ValueError:
+        x0 = []
+    if len(x0) != config.dim or not all(map(math.isfinite, x0)):
+        raise ParameterError(f"--x0 must be {config.dim} finite comma-separated numbers, got {args.x0!r}")
     series = integrate(x0, T=args.T, rtol=args.rtol, atol=args.atol, config=config)
     return config, series
 
@@ -302,23 +308,26 @@ def cmd_sojourn(args):
     if not args.radius > 0.0:
         raise ParameterError(f"--radius must be > 0, got {args.radius}")
     config, series = _simulate(args)
-    report = sojourn_analysis(series, neighborhood_radius=args.radius)
+    collapse = _collapse(series, config)
     if args.verify:
-        # self-test of the analyzer on a synthetic series with known ratio
-        durations = []
-        dur = 1.0
-        for i in range(10):
-            durations.append(("v" if i % 2 == 0 else "w", dur))
-            dur *= 1.5
-        syn = sojourn_analysis(synthetic_dwell_series(durations), neighborhood_radius=0.3)
-        if abs(syn.median_ratio - 1.5**2) > 1e-6:
-            raise VerifyFailure(f"analyzer self-test recovered {syn.median_ratio}, wanted 2.25")
+        # checked before the analysis, whose refusal of a short run exits 2
+        if series.failure is not None:
+            raise VerifyFailure(series.failure)
+        if collapse is not None:
+            raise VerifyFailure(f"{collapse['coordinate']} collapsed to 0.0 at t={collapse['t']}")
+    report = sojourn_analysis(series, neighborhood_radius=args.radius)
     diagnostics = {
         "accepted": series.accepted,
         "rejected": series.rejected,
         "median_ratio": report.median_ratio,
-        "collapse": _collapse(series, config),
+        "collapse": collapse,
     }
+    if args.verify:
+        if len(report.dwells) < DWELL_DISCARD + 2:
+            raise VerifyFailure(f"{len(report.dwells)} complete dwells, need {DWELL_DISCARD + 2}")
+        residual = diagnostics["boundary_residual"] = boundary_residual(series, report, args.radius)
+        if residual > SAMPLE_SPACING**2 / args.radius:
+            raise VerifyFailure(f"a dwell boundary is off the radius sphere by {residual}")
     return "sojourn.json", report, diagnostics
 
 

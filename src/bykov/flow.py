@@ -58,6 +58,7 @@ __all__ = [
     "sphere_residual",
     "chirality_check",
     "sojourn_analysis",
+    "boundary_residual",
     "invariant_subspace_residuals",
 ]
 
@@ -446,12 +447,10 @@ def integrate(
     if not (math.isfinite(atol) and atol > 0.0):
         raise ParameterError(f"atol must be finite and > 0, got {atol}")
     x0 = tuple(float(v) for v in x0)
-    if len(x0) != config.dim:
-        raise ValueError(f"initial state must have dimension {config.dim}, got {len(x0)}")
-    if not all(math.isfinite(v) for v in x0):
-        raise ValueError("initial state must be finite")
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if len(x0) != config.dim or not all(map(math.isfinite, x0)):
+        raise ParameterError(f"x0 must be {config.dim} finite numbers, got {x0}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ParameterError(f"T must be finite and > 0, got {T}")
     _, run = _compiled(config.model)
     times, states, accepted, rejected, max_err, err_budget, failure = run(
         *x0, T, rtol, atol, config.alpha1, config.alpha2, config.lam
@@ -503,14 +502,19 @@ def sphere_residual(series: TrajectorySeries) -> float:
     return float(tail.max()) if len(tail) else math.inf
 
 
+def _pole_distance(states: np.ndarray, pole) -> np.ndarray:
+    """Distance of each row of ``states`` to ``pole`` (inf on overflow): dwells, chirality and replay share it."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(sum((column - c) ** 2 for column, c in zip(states.T, pole)))
+
+
 def _within(states: np.ndarray, pole, radius: float) -> np.ndarray:
     """Mask of the samples closer than ``radius`` to ``pole``, as ``math.dist`` decides.
 
-    The numpy norm and ``math.dist`` may differ in the last bits, so samples
+    The column sum and ``math.dist`` may differ in the last bits, so samples
     within a relative 1e-12 of the radius are settled by ``math.dist``.
     """
-    with np.errstate(over="ignore"):
-        dist = np.sqrt(sum((column - c) ** 2 for column, c in zip(states.T, pole)))
+    dist = _pole_distance(states, pole)
     near = dist < radius
     for i in np.flatnonzero(np.abs(dist - radius) <= 1e-12 * radius):
         near[i] = math.dist(states[i].tolist(), pole) < radius
@@ -611,8 +615,7 @@ class SojournReport:
 def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
     # the 3D model's poles (0, 0, +-1) are the last coordinates of the 4D ones
     dim = series.states.shape[1]
-    poles = {"v": np.array(V_POLE[-dim:]), "w": np.array(W_POLE[-dim:])}
-    dist = {n: np.linalg.norm(series.states - pole, axis=1) for n, pole in poles.items()}
+    dist = {n: _pole_distance(series.states, pole[-dim:]) for n, pole in (("v", V_POLE), ("w", W_POLE))}
     times = series.times
     # the node of each sample: 0 for none, 1 for v, 2 for w (v first when both are near)
     code = np.where(dist["v"] < radius, 1, np.where(dist["w"] < radius, 2, 0))
@@ -679,6 +682,27 @@ def sojourn_analysis(series: TrajectorySeries, neighborhood_radius: float = 0.3)
     )
 
 
+def boundary_residual(series: TrajectorySeries, report: SojournReport, neighborhood_radius: float = 0.3) -> float:
+    """Worst distance of a dwell boundary from the radius sphere around its node.
+
+    Each entry and exit strictly inside the run is replayed on the series,
+    the state interpolated linearly between the samples on either side.  The
+    boundary times interpolate the distance instead, so on chords shorter
+    than ``SAMPLE_SPACING`` the miss stays below ``SAMPLE_SPACING**2 / radius``.
+    """
+    times, states = series.times, series.states
+    worst = 0.0
+    for node, pole in (("v", V_POLE), ("w", W_POLE)):
+        t = np.array([b for d in report.dwells if d.node == node for b in (d.t_enter, d.t_exit)])
+        t = t[(times[0] < t) & (t < times[-1])]
+        i = np.searchsorted(times, t)
+        w = (t - times[i - 1]) / (times[i] - times[i - 1])
+        at = states[i - 1] + w[:, None] * (states[i] - states[i - 1])
+        miss = np.abs(_pole_distance(at, pole[-states.shape[1]:]) - neighborhood_radius)
+        worst = max(worst, float(np.max(miss, initial=0.0)))
+    return worst
+
+
 def invariant_subspace_residuals(series: TrajectorySeries, config: ModelConfig) -> dict[str, float]:
     """Max drift out of the coordinate subspaces the start belongs to.
 
@@ -698,37 +722,3 @@ def invariant_subspace_residuals(series: TrajectorySeries, config: ModelConfig) 
     if not out:
         raise ValueError("initial state lies in none of the tracked invariant subspaces")
     return out
-
-
-def synthetic_dwell_series(durations: list[tuple[str, float]]) -> TrajectorySeries:
-    """Hand-built series with prescribed dwell durations (analyzer self-test).
-
-    Boundary samples sit exactly at the detection radius 0.3, so the
-    interpolated crossing times coincide with the prescribed boundaries and
-    the analyzer must recover the injected durations exactly; the transit
-    between dwells takes unit time.
-    """
-    poles = {"v": np.array(V_POLE), "w": np.array(W_POLE)}
-    far = np.array((0.0, 0.0, 1.0, 0.0))
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    t = 0.0
-    for node, duration in durations:
-        pole = poles[node]
-        rim = pole + 0.3 * (far - pole) / np.linalg.norm(far - pole)
-        times.extend([t, t + 1e-9, t + duration - 1e-9, t + duration])
-        states.extend([rim, pole, pole, rim])
-        t += duration
-        times.append(t + 0.5)
-        states.append(far)
-        t += 1.0
-    times.append(t)
-    states.append(far)
-    return TrajectorySeries(
-        times=np.array(times),
-        states=np.array(states),
-        accepted=len(times),
-        rejected=0,
-        max_error_estimate=0.0,
-        error_budget=0.0,
-    )

@@ -616,11 +616,11 @@ class PulsePoint:
 def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exit angle and height (x_w, y_w) at each of ``depth + 1`` returns of the points (0, e^u).
 
-    Each return is :func:`curve_sample` on the exit-curve kernel, then the
-    quarter turn (y_w, -x_w) with the height reduced to (-pi, pi].  An
-    element is nan from the first return whose start leaves the height range
-    (0, eps]; an overflowing seed counts as off-section.  Seeds use libm's
-    exp, as the strip boundaries do.
+    Each return is the kernel's values step ``_exit_values`` at (x, ln y),
+    then the quarter turn (y_w, -x_w) with the height reduced to (-pi, pi].
+    An element is nan from the first return whose start leaves the height
+    range (0, eps]; an overflowing seed counts as off-section.  Seeds use
+    libm's exp, as the strip boundaries do.
     """
     u = np.asarray(u, dtype=float)
     y = np.fromiter(map(math.exp, np.minimum(u, 709.0).ravel().tolist()), float, u.size).reshape(u.shape)

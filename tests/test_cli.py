@@ -1,10 +1,15 @@
 import argparse
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from bykov.cli import build_parser, main
+from bykov.flow import SAMPLE_SPACING, sojourn_analysis
+
+README_FLOW = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme_flow.json"
 
 
 @pytest.fixture()
@@ -464,7 +469,7 @@ def test_non_finite_options_are_refused(command, message, case1_config, flow_con
     assert not out.exists()
 
 
-def test_sojourn_self_test(flow_config, tmp_path, capsys):
+def test_sojourn_verify_replays_dwell_boundaries(flow_config, tmp_path, capsys):
     code = main(
         ["sojourn", "--config", flow_config, "--T", "150", "--rtol", "1e-8",
          "--atol", "1e-10", "--verify", "--out", str(tmp_path / "out")]
@@ -475,6 +480,66 @@ def test_sojourn_self_test(flow_config, tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "sojourn_manifest.json").read_text())
     assert manifest["diagnostics"]["collapse"] is None
     assert (manifest["diagnostics"]["accepted"], manifest["diagnostics"]["rejected"]) == (2081, 12)
+    assert 0.0 < manifest["diagnostics"]["boundary_residual"] < SAMPLE_SPACING**2 / 0.3
+
+
+@pytest.mark.parametrize(
+    "model, x0", [("dim3", "0.1,0.4,0.9"), ("example4d_same_lift", "-0.5,-0.139,-0.8807,0.3013")]
+)
+def test_sojourn_verify_on_other_models(model, x0, tmp_path):
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({**FLOW, "model": model}))
+    out = tmp_path / "out"
+    assert main(["sojourn", "--config", str(cfg), f"--x0={x0}", "--T", "300", "--verify", "--out", str(out)]) == 0
+    manifest = json.loads((out / "sojourn_manifest.json").read_text())
+    assert 0.0 < manifest["diagnostics"]["boundary_residual"] < SAMPLE_SPACING**2 / 0.3
+
+
+def _move_one_boundary(series, neighborhood_radius):
+    report = sojourn_analysis(series, neighborhood_radius)
+    dwells = list(report.dwells)
+    moved = dwells[3]
+    dwells[3] = dataclasses.replace(moved, t_exit=moved.t_exit + 0.5, duration=moved.duration + 0.5)
+    return dataclasses.replace(report, dwells=tuple(dwells))
+
+
+UNDERFLOW = ["--rtol", "0", "--atol", "1e-300", "--T", "1"]
+
+
+@pytest.mark.parametrize(
+    "lam, options, analysis, message",
+    [
+        (0.0, UNDERFLOW, sojourn_analysis, "step-size underflow"),
+        (0.05, ["--x0=1e-322,0,-0.0,1", "--T", "50"], sojourn_analysis, "x1 collapsed to 0.0"),
+        (0.0, ["--T", "150"], _move_one_boundary, "dwell boundary is off the radius sphere"),
+    ],
+    ids=["underflow", "collapse", "moved-boundary"],
+)
+def test_sojourn_verify_refuses_the_run(lam, options, analysis, message, tmp_path, capsys, monkeypatch):
+    config = tmp_path / "flow.json"
+    config.write_text(json.dumps({**json.loads(README_FLOW.read_text()), "lambda": lam}))
+    monkeypatch.setattr("bykov.cli.sojourn_analysis", analysis)
+    out = tmp_path / "out"
+    assert main(["sojourn", "--config", str(config), *options, "--verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
+def test_sojourn_underflow_without_verify_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sojourn", "--config", str(README_FLOW), *UNDERFLOW, "--out", str(out)]) == 2
+    assert "complete dwell episodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sojourn"])
+@pytest.mark.parametrize("x0", ["a,b,c,d", "", "1,2", "nan,0,0,1"], ids=["letters", "empty", "short", "nan"])
+def test_bad_start_names_x0(command, x0, flow_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", flow_config, f"--x0={x0}", "--T", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --x0 must be 4 finite")
+    assert not out.exists()
 
 
 OPTIONS = {

@@ -24,6 +24,7 @@ from bykov.flow import (
     ModelConfig,
     _dwell_segments,
     _first_collapse,
+    boundary_residual,
     chirality_check,
     equilibria_spectrum,
     integrate,
@@ -33,13 +34,46 @@ from bykov.flow import (
     rhs,
     sojourn_analysis,
     sphere_residual,
-    synthetic_dwell_series,
 )
 from bykov.oracles import numeric_jacobian
 from bykov.params import ParameterError
 
 CFG = ModelConfig(alpha1=1.0, alpha2=-0.1)
 FIG_START = (-0.5, -0.139, -0.8807, 0.3013)
+
+
+def synthetic_dwell_series(durations: list[tuple[str, float]]) -> TrajectorySeries:
+    """Hand-built series with prescribed dwell durations.
+
+    Boundary samples sit exactly at the detection radius 0.3, so the
+    interpolated crossing times coincide with the prescribed boundaries and
+    the analyzer must recover the injected durations exactly; the transit
+    between dwells takes unit time.
+    """
+    poles = {"v": np.array(V_POLE), "w": np.array(W_POLE)}
+    far = np.array((0.0, 0.0, 1.0, 0.0))
+    times: list[float] = []
+    states: list[np.ndarray] = []
+    t = 0.0
+    for node, duration in durations:
+        pole = poles[node]
+        rim = pole + 0.3 * (far - pole) / np.linalg.norm(far - pole)
+        times.extend([t, t + 1e-9, t + duration - 1e-9, t + duration])
+        states.extend([rim, pole, pole, rim])
+        t += duration
+        times.append(t + 0.5)
+        states.append(far)
+        t += 1.0
+    times.append(t)
+    states.append(far)
+    return TrajectorySeries(
+        times=np.array(times),
+        states=np.array(states),
+        accepted=len(times),
+        rejected=0,
+        max_error_estimate=0.0,
+        error_budget=0.0,
+    )
 
 
 def test_config_validation():
@@ -146,12 +180,15 @@ def test_integrate_constant_at_equilibrium():
 
 
 def test_integrate_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^x0 must be 4 finite"):
         integrate((0.1, 0.2), T=1.0, config=CFG)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^x0 must be 4 finite"):
         integrate((0.1, 0.2, 0.3, math.nan), T=1.0, config=CFG)
     with pytest.raises(ValueError):
         integrate(FIG_START, T=-1.0, config=CFG)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^T must be finite"):
+            integrate(FIG_START, T=horizon, config=CFG)
 
 
 def test_integrate_dense_output_and_determinism():
@@ -317,6 +354,18 @@ def test_sojourn_synthetic_recovery():
     durations = [("v" if i % 2 == 0 else "w", 2.0 * 1.4938**i) for i in range(9)]
     rep = sojourn_analysis(synthetic_dwell_series(durations))
     assert rep.median_ratio == pytest.approx(1.4938**2, abs=1e-6)
+
+
+def test_boundary_residual_replays_interior_boundaries():
+    series = synthetic_dwell_series([("v" if i % 2 == 0 else "w", 1.5**i) for i in range(10)])
+    rep = sojourn_analysis(series)
+    assert boundary_residual(series, rep) < 1e-12
+    # a run that starts inside the neighbourhood of v: its entry at t = 0 is
+    # no boundary and is not replayed
+    near_v = integrate((0.05, 0.05, 0.05, 0.99), T=300.0, rtol=1e-10, atol=1e-12, config=CFG)
+    rep = sojourn_analysis(near_v)
+    assert rep.dwells[0].t_enter == 0.0
+    assert 0.0 < boundary_residual(near_v, rep) < SAMPLE_SPACING**2 / 0.3
 
 
 def test_sojourn_insufficient_data():

@@ -164,6 +164,7 @@ PUBLIC_SIGNATURES = {
         "sphere_residual": ("series",),
         "chirality_check": ("config", "series"),
         "sojourn_analysis": ("series", "neighborhood_radius"),
+        "boundary_residual": ("series", "report", "neighborhood_radius"),
         "invariant_subspace_residuals": ("series", "config"),
     },
     oracles: {
