@@ -305,8 +305,9 @@ def cmd_simulate(args):
 
 
 def cmd_sojourn(args):
-    if not args.radius > 0.0:
-        raise ParameterError(f"--radius must be > 0, got {args.radius}")
+    # the poles are 2 apart: above 1 their neighbourhoods overlap
+    if not 0.0 < args.radius <= 1.0:
+        raise ParameterError(f"--radius must be > 0 and <= 1, got {args.radius}")
     config, series = _simulate(args)
     collapse = _collapse(series, config)
     if args.verify:

@@ -652,8 +652,12 @@ def sojourn_analysis(series: TrajectorySeries, neighborhood_radius: float = 0.3)
 
     The headline statistic is the median of ratios of consecutive same-node
     dwell durations, computed after dropping the first ``DWELL_DISCARD``
-    dwells (transient) and a final dwell cut off by the horizon.
+    dwells (transient) and a final dwell cut off by the horizon.  The poles
+    are 2 apart, so the radius must lie in (0, 1] for their open
+    neighbourhoods to be disjoint.
     """
+    if not 0.0 < neighborhood_radius <= 1.0:
+        raise ParameterError(f"neighborhood_radius must lie in (0, 1], got {neighborhood_radius}")
     dwells = _dwell_segments(series, neighborhood_radius)
     if dwells and dwells[-1].t_exit >= float(series.times[-1]):
         dwells = dwells[:-1]

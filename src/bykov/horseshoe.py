@@ -35,14 +35,14 @@ from .params import (
     turning_harmonic,
 )
 from .returncurve import (
+    LN_FLOOR,
     TWO_PI,
-    NoReversalsError,
     _angle_dist,
     _exit_values,
     _pi_lattice,
     _wrap_pi,
     exit_curve,
-    reversal_angle_set,
+    find_tangency,
     turning_crossings,
 )
 
@@ -52,8 +52,6 @@ __all__ = [
     "return_jacobian",
     "JacobianReport",
     "jacobian_report",
-    "PeriodicTangencyResult",
-    "detect_periodic_tangency",
     "Strip",
     "StripFamily",
     "build_strips",
@@ -63,7 +61,6 @@ __all__ = [
     "find_multipulse",
 ]
 
-LN_FLOOR = math.log(1e-300)
 # an eigenvalue modulus this close to 1 is not called hyperbolic
 UNIT_TOL = 1e-6
 # least distance of a strip target from the exit angle at a piece end
@@ -150,34 +147,6 @@ def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
     trace = float(jac[0, 0] + jac[1, 1])
     eigen_class = _eigen_class(*_eigen_moduli(trace, det))
     return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=eigen_class)
-
-
-@dataclass(frozen=True)
-class PeriodicTangencyResult:
-    found: bool
-    witness_n: int | None
-    angle: float | None
-    distance: float
-
-
-def detect_periodic_tangency(p: SaddleParams, x0: float = 0.0) -> PeriodicTangencyResult:
-    """True when one of the first 4096 reversal angles at t = 0 lies within 1e-9 of the trace x0.
-
-    Parameter points without reversals are trivially clean.
-    """
-    try:
-        angles = reversal_angle_set(0.0, 4096, p)
-    except NoReversalsError:
-        return PeriodicTangencyResult(found=False, witness_n=None, angle=None, distance=math.inf)
-    dist = _angle_dist(angles.x_values, x0)
-    best = int(np.argmin(dist))
-    found = bool(dist[best] < 1e-9)
-    return PeriodicTangencyResult(
-        found=found,
-        witness_n=best if found else None,
-        angle=float(angles.x_values[best] % TWO_PI),
-        distance=float(dist[best]),
-    )
 
 
 # kernel points per call up to which _bisect adds levels to its bisection
@@ -337,8 +306,9 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     separation.  Case IV treats the tangential crossing as Case II/III with
     an exclusion zone around the inflection angles.  The case follows
     :func:`bykov.params.classify_region` at its default rationality policy.
-    Boundaries are solved on a 33-point t-grid; construction retries once on
-    a four-fold finer grid if an invariant fails marginally.
+    Boundaries are solved on one 33-point t-grid; the family's invariants
+    are not replayed here, the caller checks them with
+    :func:`strip_family_violations`.
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
@@ -351,10 +321,11 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     case = _CASE_OF_TAG[region.tag]
     notes: list[str] = [f"region {region.tag}"]
     if case == "II":
-        probe = detect_periodic_tangency(p, x0=0.0)
-        if probe.found:
+        # a reversal among the first 4096 within 1e-9 of the trace x = 0
+        probe = find_tangency(0.0, 0.0, 4096, p)
+        if probe.history[-1][1] < 1e-9:
             raise PeriodicTangencyError(
-                f"periodic tangency at reversal {probe.witness_n} (angle {probe.angle:.6g}); "
+                f"periodic tangency at reversal {probe.n_best} (angle {probe.x_best % TWO_PI:.6g}); "
                 "strip images are not guaranteed to cross the unstable-manifold trace"
             )
     tau_eff = tau
@@ -372,20 +343,9 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
         endpoint_margin = 10.0 * tau_eff
         notes.append(f"inflection exclusion half-width {endpoint_margin:.6g}")
 
-    for grid_n in (33, 129):
-        t_grid = np.linspace(0.0, tau_eff, grid_n)
-        strips = _collect_strips(tau_eff, n_limit, p, case, period, t_grid, endpoint_margin)
-        family = StripFamily(
-            tau=tau_eff,
-            case=case,
-            gamma=gamma,
-            strips=tuple(strips),
-            notes=tuple(notes),
-        )
-        if not strip_family_violations(family, p):
-            return family
-        notes.append(f"t-grid refined from {grid_n} samples")
-    return family
+    t_grid = np.linspace(0.0, tau_eff, 33)
+    strips = _collect_strips(tau_eff, n_limit, p, case, period, t_grid, endpoint_margin)
+    return StripFamily(tau=tau_eff, case=case, gamma=gamma, strips=tuple(strips), notes=tuple(notes))
 
 
 def _collect_strips(

@@ -79,6 +79,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 S_UNDERFLOW = 1e-300
+LN_FLOOR = math.log(S_UNDERFLOW)
 
 
 class NoReversalsError(ValueError):
@@ -321,15 +322,14 @@ def _reversal_entries(
     roots = turning_crossings(p)
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
-    ln_floor = math.log(S_UNDERFLOW)
     if stop_at_underflow:
         # no more turning points than this lie above s = 1e-300
-        n_max = min(n_max, 2 * int((k.c2 - k.g_v * ln_floor) / math.pi + 2))
+        n_max = min(n_max, 2 * int((k.c2 - k.g_v * LN_FLOOR) / math.pi + 2))
     m, j = _pi_lattice(roots, t, n_max)
     phis = np.asarray(roots)[j] + m * math.pi
     log_s = (k.c2 + t - phis) / k.g_v
     # ln s_n descends, so the entries above the floor are a prefix
-    cut = np.searchsorted(-log_s, -ln_floor, side="right") if stop_at_underflow else len(j)
+    cut = np.searchsorted(-log_s, -LN_FLOOR, side="right") if stop_at_underflow else len(j)
     theta = turning_harmonic(p)[2]
     upward = math.sin(2.0 * roots[0] - theta) < 0.0
     kinds = np.array(("maxima", "minima") if upward else ("minima", "maxima"), dtype=object)

@@ -458,6 +458,9 @@ def test_flow_tolerances_are_refused(command, tolerances, field, flow_config, tm
         (["sojourn", "--atol", "inf"], "--atol must be finite"),
         (["sojourn", "--radius", "nan"], "--radius must be finite"),
         (["sojourn", "--radius", "-1"], "--radius must be > 0"),
+        # the poles are 2 apart, so above radius 1 their neighbourhoods overlap
+        (["sojourn", "--radius", "1.2"], "--radius must be > 0 and <= 1"),
+        (["sojourn", "--radius", "1.5", "--verify"], "--radius must be > 0 and <= 1"),
     ],
 )
 def test_non_finite_options_are_refused(command, message, case1_config, flow_config, tmp_path, capsys):

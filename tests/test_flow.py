@@ -374,6 +374,15 @@ def test_sojourn_insufficient_data():
         sojourn_analysis(series)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.3, 1.2, 1.5, math.nan, math.inf])
+def test_sojourn_radius_outside_unit_interval_is_refused(radius):
+    # the poles are 2 apart, so only radii in (0, 1] keep their neighbourhoods disjoint
+    series = synthetic_dwell_series([("v" if i % 2 == 0 else "w", 1.5**i) for i in range(10)])
+    with pytest.raises(ParameterError, match=r"^neighborhood_radius must lie in \(0, 1\]"):
+        sojourn_analysis(series, radius)
+    assert sojourn_analysis(series, 1.0).dwells
+
+
 def test_invariant_subspace_exact_and_broken():
     start = (0.6, -0.3, 0.0, 0.74)
     series = integrate(start, T=100.0, rtol=1e-10, atol=1e-12, config=CFG)

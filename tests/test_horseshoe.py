@@ -22,7 +22,6 @@ from bykov.horseshoe import (
     _period_pieces,
     _return_chain,
     build_strips,
-    detect_periodic_tangency,
     find_multipulse,
     jacobian_report,
     return_jacobian,
@@ -38,6 +37,7 @@ from bykov.returncurve import (
     circle_dist,
     curve_sample,
     exit_curve,
+    find_tangency,
     reversal_angle_set,
     reversal_sequence,
     turning_function,
@@ -152,30 +152,28 @@ def test_build_strips_rejects_resonance(unit_params):
 
 
 def test_build_strips_refuses_periodic_tangency(rational_params):
-    angles = reversal_angle_set(0.0, 64, rational_params)
-    x_hit = float(angles.x_values[3] % TWO_PI)
-    # shift the section origin onto a reversal angle by rotating coordinates:
-    # equivalently, probe detect_periodic_tangency at that angle
-    probe = detect_periodic_tangency(rational_params, x0=x_hit)
-    assert probe.found and probe.witness_n is not None
+    # at this a, gamma stays 3/2 and reversal 1329 lands 3.6e-15 from the trace x = 0
+    p = replace(rational_params, a=1.6762332269283227)
+    assert p.constants.gamma == 1.5
+    assert classify_region(p).tag == "InteriorB_GammaRational"
+    with pytest.raises(PeriodicTangencyError, match="periodic tangency at reversal 1329 "):
+        build_strips(0.3, 3, p)
 
 
 def test_detect_periodic_tangency_bit_for_bit(rational_params):
+    """The case-II guard's scan: the nearest of the first 4096 reversals at t = 0."""
     x_hit = float(reversal_angle_set(0.0, 64, rational_params).x_values[3] % TWO_PI)
-    got = [repr(detect_periodic_tangency(rational_params, x0=x0)) for x0 in (0.0, x_hit)]
+    got = []
+    for x0 in (0.0, x_hit):
+        report = find_tangency(x0, 0.0, 4096, rational_params)
+        got.append((report.n_best, report.x_best.hex(), report.x_best % TWO_PI, report.history[-1]))
     assert got == [
-        "PeriodicTangencyResult(found=False, witness_n=None, angle=0.47387798728937014, "
-        "distance=0.4738779872892458)",
-        "PeriodicTangencyResult(found=True, witness_n=3, angle=5.186266967674135, distance=0.0)",
+        (3329, "-0x1.46aa99454b13cp+11", 0.47387798728937014, (3330, 0.4738779872892458)),
+        (3, "-0x1.18cfa3ea8efc4p+0", 5.186266967674135, (4, 0.0)),
     ]
 
 
 def test_strips_case2_rational_gamma(rational_params):
-    probe = detect_periodic_tangency(rational_params, x0=0.0)
-    if probe.found:
-        with pytest.raises(PeriodicTangencyError):
-            build_strips(0.3, 3, rational_params)
-        return
     family = build_strips(0.3, 3, rational_params)
     assert family.case == "II"
     assert strip_family_violations(family, rational_params) == []
@@ -204,11 +202,6 @@ def test_strips_case4_boundary():
                 phi = -k.g_v * math.log(s) + float(t) + k.c2
                 # distance in phi from the grazing angle never vanishes
                 assert abs(curve_sample(float(t), s, p).dxw_ds) > 0.0
-
-
-def test_detect_periodic_tangency_trivially_false(case1_params, dense_params):
-    assert not detect_periodic_tangency(case1_params).found
-    assert not detect_periodic_tangency(dense_params, x0=0.0).found
 
 
 def test_trace_sign_constant_inside_strips(dense_params):
@@ -702,24 +695,6 @@ def test_build_strips_matches_per_strip_reference(fixture, n_limit, request, mon
     want = [_family_bits(tau, n_limit, p) for tau in _strip_draws(fixture)]
     assert got == want
     assert sum(isinstance(bits, tuple) and len(bits[-1]) == n_limit for bits in got) >= 2
-
-
-@pytest.mark.parametrize("fixture", STRIP_FIXTURES)
-def test_build_strips_retry_matches_per_strip_reference(fixture, request, monkeypatch):
-    # the 33-point family always reports a violation, so every build refines
-    p = request.getfixturevalue(fixture)
-    replay = horseshoe.strip_family_violations
-    monkeypatch.setattr(
-        horseshoe,
-        "strip_family_violations",
-        lambda family, p: replay(family, p) if any("refined" in n for n in family.notes) else ["forced"],
-    )
-    got = [_family_bits(tau, 5, p) for tau in _strip_draws(fixture)]
-    monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
-    want = [_family_bits(tau, 5, p) for tau in _strip_draws(fixture)]
-    assert got == want
-    assert all(len(strip[2]) == 129 for bits in got for strip in bits[-1])
-    assert sum(len(bits[-1]) == 5 for bits in got) >= 2
 
 
 def test_strip_family_violations_messages(dense_params):

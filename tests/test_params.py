@@ -149,7 +149,6 @@ PUBLIC_SIGNATURES = {
     horseshoe: {
         "return_jacobian": ("x", "y", "p"),
         "jacobian_report": ("x", "y", "p"),
-        "detect_periodic_tangency": ("p", "x0"),
         "build_strips": ("tau", "n_limit", "p"),
         "strip_family_violations": ("family", "p"),
         "strip_image_report": ("family", "p"),
