@@ -103,19 +103,19 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_NAMES:
-            raise ValueError(f"model must be one of {MODEL_NAMES}, got {self.model!r}")
+            raise ParameterError(f"model must be one of {MODEL_NAMES}, got {self.model!r}")
         for name in ("alpha1", "alpha2", "lam"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not (self.alpha2 < 0.0 < self.alpha1):
-            raise ValueError(
+            raise ParameterError(
                 f"need alpha2 < 0 < alpha1, got alpha1={self.alpha1}, alpha2={self.alpha2}"
             )
         if self.alpha1 + self.alpha2 <= 0.0:
-            raise ValueError(f"need alpha1 + alpha2 > 0, got {self.alpha1 + self.alpha2}")
+            raise ParameterError(f"need alpha1 + alpha2 > 0, got {self.alpha1 + self.alpha2}")
         if self.model == "dim3" and self.lam != 0.0:
-            raise ValueError("the 3D seed system has no symmetry-breaking term; set lam = 0")
+            raise ParameterError("the 3D seed system has no symmetry-breaking term; set lam = 0")
 
     @property
     def dim(self) -> int:
@@ -128,12 +128,7 @@ MODEL_FIELDS = {"alpha1": float, "alpha2": float, "lambda": float, "model": str}
 def load_model_config(source) -> ModelConfig:
     """Load a flow config from JSON; exactly the keys alpha1, alpha2, lambda, model."""
     data = load_exact_keys(source, MODEL_FIELDS)
-    try:
-        return ModelConfig(
-            alpha1=data["alpha1"], alpha2=data["alpha2"], lam=data["lambda"], model=data["model"]
-        )
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    return ModelConfig(alpha1=data["alpha1"], alpha2=data["alpha2"], lam=data["lambda"], model=data["model"])
 
 
 # The vector fields, one source text per model: ``make_rhs`` and the step

@@ -149,12 +149,26 @@ def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
     return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=eigen_class)
 
 
+def _libm_exp(u) -> np.ndarray:
+    """e**u element by element through libm's exp, inf from u >= 709 on.
+
+    numpy's exp can differ from libm's in the last bit.  The strip
+    boundaries and the multi-pulse seeds are exponentiated here, so
+    strips.csv and multipulse.json stay bit-stable.
+    """
+    u = np.asarray(u, dtype=float)
+    y = np.fromiter(map(math.exp, np.minimum(u, 709.0).ravel().tolist()), float, u.size).reshape(u.shape)
+    return np.where(u < 709.0, y, math.inf)
+
+
 # kernel points per call up to which _bisect adds levels to its bisection
 # tree: on a few brackets a kernel call costs its overhead, not arithmetic
 TREE_POINTS = 250
+# bracket width at which _bisect stops
+BISECT_TOL = 1e-13
 
 
-def _bisect(fn, target, lo, hi, tol: float = 1e-13) -> np.ndarray:
+def _bisect(fn, target, lo, hi) -> np.ndarray:
     """Bisection for fn(u) = target over float arrays of brackets [lo, hi].
 
     ``fn`` maps an array of u to an array of values, element by element,
@@ -169,15 +183,15 @@ def _bisect(fn, target, lo, hi, tol: float = 1e-13) -> np.ndarray:
     The strip batches (hundreds of brackets, where the kernel costs real
     arithmetic) take one or two levels, the multi-pulse levels (a few
     brackets, where a call costs its overhead) four or five.  Each element
-    stops on its own once its bracket is at most ``tol`` wide, so it ends
-    where a scalar bisection from the same bracket would.  A bracket that
-    reaches |u| >= 512, where the default tol is below one ulp, stops
+    stops on its own once its bracket is at most ``BISECT_TOL`` wide, so it
+    ends where a scalar bisection from the same bracket would.  A bracket
+    that reaches |u| >= 512, where BISECT_TOL is below one ulp, stops
     instead once it is no wider than one ulp of its larger end.  An element
     comes back nan when its bracket does not straddle the target or when
     ``fn`` turns non-finite on it.
     """
     n = len(lo)
-    tol = np.maximum(tol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    tol = np.maximum(BISECT_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     f_lo, f_hi = fn(np.stack([lo, hi])) - target
     # lo only ever moves onto a mid of its own sign
     below_lo = f_lo < 0.0
@@ -308,7 +322,10 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     :func:`bykov.params.classify_region` at its default rationality policy.
     Boundaries are solved on one 33-point t-grid; the family's invariants
     are not replayed here, the caller checks them with
-    :func:`strip_family_violations`.
+    :func:`strip_family_violations`.  A family may hold fewer than
+    ``n_limit`` strips: the Case I march and the monotone pieces stop at
+    the s-underflow floor, and only the first max(64, 16 * n_limit) pieces
+    are searched, which bounds the work when g_v is large.
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
@@ -360,12 +377,15 @@ def _collect_strips(
     """The first ``n_limit`` strips of the family on ``t_grid``, in construction order.
 
     Candidate windings arrive in order from the Case I cursor march or the
-    monotone pieces, each with its brackets and the exit angles there.
-    Those that pass the cheap gates are solved in batches of as many as
-    strips are still missing, all boundaries in one bisection: a batch
-    never holds a candidate that the strip count would have cut off, and
-    each bracket stops on its own, so the strips are those of solving one
-    candidate at a time.
+    monotone pieces, each with its brackets: every winding whose two
+    targets the brackets' exit angles enclose, ``endpoint_margin`` clear of
+    their ends.  A candidate becomes a strip when its bisection brackets
+    and its 5-point height check keeps the return image within tau.  The
+    candidates are solved in batches of as many as strips are still
+    missing, all boundaries in one bisection: a batch never holds a
+    candidate that the strip count would have cut off, and each bracket
+    stops on its own, so the strips are those of solving one candidate at
+    a time.
     """
     k = p.constants
     increasing = k.gamma > 1.0
@@ -381,21 +401,8 @@ def _collect_strips(
             return TWO_PI * winding - tau, TWO_PI * winding
         return TWO_PI * winding, TWO_PI * winding - tau
 
-    def passes_gates(winding: int, u_los, u_his, x_lo, x_hi) -> bool:
-        tgt_a, tgt_b = targets_for(winding)
-        x_min, x_max = np.minimum(x_lo, x_hi), np.maximum(x_lo, x_hi)
-        for tgt in (tgt_a, tgt_b):
-            if not np.all((x_min + endpoint_margin <= tgt) & (tgt <= x_max - endpoint_margin)):
-                return False
-        # cheap height gate before paying for the bisection: the exit
-        # height at the interpolated target location must be at least near
-        # the rectangle width already
-        frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
-        u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
-        return not _exit_values(t_grid[0], u_est, p).log_y > math.log(4.0 * tau)
-
     def candidates():
-        """(winding, u_los, u_his) of every gated candidate, in construction order."""
+        """(winding, u_los, u_his) of every candidate, in construction order."""
         if case != "I":
             # cases II/III/IV: monotone pieces between consecutive reversals
             want_sign = 1 if increasing else -1
@@ -409,8 +416,7 @@ def _collect_strips(
                 lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
                 hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
                 for w in range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1):
-                    if passes_gates(w, u_los, u_his, x_a, x_b):
-                        yield w, u_los, u_his
+                    yield w, u_los, u_his
             return
         u_tops = np.full(n, math.log(p.eps))
         x_tops = x_at(u_tops)
@@ -432,8 +438,7 @@ def _collect_strips(
                     return
                 x_cur = x_at(u_cur)
                 behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
-            if passes_gates(w, u_cur, u_tops, x_cur, x_tops):
-                yield w, u_cur, u_tops
+            yield w, u_cur, u_tops
             w = w - 1 if increasing else w + 1
 
     strips: list[Strip] = []
@@ -456,10 +461,7 @@ def _collect_strips(
         if np.isnan(u_ab).any():
             raise RuntimeError("target not bracketed by the monotone interval")
         u_a, u_b = u_ab.reshape(m, 2, n).transpose(1, 0, 2)
-        # libm's exp, not numpy's: the two can differ in the last bit, and
-        # the boundaries are written to strips.csv, which stays bit-stable
-        a_vals = np.array([math.exp(u) for u in np.minimum(u_a, u_b).ravel().tolist()]).reshape(m, n)
-        b_vals = np.array([math.exp(u) for u in np.maximum(u_a, u_b).ravel().tolist()]).reshape(m, n)
+        a_vals, b_vals = _libm_exp(np.minimum(u_a, u_b)), _libm_exp(np.maximum(u_a, u_b))
         # the return image must stay inside the rectangle's width: its
         # horizontal extent is the exit height, so early windings whose
         # heights still exceed tau are skipped (strips accumulate downward);
@@ -579,12 +581,10 @@ def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.n
     Each return is the kernel's values step ``_exit_values`` at (x, ln y),
     then the quarter turn (y_w, -x_w) with the height reduced to (-pi, pi].
     An element is nan from the first return whose start leaves the height
-    range (0, eps]; an overflowing seed counts as off-section.  Seeds use
-    libm's exp, as the strip boundaries do.
+    range (0, eps]; an overflowing seed counts as off-section.  Seeds go
+    through :func:`_libm_exp`, as the strip boundaries do.
     """
-    u = np.asarray(u, dtype=float)
-    y = np.fromiter(map(math.exp, np.minimum(u, 709.0).ravel().tolist()), float, u.size).reshape(u.shape)
-    y = np.where(u < 709.0, y, math.inf)
+    y = _libm_exp(u)
     x = np.zeros_like(y)
     steps = []
     with np.errstate(under="ignore"):

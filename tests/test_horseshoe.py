@@ -567,15 +567,6 @@ def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_ma
 
     def solve_strip(winding, u_los, u_his):
         tgt_a, tgt_b = targets_for(winding)
-        x_lo, x_hi = x_at(u_los), x_at(u_his)
-        x_min, x_max = np.minimum(x_lo, x_hi), np.maximum(x_lo, x_hi)
-        for tgt in (tgt_a, tgt_b):
-            if not np.all((x_min + endpoint_margin <= tgt) & (tgt <= x_max - endpoint_margin)):
-                return None
-        frac = (0.5 * (tgt_a + tgt_b) - x_lo[0]) / (x_hi[0] - x_lo[0])
-        u_est = u_los[0] + min(max(frac, 0.0), 1.0) * (u_his[0] - u_los[0])
-        if _exit_values(t_grid[0], u_est, p).log_y > math.log(4.0 * tau):
-            return None
         n = len(t_grid)
         targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
         u_ab = _bisect(x_pair, targets, np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his]))
@@ -634,6 +625,25 @@ def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_ma
                 if len(strips) >= n_limit:
                     break
     return strips
+
+
+def test_build_strips_keeps_an_early_narrow_strip(monkeypatch):
+    # an early winding-0 strip whose image is narrower than tau: the 5-point
+    # height check keeps it, though the exit height at one interpolated
+    # point of its brackets is above 4 tau
+    p = SaddleParams(
+        alpha_v=2.4042177184771676, C_v=0.7700528505883673, E_v=0.7239990585035242,
+        alpha_w=2.016924201196958, C_w=1.3622249408374412, E_w=0.49623232677352286,
+        a=2.8336944554862287, eps=0.3665664175817964,
+    )
+    got = _family_bits(0.05, 1, p)
+    family = build_strips(0.05, 1, p)
+    assert family.case == "III" and strip_family_violations(family, p) == []
+    (report,) = strip_image_report(family, p)
+    assert report["winding"] == 0 and report["spans_vertically"] and report["within_width"]
+    assert 0.03 < report["image_x_max"] <= family.tau
+    monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
+    assert got == _family_bits(0.05, 1, p)
 
 
 @pytest.fixture(scope="module")
