@@ -51,7 +51,6 @@ __all__ = [
     "InsufficientDataError",
     "MODEL_NAMES",
     "load_model_config",
-    "rhs",
     "make_rhs",
     "equilibria_spectrum",
     "integrate",
@@ -174,14 +173,6 @@ def make_rhs(config: ModelConfig):
     """
     factory, _ = _compiled(config.model)
     return factory(config.alpha1, config.alpha2, config.lam)
-
-
-def rhs(state, config: ModelConfig) -> np.ndarray:
-    """Vector field value at a state (3- or 4-vector, matching the model)."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (config.dim,):
-        raise ValueError(f"state must have shape ({config.dim},), got {state.shape}")
-    return np.array(make_rhs(config)(*state))
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,11 @@ from .returncurve import (
     TWO_PI,
     _angle_dist,
     _exit_values,
+    _floor_periods,
     _pi_lattice,
     _wrap_pi,
     exit_curve,
-    find_tangency,
+    reversal_sequence,
     turning_crossings,
 )
 
@@ -324,8 +325,8 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     are not replayed here, the caller checks them with
     :func:`strip_family_violations`.  A family may hold fewer than
     ``n_limit`` strips: the Case I march and the monotone pieces stop at
-    the s-underflow floor, and only the first max(64, 16 * n_limit) pieces
-    are searched, which bounds the work when g_v is large.
+    the s-underflow floor, or at a piece whose exit-angle window common to
+    all t cannot hold tau and both margins: no later piece's is wider.
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
@@ -333,16 +334,18 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     if abs(gamma - 1.0) < 1e-12:
         raise ResonanceError("gamma = 1 resonance is detected and rejected, not analysed")
     if not 0.0 < tau <= min(math.pi, p.eps):
-        raise ValueError(f"tau must lie in (0, min(pi, eps)], got {tau}")
+        raise ParameterError(f"tau must lie in (0, min(pi, eps)], got {tau}")
     region = classify_region(p)
     case = _CASE_OF_TAG[region.tag]
     notes: list[str] = [f"region {region.tag}"]
     if case == "II":
-        # a reversal among the first 4096 within 1e-9 of the trace x = 0
-        probe = find_tangency(0.0, 0.0, 4096, p)
-        if probe.history[-1][1] < 1e-9:
+        # a reversal above the s-underflow floor within 1e-9 of the trace x = 0
+        angles = reversal_sequence(0.0, 2 * _floor_periods(p.constants), p).x_values
+        dist = _angle_dist(angles, 0.0)
+        if dist.size and dist.min() < 1e-9:
+            best = int(np.argmin(dist))
             raise PeriodicTangencyError(
-                f"periodic tangency at reversal {probe.n_best} (angle {probe.x_best % TWO_PI:.6g}); "
+                f"periodic tangency at reversal {best} (angle {angles[best] % TWO_PI:.6g}); "
                 "strip images are not guaranteed to cross the unstable-manifold trace"
             )
     tau_eff = tau
@@ -406,15 +409,19 @@ def _collect_strips(
         if case != "I":
             # cases II/III/IV: monotone pieces between consecutive reversals
             want_sign = 1 if increasing else -1
-            for lo, hi in _case_pieces(0.0, period, want_sign, max(64, 16 * n_limit)):
+            for lo, hi in _case_pieces(0.0, period, want_sign, _floor_periods(k)):
                 if (k.c2 - hi) / k.g_v < LN_FLOOR:
                     return
                 u_los = (k.c2 + t_grid - hi) / k.g_v
                 u_his = (k.c2 + t_grid - lo) / k.g_v
-                # candidate windings common to all t
+                # the exit-angle window common to all t; every later piece's is
+                # this one shifted by pi (1 - gamma), so one too narrow ends the walk
                 x_a, x_b = x_at(u_los), x_at(u_his)
-                lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
-                hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
+                x_lo, x_hi = float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
+                if x_hi - x_lo < tau + 2.0 * endpoint_margin:
+                    return
+                lo_w = math.ceil((x_lo + endpoint_margin + tau) / TWO_PI)
+                hi_w = math.floor((x_hi - endpoint_margin) / TWO_PI)
                 for w in range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1):
                     yield w, u_los, u_his
             return
@@ -620,7 +627,7 @@ def find_multipulse(
     list means no crossing in the window, which is not an error.
     """
     if n < 2:
-        raise ValueError(f"pulse count must be at least 2, got {n}")
+        raise ParameterError(f"n must be >= 2, got {n}")
     if s_window is not None and not 0.0 < s_window[0] < min(s_window[1], p.eps):
         raise ParameterError(f"s_window must satisfy 0 < s_min < min(s_max, eps), got {s_window}, eps={p.eps}")
     k = p.constants

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import ModelConfig, rhs
+from .flow import ModelConfig, make_rhs
 from .params import DerivedConstants, SaddleParams
 from .returncurve import TWO_PI, BumpSpec, circle_dist, turning_function, wrap_pi
 
@@ -286,17 +286,15 @@ def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray,
 
 def numeric_jacobian(config: ModelConfig, state) -> np.ndarray:
     """Centered finite-difference Jacobian of the vector field at a state, step 1e-6."""
-    h = 1e-6
+    field = make_rhs(config)
     state = np.asarray(state, dtype=float)
-    n = len(state)
-    J = np.empty((n, n))
-    for j in range(n):
-        dp = state.copy()
-        dm = state.copy()
-        dp[j] += h
-        dm[j] -= h
-        J[:, j] = (rhs(dp, config) - rhs(dm, config)) / (2.0 * h)
-    return J
+    columns = []
+    for j in range(len(state)):
+        dp, dm = state.copy(), state.copy()
+        dp[j] += 1e-6
+        dm[j] -= 1e-6
+        columns.append(np.subtract(field(*dp), field(*dm)) / 2e-6)
+    return np.column_stack(columns)
 
 
 def turning_range_grid(p: SaddleParams) -> tuple[float, float]:

@@ -65,7 +65,6 @@ __all__ = [
     "wrap_pi",
     "circle_dist",
     "turning_function",
-    "turning_level",
     "turning_crossings",
     "ExitCurve",
     "exit_curve",
@@ -305,6 +304,11 @@ def _pi_lattice(bases, t: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     return m[keep], j[keep]
 
 
+def _floor_periods(k) -> int:
+    """A bound on the periods of pi the turning lattice from any phi = t holds above s = 1e-300."""
+    return int((k.c2 - k.g_v * LN_FLOOR) / math.pi + 2)
+
+
 def _reversal_entries(
     t: float,
     n_max: int,
@@ -323,8 +327,7 @@ def _reversal_entries(
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
     if stop_at_underflow:
-        # no more turning points than this lie above s = 1e-300
-        n_max = min(n_max, 2 * int((k.c2 - k.g_v * LN_FLOOR) / math.pi + 2))
+        n_max = min(n_max, 2 * _floor_periods(k))
     m, j = _pi_lattice(roots, t, n_max)
     phis = np.asarray(roots)[j] + m * math.pi
     log_s = (k.c2 + t - phis) / k.g_v

@@ -4,8 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bykov import cli
 from bykov.cli import build_parser, main
 from bykov.flow import SAMPLE_SPACING, sojourn_analysis
 
@@ -104,8 +106,15 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         # the slope dx_w/ds = x_u / s overflows, which would also warn
         (["curve", "--s-min", "1e-320", "--s-max", "1e-300", "--n-samples", "50", "--t", "100"],
          ["s_min=1e-320", "dxw_ds", "s=1e-320"]),
+        (["curve", "--s-min", "1e-3", "--s-max", "0.1", "--n-samples", "0"], ["n_samples must be >= 1"]),
+        (["multipulse", "--s-min", "1e-3"], ["--s-min and --s-max"]),
+        (["multipulse", "--n", "1"], ["n must be >= 2, got 1"]),
+        (["strips", "--tau", "0"], ["tau must lie in", "got 0.0"]),
     ],
-    ids=["negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y", "subnormal-s"],
+    ids=[
+        "negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y", "subnormal-s",
+        "no-samples", "half-window", "one-pulse", "zero-tau",
+    ],
 )
 def test_search_ranges_are_refused(command, fields, case1_config, tmp_path, capsys):
     out = tmp_path / "out"
@@ -291,6 +300,14 @@ def test_tangency_and_multipulse(dense_config, case1_config, tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) >= 1
+
+
+def test_jacobian_skips_heights_above_eps(case1_config, tmp_path):
+    # k = 0 is the height y = 1 > eps = 0.5: the sweep starts at k = 1
+    code = main(["jacobian", "--config", case1_config, "--k-min", "0", "--k-max", "3", "--out", str(tmp_path / "out")])
+    assert code == 0
+    rows = (tmp_path / "out" / "jacobian.csv").read_text().strip().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [0.5, 0.25, 0.125]
 
 
 def test_jacobian_sweep(case1_config, tmp_path):
@@ -573,4 +590,82 @@ def test_failed_verify_writes_and_prints_nothing(case1_config, tmp_path, capsys,
     assert main(["classify", "--config", case1_config, "--verify", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "verification failed" in captured.err
+    assert not out.exists()
+
+
+def _shorter_by_a_thousandth(family):
+    first = family.strips[0]
+    shorter = dataclasses.replace(first, b_of_t=first.b_of_t * (1.0 - 1e-3))
+    return dataclasses.replace(family, strips=(shorter,) + family.strips[1:])
+
+
+# name -> (config fixture, command, patched name in bykov.cli, change to
+# what the original returns, message on stderr)
+VERIFY_FAILURES = {
+    "classify-falls-short": (
+        "case1_config", ["classify"], "turning_range_grid", lambda r: (r[0] + 1e-3, r[1]),
+        "turning-function grid falls short of the closed-form extrema",
+    ),
+    "curve-oracle": (
+        "dense_config", ["curve", "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "4"], "eta_composed",
+        lambda r: (r[0] + 1e-6, r[1]), "disagrees with the composition oracle",
+    ),
+    "reversals-period": (
+        "dense_config", ["reversals", "--n-max", "20"], "reversal_sequence",
+        lambda r: dataclasses.replace(r, s_values=r.s_values * np.linspace(1.0, 1.001, len(r))),
+        "period ratio s_{n+2}/s_n violated",
+    ),
+    "reversals-turning": (
+        "dense_config", ["reversals", "--n-max", "20"], "reversal_sequence",
+        lambda r: dataclasses.replace(r, s_values=r.s_values * 1.01), "nonzero turning derivative at reversal 0",
+    ),
+    "tangency-history": (
+        "dense_config", ["tangency", "--n-max", "100"], "find_tangency",
+        lambda r: dataclasses.replace(r, history=r.history[::-1]), "running minimum distance is not non-increasing",
+    ),
+    "strips-violations": (
+        "dense_config", ["strips", "--n-limit", "2"], "build_strips", _shorter_by_a_thousandth,
+        "strip 0: upper boundary misses target",
+    ),
+    "strips-images": (
+        "dense_config", ["strips", "--n-limit", "2"], "strip_image_report",
+        lambda r: [{**r[0], "within_width": False}] + r[1:], "strip image fails to stand across the rectangle",
+    ),
+    "jacobian-stencil": (
+        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0], 1e9),
+        "finite-difference stencil not converged at y=0.0625",
+    ),
+    "jacobian-miss": (
+        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0] * 1.01, r[1]),
+        "Jacobian misses the finite-difference oracle at y=0.0625",
+    ),
+    "multipulse-replay": (
+        "case1_config", ["multipulse"], "replay_pulse", lambda r: dataclasses.replace(r, residual=1e-6),
+        "pulse replay misses the trace by 1e-06",
+    ),
+    "simulate-x3-drift": (
+        "flow_config", ["simulate", "--T", "5", "--x0", "0.6,-0.3,0.0,0.74"], "invariant_subspace_residuals",
+        lambda r: {**r, "x3=0": 1e-6}, "x3 = 0 subspace drift 1e-06",
+    ),
+    "simulate-spacing": (
+        "flow_config", ["simulate", "--T", "5"], "integrate",
+        lambda r: dataclasses.replace(r, times=r.times[::50], states=r.states[::50]), "sample spacing",
+    ),
+    "sojourn-dwells": (
+        "flow_config", ["sojourn", "--T", "150", "--rtol", "1e-8", "--atol", "1e-10"], "sojourn_analysis",
+        lambda r: dataclasses.replace(r, dwells=r.dwells[:3]), "3 complete dwells, need 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_FAILURES))
+def test_verify_failure_writes_and_prints_nothing(name, request, tmp_path, capsys, monkeypatch):
+    fixture, command, target, change, message = VERIFY_FAILURES[name]
+    original = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: change(original(*args, **kwargs)))
+    out = tmp_path / "out"
+    code = main([command[0], "--config", request.getfixturevalue(fixture), "--verify", "--out", str(out), *command[1:]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("verification failed: ") and message in captured.err
     assert not out.exists()

@@ -31,7 +31,6 @@ from bykov.flow import (
     invariant_subspace_residuals,
     load_model_config,
     make_rhs,
-    rhs,
     sojourn_analysis,
     sphere_residual,
 )
@@ -104,21 +103,21 @@ def test_loader_exact_keys(tmp_path):
 
 def test_equilibria_are_zeros():
     for pole in ((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, -1.0)):
-        assert float(np.max(np.abs(rhs(pole, CFG)))) < 1e-14
+        assert float(np.max(np.abs(make_rhs(CFG)(*pole)))) < 1e-14
     cfg3 = ModelConfig(alpha1=1.0, alpha2=-0.1, model="dim3")
     for pole in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
-        assert float(np.max(np.abs(rhs(pole, cfg3)))) < 1e-14
+        assert float(np.max(np.abs(make_rhs(cfg3)(*pole)))) < 1e-14
 
 
 def test_kappa1_equivariance_random():
     rng = np.random.default_rng(7)
-    cfg = ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.07)
+    field = make_rhs(ModelConfig(alpha1=1.0, alpha2=-0.1, lam=0.07))
     worst = 0.0
     for _ in range(1000):
         x = rng.uniform(-1.2, 1.2, 4)
-        fx = rhs(x, cfg)
+        fx = field(*x)
         kfx = np.array([-fx[0], -fx[1], fx[2], fx[3]])
-        fkx = rhs([-x[0], -x[1], x[2], x[3]], cfg)
+        fkx = np.array(field(-x[0], -x[1], x[2], x[3]))
         worst = max(worst, float(np.max(np.abs(fkx - kfx))))
     assert worst < 1e-13
 
@@ -130,8 +129,8 @@ def test_so2_equivariance_at_lambda_zero():
         theta = float(rng.uniform(0, 2 * math.pi))
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([x[0] * c - x[1] * s, x[0] * s + x[1] * c, x[2], x[3]])
-        fx = rhs(x, CFG)
-        frot = rhs(rot, CFG)
+        fx = make_rhs(CFG)(*x)
+        frot = np.array(make_rhs(CFG)(*rot))
         rot_fx = np.array([fx[0] * c - fx[1] * s, fx[0] * s + fx[1] * c, fx[2], fx[3]])
         assert float(np.max(np.abs(frot - rot_fx))) < 1e-13
 
@@ -470,7 +469,7 @@ def test_sphere_invariance_3d_rhs():
     for _ in range(200):
         x = rng.uniform(-1, 1, 3)
         x /= np.linalg.norm(x)
-        assert abs(float(np.dot(x, rhs(x, cfg3)))) < 1e-14
+        assert abs(float(np.dot(x, make_rhs(cfg3)(*x)))) < 1e-14
 
 
 # sha256 of times.tobytes() + states.tobytes(), accepted, rejected, and the

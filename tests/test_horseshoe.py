@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from bykov.horseshoe import (
     strip_image_report,
 )
 from bykov.oracles import IN_V, OUT_W, WallPoint, composed_return, psi_wv, replay_pulse
-from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic
+from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic, turning_level
 from bykov.returncurve import (
     S_UNDERFLOW,
     _exit_values,
@@ -41,7 +42,6 @@ from bykov.returncurve import (
     reversal_angle_set,
     reversal_sequence,
     turning_function,
-    turning_level,
 )
 from conftest import admissible_params
 
@@ -152,16 +152,92 @@ def test_build_strips_rejects_resonance(unit_params):
 
 
 def test_build_strips_refuses_periodic_tangency(rational_params):
-    # at this a, gamma stays 3/2 and reversal 1329 lands 3.6e-15 from the trace x = 0
+    # at this a, gamma stays 3/2 and reversal 353, the nearest of the 878
+    # above the s-underflow floor, lands 3.9e-14 from the trace x = 0
     p = replace(rational_params, a=1.6762332269283227)
     assert p.constants.gamma == 1.5
     assert classify_region(p).tag == "InteriorB_GammaRational"
-    with pytest.raises(PeriodicTangencyError, match="periodic tangency at reversal 1329 "):
+    with pytest.raises(PeriodicTangencyError, match="periodic tangency at reversal 353 "):
         build_strips(0.3, 3, p)
 
 
+def test_build_strips_refuses_tangency_deep_above_the_floor():
+    # gamma 4327/3001 and g_v = 12: 5271 reversals lie above the floor, and
+    # reversal 4100 is 4.5e-13 from the trace; the first 4096 come no closer
+    # than 0.002
+    p = SaddleParams(
+        alpha_v=6.0, C_v=1.2, E_v=0.5, alpha_w=14.41852715761413, C_w=2.6, E_w=2.0,
+        a=2.3580499398552766, eps=0.5,
+    )
+    assert classify_region(p).tag == "InteriorB_GammaRational"
+    assert len(reversal_sequence(0.0, 10**6, p)) == 5271
+    with pytest.raises(PeriodicTangencyError, match="periodic tangency at reversal 4100 "):
+        build_strips(0.2, 3, p)
+
+
+def _assert_clean_family(family, p, count):
+    assert len(family) == count
+    assert strip_family_violations(family, p) == []
+    assert all(r["spans_vertically"] and r["within_width"] for r in strip_image_report(family, p))
+
+
+def test_build_strips_ignores_tangency_below_the_floor():
+    # gamma 217/151 and g_v = 1/3: the 146 reversals above the floor come no
+    # closer to the trace than 0.035; reversal 147, which lies below it, is
+    # on the trace and used to refuse the family
+    p = SaddleParams(
+        alpha_v=0.5, C_v=1.2, E_v=1.5, alpha_w=1.1975717439293598, C_w=2.6, E_w=2.0,
+        a=1.8731262511524691, eps=0.5,
+    )
+    assert classify_region(p).tag == "InteriorB_GammaRational"
+    assert len(reversal_sequence(0.0, 10**6, p)) == 146
+    family = build_strips(0.3, 3, p)
+    assert family.case == "II"
+    _assert_clean_family(family, p, 3)
+
+
+def test_build_strips_case2_without_reversals_above_the_floor():
+    # g_v = 0.001: the first reversal already lies below s = 1e-300, so the
+    # guard has nothing to scan and no piece holds a strip
+    p = SaddleParams(alpha_v=0.001, C_v=1.2, E_v=1.0, alpha_w=0.0025, C_w=2.6, E_w=2.0, a=2.0, eps=0.5)
+    assert classify_region(p).tag == "InteriorB_GammaRational"
+    assert len(reversal_sequence(0.0, 100, p)) == 0
+    family = build_strips(0.3, 3, p)
+    assert (family.case, len(family)) == ("II", 0)
+
+
+def test_build_strips_walks_pieces_to_the_floor(monkeypatch):
+    # a case III family whose strips lie past the first 64 monotone pieces
+    p = SaddleParams(
+        alpha_v=1.8139779257955924, C_v=1.9096983735205033, E_v=1.346495898948081,
+        alpha_w=1.7371847992515446, C_w=0.43835400381114, E_w=1.862429781610317,
+        a=1.207220456096058, eps=0.7040576236221516,
+    )
+    got = _family_bits(0.05, 3, p)
+    family = build_strips(0.05, 3, p)
+    assert family.case == "III"
+    _assert_clean_family(family, p, 3)
+    monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
+    assert got == _family_bits(0.05, 3, p)
+
+
+def test_build_strips_memory_does_not_grow_with_n_limit(dense_params):
+    # the pieces above the floor hold 233 strips at tau 0.4; asking for more
+    # allocates nothing in proportion to n_limit
+    want = _family_bits(0.4, 10_000, dense_params)
+    assert len(want[-1]) == 233
+    tracemalloc.start()
+    try:
+        got = _family_bits(0.4, 10**5, dense_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 20e6
+
+
 def test_detect_periodic_tangency_bit_for_bit(rational_params):
-    """The case-II guard's scan: the nearest of the first 4096 reversals at t = 0."""
+    """find_tangency's scan: the nearest of the first 4096 reversals at t = 0."""
     x_hit = float(reversal_angle_set(0.0, 64, rational_params).x_values[3] % TWO_PI)
     got = []
     for x0 in (0.0, x_hit):
@@ -547,7 +623,11 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
 
 
 def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_margin):
-    """Reference collector: one bisection, and one height check, per strip in turn."""
+    """Reference collector: one bisection, and one height check, per strip in turn.
+
+    The monotone pieces come from the period-by-period walk, down to the
+    s-underflow floor: no cap on their number and no early end.
+    """
     k = p.constants
     increasing = k.gamma > 1.0
     strips = []
@@ -607,7 +687,7 @@ def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_ma
         return strips
 
     want_sign = 1 if increasing else -1
-    for lo, hi in _case_pieces(0.0, period, want_sign, max(64, 16 * n_limit)):
+    for lo, hi in _case_pieces_loop(0.0, k, period, want_sign, math.inf):
         if len(strips) >= n_limit:
             break
         if (k.c2 - hi) / k.g_v < LN_FLOOR:

@@ -17,8 +17,9 @@ from bykov.params import (
     derive_constants,
     is_gamma_rational,
     load_saddle_params,
+    turning_level,
 )
-from bykov.returncurve import turning_function, turning_level
+from bykov.returncurve import turning_function
 from conftest import random_admissible
 
 
@@ -136,7 +137,6 @@ PUBLIC_SIGNATURES = {
         "wrap_pi": ("x",),
         "circle_dist": ("x", "y"),
         "turning_function": ("phi", "p"),
-        "turning_level": ("p",),
         "turning_crossings": ("p",),
         "exit_curve": ("t", "u", "p"),
         "curve_sample": ("t", "s", "p"),
@@ -156,7 +156,6 @@ PUBLIC_SIGNATURES = {
     },
     flow: {
         "load_model_config": ("source",),
-        "rhs": ("state", "config"),
         "make_rhs": ("config",),
         "equilibria_spectrum": ("config",),
         "integrate": ("x0", "T", "rtol", "atol", "config"),

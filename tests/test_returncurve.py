@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bykov.oracles import eta_composed, turning_range_grid
-from bykov.params import ParameterError, SaddleParams, classify_region, derive_constants, turning_harmonic
+from bykov.params import (
+    ParameterError,
+    SaddleParams,
+    classify_region,
+    derive_constants,
+    turning_harmonic,
+    turning_level,
+)
 from bykov.returncurve import (
     S_UNDERFLOW,
     NoReversalsError,
@@ -27,7 +34,6 @@ from bykov.returncurve import (
     rotation_identity_residual,
     turning_crossings,
     turning_function,
-    turning_level,
     wrap_pi,
 )
 from conftest import admissible_params, random_admissible
