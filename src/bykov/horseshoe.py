@@ -39,11 +39,11 @@ from .returncurve import (
     TWO_PI,
     _angle_dist,
     _exit_values,
-    _floor_periods,
+    _blocks,
     _pi_lattice,
+    _reversal_angle_blocks,
     _wrap_pi,
     exit_curve,
-    reversal_sequence,
     turning_crossings,
 )
 
@@ -291,24 +291,22 @@ def _period_pieces(p: SaddleParams, region: Region) -> list[tuple[float, float, 
     return [(r0, r1, sign), (r1, r0 + math.pi, -sign)]
 
 
-def _case_pieces(
-    t: float,
-    period: list[tuple[float, float, int]],
-    want_sign: int,
-    max_pieces: int,
-) -> list[tuple[float, float]]:
-    """Copies of the ``period`` pieces shifted by multiples of pi, from phi = t on.
+def _case_pieces(t: float, period: list[tuple[float, float, int]], want_sign: int):
+    """Copies of the ``period`` pieces on which A - K has the sign ``want_sign``, from phi = t on.
 
-    Keeps the first ``max_pieces`` on which A - K has the sign ``want_sign``
-    and returns them as (phi_lo, phi_hi) pairs, ascending; s decreases as
-    phi grows, and the caller stops at s-underflow.  The signs repeat with
-    the period, so ``len(period)`` lattice points per wanted piece suffice.
+    Yields (i, phi_lo, phi_hi) arrays block by block, without end: piece i
+    is the first one shifted by i periods of pi, since the signs repeat
+    with the period.  s decreases as phi grows, and the caller stops at
+    s-underflow.
     """
     los, his, signs = (np.array(column) for column in zip(*period))
-    m, j = _pi_lattice(los, t, len(period) * max_pieces)
-    wanted = np.flatnonzero(signs[j] == want_sign)[:max_pieces]
-    shift = m[wanted] * math.pi
-    return list(zip((los[j[wanted]] + shift).tolist(), (his[j[wanted]] + shift).tolist()))
+    m, j = _pi_lattice(los, t, len(period))
+    first = np.flatnonzero(signs[j] == want_sign)
+    if first.size:
+        m0, j0 = m[first[0]], j[first[0]]
+        for i in _blocks():
+            shift = (m0 + i) * math.pi
+            yield i, los[j0] + shift, his[j0] + shift
 
 
 def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
@@ -325,8 +323,8 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     are not replayed here, the caller checks them with
     :func:`strip_family_violations`.  A family may hold fewer than
     ``n_limit`` strips: the Case I march and the monotone pieces stop at
-    the s-underflow floor, or at a piece whose exit-angle window common to
-    all t cannot hold tau and both margins: no later piece's is wider.
+    the s-underflow floor, and when the first piece's exit-angle window
+    common to all t cannot hold tau and both margins, no piece's can.
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
@@ -339,15 +337,14 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     case = _CASE_OF_TAG[region.tag]
     notes: list[str] = [f"region {region.tag}"]
     if case == "II":
-        # a reversal above the s-underflow floor within 1e-9 of the trace x = 0
-        angles = reversal_sequence(0.0, 2 * _floor_periods(p.constants), p).x_values
-        dist = _angle_dist(angles, 0.0)
-        if dist.size and dist.min() < 1e-9:
-            best = int(np.argmin(dist))
-            raise PeriodicTangencyError(
-                f"periodic tangency at reversal {best} (angle {angles[best] % TWO_PI:.6g}); "
-                "strip images are not guaranteed to cross the unstable-manifold trace"
-            )
+        # the first reversal above the s-underflow floor within 1e-9 of the trace x = 0
+        for n0, x in _reversal_angle_blocks(0.0, p):
+            hits = np.flatnonzero(_angle_dist(x, 0.0) < 1e-9)
+            if hits.size:
+                raise PeriodicTangencyError(
+                    f"periodic tangency at reversal {n0 + hits[0]} (angle {x[hits[0]] % TWO_PI:.6g}); "
+                    "strip images are not guaranteed to cross the unstable-manifold trace"
+                )
     tau_eff = tau
     period = [] if case == "I" else _period_pieces(p, region)
     if case == "III":
@@ -404,26 +401,61 @@ def _collect_strips(
             return TWO_PI * winding - tau, TWO_PI * winding
         return TWO_PI * winding, TWO_PI * winding - tau
 
-    def candidates():
-        """(winding, u_los, u_his) of every candidate, in construction order."""
-        if case != "I":
-            # cases II/III/IV: monotone pieces between consecutive reversals
-            want_sign = 1 if increasing else -1
-            for lo, hi in _case_pieces(0.0, period, want_sign, _floor_periods(k)):
-                if (k.c2 - hi) / k.g_v < LN_FLOOR:
+    def window(lo: float, hi: float):
+        """The brackets of the piece [lo, hi] and its exit-angle window common to all t."""
+        u_los = (k.c2 + t_grid - hi) / k.g_v
+        u_his = (k.c2 + t_grid - lo) / k.g_v
+        x_a, x_b = x_at(u_los), x_at(u_his)
+        return u_los, u_his, float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
+
+    def piece_candidates():
+        """Cases II/III/IV: the windings of the monotone pieces between consecutive reversals.
+
+        Piece i lies i periods of pi past the first, so by the rotation
+        identity its exit-angle window common to all t is the first one's
+        turned by i pi (1 - gamma).  Its return heights are at least
+        e**(ln c4 + delta_w ln c1 + delta u - delta_w |ln a|) at its lowest
+        u, since the stretch c is at least min(a**2, a**-2).  The kernel runs only on the
+        pieces whose turned window can hold a winding and whose height bound
+        stays within tau, so no piece is skipped that could give a strip.
+        Both tests allow 1e-12 of the terms they sum for rounding; the two
+        ways to a window differ by a few ulps.
+        """
+        want_sign = 1 if increasing else -1
+        turn = math.pi * (1.0 - k.gamma)
+        log_y0 = math.log(k.c4) + k.delta_w * math.log(k.c1)
+        stretch_floor = k.delta_w * abs(math.log(p.a))
+        head = None
+        for i, los, his in _case_pieces(0.0, period, want_sign):
+            u_low = (k.c2 - his) / k.g_v
+            above = np.count_nonzero(u_low >= LN_FLOOR)
+            if head is None:
+                if not above:
                     return
-                u_los = (k.c2 + t_grid - hi) / k.g_v
-                u_his = (k.c2 + t_grid - lo) / k.g_v
-                # the exit-angle window common to all t; every later piece's is
-                # this one shifted by pi (1 - gamma), so one too narrow ends the walk
-                x_a, x_b = x_at(u_los), x_at(u_his)
-                x_lo, x_hi = float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
-                if x_hi - x_lo < tau + 2.0 * endpoint_margin:
+                head = window(los[0], his[0])
+                x_lo0, x_hi0 = head[2:]
+                if x_hi0 - x_lo0 < tau + 2.0 * endpoint_margin:
                     return
+            turned, u_low = i[:above] * turn, u_low[:above]
+            x_slack = 1e-12 * (1.0 + k.gamma) * (1.0 + abs(k.c2) + his[:above])
+            y_slack = 1e-12 * (1.0 + abs(log_y0) + stretch_floor + k.delta * np.abs(u_low))
+            fits = np.ceil((x_lo0 + turned + endpoint_margin + tau - x_slack) / TWO_PI) <= np.floor(
+                (x_hi0 + turned - endpoint_margin + x_slack) / TWO_PI
+            )
+            fits &= log_y0 + k.delta * u_low - stretch_floor <= math.log(tau) + y_slack
+            for piece in np.flatnonzero(fits):
+                u_los, u_his, x_lo, x_hi = head if i[piece] == 0 else window(los[piece], his[piece])
                 lo_w = math.ceil((x_lo + endpoint_margin + tau) / TWO_PI)
                 hi_w = math.floor((x_hi - endpoint_margin) / TWO_PI)
                 for w in range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1):
                     yield w, u_los, u_his
+            if above < len(i):
+                return
+
+    def candidates():
+        """(winding, u_los, u_his) of every candidate, in construction order."""
+        if case != "I":
+            yield from piece_candidates()
             return
         u_tops = np.full(n, math.log(p.eps))
         x_tops = x_at(u_tops)

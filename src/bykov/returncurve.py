@@ -304,9 +304,18 @@ def _pi_lattice(bases, t: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     return m[keep], j[keep]
 
 
-def _floor_periods(k) -> int:
-    """A bound on the periods of pi the turning lattice from any phi = t holds above s = 1e-300."""
-    return int((k.c2 - k.g_v * LN_FLOOR) / math.pi + 2)
+def _blocks():
+    """0, 1, 2, ... as consecutive index arrays of 64 entries, doubling up to 65536.
+
+    The walks down to the s-underflow floor take their indices from here, so
+    their memory stays bounded however many turning points lie above it,
+    and a walk that ends early costs one small block.
+    """
+    start, size = 0, 64
+    while True:
+        yield np.arange(start, start + size)
+        start += size
+        size = min(2 * size, 1 << 16)
 
 
 def _reversal_entries(
@@ -327,7 +336,8 @@ def _reversal_entries(
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
     if stop_at_underflow:
-        n_max = min(n_max, 2 * _floor_periods(k))
+        # no more turning points than this lie above s = 1e-300
+        n_max = min(n_max, 2 * int((k.c2 - k.g_v * LN_FLOOR) / math.pi + 2))
     m, j = _pi_lattice(roots, t, n_max)
     phis = np.asarray(roots)[j] + m * math.pi
     log_s = (k.c2 + t - phis) / k.g_v
@@ -375,6 +385,27 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
         none = np.empty(0)
         return ReversalSequence(t, none, none, none, none, (), reason=region.tag)
     return _sequence_from_entries(t, p, *_reversal_entries(t, n_max, p, stop_at_underflow=True))
+
+
+def _reversal_angle_blocks(t: float, p: SaddleParams):
+    """The exit angles of :func:`reversal_sequence` at ``t``, block by block, down to the floor.
+
+    Yields (n0, angles of entries n0, n0 + 1, ...) with the same bits as the
+    whole sequence, in bounded memory: entry n is the lattice point n // 2
+    periods of pi past entry n % 2, and its angle is that entry's turned
+    n // 2 times by pi (1 - gamma).
+    """
+    k = p.constants
+    roots = np.asarray(turning_crossings(p))
+    m, j = _pi_lattice(roots, t, 2)
+    head = reversal_angle_set(t, 2, p).x_values[:, None]
+    for q in _blocks():
+        # column q holds entries 2q and 2q + 1
+        log_s = (k.c2 + t - (roots[j, None] + (m[:, None] + q) * math.pi)) / k.g_v
+        above = np.count_nonzero(log_s >= LN_FLOOR)
+        yield 2 * int(q[0]), (head + q * math.pi * (1.0 - k.gamma)).T.ravel()[:above]
+        if above < log_s.size:
+            return
 
 
 def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:

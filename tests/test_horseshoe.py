@@ -152,12 +152,13 @@ def test_build_strips_rejects_resonance(unit_params):
 
 
 def test_build_strips_refuses_periodic_tangency(rational_params):
-    # at this a, gamma stays 3/2 and reversal 353, the nearest of the 878
-    # above the s-underflow floor, lands 3.9e-14 from the trace x = 0
+    # at this a, gamma stays 3/2 and reversal 1, the first of the 110 among
+    # the 878 above the s-underflow floor that lie within 1e-9 of the trace
+    # x = 0, lands 5.7e-14 from it
     p = replace(rational_params, a=1.6762332269283227)
     assert p.constants.gamma == 1.5
     assert classify_region(p).tag == "InteriorB_GammaRational"
-    with pytest.raises(PeriodicTangencyError, match="periodic tangency at reversal 353 "):
+    with pytest.raises(PeriodicTangencyError, match="periodic tangency at reversal 1 "):
         build_strips(0.3, 3, p)
 
 
@@ -234,6 +235,56 @@ def test_build_strips_memory_does_not_grow_with_n_limit(dense_params):
         tracemalloc.stop()
     assert got == want
     assert peak < 20e6
+
+
+def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
+    # g_v = 1e4: 4.4 million reversals and 2.2 million pieces lie above the
+    # floor.  At tau 1e-200 no piece's return height bound fits, so the guard
+    # scans every reversal and the walk every piece, both in bounded blocks
+    p = SaddleParams(alpha_v=10.0, C_v=6e-4, E_v=1e-3, alpha_w=8e4 / 3, C_w=1.2, E_w=2.0, a=2.0, eps=0.5)
+    k = p.constants
+    assert classify_region(p).tag == "InteriorB_GammaRational"
+    assert k.g_v == 1e4
+    walked = []
+
+    def recording(*args):
+        for block in _case_pieces(*args):
+            walked[:] = [block]
+            yield block
+
+    monkeypatch.setattr(horseshoe, "_case_pieces", recording)
+    tracemalloc.start()
+    try:
+        family = build_strips(1e-200, 3, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    i, _, his = walked[-1]
+    assert (family.case, len(family)) == ("II", 0)
+    assert i[-1] > 2_000_000 and (k.c2 - his[-1]) / k.g_v < LN_FLOOR
+    assert peak < 20e6
+
+
+def test_build_strips_skips_pieces_too_high_for_tau(monkeypatch):
+    # g_v = 100: the pieces whose return heights all exceed tau come first
+    # and hold most of the windings; the family is the reference's, found
+    # with a fraction of its bisection targets
+    p = SaddleParams(alpha_v=0.1, C_v=1.2e-3, E_v=1e-3, alpha_w=500 * math.sqrt(2) / 3, C_w=2.6, E_w=2.0, a=2.0, eps=0.5)
+    assert p.constants.g_v == 100.0
+    calls, bisect = [], _bisect
+
+    def counting(fn, targets, lo, hi):
+        calls.append(len(targets))
+        return bisect(fn, targets, lo, hi)
+
+    monkeypatch.setattr(horseshoe, "_bisect", counting)
+    got = _family_bits(0.05, 5, p)
+    ours = sum(calls)
+    monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
+    monkeypatch.setattr(sys.modules[__name__], "_bisect", counting)
+    want = _family_bits(0.05, 5, p)
+    assert got == want and len(got[-1]) == 5
+    assert ours * 3 < sum(calls) - ours
 
 
 def test_detect_periodic_tangency_bit_for_bit(rational_params):
@@ -358,13 +409,19 @@ def test_case4_pieces_have_full_length():
     assert region.tag == "BoundaryB"
     counts = []
     for sign in (1, -1):
-        pieces = _case_pieces(0.0, _period_pieces(p, region), sign, 64)
+        pieces = _first_pieces(0.0, _period_pieces(p, region), sign, 64)
         assert all(hi - lo >= math.pi / 4 for lo, hi in pieces)
         # A - K < 0 between grazes of the maximum
         mids = [float(turning_function(0.5 * (lo + hi), p)) - turning_level(p) for lo, hi in pieces]
         assert all((v > 0) == (sign > 0) for v in mids)
         counts.append(len(pieces))
     assert counts == [0, 64]
+
+
+def _first_pieces(t, period, want_sign, count):
+    """The first ``count`` pieces that :func:`_case_pieces` yields, as (phi_lo, phi_hi) pairs."""
+    pairs = (pair for _, los, his in _case_pieces(t, period, want_sign) for pair in zip(los.tolist(), his.tolist()))
+    return list(itertools.islice(pairs, count))
 
 
 def _case_pieces_loop(t, k, period, want_sign, max_pieces):
@@ -410,7 +467,7 @@ def test_case_pieces_match_period_loop(p, shape, t, max_pieces):
     period = _period_pieces(p, region)
     for sign, count in itertools.product((1, -1), (max_pieces, 3000)):
         want = _case_pieces_loop(t, k, period, sign, count)
-        got = _case_pieces(t, period, sign, count)
+        got = _first_pieces(t, period, sign, count)
         assert [(lo.hex(), hi.hex()) for lo, hi in got[: len(want)]] == [(lo.hex(), hi.hex()) for lo, hi in want]
         assert all((k.c2 + t - hi) / k.g_v < LN_FLOOR for _, hi in got[len(want):])
 

@@ -21,6 +21,7 @@ from bykov.returncurve import (
     S_UNDERFLOW,
     NoReversalsError,
     _exit_values,
+    _reversal_angle_blocks,
     _reversal_entries,
     _stretch,
     _unwound,
@@ -534,6 +535,18 @@ def test_reversal_sequence_work_ends_at_underflow(dense_params):
     """A huge n_max costs no more than the turning points above s = 1e-300."""
     seq = reversal_sequence(0.0, 10**12, dense_params)
     assert _sequence_digest(seq) == _sequence_digest(reversal_sequence(0.0, 10**4, dense_params))
+
+
+@given(p=admissible_params, t=st.floats(-TWO_PI, TWO_PI))
+def test_reversal_angle_blocks_match_the_sequence(p, t):
+    """The case-II guard's blocks: reversal_sequence's angles bit for bit, numbered on, down to the floor."""
+    if classify_region(p).tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
+        return
+    blocks = list(_reversal_angle_blocks(t, p))
+    sizes = [len(x) for _, x in blocks]
+    assert [n0 for n0, _ in blocks] == list(itertools.accumulate([0] + sizes[:-1]))
+    angles = np.concatenate([x for _, x in blocks])
+    assert angles.tobytes() == reversal_sequence(t, 10**9, p).x_values.tobytes()
 
 
 def _reversal_loop(t, n_max, p, k, stop_at_underflow):
