@@ -5,9 +5,11 @@ checks, then returns ``(file_name, content, diagnostics)``; ``_run`` writes
 that one artifact and its manifest.  A ``.json`` artifact is the command's
 result object as it is, a result dataclass written as its fields in
 declaration order (``dataclasses.asdict``), with ``indent=2``, and echoed
-to stdout; a ``.csv`` artifact is a list of rows and is not echoed.
-Nothing is written or echoed unless the command and its checks succeed,
-so a failed ``--verify`` leaves no files.
+to stdout; a ``.csv`` artifact is an iterator of rows, each formatted as
+it is written, and is not echoed.  Every file is written to a temporary
+file that replaces the target only once complete.  Nothing is written or
+echoed unless the command and its checks succeed, so a failed
+``--verify`` leaves no files.
 
 Exit codes: 0 success, 1 invariant violation under --verify, 2 usage or
 config error.  Data files carry no timestamps, so identical inputs produce
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -68,12 +71,15 @@ class VerifyFailure(RuntimeError):
     """An invariant replay failed under --verify."""
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines) -> None:
+    """Write ``lines``, each ended by a newline, into a temporary file that then replaces ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,9 +95,11 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else str(value) if isinstance(value, int) else _fmt(value)
 
 
-def _csv(header: str, *columns) -> list[str]:
-    """Rows of a CSV artifact: strings and ints as they are, floats through :func:`_fmt`."""
-    return [header] + [",".join(map(_cell, row)) for row in zip(*columns)]
+def _csv(header: str, *columns):
+    """Rows of a CSV artifact, lazily: strings and ints as they are, floats through :func:`_fmt`."""
+    yield header
+    for row in zip(*columns):
+        yield ",".join(map(_cell, row))
 
 
 def _too_deep(args, s: float, exc: OnManifoldError) -> ParameterError:
@@ -273,19 +281,34 @@ def _collapse(series, config) -> dict | None:
     return {"coordinate": _traj_header(config).split(",")[j + 1], "t": t}
 
 
+def _run_counts(series) -> dict:
+    """Samples, vector-field evaluations and the smallest nonzero |coordinate| of a run."""
+    magnitude = np.abs(series.states)
+    nonzero = magnitude > 0.0
+    return {
+        "samples": len(series.times),
+        # k1 once, then stages 2 to 7 of each attempted step: an accepted
+        # step's stage 7 is the next step's k1
+        "rhs_calls": 1 + 6 * (series.accepted + series.rejected),
+        "floor_abs": float(np.min(magnitude, where=nonzero, initial=math.inf)) if nonzero.any() else None,
+    }
+
+
 def cmd_simulate(args):
     config, series = _simulate(args)
-    # one row at a time: a nested list of the whole table would add its
-    # Python floats to the peak memory of the run
+    # one row at a time, formatted as it is written: a nested list of the
+    # whole table, or its text, would add to the peak memory of the run
     table = np.column_stack([series.times, series.states, series.r2()])
-    rows = [_traj_header(config)]
-    rows += [",".join(map(repr, row)) for row in map(np.ndarray.tolist, table)]
+    rows = itertools.chain(
+        [_traj_header(config)], (",".join(map(repr, row)) for row in map(np.ndarray.tolist, table))
+    )
     diagnostics: dict = {
         "accepted": series.accepted,
         "rejected": series.rejected,
         "max_error_estimate": series.max_error_estimate,
         "failure": series.failure,
         "collapse": _collapse(series, config),
+        **_run_counts(series),
     }
     if config.dim == 4:
         diagnostics["sphere_residual"] = sphere_residual(series)
@@ -322,6 +345,7 @@ def cmd_sojourn(args):
         "rejected": series.rejected,
         "median_ratio": report.median_ratio,
         "collapse": collapse,
+        **_run_counts(series),
     }
     if args.verify:
         if len(report.dwells) < DWELL_DISCARD + 2:
@@ -344,11 +368,10 @@ def _run(args) -> int:
     if name.endswith(".json"):
         text = json.dumps(content, indent=2, default=dataclasses.asdict)
         print(text)
-    else:
-        text = "\n".join(content)
+        content = [text]
     out_dir = Path(args.out)
     path = out_dir / name
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, content)
     # the manifest is strict JSON: a non-finite diagnostic is null there,
     # and its value is spelled out under "non_finite"
     non_finite = {
@@ -364,7 +387,7 @@ def _run(args) -> int:
         "diagnostics": {key: None if key in non_finite else value for key, value in diagnostics.items()},
         "non_finite": non_finite,
     }
-    _atomic_write(out_dir / f"{args.command}_manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    _atomic_write(out_dir / f"{args.command}_manifest.json", [json.dumps(manifest, indent=2, allow_nan=False)])
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ import functools
 import math
 import re
 import textwrap
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,10 +273,10 @@ def run({ys}, T, rtol, atol, a1, a2, lam):
     t = 0.0
     h = 1e-4
     y = ({ys},)
-    times = [0.0]
-    states = [y]
+    times = array("d", (0.0,))
+    states = array("d", y)
     add_time = times.append
-    add_state = states.append
+    add_states = states.fromlist
     accepted = rejected = 0
     max_err = 0.0
     err_budget = 0.0
@@ -308,7 +309,7 @@ def run({ys}, T, rtol, atol, a1, a2, lam):
             {ys} = w
             {k1s} = {k7s}
             add_time(t)
-            add_state(y)
+            add_states([{ys}])
             accepted += 1
             scaled = err * rtol
             if scaled > max_err:
@@ -402,7 +403,7 @@ def _compiled(model: str) -> tuple:
         margin=0.9 * SAMPLE_SPACING,
         shrink=0.7 * SAMPLE_SPACING,
     )
-    namespace = {"math": math}
+    namespace = {"array": array, "math": math}
     exec(compile(source, f"<bykov.flow {model}>", "exec"), namespace)
     return namespace["make_rhs"], namespace["run"]
 
@@ -426,7 +427,10 @@ def integrate(
 
     The loop runs the model's generated step (``_compiled``): the seven
     stages written out over the model's ``config.dim`` coordinate slots,
-    with its vector field inlined and the tableau as constants.
+    with its vector field inlined and the tableau as constants.  It stores
+    each sample as raw float64 in two flat ``array('d')`` buffers, the
+    times and the states row after row; ``times`` and ``states`` of the
+    result are numpy views of those buffers, not copies.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ParameterError(f"rtol must be finite and >= 0, got {rtol}")
@@ -441,8 +445,8 @@ def integrate(
     times, states, accepted, rejected, max_err, err_budget, failure = run(
         *x0, T, rtol, atol, config.alpha1, config.alpha2, config.lam
     )
-    times = np.array(times)
-    states = np.array(states)
+    times = np.frombuffer(times)
+    states = np.frombuffer(states).reshape(-1, config.dim)
     return TrajectorySeries(
         times=times,
         states=states,

@@ -660,6 +660,8 @@ def find_multipulse(
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
+    if max_points < 1:
+        raise ParameterError(f"max_points must be >= 1, got {max_points}")
     if s_window is not None and not 0.0 < s_window[0] < min(s_window[1], p.eps):
         raise ParameterError(f"s_window must satisfy 0 < s_min < min(s_max, eps), got {s_window}, eps={p.eps}")
     k = p.constants

@@ -1,11 +1,15 @@
 """Independent oracles: the elementary maps and their compositions, pulse
-replay, return-map and vector-field finite differences, turning-function grid.
+replay, return-map and vector-field finite differences, turning-function grid,
+rotation-identity residual.
 
 Everything here deliberately avoids the closed-form shortcuts of
 :mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
 step by step through the elementary maps (and differentiated numerically
 from there), and the turning-function range is sampled from its direct
 trigonometric form, so the two routes can be compared against each other.
+The one exception is :func:`rotation_identity_residual`, which evaluates
+the closed form twice to check the identity the reversal enumeration
+extrapolates with.
 
 Each node sits in a cylindrical neighbourhood whose boundary splits into a
 wall (angle/height coordinates ``x, y``) and a top disk (polar ``r, phi``).
@@ -25,7 +29,7 @@ import numpy as np
 
 from .flow import ModelConfig, make_rhs
 from .params import DerivedConstants, SaddleParams
-from .returncurve import TWO_PI, BumpSpec, circle_dist, turning_function, wrap_pi
+from .returncurve import TWO_PI, BumpSpec, circle_dist, curve_sample, turning_function, wrap_pi
 
 __all__ = [
     "IN_V",
@@ -51,11 +55,15 @@ __all__ = [
     "return_jacobian_fd",
     "numeric_jacobian",
     "turning_range_grid",
+    "rotation_identity_residual",
 ]
 
 # grid spacing h = pi / 100000 puts each sampled extremum within
 # R (1 - cos h) < 5e-10 R of the true one
 TURNING_GRID_POINTS = 100_001
+# the grid is evaluated this many points at a time, so only one slice's
+# temporaries are alive at once
+TURNING_GRID_SLICE = 8192
 
 IN_V = "In_v"
 OUT_V = "Out_v"
@@ -302,7 +310,29 @@ def turning_range_grid(p: SaddleParams) -> tuple[float, float]:
 
     A plain sample of the direct form, with no refinement: every value is a
     true value of A, so the grid range lies inside the exact extrema and
-    approaches them to the spacing error.
+    approaches them to the spacing error.  The grid is one ``np.linspace``,
+    evaluated in slices of ``TURNING_GRID_SLICE`` points whose extrema are
+    folded; the function is elementwise, so the values are those of the
+    whole grid at once.
     """
-    vals = turning_function(np.linspace(0.0, math.pi, TURNING_GRID_POINTS), p)
-    return float(np.min(vals)), float(np.max(vals))
+    grid = np.linspace(0.0, math.pi, TURNING_GRID_POINTS)
+    lo, hi = math.inf, -math.inf
+    for start in range(0, grid.size, TURNING_GRID_SLICE):
+        vals = turning_function(grid[start : start + TURNING_GRID_SLICE], p)
+        # np.minimum and np.maximum keep a nan, as np.min and np.max do
+        lo = np.minimum(lo, np.min(vals))
+        hi = np.maximum(hi, np.max(vals))
+    return float(lo), float(hi)
+
+
+def rotation_identity_residual(s0: float, n: int, t: float, p: SaddleParams) -> float:
+    """|x_w(s0 e^{-n pi/g_v}) - x_w(s0) - n pi (1 - gamma)|, both points evaluated directly."""
+    k = p.constants
+    if not 0.0 < s0 <= p.eps:
+        raise ValueError(f"s0 must lie in (0, eps], got {s0}")
+    s_n = s0 * math.exp(-n * math.pi / k.g_v)
+    if not 0.0 < s_n <= p.eps:
+        raise ValueError(f"shifted parameter {s_n} left (0, eps]")
+    x0 = curve_sample(t, s0, p).x_w
+    xn = curve_sample(t, s_n, p).x_w
+    return abs(xn - x0 - n * math.pi * (1.0 - k.gamma))

@@ -72,7 +72,6 @@ __all__ = [
     "curve_arrays",
     "reversal_sequence",
     "reversal_angle_set",
-    "rotation_identity_residual",
     "find_tangency",
 ]
 
@@ -418,19 +417,6 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     """
     _check_n_max(n_max)
     return _sequence_from_entries(t, p, *_reversal_entries(t, n_max, p, stop_at_underflow=False))
-
-
-def rotation_identity_residual(s0: float, n: int, t: float, p: SaddleParams) -> float:
-    """|x_w(s0 e^{-n pi/g_v}) - x_w(s0) - n pi (1 - gamma)|, both points evaluated directly."""
-    k = p.constants
-    if not 0.0 < s0 <= p.eps:
-        raise ValueError(f"s0 must lie in (0, eps], got {s0}")
-    s_n = s0 * math.exp(-n * math.pi / k.g_v)
-    if not 0.0 < s_n <= p.eps:
-        raise ValueError(f"shifted parameter {s_n} left (0, eps]")
-    x0 = curve_sample(t, s0, p).x_w
-    xn = curve_sample(t, s_n, p).x_w
-    return abs(xn - x0 - n * math.pi * (1.0 - k.gamma))
 
 
 @dataclass(frozen=True)

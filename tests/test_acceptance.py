@@ -26,14 +26,13 @@ from bykov.horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from bykov.oracles import eta_composed, replay_pulse, return_jacobian_fd
+from bykov.oracles import eta_composed, replay_pulse, return_jacobian_fd, rotation_identity_residual
 from bykov.params import classify_region, derive_constants
 from bykov.returncurve import (
     curve_arrays,
     curve_sample,
     find_tangency,
     reversal_angle_set,
-    rotation_identity_residual,
 )
 from conftest import random_admissible
 

@@ -1,7 +1,9 @@
-"""The CLI's JSON artifacts, pinned by digest and by schema.
+"""The CLI's artifacts, pinned by digest, and its JSON artifacts by schema.
 
-Each pinned command runs on a committed example config; its data file and
-its stdout must be the same bytes, with the pinned sha256.  The schema pin
+Each pinned command runs on a committed example config.  A JSON data file
+and the command's stdout must be the same bytes, with the pinned sha256; a
+CSV data file has its own pinned sha256, and nothing goes to stdout.  The
+schema pin
 lists the keys of every JSON object an artifact holds, by the result type
 it serializes, so that a change of format is a deliberate change here; the
 CLI writes a result dataclass as its fields, so they are the same names.
@@ -54,6 +56,32 @@ PINNED_ARTIFACTS = {
     ),
 }
 
+# name -> (argv with the config named by file, artifact, sha256 of its bytes)
+PINNED_CSV = {
+    "simulate-readme": (
+        ["simulate", "--config", "readme_flow.json", "--T", "500", "--verify"], "trajectory.csv",
+        "fb56cf40de7021e523fcfeb9fca548ec361bd865afe1af3a69f3aa95388cb183",
+    ),
+    "curve-readme": (
+        ["curve", "--config", "readme_params.json", "--s-min", "1e-6", "--s-max", "0.5", "--n-samples", "400",
+         "--verify"], "curve.csv",
+        "72212f5117a0ea9418da47d6c739ad6a23e9b6db836f3081d6829859310b013c",
+    ),
+    "reversals-dense": (
+        ["reversals", "--config", "dense_params.json", "--n-max", "1000", "--verify"], "reversals.csv",
+        "2999adf95e90054e5c0c74aa14697546eb8a2ea3255f063f5149b4aa84155917",
+    ),
+    "jacobian-readme": (
+        ["jacobian", "--config", "readme_params.json", "--x", "0.1", "--k-min", "4", "--k-max", "20", "--verify"],
+        "jacobian.csv",
+        "1c902f8abe8eb45fafbe8ce8086c29d7878420a4692e7147d3a3a692fee446cc",
+    ),
+    "strips-dense": (
+        ["strips", "--config", "dense_params.json", "--tau", "0.4", "--n-limit", "5", "--verify"], "strips.csv",
+        "062b1a506d116d002966ac9a7e33f04f2f49b290d377a5f9811b28ac1796411c",
+    ),
+}
+
 # the keys of each JSON object, by the result type it serializes, in order
 SCHEMA = {
     "Region": ("tag", "a_min", "a_max", "k", "gamma_rationality"),
@@ -69,10 +97,14 @@ SCHEMA = {
 }
 
 
-def _run(name, tmp_path, capsys) -> bytes:
-    argv, file_name, _ = PINNED_ARTIFACTS[name]
+def _main(argv, tmp_path) -> None:
     argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
     assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+def _run(name, tmp_path, capsys) -> bytes:
+    argv, file_name, _ = PINNED_ARTIFACTS[name]
+    _main(argv, tmp_path)
     data = (tmp_path / file_name).read_bytes()
     assert capsys.readouterr().out.encode() == data
     return data
@@ -82,6 +114,16 @@ def _run(name, tmp_path, capsys) -> bytes:
 def test_json_artifact_bit_for_bit(name, tmp_path, capsys):
     digest = hashlib.sha256(_run(name, tmp_path, capsys)).hexdigest()
     assert digest == PINNED_ARTIFACTS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV))
+def test_csv_artifact_bit_for_bit(name, tmp_path, capsys):
+    argv, file_name, digest = PINNED_CSV[name]
+    _main(argv, tmp_path)
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
+    # the artifact and its manifest, and no temporary file beside them
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted([file_name, f"{argv[0]}_manifest.json"])
 
 
 def test_json_artifact_keys(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -340,6 +341,20 @@ def test_simulate_manifest_and_verify(flow_config, tmp_path):
         assert os.path.exists(name) and os.path.getsize(name) > 0
 
 
+def test_sojourn_manifest_counts_its_run(tmp_path):
+    # sojourn integrates the run simulate does, and records the same counts
+    counts = []
+    for command in ("simulate", "sojourn"):
+        out = tmp_path / command
+        assert main([command, "--config", str(README_FLOW), "--T", "300", "--out", str(out)]) == 0
+        diagnostics = json.loads((out / f"{command}_manifest.json").read_text())["diagnostics"]
+        counts.append({key: diagnostics[key] for key in ("samples", "rhs_calls", "floor_abs")})
+    assert counts[0] == counts[1]
+    lines = (tmp_path / "simulate" / "trajectory.csv").read_text().splitlines()
+    assert counts[0]["samples"] == len(lines) - 1
+    assert 0.0 < counts[0]["floor_abs"] < 1e-3
+
+
 def test_simulate_reports_collapse(flow_config, tmp_path):
     code = main(
         ["simulate", "--config", flow_config, "--T", "10", "--rtol", "1e-8", "--atol", "1e-10",
@@ -369,6 +384,52 @@ def test_simulate_unmeetable_tolerance_ends_on_underflow(verify, code, flow_conf
     if not verify:
         manifest = json.loads((out / "simulate_manifest.json").read_text())
         assert manifest["diagnostics"]["failure"].startswith("step-size underflow")
+
+
+def test_trajectory_rows_stream_into_a_temporary_file(flow_config, tmp_path, capsys, monkeypatch):
+    # the rows are written as they are formatted; a row that fails partway
+    # through leaves neither the artifact, its temporary file nor a manifest
+    out = tmp_path / "out"
+    seen = []
+    simulate = cli.cmd_simulate
+
+    def failing(args):
+        name, rows, diagnostics = simulate(args)
+
+        def rows_then_error():
+            yield from itertools.islice(rows, 100)
+            seen.extend(f.name for f in out.iterdir())
+            raise ValueError("row 100 cannot be formatted")
+
+        return name, rows_then_error(), diagnostics
+
+    monkeypatch.setattr(cli, "cmd_simulate", failing)
+    assert main(["simulate", "--config", flow_config, "--T", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: row 100 cannot be formatted\n"
+    assert len(seen) == 1 and seen[0].startswith("trajectory.csv.")
+    assert list(out.iterdir()) == []
+
+
+def test_csv_cell_error_keeps_the_earlier_artifact(dense_config, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["curve", "--config", dense_config, "--s-min", "1e-6", "--s-max", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    fmt = cli._fmt
+    cells = []
+
+    def failing(value):
+        cells.append(sorted(f.name for f in out.iterdir()))
+        if len(cells) > 300:
+            raise ValueError("cell 301 cannot be formatted")
+        return fmt(value)
+
+    monkeypatch.setattr(cli, "_fmt", failing)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("error: cell 301 cannot be formatted\n")
+    # the cells were formatted with the temporary file open beside the old artifact
+    assert len(cells) == 301 and len(cells[-1]) == 3
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 def _strict_json(text):

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bykov import flow
+from bykov.cli import main
 from bykov.flow import (
     _DP_A,
     _DP_B,
@@ -751,6 +755,61 @@ def flow_runs(draw):
 @given(run=flow_runs())
 def test_integrate_matches_list_reference(run):
     assert _series_bits(integrate(**run)) == _series_bits(_integrate_lists(**run))
+
+
+def test_integrate_memory_per_sample():
+    # a sample is five raw float64 in the flat buffers, 40 bytes; as a tuple
+    # of boxed floats in a list it took about 246
+    integrate(FIG_START, T=1.0, config=CFG)
+    tracemalloc.start()
+    try:
+        series = integrate(FIG_START, T=200.0, config=CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.times) > 5000
+    assert peak < 80 * len(series.times)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        dict(x0=FIG_START, T=20.0, rtol=1e-8, atol=1e-10, config=CFG),
+        dict(x0=(1e-322, 0.0, -0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=LAM_CFG),
+        dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG),
+        dict(x0=(0.1, 0.4, 0.9), T=20.0, rtol=1e-9, atol=1e-11, config=ModelConfig(1.0, -0.1, model="dim3")),
+        dict(x0=(0.0, 0.0, 0.0), T=5.0, rtol=1e-9, atol=1e-11, config=ModelConfig(1.0, -0.1, model="dim3")),
+    ],
+    ids=["regular", "collapse", "underflow", "dim3", "origin"],
+)
+def test_manifest_counts_match_the_list_reference(run, tmp_path, monkeypatch):
+    calls = []
+    field = _reference_field
+
+    def counted(config):
+        f = field(config)
+
+        def g(*x):
+            calls.append(x)
+            return f(*x)
+
+        return g
+
+    monkeypatch.setattr(sys.modules[__name__], "_reference_field", counted)
+    reference = _integrate_lists(**run)
+    config = run["config"]
+    path = tmp_path / "flow.json"
+    fields = {"alpha1": config.alpha1, "alpha2": config.alpha2, "lambda": config.lam, "model": config.model}
+    path.write_text(json.dumps(fields))
+    argv = ["simulate", "--config", str(path), f"--x0={','.join(map(repr, run['x0']))}", "--T", repr(run["T"])]
+    argv += ["--rtol", repr(run["rtol"]), "--atol", repr(run["atol"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    diagnostics = json.loads((tmp_path / "out" / "simulate_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["rhs_calls"] == len(calls) == 1 + 6 * (reference.accepted + reference.rejected)
+    assert diagnostics["samples"] == len(reference.times)
+    magnitude = np.abs(reference.states)
+    nonzero = magnitude[magnitude > 0.0]
+    assert diagnostics["floor_abs"] == (float(nonzero.min()) if nonzero.size else None)
 
 
 def _dwell_loop(series, radius):

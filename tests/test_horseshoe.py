@@ -30,7 +30,7 @@ from bykov.horseshoe import (
     strip_image_report,
 )
 from bykov.oracles import IN_V, OUT_W, WallPoint, composed_return, psi_wv, replay_pulse
-from bykov.params import SaddleParams, classify_region, derive_constants, turning_harmonic, turning_level
+from bykov.params import ParameterError, SaddleParams, classify_region, derive_constants, turning_harmonic, turning_level
 from bykov.returncurve import (
     S_UNDERFLOW,
     _exit_values,
@@ -952,6 +952,16 @@ def test_multipulse_deep_window_terminates(case1_params):
     # it; the bisection must stop there rather than spin
     points = find_multipulse(2, case1_params, s_window=(1e-300, 1e-290))
     assert points and all(0.0 < pt.s < 1e-289 and pt.residual <= 5e-9 for pt in points)
+
+
+@pytest.mark.parametrize("max_points", [0, -1, -4])
+def test_multipulse_refuses_max_points_below_one(case1_params, max_points):
+    # a negative count would slice roots off the end and 0 would read as
+    # "no crossing"; both are a refusal that names the field
+    with pytest.raises(ParameterError, match=f"max_points must be >= 1, got {max_points}"):
+        find_multipulse(2, case1_params, max_points=max_points)
+    with pytest.raises(ValueError, match="max_points"):
+        find_multipulse(3, case1_params, max_points=max_points)
 
 
 def _scalar_bisect(fn, target, lo, hi, tol=1e-13):

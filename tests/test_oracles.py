@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from bykov.oracles import (
     IN_V,
     IN_W,
     OUT_V,
     OUT_W,
+    TURNING_GRID_POINTS,
+    TURNING_GRID_SLICE,
     DiskPoint,
     OnManifoldError,
     RectPoint,
@@ -20,10 +24,11 @@ from bykov.oracles import (
     psi_vw,
     psi_wv,
     rect_polar,
+    turning_range_grid,
 )
 from bykov.params import SaddleParams, derive_constants
-from bykov.returncurve import BumpSpec, circle_dist, wrap_pi
-from conftest import random_admissible
+from bykov.returncurve import BumpSpec, circle_dist, turning_function, wrap_pi
+from conftest import admissible_params, random_admissible
 
 
 def test_phi_v_unit_section(unit_params):
@@ -212,3 +217,32 @@ def test_wrap_helpers():
     assert wrap_pi(-math.pi) == pytest.approx(math.pi)
     assert wrap_pi(3.0 * math.pi) == pytest.approx(math.pi)
     assert circle_dist(0.1, 2.0 * math.pi - 0.1) == pytest.approx(0.2, abs=1e-12)
+
+
+def _whole_grid_range(p):
+    """Reference for ``turning_range_grid``: the whole grid in one call."""
+    vals = turning_function(np.linspace(0.0, math.pi, TURNING_GRID_POINTS), p)
+    return float(np.min(vals)), float(np.max(vals))
+
+
+@example(p=SaddleParams(alpha_v=1, C_v=1, E_v=1, alpha_w=1, C_w=1, E_w=1, a=1.0, eps=1.0))
+@example(p=SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=0.5))
+@given(p=admissible_params)
+def test_turning_range_grid_slices_keep_the_whole_grid_bits(p):
+    # the last slice is a short one
+    assert TURNING_GRID_POINTS % TURNING_GRID_SLICE != 0
+    assert [v.hex() for v in turning_range_grid(p)] == [v.hex() for v in _whole_grid_range(p)]
+
+
+def test_turning_range_grid_memory(dense_params):
+    # the grid itself is 0.8 MB; evaluated whole, its temporaries took the
+    # peak to 4.0 MB
+    turning_range_grid(dense_params)
+    tracemalloc.start()
+    try:
+        got = turning_range_grid(dense_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _whole_grid_range(dense_params)
+    assert peak < 1.5e6

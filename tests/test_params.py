@@ -143,7 +143,6 @@ PUBLIC_SIGNATURES = {
         "curve_arrays": ("t", "s", "p"),
         "reversal_sequence": ("t", "n_max", "p"),
         "reversal_angle_set": ("t", "n_max", "p"),
-        "rotation_identity_residual": ("s0", "n", "t", "p"),
         "find_tangency": ("x0", "t", "n_max", "p"),
     },
     horseshoe: {
@@ -180,6 +179,7 @@ PUBLIC_SIGNATURES = {
         "return_jacobian_fd": ("x", "y", "p"),
         "numeric_jacobian": ("config", "state"),
         "turning_range_grid": ("p",),
+        "rotation_identity_residual": ("s0", "n", "t", "p"),
     },
 }
 

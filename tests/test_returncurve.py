@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bykov.oracles import eta_composed, turning_range_grid
+from bykov.oracles import eta_composed, rotation_identity_residual, turning_range_grid
 from bykov.params import (
     ParameterError,
     SaddleParams,
@@ -32,7 +32,6 @@ from bykov.returncurve import (
     find_tangency,
     reversal_angle_set,
     reversal_sequence,
-    rotation_identity_residual,
     turning_crossings,
     turning_function,
     wrap_pi,
