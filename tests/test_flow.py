@@ -759,7 +759,7 @@ def test_integrate_matches_list_reference(run):
 
 def test_integrate_memory_per_sample():
     # a sample is five raw float64 in the flat buffers, 40 bytes; as a tuple
-    # of boxed floats in a list it took about 246
+    # of boxed floats in a list it took about 223
     integrate(FIG_START, T=1.0, config=CFG)
     tracemalloc.start()
     try:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from bykov.oracles import (
     IN_V,
@@ -227,6 +227,7 @@ def _whole_grid_range(p):
 
 @example(p=SaddleParams(alpha_v=1, C_v=1, E_v=1, alpha_w=1, C_w=1, E_w=1, a=1.0, eps=1.0))
 @example(p=SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=0.5))
+@settings(max_examples=30)
 @given(p=admissible_params)
 def test_turning_range_grid_slices_keep_the_whole_grid_bits(p):
     # the last slice is a short one
