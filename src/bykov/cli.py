@@ -5,11 +5,11 @@ checks, then returns ``(file_name, content, diagnostics)``; ``_run`` writes
 that one artifact and its manifest.  A ``.json`` artifact is the command's
 result object as it is, a result dataclass written as its fields in
 declaration order (``dataclasses.asdict``), with ``indent=2``, and echoed
-to stdout; a ``.csv`` artifact is an iterator of rows, each formatted as
-it is written, and is not echoed.  Every file is written to a temporary
-file that replaces the target only once complete.  Nothing is written or
-echoed unless the command and its checks succeed, so a failed
-``--verify`` leaves no files.
+to stdout once it and the manifest are written; a ``.csv`` artifact is an
+iterator of rows, each formatted as it is written, and is not echoed.
+Every file is written to a temporary file that replaces the target only
+once complete.  Nothing is written or echoed unless the command and its
+checks succeed, so a failed ``--verify`` leaves no files.
 
 Exit codes: 0 success, 1 invariant violation under --verify, 2 usage or
 config error.  Data files carry no timestamps, so identical inputs produce
@@ -365,10 +365,9 @@ def _run(args) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
     name, content, diagnostics = args.fn(args)
-    if name.endswith(".json"):
-        text = json.dumps(content, indent=2, default=dataclasses.asdict)
-        print(text)
-        content = [text]
+    echo = name.endswith(".json")
+    if echo:
+        content = [json.dumps(content, indent=2, default=dataclasses.asdict)]
     out_dir = Path(args.out)
     path = out_dir / name
     _atomic_write(path, content)
@@ -388,6 +387,8 @@ def _run(args) -> int:
         "non_finite": non_finite,
     }
     _atomic_write(out_dir / f"{args.command}_manifest.json", [json.dumps(manifest, indent=2, allow_nan=False)])
+    if echo:
+        print(content[0])
     return EXIT_OK
 
 
@@ -454,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--rtol", type=float, default=1e-10)
         sp.add_argument("--atol", type=float, default=1e-12)
-        sp.add_argument("--x0", default="-0.5,-0.139,-0.8807,0.3013", help="comma-separated state")
+        sp.add_argument(
+            "--x0", default="-0.5,-0.139,-0.8807,0.3013", help="comma-separated state; if negative, join it: --x0=-1,..."
+        )
         sp.add_argument("--T", type=float, default=500.0)
 
     sp = sub.add_parser("simulate", help="integrate the explicit vector field")

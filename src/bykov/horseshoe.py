@@ -39,9 +39,8 @@ from .returncurve import (
     TWO_PI,
     _angle_dist,
     _exit_values,
-    _blocks,
-    _pi_lattice,
-    _reversal_angle_blocks,
+    _lattice,
+    _reversals,
     _wrap_pi,
     exit_curve,
     turning_crossings,
@@ -294,19 +293,18 @@ def _period_pieces(p: SaddleParams, region: Region) -> list[tuple[float, float, 
 def _case_pieces(t: float, period: list[tuple[float, float, int]], want_sign: int):
     """Copies of the ``period`` pieces on which A - K has the sign ``want_sign``, from phi = t on.
 
-    Yields (i, phi_lo, phi_hi) arrays block by block, without end: piece i
-    is the first one shifted by i periods of pi, since the signs repeat
-    with the period.  s decreases as phi grows, and the caller stops at
-    s-underflow.
+    Yields (i, phi_lo, phi_hi) arrays block by block, without end, from the
+    lattice walk of the piece starts: piece i is the first wanted one
+    shifted by i periods of pi, since the signs repeat with the period.  s
+    decreases as phi grows, and the caller stops at s-underflow.
     """
     los, his, signs = (np.array(column) for column in zip(*period))
-    m, j = _pi_lattice(los, t, len(period))
-    first = np.flatnonzero(signs[j] == want_sign)
-    if first.size:
-        m0, j0 = m[first[0]], j[first[0]]
-        for i in _blocks():
-            shift = (m0 + i) * math.pi
-            yield i, los[j0] + shift, his[j0] + shift
+    for j, i, shifts in _lattice(los, t):
+        rows = np.flatnonzero(signs[j] == want_sign)
+        if not rows.size:
+            return
+        r = rows[0]
+        yield i, los[j[r]] + shifts[r], his[j[r]] + shifts[r]
 
 
 def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
@@ -338,13 +336,15 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     notes: list[str] = [f"region {region.tag}"]
     if case == "II":
         # the first reversal above the s-underflow floor within 1e-9 of the trace x = 0
-        for n0, x in _reversal_angle_blocks(0.0, p):
+        n0 = 0
+        for _, _, _, x in _reversals(0.0, p, LN_FLOOR):
             hits = np.flatnonzero(_angle_dist(x, 0.0) < 1e-9)
             if hits.size:
                 raise PeriodicTangencyError(
                     f"periodic tangency at reversal {n0 + hits[0]} (angle {x[hits[0]] % TWO_PI:.6g}); "
                     "strip images are not guaranteed to cross the unstable-manifold trace"
                 )
+            n0 += len(x)
     tau_eff = tau
     period = [] if case == "I" else _period_pieces(p, region)
     if case == "III":

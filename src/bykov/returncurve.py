@@ -34,10 +34,12 @@ sign(dx_w/ds) = sign(A(phi) - K) pointwise.  In the double angle A is the
 harmonic m + R cos(2 phi - theta) (:func:`bykov.params.turning_harmonic`),
 so the crossings are (theta -/+ arccos((K - m)/R))/2 mod pi in closed form
 and the sign of sin(2 phi - theta) tells their direction; no grid is
-involved.  The turning points form the lattice phi_n = root_j + m pi
-(:func:`_pi_lattice`; every walk over them is an array expression on it),
+involved.  The turning points form the lattice phi_n = root_j + m pi,
 so s_n = s_0 exp(-n pi / g_v) and x_w(s_n) = x_w(s_0) + n pi (1 - gamma),
-the rotation identity that drives the density and tangency analysis.
+the rotation identity that drives the density and tangency analysis.  One
+block walk of the lattice (:func:`_lattice`) serves every caller: the
+reversal sequences, the tangency scan, and in :mod:`bykov.horseshoe` the
+case-II guard and the strip pieces, each stating its own end.
 """
 
 from __future__ import annotations
@@ -290,80 +292,85 @@ class ReversalSequence:
         return len(self.s_values)
 
 
-def _pi_lattice(bases, t: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` angles bases[j] + m*pi >= t, ascending, as index arrays (m, j).
+# periods in the first block of a lattice walk; each later block doubles, up to LAST_BLOCK
+FIRST_BLOCK = 1024
+LAST_BLOCK = 1 << 16
 
-    ``bases`` ascend within [0, pi], so the lattice ascends by m, then j.
-    Only the first two periods from the start can hold angles below t.
+
+def _lattice(bases, t: float):
+    """The lattice angles bases[j] + m*pi >= t, ascending, block by block without end.
+
+    The array ``bases`` ascends within [0, pi], so the first len(bases) angles from t,
+    one per row, repeat with period pi: entry q*rows + r is row r shifted
+    by q periods.  Yields (j, q, shifts) per block of periods q, with the
+    rows' base indices j and the shifts (m_r + q)*pi as a (rows, periods)
+    array.  The blocks keep the memory bounded however far a caller walks,
+    and the first is large enough that most walks end inside it.
     """
     n = len(bases)
-    m, j = np.divmod(np.arange(count + 2 * n), n)
+    # only the first two periods from the start can hold angles below t
+    m, j = np.divmod(np.arange(3 * n), n)
     m += min(math.ceil((t - b) / math.pi) for b in bases)
-    keep = np.flatnonzero(np.asarray(bases)[j] + m * math.pi >= t)[:count]
-    return m[keep], j[keep]
-
-
-def _blocks():
-    """0, 1, 2, ... as consecutive index arrays of 64 entries, doubling up to 65536.
-
-    The walks down to the s-underflow floor take their indices from here, so
-    their memory stays bounded however many turning points lie above it,
-    and a walk that ends early costs one small block.
-    """
-    start, size = 0, 64
+    rows = np.flatnonzero(bases[j] + m * math.pi >= t)[:n]
+    m, j = m[rows, None], j[rows]
+    start, size = 0, FIRST_BLOCK
     while True:
-        yield np.arange(start, start + size)
+        q = np.arange(start, start + size)
+        yield j, q, (m + q) * math.pi
         start += size
-        size = min(2 * size, 1 << 16)
+        size = min(2 * size, LAST_BLOCK)
 
 
-def _reversal_entries(
-    t: float,
-    n_max: int,
-    p: SaddleParams,
-    stop_at_underflow: bool,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Turning points phi_n = root + m*pi >= t, ascending: (phi_n, ln s_n, kinds).
+def _reversals(t: float, p: SaddleParams, ln_floor: float):
+    """The turning points phi_n = root_j + m*pi >= t, ascending, block by block down to ``ln_floor`` in ln s.
 
-    The turning kind follows the crossing direction of the turning function:
-    an upward crossing (dA/dphi = -2R sin(2 phi - theta) > 0) makes the exit
-    angle switch from falling to rising as s decreases, i.e. a local
-    maximum in s.  Raises when A does not cross the level transversally.
+    Yields (kinds, phi_n, ln s_n, x_n) with entries in order and ``kinds``
+    the labels of entries 0 and 1, which alternate from there.  The turning
+    kind follows the crossing direction of the turning function: an upward
+    crossing (dA/dphi = -2R sin(2 phi - theta) > 0) makes the exit angle
+    switch from falling to rising as s decreases, i.e. a local maximum in
+    s.  The exit angles come from the rotation identity, since direct
+    evaluation would underflow: entry 2q + r is entry r turned q times by
+    pi (1 - gamma).  Raises when A does not cross the level transversally.
     """
     k = p.constants
-    roots = turning_crossings(p)
+    roots = np.asarray(turning_crossings(p))
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
-    if stop_at_underflow:
-        # no more turning points than this lie above s = 1e-300
-        n_max = min(n_max, 2 * int((k.c2 - k.g_v * LN_FLOOR) / math.pi + 2))
-    m, j = _pi_lattice(roots, t, n_max)
-    phis = np.asarray(roots)[j] + m * math.pi
-    log_s = (k.c2 + t - phis) / k.g_v
-    # ln s_n descends, so the entries above the floor are a prefix
-    cut = np.searchsorted(-log_s, -LN_FLOOR, side="right") if stop_at_underflow else len(j)
     theta = turning_harmonic(p)[2]
     upward = math.sin(2.0 * roots[0] - theta) < 0.0
-    kinds = np.array(("maxima", "minima") if upward else ("minima", "maxima"), dtype=object)
-    return phis[:cut], log_s[:cut], tuple(kinds[j[:cut]].tolist())
+    labels = ("maxima", "minima") if upward else ("minima", "maxima")
+    head = None
+    for j, q, shifts in _lattice(roots, t):
+        # entry 2q + r from row r, a strided copy per row
+        phi = np.empty(2 * len(q))
+        phi[0::2], phi[1::2] = roots[j, None] + shifts
+        log_s = (k.c2 + t - phi) / k.g_v
+        if head is None:
+            kinds = tuple(labels[r] for r in j)
+            head = _exit_values(t, log_s[:2], p).x_w[:, None]
+        x = np.empty_like(phi)
+        x[0::2], x[1::2] = head + q * math.pi * (1.0 - k.gamma)
+        # ln s_n descends, so the entries above the floor are a prefix
+        above = np.count_nonzero(log_s >= ln_floor)
+        yield kinds, phi[:above], log_s[:above], x[:above]
+        if above < len(phi):
+            return
 
 
-def _sequence_from_entries(t, p, phis, log_s, kinds) -> ReversalSequence:
+def _reversal_walk(t: float, n_max: int, p: SaddleParams, ln_floor: float) -> ReversalSequence:
+    """The first ``n_max`` turning points from t that lie above ``ln_floor`` in ln s."""
+    blocks = []
+    count = 0
+    for kinds, *block in _reversals(t, p, ln_floor):
+        blocks.append([values[: n_max - count] for values in block])
+        count += len(blocks[-1][0])
+        if count == n_max:
+            break
+    phis, log_s, x_vals = (np.concatenate(column) for column in zip(*blocks))
     with np.errstate(under="ignore"):
         s_vals = np.exp(log_s)
-    # exit angles via the rotation identity: entry n lies n // 2 periods past
-    # the first entry of its parity class; direct evaluation would underflow
-    n = np.arange(len(phis))
-    parity = n % 2
-    x_vals = _exit_values(t, log_s[:2], p).x_w[parity] + (n // 2) * math.pi * (1.0 - p.constants.gamma)
-    return ReversalSequence(
-        t=t,
-        s_values=s_vals,
-        log_s_values=log_s,
-        phi_values=phis,
-        x_values=x_vals,
-        kinds=kinds,
-    )
+    return ReversalSequence(t, s_vals, log_s, phis, x_vals, (kinds * (count // 2 + 1))[:count])
 
 
 def _check_n_max(n_max: int) -> None:
@@ -383,28 +390,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
         none = np.empty(0)
         return ReversalSequence(t, none, none, none, none, (), reason=region.tag)
-    return _sequence_from_entries(t, p, *_reversal_entries(t, n_max, p, stop_at_underflow=True))
-
-
-def _reversal_angle_blocks(t: float, p: SaddleParams):
-    """The exit angles of :func:`reversal_sequence` at ``t``, block by block, down to the floor.
-
-    Yields (n0, angles of entries n0, n0 + 1, ...) with the same bits as the
-    whole sequence, in bounded memory: entry n is the lattice point n // 2
-    periods of pi past entry n % 2, and its angle is that entry's turned
-    n // 2 times by pi (1 - gamma).
-    """
-    k = p.constants
-    roots = np.asarray(turning_crossings(p))
-    m, j = _pi_lattice(roots, t, 2)
-    head = reversal_angle_set(t, 2, p).x_values[:, None]
-    for q in _blocks():
-        # column q holds entries 2q and 2q + 1
-        log_s = (k.c2 + t - (roots[j, None] + (m[:, None] + q) * math.pi)) / k.g_v
-        above = np.count_nonzero(log_s >= LN_FLOOR)
-        yield 2 * int(q[0]), (head + q * math.pi * (1.0 - k.gamma)).T.ravel()[:above]
-        if above < log_s.size:
-            return
+    return _reversal_walk(t, n_max, p, LN_FLOOR)
 
 
 def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
@@ -416,7 +402,7 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     when no reversals exist.
     """
     _check_n_max(n_max)
-    return _sequence_from_entries(t, p, *_reversal_entries(t, n_max, p, stop_at_underflow=False))
+    return _reversal_walk(t, n_max, p, -math.inf)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,16 @@ def test_verify_refuses_points_below_the_oracle(command, fixture, request, tmp_p
     assert not out.exists()
 
 
+def test_failed_write_echoes_nothing(case1_config, tmp_path, capsys):
+    """A JSON artifact is echoed only after it is written: a write below a regular file prints nothing."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["classify", "--config", case1_config, "--out", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_classify_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alpha_v": 1.0, "oops": 2}))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bykov.horseshoe import build_strips
 from bykov.oracles import eta_composed, rotation_identity_residual, turning_range_grid
 from bykov.params import (
     ParameterError,
@@ -18,11 +19,12 @@ from bykov.params import (
     turning_level,
 )
 from bykov.returncurve import (
+    LN_FLOOR,
     S_UNDERFLOW,
     NoReversalsError,
     _exit_values,
-    _reversal_angle_blocks,
-    _reversal_entries,
+    _reversal_walk,
+    _reversals,
     _stretch,
     _unwound,
     circle_dist,
@@ -536,15 +538,38 @@ def test_reversal_sequence_work_ends_at_underflow(dense_params):
     assert _sequence_digest(seq) == _sequence_digest(reversal_sequence(0.0, 10**4, dense_params))
 
 
+# (fixture, digest of reversal_sequence(0.3, 10**9) and reversal_angle_set(0.3,
+# 300_000), strip windings of build_strips(0.3, 3)) at alpha_v and alpha_w x150
+PINNED_DEEP_WALKS = [
+    ("dense", "c6864785931a3e91d971dbd191cdee1799860271e6f65322e04dfbe95c4905a3", [-22, -23, -24]),
+    ("rational", "f2102ddee966a4b66686347bb1dca9e3194700c225e8587957ac0e006d255bfd", [-23, -24, -25]),
+]
+
+
+def test_lattice_walk_across_blocks_bit_for_bit(dense_params, rational_params):
+    """g_v 300 at the same gamma: 131,796 reversals above the floor, past the blocks' 65,536-period cap.
+
+    The sequence ends inside the first block at the cap and the angle set
+    in the one after it; the case-II guard and the strip pieces walk the
+    same blocks.
+    """
+    got = []
+    for name, p in (("dense", dense_params), ("rational", rational_params)):
+        deep = replace(p, alpha_v=150 * p.alpha_v, alpha_w=150 * p.alpha_w)
+        assert deep.constants.g_v == 300.0 and deep.constants.gamma == p.constants.gamma
+        seq = reversal_sequence(0.3, 10**9, deep)
+        assert len(seq) == 131_796
+        digest = _sequence_digest(seq, reversal_angle_set(0.3, 300_000, deep))
+        got.append((name, digest, [strip.winding for strip in build_strips(0.3, 3, deep).strips]))
+    assert got == PINNED_DEEP_WALKS
+
+
 @given(p=admissible_params, t=st.floats(-TWO_PI, TWO_PI))
-def test_reversal_angle_blocks_match_the_sequence(p, t):
-    """The case-II guard's blocks: reversal_sequence's angles bit for bit, numbered on, down to the floor."""
+def test_reversal_blocks_match_the_sequence(p, t):
+    """The case-II guard's blocks: reversal_sequence's angles bit for bit, down to the floor."""
     if classify_region(p).tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
         return
-    blocks = list(_reversal_angle_blocks(t, p))
-    sizes = [len(x) for _, x in blocks]
-    assert [n0 for n0, _ in blocks] == list(itertools.accumulate([0] + sizes[:-1]))
-    angles = np.concatenate([x for _, x in blocks])
+    angles = np.concatenate([x for _, _, _, x in _reversals(t, p, LN_FLOOR)])
     assert angles.tobytes() == reversal_sequence(t, 10**9, p).x_values.tobytes()
 
 
@@ -575,8 +600,8 @@ def _reversal_loop(t, n_max, p, k, stop_at_underflow):
 
 
 @given(p=admissible_params, t=st.floats(-TWO_PI, TWO_PI), n_max=st.integers(1, 3000))
-def test_reversal_entries_match_period_loop(p, t, n_max):
-    """The lattice enumeration gives the period loop's turning points, bit for bit.
+def test_reversal_walk_matches_period_loop(p, t, n_max):
+    """The lattice walk gives the period loop's turning points, bit for bit.
 
     Both with and without the underflow cut; n_max = 3000 runs as well,
     which passes s-underflow at nearly every point.
@@ -584,10 +609,11 @@ def test_reversal_entries_match_period_loop(p, t, n_max):
     k = derive_constants(p)
     if len(turning_crossings(p)) < 2:
         with pytest.raises(NoReversalsError):
-            _reversal_entries(t, n_max, p, True)
+            _reversal_walk(t, n_max, p, LN_FLOOR)
         return
     for n, stop_at_underflow in itertools.product((n_max, 3000), (True, False)):
-        phis, log_s, kinds = _reversal_entries(t, n, p, stop_at_underflow)
+        seq = _reversal_walk(t, n, p, LN_FLOOR if stop_at_underflow else -math.inf)
+        phis, log_s, kinds = seq.phi_values, seq.log_s_values, seq.kinds
         got = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in zip(phis.tolist(), log_s.tolist(), kinds)]
         want = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in _reversal_loop(t, n, p, k, stop_at_underflow)]
         assert len(phis) == len(log_s) == len(kinds)
