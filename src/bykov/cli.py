@@ -53,9 +53,11 @@ from .horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from .oracles import OnManifoldError, eta_composed, replay_pulse, return_jacobian_fd, turning_range_grid
+from .oracles import (
+    OUT_W, OnManifoldError, WallPoint, eta_composed, psi_wv, replay_pulse, return_jacobian_fd, turning_range_grid
+)
 from .params import ParameterError, classify_region, load_saddle_params
-from .returncurve import curve_arrays, find_tangency, reversal_sequence
+from .returncurve import circle_dist, curve_arrays, exit_curve, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -174,11 +176,22 @@ def cmd_reversals(args):
 def cmd_tangency(args):
     p = load_saddle_params(args.config)
     report = find_tangency(args.x0, args.t, args.n_max, p)
+    center_y = report.bump.center[1]
+    # the centre's true height; below the float range its y underflows to 0.0
+    log_y = float(exit_curve(args.t, report.log_s_best, p).log_y)
+    diagnostics = {"amplitude": report.amplitude, "center_log_y": log_y, "center_underflow": center_y == 0.0}
     if args.verify:
         history = report.history
         if any(b[1] > a[1] for a, b in zip(history, history[1:])):
             raise VerifyFailure("running minimum distance is not non-increasing")
-    return "tangency.json", report, {"amplitude": report.amplitude}
+        if report.amplitude != history[-1][1]:
+            raise VerifyFailure(f"amplitude {report.amplitude!r} is not the last history distance {history[-1][1]!r}")
+        # the wall transition with the bump carries the chosen reversal onto the trace x0
+        moved = psi_wv(WallPoint(section=OUT_W, x=report.x_best, y=center_y), report.bump)
+        residual = diagnostics["bump_residual"] = circle_dist(-moved.y, report.x0)
+        if residual > 2.0 * math.ulp(max(abs(report.x_best), math.pi)):
+            raise VerifyFailure(f"the bump moves reversal {report.n_best} to {residual!r} from x0")
+    return "tangency.json", report, diagnostics
 
 
 def cmd_strips(args):

@@ -37,13 +37,13 @@ from .params import (
 from .returncurve import (
     LN_FLOOR,
     TWO_PI,
-    _angle_dist,
     _exit_values,
     _lattice,
     _reversals,
-    _wrap_pi,
+    circle_dist,
     exit_curve,
     turning_crossings,
+    wrap_pi,
 )
 
 __all__ = [
@@ -338,7 +338,7 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
         # the first reversal above the s-underflow floor within 1e-9 of the trace x = 0
         n0 = 0
         for _, _, _, x in _reversals(0.0, p, LN_FLOOR):
-            hits = np.flatnonzero(_angle_dist(x, 0.0) < 1e-9)
+            hits = np.flatnonzero(circle_dist(x, 0.0) < 1e-9)
             if hits.size:
                 raise PeriodicTangencyError(
                     f"periodic tangency at reversal {n0 + hits[0]} (angle {x[hits[0]] % TWO_PI:.6g}); "
@@ -537,8 +537,8 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     a = np.where(ordered, a, p.eps)
     b = np.where(ordered, b, p.eps)
     x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p).x_w, 2)
-    miss_a = _angle_dist(x_a, lo_res) > 1e-9
-    miss_b = _angle_dist(x_b, hi_res) > 1e-9
+    miss_a = circle_dist(x_a, lo_res) > 1e-9
+    miss_b = circle_dist(x_b, hi_res) > 1e-9
     # dx_w/ds = x_u / s has the sign of x_u
     fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
     slope = exit_curve(t, np.log(a + fracs * (b - a)), p).x_u
@@ -586,7 +586,7 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     # the return map is (x, y) -> (y_w, -x_w) with the height reduced
     with np.errstate(under="ignore"):
         xs = np.exp(curve.log_y)
-    ys = np.remainder(math.pi - curve.x_w, TWO_PI) - math.pi
+    ys = wrap_pi(-curve.x_w)
     y_los, y_his = np.minimum.reduceat(ys, starts).tolist(), np.maximum.reduceat(ys, starts).tolist()
     x_los, x_his = np.minimum.reduceat(xs, starts).tolist(), np.maximum.reduceat(xs, starts).tolist()
     return [
@@ -631,7 +631,7 @@ def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.n
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
             curve = _exit_values(x, np.log(y), p)
             steps.append((curve.x_w, np.exp(curve.log_y)))
-            x, y = steps[-1][1], _wrap_pi(-curve.x_w)
+            x, y = steps[-1][1], wrap_pi(-curve.x_w)
     return steps
 
 
@@ -759,7 +759,7 @@ def find_multipulse(
                 break
         roots = next_roots
     chain = _return_chain(roots, n - 2, p)
-    residual = np.abs(_wrap_pi(chain[-1][0] - x0))
+    residual = circle_dist(chain[-1][0], x0)
     # an orbit that left the section has a nan residual; roots hugging the
     # accumulation edge cannot be resolved to the contract tolerance in
     # this parametrisation; both are dropped

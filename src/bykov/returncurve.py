@@ -86,30 +86,20 @@ class NoReversalsError(ValueError):
     """Requested reversal-based construction on a parameter point without reversals."""
 
 
-def wrap_pi(x: float) -> float:
-    """Representative of x mod 2*pi in (-pi, pi]."""
-    r = math.fmod(x, TWO_PI)
-    if r > math.pi:
-        r -= TWO_PI
-    elif r <= -math.pi:
-        r += TWO_PI
-    return r
+def wrap_pi(x):
+    """Representative of x mod 2*pi in (-pi, pi], exactly: a float for a float, elementwise on an array.
 
-
-def circle_dist(x: float, y: float) -> float:
-    """Distance between two angles on the circle of circumference 2*pi."""
-    return abs(wrap_pi(x - y))
-
-
-def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Array form of :func:`wrap_pi`, bit for bit."""
+    fmod is exact, and so is the one step of TWO_PI after it (Sterbenz's lemma);
+    subtracting a zero where no step is due keeps the sign of a zero.
+    """
     r = np.fmod(x, TWO_PI)
-    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
+    r = r - (TWO_PI * (r > math.pi) - TWO_PI * (r <= -math.pi))
+    return r if np.ndim(r) else float(r)
 
 
-def _angle_dist(x: np.ndarray, x0: float) -> np.ndarray:
-    """Distances on the circle from the angles ``x`` to ``x0``, as |(x - x0 + pi) mod 2*pi - pi|."""
-    return np.abs(np.remainder(x - x0 + math.pi, TWO_PI) - math.pi)
+def circle_dist(x, y):
+    """Distance between angles on the circle of circumference 2*pi; elementwise on arrays."""
+    return abs(wrap_pi(x - y))
 
 
 @dataclass(frozen=True)
@@ -373,9 +363,13 @@ def _reversal_walk(t: float, n_max: int, p: SaddleParams, ln_floor: float) -> Re
     return ReversalSequence(t, s_vals, log_s, phis, x_vals, (kinds * (count // 2 + 1))[:count])
 
 
-def _check_n_max(n_max: int) -> None:
+def _check_walk(n_max: int, **angles: float) -> None:
+    """Refuse a walk length below 1 and a start angle that is not finite, each by name."""
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
@@ -385,7 +379,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     a tangential crossing has the reason ``BoundaryB``.  Rational and
     dense gamma give the same sequence, so no rationality policy enters.
     """
-    _check_n_max(n_max)
+    _check_walk(n_max, t=t)
     region = classify_region(p)
     if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
         none = np.empty(0)
@@ -401,7 +395,7 @@ def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequenc
     degrade to zero; ``log_s_values`` remains exact throughout.  Raises
     when no reversals exist.
     """
-    _check_n_max(n_max)
+    _check_walk(n_max, t=t)
     return _reversal_walk(t, n_max, p, -math.inf)
 
 
@@ -432,7 +426,7 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     history of running minima shows how the distance shrinks as more
     turning points are admitted.
     """
-    _check_n_max(n_max)
+    _check_walk(n_max, x0=x0, t=t)
     region = classify_region(p)
     if region.tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
         # OutsideB / boundary / a=1 have no reversal points at all
@@ -443,27 +437,29 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     if region.tag == "InteriorB_GammaRational":
         warning = "gamma is rational within tolerance; reversal angles form a finite set"
     angles = reversal_angle_set(t, n_max, p)
-    dist = _angle_dist(angles.x_values, x0)
+    # reduced once, exactly: both distance passes and the amplitude read the same
+    # angles, so the amplitude is the last history distance bit for bit
+    reduced = wrap_pi(angles.x_values)
+    dist = circle_dist(reduced, x0)
     best = int(np.argmin(dist))
     # a record wherever the running minimum drops
     records = np.flatnonzero(np.diff(np.minimum.accumulate(dist), prepend=math.inf) < 0.0)
     history = tuple(zip((records + 1).tolist(), dist[records].tolist()))
     x_best = float(angles.x_values[best])
-    signed = wrap_pi(x0 - x_best)
-    # cylinder position of the chosen reversal point
-    center_x = wrap_pi(x0 - signed)
+    signed = wrap_pi(x0 - reduced[best])
     with np.errstate(under="ignore"):
         heights = np.exp(_exit_values(t, angles.log_s_values, p).log_y)
     center_y = float(heights[best])
     # keep the support clear of the other turning points; the nearest one's
     # gap is taken again from math.hypot, which np.hypot can miss by an ulp
-    gap_x = np.abs(_wrap_pi(angles.x_values - x_best))
+    gap_x = circle_dist(reduced, reduced[best])
     gap_x[best] = math.inf
     gap_y = heights - center_y
     near = int(np.argmin(np.hypot(gap_x, gap_y)))
     sep = math.hypot(gap_x[near], gap_y[near])
     radius = max(min(0.05, 0.45 * sep), 1e-12)
-    bump = BumpSpec(amplitude=signed, center=(center_x, center_y), radius=radius)
+    # centred on the chosen reversal point's exact position on the cylinder
+    bump = BumpSpec(amplitude=signed, center=(float(reduced[best]), center_y), radius=radius)
     return TangencyReport(
         x0=x0,
         t=t,

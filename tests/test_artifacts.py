@@ -36,11 +36,11 @@ PINNED_ARTIFACTS = {
     ),
     "tangency-dense-x0-0": (
         ["tangency", "--config", "dense_params.json", "--x0", "0.0", "--n-max", "10000"], "tangency.json",
-        "1e118728436dfe026377e079c111aca57f8b6239b108c5f08f0b26da646d71aa",
+        "a52f343f997547534a6437803cdf331a1713caabc567d4d3e0f6c87fdf0949db",
     ),
     "tangency-dense-x0-1": (
         ["tangency", "--config", "dense_params.json", "--x0", "1.0", "--n-max", "10000"], "tangency.json",
-        "69a4140fee05c5612a4a80810599b4ec55898e83026ac0353b81460881ffb89a",
+        "e2e914fc5b59c43aea7af4b3291fde1f74d1844cc06e8c971751957155e56bbd",
     ),
     "multipulse-readme-n2": (
         ["multipulse", "--config", "readme_params.json", "--n", "2"], "multipulse.json",

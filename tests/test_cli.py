@@ -313,6 +313,23 @@ def test_tangency_and_multipulse(dense_config, case1_config, tmp_path, capsys):
     assert len(doc) >= 1
 
 
+def test_tangency_manifest_records_the_bump_replay(dense_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["tangency", "--config", dense_config, "--n-max", "10000", "--verify", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    diagnostics = json.loads((out / "tangency_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["amplitude"] == report["amplitude"] == report["history"][-1][1]
+    assert 0.0 <= diagnostics["bump_residual"] <= 2.0 * math.ulp(max(abs(report["x_best"]), math.pi))
+    # the centre lies below the float range, so its height is written as 0.0
+    assert diagnostics["center_log_y"] < math.log(5e-324) and diagnostics["center_underflow"] is True
+    assert report["bump"]["center"][1] == 0.0
+    assert main(["tangency", "--config", dense_config, "--n-max", "3", "--out", str(tmp_path / "shallow")]) == 0
+    diagnostics = json.loads((tmp_path / "shallow" / "tangency_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["center_underflow"] is False and "bump_residual" not in diagnostics
+    center_y = json.loads(capsys.readouterr().out)["bump"]["center"][1]
+    assert math.exp(diagnostics["center_log_y"]) == pytest.approx(center_y)
+
+
 def test_jacobian_skips_heights_above_eps(case1_config, tmp_path):
     # k = 0 is the height y = 1 > eps = 0.5: the sweep starts at k = 1
     code = main(["jacobian", "--config", case1_config, "--k-min", "0", "--k-max", "3", "--out", str(tmp_path / "out")])
@@ -693,6 +710,15 @@ VERIFY_FAILURES = {
     "tangency-history": (
         "dense_config", ["tangency", "--n-max", "100"], "find_tangency",
         lambda r: dataclasses.replace(r, history=r.history[::-1]), "running minimum distance is not non-increasing",
+    ),
+    "tangency-amplitude": (
+        "dense_config", ["tangency", "--n-max", "100"], "find_tangency",
+        lambda r: dataclasses.replace(r, amplitude=2.0 * r.amplitude), "is not the last history distance",
+    ),
+    "tangency-bump": (
+        "dense_config", ["tangency", "--n-max", "100"], "find_tangency",
+        lambda r: dataclasses.replace(r, bump=dataclasses.replace(r.bump, amplitude=r.bump.amplitude + 1e-9)),
+        "the bump moves reversal",
     ),
     "strips-violations": (
         "dense_config", ["strips", "--n-limit", "2"], "build_strips", _shorter_by_a_thousandth,

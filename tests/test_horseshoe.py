@@ -288,14 +288,20 @@ def test_build_strips_skips_pieces_too_high_for_tau(monkeypatch):
 
 
 def test_detect_periodic_tangency_bit_for_bit(rational_params):
-    """find_tangency's scan: the nearest of the first 4096 reversals at t = 0."""
+    """find_tangency's scan: the nearest of the first 4096 reversals at t = 0.
+
+    At x0 = 0 reversals 1665 and 3329 repeat one angle up to rounding; a
+    60-digit mpmath evaluation puts 1665 nearer both mod the true 2*pi
+    (0.4738779872893074 against 0.47387798728947203) and mod the float
+    TWO_PI (0.47387798728925645 against 0.47387798728937014).
+    """
     x_hit = float(reversal_angle_set(0.0, 64, rational_params).x_values[3] % TWO_PI)
     got = []
     for x0 in (0.0, x_hit):
         report = find_tangency(x0, 0.0, 4096, rational_params)
         got.append((report.n_best, report.x_best.hex(), report.x_best % TWO_PI, report.history[-1]))
     assert got == [
-        (3329, "-0x1.46aa99454b13cp+11", 0.47387798728937014, (3330, 0.4738779872892458)),
+        (1665, "-0x1.469b6f431fdd5p+10", 0.47387798728925645, (1666, 0.47387798728925645)),
         (3, "-0x1.18cfa3ea8efc4p+0", 5.186266967674135, (4, 0.0)),
     ]
 

@@ -191,10 +191,20 @@ def test_public_signatures(module):
     assert got == PUBLIC_SIGNATURES[module]
 
 
-# the oracles that ``bykov <command> --verify`` replays, and the error they
-# raise on a point they cannot represent; nothing else in production may
-# import from bykov.oracles, which holds the elementary maps
-VERIFY_ORACLES = {"eta_composed", "replay_pulse", "return_jacobian_fd", "turning_range_grid", "OnManifoldError"}
+# the oracles that ``bykov <command> --verify`` replays, the wall point that
+# ``tangency --verify`` carries through ``psi_wv``, and the error they raise
+# on a point they cannot represent; nothing else in production may import
+# from bykov.oracles, which holds the elementary maps
+VERIFY_ORACLES = {
+    "eta_composed",
+    "psi_wv",
+    "replay_pulse",
+    "return_jacobian_fd",
+    "turning_range_grid",
+    "OUT_W",
+    "WallPoint",
+    "OnManifoldError",
+}
 BYKOV_MODULES = {"__init__", "params", "returncurve", "horseshoe", "flow", "oracles"}
 
 

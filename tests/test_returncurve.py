@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -398,6 +399,17 @@ def test_find_tangency_stagnates_for_rational_gamma(rational_params):
     assert find_tangency(1.0, 0.0, 100, rational_params).warning is not None
 
 
+@pytest.mark.parametrize(
+    "fn, name", [(reversal_sequence, "t"), (reversal_angle_set, "t"), (find_tangency, "t"), (find_tangency, "x0")]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_is_refused_by_name(fn, name, value, dense_params):
+    start = {"x0": 0.0, "t": 0.0, name: value}
+    args = (start["x0"], start["t"], 100) if fn is find_tangency else (start["t"], 100)
+    with pytest.raises(ParameterError, match=rf"{name} must be finite, got {value}"):
+        fn(*args, dense_params)
+
+
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params"])
 @pytest.mark.parametrize("fn", [reversal_sequence, reversal_angle_set, find_tangency])
 @pytest.mark.parametrize("n_max", [0, -3])
@@ -425,25 +437,66 @@ def test_find_tangency_requires_reversals(case1_params):
     n_max=st.integers(1, 3000),
 )
 def test_find_tangency_matches_per_reversal_loops(p, x0, t, n_max):
-    """The running-minimum history and the bump radius equal the per-reversal loops they replaced."""
+    """The running-minimum history and the bump radius equal per-reversal loops over scalar math.fmod."""
     if classify_region(p).tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
         return
     report = find_tangency(x0, t, n_max, p)
     angles = reversal_angle_set(t, n_max, p)
+    reduced = [_fmod_wrap(float(x)) for x in angles.x_values]
     history, running = [], math.inf
-    for i, d in enumerate(np.abs(np.remainder(angles.x_values - x0 + math.pi, TWO_PI) - math.pi)):
+    for i, x in enumerate(reduced):
+        d = abs(_fmod_wrap(x - x0))
         if d < running:
-            running = float(d)
+            running = d
             history.append((i + 1, running))
     with np.errstate(under="ignore"):
         heights = np.exp(_exit_values(t, angles.log_s_values, p).log_y)
     best = report.n_best
     sep = math.inf
-    for i, x in enumerate(angles.x_values):
+    for i, x in enumerate(reduced):
         if i != best:
-            sep = min(sep, math.hypot(circle_dist(float(x), report.x_best), float(heights[i] - heights[best])))
+            sep = min(sep, math.hypot(abs(_fmod_wrap(x - reduced[best])), float(heights[i] - heights[best])))
     assert report.history == tuple(history)
+    assert report.amplitude == report.history[-1][1]
     assert report.bump.radius == max(min(0.05, 0.45 * sep), 1e-12)
+
+
+def _fmod_wrap(x: float) -> float:
+    """x mod 2*pi into (-pi, pi] with scalar math.fmod, one element at a time."""
+    r = math.fmod(x, TWO_PI)
+    if r > math.pi:
+        r -= TWO_PI
+    elif r <= -math.pi:
+        r += TWO_PI
+    return r
+
+
+def _exact_wrap(x: float) -> Fraction:
+    """The exact representative of x mod the float TWO_PI in (-pi, pi]."""
+    r = Fraction(x) % Fraction(TWO_PI)
+    return r - Fraction(TWO_PI) if r > Fraction(math.pi) else r
+
+
+@given(xs=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20))
+def test_wrap_pi_is_the_exact_reduction(xs):
+    """wrap_pi is the exact reduction mod TWO_PI, a float for a float and elementwise on an array."""
+    got = [wrap_pi(x) for x in xs]
+    assert all(type(r) is float for r in got)
+    assert [Fraction(r) for r in got] == [_exact_wrap(x) for x in xs]
+    assert np.array_equal(wrap_pi(np.array(xs)), got)
+    assert np.array_equal(circle_dist(np.array(xs), 0.5), [circle_dist(x, 0.5) for x in xs])
+
+
+@pytest.mark.parametrize("fixture, x0", [("dense_params", 0.0), ("dense_params", 1.0), ("rational_params", 0.0)])
+def test_history_distances_are_exact_within_an_ulp(fixture, x0, request):
+    """Every running-minimum distance lies within 2**-51 of the exact distance mod the float TWO_PI."""
+    p = request.getfixturevalue(fixture)
+    report = find_tangency(x0, 0.0, 4096, p)
+    angles = reversal_angle_set(0.0, 4096, p)
+    for n, d in report.history:
+        exact = abs(_exact_wrap(float(angles.x_values[n - 1])) - Fraction(x0))
+        exact = min(exact, Fraction(TWO_PI) - exact)
+        assert abs(Fraction(d) - exact) <= Fraction(2) ** -51
 
 
 def _tangency_digest(report) -> str:
@@ -467,13 +520,13 @@ def _interior_draws(count: int = 5) -> list[SaddleParams]:
 # (x0, t, n_max) -> digest of find_tangency on the dense fixture (first two)
 # and on the five interior draws
 PINNED_TANGENCIES = [
-    ((0.0, 0.0, 1000), "8ea7f2ba3d1f40543e8204e674f67917de6f07367810a65a00b7ccdfbd62f02a"),
-    ((1.0, 0.2, 200), "c0bfab9b9ef0aed50390501d2cf7cf9ddf7d3fb3efe0d8736dc2cd195e691234"),
-    ((0.7, 0.3, 300), "0bf251b09ecaa1faf7b0032cc76ce581cd4f679b47ced0c6434e7b3204f1c6c0"),
-    ((0.7, 0.3, 300), "70dedc021452058bd7ccacbe21e09eebc6b0389785b4e0db0b235c3e726be3e3"),
-    ((0.7, 0.3, 300), "b7b91cf6520ec7d2eb10dbbfe725145a9dcc7d24fabdeda3c6a82415bd9b0c41"),
-    ((0.7, 0.3, 300), "39027a6678e19577173887061dd0ca0654bc5054f9a2965204455db4b3a350a6"),
-    ((0.7, 0.3, 300), "4ca139161f6d3afab6cd652986d7a80b4333eaf745b6fd4cd75245afc5cd9ec8"),
+    ((0.0, 0.0, 1000), "d19675fa968b3ceeba9fb73bdba4cea450f490a374f79b61c86714c77da1bfdb"),
+    ((1.0, 0.2, 200), "f5c2d32dec578370b2d53a65e69bbd8ed01b85a2feb75c4efd03dad1a51f9ce8"),
+    ((0.7, 0.3, 300), "e14a2391be39b7a480df350e8002ebdbcfb1fb29244258ff2daf3413d7358442"),
+    ((0.7, 0.3, 300), "9e45d97dfb36957ef9f177183571daf403d403473ea9d9fa8af0d7a64b61e629"),
+    ((0.7, 0.3, 300), "a6f23481f37a865d99a48858e464f8929dd18956152189a64d3160f4b46ccdd3"),
+    ((0.7, 0.3, 300), "151c516e6c8169cf3d97ba89b44feb9f05349a28c2149133434a3b8dcb36e58c"),
+    ((0.7, 0.3, 300), "1c54587b51ad736abe47484b68462cf0b90bb1b2d0001fe7445f02b39f3a59af"),
 ]
 
 
