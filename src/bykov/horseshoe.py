@@ -40,6 +40,7 @@ from .returncurve import (
     _exit_values,
     _lattice,
     _reversals,
+    _turn,
     circle_dist,
     exit_curve,
     turning_crossings,
@@ -269,42 +270,39 @@ _CASE_OF_TAG = {
 }
 
 
-def _period_pieces(p: SaddleParams, region: Region) -> list[tuple[float, float, int]]:
-    """Monotone phi-pieces of one period of the turning function, ascending.
+def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[float, float] | None:
+    """The first monotone phi-piece (phi_lo, phi_hi) on which A - K has the sign ``want_sign``, or None.
 
-    Each is (phi_lo, phi_hi, sign) with the sign of A - K on the piece; the
-    pieces repeat with period pi.  A transversal crossing starts a piece
-    with A > K when it is upward, i.e. when dA/dphi = -2R sin(2 phi - theta)
-    > 0: the direction test of the reversal kinds.  At the boundary of B the
-    level grazes one extremum, once per period, and A - K keeps one sign
-    between the grazes: negative below the maximum, positive above the
-    minimum.
+    The pieces repeat with period pi, and phi_lo lies in [0, pi).  The
+    crossings r0 < r1 split a period into (r0, r1) and (r1, r0 + pi), of
+    opposite signs; (r0, r1) has A > K when r0 is upward, i.e. when
+    dA/dphi = -2R sin(2 phi - theta) > 0: the direction test of the
+    reversal kinds.  At the boundary of B the level grazes one extremum,
+    once per period, and A - K keeps one sign between the grazes: negative
+    below the maximum, positive above the minimum; the other sign has no
+    piece.
     """
     theta = turning_harmonic(p)[2]
     if region.tag == "BoundaryB":
         at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
+        if want_sign != (1 if at_min else -1):
+            return None
         graze = (0.5 * (theta + math.pi) if at_min else 0.5 * theta) % math.pi
-        return [(graze, graze + math.pi, 1 if at_min else -1)]
+        return graze, graze + math.pi
     r0, r1 = turning_crossings(p)
-    sign = 1 if math.sin(2.0 * r0 - theta) < 0.0 else -1
-    return [(r0, r1, sign), (r1, r0 + math.pi, -sign)]
+    upward = math.sin(2.0 * r0 - theta) < 0.0
+    return (r0, r1) if upward == (want_sign > 0) else (r1, r0 + math.pi)
 
 
-def _case_pieces(t: float, period: list[tuple[float, float, int]], want_sign: int):
-    """Copies of the ``period`` pieces on which A - K has the sign ``want_sign``, from phi = t on.
+def _case_pieces(t: float, lo: float, hi: float):
+    """Copies of the piece [lo, hi] shifted by whole periods of pi, from phi = t on.
 
     Yields (i, phi_lo, phi_hi) arrays block by block, without end, from the
-    lattice walk of the piece starts: piece i is the first wanted one
-    shifted by i periods of pi, since the signs repeat with the period.  s
-    decreases as phi grows, and the caller stops at s-underflow.
+    lattice walk of the piece start: piece i is the first one shifted by i
+    periods.  s decreases as phi grows, and the caller stops at s-underflow.
     """
-    los, his, signs = (np.array(column) for column in zip(*period))
-    for j, i, shifts in _lattice(los, t):
-        rows = np.flatnonzero(signs[j] == want_sign)
-        if not rows.size:
-            return
-        r = rows[0]
-        yield i, los[j[r]] + shifts[r], his[j[r]] + shifts[r]
+    for _, i, shifts in _lattice(np.array([lo]), t):
+        yield i, lo + shifts[0], hi + shifts[0]
 
 
 def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
@@ -346,9 +344,10 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
                 )
             n0 += len(x)
     tau_eff = tau
-    period = [] if case == "I" else _period_pieces(p, region)
+    piece = None if case == "I" else _wanted_piece(p, region, 1 if gamma > 1.0 else -1)
     if case == "III":
-        d = period[0][1] - period[0][0]
+        r0, r1 = turning_crossings(p)
+        d = r1 - r0
         if tau_eff >= d / 2.0:
             tau_eff = 0.45 * d
             notes.append(f"tau shrunk to {tau_eff:.6g} (< half the root separation {d:.6g})")
@@ -361,7 +360,7 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
         notes.append(f"inflection exclusion half-width {endpoint_margin:.6g}")
 
     t_grid = np.linspace(0.0, tau_eff, 33)
-    strips = _collect_strips(tau_eff, n_limit, p, case, period, t_grid, endpoint_margin)
+    strips = _collect_strips(tau_eff, n_limit, p, case, piece, t_grid, endpoint_margin)
     return StripFamily(tau=tau_eff, case=case, gamma=gamma, strips=tuple(strips), notes=tuple(notes))
 
 
@@ -370,19 +369,19 @@ def _collect_strips(
     n_limit: int,
     p: SaddleParams,
     case: str,
-    period: list[tuple[float, float, int]],
+    piece: tuple[float, float] | None,
     t_grid: np.ndarray,
     endpoint_margin: float,
 ) -> list[Strip]:
     """The first ``n_limit`` strips of the family on ``t_grid``, in construction order.
 
     Candidate windings arrive in order from the Case I cursor march or the
-    monotone pieces, each with its brackets: every winding whose two
-    targets the brackets' exit angles enclose, ``endpoint_margin`` clear of
-    their ends.  A candidate becomes a strip when its bisection brackets
-    and its 5-point height check keeps the return image within tau.  The
-    candidates are solved in batches of as many as strips are still
-    missing, all boundaries in one bisection: a batch never holds a
+    copies of the monotone ``piece``, each with its brackets: every winding
+    whose two targets the brackets' exit angles enclose, ``endpoint_margin``
+    clear of their ends.  A candidate becomes a strip when its bisection
+    brackets and its 5-point height check keeps the return image within
+    tau.  The candidates are solved in batches of as many as strips are
+    still missing, all boundaries in one bisection: a batch never holds a
     candidate that the strip count would have cut off, and each bracket
     stops on its own, so the strips are those of solving one candidate at
     a time.
@@ -401,53 +400,41 @@ def _collect_strips(
             return TWO_PI * winding - tau, TWO_PI * winding
         return TWO_PI * winding, TWO_PI * winding - tau
 
-    def window(lo: float, hi: float):
-        """The brackets of the piece [lo, hi] and its exit-angle window common to all t."""
-        u_los = (k.c2 + t_grid - hi) / k.g_v
-        u_his = (k.c2 + t_grid - lo) / k.g_v
-        x_a, x_b = x_at(u_los), x_at(u_his)
-        return u_los, u_his, float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
-
     def piece_candidates():
-        """Cases II/III/IV: the windings of the monotone pieces between consecutive reversals.
+        """Cases II/III/IV: the windings of the copies of ``piece``, between consecutive reversals.
 
-        Piece i lies i periods of pi past the first, so by the rotation
-        identity its exit-angle window common to all t is the first one's
-        turned by i pi (1 - gamma).  Its return heights are at least
-        e**(ln c4 + delta_w ln c1 + delta u - delta_w |ln a|) at its lowest
-        u, since the stretch c is at least min(a**2, a**-2).  The kernel runs only on the
-        pieces whose turned window can hold a winding and whose height bound
-        stays within tau, so no piece is skipped that could give a strip.
-        Both tests allow 1e-12 of the terms they sum for rounding; the two
-        ways to a window differ by a few ulps.
+        Copy i lies i periods of pi past the first, with brackets
+        (c2 + t - phi_hi|phi_lo) / g_v.  By the rotation identity its
+        exit-angle window common to all t is the first one's turned by
+        i pi (1 - gamma), so the kernel runs once, on the first copy's
+        brackets, and every copy takes its windings from the turned window.
+        Its return heights are at least e**(ln c4 + delta_w ln c1 + delta u
+        - delta_w |ln a|) at its lowest u, since the stretch c is at least
+        min(a**2, a**-2); a copy whose bound stands above tau is skipped,
+        allowing 1e-12 of the terms the bound sums for rounding.
         """
-        want_sign = 1 if increasing else -1
-        turn = math.pi * (1.0 - k.gamma)
+        if piece is None:
+            return
+        # both ends of the first copy in one kernel call
+        x_a, x_b = x_at((k.c2 + t_grid - np.array([[piece[1]], [piece[0]]])) / k.g_v)
+        x_lo0, x_hi0 = float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
+        if x_hi0 - x_lo0 < tau + 2.0 * endpoint_margin:
+            return
         log_y0 = math.log(k.c4) + k.delta_w * math.log(k.c1)
         stretch_floor = k.delta_w * abs(math.log(p.a))
-        head = None
-        for i, los, his in _case_pieces(0.0, period, want_sign):
+        for i, los, his in _case_pieces(0.0, *piece):
             u_low = (k.c2 - his) / k.g_v
             above = np.count_nonzero(u_low >= LN_FLOOR)
-            if head is None:
-                if not above:
-                    return
-                head = window(los[0], his[0])
-                x_lo0, x_hi0 = head[2:]
-                if x_hi0 - x_lo0 < tau + 2.0 * endpoint_margin:
-                    return
-            turned, u_low = i[:above] * turn, u_low[:above]
-            x_slack = 1e-12 * (1.0 + k.gamma) * (1.0 + abs(k.c2) + his[:above])
+            turned, u_low = _turn(i[:above], k.gamma), u_low[:above]
+            lo_w = np.ceil((x_lo0 + turned + endpoint_margin + tau) / TWO_PI)
+            hi_w = np.floor((x_hi0 + turned - endpoint_margin) / TWO_PI)
             y_slack = 1e-12 * (1.0 + abs(log_y0) + stretch_floor + k.delta * np.abs(u_low))
-            fits = np.ceil((x_lo0 + turned + endpoint_margin + tau - x_slack) / TWO_PI) <= np.floor(
-                (x_hi0 + turned - endpoint_margin + x_slack) / TWO_PI
-            )
-            fits &= log_y0 + k.delta * u_low - stretch_floor <= math.log(tau) + y_slack
-            for piece in np.flatnonzero(fits):
-                u_los, u_his, x_lo, x_hi = head if i[piece] == 0 else window(los[piece], his[piece])
-                lo_w = math.ceil((x_lo + endpoint_margin + tau) / TWO_PI)
-                hi_w = math.floor((x_hi - endpoint_margin) / TWO_PI)
-                for w in range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1):
+            fits = (lo_w <= hi_w) & (log_y0 + k.delta * u_low - stretch_floor <= math.log(tau) + y_slack)
+            for c in np.flatnonzero(fits).tolist():
+                u_los = (k.c2 + t_grid - his[c]) / k.g_v
+                u_his = (k.c2 + t_grid - los[c]) / k.g_v
+                low, high = int(lo_w[c]), int(hi_w[c])
+                for w in range(high, low - 1, -1) if increasing else range(low, high + 1):
                     yield w, u_los, u_his
             if above < len(i):
                 return
@@ -689,7 +676,8 @@ def find_multipulse(
             while span > 1e-13 * max(1.0, abs(b)) and len(pts) < 600:
                 span *= ratio
                 pts.append(a + span if refine_to == a else b - span)
-            us = np.unique(np.array(pts))
+            # sorted(set()) rather than np.unique, which imports numpy.ma
+            us = np.array(sorted(set(pts)))
         vals = angle(us, depth)
         target = x0 if depth == n - 2 else 0.0
         # every multiple of 2*pi (shifted by the target) between the values

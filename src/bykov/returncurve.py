@@ -311,6 +311,11 @@ def _lattice(bases, t: float):
         size = min(2 * size, LAST_BLOCK)
 
 
+def _turn(q, gamma: float):
+    """The exit-angle turn q pi (1 - gamma) of the rotation identity after q periods of pi."""
+    return q * math.pi * (1.0 - gamma)
+
+
 def _reversals(t: float, p: SaddleParams, ln_floor: float):
     """The turning points phi_n = root_j + m*pi >= t, ascending, block by block down to ``ln_floor`` in ln s.
 
@@ -340,7 +345,7 @@ def _reversals(t: float, p: SaddleParams, ln_floor: float):
             kinds = tuple(labels[r] for r in j)
             head = _exit_values(t, log_s[:2], p).x_w[:, None]
         x = np.empty_like(phi)
-        x[0::2], x[1::2] = head + q * math.pi * (1.0 - k.gamma)
+        x[0::2], x[1::2] = head + _turn(q, k.gamma)
         # ln s_n descends, so the entries above the floor are a prefix
         above = np.count_nonzero(log_s >= ln_floor)
         yield kinds, phi[:above], log_s[:above], x[:above]
@@ -447,16 +452,19 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     history = tuple(zip((records + 1).tolist(), dist[records].tolist()))
     x_best = float(angles.x_values[best])
     signed = wrap_pi(x0 - reduced[best])
-    with np.errstate(under="ignore"):
-        heights = np.exp(_exit_values(t, angles.log_s_values, p).log_y)
-    center_y = float(heights[best])
-    # keep the support clear of the other turning points; the nearest one's
-    # gap is taken again from math.hypot, which np.hypot can miss by an ulp
+    # keep the support clear of the other turning points.  One 0.12 or more
+    # away in x cannot bring 0.45 * sep below the 0.05 cap, so heights are
+    # needed only for the nearer ones and the chosen one, which comes last
     gap_x = circle_dist(reduced, reduced[best])
     gap_x[best] = math.inf
+    rows = np.append(np.flatnonzero(gap_x < 0.12), best)
+    with np.errstate(under="ignore"):
+        heights = np.exp(_exit_values(t, angles.log_s_values[rows], p).log_y)
+    center_y = float(heights[-1])
+    # the nearest one's gap is taken again from math.hypot, which np.hypot can miss by an ulp
     gap_y = heights - center_y
-    near = int(np.argmin(np.hypot(gap_x, gap_y)))
-    sep = math.hypot(gap_x[near], gap_y[near])
+    near = int(np.argmin(np.hypot(gap_x[rows], gap_y)))
+    sep = math.hypot(gap_x[rows[near]], gap_y[near])
     radius = max(min(0.05, 0.45 * sep), 1e-12)
     # centred on the chosen reversal point's exact position on the cylinder
     bump = BumpSpec(amplitude=signed, center=(float(reduced[best]), center_y), radius=radius)

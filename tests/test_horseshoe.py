@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ from bykov.horseshoe import (
     _bisect,
     _case_pieces,
     _eigen_class,
-    _period_pieces,
     _return_chain,
+    _wanted_piece,
     build_strips,
     find_multipulse,
     jacobian_report,
@@ -265,6 +268,30 @@ def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
     assert peak < 20e6
 
 
+@pytest.mark.parametrize(
+    "fixture, tau",
+    [("dense_params", 0.25), ("rational_params", 0.25), ("mirror_interior_params", 0.25), ("boundary_params", 0.02)],
+)
+def test_build_strips_calls_the_kernel_once_before_bisecting(fixture, tau, request, monkeypatch):
+    # cases II-IV: the kernel runs once, on both ends of the first piece;
+    # every later piece's window is that one turned by the rotation identity
+    events, values, bisect = [], horseshoe._exit_values, horseshoe._bisect
+
+    def kernel(t, u, p):
+        events.append("kernel")
+        return values(t, u, p)
+
+    def bisecting(*args):
+        events.append("bisect")
+        return bisect(*args)
+
+    monkeypatch.setattr(horseshoe, "_exit_values", kernel)
+    monkeypatch.setattr(horseshoe, "_bisect", bisecting)
+    family = build_strips(tau, 5, request.getfixturevalue(fixture))
+    assert family.case in ("II", "III", "IV") and len(family) == 5
+    assert events.index("bisect") == 1
+
+
 def test_build_strips_skips_pieces_too_high_for_tau(monkeypatch):
     # g_v = 100: the pieces whose return heights all exceed tau come first
     # and hold most of the windings; the family is the reference's, found
@@ -415,7 +442,7 @@ def test_case4_pieces_have_full_length():
     assert region.tag == "BoundaryB"
     counts = []
     for sign in (1, -1):
-        pieces = _first_pieces(0.0, _period_pieces(p, region), sign, 64)
+        pieces = _first_pieces(0.0, _wanted_piece(p, region, sign), 64)
         assert all(hi - lo >= math.pi / 4 for lo, hi in pieces)
         # A - K < 0 between grazes of the maximum
         mids = [float(turning_function(0.5 * (lo + hi), p)) - turning_level(p) for lo, hi in pieces]
@@ -424,22 +451,24 @@ def test_case4_pieces_have_full_length():
     assert counts == [0, 64]
 
 
-def _first_pieces(t, period, want_sign, count):
-    """The first ``count`` pieces that :func:`_case_pieces` yields, as (phi_lo, phi_hi) pairs."""
-    pairs = (pair for _, los, his in _case_pieces(t, period, want_sign) for pair in zip(los.tolist(), his.tolist()))
+def _first_pieces(t, piece, count):
+    """The first ``count`` copies of ``piece`` that :func:`_case_pieces` yields, as (phi_lo, phi_hi) pairs."""
+    if piece is None:
+        return []
+    pairs = (pair for _, los, his in _case_pieces(t, *piece) for pair in zip(los.tolist(), his.tolist()))
     return list(itertools.islice(pairs, count))
 
 
-def _case_pieces_loop(t, k, period, want_sign, max_pieces):
+def _case_pieces_loop(t, k, piece, max_pieces):
     """The period-by-period walk the lattice form replaced, with its own underflow cut."""
     out = []
-    m = min(math.ceil((t - lo) / math.pi) for lo, _, _ in period)
+    if piece is None:
+        return out
+    lo, hi = piece
+    m = math.ceil((t - lo) / math.pi)
     while len(out) < max_pieces:
-        for lo, hi, sign in period:
-            if sign == want_sign and lo + m * math.pi >= t:
-                out.append((lo + m * math.pi, hi + m * math.pi))
-                if len(out) >= max_pieces:
-                    break
+        if lo + m * math.pi >= t:
+            out.append((lo + m * math.pi, hi + m * math.pi))
         m += 1
         if (k.c2 + t - m * math.pi) / k.g_v < LN_FLOOR:
             break
@@ -470,10 +499,10 @@ def test_case_pieces_match_period_loop(p, shape, t, max_pieces):
     if region.tag not in (interior if shape == "interior" else ("BoundaryB",)):
         return
     k = derive_constants(p)
-    period = _period_pieces(p, region)
     for sign, count in itertools.product((1, -1), (max_pieces, 3000)):
-        want = _case_pieces_loop(t, k, period, sign, count)
-        got = _first_pieces(t, period, sign, count)
+        piece = _wanted_piece(p, region, sign)
+        want = _case_pieces_loop(t, k, piece, count)
+        got = _first_pieces(t, piece, count)
         assert [(lo.hex(), hi.hex()) for lo, hi in got[: len(want)]] == [(lo.hex(), hi.hex()) for lo, hi in want]
         assert all((k.c2 + t - hi) / k.g_v < LN_FLOOR for _, hi in got[len(want):])
 
@@ -685,7 +714,7 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
 
 
-def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_margin):
+def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_margin):
     """Reference collector: one bisection, and one height check, per strip in turn.
 
     The monotone pieces come from the period-by-period walk, down to the
@@ -749,8 +778,7 @@ def _collect_strips_per_strip(tau, n_limit, p, case, period, t_grid, endpoint_ma
             w = w - 1 if increasing else w + 1
         return strips
 
-    want_sign = 1 if increasing else -1
-    for lo, hi in _case_pieces_loop(0.0, k, period, want_sign, math.inf):
+    for lo, hi in _case_pieces_loop(0.0, k, piece, math.inf):
         if len(strips) >= n_limit:
             break
         if (k.c2 - hi) / k.g_v < LN_FLOOR:
@@ -951,6 +979,26 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
     monkeypatch.setattr(horseshoe, "_return_chain", counted)
     assert len(find_multipulse(4, case1_params)) == 3
     assert len(calls) <= 284 // 3
+
+
+def test_multipulse_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 1 MB of peak RSS for one dedup of the
+    # refinement grid; where importing numpy loads numpy.ma anyway, this
+    # asserts nothing
+    code = """
+import sys
+from bykov.horseshoe import find_multipulse
+from bykov.params import SaddleParams
+
+before = "numpy.ma" in sys.modules
+p = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=0.5)
+assert len(find_multipulse(3, p)) == 4
+print(before, "numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(horseshoe.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    before, after = out.stdout.split()
+    assert after == before
 
 
 def test_multipulse_deep_window_terminates(case1_params):

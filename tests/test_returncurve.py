@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bykov import returncurve
 from bykov.horseshoe import build_strips
 from bykov.oracles import eta_composed, rotation_identity_residual, turning_range_grid
 from bykov.params import (
@@ -459,6 +460,30 @@ def test_find_tangency_matches_per_reversal_loops(p, x0, t, n_max):
     assert report.history == tuple(history)
     assert report.amplitude == report.history[-1][1]
     assert report.bump.radius == max(min(0.05, 0.45 * sep), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "fixture, n_max, near",
+    [("dense_params", 2000, 75), ("dense_params", 100_000, 3821), ("rational_params", 2000, 499)],
+)
+def test_find_tangency_heights_only_near_the_chosen_reversal(fixture, n_max, near, request, monkeypatch):
+    """The kernel runs on the walk's two head entries, the reversals within 0.12 of the chosen one in x, and that one.
+
+    A reversal 0.12 or more away cannot bring 0.45 * sep below the 0.05
+    cap of the radius, so its height is not needed.
+    """
+    p = request.getfixturevalue(fixture)
+    points, values = [], returncurve._exit_values
+
+    def counting(t, u, p):
+        points.append(np.broadcast(t, u).size)
+        return values(t, u, p)
+
+    monkeypatch.setattr(returncurve, "_exit_values", counting)
+    report = find_tangency(0.0, 0.0, n_max, p)
+    assert points == [2, near + 1]
+    reduced = wrap_pi(reversal_angle_set(0.0, n_max, p).x_values)
+    assert np.count_nonzero(circle_dist(reduced, reduced[report.n_best]) < 0.12) == near + 1
 
 
 def _fmod_wrap(x: float) -> float:
