@@ -50,6 +50,7 @@ from .horseshoe import (
     find_multipulse,
     jacobian_report,
     return_jacobian,
+    strip_boundary_residual,
     strip_family_violations,
     strip_image_report,
 )
@@ -216,6 +217,8 @@ def cmd_strips(args):
         if bad:
             raise VerifyFailure(f"strip image fails to stand across the rectangle: {bad[0]}")
         diagnostics["image_checks"] = len(images)
+        diagnostics["boundary_residual"] = strip_boundary_residual(family, p)
+        diagnostics["solver_passes"] = family.solver_passes
     return "strips.csv", rows, diagnostics
 
 

@@ -10,12 +10,13 @@ vertically across the same rectangle.  Hyperbolicity of g is read off its
 exact Jacobian, assembled from the partials of the exit-curve kernel
 :func:`bykov.returncurve.exit_curve`; finite differences of the return map
 live only in :mod:`bykov.oracles`, as the test and ``--verify`` oracle.
-Everything that needs only x_w and ln y_w (the strip bisection, which
-solves the boundaries of every strip a family still needs in one call,
-the return chain of the multi-pulse search, the strip checks and images,
-each one call for the whole family) runs on the kernel's values step,
-which skips the partials; only the Jacobian and the monotonicity check of
-the strip invariants pay for them.
+The strip boundaries are solved by safeguarded Newton on the kernel's
+exact slope x_u, every boundary of a batch of candidates in one solve.
+Everything else that needs only x_w and ln y_w (the bisection of the
+multi-pulse search's return chain, the strip checks and images, each one
+call for the whole family) runs on the kernel's values step, which skips
+the partials; only the Jacobian, the Newton passes and the monotonicity
+check of the strip invariants pay for them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "Strip",
     "StripFamily",
     "build_strips",
+    "strip_boundary_residual",
     "strip_family_violations",
     "strip_image_report",
     "PulsePoint",
@@ -181,9 +183,11 @@ def _bisect(fn, target, lo, hi) -> np.ndarray:
     each node ``0.5 * (lo + hi)`` of the bracket the levels above leave
     it, and the walk down the tree takes the serial steps on the serial
     floats, so every root is bit for bit that of one halving per call.
-    The strip batches (hundreds of brackets, where the kernel costs real
-    arithmetic) take one or two levels, the multi-pulse levels (a few
-    brackets, where a call costs its overhead) four or five.  Each element
+    The multi-pulse levels (a few brackets, where a call costs its
+    overhead) take four or five levels; their chains of returns need not
+    be monotone, so they have no Newton step.  The strip boundaries go to
+    :func:`_solve_boundaries` instead, and this stays the oracle it must
+    match in tests.  Each element
     stops on its own once its bracket is at most ``BISECT_TOL`` wide, so it
     ends where a scalar bisection from the same bracket would.  A bracket
     that reaches |u| >= 512, where BISECT_TOL is below one ulp, stops
@@ -236,6 +240,53 @@ def _bisect(fn, target, lo, hi) -> np.ndarray:
     return np.where(ok, 0.5 * (lo + hi), np.nan)
 
 
+def _solve_boundaries(t, targets, lo, hi, p: SaddleParams) -> tuple[np.ndarray, int]:
+    """Roots u of x_w(t, u) = target over float arrays of brackets [lo, hi], and the Newton passes taken.
+
+    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4) on the kernel's
+    exact slope x_u.  One values call on both ends starts every element at
+    its regula falsi point; each pass then evaluates :func:`exit_curve` on
+    the elements still active, keeps a sign bracket per element and takes
+    the bracket's midpoint where the Newton point leaves the closed bracket
+    or would not shrink the step to half the one before last.  Each element
+    stops on its own: when its step is at most ``1e-15 * max(1, |u|)``, when
+    its bracket is no wider than :func:`_bisect`'s stop width, or when its
+    residual is exactly 0.  An element comes back nan, as from
+    :func:`_bisect`, when its bracket does not straddle the target or when
+    x_w turns non-finite on it.
+    """
+    tol = np.maximum(BISECT_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    f_lo, f_hi = _exit_values(t, np.stack([lo, hi]), p).x_w - targets
+    # lo only ever moves onto a point of its own sign
+    below = f_lo < 0.0
+    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below != (f_hi < 0.0))
+    roots = np.where(ok, 0.5 * (lo + hi), np.nan)
+    live = np.flatnonzero(ok & (hi - lo > tol))
+    t, targets, lo, hi, below, tol, f_lo, f_hi = (v[live] for v in (t, targets, lo, hi, below, tol, f_lo, f_hi))
+    u = np.clip(lo - f_lo * ((hi - lo) / (f_hi - f_lo)), lo, hi)
+    step = before = hi - lo
+    passes = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size:
+            passes += 1
+            curve = exit_curve(t, u, p)
+            f, slope = curve.x_w - targets, curve.x_u
+            finite = np.isfinite(f)
+            moves_lo = (f < 0.0) == below
+            lo, hi = np.where(moves_lo, u, lo), np.where(moves_lo, hi, u)
+            newton = u - f / slope
+            inside = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= 0.5 * before)
+            new = np.where(f == 0.0, u, np.where(inside, newton, 0.5 * (lo + hi)))
+            before, step = step, np.abs(new - u)
+            done = (step <= 1e-15 * np.maximum(1.0, np.abs(u))) | (hi - lo <= tol)
+            stop = done | ~finite
+            roots[live[stop]] = np.where(finite, new, np.nan)[stop]
+            live, t, targets, lo, hi, below, tol, u, step, before = (
+                v[~stop] for v in (live, t, targets, lo, hi, below, tol, new, step, before)
+            )
+    return roots, passes
+
+
 @dataclass(frozen=True)
 class Strip:
     """One horizontal strip: boundary heights over the t-grid and its winding."""
@@ -256,6 +307,8 @@ class StripFamily:
     gamma: float
     strips: tuple[Strip, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    # Newton passes of the boundary solves, summed over the batches
+    solver_passes: int = 0
 
     def __len__(self) -> int:
         return len(self.strips)
@@ -360,8 +413,10 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
         notes.append(f"inflection exclusion half-width {endpoint_margin:.6g}")
 
     t_grid = np.linspace(0.0, tau_eff, 33)
-    strips = _collect_strips(tau_eff, n_limit, p, case, piece, t_grid, endpoint_margin)
-    return StripFamily(tau=tau_eff, case=case, gamma=gamma, strips=tuple(strips), notes=tuple(notes))
+    strips, passes = _collect_strips(tau_eff, n_limit, p, case, piece, t_grid, endpoint_margin)
+    return StripFamily(
+        tau=tau_eff, case=case, gamma=gamma, strips=tuple(strips), notes=tuple(notes), solver_passes=passes
+    )
 
 
 def _collect_strips(
@@ -378,13 +433,16 @@ def _collect_strips(
     Candidate windings arrive in order from the Case I cursor march or the
     copies of the monotone ``piece``, each with its brackets: every winding
     whose two targets the brackets' exit angles enclose, ``endpoint_margin``
-    clear of their ends.  A candidate becomes a strip when its bisection
-    brackets and its 5-point height check keeps the return image within
-    tau.  The candidates are solved in batches of as many as strips are
-    still missing, all boundaries in one bisection: a batch never holds a
-    candidate that the strip count would have cut off, and each bracket
-    stops on its own, so the strips are those of solving one candidate at
-    a time.
+    clear of their ends.  A candidate becomes a strip when its boundaries
+    are bracketed and its 5-point height check keeps the return image
+    within tau.  The candidates are solved in batches, all boundaries in one
+    :func:`_solve_boundaries` call: ``grow`` times as many as strips are
+    still missing, where ``grow`` starts at 1 and doubles, up to 64, after
+    each batch in which a candidate fails.  A batch may thus solve
+    candidates past the last strip; they are dropped, and since each
+    bracket stops on its own, a boundary does not depend on its batch and
+    the strips are those of solving one candidate at a time.  Returns the
+    strips and the Newton passes of all batches.
     """
     k = p.constants
     increasing = k.gamma > 1.0
@@ -468,22 +526,23 @@ def _collect_strips(
             w = w - 1 if increasing else w + 1
 
     strips: list[Strip] = []
+    passes, grow = 0, 1
     stream = candidates()
     while len(strips) < n_limit:
-        batch = list(islice(stream, n_limit - len(strips)))
+        batch = list(islice(stream, grow * (n_limit - len(strips))))
         if not batch:
             break
-        # both boundaries of every candidate in one bisection
+        # both boundaries of every candidate in one solve
         windings, u_los, u_his = zip(*batch)
         m = len(batch)
-        targets = np.repeat([targets_for(w) for w in windings], n)
-        t_all = np.tile(t_grid, 2 * m)
-        u_ab = _bisect(
-            lambda u: _exit_values(t_all, u, p).x_w,
-            targets,
+        u_ab, batch_passes = _solve_boundaries(
+            np.tile(t_grid, 2 * m),
+            np.repeat([targets_for(w) for w in windings], n),
             np.repeat(u_los, 2, axis=0).ravel(),
             np.repeat(u_his, 2, axis=0).ravel(),
+            p,
         )
+        passes += batch_passes
         if np.isnan(u_ab).any():
             raise RuntimeError("target not bracketed by the monotone interval")
         u_a, u_b = u_ab.reshape(m, 2, n).transpose(1, 0, 2)
@@ -496,10 +555,47 @@ def _collect_strips(
         s_chk = np.stack([np.linspace(a, b, 5) for a, b in zip(a_vals, b_vals)])
         with np.errstate(under="ignore"):
             heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
-        for w, a, b, h in zip(windings, a_vals, b_vals, heights):
-            if not np.any(h > tau):
-                strips.append(Strip(index=len(strips), winding=w, t_grid=t_grid.copy(), a_of_t=a, b_of_t=b))
-    return strips
+        fits = ~np.any(heights > tau, axis=(1, 2))
+        for c in np.flatnonzero(fits)[: n_limit - len(strips)].tolist():
+            strips.append(
+                Strip(index=len(strips), winding=windings[c], t_grid=t_grid.copy(), a_of_t=a_vals[c], b_of_t=b_vals[c])
+            )
+        if not fits.all():
+            # the next batch is larger while candidates fail, up to 64 per missing strip
+            grow = min(2 * grow, 64)
+    return strips, passes
+
+
+def _boundary_misses(family: StripFamily, p: SaddleParams):
+    """Every boundary sample of a nonempty family, strip by strip: (t, a, b, ordered, miss_a, miss_b).
+
+    miss_a and miss_b are the circle distances of the exit angles at a and b
+    from their targets.  A sample out of order (not 0 < a < b <= eps) is
+    evaluated at a = b = eps instead, where its misses mean nothing.
+    """
+    increasing = family.gamma > 1.0
+    lo_res = -family.tau if increasing else 0.0
+    hi_res = 0.0 if increasing else -family.tau
+    t = np.concatenate([s.t_grid for s in family.strips])
+    a = np.concatenate([s.a_of_t for s in family.strips])
+    b = np.concatenate([s.b_of_t for s in family.strips])
+    ordered = (0.0 < a) & (a < b) & (b <= p.eps)
+    a = np.where(ordered, a, p.eps)
+    b = np.where(ordered, b, p.eps)
+    x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p).x_w, 2)
+    return t, a, b, ordered, circle_dist(x_a, lo_res), circle_dist(x_b, hi_res)
+
+
+def strip_boundary_residual(family: StripFamily, p: SaddleParams) -> float:
+    """Largest circle distance of a boundary's exit angle from its target, over the ordered samples.
+
+    This is the miss :func:`strip_family_violations` holds to 1e-9; 0.0 for
+    a family without strips or without ordered samples.
+    """
+    if not family.strips:
+        return 0.0
+    _, _, _, ordered, miss_a, miss_b = _boundary_misses(family, p)
+    return float(np.max(np.maximum(miss_a, miss_b), initial=0.0, where=ordered))
 
 
 def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
@@ -512,20 +608,10 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     if not family.strips:
         return []
     increasing = family.gamma > 1.0
-    lo_res = -family.tau if increasing else 0.0
-    hi_res = 0.0 if increasing else -family.tau
     # one row per strip; the strips of a family share their t-grid length
     t_grid = np.array([s.t_grid for s in family.strips])
-    t = t_grid.ravel()
-    a = np.concatenate([s.a_of_t for s in family.strips])
-    b = np.concatenate([s.b_of_t for s in family.strips])
-    ordered = (0.0 < a) & (a < b) & (b <= p.eps)
-    # out-of-order samples are reported as such; evaluate them at eps
-    a = np.where(ordered, a, p.eps)
-    b = np.where(ordered, b, p.eps)
-    x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p).x_w, 2)
-    miss_a = circle_dist(x_a, lo_res) > 1e-9
-    miss_b = circle_dist(x_b, hi_res) > 1e-9
+    t, a, b, ordered, miss_a, miss_b = _boundary_misses(family, p)
+    miss_a, miss_b = miss_a > 1e-9, miss_b > 1e-9
     # dx_w/ds = x_u / s has the sign of x_u
     fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
     slope = exit_curve(t, np.log(a + fracs * (b - a)), p).x_u

@@ -78,7 +78,7 @@ PINNED_CSV = {
     ),
     "strips-dense": (
         ["strips", "--config", "dense_params.json", "--tau", "0.4", "--n-limit", "5", "--verify"], "strips.csv",
-        "062b1a506d116d002966ac9a7e33f04f2f49b290d377a5f9811b28ac1796411c",
+        "d8956f5d32c7d349ced04b3fef8ac5ef69f9dcbf885f4804045b4551563621e7",
     ),
 }
 

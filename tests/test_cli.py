@@ -287,6 +287,9 @@ def test_strips_verify(case1_config, tmp_path):
     assert lines[0] == "n,t,a_n,b_n"
     manifest = json.loads((tmp_path / "out" / "strips_manifest.json").read_text())
     assert manifest["diagnostics"]["count"] == 5
+    # the worst boundary miss replayed, against the 1e-9 bound, and the Newton passes
+    assert 0.0 <= manifest["diagnostics"]["boundary_residual"] < 1e-9
+    assert manifest["diagnostics"]["solver_passes"] == 13
 
 
 def test_strips_resonance_exit_code(resonant_config, tmp_path):

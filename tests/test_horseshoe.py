@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bykov import horseshoe
@@ -24,11 +24,13 @@ from bykov.horseshoe import (
     _case_pieces,
     _eigen_class,
     _return_chain,
+    _solve_boundaries,
     _wanted_piece,
     build_strips,
     find_multipulse,
     jacobian_report,
     return_jacobian,
+    strip_boundary_residual,
     strip_family_violations,
     strip_image_report,
 )
@@ -44,6 +46,7 @@ from bykov.returncurve import (
     find_tangency,
     reversal_angle_set,
     reversal_sequence,
+    turning_crossings,
     turning_function,
 )
 from conftest import admissible_params
@@ -126,8 +129,6 @@ def test_build_strips_case3(dense_params):
 
 
 def test_build_strips_shrinks_tau():
-    from bykov.returncurve import turning_crossings
-
     # crossing level close to the maximum: narrow root separation forces the shrink
     p = SaddleParams(
         alpha_v=2.0,
@@ -275,43 +276,66 @@ def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
 def test_build_strips_calls_the_kernel_once_before_bisecting(fixture, tau, request, monkeypatch):
     # cases II-IV: the kernel runs once, on both ends of the first piece;
     # every later piece's window is that one turned by the rotation identity
-    events, values, bisect = [], horseshoe._exit_values, horseshoe._bisect
+    events, values, solve = [], horseshoe._exit_values, horseshoe._solve_boundaries
 
     def kernel(t, u, p):
         events.append("kernel")
         return values(t, u, p)
 
-    def bisecting(*args):
-        events.append("bisect")
-        return bisect(*args)
+    def solving(*args):
+        events.append("solve")
+        return solve(*args)
 
     monkeypatch.setattr(horseshoe, "_exit_values", kernel)
-    monkeypatch.setattr(horseshoe, "_bisect", bisecting)
+    monkeypatch.setattr(horseshoe, "_solve_boundaries", solving)
     family = build_strips(tau, 5, request.getfixturevalue(fixture))
     assert family.case in ("II", "III", "IV") and len(family) == 5
-    assert events.index("bisect") == 1
+    assert events.index("solve") == 1
 
 
 def test_build_strips_skips_pieces_too_high_for_tau(monkeypatch):
     # g_v = 100: the pieces whose return heights all exceed tau come first
     # and hold most of the windings; the family is the reference's, found
-    # with a fraction of its bisection targets
+    # with a fraction of its solver targets
     p = SaddleParams(alpha_v=0.1, C_v=1.2e-3, E_v=1e-3, alpha_w=500 * math.sqrt(2) / 3, C_w=2.6, E_w=2.0, a=2.0, eps=0.5)
     assert p.constants.g_v == 100.0
-    calls, bisect = [], _bisect
+    calls, solve = [], _solve_boundaries
 
-    def counting(fn, targets, lo, hi):
+    def counting(t, targets, lo, hi, p):
         calls.append(len(targets))
-        return bisect(fn, targets, lo, hi)
+        return solve(t, targets, lo, hi, p)
 
-    monkeypatch.setattr(horseshoe, "_bisect", counting)
+    monkeypatch.setattr(horseshoe, "_solve_boundaries", counting)
     got = _family_bits(0.05, 5, p)
     ours = sum(calls)
     monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
-    monkeypatch.setattr(sys.modules[__name__], "_bisect", counting)
+    monkeypatch.setattr(sys.modules[__name__], "_solve_boundaries", counting)
     want = _family_bits(0.05, 5, p)
     assert got == want and len(got[-1]) == 5
     assert ours * 3 < sum(calls) - ours
+
+
+def test_build_strips_grows_batches_at_large_g_v(monkeypatch):
+    # gamma sqrt(2) at g_v 1e4: thousands of windings fail the height check
+    # before the first strip; one solve per missing strip made 4,635 calls
+    p = SaddleParams(
+        alpha_v=10.0, C_v=1.2e-3, E_v=1e-3, alpha_w=20.0 * math.sqrt(2.0) / 1.2e-3, C_w=2.6, E_w=2.0, a=2.0, eps=0.5
+    )
+    assert p.constants.g_v == 1e4
+    calls, solve = [], _solve_boundaries
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(horseshoe, "_solve_boundaries", counting)
+    family = build_strips(0.05, 5, p)
+    assert len(calls) < 100
+    assert [s.winding for s in family.strips] == [-1892, -1892, -1891, -1892, -1891]
+    # one ulp of u moves x_w by about 2.4e-9 here, so the boundaries miss
+    # their targets by more than strip_family_violations' 1e-9 (ROADMAP
+    # item 10); 45 halvings missed them by 7.9e-7
+    assert strip_boundary_residual(family, p) < 1e-8
 
 
 def test_detect_periodic_tangency_bit_for_bit(rational_params):
@@ -350,7 +374,7 @@ def test_strips_case4_boundary():
     assert family.case == "IV"
     assert len(family) == 2
     got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
-    assert got.hexdigest() == "f0bcbc40443751d11054c5523dddceebdfef0cb5f4769f4ffbefe36d36be8c00"
+    assert got.hexdigest() == "198acd68212ada8f24b4d618f52afc3f84cbfc52b06cd4d8a910a4584a5aab79"
     assert strip_family_violations(family, p) == []
     report = strip_image_report(family, p)
     assert all(r["spans_vertically"] and r["within_width"] for r in report)
@@ -694,15 +718,15 @@ def test_multipulse_bit_for_bit(name, request):
 
 # sha256 of a_of_t + b_of_t over all strips of build_strips(tau, 5, p)
 PINNED_STRIPS = {
-    ("case1_params", 0.05): "0d089bec2e88254c468303e3ba64bb827a71f4fa423512a8ee3252ddcc863afc",
-    ("case1_params", 0.25): "7b923392f54dea9476752b0fc77943f14725618b1abb83cc7c5ef1a9528ba50e",
-    ("case1_params", 0.4): "68ca8666cdb4745f8e5b3cfcf767f7e7bcc45f6a7bb7b01d5367225f045b0a05",
-    ("dense_params", 0.05): "47bbe8d69a0af593f0dc1424c41a93d919700e83674241c1a0c5bcfa8c230211",
-    ("dense_params", 0.25): "aa1965fc879602bb8614f01a4cc20d7adc326f553e81ce7535555c3fb40d6bb9",
-    ("dense_params", 0.4): "1c338f3cc5481ca8975a58fe428d9e5f77c9040e313d3284c9267587389564b7",
-    ("rational_params", 0.05): "163c339575200c5c7512b4af435c80cb2a6a5660bccb7caecdaca613ad4f20dd",
-    ("rational_params", 0.25): "1f5788a26dd432a9bd1df81429d0fd6a30827091a7ccc025299a4b18168112b9",
-    ("rational_params", 0.4): "3561f727dfdc0d4f32842aaeb98d11860685e7553ee452a336dcc77c34a78cf7",
+    ("case1_params", 0.05): "6f862ffb1f17455db8dd0f707651cc8cc86eb8cae8c127c4ca8679d283b6378a",
+    ("case1_params", 0.25): "08edc482c3ddeeccd012861a25e6b10b0602e5f8d61e0447b258c9610a69e47a",
+    ("case1_params", 0.4): "deb75e2a286169bf324b988ec73f05f4d23af18d7de7a5a7a9140ccaf6366fa6",
+    ("dense_params", 0.05): "f3069d41115f154ed103d457e8c81540a65dd4b7355d8ae38c93e3f5e6c5df15",
+    ("dense_params", 0.25): "d1c7d239b21932669b1623073a84ba07e5b155d29d2927263285941016152a39",
+    ("dense_params", 0.4): "1cc9fed1ecc34581424ea89400a1100afb74a9a01e01b313f3c1e396b4f845da",
+    ("rational_params", 0.05): "79d4cc24716c0bf0bf52e9e080a1f3bc85ef20fd97fffdd6b3a2b64acfec2415",
+    ("rational_params", 0.25): "8a68e0a8a7c0ef61502e40ef32c9f6bdcc5b0ef605df99337103308cee63ba6c",
+    ("rational_params", 0.4): "c859cd792846a26193fea17ef44eea46497fce17af8ba47e59427f391e7bb363",
 }
 
 
@@ -714,8 +738,29 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
 
 
+# Newton passes of build_strips(tau, 5, p): a count, since a wrong slope
+# still converges through the bracket's midpoints, only in more passes
+PINNED_PASSES = {
+    ("case1_params", 0.05): 11,
+    ("case1_params", 0.25): 12,
+    ("case1_params", 0.4): 13,
+    ("dense_params", 0.05): 13,
+    ("dense_params", 0.25): 7,
+    ("dense_params", 0.4): 7,
+    ("rational_params", 0.05): 14,
+    ("rational_params", 0.25): 7,
+    ("rational_params", 0.4): 7,
+}
+
+
+@pytest.mark.parametrize("fixture,tau", sorted(PINNED_PASSES))
+def test_build_strips_newton_passes(fixture, tau, request):
+    family = build_strips(tau, 5, request.getfixturevalue(fixture))
+    assert (len(family), family.solver_passes) == (5, PINNED_PASSES[fixture, tau])
+
+
 def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_margin):
-    """Reference collector: one bisection, and one height check, per strip in turn.
+    """Reference collector: one boundary solve, and one height check, per strip in turn.
 
     The monotone pieces come from the period-by-period walk, down to the
     s-underflow floor: no cap on their number and no early end.
@@ -723,14 +768,12 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
     k = p.constants
     increasing = k.gamma > 1.0
     strips = []
+    passes = 0
 
     t_pair = np.concatenate([t_grid, t_grid])
 
     def x_at(u):
         return _exit_values(t_grid, u, p).x_w
-
-    def x_pair(u):
-        return _exit_values(t_pair, u, p).x_w
 
     def targets_for(winding):
         if increasing:
@@ -738,10 +781,13 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
         return TWO_PI * winding, TWO_PI * winding - tau
 
     def solve_strip(winding, u_los, u_his):
+        nonlocal passes
         tgt_a, tgt_b = targets_for(winding)
         n = len(t_grid)
         targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
-        u_ab = _bisect(x_pair, targets, np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his]))
+        lows, highs = np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his])
+        u_ab, more = _solve_boundaries(t_pair, targets, lows, highs, p)
+        passes += more
         if np.isnan(u_ab).any():
             raise RuntimeError("target not bracketed by the monotone interval")
         u_a, u_b = u_ab[:n], u_ab[n:]
@@ -769,14 +815,14 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
             while np.any(behind):
                 u_cur = np.where(behind, u_cur - 1.0, u_cur)
                 if np.any(u_cur < LN_FLOOR):
-                    return strips
+                    return strips, passes
                 x_cur = x_at(u_cur)
                 behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
             strip = solve_strip(w, u_cur, u_tops)
             if strip is not None:
                 strips.append(strip)
             w = w - 1 if increasing else w + 1
-        return strips
+        return strips, passes
 
     for lo, hi in _case_pieces_loop(0.0, k, piece, math.inf):
         if len(strips) >= n_limit:
@@ -795,7 +841,7 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
                 strips.append(strip)
                 if len(strips) >= n_limit:
                     break
-    return strips
+    return strips, passes
 
 
 def test_build_strips_keeps_an_early_narrow_strip(monkeypatch):
@@ -1052,6 +1098,60 @@ def test_bisect_matches_scalar_reference():
     clean = [_scalar_bisect(lambda v: v**3 - 2.0 * v, *args) for args in zip(target, lo, hi)]
     assert any(math.isnan(w) and not math.isnan(c) for w, c in zip(want, clean))
     assert 50 < sum(not math.isnan(w) for w in want) < 400
+
+
+@given(
+    p=admissible_params,
+    g_v=st.one_of(st.none(), st.floats(2.0, 4.0).map(lambda e: 10.0**e)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_boundaries_matches_bisect(p, g_v, seed):
+    """Newton's roots are the bisection's, with the same nan pattern.
+
+    Each bracket is a copy of a monotone piece between reversals (or any
+    interval where there are none) down to the s-underflow floor, at the
+    drawn rates or with alpha_v and alpha_w scaled to g_v in 1e2..1e4.
+    The roots agree within the bisection's stop width of 1e-13, plus two
+    ulps of u (the bisection stops at one-ulp brackets from |u| >= 512 on)
+    and the width in u over which x_w's own rounding, 8 ulps of its terms,
+    hides the root where x_u is small.  An eighth of the targets lie past
+    both ends and a sixteenth of the brackets start at nan.
+    """
+    if g_v is not None:
+        scale = g_v / p.constants.g_v
+        p = replace(p, alpha_v=p.alpha_v * scale, alpha_w=p.alpha_w * scale)
+    k = p.constants
+    # near the resonance x_w is flat and no solver resolves u to 1e-13
+    assume(abs(k.gamma - 1.0) > 0.1)
+    rng = np.random.default_rng(seed)
+    n = 64
+    t = rng.uniform(0.0, 0.45, n)
+    u_top = math.log(p.eps)
+    crossings = turning_crossings(p)
+    if crossings:
+        r0, r1 = crossings
+        phi_lo, phi_hi = (r0, r1) if rng.random() < 0.5 else (r1, r0 + math.pi)
+        m_lo = np.ceil((k.c2 + t - phi_lo - k.g_v * u_top) / math.pi)
+        m_hi = np.floor((k.c2 + t - phi_hi - k.g_v * LN_FLOOR) / math.pi)
+        m = np.floor(m_lo + rng.uniform(0.0, 1.0, n) * (m_hi - m_lo + 1.0))
+        lo = (k.c2 + t - phi_hi - m * math.pi) / k.g_v
+        hi = (k.c2 + t - phi_lo - m * math.pi) / k.g_v
+    else:
+        width = 10.0 ** rng.uniform(-3.0, 0.5, n)
+        lo = rng.uniform(LN_FLOOR, u_top - width)
+        hi = lo + width
+    target = _exit_values(t, lo + rng.uniform(0.05, 0.95, n) * (hi - lo), p).x_w
+    x_lo, x_hi = _exit_values(t, np.stack([lo, hi]), p).x_w
+    target = np.where(rng.random(n) < 0.125, np.maximum(x_lo, x_hi) + 1.0, target)
+    lo = np.where(rng.random(n) < 0.0625, np.nan, lo)
+    got, _ = _solve_boundaries(t, target, lo, hi, p)
+    want = _bisect(lambda u: _exit_values(t, u, p).x_w, target, lo, hi)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    found = ~np.isnan(got)
+    u = got[found]
+    terms = (abs(k.g_w) * k.delta_v + k.g_v) * np.abs(u) + np.abs(target[found]) + abs(k.c2) + abs(k.c3)
+    hidden = 8.0 * np.finfo(float).eps * terms / np.abs(exit_curve(t[found], u, p).x_u)
+    assert np.all(np.abs(u - want[found]) <= 1e-13 + 2.0 * np.spacing(np.abs(u)) + hidden)
 
 
 def _serial_bisect(fn, target, lo, hi, tol=1e-13):

@@ -149,6 +149,7 @@ PUBLIC_SIGNATURES = {
         "return_jacobian": ("x", "y", "p"),
         "jacobian_report": ("x", "y", "p"),
         "build_strips": ("tau", "n_limit", "p"),
+        "strip_boundary_residual": ("family", "p"),
         "strip_family_violations": ("family", "p"),
         "strip_image_report": ("family", "p"),
         "find_multipulse": ("n", "p", "x0", "s_window", "max_points"),
