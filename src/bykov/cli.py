@@ -262,7 +262,9 @@ def cmd_multipulse(args):
         raise ParameterError("--s-min and --s-max must be given together")
     window = (args.s_min, args.s_max) if args.s_min is not None else None
     points = find_multipulse(args.n, p, x0=args.x0, s_window=window)
+    diagnostics: dict = {"count": len(points)}
     if args.verify:
+        worst = 0.0
         for pt in points:
             try:
                 replay = replay_pulse(pt.s, pt.n, p, x0=args.x0)
@@ -270,7 +272,9 @@ def cmd_multipulse(args):
                 raise _too_deep(args, pt.s, exc) from exc
             if replay.residual > 1e-8:
                 raise VerifyFailure(f"pulse replay misses the trace by {replay.residual}")
-    return "multipulse.json", points, {"count": len(points)}
+            worst = max(worst, replay.residual)
+        diagnostics["replay_residual"] = worst
+    return "multipulse.json", points, diagnostics
 
 
 def _simulate(args):

@@ -10,20 +10,21 @@ vertically across the same rectangle.  Hyperbolicity of g is read off its
 exact Jacobian, assembled from the partials of the exit-curve kernel
 :func:`bykov.returncurve.exit_curve`; finite differences of the return map
 live only in :mod:`bykov.oracles`, as the test and ``--verify`` oracle.
-The strip boundaries are solved by safeguarded Newton on the kernel's
-exact slope x_u, every boundary of a batch of candidates in one solve.
-Everything else that needs only x_w and ln y_w (the bisection of the
-multi-pulse search's return chain, the strip checks and images, each one
-call for the whole family) runs on the kernel's values step, which skips
-the partials; only the Jacobian, the Newton passes and the monotonicity
-check of the strip invariants pay for them.
+Every root is solved by one safeguarded Newton, :func:`_solve`: the strip
+boundaries on the kernel's exact slope x_u, every boundary of a batch of
+candidates in one solve, and the crossings of the multi-pulse search on
+the slope of its return chain in the seed's u, which the chain composes
+from the kernel's partials return by return.  Everything else that needs
+only x_w and ln y_w (the strips' windows, height checks and images, each
+one call for the whole family) runs on the kernel's values step, which
+skips the partials; only the Jacobian, the Newton passes, the return chain
+and the monotonicity check of the strip invariants pay for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -164,113 +165,46 @@ def _libm_exp(u) -> np.ndarray:
     return np.where(u < 709.0, y, math.inf)
 
 
-# kernel points per call up to which _bisect adds levels to its bisection
-# tree: on a few brackets a kernel call costs its overhead, not arithmetic
-TREE_POINTS = 250
-# bracket width at which _bisect stops
+# bracket width at which _solve stops
 BISECT_TOL = 1e-13
 
 
-def _bisect(fn, target, lo, hi) -> np.ndarray:
-    """Bisection for fn(u) = target over float arrays of brackets [lo, hi].
+def _solve(fn, targets, lo, hi) -> tuple[np.ndarray, int]:
+    """Roots u of f(u) = targets over float arrays of brackets [lo, hi], and the Newton passes taken.
 
-    ``fn`` maps an array of u to an array of values, element by element,
-    and takes a ``(rows, n)`` array against the ``n`` brackets: both ends
-    go in one call, then each call advances every bracket by L halvings.
-    L is the most levels whose ``2**L - 1`` midpoints per bracket keep a
-    call within ``TREE_POINTS`` points, and at least 1, where this is one
-    halving per call.  The midpoints form a bisection tree held in order,
-    each node ``0.5 * (lo + hi)`` of the bracket the levels above leave
-    it, and the walk down the tree takes the serial steps on the serial
-    floats, so every root is bit for bit that of one halving per call.
-    The multi-pulse levels (a few brackets, where a call costs its
-    overhead) take four or five levels; their chains of returns need not
-    be monotone, so they have no Newton step.  The strip boundaries go to
-    :func:`_solve_boundaries` instead, and this stays the oracle it must
-    match in tests.  Each element
-    stops on its own once its bracket is at most ``BISECT_TOL`` wide, so it
-    ends where a scalar bisection from the same bracket would.  A bracket
-    that reaches |u| >= 512, where BISECT_TOL is below one ulp, stops
-    instead once it is no wider than one ulp of its larger end.  An element
-    comes back nan when its bracket does not straddle the target or when
-    ``fn`` turns non-finite on it.
-    """
-    n = len(lo)
-    tol = np.maximum(BISECT_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    f_lo, f_hi = fn(np.stack([lo, hi])) - target
-    # lo only ever moves onto a mid of its own sign
-    below_lo = f_lo < 0.0
-    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below_lo != (f_hi < 0.0))
-    active = ok & (hi - lo > tol)
-    levels = max(1, (TREE_POINTS // max(n, 1) + 1).bit_length() - 1)
-    # the tree in order: the bounds in the first and last rows and the
-    # 2**L - 1 midpoints between them, the nodes of a level a stride apart;
-    # f_tree keeps fn - target in the same rows
-    tree = np.empty((2**levels + 1, n))
-    tree[0], tree[-1] = lo, hi
-    lo, hi = tree[0], tree[-1]
-    f_tree = np.zeros_like(tree)
-    steps = [2 ** (levels - level) for level in range(levels)]
-    columns = np.arange(n)
-    while active.any():
-        for step in steps:
-            # each node halfway between the two nodes above that bound it
-            tree[step // 2 :: step] = 0.5 * (tree[:-1:step] + tree[step::step])
-        np.subtract(fn(tree[1:-1]), target, out=f_tree[1:-1])
-        flips = (f_tree < 0.0) != below_lo
-        finite = np.isfinite(f_tree)
-        all_finite = finite.all()
-        # every bracket starts at the root, the one node of the top level
-        node, at = 0, 0
-        for step in steps:
-            level = slice(step // 2, None, step)
-            mid = tree[level][at]
-            if not all_finite:
-                ok &= finite[level][at] | ~active
-                active &= ok
-            to_lo = active & flips[level][at]
-            to_hi = active ^ to_lo
-            np.copyto(hi, mid, where=to_lo)
-            np.copyto(lo, mid, where=to_hi)
-            active = ok & (hi - lo > tol)
-            if step > 2:
-                # on to the upper child where lo moved, else the lower one
-                node = 2 * node + to_hi
-                at = (node, columns)
-    return np.where(ok, 0.5 * (lo + hi), np.nan)
-
-
-def _solve_boundaries(t, targets, lo, hi, p: SaddleParams) -> tuple[np.ndarray, int]:
-    """Roots u of x_w(t, u) = target over float arrays of brackets [lo, hi], and the Newton passes taken.
-
-    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4) on the kernel's
-    exact slope x_u.  One values call on both ends starts every element at
-    its regula falsi point; each pass then evaluates :func:`exit_curve` on
+    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4).  ``fn(u, live)``
+    returns the values and slopes in u of the elements indexed by ``live``,
+    element by element; ``u`` is an array of their points, or a ``(2, n)``
+    array of both ends of all ``n`` brackets in the first call, which starts
+    every element at its regula falsi point.  Each pass then calls ``fn`` on
     the elements still active, keeps a sign bracket per element and takes
     the bracket's midpoint where the Newton point leaves the closed bracket
-    or would not shrink the step to half the one before last.  Each element
-    stops on its own: when its step is at most ``1e-15 * max(1, |u|)``, when
-    its bracket is no wider than :func:`_bisect`'s stop width, or when its
-    residual is exactly 0.  An element comes back nan, as from
-    :func:`_bisect`, when its bracket does not straddle the target or when
-    x_w turns non-finite on it.
+    or would not shrink the step to half the one before last, so a slope
+    that is wrong, or a function that is not monotone in the bracket, costs
+    passes but not the bracket.  Each element stops on its own: when its
+    step is at most ``1e-15 * max(1, |u|)``, when its bracket is at most
+    ``BISECT_TOL`` wide (or one ulp of its larger end, from |u| >= 512 on,
+    where BISECT_TOL is below one ulp), or when its residual is exactly 0.
+    An element comes back nan when its bracket does not straddle the target
+    or when the value turns non-finite on it.
     """
     tol = np.maximum(BISECT_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    f_lo, f_hi = _exit_values(t, np.stack([lo, hi]), p).x_w - targets
+    live = np.arange(len(lo))
+    f_lo, f_hi = fn(np.stack([lo, hi]), live)[0] - targets
     # lo only ever moves onto a point of its own sign
     below = f_lo < 0.0
     ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below != (f_hi < 0.0))
     roots = np.where(ok, 0.5 * (lo + hi), np.nan)
     live = np.flatnonzero(ok & (hi - lo > tol))
-    t, targets, lo, hi, below, tol, f_lo, f_hi = (v[live] for v in (t, targets, lo, hi, below, tol, f_lo, f_hi))
+    targets, lo, hi, below, tol, f_lo, f_hi = (v[live] for v in (targets, lo, hi, below, tol, f_lo, f_hi))
     u = np.clip(lo - f_lo * ((hi - lo) / (f_hi - f_lo)), lo, hi)
     step = before = hi - lo
     passes = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while live.size:
             passes += 1
-            curve = exit_curve(t, u, p)
-            f, slope = curve.x_w - targets, curve.x_u
+            value, slope = fn(u, live)
+            f = value - targets
             finite = np.isfinite(f)
             moves_lo = (f < 0.0) == below
             lo, hi = np.where(moves_lo, u, lo), np.where(moves_lo, hi, u)
@@ -281,8 +215,8 @@ def _solve_boundaries(t, targets, lo, hi, p: SaddleParams) -> tuple[np.ndarray, 
             done = (step <= 1e-15 * np.maximum(1.0, np.abs(u))) | (hi - lo <= tol)
             stop = done | ~finite
             roots[live[stop]] = np.where(finite, new, np.nan)[stop]
-            live, t, targets, lo, hi, below, tol, u, step, before = (
-                v[~stop] for v in (live, t, targets, lo, hi, below, tol, new, step, before)
+            live, targets, lo, hi, below, tol, u, step, before = (
+                v[~stop] for v in (live, targets, lo, hi, below, tol, new, step, before)
             )
     return roots, passes
 
@@ -436,13 +370,13 @@ def _collect_strips(
     clear of their ends.  A candidate becomes a strip when its boundaries
     are bracketed and its 5-point height check keeps the return image
     within tau.  The candidates are solved in batches, all boundaries in one
-    :func:`_solve_boundaries` call: ``grow`` times as many as strips are
-    still missing, where ``grow`` starts at 1 and doubles, up to 64, after
-    each batch in which a candidate fails.  A batch may thus solve
-    candidates past the last strip; they are dropped, and since each
-    bracket stops on its own, a boundary does not depend on its batch and
-    the strips are those of solving one candidate at a time.  Returns the
-    strips and the Newton passes of all batches.
+    :func:`_solve` call on the kernel's exact slope x_u: ``grow`` times as
+    many as strips are still missing, where ``grow`` starts at 1 and
+    doubles, up to 64, after each batch in which a candidate fails.  A
+    batch may thus solve candidates past the last strip; they are dropped,
+    and since each bracket stops on its own, a boundary does not depend on
+    its batch and the strips are those of solving one candidate at a time.
+    Returns the strips and the Newton passes of all batches.
     """
     k = p.constants
     increasing = k.gamma > 1.0
@@ -535,12 +469,17 @@ def _collect_strips(
         # both boundaries of every candidate in one solve
         windings, u_los, u_his = zip(*batch)
         m = len(batch)
-        u_ab, batch_passes = _solve_boundaries(
-            np.tile(t_grid, 2 * m),
+        t = np.tile(t_grid, 2 * m)
+
+        def boundary(u, live):
+            curve = exit_curve(t[live], u, p)
+            return curve.x_w, curve.x_u
+
+        u_ab, batch_passes = _solve(
+            boundary,
             np.repeat([targets_for(w) for w in windings], n),
             np.repeat(u_los, 2, axis=0).ravel(),
             np.repeat(u_his, 2, axis=0).ravel(),
-            p,
         )
         passes += batch_passes
         if np.isnan(u_ab).any():
@@ -687,24 +626,34 @@ class PulsePoint:
     trace: tuple[tuple[float, float], ...]
 
 
-def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exit angle and height (x_w, y_w) at each of ``depth + 1`` returns of the points (0, e^u).
+def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(x_w, y_w, x_w'): exit angle, height and slope of the angle in u at each of ``depth + 1`` returns of (0, e^u).
 
-    Each return is the kernel's values step ``_exit_values`` at (x, ln y),
-    then the quarter turn (y_w, -x_w) with the height reduced to (-pi, pi].
-    An element is nan from the first return whose start leaves the height
-    range (0, eps]; an overflowing seed counts as off-section.  Seeds go
-    through :func:`_libm_exp`, as the strip boundaries do.
+    Each return is :func:`exit_curve` at (x, ln y), then the quarter turn
+    (y_w, -x_w) with the height reduced to (-pi, pi].  The slope in the
+    seed's u follows by the chain rule through the kernel's partials: with
+    (dx, du) the derivatives of the start (x, ln y), (0, 1) at the seed, a
+    return takes x_w' = x_t dx + x_u du and d ln y_w = (ln y)_t dx +
+    (ln y)_u du, and the quarter turn starts the next one with
+    dx = y_w d ln y_w and du = -x_w' / y.  An element is nan from the first
+    return whose start leaves the height range (0, eps], such as a height
+    of exactly 0, where du divides by zero; an overflowing seed counts as
+    off-section.  Seeds go through :func:`_libm_exp`, as the strip
+    boundaries do.
     """
     y = _libm_exp(u)
     x = np.zeros_like(y)
+    dx, du = 0.0, 1.0
     steps = []
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", divide="ignore"):
         for _ in range(depth + 1):
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
-            curve = _exit_values(x, np.log(y), p)
-            steps.append((curve.x_w, np.exp(curve.log_y)))
-            x, y = steps[-1][1], wrap_pi(-curve.x_w)
+            curve = exit_curve(x, np.log(y), p)
+            dx_w = curve.x_t * dx + curve.x_u * du
+            y_w = np.exp(curve.log_y)
+            steps.append((curve.x_w, y_w, dx_w))
+            x, y = y_w, wrap_pi(-curve.x_w)
+            dx, du = y_w * (curve.log_y_t * dx + curve.log_y_u * du), -dx_w / y
     return steps
 
 
@@ -724,12 +673,13 @@ def find_multipulse(
     the first level samples 48 points per pi of the angle phi.  Only the
     last level targets x0 + 2 pi k; an intermediate return must land on
     the section near height 0, so its level targets 2 pi k.
-    Every level runs whole u-grids through :func:`_return_chain` and refines
-    all crossings in one :func:`_bisect`, which advances a level's few
-    brackets by four or five halvings per pass of the chain; each point's
-    trace and residual come from one more pass.  A level without crossings
-    leaves no window for the next, so the search stops there.  An empty
-    list means no crossing in the window, which is not an error.
+    Every level runs whole u-grids through :func:`_return_chain` and solves
+    all its crossings, and then the edges of the next level's windows, in
+    one :func:`_solve` each, by safeguarded Newton on the chain's slope in
+    u; each point's trace and residual come from one more pass.  A level
+    without crossings leaves no window for the next, so the search stops
+    there.  An empty list means no crossing in the window, which is not an
+    error.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -746,8 +696,10 @@ def find_multipulse(
         drift = abs(1.0 - k.gamma) * k.g_v
         u_lo = max(u_hi - (8.0 * math.pi / max(drift, 1e-3)) - TWO_PI / k.g_v, LN_FLOOR / 4)
 
-    def angle(u, depth: int) -> np.ndarray:
-        return _return_chain(u, depth, p)[-1][0]
+    def angle(u, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """x_w at the depth-th return of the seeds e^u, and its slope in u."""
+        x_w, _, slope = _return_chain(u, depth, p)[-1]
+        return x_w, slope
 
     def solve_level(depth: int, a: float, b: float, refine_to: float | None) -> list[float]:
         """Crossing parameters of the depth-th image curve inside [a, b]."""
@@ -764,7 +716,7 @@ def find_multipulse(
                 pts.append(a + span if refine_to == a else b - span)
             # sorted(set()) rather than np.unique, which imports numpy.ma
             us = np.array(sorted(set(pts)))
-        vals = angle(us, depth)
+        vals = angle(us, depth)[0]
         target = x0 if depth == n - 2 else 0.0
         # every multiple of 2*pi (shifted by the target) between the values
         # at the two ends of a grid cell is one bracketed crossing
@@ -780,7 +732,7 @@ def find_multipulse(
         cell = np.repeat(cells, counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)
         winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
-        roots = _bisect(partial(angle, depth=depth), target + TWO_PI * winding, us[cell], us[cell + 1])
+        roots, _ = _solve(lambda u, live: angle(u, depth), target + TWO_PI * winding, us[cell], us[cell + 1])
         return roots[~np.isnan(roots)][: max_points * 4].tolist()
 
     def accumulation_windows(roots: np.ndarray, depth_prev: int) -> list[tuple[float, float, float]]:
@@ -791,7 +743,7 @@ def find_multipulse(
         from each root on that side until the angle has moved by almost eps.
         """
         d0 = 1e-11 * np.maximum(1.0, np.abs(roots))
-        base, g_minus, g_plus = angle([roots, roots - d0, roots + d0], depth_prev)
+        base, g_minus, g_plus = angle([roots, roots - d0, roots + d0], depth_prev)[0]
         sign = np.where(
             np.isfinite(g_minus) & (g_minus < base),
             -1.0,
@@ -799,14 +751,14 @@ def find_multipulse(
         )
         threshold = base - 0.999 * p.eps
         steps = d0[:, None] * 2.0 ** np.arange(201)
-        g = angle(roots[:, None] + sign[:, None] * steps[:, 1:], depth_prev)
+        g = angle(roots[:, None] + sign[:, None] * steps[:, 1:], depth_prev)[0]
         stop = ~np.isfinite(g) | (g <= threshold[:, None])
         first = np.argmax(stop, axis=1)
         rows = np.arange(len(roots))
         d_prev, d = steps[rows, first], steps[rows, first + 1]
         inside = roots + sign * d_prev
-        edge = _bisect(
-            partial(angle, depth=depth_prev),
+        edge, _ = _solve(
+            lambda u, live: angle(u, depth_prev),
             threshold,
             np.minimum(inside, roots + sign * d),
             np.maximum(inside, roots + sign * d),
@@ -842,7 +794,7 @@ def find_multipulse(
             s=math.exp(roots[i]),
             n=n,
             residual=float(residual[i]),
-            trace=tuple((float(x_w[i]), float(y_w[i])) for x_w, y_w in chain),
+            trace=tuple((float(x_w[i]), float(y_w[i])) for x_w, y_w, _ in chain),
         )
         for i in np.flatnonzero(residual <= 5e-9)[:max_points]
     ]

@@ -13,9 +13,11 @@ unwound to the quarter turn containing phi, the curve is
 :func:`exit_curve` evaluates it in u = ln s, where phi is affine in (t, u)
 and ln y_w is exact down to any depth.  The formula itself lives in the
 values step :func:`_exit_values`, which takes sin phi and cos phi once and
-returns x_w and ln y_w; the strip bisections, the return chain and the
-tangency heights call it directly.  :func:`exit_curve` adds the partials on
-top, so they are built only where a Jacobian or a slope needs them.  With
+returns x_w and ln y_w; the strips' windows, height checks and images and
+the tangency heights call it directly.  :func:`exit_curve` adds the
+partials on top, so they are built only where a Jacobian or a slope needs
+them, as in the strip boundaries' Newton solve and the multi-pulse return
+chain, which carries its slope for the same solve.  With
 sigma = a^2 - a^-2, sc = sin phi cos phi, Phi' = 1/C and C' = -2 sigma sc,
 the partials are
 

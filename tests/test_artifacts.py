@@ -44,11 +44,11 @@ PINNED_ARTIFACTS = {
     ),
     "multipulse-readme-n2": (
         ["multipulse", "--config", "readme_params.json", "--n", "2"], "multipulse.json",
-        "488bf9c4bb2379c79eb3294c3b3d328e44cf76a4fb3538ebe1c082d096e851ff",
+        "1ee42d26dc6dbffd5eee4a56c674b0ca01b8aae6d948eb28f65374c3b6a52910",
     ),
     "multipulse-readme-n3": (
         ["multipulse", "--config", "readme_params.json", "--n", "3"], "multipulse.json",
-        "c3195b5ed947adfefa98143badf68c51321f62786b875de0c7cd58e83d3a4362",
+        "82ba8a842c365f31d4360b01e1960c962768434768be34588f53dbb6eecd7123",
     ),
     "sojourn-readme": (
         ["sojourn", "--config", "readme_flow.json", "--T", "500", "--verify"], "sojourn.json",

@@ -13,6 +13,7 @@ from bykov.cli import build_parser, main
 from bykov.flow import SAMPLE_SPACING, sojourn_analysis
 
 README_FLOW = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme_flow.json"
+README_PARAMS = README_FLOW.with_name("readme_params.json")
 
 
 @pytest.fixture()
@@ -314,6 +315,22 @@ def test_tangency_and_multipulse(dense_config, case1_config, tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) >= 1
+
+
+def test_multipulse_manifest_records_the_replay(tmp_path, capsys):
+    # the largest replay_pulse residual over the points, against the 1e-8
+    # bound of --verify; 0.0 where there are no points
+    out = tmp_path / "out"
+    assert main(["multipulse", "--config", str(README_PARAMS), "--n", "3", "--verify", "--out", str(out)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    diagnostics = json.loads((out / "multipulse_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["count"] == 4 and 0.0 < diagnostics["replay_residual"] < 1e-8
+    empty = ["--s-min", "0.49", "--s-max", "0.5"]
+    assert main(["multipulse", "--config", str(README_PARAMS), "--verify", "--out", str(tmp_path / "e"), *empty]) == 0
+    diagnostics = json.loads((tmp_path / "e" / "multipulse_manifest.json").read_text())["diagnostics"]
+    assert diagnostics == {"count": 0, "replay_residual": 0.0}
+    assert main(["multipulse", "--config", str(README_PARAMS), "--out", str(tmp_path / "plain")]) == 0
+    assert "replay_residual" not in json.loads((tmp_path / "plain" / "multipulse_manifest.json").read_text())["diagnostics"]
 
 
 def test_tangency_manifest_records_the_bump_replay(dense_config, tmp_path, capsys):

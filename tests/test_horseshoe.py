@@ -20,11 +20,10 @@ from bykov.horseshoe import (
     PeriodicTangencyError,
     ResonanceError,
     Strip,
-    _bisect,
     _case_pieces,
     _eigen_class,
     _return_chain,
-    _solve_boundaries,
+    _solve,
     _wanted_piece,
     build_strips,
     find_multipulse,
@@ -48,6 +47,7 @@ from bykov.returncurve import (
     reversal_sequence,
     turning_crossings,
     turning_function,
+    wrap_pi,
 )
 from conftest import admissible_params
 
@@ -276,7 +276,7 @@ def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
 def test_build_strips_calls_the_kernel_once_before_bisecting(fixture, tau, request, monkeypatch):
     # cases II-IV: the kernel runs once, on both ends of the first piece;
     # every later piece's window is that one turned by the rotation identity
-    events, values, solve = [], horseshoe._exit_values, horseshoe._solve_boundaries
+    events, values, solve = [], horseshoe._exit_values, horseshoe._solve
 
     def kernel(t, u, p):
         events.append("kernel")
@@ -287,7 +287,7 @@ def test_build_strips_calls_the_kernel_once_before_bisecting(fixture, tau, reque
         return solve(*args)
 
     monkeypatch.setattr(horseshoe, "_exit_values", kernel)
-    monkeypatch.setattr(horseshoe, "_solve_boundaries", solving)
+    monkeypatch.setattr(horseshoe, "_solve", solving)
     family = build_strips(tau, 5, request.getfixturevalue(fixture))
     assert family.case in ("II", "III", "IV") and len(family) == 5
     assert events.index("solve") == 1
@@ -299,17 +299,17 @@ def test_build_strips_skips_pieces_too_high_for_tau(monkeypatch):
     # with a fraction of its solver targets
     p = SaddleParams(alpha_v=0.1, C_v=1.2e-3, E_v=1e-3, alpha_w=500 * math.sqrt(2) / 3, C_w=2.6, E_w=2.0, a=2.0, eps=0.5)
     assert p.constants.g_v == 100.0
-    calls, solve = [], _solve_boundaries
+    calls, solve = [], _solve
 
-    def counting(t, targets, lo, hi, p):
+    def counting(fn, targets, lo, hi):
         calls.append(len(targets))
-        return solve(t, targets, lo, hi, p)
+        return solve(fn, targets, lo, hi)
 
-    monkeypatch.setattr(horseshoe, "_solve_boundaries", counting)
+    monkeypatch.setattr(horseshoe, "_solve", counting)
     got = _family_bits(0.05, 5, p)
     ours = sum(calls)
     monkeypatch.setattr(horseshoe, "_collect_strips", _collect_strips_per_strip)
-    monkeypatch.setattr(sys.modules[__name__], "_solve_boundaries", counting)
+    monkeypatch.setattr(sys.modules[__name__], "_solve", counting)
     want = _family_bits(0.05, 5, p)
     assert got == want and len(got[-1]) == 5
     assert ours * 3 < sum(calls) - ours
@@ -322,13 +322,13 @@ def test_build_strips_grows_batches_at_large_g_v(monkeypatch):
         alpha_v=10.0, C_v=1.2e-3, E_v=1e-3, alpha_w=20.0 * math.sqrt(2.0) / 1.2e-3, C_w=2.6, E_w=2.0, a=2.0, eps=0.5
     )
     assert p.constants.g_v == 1e4
-    calls, solve = [], _solve_boundaries
+    calls, solve = [], _solve
 
     def counting(*args):
         calls.append(1)
         return solve(*args)
 
-    monkeypatch.setattr(horseshoe, "_solve_boundaries", counting)
+    monkeypatch.setattr(horseshoe, "_solve", counting)
     family = build_strips(0.05, 5, p)
     assert len(calls) < 100
     assert [s.winding for s in family.strips] == [-1892, -1892, -1891, -1892, -1891]
@@ -674,37 +674,38 @@ def _pulse_digest(points) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-# (fixture, n, keyword arguments) -> (point count, digest), from the scalar
-# return-chain search the array path replaced; rational-n4-x0 re-pinned
-# when the intermediate levels began to target 2 pi k in place of x0 + 2 pi k
+# (fixture, n, keyword arguments) -> (point count, digest), re-pinned when
+# Newton on the chain's slope replaced the bisection: its roots next to the
+# accumulation edge meet the 5e-9 residual bound, so the last points of
+# case1-n3 and rational-n4-x0 changed and case1-n4 went from 3 points to 4
 PINNED_PULSES = {
     "case1-n2": (
         "case1_params", 2, {},
-        (4, "94ded5a94dac65e0766aa356feec5c033a4fbd267ead067592f1e8041fb53961"),
+        (4, "26efa43d35ac04912e02f8769b5e44f231a2a3da1940a8d7b2810597d24292b1"),
     ),
     "case1-n3": (
         "case1_params", 3, {},
-        (4, "5175c095cfab7b776a9154b2d9c797a86aa08f07c08f3ea048dd1faa885ebbbe"),
+        (4, "ed917501f2dfd60860d391df0f425f335da20a80e8c91d498288ced7da9e3016"),
     ),
     "case1-n4": (
         "case1_params", 4, {},
-        (3, "e299f74bb801d85a18022c198ac8af62dbc14bfe910761507340277012f5a3f1"),
+        (4, "ca2d7987911783498af4723ee32bc36cf22ed2744f86708e9a83574264082ca6"),
     ),
     "case1-n2-window": (
         "case1_params", 2, {"s_window": (1e-6, 0.5), "max_points": 50},
-        (3, "bdf93c2cb9253bd74f349fafd1f6d5e4dd0737983d67af3abb05aca6a9608954"),
+        (3, "481713fede042c720fa127edee6afe2297a1aa3a6da51125174354e95ff61ceb"),
     ),
     "case1-n2-x0": (
         "case1_params", 2, {"x0": 1.0},
-        (4, "0b8880951896b2251ca92b7e7a99b4c14fc7cd5798b78e09489517687bc55687"),
+        (4, "ad6aacc031a570c0ea86ba73677217475dfc05c61bc8c386714264edbbf15c8f"),
     ),
     "dense-n3": (
         "dense_params", 3, {},
-        (4, "a133a9ad21b249aa92e7f63bc35f324751ff84a24d69cd63244505deb84fd6ab"),
+        (4, "a01200433fa183975da574720c05a489cdb562505a1ba0a41e35b87283984b9b"),
     ),
     "rational-n4-x0": (
         "rational_params", 4, {"x0": 0.3},
-        (4, "efefe5866a87c4fbeed49973995799872c1afc1d0611c94a0dc239a2d6144333"),
+        (4, "d6b8cde43e5a30a823b448a705ef9017b20842978fe5859520ad520d48886da5"),
     ),
 }
 
@@ -759,6 +760,16 @@ def test_build_strips_newton_passes(fixture, tau, request):
     assert (len(family), family.solver_passes) == (5, PINNED_PASSES[fixture, tau])
 
 
+def _boundary_slope(t, p):
+    """The strip boundaries' fn for _solve: x_w and its slope x_u at (t[live], u)."""
+
+    def fn(u, live):
+        curve = exit_curve(t[live], u, p)
+        return curve.x_w, curve.x_u
+
+    return fn
+
+
 def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_margin):
     """Reference collector: one boundary solve, and one height check, per strip in turn.
 
@@ -786,7 +797,7 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
         n = len(t_grid)
         targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
         lows, highs = np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his])
-        u_ab, more = _solve_boundaries(t_pair, targets, lows, highs, p)
+        u_ab, more = _solve(_boundary_slope(t_pair, p), targets, lows, highs)
         passes += more
         if np.isnan(u_ab).any():
             raise RuntimeError("target not bracketed by the monotone interval")
@@ -968,12 +979,142 @@ def test_chain_angle_matches_scalar_return(fixture, request):
         mid = return_map(WallPoint(section=IN_V, x=0.0, y=math.exp(u)), p)
         second = curve_sample(mid.x, mid.y, p) if 0.0 < mid.y <= p.eps else None
         expected.append((first.x_w, first.y_w) + ((second.x_w, second.y_w) if second else (math.nan, math.nan)))
-    (x1, y1), (x2, y2) = _return_chain(us, 1, p)
+    (x1, y1, _), (x2, y2, _) = _return_chain(us, 1, p)
     got = zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
     assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in expected]
     assert 0 < sum(math.isnan(row[2]) for row in expected) < len(us)
     # seeds above the section, or overflowing, are off-section, not errors
     assert np.all(np.isnan(_return_chain([math.log(p.eps) + 1.0, 800.0], 1, p)[-1][0]))
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_chain_slope_matches_central_difference(fixture, request):
+    """The chain's slope in the seed's u: x_u at the first return, a central difference of the angle after it.
+
+    The difference is Richardson's extrapolation of the steps h and h/2,
+    h = 2**-25 max(1, |u|), so it is exact up to the fifth derivative; it is
+    taken wherever the orbit stays on the section over the whole stencil
+    and the two steps resolve the curve there (agree within 1e-3), which
+    leaves out a few seeds where the angle turns within h.
+    """
+    p = request.getfixturevalue(fixture)
+    us = np.linspace(math.log(1e-8), math.log(p.eps), 20001)[:-1]
+    chain = _return_chain(us, 2, p)
+    # the first return is the kernel's at the seed's height ln e^u, with libm's exp
+    u_seed = np.log([math.exp(u) for u in us])
+    assert [v.hex() for v in chain[0][2].tolist()] == [v.hex() for v in exit_curve(0.0, u_seed, p).x_u.tolist()]
+    h = 2.0**-25 * np.maximum(1.0, np.abs(us))
+    for depth in (1, 2):
+        # the angle at u -/+ h and at u -/+ h/2
+        f = _return_chain(us + np.array([[-1.0], [1.0], [-0.5], [0.5]]) * h, depth, p)[-1][0]
+        d_h, d_half = (f[1] - f[0]) / (2.0 * h), (f[3] - f[2]) / h
+        fd = (4.0 * d_half - d_h) / 3.0
+        slope = chain[depth][2]
+        on = np.isfinite(slope) & np.isfinite(f).all(axis=0)
+        resolved = on & (np.abs(d_h - d_half) <= 1e-3 * np.abs(fd))
+        assert resolved.sum() >= max(100, 0.95 * on.sum())
+        assert np.all(np.abs(slope - fd)[resolved] <= 1e-6 * np.abs(fd[resolved]))
+
+
+_LEVEL_BRACKETS: dict = {}
+
+
+def _level_brackets(fixture, p):
+    """(depth, targets, lo, hi) of every solve_level call of find_multipulse(n, p), n = 2, 3, 4.
+
+    The brackets are cells of solve_level's u-grids; its calls are the ones
+    whose targets are multiples of 2 pi, at x0 = 0, and the depth is that of
+    the last return chain the solve ran.  Recorded once per fixture.
+    """
+    if fixture not in _LEVEL_BRACKETS:
+        calls, depths = [], []
+        solve, chain = horseshoe._solve, horseshoe._return_chain
+
+        def recording(fn, targets, lo, hi):
+            out = solve(fn, targets, lo, hi)
+            if np.array_equal(targets, TWO_PI * np.round(targets / TWO_PI)):
+                calls.append((depths[-1], targets, lo, hi))
+            return out
+
+        def chaining(u, depth, p):
+            depths.append(depth)
+            return chain(u, depth, p)
+
+        horseshoe._solve, horseshoe._return_chain = recording, chaining
+        try:
+            for n in (2, 3, 4):
+                find_multipulse(n, p)
+        finally:
+            horseshoe._solve, horseshoe._return_chain = solve, chain
+        _LEVEL_BRACKETS[fixture] = calls
+    return _LEVEL_BRACKETS[fixture]
+
+
+def _chain_width(u, depth, p):
+    """Width in x_w over which the chain's rounding hides its last angle at the seeds u.
+
+    8 ulps of each return's exit-angle terms, carried to the last angle by
+    the ratio of its slope to that return's.
+    """
+    k = p.constants
+    steps = _return_chain(u, depth, p)
+    slope = steps[-1][2]
+    width = np.zeros_like(u)
+    # the height each return starts from
+    ln_ys = [u] + [np.log(wrap_pi(-x_w)) for x_w, _, _ in steps[:-1]]
+    for ln_y, (x_w, _, x_w_u) in zip(ln_ys, steps):
+        terms = (abs(k.g_w) * k.delta_v + k.g_v) * np.abs(ln_y) + np.abs(x_w) + abs(k.c2) + abs(k.c3)
+        width += 8.0 * np.finfo(float).eps * terms * np.abs(slope / x_w_u)
+    return width
+
+
+@given(
+    fixture=st.sampled_from(["case1_params", "dense_params", "rational_params"]),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.booleans(),
+)
+def test_solve_chain_roots_match_bisect(fixture, seed, cut, request):
+    """Newton on the chain's slope meets each target, and where a bracket holds one root it is the bisection's.
+
+    The brackets are cells of solve_level's grids at depths 0 to 2, up to
+    16 from one call; with ``cut`` each is cut at a random point, so that
+    some no longer straddle their targets and come back nan.  A root meets
+    its target within the stop width (BISECT_TOL, or one ulp from
+    |u| >= 512 on) times the slope, plus the chain's rounding width: next
+    to the accumulation edge, where the slope reaches 1e12, a cell can be
+    narrower than the stop width.  A bracket holds one root where the
+    chain's slope keeps one sign on 129 points of it.
+    """
+    p = request.getfixturevalue(fixture)
+    calls = _level_brackets(fixture, p)
+    rng = np.random.default_rng(seed)
+    depth, targets, lo, hi = calls[rng.integers(len(calls))]
+    pick = rng.permutation(len(lo))[:16]
+    targets, lo, hi = targets[pick], lo[pick], hi[pick]
+    if cut:
+        hi = lo + rng.uniform(0.0, 1.0, len(lo)) * (hi - lo)
+
+    def fn(u, live):
+        x_w, _, slope = _return_chain(u, depth, p)[-1]
+        return x_w, slope
+
+    roots, _ = _solve(fn, targets, lo, hi)
+    f_lo, f_hi = fn(np.stack([lo, hi]), None)[0] - targets
+    straddles = np.isfinite(f_lo) & np.isfinite(f_hi) & ((f_lo < 0.0) != (f_hi < 0.0))
+    assert np.all(np.isnan(roots[~straddles]))
+    found = ~np.isnan(roots)
+    r = roots[found]
+    assert np.all((lo[found] <= r) & (r <= hi[found]))
+    value, slope = fn(r, None)
+    width = _chain_width(r, depth, p)
+    stop = np.maximum(1e-13, np.spacing(np.abs(r)))
+    assert np.all(np.abs(value - targets[found]) <= stop * np.abs(slope) + width)
+    slopes = fn(lo + np.linspace(0.0, 1.0, 129)[:, None] * (hi - lo), None)[1]
+    one = straddles & ((slopes > 0.0).all(axis=0) | (slopes < 0.0).all(axis=0))
+    assert np.all(found[one])
+    want = _serial_bisect(lambda u: fn(u, None)[0], targets, lo, hi)
+    hidden = width[one[found]] / np.abs(slope[one[found]])
+    assert np.all(np.abs(roots[one] - want[one]) <= 1e-13 + 2.0 * np.spacing(np.abs(want[one])) + hidden)
 
 
 @pytest.mark.parametrize("x0", [1.0, -1.0])
@@ -1013,8 +1154,10 @@ def test_multipulse_stops_at_first_empty_level(case1_params, monkeypatch):
 
 
 def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
-    # one kernel call per tree of halvings: at most a third of the 284 return
-    # chains of one halving per call
+    # every crossing of a level in one Newton solve on the chain's slope: a
+    # pin, since a wrong slope still converges through the bracket's
+    # midpoints, only in more passes (72 calls without the y_w factor of the
+    # slope's quarter turn); one halving per call made 284 chains
     calls = []
     chain = horseshoe._return_chain
 
@@ -1023,8 +1166,8 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
         return chain(u, depth, p)
 
     monkeypatch.setattr(horseshoe, "_return_chain", counted)
-    assert len(find_multipulse(4, case1_params)) == 3
-    assert len(calls) <= 284 // 3
+    assert len(find_multipulse(4, case1_params)) == 4
+    assert len(calls) == 44
 
 
 def test_multipulse_leaves_numpy_ma_unimported():
@@ -1064,40 +1207,35 @@ def test_multipulse_refuses_max_points_below_one(case1_params, max_points):
         find_multipulse(3, case1_params, max_points=max_points)
 
 
-def _scalar_bisect(fn, target, lo, hi, tol=1e-13):
-    """One bracket at a time: the reference the array bisection must match."""
-    f_lo, f_hi = fn(lo) - target, fn(hi) - target
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (f_lo < 0) == (f_hi < 0):
-        return math.nan
-    while hi - lo > tol:
+def _serial_bisect(fn, target, lo, hi, tol=1e-13):
+    """One halving per call of fn over arrays of brackets: the reference the Newton roots are checked against.
+
+    Each element stops on its own once its bracket is at most ``tol`` wide,
+    or one ulp of its larger end where that is wider (|u| >= 512); an
+    element is nan when its bracket does not straddle the target or when fn
+    turns non-finite at one of its midpoints.
+    """
+    tol = np.maximum(tol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    f_lo = fn(lo) - target
+    f_hi = fn(hi) - target
+    below_lo = f_lo < 0.0
+    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below_lo != (f_hi < 0.0))
+    active = ok & (hi - lo > tol)
+    while active.any():
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid) - target
-        if not math.isfinite(f_mid):
-            return math.nan
-        if (f_lo < 0) != (f_mid < 0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def test_bisect_matches_scalar_reference():
-    def cubic(u):
-        # nan on the hole (1.0, 1.1), as an orbit that leaves the section
-        u = np.asarray(u, dtype=float)
-        return np.where((u > 1.0) & (u < 1.1), np.nan, u * u * u - 2.0 * u)
-
-    rng = np.random.default_rng(3)
-    lo = rng.uniform(-3.0, 3.0, 400)
-    hi = lo + rng.uniform(0.0, 2.0, 400)
-    target = rng.uniform(-2.0, 2.0, 400)
-    got = _bisect(cubic, target, lo, hi)
-    want = [_scalar_bisect(lambda v: float(cubic(v)), *args) for args in zip(target, lo, hi)]
-    assert [float(g).hex() for g in got] == [w.hex() for w in want]
-    # some brackets straddle a root of the cubic but meet the hole on the way
-    clean = [_scalar_bisect(lambda v: v**3 - 2.0 * v, *args) for args in zip(target, lo, hi)]
-    assert any(math.isnan(w) and not math.isnan(c) for w, c in zip(want, clean))
-    assert 50 < sum(not math.isnan(w) for w in want) < 400
+        finite = np.isfinite(f_mid)
+        if not finite.all():
+            ok &= finite | ~active
+            active &= ok
+        below_mid = f_mid < 0.0
+        to_lo = active & (below_lo != below_mid)
+        to_hi = active ^ to_lo
+        hi = np.where(to_lo, mid, hi)
+        lo = np.where(to_hi, mid, lo)
+        below_lo = np.where(to_hi, below_mid, below_lo)
+        active = ok & (hi - lo > tol)
+    return np.where(ok, 0.5 * (lo + hi), np.nan)
 
 
 @given(
@@ -1144,8 +1282,8 @@ def test_solve_boundaries_matches_bisect(p, g_v, seed):
     x_lo, x_hi = _exit_values(t, np.stack([lo, hi]), p).x_w
     target = np.where(rng.random(n) < 0.125, np.maximum(x_lo, x_hi) + 1.0, target)
     lo = np.where(rng.random(n) < 0.0625, np.nan, lo)
-    got, _ = _solve_boundaries(t, target, lo, hi, p)
-    want = _bisect(lambda u: _exit_values(t, u, p).x_w, target, lo, hi)
+    got, _ = _solve(_boundary_slope(t, p), target, lo, hi)
+    want = _serial_bisect(lambda u: _exit_values(t, u, p).x_w, target, lo, hi)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     found = ~np.isnan(got)
     u = got[found]
@@ -1154,29 +1292,24 @@ def test_solve_boundaries_matches_bisect(p, g_v, seed):
     assert np.all(np.abs(u - want[found]) <= 1e-13 + 2.0 * np.spacing(np.abs(u)) + hidden)
 
 
-def _serial_bisect(fn, target, lo, hi, tol=1e-13):
-    """The array bisection at one halving per call of fn: the reference of the tree walk."""
-    tol = np.maximum(tol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    f_lo = fn(lo) - target
-    f_hi = fn(hi) - target
-    below_lo = f_lo < 0.0
-    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below_lo != (f_hi < 0.0))
-    active = ok & (hi - lo > tol)
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid) - target
-        finite = np.isfinite(f_mid)
-        if not finite.all():
-            ok &= finite | ~active
-            active &= ok
-        below_mid = f_mid < 0.0
-        to_lo = active & (below_lo != below_mid)
-        to_hi = active ^ to_lo
-        hi = np.where(to_lo, mid, hi)
-        lo = np.where(to_hi, mid, lo)
-        below_lo = np.where(to_hi, below_mid, below_lo)
-        active = ok & (hi - lo > tol)
-    return np.where(ok, 0.5 * (lo + hi), np.nan)
+def _cubic(center, hole):
+    """fn for _solve: v**3 - 2v at v = u - center and its slope; nan on 1 < v < 1.1 when ``hole``."""
+
+    def fn(u, live):
+        v = u - center
+        values = v * v * v - 2.0 * v
+        # the hole stands for an orbit that leaves the section
+        return (np.where((v > 1.0) & (v < 1.1), np.nan, values) if hole else values), 3.0 * v * v - 2.0
+
+    return fn
+
+
+def _cubic_brackets(n, seed, center):
+    """n brackets near center, some not straddling their targets and some empty, and the targets."""
+    rng = np.random.default_rng(seed)
+    lo = center + rng.uniform(-3.0, 3.0, n)
+    hi = lo + rng.choice([0.0, 1e-14, 0.5, 2.0], n) * rng.uniform(0.0, 1.0, n)
+    return rng.uniform(-2.0, 2.0, n), lo, hi
 
 
 @given(
@@ -1187,31 +1320,45 @@ def _serial_bisect(fn, target, lo, hi, tol=1e-13):
 )
 @example(n=1, seed=0, center=0.0, hole=True)
 @example(n=400, seed=1, center=-700.0, hole=True)
-def test_bisect_tree_matches_serial(n, seed, center, hole):
-    """Several halvings per call of fn give the roots of one halving per call, bit for bit.
+def test_solve_finds_cubic_roots_in_their_brackets(n, seed, center, hole):
+    """Every finite root is a root of the cubic inside its bracket; a bracket that does not straddle is nan.
 
-    n = 1 takes the deepest tree, n = 400 one level; centers at |u| >= 512
-    run into the one-ulp stop, and the hole turns fn nan on part of the
-    brackets, as an orbit that leaves the section.
+    Centers at |u| >= 512 run into the one-ulp stop, where BISECT_TOL is
+    below one ulp; the hole turns fn nan on part of the brackets.  Where
+    fn is finite and monotone on a bracket, the root is the serial
+    bisection's within its stop width.
     """
-    sizes = []
+    fn = _cubic(center, hole)
+    target, lo, hi = _cubic_brackets(n, seed, center)
+    roots, passes = _solve(fn, target, lo, hi)
+    assert passes <= 60
+    f_lo, f_hi = fn(np.stack([lo, hi]), None)[0] - target
+    straddles = np.isfinite(f_lo) & np.isfinite(f_hi) & ((f_lo < 0.0) != (f_hi < 0.0))
+    assert np.all(np.isnan(roots[~straddles]))
+    found = ~np.isnan(roots)
+    r, t = roots[found], target[found]
+    assert np.all((lo[found] <= r) & (r <= hi[found]))
+    # the cubic meets its target within the stop width times its slope,
+    # plus 8 ulps of its terms
+    v = r - center
+    stop = np.maximum(1e-13, np.spacing(np.abs(r)))
+    width = stop * (np.abs(3.0 * v * v - 2.0) + 1e-6) + 8.0 * np.finfo(float).eps * (np.abs(v) ** 3 + 2.0 * np.abs(v) + 2.0)
+    assert np.all(np.abs(v * v * v - 2.0 * v - t) <= width)
+    # a bracket clear of the hole and of the turning points v = -/+ sqrt(2/3) holds one root
+    v_lo, v_hi = lo - center, hi - center
+    clear = (v_hi < 1.0) | (v_lo > 1.1)
+    one = straddles & ((v_lo > 0.82) | (v_hi < -0.82) | ((v_lo > -0.81) & (v_hi < 0.81))) & (clear | (not hole))
+    assert np.all(found[one])
+    want = _serial_bisect(lambda u: fn(u, None)[0], target, lo, hi)
+    assert np.all(np.abs(roots[one] - want[one]) <= 2.0 * np.maximum(1e-13, np.spacing(np.abs(want[one]))))
 
-    def cubic(u):
-        # a serial bisection of these brackets ends within 60 calls
-        assert len(sizes) < 100, "the bisection does not converge"
-        sizes.append(np.size(u))
-        v = u - center
-        values = v * v * v - 2.0 * v
-        return np.where((v > 1.0) & (v < 1.1), np.nan, values) if hole else values
 
-    rng = np.random.default_rng(seed)
-    lo = center + rng.uniform(-3.0, 3.0, n)
-    # some brackets do not straddle the target, some are empty
-    hi = lo + rng.choice([0.0, 1e-14, 0.5, 2.0], n) * rng.uniform(0.0, 1.0, n)
-    target = rng.uniform(-2.0, 2.0, n)
-    want = _serial_bisect(cubic, target, lo, hi)
-    sizes.clear()
-    got = _bisect(cubic, target, lo, hi)
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    # both ends in one call, then whole trees of at most TREE_POINTS points
-    assert sizes[0] == 2 * n and all(size <= max(horseshoe.TREE_POINTS, n) for size in sizes[1:])
+@pytest.mark.parametrize("center", [-700.0, 600.0])
+def test_solve_stops_at_one_ulp(center):
+    # |u| >= 512: a 1e-13 bracket holds no double inside it, and Newton
+    # must stop there rather than spin; the pass count is pinned
+    target, lo, hi = _cubic_brackets(400, 1, center)
+    roots, passes = _solve(_cubic(center, True), target, lo, hi)
+    assert (passes, np.count_nonzero(~np.isnan(roots))) == (9, 29)
+
+
