@@ -786,9 +786,10 @@ def find_multipulse(
         roots = next_roots
     chain = _return_chain(roots, n - 2, p)
     residual = circle_dist(chain[-1][0], x0)
-    # an orbit that left the section has a nan residual; roots hugging the
-    # accumulation edge cannot be resolved to the contract tolerance in
-    # this parametrisation; both are dropped
+    # an orbit that left the section has a nan residual and is dropped; so is
+    # a root whose miss plus |x_w'| ulp(u), the angle's move over one ulp of
+    # u, exceeds 5e-9, such as one hugging the accumulation edge
+    resolved = residual + np.abs(chain[-1][2]) * np.spacing(np.abs(roots)) <= 5e-9
     return [
         PulsePoint(
             s=math.exp(roots[i]),
@@ -796,5 +797,5 @@ def find_multipulse(
             residual=float(residual[i]),
             trace=tuple((float(x_w[i]), float(y_w[i])) for x_w, y_w, _ in chain),
         )
-        for i in np.flatnonzero(residual <= 5e-9)[:max_points]
+        for i in np.flatnonzero(resolved)[:max_points]
     ]

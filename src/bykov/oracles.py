@@ -7,6 +7,9 @@ Everything here deliberately avoids the closed-form shortcuts of
 step by step through the elementary maps (and differentiated numerically
 from there), and the turning-function range is sampled from its direct
 trigonometric form, so the two routes can be compared against each other.
+The composition is written twice: in s as the maps are stated
+(:func:`eta_composed`), and in log radii (:func:`eta_log`), which every
+``--verify`` replays because it represents every height.
 The one exception is :func:`rotation_identity_residual`, which evaluates
 the closed form twice to check the identity the reversal enumeration
 extrapolates with.
@@ -49,6 +52,7 @@ __all__ = [
     "flight_map_v",
     "flight_map_w",
     "eta_composed",
+    "eta_log",
     "composed_return",
     "PulseReplay",
     "replay_pulse",
@@ -64,6 +68,8 @@ TURNING_GRID_POINTS = 100_001
 # the grid is evaluated this many points at a time, so only one slice's
 # temporaries are alive at once
 TURNING_GRID_SLICE = 8192
+# return_jacobian_fd's coarse step in t and u: near |u| = 700, 1e-6 drowns in rounding and 1e-4 does not converge
+FD_STEP = 1e-5
 
 IN_V = "In_v"
 OUT_V = "Out_v"
@@ -221,6 +227,21 @@ def eta_composed(t: float, s: float, p: SaddleParams) -> tuple[float, float]:
     return out.x, out.y
 
 
+def eta_log(t: float, u: float, p: SaddleParams) -> tuple[float, float]:
+    """Exit-wall image (x_w, ln y_w) of (t, e^u), composed through the elementary maps in log radii.
+
+    The shear is linear, so it acts on the unit direction at phi = -g_v u + t + c2,
+    and ln r = ln c1 + delta_v u + ln|sheared unit| goes through :func:`phi_w`'s
+    x_w = c3 - g_w ln r + unwound angle and ln y_w = ln c4 + delta_w ln r.  No
+    radius is formed, so every finite u is represented.
+    """
+    k = p.constants
+    phi = -k.g_v * u + t + k.c2
+    unit = rect_polar(psi_vw(polar_rect(DiskPoint(section=OUT_V, r=1.0, phi=phi)), p.a), branch_hint=phi)
+    ln_r = math.log(k.c1) + k.delta_v * u + math.log(unit.r)
+    return k.c3 - k.g_w * ln_r + unit.phi, math.log(k.c4) + k.delta_w * ln_r
+
+
 def composed_return(point: WallPoint, p: SaddleParams) -> WallPoint:
     """First-return image built through the elementary maps only."""
     x_w, y_w = eta_composed(point.x, point.y, p)
@@ -238,7 +259,7 @@ class PulseReplay:
 
 
 def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseReplay:
-    """Follow beta(s0) through n-1 exit-wall crossings and measure the final miss.
+    """Follow beta(s0) through n-1 exit-wall crossings of :func:`eta_log` and measure the final miss.
 
     A genuine n-pulse connection crosses the exit wall n times in total: the
     first crossing happens on the local unstable manifold itself (height
@@ -250,46 +271,40 @@ def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseRe
         raise ValueError(f"pulse count must be at least 2, got {n}")
     point = WallPoint(section=IN_V, x=0.0, y=s0)
     heights = []
-    x_w = y_w = math.nan
     for _ in range(n - 1):
-        x_w, y_w = eta_composed(point.x, point.y, p)
+        x_w, log_y = eta_log(point.x, math.log(point.y), p)
+        y_w = math.exp(log_y)
         heights.append(y_w)
         point = psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w))
         if not 0.0 < point.y <= p.eps and len(heights) < n - 1:
-            raise ValueError(
-                f"pulse replay left the section after crossing {len(heights)}: height {point.y}"
-            )
-    return PulseReplay(
-        s0=s0,
-        out_w_crossings=1 + len(heights),
-        residual=circle_dist(x_w, x0),
-        heights=tuple(heights),
-    )
+            raise ValueError(f"pulse replay left the section after crossing {len(heights)}: height {point.y}")
+    return PulseReplay(s0=s0, out_w_crossings=1 + len(heights), residual=circle_dist(x_w, x0), heights=tuple(heights))
 
 
 def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray, float]:
     """Finite-difference Jacobian of the unreduced return (y_w, -x_w) at (x, y).
 
-    Richardson-extrapolated centred differences of :func:`eta_composed`
-    with steps h = (max(1e-7, 1e-7 y), 1e-7 y) and h/2; the height step
-    scales with y so that the stencil never crosses the stable manifold.
+    Richardson-extrapolated centred differences of :func:`eta_log` in
+    (t, u = ln y) with steps FD_STEP and FD_STEP/2, which never cross the
+    stable manifold.  The differences go to (x, y) by d/dy = (1/y) d/du and
+    dy_w = y_w d ln y_w only after extrapolating, whose factor 4 would
+    overflow an entry near the float limit.
     Returns the extrapolated matrix and the largest entry change between
     the two step sizes, a measure of how far the stencil has converged.
     """
+    u = math.log(y)
 
-    def raw(t: float, s: float) -> np.ndarray:
-        x_w, y_w = eta_composed(t, s, p)
-        return np.array([y_w, -x_w])
+    def centred(h: float) -> np.ndarray:
+        """Rows ln y_w and x_w, columns d/dt and d/du."""
+        d_t = np.subtract(eta_log(x + h, u, p), eta_log(x - h, u, p)) / (2.0 * h)
+        d_u = np.subtract(eta_log(x, u + h, p), eta_log(x, u - h, p)) / (2.0 * h)
+        return np.column_stack([d_t, d_u])[::-1]
 
-    def centred(h_x: float, h_y: float) -> np.ndarray:
-        d_x = (raw(x + h_x, y) - raw(x - h_x, y)) / (2.0 * h_x)
-        d_y = (raw(x, y + h_y) - raw(x, y - h_y)) / (2.0 * h_y)
-        return np.column_stack([d_x, d_y])
-
-    h_x, h_y = max(1e-7, 1e-7 * y), 1e-7 * y
-    coarse = centred(h_x, h_y)
-    fine = centred(h_x / 2.0, h_y / 2.0)
-    return (4.0 * fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse)))
+    y_w = math.exp(eta_log(x, u, p)[1])
+    coarse, fine = centred(FD_STEP), centred(FD_STEP / 2.0)
+    with np.errstate(over="ignore"):
+        to_xy = np.array([[y_w, y_w / y], [-1.0, -1.0 / y]])
+        return to_xy * ((4.0 * fine - coarse) / 3.0), float(np.max(np.abs(to_xy * (fine - coarse))))
 
 
 def numeric_jacobian(config: ModelConfig, state) -> np.ndarray:

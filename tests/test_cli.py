@@ -136,14 +136,16 @@ def test_search_ranges_are_refused(command, fields, case1_config, tmp_path, caps
     ],
     ids=["curve", "multipulse"],
 )
-def test_verify_refuses_points_below_the_oracle(command, fixture, request, tmp_path, capsys):
-    # the oracle's disk radius c1 s^delta_v underflows to 0 at these depths
+def test_verify_replays_points_at_any_depth(command, fixture, request, tmp_path, capsys):
+    # the disk radius c1 s^delta_v underflows at these depths; the log-radius
+    # oracle never forms it
     out = tmp_path / "out"
     code = main([command[0], "--config", request.getfixturevalue(fixture), "--out", str(out), *command[1:]])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: s_min=1e-300 is too deep for --verify") and "s=" in err
-    assert not out.exists()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    diagnostics = json.loads((out / f"{command[0]}_manifest.json").read_text())["diagnostics"]
+    if command[0] == "multipulse":
+        assert diagnostics["count"] >= 1 and diagnostics["replay_residual"] < 1e-8
 
 
 def test_failed_write_echoes_nothing(case1_config, tmp_path, capsys):
@@ -315,6 +317,18 @@ def test_tangency_and_multipulse(dense_config, case1_config, tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) >= 1
+
+
+@pytest.mark.parametrize("config, x, k_max", [("dense_params.json", "0.0", 1021), ("readme_params.json", "0.1", 1023)])
+def test_jacobian_verify_at_every_accepted_height(config, x, k_max, tmp_path):
+    # k_max is the last height whose Jacobian is finite; every height down
+    # to it meets the finite-difference oracle's 1e-5 bound
+    argv = ["jacobian", "--config", str(README_PARAMS.with_name(config)), "--x", x, "--k-min", "4"]
+    out = tmp_path / "out"
+    assert main([*argv, "--k-max", str(k_max), "--verify", "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "jacobian_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["count"] == k_max - 3 and diagnostics["oracle_rel_error"] < 1e-5
+    assert main([*argv, "--k-max", str(k_max + 1), "--out", str(tmp_path / "deeper")]) == 2
 
 
 def test_multipulse_manifest_records_the_replay(tmp_path, capsys):
@@ -715,17 +729,22 @@ VERIFY_FAILURES = {
         "turning-function grid falls short of the closed-form extrema",
     ),
     "curve-oracle": (
-        "dense_config", ["curve", "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "4"], "eta_composed",
+        "dense_config", ["curve", "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "4"], "eta_log",
         lambda r: (r[0] + 1e-6, r[1]), "disagrees with the composition oracle",
+    ),
+    "curve-nan": (
+        "dense_config", ["curve", "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "4"], "eta_log",
+        lambda r: (r[0], math.nan), "disagrees with the composition oracle",
     ),
     "reversals-period": (
         "dense_config", ["reversals", "--n-max", "20"], "reversal_sequence",
-        lambda r: dataclasses.replace(r, s_values=r.s_values * np.linspace(1.0, 1.001, len(r))),
-        "period ratio s_{n+2}/s_n violated",
+        lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + np.linspace(0.0, 1e-3, len(r))),
+        "period ln s_{n+2} - ln s_n = -pi/g_v violated",
     ),
     "reversals-turning": (
         "dense_config", ["reversals", "--n-max", "20"], "reversal_sequence",
-        lambda r: dataclasses.replace(r, s_values=r.s_values * 1.01), "nonzero turning derivative at reversal 0",
+        lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + 0.01),
+        "nonzero turning derivative at reversal 0",
     ),
     "tangency-history": (
         "dense_config", ["tangency", "--n-max", "100"], "find_tangency",
@@ -756,9 +775,17 @@ VERIFY_FAILURES = {
         "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0] * 1.01, r[1]),
         "Jacobian misses the finite-difference oracle at y=0.0625",
     ),
+    "jacobian-nan": (
+        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0] * math.nan, math.nan),
+        "finite-difference stencil not converged at y=0.0625: gap nan",
+    ),
     "multipulse-replay": (
         "case1_config", ["multipulse"], "replay_pulse", lambda r: dataclasses.replace(r, residual=1e-6),
         "pulse replay misses the trace by 1e-06",
+    ),
+    "multipulse-nan": (
+        "case1_config", ["multipulse"], "replay_pulse", lambda r: dataclasses.replace(r, residual=math.nan),
+        "pulse replay misses the trace by nan",
     ),
     "simulate-x3-drift": (
         "flow_config", ["simulate", "--T", "5", "--x0", "0.6,-0.3,0.0,0.74"], "invariant_subspace_residuals",

@@ -677,7 +677,10 @@ def _pulse_digest(points) -> str:
 # (fixture, n, keyword arguments) -> (point count, digest), re-pinned when
 # Newton on the chain's slope replaced the bisection: its roots next to the
 # accumulation edge meet the 5e-9 residual bound, so the last points of
-# case1-n3 and rational-n4-x0 changed and case1-n4 went from 3 points to 4
+# case1-n3 and rational-n4-x0 changed and case1-n4 went from 3 points to 4;
+# case1-n4 was re-pinned again when a point came to need its miss plus
+# |x_w'| ulp(u) within the bound: its last point moved from u = -1.44827
+# (s = 0.23498, miss 3.4e-9, one ulp of u worth 1.4e-8) to u = -1.2661
 PINNED_PULSES = {
     "case1-n2": (
         "case1_params", 2, {},
@@ -689,7 +692,7 @@ PINNED_PULSES = {
     ),
     "case1-n4": (
         "case1_params", 4, {},
-        (4, "ca2d7987911783498af4723ee32bc36cf22ed2744f86708e9a83574264082ca6"),
+        (4, "6f98e0953641604b88bdc8d71cfae46c4376a94032ef3562b6c5b224b071b875"),
     ),
     "case1-n2-window": (
         "case1_params", 2, {"s_window": (1e-6, 0.5), "max_points": 50},
@@ -715,6 +718,19 @@ def test_multipulse_bit_for_bit(name, request):
     fixture, n, kwargs, (count, digest) = PINNED_PULSES[name]
     points = find_multipulse(n, request.getfixturevalue(fixture), **kwargs)
     assert (len(points), _pulse_digest(points)) == (count, digest)
+
+
+@pytest.mark.parametrize("name", ["case1-n4", "dense-n3", "rational-n4-x0"])
+def test_multipulse_points_are_resolved_in_u(name, request):
+    # a kept point's miss plus the move of its final angle over one ulp of
+    # its u stays within 5e-9, so whether it replays within 1e-8 does not
+    # depend on rounding
+    fixture, n, kwargs, _ = PINNED_PULSES[name]
+    p = request.getfixturevalue(fixture)
+    points = find_multipulse(n, p, **kwargs)
+    u = np.log([pt.s for pt in points])
+    slope = horseshoe._return_chain(u, n - 2, p)[-1][2]
+    assert np.all(np.array([pt.residual for pt in points]) + np.abs(slope) * np.spacing(np.abs(u)) <= 5e-9)
 
 
 # sha256 of a_of_t + b_of_t over all strips of build_strips(tau, 5, p)

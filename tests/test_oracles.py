@@ -1,10 +1,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from bykov.horseshoe import return_jacobian
 from bykov.oracles import (
     IN_V,
     IN_W,
@@ -16,6 +19,8 @@ from bykov.oracles import (
     OnManifoldError,
     RectPoint,
     WallPoint,
+    eta_composed,
+    eta_log,
     flight_map_v,
     flight_map_w,
     phi_v,
@@ -24,6 +29,7 @@ from bykov.oracles import (
     psi_vw,
     psi_wv,
     rect_polar,
+    return_jacobian_fd,
     turning_range_grid,
 )
 from bykov.params import SaddleParams, derive_constants
@@ -247,3 +253,77 @@ def test_turning_range_grid_memory(dense_params):
         tracemalloc.stop()
     assert got == _whole_grid_range(dense_params)
     assert peak < 1.5e6
+
+
+@example(p=SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=0.5), t=0.0, depth=1.0)
+@settings(max_examples=500)
+@given(p=admissible_params, t=st.floats(0.0, 0.5), depth=st.floats(0.0, 1.0))
+def test_eta_log_matches_eta_composed_where_representable(p, t, depth):
+    # down to the u where delta u or delta_v u reaches -500, or u itself
+    # -650, which keeps s, the disk radius and the height of the s-space
+    # route normal floats
+    k = p.constants
+    u = math.log(p.eps) - depth * min(650.0, 500.0 / max(k.delta, k.delta_v))
+    x_c, y_c = eta_composed(t, math.exp(u), p)
+    assume(y_c > 1e-300)
+    x_w, log_y = eta_log(t, u, p)
+    # each route rounds in proportion to the largest term it sums
+    size_x = 1.0 + abs(k.c2) + abs(k.c3) + abs(k.g_w * math.log(k.c1)) + (abs(k.g_v) + abs(k.g_w) * k.delta_v) * abs(u)
+    size_y = 1.0 + abs(math.log(k.c4)) + abs(k.delta_w * math.log(k.c1)) + k.delta * abs(u)
+    assert abs(x_w - x_c) <= 1e-14 * size_x
+    assert abs(log_y - math.log(y_c)) <= 1e-14 * size_y
+
+
+def _mp_exit(x, y, p):
+    """(x_w, ln y_w) of the s-space composition in mpmath, whose floats have no exponent floor."""
+    k = p.constants
+    c1, c2, c3, c4, g_v, g_w, delta_v, delta_w, a = map(
+        mpmath.mpf, (k.c1, k.c2, k.c3, k.c4, k.g_v, k.g_w, k.delta_v, k.delta_w, p.a)
+    )
+    r = c1 * y**delta_v
+    phi = -g_v * mpmath.log(y) + x + c2
+    big_x, big_y = a * r * mpmath.cos(phi), r * mpmath.sin(phi) / a
+    base = mpmath.atan2(big_y, big_x)
+    unwound = base + 2 * mpmath.pi * mpmath.nint((phi - base) / (2 * mpmath.pi))
+    ln_r = mpmath.log(mpmath.hypot(big_x, big_y))
+    return c3 - g_w * ln_r + unwound, mpmath.log(c4) + delta_w * ln_r
+
+
+def _mp_return_jacobian(x, y, p) -> np.ndarray:
+    """Jacobian of (y_w, -x_w) at 60 digits: centred differences with steps 1e-20 in x and 1e-20 y in y."""
+    with mpmath.workdps(60):
+        x, y, h = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf("1e-20")
+
+        def ret(x, y):
+            x_w, log_y = _mp_exit(x, y, p)
+            return mpmath.matrix([mpmath.exp(log_y), -x_w])
+
+        d_x = (ret(x + h, y) - ret(x - h, y)) / (2 * h)
+        d_y = (ret(x, y + h * y) - ret(x, y - h * y)) / (2 * h * y)
+        return np.array([[float(d_x[0]), float(d_y[0])], [float(d_x[1]), float(d_y[1])]])
+
+
+# (params fixture, x of the sweep, its heights k for y = 2^-k): a dozen per
+# config, down to the last height whose Jacobian is finite
+MP_HEIGHTS = {
+    "case1_params": (0.1, (4, 10, 20, 50, 100, 259, 400, 600, 870, 950, 1000, 1023)),
+    "dense_params": (0.0, (4, 10, 20, 50, 100, 259, 400, 600, 870, 950, 1000, 1021)),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MP_HEIGHTS))
+def test_exact_jacobian_and_log_route_against_mpmath(fixture, request):
+    p = request.getfixturevalue(fixture)
+    x, ks = MP_HEIGHTS[fixture]
+    for kk in ks:
+        y = 2.0**-kk
+        want = _mp_return_jacobian(x, y, p)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(return_jacobian(x, y, p) - want)) <= 1e-10 * scale, kk
+        fd, _ = return_jacobian_fd(x, y, p)
+        assert np.max(np.abs(fd - want)) <= 1e-5 * scale, kk
+        with mpmath.workdps(60):
+            x_w, log_y = (float(v) for v in _mp_exit(mpmath.mpf(x), mpmath.mpf(y), p))
+        got = eta_log(x, math.log(y), p)
+        assert abs(got[0] - x_w) <= 1e-14 * max(1.0, abs(x_w)), kk
+        assert abs(got[1] - log_y) <= 1e-14 * max(1.0, abs(log_y)), kk

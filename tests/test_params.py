@@ -175,6 +175,7 @@ PUBLIC_SIGNATURES = {
         "flight_map_v": ("x", "y", "p"),
         "flight_map_w": ("r", "phi", "p"),
         "eta_composed": ("t", "s", "p"),
+        "eta_log": ("t", "u", "p"),
         "composed_return": ("point", "p"),
         "replay_pulse": ("s0", "n", "p", "x0"),
         "return_jacobian_fd": ("x", "y", "p"),
@@ -192,19 +193,17 @@ def test_public_signatures(module):
     assert got == PUBLIC_SIGNATURES[module]
 
 
-# the oracles that ``bykov <command> --verify`` replays, the wall point that
-# ``tangency --verify`` carries through ``psi_wv``, and the error they raise
-# on a point they cannot represent; nothing else in production may import
-# from bykov.oracles, which holds the elementary maps
+# the oracles that ``bykov <command> --verify`` replays and the wall point
+# that ``tangency --verify`` carries through ``psi_wv``; nothing else in
+# production may import from bykov.oracles, which holds the elementary maps
 VERIFY_ORACLES = {
-    "eta_composed",
+    "eta_log",
     "psi_wv",
     "replay_pulse",
     "return_jacobian_fd",
     "turning_range_grid",
     "OUT_W",
     "WallPoint",
-    "OnManifoldError",
 }
 BYKOV_MODULES = {"__init__", "params", "returncurve", "horseshoe", "flow", "oracles"}
 
