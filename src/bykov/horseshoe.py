@@ -666,20 +666,24 @@ def find_multipulse(
 ) -> list[PulsePoint]:
     """Points of the unstable-manifold segment whose orbit closes onto the stable trace.
 
-    n = 2 solves the crossing equation on the exit curve directly; higher n
-    applies the first-return map n-2 times and re-solves the crossing on
-    the image curve, refining the parameter geometrically toward the seed
-    where the previous level touched the trace (images accumulate there);
-    the first level samples 48 points per pi of the angle phi.  Only the
-    last level targets x0 + 2 pi k; an intermediate return must land on
+    n = 2 solves the crossing equation on the exit curve directly, on a
+    uniform grid of 48 points per pi of the angle phi; higher n applies the
+    first-return map n-2 times and re-solves the crossing on the image
+    curve.  The images accumulate on the roots r of the level before, so
+    each level seeds one geometric grid per root,
+    u = r + side 1e-11 max(1, |r|) 2^(j/8) for j = 0..384, on the side
+    where the previous angle falls below its crossing value and the return
+    lands just above the trace (side = -sign of that angle's slope), and
+    keeps the seeds up to the first whose orbit leaves the section.  Only
+    the last level targets x0 + 2 pi k; an intermediate return must land on
     the section near height 0, so its level targets 2 pi k.
-    Every level runs whole u-grids through :func:`_return_chain` and solves
-    all its crossings, and then the edges of the next level's windows, in
-    one :func:`_solve` each, by safeguarded Newton on the chain's slope in
-    u; each point's trace and residual come from one more pass.  A level
-    without crossings leaves no window for the next, so the search stops
-    there.  An empty list means no crossing in the window, which is not an
-    error.
+    Every level runs its grids through :func:`_return_chain` in one call and
+    solves the crossings of a grid, harvested from its far end back toward
+    its root, in one :func:`_solve`, by safeguarded Newton on the chain's
+    slope in u; each point's trace and residual come from one more pass.  A
+    level without crossings leaves no seeds for the next, so the search
+    stops there.  An empty list means no crossing in the window, which is
+    not an error.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -701,94 +705,52 @@ def find_multipulse(
         x_w, _, slope = _return_chain(u, depth, p)[-1]
         return x_w, slope
 
-    def solve_level(depth: int, a: float, b: float, refine_to: float | None) -> list[float]:
-        """Crossing parameters of the depth-th image curve inside [a, b]."""
-        if refine_to is None:
-            n_grid = max(64, int((b - a) / (math.pi / (k.g_v * 48))) + 1)
-            us = np.linspace(a, b, min(n_grid, 200_000))
-        else:
-            # geometric refinement toward the accumulation end
-            ratio = 2.0 ** (-1.0 / 8.0)
-            pts = [a, b]
-            span = b - a
-            while span > 1e-13 * max(1.0, abs(b)) and len(pts) < 600:
-                span *= ratio
-                pts.append(a + span if refine_to == a else b - span)
-            # sorted(set()) rather than np.unique, which imports numpy.ma
-            us = np.array(sorted(set(pts)))
-        vals = angle(us, depth)[0]
+    def solve_level(depth: int, us: np.ndarray, vals: np.ndarray) -> list[float]:
+        """Crossing parameters of the depth-th image curve between neighbouring seeds us with angles vals."""
         target = x0 if depth == n - 2 else 0.0
         # every multiple of 2*pi (shifted by the target) between the values
         # at the two ends of a grid cell is one bracketed crossing
         v0, v1 = vals[:-1], vals[1:]
-        cells = np.flatnonzero(np.isfinite(v0) & np.isfinite(v1))
-        # harvest away from the accumulation end: those roots are the
-        # well-conditioned ones
-        if refine_to is None or refine_to == a:
-            cells = cells[::-1]
+        # harvest from the far end of the grid back to its start: next to a
+        # previous root, the far roots are the well-conditioned ones
+        cells = np.flatnonzero(np.isfinite(v0) & np.isfinite(v1))[::-1]
         k_lo = np.ceil((np.minimum(v0, v1)[cells] - target) / TWO_PI)
         k_hi = np.floor((np.maximum(v0, v1)[cells] - target) / TWO_PI)
         counts = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(int)
         cell = np.repeat(cells, counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)
         winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
-        roots, _ = _solve(lambda u, live: angle(u, depth), target + TWO_PI * winding, us[cell], us[cell + 1])
+        lo, hi = np.sort([us[cell], us[cell + 1]], axis=0)
+        roots, _ = _solve(lambda u, live: angle(u, depth), target + TWO_PI * winding, lo, hi)
         return roots[~np.isnan(roots)][: max_points * 4].tolist()
 
-    def accumulation_windows(roots: np.ndarray, depth_prev: int) -> list[tuple[float, float, float]]:
-        """Sub-windows next to crossings where the following return stays on-section.
-
-        The next-return height is positive where the previous-level angle
-        sits just below its crossing value, so march geometrically away
-        from each root on that side until the angle has moved by almost eps.
-        """
-        d0 = 1e-11 * np.maximum(1.0, np.abs(roots))
-        base, g_minus, g_plus = angle([roots, roots - d0, roots + d0], depth_prev)[0]
-        sign = np.where(
-            np.isfinite(g_minus) & (g_minus < base),
-            -1.0,
-            np.where(np.isfinite(g_plus) & (g_plus < base), 1.0, np.nan),
-        )
-        threshold = base - 0.999 * p.eps
-        steps = d0[:, None] * 2.0 ** np.arange(201)
-        g = angle(roots[:, None] + sign[:, None] * steps[:, 1:], depth_prev)[0]
-        stop = ~np.isfinite(g) | (g <= threshold[:, None])
-        first = np.argmax(stop, axis=1)
-        rows = np.arange(len(roots))
-        d_prev, d = steps[rows, first], steps[rows, first + 1]
-        inside = roots + sign * d_prev
-        edge, _ = _solve(
-            lambda u, live: angle(u, depth_prev),
-            threshold,
-            np.minimum(inside, roots + sign * d),
-            np.maximum(inside, roots + sign * d),
-        )
-        # the image curve left the section before sweeping a full eps: use
-        # the last on-section sample as the window edge
-        edge = np.where(np.isnan(edge), inside, edge)
-        near = roots + sign * d0
-        windows = []
-        for i in np.flatnonzero(~np.isnan(sign) & stop.any(axis=1)):
-            lo, hi = sorted((float(edge[i]), float(near[i])))
-            windows.append((lo, hi, hi if sign[i] < 0 else lo))
-        return windows
-
-    roots = solve_level(0, u_lo, u_hi, None)
+    n_grid = max(64, int((u_hi - u_lo) / (math.pi / (k.g_v * 48))) + 1)
+    us = np.linspace(u_lo, u_hi, min(n_grid, 200_000))
+    roots = solve_level(0, us, angle(us, 0)[0])
     for depth in range(1, n - 1):
         if not roots:
-            # a level without crossings leaves no window for the next one
+            # a level without crossings leaves no seeds for the next one
             return []
-        next_roots: list[float] = []
-        for w_lo, w_hi, acc_end in accumulation_windows(np.array(roots), depth - 1):
-            next_roots.extend(solve_level(depth, w_lo, w_hi, refine_to=acc_end))
-            if len(next_roots) >= max_points * 2:
+        r = np.array(roots)
+        # the next return lands just above the trace where the previous
+        # angle falls below its crossing value; 48 doublings from 1e-11
+        # reach past every seed the chain can represent
+        side = -np.sign(angle(r, depth - 1)[1])
+        d0 = side * 1e-11 * np.maximum(1.0, np.abs(r))
+        seeds = r[:, None] + d0[:, None] * 2.0 ** (np.arange(385) / 8.0)
+        vals = angle(seeds, depth)[0]
+        # a seed's orbit has left the section from its first non-finite angle on
+        kept = np.isfinite(vals).cumprod(axis=1).sum(axis=1)
+        roots = []
+        for i in range(len(r)):
+            roots.extend(solve_level(depth, seeds[i, : kept[i]], vals[i, : kept[i]]))
+            if len(roots) >= max_points * 2:
                 break
-        roots = next_roots
     chain = _return_chain(roots, n - 2, p)
     residual = circle_dist(chain[-1][0], x0)
     # an orbit that left the section has a nan residual and is dropped; so is
     # a root whose miss plus |x_w'| ulp(u), the angle's move over one ulp of
-    # u, exceeds 5e-9, such as one hugging the accumulation edge
+    # u, exceeds 5e-9, such as one next to a root of the level before
     resolved = residual + np.abs(chain[-1][2]) * np.spacing(np.abs(roots)) <= 5e-9
     return [
         PulsePoint(

@@ -48,7 +48,7 @@ PINNED_ARTIFACTS = {
     ),
     "multipulse-readme-n3": (
         ["multipulse", "--config", "readme_params.json", "--n", "3"], "multipulse.json",
-        "82ba8a842c365f31d4360b01e1960c962768434768be34588f53dbb6eecd7123",
+        "328fb1710743c409beae474c2ccd52b4e6d417d4d883ff15311ffda43bae9a36",
     ),
     "sojourn-readme": (
         ["sojourn", "--config", "readme_flow.json", "--T", "500", "--verify"], "sojourn.json",

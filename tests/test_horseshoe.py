@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bykov import horseshoe
 from bykov.horseshoe import (
+    BISECT_TOL,
     LN_FLOOR,
     SLACK,
     PeriodicTangencyError,
@@ -680,7 +681,11 @@ def _pulse_digest(points) -> str:
 # case1-n3 and rational-n4-x0 changed and case1-n4 went from 3 points to 4;
 # case1-n4 was re-pinned again when a point came to need its miss plus
 # |x_w'| ulp(u) within the bound: its last point moved from u = -1.44827
-# (s = 0.23498, miss 3.4e-9, one ulp of u worth 1.4e-8) to u = -1.2661
+# (s = 0.23498, miss 3.4e-9, one ulp of u worth 1.4e-8) to u = -1.2661;
+# re-pinned once more when one outward seed grid per root replaced the
+# accumulation windows: three points of case1-n3 and one of rational-n4-x0
+# moved by one ulp of u, and the last point of case1-n4 went from
+# u = -1.2660977126 to u = -1.2643348469 (replay residual 1.7e-13)
 PINNED_PULSES = {
     "case1-n2": (
         "case1_params", 2, {},
@@ -688,11 +693,11 @@ PINNED_PULSES = {
     ),
     "case1-n3": (
         "case1_params", 3, {},
-        (4, "ed917501f2dfd60860d391df0f425f335da20a80e8c91d498288ced7da9e3016"),
+        (4, "59a8c2cd48be9457a0d72fa962251ff3dc9a4ef21af3e3eef7ff5a6c716a12d2"),
     ),
     "case1-n4": (
         "case1_params", 4, {},
-        (4, "6f98e0953641604b88bdc8d71cfae46c4376a94032ef3562b6c5b224b071b875"),
+        (4, "d90032da23cabeb6a6b36033327471657908b238544428adb00a8368920c3eb4"),
     ),
     "case1-n2-window": (
         "case1_params", 2, {"s_window": (1e-6, 0.5), "max_points": 50},
@@ -708,7 +713,7 @@ PINNED_PULSES = {
     ),
     "rational-n4-x0": (
         "rational_params", 4, {"x0": 0.3},
-        (4, "d6b8cde43e5a30a823b448a705ef9017b20842978fe5859520ad520d48886da5"),
+        (4, "da97f8a1eae8a8d27c66c70a1e8c2265ecad368d9fb062b2ef1776179e5d7730"),
     ),
 }
 
@@ -1036,11 +1041,10 @@ _LEVEL_BRACKETS: dict = {}
 
 
 def _level_brackets(fixture, p):
-    """(depth, targets, lo, hi) of every solve_level call of find_multipulse(n, p), n = 2, 3, 4.
+    """(depth, targets, lo, hi) of every _solve call of find_multipulse(n, p), n = 2, 3, 4.
 
-    The brackets are cells of solve_level's u-grids; its calls are the ones
-    whose targets are multiples of 2 pi, at x0 = 0, and the depth is that of
-    the last return chain the solve ran.  Recorded once per fixture.
+    The brackets are cells of the search's seed grids, and the depth is that
+    of the last return chain the solve ran.  Recorded once per fixture.
     """
     if fixture not in _LEVEL_BRACKETS:
         calls, depths = [], []
@@ -1048,8 +1052,7 @@ def _level_brackets(fixture, p):
 
         def recording(fn, targets, lo, hi):
             out = solve(fn, targets, lo, hi)
-            if np.array_equal(targets, TWO_PI * np.round(targets / TWO_PI)):
-                calls.append((depths[-1], targets, lo, hi))
+            calls.append((depths[-1], targets, lo, hi))
             return out
 
         def chaining(u, depth, p):
@@ -1096,9 +1099,9 @@ def test_solve_chain_roots_match_bisect(fixture, seed, cut, request):
     16 from one call; with ``cut`` each is cut at a random point, so that
     some no longer straddle their targets and come back nan.  A root meets
     its target within the stop width (BISECT_TOL, or one ulp from
-    |u| >= 512 on) times the slope, plus the chain's rounding width: next
-    to the accumulation edge, where the slope reaches 1e12, a cell can be
-    narrower than the stop width.  A bracket holds one root where the
+    |u| >= 512 on) times the slope, plus the chain's rounding width, since
+    next to a previous level's root the slope reaches 1e12.  A bracket
+    holds one root where the
     chain's slope keeps one sign on 129 points of it.
     """
     p = request.getfixturevalue(fixture)
@@ -1133,10 +1136,35 @@ def test_solve_chain_roots_match_bisect(fixture, seed, cut, request):
     assert np.all(np.abs(roots[one] - want[one]) <= 1e-13 + 2.0 * np.spacing(np.abs(want[one])) + hidden)
 
 
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_multipulse_brackets_are_wider_than_the_stop_width(fixture, request):
+    # a bracket no wider than BISECT_TOL comes back from _solve as its
+    # unsolved midpoint, which next to a root, where one ulp of u moves the
+    # angle by 2e-4, misses its target by far more than 5e-9
+    calls = _level_brackets(fixture, request.getfixturevalue(fixture))
+    assert calls
+    for _, _, lo, hi in calls:
+        assert np.all(hi - lo > BISECT_TOL)
+
+
+@given(
+    fixture=st.sampled_from(["case1_params", "dense_params", "rational_params"]),
+    n=st.sampled_from([3, 4]),
+    x0=st.floats(-math.pi, math.pi),
+)
+def test_multipulse_points_replay_off_trace(fixture, n, x0, request):
+    """Every point of an n-pulse search for any target x0 closes onto x0 after n crossings."""
+    p = request.getfixturevalue(fixture)
+    for pt in find_multipulse(n, p, x0=x0):
+        assert pt.residual <= 5e-9
+        replay = replay_pulse(pt.s, n, p, x0=x0)
+        assert replay.out_w_crossings == n and replay.residual < 1e-8
+
+
 @pytest.mark.parametrize("x0", [1.0, -1.0])
 def test_multipulse_off_trace_search_stays_on_section(dense_params, x0):
-    # the doubling march walks past the top of the section; those samples
-    # end the march instead of raising
+    # a seed grid runs past the top of the section; the first such seed
+    # ends the grid instead of raising
     for pt in find_multipulse(3, dense_params, x0=x0):
         assert replay_pulse(pt.s, 3, dense_params, x0=x0).residual < 1e-8
 
@@ -1170,10 +1198,11 @@ def test_multipulse_stops_at_first_empty_level(case1_params, monkeypatch):
 
 
 def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
-    # every crossing of a level in one Newton solve on the chain's slope: a
-    # pin, since a wrong slope still converges through the bracket's
-    # midpoints, only in more passes (72 calls without the y_w factor of the
-    # slope's quarter turn); one halving per call made 284 chains
+    # every crossing of a seed grid in one Newton solve on the chain's slope,
+    # and every grid of a level in one chain: a pin, since a wrong slope
+    # still converges through the bracket's midpoints, only in more passes;
+    # one halving per call made 284 chains, and the accumulation windows'
+    # march, edge solves and separate grids made 44
     calls = []
     chain = horseshoe._return_chain
 
@@ -1183,12 +1212,12 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
 
     monkeypatch.setattr(horseshoe, "_return_chain", counted)
     assert len(find_multipulse(4, case1_params)) == 4
-    assert len(calls) == 44
+    assert len(calls) == 29
 
 
 def test_multipulse_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma, about 1 MB of peak RSS for one dedup of the
-    # refinement grid; where importing numpy loads numpy.ma anyway, this
+    # np.unique imports numpy.ma, about 1 MB of peak RSS, and the search has
+    # no use for it; where importing numpy loads numpy.ma anyway, this
     # asserts nothing
     code = """
 import sys
