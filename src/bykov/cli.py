@@ -195,6 +195,7 @@ def cmd_strips(args):
         "tau": family.tau,
         "count": len(family),
         "notes": list(family.notes),
+        "solver_passes": family.solver_passes,
     }
     if args.verify:
         violations = strip_family_violations(family, p)
@@ -206,7 +207,6 @@ def cmd_strips(args):
             raise VerifyFailure(f"strip image fails to stand across the rectangle: {bad[0]}")
         diagnostics["image_checks"] = len(images)
         diagnostics["boundary_residual"] = strip_boundary_residual(family, p)
-        diagnostics["solver_passes"] = family.solver_passes
     return "strips.csv", rows, diagnostics
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -295,19 +295,22 @@ def _case_pieces(t: float, lo: float, hi: float):
 def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     """Horizontal strips across [0, tau]^2 whose return images stand vertically across it.
 
-    Case I (no reversals): one strip per full winding of the monotone exit
-    angle.  Cases II/III: strips live inside monotone pieces between
-    consecutive reversals whose image covers a full copy of the target
-    window; for dense reversals tau is shrunk below half the root
-    separation.  Case IV treats the tangential crossing as Case II/III with
-    an exclusion zone around the inflection angles.  The case follows
+    Case I (no reversals): one strip per full winding of the exit angle,
+    which is monotone on the whole tail, so the tail from the s-underflow
+    floor to the top is one piece.  Cases II/III: strips live inside
+    monotone pieces between consecutive reversals whose image covers a full
+    copy of the target window; for dense reversals tau is shrunk below half
+    the root separation.  Case IV treats the tangential crossing as Case
+    II/III with an exclusion zone around the inflection angles.  Every case
+    then takes its windings and brackets by one rule, in
+    :func:`_collect_strips`.  The case follows
     :func:`bykov.params.classify_region` at its default rationality policy.
     Boundaries are solved on one 33-point t-grid; the family's invariants
     are not replayed here, the caller checks them with
     :func:`strip_family_violations`.  A family may hold fewer than
-    ``n_limit`` strips: the Case I march and the monotone pieces stop at
-    the s-underflow floor, and when the first piece's exit-angle window
-    common to all t cannot hold tau and both margins, no piece's can.
+    ``n_limit`` strips: the pieces stop at the s-underflow floor, and when
+    the first piece's exit-angle window common to all t cannot hold tau
+    and both margins, no piece's can.
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
@@ -364,26 +367,34 @@ def _collect_strips(
 ) -> list[Strip]:
     """The first ``n_limit`` strips of the family on ``t_grid``, in construction order.
 
-    Candidate windings arrive in order from the Case I cursor march or the
-    copies of the monotone ``piece``, each with its brackets: every winding
-    whose two targets the brackets' exit angles enclose, ``endpoint_margin``
-    clear of their ends.  A candidate becomes a strip when its boundaries
-    are bracketed and its 5-point height check keeps the return image
-    within tau.  The candidates are solved in batches, all boundaries in one
-    :func:`_solve` call on the kernel's exact slope x_u: ``grow`` times as
-    many as strips are still missing, where ``grow`` starts at 1 and
-    doubles, up to 64, after each batch in which a candidate fails.  A
-    batch may thus solve candidates past the last strip; they are dropped,
-    and since each bracket stops on its own, a boundary does not depend on
-    its batch and the strips are those of solving one candidate at a time.
-    Returns the strips and the Newton passes of all batches.
+    Candidates come by one rule from the monotone pieces of the exit angle.
+    Case I is one piece, since x_w is monotone on the whole tail: brackets
+    u = LN_FLOOR and u = ln eps at every t.  The other cases walk the
+    copies of ``piece`` down to the s-underflow floor: copy i lies i
+    periods of pi past the first, with brackets (c2 + t - phi_hi|phi_lo) /
+    g_v.  The kernel runs once, on both ends of the first piece; by the
+    rotation identity copy i's exit-angle window common to all t is that
+    one turned by i pi (1 - gamma).  A piece's candidates are the windings
+    whose two targets its window encloses ``endpoint_margin`` clear of its
+    ends.  Its return heights are at least e**(ln c4 + delta_w ln c1 +
+    delta u - delta_w |ln a|) at its lowest u, since the stretch c is at
+    least min(a**2, a**-2); a piece whose bound stands above tau is
+    skipped, allowing 1e-12 of the terms the bound sums for rounding.
+
+    A candidate becomes a strip when its boundaries are bracketed and its
+    5-point height check keeps the return image within tau.  The candidates
+    are solved in batches, all boundaries in one :func:`_solve` call on the
+    kernel's exact slope x_u: ``grow`` times as many as strips are still
+    missing, where ``grow`` starts at 1 and doubles, up to 64, after each
+    batch in which a candidate fails.  A batch may thus solve candidates
+    past the last strip; they are dropped, and since each bracket stops on
+    its own, a boundary does not depend on its batch and the strips are
+    those of solving one candidate at a time.  Returns the strips and the
+    Newton passes of all batches.
     """
     k = p.constants
     increasing = k.gamma > 1.0
     n = len(t_grid)
-
-    def x_at(u):
-        return _exit_values(t_grid, u, p).x_w
 
     def targets_for(winding: int) -> tuple[float, float]:
         # a-boundary carries the -tau residue for increasing exit angle,
@@ -392,72 +403,46 @@ def _collect_strips(
             return TWO_PI * winding - tau, TWO_PI * winding
         return TWO_PI * winding, TWO_PI * winding - tau
 
-    def piece_candidates():
-        """Cases II/III/IV: the windings of the copies of ``piece``, between consecutive reversals.
-
-        Copy i lies i periods of pi past the first, with brackets
-        (c2 + t - phi_hi|phi_lo) / g_v.  By the rotation identity its
-        exit-angle window common to all t is the first one's turned by
-        i pi (1 - gamma), so the kernel runs once, on the first copy's
-        brackets, and every copy takes its windings from the turned window.
-        Its return heights are at least e**(ln c4 + delta_w ln c1 + delta u
-        - delta_w |ln a|) at its lowest u, since the stretch c is at least
-        min(a**2, a**-2); a copy whose bound stands above tau is skipped,
-        allowing 1e-12 of the terms the bound sums for rounding.
-        """
-        if piece is None:
+    def pieces():
+        """Blocks (i, u_low, brackets): the pieces' period counts and lowest u, and brackets(c) -> (u_los, u_his)."""
+        if case == "I":
+            ends = np.full(n, LN_FLOOR), np.full(n, math.log(p.eps))
+            yield np.zeros(1, dtype=int), np.array([LN_FLOOR]), lambda c: ends
             return
-        # both ends of the first copy in one kernel call
-        x_a, x_b = x_at((k.c2 + t_grid - np.array([[piece[1]], [piece[0]]])) / k.g_v)
-        x_lo0, x_hi0 = float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
-        if x_hi0 - x_lo0 < tau + 2.0 * endpoint_margin:
-            return
-        log_y0 = math.log(k.c4) + k.delta_w * math.log(k.c1)
-        stretch_floor = k.delta_w * abs(math.log(p.a))
-        for i, los, his in _case_pieces(0.0, *piece):
+        for i, los, his in _case_pieces(0.0, *piece) if piece else ():
             u_low = (k.c2 - his) / k.g_v
             above = np.count_nonzero(u_low >= LN_FLOOR)
-            turned, u_low = _turn(i[:above], k.gamma), u_low[:above]
-            lo_w = np.ceil((x_lo0 + turned + endpoint_margin + tau) / TWO_PI)
-            hi_w = np.floor((x_hi0 + turned - endpoint_margin) / TWO_PI)
-            y_slack = 1e-12 * (1.0 + abs(log_y0) + stretch_floor + k.delta * np.abs(u_low))
-            fits = (lo_w <= hi_w) & (log_y0 + k.delta * u_low - stretch_floor <= math.log(tau) + y_slack)
-            for c in np.flatnonzero(fits).tolist():
-                u_los = (k.c2 + t_grid - his[c]) / k.g_v
-                u_his = (k.c2 + t_grid - los[c]) / k.g_v
-                low, high = int(lo_w[c]), int(hi_w[c])
-                for w in range(high, low - 1, -1) if increasing else range(low, high + 1):
-                    yield w, u_los, u_his
+            yield i[:above], u_low[:above], lambda c, los=los, his=his: (
+                (k.c2 + t_grid - his[c]) / k.g_v,
+                (k.c2 + t_grid - los[c]) / k.g_v,
+            )
             if above < len(i):
                 return
 
     def candidates():
         """(winding, u_los, u_his) of every candidate, in construction order."""
-        if case != "I":
-            yield from piece_candidates()
+        blocks = pieces()
+        first = next(blocks, None)
+        if first is None:
             return
-        u_tops = np.full(n, math.log(p.eps))
-        x_tops = x_at(u_tops)
-        if increasing:
-            w = math.floor((float(np.min(x_tops)) - SLACK - tau) / TWO_PI)
-        else:
-            w = math.ceil((float(np.max(x_tops)) + SLACK + tau) / TWO_PI)
-        # case I: march a bracket cursor downward in u for every t; x_w is
-        # monotone on the whole tail so [cursor, top] always brackets the
-        # targets, until the cursor reaches the floor
-        u_cur, x_cur = u_tops, x_tops
-        while True:
-            tgt_a, tgt_b = targets_for(w)
-            beyond = min(tgt_a, tgt_b) - 1.0 if increasing else max(tgt_a, tgt_b) + 1.0
-            behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
-            while np.any(behind):
-                u_cur = np.where(behind, u_cur - 1.0, u_cur)
-                if np.any(u_cur < LN_FLOOR):
-                    return
-                x_cur = x_at(u_cur)
-                behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
-            yield w, u_cur, u_tops
-            w = w - 1 if increasing else w + 1
+        # both ends of the first piece in one kernel call
+        x_a, x_b = _exit_values(t_grid, np.stack(first[2](0)), p).x_w
+        x_lo0, x_hi0 = float(np.max(np.minimum(x_a, x_b))), float(np.min(np.maximum(x_a, x_b)))
+        if x_hi0 - x_lo0 < tau + 2.0 * endpoint_margin:
+            return
+        log_y0 = math.log(k.c4) + k.delta_w * math.log(k.c1)
+        stretch_floor = k.delta_w * abs(math.log(p.a))
+        for i, u_low, brackets in chain([first], blocks):
+            turned = _turn(i, k.gamma)
+            lo_w = np.ceil((x_lo0 + turned + endpoint_margin + tau) / TWO_PI)
+            hi_w = np.floor((x_hi0 + turned - endpoint_margin) / TWO_PI)
+            y_slack = 1e-12 * (1.0 + abs(log_y0) + stretch_floor + k.delta * np.abs(u_low))
+            fits = (lo_w <= hi_w) & (log_y0 + k.delta * u_low - stretch_floor <= math.log(tau) + y_slack)
+            for c in np.flatnonzero(fits).tolist():
+                u_los, u_his = brackets(c)
+                low, high = int(lo_w[c]), int(hi_w[c])
+                for w in range(high, low - 1, -1) if increasing else range(low, high + 1):
+                    yield w, u_los, u_his
 
     strips: list[Strip] = []
     passes, grow = 0, 1

@@ -80,6 +80,10 @@ PINNED_CSV = {
         ["strips", "--config", "dense_params.json", "--tau", "0.4", "--n-limit", "5", "--verify"], "strips.csv",
         "d8956f5d32c7d349ced04b3fef8ac5ef69f9dcbf885f4804045b4551563621e7",
     ),
+    "strips-readme": (
+        ["strips", "--config", "readme_params.json", "--tau", "0.4", "--n-limit", "5", "--verify"], "strips.csv",
+        "aeb4ba69c7911c6ec26fa0661042a83d88f5e112c4fa8cc6bc65e1a99ff645a6",
+    ),
 }
 
 # the keys of each JSON object, by the result type it serializes, in order

@@ -292,7 +292,17 @@ def test_strips_verify(case1_config, tmp_path):
     assert manifest["diagnostics"]["count"] == 5
     # the worst boundary miss replayed, against the 1e-9 bound, and the Newton passes
     assert 0.0 <= manifest["diagnostics"]["boundary_residual"] < 1e-9
-    assert manifest["diagnostics"]["solver_passes"] == 13
+    assert manifest["diagnostics"]["solver_passes"] == 14
+
+
+def test_strips_manifest_records_solver_passes_without_verify(case1_config, tmp_path):
+    for out, extra in (("plain", []), ("verified", ["--verify"])):
+        argv = ["strips", "--config", case1_config, "--tau", "0.4", "--n-limit", "5", *extra]
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+    diagnostics = json.loads((tmp_path / "plain" / "strips_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["solver_passes"] == 14 and "boundary_residual" not in diagnostics
+    # only the manifest gains the key; the artifact is the same bytes either way
+    assert (tmp_path / "plain" / "strips.csv").read_bytes() == (tmp_path / "verified" / "strips.csv").read_bytes()
 
 
 def test_strips_resonance_exit_code(resonant_config, tmp_path):

@@ -17,7 +17,6 @@ from bykov import horseshoe
 from bykov.horseshoe import (
     BISECT_TOL,
     LN_FLOOR,
-    SLACK,
     PeriodicTangencyError,
     ResonanceError,
     Strip,
@@ -272,11 +271,19 @@ def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
 
 @pytest.mark.parametrize(
     "fixture, tau",
-    [("dense_params", 0.25), ("rational_params", 0.25), ("mirror_interior_params", 0.25), ("boundary_params", 0.02)],
+    [
+        ("case1_params", 0.25),
+        ("mirror_outside_params", 0.25),
+        ("dense_params", 0.25),
+        ("rational_params", 0.25),
+        ("mirror_interior_params", 0.25),
+        ("boundary_params", 0.02),
+    ],
 )
 def test_build_strips_calls_the_kernel_once_before_bisecting(fixture, tau, request, monkeypatch):
-    # cases II-IV: the kernel runs once, on both ends of the first piece;
-    # every later piece's window is that one turned by the rotation identity
+    # every case: the kernel runs once, on both ends of the first piece
+    # (case I's one piece runs from the s-underflow floor to the top); every
+    # later piece's window is that one turned by the rotation identity
     events, values, solve = [], horseshoe._exit_values, horseshoe._solve
 
     def kernel(t, u, p):
@@ -290,7 +297,7 @@ def test_build_strips_calls_the_kernel_once_before_bisecting(fixture, tau, reque
     monkeypatch.setattr(horseshoe, "_exit_values", kernel)
     monkeypatch.setattr(horseshoe, "_solve", solving)
     family = build_strips(tau, 5, request.getfixturevalue(fixture))
-    assert family.case in ("II", "III", "IV") and len(family) == 5
+    assert len(family) == 5
     assert events.index("solve") == 1
 
 
@@ -337,6 +344,83 @@ def test_build_strips_grows_batches_at_large_g_v(monkeypatch):
     # their targets by more than strip_family_violations' 1e-9 (ROADMAP
     # item 10); 45 halvings missed them by 7.9e-7
     assert strip_boundary_residual(family, p) < 1e-8
+
+
+# Case I windings at both ends of the tail.  "top": gamma 5.38 at tau = eps,
+# where the top exit angle is at least 0.029, so both targets of winding 0
+# lie below it, though by less than SLACK + tau.  "floor": gamma 1.30 at
+# tau 0.05, where the exit angle at the s-underflow floor is at most
+# -38.605, less than 1 rad below winding -6's targets but clear of them.
+@pytest.mark.parametrize(
+    "p, tau, n_limit, windings",
+    [
+        (
+            SaddleParams(
+                alpha_v=0.37406162765673345, C_v=1.2143937036237578, E_v=0.4880218832808581,
+                alpha_w=1.8025937082587902, C_w=2.6189887668021323, E_w=1.0878834546992253,
+                a=1.0179329465008715, eps=0.2449752251536295,
+            ),
+            0.2449752251536295, 5, [0, -1, -2, -3, -4],
+        ),
+        (
+            SaddleParams(
+                alpha_v=0.3808169904505951, C_v=1.5347022691417118, E_v=2.070209748811891,
+                alpha_w=0.9204233039774372, C_w=0.5046042565590542, E_w=2.844438000986796,
+                a=1.0869982192477599, eps=0.38983490107072943,
+            ),
+            0.05, 20, [-1, -2, -3, -4, -5, -6],
+        ),
+    ],
+    ids=["top", "floor"],
+)
+def test_build_strips_case1_windings_at_both_ends(p, tau, n_limit, windings):
+    family = build_strips(tau, n_limit, p)
+    assert family.case == "I"
+    assert [s.winding for s in family.strips] == windings
+    _assert_clean_family(family, p, len(windings))
+
+
+@given(
+    rates=st.lists(st.floats(-1.1, 1.1), min_size=5, max_size=5),
+    a=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+    eps=st.one_of(st.just(1.0), st.floats(0.2, 0.9)),
+    above=st.booleans(),
+    factor=st.floats(1.001, 4.0),
+    tau_frac=st.floats(0.05, 1.0),
+    n_limit=st.integers(1, 20),
+)
+def test_build_strips_case1_is_one_piece(rates, a, eps, above, factor, tau_frac, n_limit):
+    """Case I, outside B and at a = 1 with gamma on both sides of 1: the family replays clean.
+
+    The level K = alpha_v E_w / alpha_w is put ``factor`` above the turning
+    maximum (gamma < 1) or below the minimum (gamma > 1).  Candidates come
+    from one kernel call on the one piece's brackets; every later kernel
+    call is the height check of a batch, which follows its solve.
+    """
+    alpha_v, C_v, E_v, C_w, E_w = (math.exp(x) for x in rates)
+    base = SaddleParams(alpha_v=alpha_v, C_v=C_v, E_v=E_v, alpha_w=1.0, C_w=C_w, E_w=E_w, a=a, eps=eps)
+    m, r, _ = turning_harmonic(base)
+    level = (m + r) * factor if above else (m - r) / factor
+    assume(level > 0.0)
+    p = replace(base, alpha_w=alpha_v * E_w / level)
+    assume(classify_region(p).tag in ("OutsideB", "NoReversal_aEq1"))
+    events, values, solve = [], horseshoe._exit_values, horseshoe._solve
+
+    def kernel(t, u, p):
+        events.append("kernel")
+        return values(t, u, p)
+
+    def solving(*args):
+        events.append("solve")
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(horseshoe, "_exit_values", kernel)
+        patch.setattr(horseshoe, "_solve", solving)
+        family = build_strips(tau_frac * eps, n_limit, p)
+    assert family.case == "I" and (family.gamma > 1.0) != above
+    assert events == ["kernel"] + ["solve", "kernel"] * events.count("solve")
+    _assert_clean_family(family, p, len(family))
 
 
 def test_detect_periodic_tangency_bit_for_bit(rational_params):
@@ -738,11 +822,13 @@ def test_multipulse_points_are_resolved_in_u(name, request):
     assert np.all(np.array([pt.residual for pt in points]) + np.abs(slope) * np.spacing(np.abs(u)) <= 5e-9)
 
 
-# sha256 of a_of_t + b_of_t over all strips of build_strips(tau, 5, p)
+# sha256 of a_of_t + b_of_t over all strips of build_strips(tau, 5, p); the
+# case1 digests moved (by at most 1.1e-14 in u) when Case I became one piece
+# bracketed by the s-underflow floor and the top
 PINNED_STRIPS = {
-    ("case1_params", 0.05): "6f862ffb1f17455db8dd0f707651cc8cc86eb8cae8c127c4ca8679d283b6378a",
-    ("case1_params", 0.25): "08edc482c3ddeeccd012861a25e6b10b0602e5f8d61e0447b258c9610a69e47a",
-    ("case1_params", 0.4): "deb75e2a286169bf324b988ec73f05f4d23af18d7de7a5a7a9140ccaf6366fa6",
+    ("case1_params", 0.05): "c845af5a3c9583c81983319cde22b5053d211b67fe3d8e4eca572a6d8ebd03a6",
+    ("case1_params", 0.25): "0a3009ffe95627184c278585f4132576232b550714a838cae28f2e449ea9f1d0",
+    ("case1_params", 0.4): "839d6b9ca4b44c7eec64c9a4d54759336e421c5e45ffbd056c8076d9bd199f88",
     ("dense_params", 0.05): "f3069d41115f154ed103d457e8c81540a65dd4b7355d8ae38c93e3f5e6c5df15",
     ("dense_params", 0.25): "d1c7d239b21932669b1623073a84ba07e5b155d29d2927263285941016152a39",
     ("dense_params", 0.4): "1cc9fed1ecc34581424ea89400a1100afb74a9a01e01b313f3c1e396b4f845da",
@@ -761,11 +847,12 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
 
 
 # Newton passes of build_strips(tau, 5, p): a count, since a wrong slope
-# still converges through the bracket's midpoints, only in more passes
+# still converges through the bracket's midpoints, only in more passes; the
+# case1 counts at 0.25 and 0.4 rose by one with the floor-to-top brackets
 PINNED_PASSES = {
     ("case1_params", 0.05): 11,
-    ("case1_params", 0.25): 12,
-    ("case1_params", 0.4): 13,
+    ("case1_params", 0.25): 13,
+    ("case1_params", 0.4): 14,
     ("dense_params", 0.05): 13,
     ("dense_params", 0.25): 7,
     ("dense_params", 0.4): 7,
@@ -792,20 +879,20 @@ def _boundary_slope(t, p):
 
 
 def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_margin):
-    """Reference collector: one boundary solve, and one height check, per strip in turn.
+    """Reference collector: one window, one boundary solve and one height check per piece and strip in turn.
 
-    The monotone pieces come from the period-by-period walk, down to the
-    s-underflow floor: no cap on their number and no early end.
+    Case I is one piece, bracketed by the s-underflow floor and the top at
+    every t.  The monotone pieces of the other cases come from the
+    period-by-period walk, down to the s-underflow floor: no cap on their
+    number, no rotation identity and no early end.
     """
     k = p.constants
     increasing = k.gamma > 1.0
+    n = len(t_grid)
     strips = []
     passes = 0
 
     t_pair = np.concatenate([t_grid, t_grid])
-
-    def x_at(u):
-        return _exit_values(t_grid, u, p).x_w
 
     def targets_for(winding):
         if increasing:
@@ -815,7 +902,6 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
     def solve_strip(winding, u_los, u_his):
         nonlocal passes
         tgt_a, tgt_b = targets_for(winding)
-        n = len(t_grid)
         targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
         lows, highs = np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his])
         u_ab, more = _solve(_boundary_slope(t_pair, p), targets, lows, highs)
@@ -833,37 +919,16 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
         return Strip(index=len(strips), winding=winding, t_grid=t_grid.copy(), a_of_t=a_vals, b_of_t=b_vals)
 
     if case == "I":
-        u_tops = np.full(len(t_grid), math.log(p.eps))
-        x_tops = x_at(u_tops)
-        if increasing:
-            w = math.floor((float(np.min(x_tops)) - SLACK - tau) / TWO_PI)
-        else:
-            w = math.ceil((float(np.max(x_tops)) + SLACK + tau) / TWO_PI)
-        u_cur, x_cur = u_tops, x_tops
-        while len(strips) < n_limit:
-            tgt_a, tgt_b = targets_for(w)
-            beyond = min(tgt_a, tgt_b) - 1.0 if increasing else max(tgt_a, tgt_b) + 1.0
-            behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
-            while np.any(behind):
-                u_cur = np.where(behind, u_cur - 1.0, u_cur)
-                if np.any(u_cur < LN_FLOOR):
-                    return strips, passes
-                x_cur = x_at(u_cur)
-                behind = (x_cur >= beyond) if increasing else (x_cur <= beyond)
-            strip = solve_strip(w, u_cur, u_tops)
-            if strip is not None:
-                strips.append(strip)
-            w = w - 1 if increasing else w + 1
-        return strips, passes
-
-    for lo, hi in _case_pieces_loop(0.0, k, piece, math.inf):
+        brackets = [(np.full(n, LN_FLOOR), np.full(n, math.log(p.eps)))]
+    else:
+        above = itertools.takewhile(
+            lambda pair: (k.c2 - pair[1]) / k.g_v >= LN_FLOOR, _case_pieces_loop(0.0, k, piece, math.inf)
+        )
+        brackets = (((k.c2 + t_grid - hi) / k.g_v, (k.c2 + t_grid - lo) / k.g_v) for lo, hi in above)
+    for u_los, u_his in brackets:
         if len(strips) >= n_limit:
             break
-        if (k.c2 - hi) / k.g_v < LN_FLOOR:
-            break
-        u_los = (k.c2 + t_grid - hi) / k.g_v
-        u_his = (k.c2 + t_grid - lo) / k.g_v
-        x_a, x_b = x_at(u_los), x_at(u_his)
+        x_a, x_b = _exit_values(t_grid, u_los, p).x_w, _exit_values(t_grid, u_his, p).x_w
         lo_w = int(np.max(np.ceil((np.minimum(x_a, x_b) + endpoint_margin + tau) / TWO_PI)))
         hi_w = int(np.min(np.floor((np.maximum(x_a, x_b) - endpoint_margin) / TWO_PI)))
         windings = range(hi_w, lo_w - 1, -1) if increasing else range(lo_w, hi_w + 1)
