@@ -547,40 +547,32 @@ def chirality_check(config: ModelConfig, series: TrajectorySeries) -> ChiralityR
         # fmax skips nan residuals, as the builtin max did
         max_resid = float(np.fmax.reduce(np.abs(cross - rot * plane), initial=0.0))
     measurable = plane > PLANE_FLOOR
-    signs = {}
-    ranges = {}
-    counts = {}
-    for node, pole in (("v", V_POLE), ("w", W_POLE)):
+    theta_dot, side = [], []
+    for pole in (V_POLE, W_POLE):
         near = _within(states, pole, CHIRALITY_RADIUS) & measurable
-        theta_dot = cross[near] / plane[near]
-        counts[node] = len(theta_dot)
-        signs[node] = np.copysign(1.0, theta_dot)
-        # argmin/argmax pick the first of equal extremes, so a range that
-        # ends at zero keeps the sign of the first zero seen
-        ranges[node] = (
-            (float(theta_dot[np.argmin(theta_dot)]), float(theta_dot[np.argmax(theta_dot)]))
-            if len(theta_dot)
-            else (math.inf, -math.inf)
-        )
-    v_pos = bool(np.all(signs["v"] > 0))
-    v_neg = bool(np.all(signs["v"] < 0))
-    w_pos = bool(np.all(signs["w"] > 0))
-    w_neg = bool(np.all(signs["w"] < 0))
-    if counts["v"] == 0 or counts["w"] == 0:
+        theta_dot.append(cross[near] / plane[near])
+        # +1 or -1 where every sample has that sign (copysign reads -0.0 as
+        # negative), 0 where the signs are mixed
+        signs = np.copysign(1.0, theta_dot[-1])
+        side.append(1 if np.all(signs > 0) else -1 if np.all(signs < 0) else 0)
+    if not (len(theta_dot[0]) and len(theta_dot[1])):
         verdict, msg = "inconclusive", "no trajectory samples near one of the equilibria; integrate longer"
-    elif (v_pos and w_neg) or (v_neg and w_pos):
+    elif side[0] * side[1] < 0:
         verdict, msg = "different", "angular velocity changes sign between the nodes"
-    elif (v_pos and w_pos) or (v_neg and w_neg):
+    elif side[0] * side[1] > 0:
         verdict, msg = "same", "angular velocity keeps its sign at both nodes"
     else:
         verdict, msg = "inconclusive", "mixed angular-velocity signs near a node"
+    # argmin/argmax pick the first of equal extremes, so a range that ends at
+    # zero keeps the sign of the first zero seen
+    ranges = [(float(v[np.argmin(v)]), float(v[np.argmax(v)])) if len(v) else (math.inf, -math.inf) for v in theta_dot]
     return ChiralityReport(
         verdict=verdict,
         message=msg,
-        theta_dot_near_v=ranges["v"],
-        theta_dot_near_w=ranges["w"],
-        samples_near_v=counts["v"],
-        samples_near_w=counts["w"],
+        theta_dot_near_v=ranges[0],
+        theta_dot_near_w=ranges[1],
+        samples_near_v=len(theta_dot[0]),
+        samples_near_w=len(theta_dot[1]),
         max_identity_residual=max_resid,
     )
 

@@ -248,15 +248,6 @@ class StripFamily:
         return len(self.strips)
 
 
-_CASE_OF_TAG = {
-    "OutsideB": "I",
-    "NoReversal_aEq1": "I",
-    "InteriorB_GammaRational": "II",
-    "DenseReversals_D": "III",
-    "BoundaryB": "IV",
-}
-
-
 def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[float, float] | None:
     """The first monotone phi-piece (phi_lo, phi_hi) on which A - K has the sign ``want_sign``, or None.
 
@@ -270,7 +261,7 @@ def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[floa
     piece.
     """
     theta = turning_harmonic(p)[2]
-    if region.tag == "BoundaryB":
+    if region.case == "IV":
         at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
         if want_sign != (1 if at_min else -1):
             return None
@@ -320,7 +311,7 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     if not 0.0 < tau <= min(math.pi, p.eps):
         raise ParameterError(f"tau must lie in (0, min(pi, eps)], got {tau}")
     region = classify_region(p)
-    case = _CASE_OF_TAG[region.tag]
+    case = region.case
     notes: list[str] = [f"region {region.tag}"]
     if case == "II":
         # the first reversal above the s-underflow floor within 1e-9 of the trace x = 0
@@ -651,24 +642,22 @@ def find_multipulse(
 ) -> list[PulsePoint]:
     """Points of the unstable-manifold segment whose orbit closes onto the stable trace.
 
-    n = 2 solves the crossing equation on the exit curve directly, on a
-    uniform grid of 48 points per pi of the angle phi; higher n applies the
-    first-return map n-2 times and re-solves the crossing on the image
-    curve.  The images accumulate on the roots r of the level before, so
-    each level seeds one geometric grid per root,
-    u = r + side 1e-11 max(1, |r|) 2^(j/8) for j = 0..384, on the side
-    where the previous angle falls below its crossing value and the return
-    lands just above the trace (side = -sign of that angle's slope), and
-    keeps the seeds up to the first whose orbit leaves the section.  Only
-    the last level targets x0 + 2 pi k; an intermediate return must land on
-    the section near height 0, so its level targets 2 pi k.
-    Every level runs its grids through :func:`_return_chain` in one call and
-    solves the crossings of a grid, harvested from its far end back toward
-    its root, in one :func:`_solve`, by safeguarded Newton on the chain's
-    slope in u; each point's trace and residual come from one more pass.  A
-    level without crossings leaves no seeds for the next, so the search
-    stops there.  An empty list means no crossing in the window, which is
-    not an error.
+    Level d solves for the crossings of the exit angle at the seed's d-th
+    return, from d = 0 (the exit curve, n = 2) to d = n - 2.  The last level
+    targets x0 + 2 pi k; an intermediate return must land on the section
+    near height 0, so its level targets 2 pi k.  One loop runs the levels,
+    each over its seed grids: at level 0 a uniform grid of 48 points per pi
+    of the angle phi, after it one outward geometric grid per root r of the
+    level before, u = r + side 1e-11 max(1, |r|) 2^(j/8) for j = 0..384,
+    where side = -sign of the previous angle's slope, taken once per level,
+    so that the return lands just above the trace.  A grid is built and run
+    through :func:`_return_chain` only when the harvest reaches it, and is
+    cut at its first seed whose orbit leaves the section; its crossings,
+    from its far end back toward its start, are solved in one
+    :func:`_solve` by safeguarded Newton on the chain's slope in u.  A level
+    stops at the grid that brings it to 2 max_points roots, and one without
+    crossings ends the search with an empty list, which is not an error.
+    Each point's trace and residual come from one more pass of the chain.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
@@ -690,17 +679,29 @@ def find_multipulse(
         x_w, _, slope = _return_chain(u, depth, p)[-1]
         return x_w, slope
 
-    def solve_level(depth: int, us: np.ndarray, vals: np.ndarray) -> list[float]:
-        """Crossing parameters of the depth-th image curve between neighbouring seeds us with angles vals."""
+    def grids(depth: int, roots: list[float]):
+        """One outward geometric grid per root of level ``depth``, each built when the harvest reaches it."""
+        r = np.array(roots)
+        # the next return lands just above the trace where this level's
+        # angle falls below its crossing value; 48 doublings from 1e-11
+        # reach past every seed the chain can represent
+        d0 = -np.sign(angle(r, depth)[1]) * 1e-11 * np.maximum(1.0, np.abs(r))
+        for r_i, d_i in zip(r, d0):
+            yield r_i + d_i * 2.0 ** (np.arange(385) / 8.0)
+
+    def solve_level(depth: int, us: np.ndarray) -> list[float]:
+        """Crossing parameters of the depth-th image curve between neighbouring seeds of the grid us."""
         target = x0 if depth == n - 2 else 0.0
+        vals = angle(us, depth)[0]
+        # the cells before the first non-finite angle, where the orbit leaves
+        # the section, from the grid's far end back to its start: next to a
+        # previous root, the far roots are the well-conditioned ones
+        cells = np.arange(np.isfinite(vals).cumprod().sum() - 1)[::-1]
         # every multiple of 2*pi (shifted by the target) between the values
         # at the two ends of a grid cell is one bracketed crossing
-        v0, v1 = vals[:-1], vals[1:]
-        # harvest from the far end of the grid back to its start: next to a
-        # previous root, the far roots are the well-conditioned ones
-        cells = np.flatnonzero(np.isfinite(v0) & np.isfinite(v1))[::-1]
-        k_lo = np.ceil((np.minimum(v0, v1)[cells] - target) / TWO_PI)
-        k_hi = np.floor((np.maximum(v0, v1)[cells] - target) / TWO_PI)
+        v0, v1 = vals[cells], vals[cells + 1]
+        k_lo = np.ceil((np.minimum(v0, v1) - target) / TWO_PI)
+        k_hi = np.floor((np.maximum(v0, v1) - target) / TWO_PI)
         counts = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(int)
         cell = np.repeat(cells, counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)
@@ -710,27 +711,17 @@ def find_multipulse(
         return roots[~np.isnan(roots)][: max_points * 4].tolist()
 
     n_grid = max(64, int((u_hi - u_lo) / (math.pi / (k.g_v * 48))) + 1)
-    us = np.linspace(u_lo, u_hi, min(n_grid, 200_000))
-    roots = solve_level(0, us, angle(us, 0)[0])
-    for depth in range(1, n - 1):
+    level = [np.linspace(u_lo, u_hi, min(n_grid, 200_000))]
+    for depth in range(n - 1):
+        roots: list[float] = []
+        for us in level:
+            roots.extend(solve_level(depth, us))
+            if len(roots) >= max_points * 2:
+                break
         if not roots:
             # a level without crossings leaves no seeds for the next one
             return []
-        r = np.array(roots)
-        # the next return lands just above the trace where the previous
-        # angle falls below its crossing value; 48 doublings from 1e-11
-        # reach past every seed the chain can represent
-        side = -np.sign(angle(r, depth - 1)[1])
-        d0 = side * 1e-11 * np.maximum(1.0, np.abs(r))
-        seeds = r[:, None] + d0[:, None] * 2.0 ** (np.arange(385) / 8.0)
-        vals = angle(seeds, depth)[0]
-        # a seed's orbit has left the section from its first non-finite angle on
-        kept = np.isfinite(vals).cumprod(axis=1).sum(axis=1)
-        roots = []
-        for i in range(len(r)):
-            roots.extend(solve_level(depth, seeds[i, : kept[i]], vals[i, : kept[i]]))
-            if len(roots) >= max_points * 2:
-                break
+        level = grids(depth, roots)
     chain = _return_chain(roots, n - 2, p)
     residual = circle_dist(chain[-1][0], x0)
     # an orbit that left the section has a nan residual and is dropped; so is

@@ -39,13 +39,16 @@ __all__ = [
 
 SADDLE_FIELDS = ("alpha_v", "C_v", "E_v", "alpha_w", "C_w", "E_w", "a", "eps")
 
-REGION_TAGS = (
-    "NoReversal_aEq1",
-    "OutsideB",
-    "BoundaryB",
-    "InteriorB_GammaRational",
-    "DenseReversals_D",
-)
+# each region tag and its case: I has no reversals, II and III rational
+# and dense reversals inside B, IV the tangential crossing on its boundary
+_CASE_OF_TAG = {
+    "NoReversal_aEq1": "I",
+    "OutsideB": "I",
+    "BoundaryB": "IV",
+    "InteriorB_GammaRational": "II",
+    "DenseReversals_D": "III",
+}
+REGION_TAGS = tuple(_CASE_OF_TAG)
 
 # The one rationality policy: gamma counts as rational when a convergent
 # p/q with q <= Q_MAX lies within RATIONALITY_TOL of it.  By Dirichlet's
@@ -217,6 +220,11 @@ class Region:
     a_max: float
     k: float
     gamma_rationality: GammaRationality
+
+    @property
+    def case(self) -> str:
+        """The tag's case, I to IV; a property, so that region.json does not carry it."""
+        return _CASE_OF_TAG[self.tag]
 
 
 def turning_harmonic(p: SaddleParams) -> tuple[float, float, float]:

@@ -388,7 +388,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     """
     _check_walk(n_max, t=t)
     region = classify_region(p)
-    if region.tag in ("NoReversal_aEq1", "OutsideB", "BoundaryB"):
+    if region.case in ("I", "IV"):
         none = np.empty(0)
         return ReversalSequence(t, none, none, none, none, (), reason=region.tag)
     return _reversal_walk(t, n_max, p, LN_FLOOR)
@@ -435,13 +435,13 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     """
     _check_walk(n_max, x0=x0, t=t)
     region = classify_region(p)
-    if region.tag not in ("InteriorB_GammaRational", "DenseReversals_D"):
-        # OutsideB / boundary / a=1 have no reversal points at all
+    if region.case not in ("II", "III"):
+        # cases I and IV (outside B, a = 1, the boundary of B) have no reversal points at all
         raise NoReversalsError(
             f"no reversal points available for tangency construction (region {region.tag})"
         )
     warning = None
-    if region.tag == "InteriorB_GammaRational":
+    if region.case == "II":
         warning = "gamma is rational within tolerance; reversal angles form a finite set"
     angles = reversal_angle_set(t, n_max, p)
     # reduced once, exactly: both distance passes and the amplitude read the same

@@ -50,6 +50,10 @@ PINNED_ARTIFACTS = {
         ["multipulse", "--config", "readme_params.json", "--n", "3"], "multipulse.json",
         "328fb1710743c409beae474c2ccd52b4e6d417d4d883ff15311ffda43bae9a36",
     ),
+    "multipulse-dense-n4": (
+        ["multipulse", "--config", "dense_params.json", "--n", "4"], "multipulse.json",
+        "edb159fd4bdc05027f5f924e3e645865cf77b1a7206e4301097908771942caa2",
+    ),
     "sojourn-readme": (
         ["sojourn", "--config", "readme_flow.json", "--T", "500", "--verify"], "sojourn.json",
         "b6f475d1b7dbce0d218e4b4dce9f9c4e7e2c03a7398e1c4083d550e0e32f3a90",

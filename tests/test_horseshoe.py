@@ -1263,11 +1263,12 @@ def test_multipulse_stops_at_first_empty_level(case1_params, monkeypatch):
 
 
 def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
-    # every crossing of a seed grid in one Newton solve on the chain's slope,
-    # and every grid of a level in one chain: a pin, since a wrong slope
-    # still converges through the bracket's midpoints, only in more passes;
-    # one halving per call made 284 chains, and the accumulation windows'
-    # march, edge solves and separate grids made 44
+    # every crossing of a seed grid in one Newton solve on the chain's slope:
+    # a pin, since a wrong slope still converges through the bracket's
+    # midpoints, only in more passes; one halving per call made 284 chains,
+    # the accumulation windows' march, edge solves and separate grids made
+    # 44, and one chain on all grids of a level made 29, where each grid the
+    # harvest reaches is now its own chain (two per level here)
     calls = []
     chain = horseshoe._return_chain
 
@@ -1277,7 +1278,25 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
 
     monkeypatch.setattr(horseshoe, "_return_chain", counted)
     assert len(find_multipulse(4, case1_params)) == 4
-    assert len(calls) == 29
+    assert len(calls) == 31
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_multipulse_chains_only_the_grids_it_harvests(fixture, request, monkeypatch):
+    # the harvest of a level stops at 2 max_points roots, usually within its
+    # first grid or two, so the later grids are never built; one chain on
+    # the grids of every root of a level made 19,769, 31,242 and 32,331
+    # element-returns here
+    work = []
+    chain = horseshoe._return_chain
+
+    def counted(u, depth, p):
+        work.append(np.size(u) * (depth + 1))
+        return chain(u, depth, p)
+
+    monkeypatch.setattr(horseshoe, "_return_chain", counted)
+    assert find_multipulse(4, request.getfixturevalue(fixture))
+    assert sum(work) <= 5000
 
 
 def test_multipulse_leaves_numpy_ma_unimported():
