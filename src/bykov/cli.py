@@ -46,9 +46,9 @@ from .flow import (
     sphere_residual,
 )
 from .horseshoe import (
+    _report,
     build_strips,
     find_multipulse,
-    jacobian_report,
     return_jacobian,
     strip_boundary_residual,
     strip_family_violations,
@@ -217,12 +217,13 @@ def cmd_jacobian(args):
     p.constants  # a config error surfaces here, not as a height of the sweep
     reports = []
     worst_miss = 0.0
-    for kk in range(args.k_min, args.k_max + 1):
+    # below k = -1023, 2^-k overflows; those heights lie above eps too
+    for kk in range(max(args.k_min, -1023), args.k_max + 1):
         y = 2.0**-kk
         if y > p.eps:
             continue
         try:
-            rep = jacobian_report(args.x, y, p)
+            jac = return_jacobian(args.x, y, p)
         except ValueError as exc:
             raise ParameterError(f"k_max={args.k_max} is too deep at k={kk}: {exc}") from exc
         if args.verify:
@@ -233,10 +234,11 @@ def cmd_jacobian(args):
             scale = max(abs(float(fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0])), abs(float(np.trace(fd))), 1.0)
             if not gap <= 1e-4 * scale:
                 raise VerifyFailure(f"finite-difference stencil not converged at y={y}: gap {gap}")
-            miss = float(np.max(np.abs(return_jacobian(args.x, y, p) - fd)) / max(1.0, np.max(np.abs(fd))))
+            miss = float(np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd))))
             if not miss <= 1e-5:
                 raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
             worst_miss = max(worst_miss, miss)
+        rep = _report(args.x, y, jac)
         reports.append((rep.x, rep.y, rep.det, rep.trace, rep.eigen_class))
     rows = _csv(JACOBIAN_HEADER, *zip(*reports))
     diagnostics: dict = {"count": len(reports)}

@@ -6,19 +6,15 @@ coordinate reduced to (-pi, pi].  A horizontal strip across the rectangle
 [0, tau]^2 is a band a_n(t) <= s <= b_n(t), inside a monotone piece between
 reversals (taken from the reversal lattice), on which the exit angle sweeps
 a full copy of [-tau, 0] mod 2*pi; the quarter turn then stands the image
-vertically across the same rectangle.  Hyperbolicity of g is read off its
-exact Jacobian, assembled from the partials of the exit-curve kernel
-:func:`bykov.returncurve.exit_curve`; finite differences of the return map
-live only in :mod:`bykov.oracles`, as the test and ``--verify`` oracle.
-Every root is solved by one safeguarded Newton, :func:`_solve`: the strip
-boundaries on the kernel's exact slope x_u, every boundary of a batch of
-candidates in one solve, and the crossings of the multi-pulse search on
-the slope of its return chain in the seed's u, which the chain composes
-from the kernel's partials return by return.  Everything else that needs
-only x_w and ln y_w (the strips' windows, height checks and images, each
-one call for the whole family) runs on the kernel's values step, which
-skips the partials; only the Jacobian, the Newton passes, the return chain
-and the monotonicity check of the strip invariants pay for them.
+vertically across the same rectangle.  The chain rule through the partials
+of the exit-curve kernel :func:`bykov.returncurve.exit_curve` and the
+quarter turn are written once, in :func:`_return_step`, which the exact
+Jacobian of g (its hyperbolicity) and the multi-pulse return chain share;
+finite differences live only in :mod:`bykov.oracles`, as an oracle.
+Every root is solved by one safeguarded Newton, :func:`_solve`, on the
+kernel's or the chain's slope.  What needs only x_w and ln y_w (the strips'
+windows, height checks and images) runs on the kernel's values step, which
+skips the partials.
 """
 
 from __future__ import annotations
@@ -79,26 +75,31 @@ class PeriodicTangencyError(ValueError):
     """A reversal point sits on the stable-manifold trace; strips are refused."""
 
 
+def _return_step(x, ln_y, p: SaddleParams):
+    """One return (y_w, -x_w) of (x, e^ln_y), unreduced, and its derivative there; broadcasts.
+
+    From one :func:`exit_curve` call; the derivative takes a tangent
+    (dx, d ln y) to (y_w ((ln y)_t dx + (ln y)_u du), -(x_t dx + x_u du)).
+    """
+    c = exit_curve(x, ln_y, p)
+    y_w = np.exp(c.log_y)
+    return (y_w, -c.x_w), lambda dx, du: (y_w * (c.log_y_t * dx + c.log_y_u * du), -(c.x_t * dx + c.x_u * du))
+
+
 def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
     """Exact Jacobian of the unreduced return (y_w, -x_w) at (x, y), y > 0.
 
-    J = [[y_w (ln y)_t, y_w (ln y)_u / y], [-x_t, -x_u / y]] from the
-    partials of the exit-curve kernel in u = ln y.  At subnormal y the
-    divisions overflow; a Jacobian with an entry that is not finite is
-    refused rather than classified.
+    :func:`_return_step` on the unit tangents in (x, ln y), the second column
+    divided by y.  At subnormal y the divisions overflow; a Jacobian with an
+    entry that is not finite is refused rather than classified.
     """
     if y <= 0.0:
         raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
-    curve = exit_curve(x, math.log(y), p)
     with np.errstate(over="ignore", invalid="ignore"):
-        y_w = np.exp(curve.log_y)
-        jac = np.array(
-            [
-                [y_w * curve.log_y_t, y_w * curve.log_y_u / y],
-                [-curve.x_t, -curve.x_u / y],
-            ]
-        )
-    if not np.all(np.isfinite(jac)):
+        tangent = _return_step(x, math.log(y), p)[1]
+        (j00, j10), (j01, j11) = tangent(1.0, 0.0), tangent(0.0, 1.0)
+        jac = np.array([[j00, j01 / y], [j10, j11 / y]])
+    if not np.isfinite(jac).all():
         raise ValueError(f"the return-map Jacobian is not finite at y={y}")
     return jac
 
@@ -144,13 +145,16 @@ def _eigen_class(m1: float, m2: float) -> str:
     return "saddle"
 
 
-def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
-    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian."""
-    jac = return_jacobian(x, y, p)
+def _report(x: float, y: float, jac: np.ndarray) -> JacobianReport:
+    """Determinant, trace and eigenvalue class of the Jacobian jac at (x, y), on floats."""
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
     trace = float(jac[0, 0] + jac[1, 1])
-    eigen_class = _eigen_class(*_eigen_moduli(trace, det))
-    return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=eigen_class)
+    return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=_eigen_class(*_eigen_moduli(trace, det)))
+
+
+def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
+    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian."""
+    return _report(x, y, return_jacobian(x, y, p))
 
 
 def _libm_exp(u) -> np.ndarray:
@@ -605,17 +609,11 @@ class PulsePoint:
 def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(x_w, y_w, x_w'): exit angle, height and slope of the angle in u at each of ``depth + 1`` returns of (0, e^u).
 
-    Each return is :func:`exit_curve` at (x, ln y), then the quarter turn
-    (y_w, -x_w) with the height reduced to (-pi, pi].  The slope in the
-    seed's u follows by the chain rule through the kernel's partials: with
-    (dx, du) the derivatives of the start (x, ln y), (0, 1) at the seed, a
-    return takes x_w' = x_t dx + x_u du and d ln y_w = (ln y)_t dx +
-    (ln y)_u du, and the quarter turn starts the next one with
-    dx = y_w d ln y_w and du = -x_w' / y.  An element is nan from the first
-    return whose start leaves the height range (0, eps], such as a height
-    of exactly 0, where du divides by zero; an overflowing seed counts as
-    off-section.  Seeds go through :func:`_libm_exp`, as the strip
-    boundaries do.
+    Each return is a :func:`_return_step` on the tangent (dx, d ln y), (0, 1)
+    at the seed, then y is reduced to (-pi, pi] and du = dy / y.  An element
+    is nan from the first return that starts off (0, eps], such as at y = 0,
+    where du divides by zero, or from an overflowing seed.  Seeds go through
+    :func:`_libm_exp`, as the strip boundaries do.
     """
     y = _libm_exp(u)
     x = np.zeros_like(y)
@@ -624,12 +622,11 @@ def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.n
     with np.errstate(under="ignore", divide="ignore"):
         for _ in range(depth + 1):
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
-            curve = exit_curve(x, np.log(y), p)
-            dx_w = curve.x_t * dx + curve.x_u * du
-            y_w = np.exp(curve.log_y)
-            steps.append((curve.x_w, y_w, dx_w))
-            x, y = y_w, wrap_pi(-curve.x_w)
-            dx, du = y_w * (curve.log_y_t * dx + curve.log_y_u * du), -dx_w / y
+            (x, y_up), tangent = _return_step(x, np.log(y), p)
+            dx, dy = tangent(dx, du)
+            steps.append((-y_up, x, -dy))
+            y = wrap_pi(y_up)
+            du = dy / y
     return steps
 
 

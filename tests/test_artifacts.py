@@ -80,6 +80,13 @@ PINNED_CSV = {
         "jacobian.csv",
         "1c902f8abe8eb45fafbe8ce8086c29d7878420a4692e7147d3a3a692fee446cc",
     ),
+    # the dense sweep down to its deepest accepted height, without the
+    # oracle replay of each of its 1,018 heights
+    "jacobian-dense-x0": (
+        ["jacobian", "--config", "dense_params.json", "--x", "0.0", "--k-min", "4", "--k-max", "1021"],
+        "jacobian.csv",
+        "b9272d7bddf215aaf660b533180794e7c57d966189a0d2ccec0d2fdcb6ea156a",
+    ),
     "strips-dense": (
         ["strips", "--config", "dense_params.json", "--tau", "0.4", "--n-limit", "5", "--verify"], "strips.csv",
         "d8956f5d32c7d349ced04b3fef8ac5ef69f9dcbf885f4804045b4551563621e7",

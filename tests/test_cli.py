@@ -105,6 +105,8 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         (["jacobian", "--k-min", "9", "--k-max", "4"], ["k_min", "k_max"]),
         (["jacobian", "--k-min", "1030", "--k-max", "1030"], ["k_max", "y="]),
         (["jacobian", "--k-min", "1075", "--k-max", "1075"], ["k_max", "y > 0"]),
+        # the first height refused names the error, not the last one asked for
+        (["jacobian", "--k-min", "1020", "--k-max", "1030"], ["k_max=1030 is too deep at k=1024:", "y="]),
         # the slope dx_w/ds = x_u / s overflows, which would also warn
         (["curve", "--s-min", "1e-320", "--s-max", "1e-300", "--n-samples", "50", "--t", "100"],
          ["s_min=1e-320", "dxw_ds", "s=1e-320"]),
@@ -114,8 +116,8 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         (["strips", "--tau", "0"], ["tau must lie in", "got 0.0"]),
     ],
     ids=[
-        "negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y", "subnormal-s",
-        "no-samples", "half-window", "one-pulse", "zero-tau",
+        "negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y", "too-deep-range",
+        "subnormal-s", "no-samples", "half-window", "one-pulse", "zero-tau",
     ],
 )
 def test_search_ranges_are_refused(command, fields, case1_config, tmp_path, capsys):
@@ -208,6 +210,8 @@ def test_saddle_commands_report_constant_underflow(command, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "c4" in err and all(name in err for name in ("C_w", "E_w", "eps"))
+    # a config error, not a height of the sweep
+    assert "too deep" not in err
 
 
 def test_strips_near_turning_maximum(tmp_path):
@@ -375,11 +379,14 @@ def test_tangency_manifest_records_the_bump_replay(dense_config, tmp_path, capsy
 
 
 def test_jacobian_skips_heights_above_eps(case1_config, tmp_path):
-    # k = 0 is the height y = 1 > eps = 0.5: the sweep starts at k = 1
-    code = main(["jacobian", "--config", case1_config, "--k-min", "0", "--k-max", "3", "--out", str(tmp_path / "out")])
-    assert code == 0
-    rows = (tmp_path / "out" / "jacobian.csv").read_text().strip().splitlines()[1:]
-    assert [float(row.split(",")[1]) for row in rows] == [0.5, 0.25, 0.125]
+    # k = 0 is the height y = 1 > eps = 0.5: the sweep starts at k = 1; below
+    # k = -1023, 2^-k overflows, and those heights are skipped too
+    for k_min in ("0", "-1100"):
+        out = tmp_path / k_min
+        code = main(["jacobian", "--config", case1_config, "--k-min", k_min, "--k-max", "3", "--out", str(out)])
+        assert code == 0
+        rows = (out / "jacobian.csv").read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [0.5, 0.25, 0.125]
 
 
 def test_jacobian_sweep(case1_config, tmp_path):
@@ -783,6 +790,11 @@ VERIFY_FAILURES = {
     ),
     "jacobian-miss": (
         "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0] * 1.01, r[1]),
+        "Jacobian misses the finite-difference oracle at y=0.0625",
+    ),
+    # a shallow height's miss is reported ahead of the heights that are too deep
+    "jacobian-miss-deep": (
+        "case1_config", ["jacobian", "--k-max", "1030"], "return_jacobian_fd", lambda r: (r[0] * 1.01, r[1]),
         "Jacobian misses the finite-difference oracle at y=0.0625",
     ),
     "jacobian-nan": (

@@ -34,7 +34,15 @@ from bykov.horseshoe import (
     strip_image_report,
 )
 from bykov.oracles import IN_V, OUT_W, WallPoint, composed_return, psi_wv, replay_pulse
-from bykov.params import ParameterError, SaddleParams, classify_region, derive_constants, turning_harmonic, turning_level
+from bykov.params import (
+    ParameterError,
+    SaddleParams,
+    classify_region,
+    derive_constants,
+    load_saddle_params,
+    turning_harmonic,
+    turning_level,
+)
 from bykov.returncurve import (
     S_UNDERFLOW,
     _exit_values,
@@ -628,6 +636,25 @@ def test_jacobian_refused_where_it_overflows(case1_params, k):
     # -x_u / y overflows at subnormal heights; the result must not be classified
     with pytest.raises(ValueError, match="not finite at y="):
         jacobian_report(0.1, 2.0**-k, case1_params)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+# (config, x, deepest accepted k) -> sha256 of the float.hex entries of
+# return_jacobian at y = 2^-k, k = 4..k_max, one row per height; a change
+# in the order of the chain rule's operations shows here
+JACOBIAN_BITS = {
+    ("dense_params.json", 0.0, 1021): "fd4102368d7a2387f783564c983574f00a44f0979ff240fc87a166df72692f10",
+    ("readme_params.json", 0.1, 1023): "56e704ba59d7b2b7c49e2205f4bf15c91d935f9bb590aef8fefab69f17778fe8",
+}
+
+
+@pytest.mark.parametrize("config, x, k_max", sorted(JACOBIAN_BITS))
+def test_jacobian_bits(config, x, k_max):
+    p = load_saddle_params(CONFIGS / config)
+    jacs = [return_jacobian(x, 2.0**-k, p) for k in range(4, k_max + 1)]
+    rows = "\n".join(" ".join(v.hex() for v in jac.ravel().tolist()) for jac in jacs)
+    assert hashlib.sha256(rows.encode()).hexdigest() == JACOBIAN_BITS[(config, x, k_max)]
 
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params"])
