@@ -28,9 +28,12 @@ Integration uses a Dormand-Prince 5(4) embedded pair with FSAL, PI-free
 elementary step control, and a velocity cap that keeps consecutive output
 samples closer than ``SAMPLE_SPACING`` in state norm without
 interpolation.  The step is written out over the model's coordinate slots
-(three for the 3D model, four for the lifts), with the tableau as float
-literals.  A run that leaves a coordinate exactly 0.0 after it started
-nonzero is flagged in ``TrajectorySeries.collapse``.
+(three for the 3D model, four for the lifts), with the tableau's nonzero
+weights as float literals.  Stage 7's b-weighted sum also gives the new
+state, and the 4D fields' lam terms are added only where they can change a
+bit; ``_step_lines`` says why every run keeps its bits.  A run that leaves
+a coordinate exactly 0.0 after it started nonzero is flagged in
+``TrajectorySeries.collapse``.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ def load_model_config(source) -> ModelConfig:
 # for the 3D model, its x, y, z), the outputs d1..d4, and a1, a2, lam the
 # coefficients.  Each square is formed once; s + x4 * x4 is the sum
 # x1^2 + x2^2 + x3^2 + x4^2 in the same order, so the bits are those of the
-# formulas in the module docstring.
+# formulas in the module docstring.  The lam terms, added last as there,
+# stand on lines of their own, which the step guards (``_stage``).
 _FIELD_4D = """\
 p1 = x1 * x1
 p2 = x2 * x2
@@ -145,8 +149,10 @@ s = p1 + p2 + p3
 q = 1.0 - (s + x4 * x4)
 d1 = x1 * q - {rot} * x2 - a1 * x1 * x4 + a2 * x1 * x4 * x4
 d2 = x2 * q + {rot} * x1 - a1 * x2 * x4 + a2 * x2 * x4 * x4
-d3 = x3 * q + a1 * x3 * x4 + a2 * x3 * x4 * x4 + lam * x1 * x2 * x4
-d4 = x4 * q - a1 * (p3 - p1 - p2) - a2 * x4 * s - lam * x1 * x2 * x3
+d3 = x3 * q + a1 * x3 * x4 + a2 * x3 * x4 * x4
+d3 += lam * x1 * x2 * x4
+d4 = x4 * q - a1 * (p3 - p1 - p2) - a2 * x4 * s
+d4 -= lam * x1 * x2 * x3
 """
 _FIELDS = {
     "dim3": """\
@@ -342,38 +348,66 @@ def make_rhs(a1, a2, lam):
 def _step_lines(field: str, n: int) -> list[str]:
     """Stages 2 to 7, the new state w and the scaled error terms e of one step.
 
-    The tableau enters as float literals (``repr`` round-trips exactly).  A
-    stage increment skips its zero weight a72; a stage increment of -0.0
-    (all its terms -0.0) can only flip the sign of a zero stage input, which
-    the polynomial field turns into signed zeros only, and the b and e sums,
-    which start from 0.0, absorb them.  The b and e sums keep their zero
-    weights b2, b7, e2, because 0.0 * k is -0.0, nan or 0.0 depending on k.
+    The tableau enters as float literals (``repr`` round-trips exactly),
+    and every zero weight is left out.  Each run keeps the bits of the full
+    tableau summed term by term from 0.0, as in a textbook DP5 step:
+
+    - A stage increment of -0.0 (all its terms -0.0) can only flip the sign
+      of a zero stage input, which the polynomial field turns into signed
+      zeros only; the new state's 0.0 + P and the squares e * e absorb them.
+    - Stage 7 gives the new state.  Its row of a is b (FSAL), so its
+      b-weighted sum P is formed once: stage 7 runs at y + h * P, and the
+      new state is w = y + h * (0.0 + P).  With finite stages, the terms
+      0.0 * k2 and 0.0 * k7 are signed zeros, which change a partial sum
+      only where it is a zero; a sum from 0.0 that ends on a zero ends on
+      +0.0, so the full sum is 0.0 + P.  P alone would differ from it only
+      when every term is a zero.
+    - The zero weights a72, b2, b7, e2 and the e sums' leading 0.0 go.
+      They could matter only where a stage is non-finite (0.0 * k is nan
+      for an infinite k), and then err is non-finite without them: each
+      k_i but k2 has a nonzero e weight, and a non-finite k2 reaches stage
+      3's input through a32 = 9/40, which the field maps to a non-finite
+      k3.  A non-finite err rejects the step with h *= 0.2, whatever dy
+      is.  e enters err only as e * e, so its sign never matters.
+    - The 4D fields' lam terms are added under ``if lam or not d:``
+      (``_stage``).  With lam = +-0.0 the term is a signed zero, which can
+      only change the sign of a sum that is already a zero, or nan where
+      x1, x2 or x4 is non-finite; the sum is then already non-finite,
+      since q is, and the step is rejected as above.
     """
     slots = range(1, n + 1)
 
-    def combination(weights, j: int, total: bool) -> str:
-        terms = [f"{c!r} * k{i}_{j}" for i, c in enumerate(weights, 1) if total or c != 0.0]
-        return " + ".join(["0.0", *terms] if total else terms)
+    def combination(weights, j: int) -> str:
+        return " + ".join(f"{c!r} * k{i}_{j}" for i, c in enumerate(weights, 1) if c != 0.0)
 
     lines = []
-    for i in range(2, 8):
-        lines += [f"x{j} = y{j} + h * ({combination(_DP_A[i - 1], j, False)})" for j in slots]
+    for i in range(2, 7):
+        lines += [f"x{j} = y{j} + h * ({combination(_DP_A[i - 1], j)})" for j in slots]
         lines += _stage(field, i)
-    lines += [f"w{j} = y{j} + h * ({combination(_DP_B, j, True)})" for j in slots]
+    lines += [f"P{j} = {combination(_DP_B, j)}" for j in slots]
+    lines += [f"x{j} = y{j} + h * P{j}" for j in slots]
+    lines += _stage(field, 7)
+    lines += [f"w{j} = y{j} + h * (0.0 + P{j})" for j in slots]
     for j in slots:
         # squared later as e * e, which overflows to inf (a rejection) where
         # ** 2 would raise
         lines += [
             f"n = abs(y{j})",
             f"m = abs(w{j})",
-            f"e{j} = h * ({combination(_DP_E, j, True)}) / (atol + rtol * (m if m > n else n))",
+            f"e{j} = h * ({combination(_DP_E, j)}) / (atol + rtol * (m if m > n else n))",
         ]
     return lines
 
 
 def _stage(field: str, i: int) -> list[str]:
-    """The field with its outputs d1..d4 renamed to stage i's k{i}_1..k{i}_4."""
-    return re.sub(r"\bd(\d)\b", rf"k{i}_\1", field).splitlines()
+    """The field with its outputs d1..d4 renamed to stage i's k{i}_1..k{i}_4, lam terms guarded."""
+    lines = []
+    for line in re.sub(r"\bd(\d)\b", rf"k{i}_\1", field).splitlines():
+        if "lam" in line:
+            lines += [f"if lam or not {line.split()[0]}:", "    " + line]
+        else:
+            lines.append(line)
+    return lines
 
 
 @functools.cache
@@ -397,7 +431,8 @@ def _compiled(model: str) -> tuple:
         k1=textwrap.indent("\n".join(_stage(field, 1)), " " * 4),
         steps=textwrap.indent("\n".join(_step_lines(field, n)), " " * 8),
         speed2=" + ".join(f"k1_{j} * k1_{j}" for j in range(1, n + 1)),
-        err2=" + ".join(["0.0"] + [f"e{j} * e{j}" for j in range(1, n + 1)]),
+        # a square is never -0.0, so the sum needs no leading 0.0
+        err2=" + ".join(f"e{j} * e{j}" for j in range(1, n + 1)),
         h_max=H_MAX,
         spacing=SAMPLE_SPACING,
         margin=0.9 * SAMPLE_SPACING,

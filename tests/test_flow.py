@@ -516,6 +516,23 @@ PINNED_RUNS = {
         ("71b4a5c9c3b06856bceb91c0fcd0bf46d0b405d1d40184e9e467bd2b7bc47d95", 772, 4),
         ("0x1.03f0b5dab6852p-30", "0x1.d9d0759aa941ap-22"),
     ),
+    # lam = 0 from a -0.0 start: each lam term is a signed zero, which the
+    # step adds only to a stage output that is itself a zero
+    "lam0_signed_zero": (
+        dict(x0=(0.6, -0.3, -0.0, 0.74), T=40.0, rtol=1e-9, atol=1e-11, config=CFG),
+        ("f0141841fa3292433ba6f10bd010645d6c2e26365bce7e5eebfbac14422cb3f5", 221, 0),
+        ("0x1.cbf1ffe322987p-31", "0x1.d0157f7c67656p-24"),
+    ),
+    # p3 - p1 - p2 is exactly 0 here, so d4 starts as a zero and its lam term
+    # sets its sign
+    "lam0_same_lift_zero_d4": (
+        dict(
+            x0=(0.6, -0.0, 0.6, -0.0), T=40.0, rtol=1e-9, atol=1e-11,
+            config=ModelConfig(alpha1=1.0, alpha2=-0.1, model="example4d_same_lift"),
+        ),
+        ("2425aa2463dc42345a4c182f90a5c056ead473d06e3ca805d11180464ba88530", 1921, 0),
+        ("0x1.4d6f88ccba107p-31", "0x1.2fca04e45244ep-20"),
+    ),
     # the subnormal x1 falls to exactly 0.0 at t = 1.3906
     "collapse": (
         dict(x0=(1e-322, 0.0, -0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=LAM_CFG),
@@ -608,6 +625,12 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 def _integrate_lists(x0, T, rtol, atol, *, config):
     """Reference DP5 step: per-stage lists over ``zip`` of the state, ``dim`` entries each.
 
+    It is the one place that keeps the zero weights b2, b7 and e2, sums b
+    and e from 0.0, forms the new state from its own b sum and adds the lam
+    terms whatever ``lam`` is; the generated step drops all of these
+    (``flow._step_lines``), and agreeing with it bit for bit shows that none
+    of them changes a run.
+
     The speed cap adds the squares left to right from 0.0, as the builtin
     ``sum`` did before Python 3.12 compensated float sums.
     """
@@ -667,7 +690,11 @@ def _integrate_lists(x0, T, rtol, atol, *, config):
             e = h * (
                 0.0 + _E1 * c1 + _E2 * c2 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7
             )
-            err += (e / (atol + rtol * max(abs(v), abs(w)))) ** 2
+            # squared by a product: libm's pow, which ** calls, is not
+            # correctly rounded, and x ** 2 misses x * x by an ulp for about
+            # one x in a thousand
+            scaled = e / (atol + rtol * max(abs(v), abs(w)))
+            err += scaled * scaled
         err = math.sqrt(err / dim)
         dy = math.dist(y, y_new)
         if err <= 1.0 and dy <= max_sample_spacing:
@@ -722,15 +749,17 @@ def flow_runs(draw):
     """Keyword arguments of one ``integrate`` call: model, start, tolerances, horizon."""
     model = draw(st.sampled_from(MODEL_NAMES))
     dim = 3 if model == "dim3" else 4
-    lam = 0.0 if model == "dim3" else draw(st.sampled_from((0.0, 0.05)))
+    lam = 0.0 if model == "dim3" else draw(st.sampled_from((0.0, -0.0, 0.05)))
     direction = draw(
         st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(lambda v: math.hypot(*v) > 0.1)
     )
     radius = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
     norm = math.hypot(*direction)
     x0 = [radius * v / norm for v in direction]
-    if draw(st.booleans()):
-        x0[draw(st.integers(0, dim - 1))] = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(5e-301, 2e-300))
+    # up to two coordinates exactly +-0.0 or just above the underflow floor
+    tiny = st.one_of(st.just(0.0), st.floats(5e-301, 2e-300))
+    for i in draw(st.sets(st.integers(0, dim - 1), max_size=2)):
+        x0[i] = draw(st.sampled_from((1.0, -1.0))) * draw(tiny)
     return dict(
         x0=tuple(x0),
         T=draw(st.floats(0.5, 30.0)),
@@ -742,10 +771,13 @@ def flow_runs(draw):
 
 # the overflowing start ends on a step-size underflow, the subnormal one on
 # a collapse; at atol = 1e-30 the rejections shrink h by the factor's floor
-# of 0.2; the last two start on a -0.0 coordinate
+# of 0.2; the last four start on a -0.0 coordinate, the first two of them at
+# lam = 0 (the two pinned runs)
 @example(run=dict(x0=(1e155, 1.0, 0.0, 0.0), T=1.0, rtol=1e-10, atol=1e-12, config=CFG))
 @example(run=dict(x0=FIG_START, T=0.01, rtol=0.0, atol=1e-30, config=CFG))
 @example(run=dict(x0=(1e-322, 0.0, 0.0, 1.0), T=10.0, rtol=1e-8, atol=1e-10, config=CFG))
+@example(run=PINNED_RUNS["lam0_signed_zero"][0])
+@example(run=PINNED_RUNS["lam0_same_lift_zero_d4"][0])
 @example(run=dict(x0=(0.6, -0.3, -0.0, 0.74), T=20.0, rtol=1e-8, atol=1e-12, config=LAM_CFG))
 @example(run=dict(
     x0=(-0.0, 0.4, math.sqrt(1.0 - 0.16)), T=20.0, rtol=1e-8, atol=1e-12,
