@@ -56,7 +56,7 @@ from .horseshoe import (
 )
 from .oracles import OUT_W, WallPoint, eta_log, psi_wv, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import ParameterError, classify_region, load_saddle_params
-from .returncurve import circle_dist, curve_arrays, exit_curve, find_tangency, reversal_sequence
+from .returncurve import _exit_slope, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -127,6 +127,14 @@ def cmd_curve(args):
         )
     if args.n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {args.n_samples}")
+    try:
+        return _curve(args, p)
+    except MemoryError as exc:
+        raise ParameterError(f"--n-samples={args.n_samples} needs more memory than is available: {exc}") from exc
+
+
+def _curve(args, p):
+    """The body of :func:`cmd_curve`, which allocates every array of n_samples."""
     if args.n_samples == 1:
         s_values = np.array([args.s_min])
     else:
@@ -136,14 +144,19 @@ def cmd_curve(args):
     if deep.size:
         raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={_fmt(s_values[deep[0]])}")
     rows = _csv(CURVE_HEADER, s_values, [args.t] * len(s_values), phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)
+    diagnostics: dict = {"n_samples": args.n_samples}
     if args.verify:
         u = np.log(s_values)
-        columns = (s_values, u, x_w, exit_curve(args.t, u, p).log_y)
+        columns = (s_values, u, x_w, _exit_values(args.t, u, p).log_y)
+        x_miss = log_y_miss = 0.0
         for s, u_i, x, log_y in zip(*map(np.ndarray.tolist, columns)):
             x_c, log_y_c = eta_log(args.t, u_i, p)
             if not (abs(x - x_c) <= 1e-9 and abs(log_y - log_y_c) <= 1e-9):
                 raise VerifyFailure(f"curve row at s={s} disagrees with the composition oracle")
-    return "curve.csv", rows, {"n_samples": args.n_samples}
+            x_miss, log_y_miss = max(x_miss, abs(x - x_c)), max(log_y_miss, abs(log_y - log_y_c))
+        diagnostics["oracle_x_w_miss"] = x_miss
+        diagnostics["oracle_log_y_miss"] = log_y_miss
+    return "curve.csv", rows, diagnostics
 
 
 def cmd_reversals(args):
@@ -151,15 +164,20 @@ def cmd_reversals(args):
     seq = reversal_sequence(args.t, args.n_max, p)
     columns = (seq.s_values, seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % (2 * math.pi))
     rows = _csv("n,s,log_s,phi,x_w,x_w_mod_2pi,kind", range(len(seq)), *columns, seq.kinds)
+    diagnostics = {"count": len(seq), "reason": seq.reason}
     if args.verify:
         # in u = ln s, which never underflows; |x_u| <= 1e-8 is |dxw_ds| <= 1e-8/s
         log_s = seq.log_s_values
-        if not np.all(np.abs(log_s[2:] - log_s[:-2] + math.pi / p.constants.g_v) <= 1e-10):
+        period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / p.constants.g_v)
+        if not np.all(period_miss <= 1e-10):
             raise VerifyFailure("period ln s_{n+2} - ln s_n = -pi/g_v violated")
-        bad = np.flatnonzero(~(np.abs(exit_curve(args.t, log_s, p).x_u) <= 1e-8))
+        x_u = np.abs(_exit_slope(args.t, log_s, p).x_u)
+        bad = np.flatnonzero(~(x_u <= 1e-8))
         if bad.size:
             raise VerifyFailure(f"nonzero turning derivative at reversal {bad[0]}")
-    return "reversals.csv", rows, {"count": len(seq), "reason": seq.reason}
+        diagnostics["period_miss"] = float(np.max(period_miss, initial=0.0))
+        diagnostics["max_abs_x_u"] = float(np.max(x_u, initial=0.0))
+    return "reversals.csv", rows, diagnostics
 
 
 def cmd_tangency(args):
@@ -167,7 +185,7 @@ def cmd_tangency(args):
     report = find_tangency(args.x0, args.t, args.n_max, p)
     center_y = report.bump.center[1]
     # the centre's true height; below the float range its y underflows to 0.0
-    log_y = float(exit_curve(args.t, report.log_s_best, p).log_y)
+    log_y = float(_exit_values(args.t, report.log_s_best, p).log_y)
     diagnostics = {"amplitude": report.amplitude, "center_log_y": log_y, "center_underflow": center_y == 0.0}
     if args.verify:
         history = report.history

@@ -14,7 +14,8 @@ finite differences live only in :mod:`bykov.oracles`, as an oracle.
 Every root is solved by one safeguarded Newton, :func:`_solve`, on the
 kernel's or the chain's slope.  What needs only x_w and ln y_w (the strips'
 windows, height checks and images) runs on the kernel's values step, which
-skips the partials.
+skips the partials; the strip boundaries' Newton solve and the monotonicity
+check read x_u alone, from the kernel's slope step.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .params import (
 from .returncurve import (
     LN_FLOOR,
     TWO_PI,
+    _exit_slope,
     _exit_values,
     _lattice,
     _reversals,
@@ -452,8 +454,8 @@ def _collect_strips(
         t = np.tile(t_grid, 2 * m)
 
         def boundary(u, live):
-            curve = exit_curve(t[live], u, p)
-            return curve.x_w, curve.x_u
+            slope = _exit_slope(t[live], u, p)
+            return slope.values.x_w, slope.x_u
 
         u_ab, batch_passes = _solve(
             boundary,
@@ -533,7 +535,7 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     miss_a, miss_b = miss_a > 1e-9, miss_b > 1e-9
     # dx_w/ds = x_u / s has the sign of x_u
     fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
-    slope = exit_curve(t, np.log(a + fracs * (b - a)), p).x_u
+    slope = _exit_slope(t, np.log(a + fracs * (b - a)), p).x_u
     wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
     out: list[str] = []
     for i in np.flatnonzero(~ordered | miss_a | miss_b | wrong).tolist():

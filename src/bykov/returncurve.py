@@ -3,21 +3,29 @@
 A vertical segment beta_t(s) = (t, s) on the incoming wall is carried by the
 composition of the two local maps and the disk shear to a curve
 (x_w(s), y_w(s)) on the outgoing wall.  With the shear stretch
-C(phi) = a^2 cos^2(phi) + sin^2(phi)/a^2 and the sheared angle Phi(phi)
-unwound to the quarter turn containing phi, the curve is
+C(phi) = a^2 cos^2(phi) + sin^2(phi)/a^2 and the sheared angle Phi(phi),
+the argument of (a cos phi, sin phi / a) unwound to the turn nearest phi,
+the curve is
 
     phi      = -g_v ln s + t + c2
     x_w(s)   = -g_w delta_v ln s - (g_w/2) ln C(phi) + Phi(phi) + c3 - g_w ln c1
     y_w(s)   = c4 c1^delta_w s^delta C(phi)^(delta_w/2)
 
+The shear keeps phi's quarter turn, so the nearest turn is found as
+base + 2 pi rint((phi - base) / 2 pi) from the principal argument base;
+that rounding has a quarter turn of margin for every |phi| < 2^50.
+
 :func:`exit_curve` evaluates it in u = ln s, where phi is affine in (t, u)
 and ln y_w is exact down to any depth.  The formula itself lives in the
 values step :func:`_exit_values`, which takes sin phi and cos phi once and
-returns x_w and ln y_w; the strips' windows, height checks and images and
-the tangency heights call it directly.  :func:`exit_curve` adds the
-partials on top, so they are built only where a Jacobian or a slope needs
-them, as in the strip boundaries' Newton solve and the multi-pulse return
-chain, which carries its slope for the same solve.  With
+returns x_w and ln y_w; the strips' windows, height checks and images, the
+tangency heights and the ``curve --verify`` replay call it directly.  The
+slope step :func:`_exit_slope` adds x_u alone, which is all that the
+sampled curve (:func:`curve_arrays`), the strip boundaries' Newton solve,
+the strips' monotonicity check and the ``reversals --verify`` replay read.
+:func:`exit_curve` adds the other three partials on top of it, for the
+return step of :mod:`bykov.horseshoe` (the Jacobian and the multi-pulse
+return chain).  With
 sigma = a^2 - a^-2, sc = sin phi cos phi, Phi' = 1/C and C' = -2 sigma sc,
 the partials are
 
@@ -135,9 +143,18 @@ def _stretch(cos, sin, a: float):
 
 
 def _unwound(phi, cos, sin, a: float):
-    k = np.floor(2.0 * phi / np.pi)
+    """The angle of (a cos phi, sin phi / a), unwound to the turn nearest phi.
+
+    The shear keeps the signs of cos and sin, so ``base`` lies in phi's
+    quarter turn mod 2*pi and the representative base + 2*pi*n nearest phi
+    sits within a quarter turn of it; rint((phi - base) / TWO_PI) finds that
+    n with a margin of a quarter turn against the rounding error of
+    phi - base.  That holds for |phi| < 2**50, where the rule gives the
+    quadrant-midpoint rule's bits; from 2**50 on, one ulp of phi is a
+    quarter radian or more, and the two rules may pick turns 2*pi apart.
+    """
     base = np.arctan2(sin / a, a * cos)
-    return base + TWO_PI * np.rint(((k + 0.5) * (np.pi / 2.0) - base) / TWO_PI)
+    return base + TWO_PI * np.rint((phi - base) / TWO_PI)
 
 
 def turning_function(phi, p: SaddleParams):
@@ -216,26 +233,47 @@ def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
     return _ExitValues(phi, x_w, log_y, sin, cos, c)
 
 
+class _ExitSlope(NamedTuple):
+    """The values step plus x_u, with the shear terms that the other partials reuse."""
+
+    values: _ExitValues
+    x_u: np.ndarray
+    sigma: float
+    sc: np.ndarray
+
+
+def _exit_slope(t, u, p: SaddleParams) -> _ExitSlope:
+    """The values step plus x_u, the one partial that the turning sign and the strip boundaries read.
+
+    x_u = -(g_w delta_v + g_v B/C) is written here only; :func:`exit_curve`
+    takes it, sigma and sc = sin phi cos phi from this step.
+    """
+    k = p.constants
+    v = _exit_values(t, u, p)
+    sigma = p.a * p.a - 1.0 / (p.a * p.a)
+    sc = v.sin * v.cos
+    x_u = -(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / v.stretch)
+    return _ExitSlope(v, x_u, sigma, sc)
+
+
 def exit_curve(t, u, p: SaddleParams) -> ExitCurve:
     """The one exit-curve kernel with its partials; broadcasts over t and u = ln s.
 
     Working in u keeps every value finite for any s > 0: the height is
     returned as ln y_w, which the caller exponentiates (an underflow then
     degrades to a zero height, not a NaN).  Callers that need only x_w and
-    ln y_w use the values step :func:`_exit_values`, which skips the partials.
+    ln y_w use the values step :func:`_exit_values`, and callers that need
+    only the slope x_u the slope step :func:`_exit_slope`.
     """
     k = p.constants
-    v = _exit_values(t, u, p)
-    a = p.a
-    sigma = a * a - 1.0 / (a * a)
+    v, x_u, sigma, sc = _exit_slope(t, u, p)
     c = v.stretch
-    sc = v.sin * v.cos
     return ExitCurve(
         phi=v.phi,
         x_w=v.x_w,
         log_y=v.log_y,
         x_t=(1.0 + k.g_w * sigma * sc) / c,
-        x_u=-(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / c),
+        x_u=x_u,
         log_y_t=-k.delta_w * sigma * sc / c,
         log_y_u=k.delta + k.delta_w * k.g_v * sigma * sc / c,
     )
@@ -246,10 +284,11 @@ def curve_arrays(t: float, s, p: SaddleParams):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
         raise ValueError("curve parameter s must be strictly positive")
-    curve = exit_curve(t, np.log(s_arr), p)
+    slope = _exit_slope(t, np.log(s_arr), p)
+    v = slope.values
     # at subnormal s the slope overflows; the caller decides what to refuse
     with np.errstate(under="ignore", over="ignore"):
-        return curve.phi, curve.x_w, np.exp(curve.log_y), curve.x_u / s_arr
+        return v.phi, v.x_w, np.exp(v.log_y), slope.x_u / s_arr
 
 
 def curve_sample(t: float, s: float, p: SaddleParams) -> ReturnCurveSample:

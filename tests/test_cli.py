@@ -270,6 +270,34 @@ def test_curve_verify_and_determinism(dense_config, tmp_path):
     b1 = (tmp_path / "r1" / "curve.csv").read_bytes()
     b2 = (tmp_path / "r2" / "curve.csv").read_bytes()
     assert b1 == b2
+    # the worst misses against the composition oracle, under its 1e-9 bound
+    diagnostics = json.loads((tmp_path / "r1" / "curve_manifest.json").read_text())["diagnostics"]
+    assert 0.0 <= diagnostics["oracle_x_w_miss"] <= 1e-9
+    assert 0.0 <= diagnostics["oracle_log_y_miss"] <= 1e-9
+
+
+@pytest.mark.parametrize(("target", "n_samples"), [("numpy.geomspace", "100000000000"), ("bykov.cli.curve_arrays", "10")])
+def test_curve_out_of_memory_names_n_samples(target, n_samples, dense_config, tmp_path, capsys, monkeypatch):
+    """An allocation too large for the host exits 2 with a message naming --n-samples, not a traceback.
+
+    The failing allocation is patched in; --n-samples stays small wherever a
+    real allocation runs before it, so no test asks for the 745 GiB.
+    """
+
+    def failing(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr(target, failing)
+    out = tmp_path / "out"
+    code = main(
+        ["curve", "--config", dense_config, "--s-min", "1e-6", "--s-max", "0.5",
+         "--n-samples", n_samples, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --n-samples={n_samples} needs more memory")
+    assert not out.exists()
 
 
 def test_reversals_verify(dense_config, tmp_path):
@@ -280,6 +308,9 @@ def test_reversals_verify(dense_config, tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "reversals_manifest.json").read_text())
     assert manifest["diagnostics"]["count"] == 300
+    # the worst replayed misses, under the bounds the replay holds them to
+    assert 0.0 <= manifest["diagnostics"]["period_miss"] <= 1e-10
+    assert 0.0 <= manifest["diagnostics"]["max_abs_x_u"] <= 1e-8
     for f in manifest["outputs"]:
         assert (tmp_path / "out" / "reversals.csv").exists()
 

@@ -24,6 +24,7 @@ from bykov.returncurve import (
     LN_FLOOR,
     S_UNDERFLOW,
     NoReversalsError,
+    _exit_slope,
     _exit_values,
     _reversal_walk,
     _reversals,
@@ -54,6 +55,13 @@ def sheared_angle(phi, a):
     """Angle of (a cos phi, sin phi / a), unwound to the quarter turn containing phi."""
     phi = np.asarray(phi, dtype=float)
     return _unwound(phi, np.cos(phi), np.sin(phi), a)
+
+
+def quadrant_midpoint_unwound(phi, cos, sin, a):
+    """The earlier rule for _unwound: the representative nearest the midpoint of the quarter turn floor(2 phi / pi)."""
+    k = np.floor(2.0 * phi / np.pi)
+    base = np.arctan2(sin / a, a * cos)
+    return base + TWO_PI * np.rint(((k + 0.5) * (np.pi / 2.0) - base) / TWO_PI)
 
 
 def unwound_angle_oracle(phi: float, a: float, steps: int = 4096) -> float:
@@ -792,11 +800,12 @@ def test_exit_curve_partials_match_centred_differences(p, t, depth):
 
 
 def _kernel_reference(t, u, p, k):
-    """x_w and ln y_w in the kernel's operation order, from the test-local stretch_sq and sheared_angle."""
+    """x_w and ln y_w in the kernel's operation order, from stretch_sq and the quadrant-midpoint unwinding."""
     u = np.asarray(u, dtype=float)
     phi = -k.g_v * u + t + k.c2
     ln_c = np.log(stretch_sq(phi, p.a))
-    x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + sheared_angle(phi, p.a) + k.c3 - k.g_w * math.log(k.c1)
+    unwound = quadrant_midpoint_unwound(phi, np.cos(phi), np.sin(phi), p.a)
+    x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + unwound + k.c3 - k.g_w * math.log(k.c1)
     log_y = math.log(k.c4) + k.delta_w * math.log(k.c1) + k.delta * u + 0.5 * k.delta_w * ln_c
     return x_w, log_y
 
@@ -822,3 +831,59 @@ def test_values_path_matches_exit_curve(p, t, depth):
         assert _hex(values.x_w) == _hex(curve.x_w) == _hex(ref_x)
         assert _hex(values.log_y) == _hex(curve.log_y) == _hex(ref_log_y)
         assert _hex(values.phi) == _hex(curve.phi)
+
+
+SHEARS = [1.0, 1.0 + 1e-4, 0.3, 2.0, 50.0]
+
+
+def _unwound_bits(phi, a):
+    """_unwound and the quadrant-midpoint rule at the angles phi, as int64 views of their bits."""
+    phi = np.asarray(phi, dtype=float)
+    cos, sin = np.cos(phi), np.sin(phi)
+    new = np.asarray(_unwound(phi, cos, sin, a), dtype=float)
+    old = np.asarray(quadrant_midpoint_unwound(phi, cos, sin, a), dtype=float)
+    return new.view(np.int64), old.view(np.int64)
+
+
+@given(
+    a=st.sampled_from(SHEARS),
+    draws=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-40.0, 50.0, exclude_max=True)), min_size=1),
+)
+def test_unwound_nearest_turn_matches_quadrant_midpoint_rule(a, draws):
+    """The nearest-turn rule gives the quadrant-midpoint rule's bits on log-uniform |phi| < 2**50."""
+    phi = np.array([sign * 2.0**e for sign, e in draws])
+    new, old = _unwound_bits(phi, a)
+    assert np.array_equal(new, old), phi[new != old]
+
+
+@given(
+    a=st.sampled_from(SHEARS),
+    k=st.one_of(st.integers(-64, 64), st.integers(-(2**49), 2**49)),
+    ulps=st.integers(-3, 3),
+)
+def test_unwound_matches_quadrant_midpoint_rule_at_quarter_turn_edges(a, k, ulps):
+    """At the float nearest k pi/2 and its float neighbours, where floor(2 phi / pi) may disagree with sin and cos."""
+    phi = k * (math.pi / 2.0)
+    for _ in range(abs(ulps)):
+        phi = math.nextafter(phi, math.copysign(math.inf, ulps))
+    if abs(phi) >= 2.0**50:
+        return
+    new, old = _unwound_bits(phi, a)
+    assert new == old, phi.hex()
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_slope_step_x_u_matches_test_side_formula(fixture, request):
+    """The slope step's x_u against x_u written out test-side, scalar and broadcast, to s = 1e-300."""
+    p = request.getfixturevalue(fixture)
+    k = p.constants
+    sigma = p.a * p.a - 1.0 / (p.a * p.a)
+    ts = np.linspace(-TWO_PI, TWO_PI, 7)[:, None]
+    us = np.linspace(math.log(p.eps), LN_FLOOR, 301)
+    for args in ((0.3, math.log(p.eps)), (0.3, us), (ts, us)):
+        x_u = _exit_slope(*args, p).x_u
+        phi = -k.g_v * np.asarray(args[1]) + args[0] + k.c2
+        sc = np.sin(phi) * np.cos(phi)
+        ref = -(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / stretch_sq(phi, p.a))
+        assert np.shape(x_u) == np.broadcast(*args).shape
+        assert _hex(x_u) == _hex(ref)
