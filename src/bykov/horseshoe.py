@@ -7,10 +7,12 @@ coordinate reduced to (-pi, pi].  A horizontal strip across the rectangle
 reversals (taken from the reversal lattice), on which the exit angle sweeps
 a full copy of [-tau, 0] mod 2*pi; the quarter turn then stands the image
 vertically across the same rectangle.  The chain rule through the partials
-of the exit-curve kernel :func:`bykov.returncurve.exit_curve` and the
-quarter turn are written once, in :func:`_return_step`, which the exact
-Jacobian of g (its hyperbolicity) and the multi-pulse return chain share;
-finite differences live only in :mod:`bykov.oracles`, as an oracle.
+of the exit-curve kernel :func:`bykov.returncurve.exit_curve` is written
+once, in :func:`_return_step`, which the exact Jacobian of g (its
+hyperbolicity) and the multi-pulse return chain share; the quarter turn is
+written there and in :func:`strip_image_report`, which turns the strips'
+boundary samples on the kernel's values step, without partials.  Finite
+differences live only in :mod:`bykov.oracles`, as an oracle.
 Every root is solved by one safeguarded Newton, :func:`_solve`, on the
 kernel's or the chain's slope.  What needs only x_w and ln y_w (the strips'
 windows, height checks and images) runs on the kernel's values step, which
@@ -278,15 +280,9 @@ def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[floa
     return (r0, r1) if upward == (want_sign > 0) else (r1, r0 + math.pi)
 
 
-def _case_pieces(t: float, lo: float, hi: float):
-    """Copies of the piece [lo, hi] shifted by whole periods of pi, from phi = t on.
-
-    Yields (i, phi_lo, phi_hi) arrays block by block, without end, from the
-    lattice walk of the piece start: piece i is the first one shifted by i
-    periods.  s decreases as phi grows, and the caller stops at s-underflow.
-    """
-    for _, i, shifts in _lattice(np.array([lo]), t):
-        yield i, lo + shifts[0], hi + shifts[0]
+def _residues(tau: float, gamma: float) -> tuple[float, float]:
+    """The exit angles mod 2 pi of the a- and b-boundaries: -tau on the a-boundary when gamma > 1, else on b."""
+    return (-tau, 0.0) if gamma > 1.0 else (0.0, -tau)
 
 
 def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
@@ -378,8 +374,9 @@ def _collect_strips(
     least min(a**2, a**-2); a piece whose bound stands above tau is
     skipped, allowing 1e-12 of the terms the bound sums for rounding.
 
-    A candidate becomes a strip when its boundaries are bracketed and its
-    5-point height check keeps the return image within tau.  The candidates
+    A candidate becomes a strip when its 5-point height check keeps the
+    return image within tau; a boundary target that its bracket does not
+    straddle raises a ValueError naming tau, the winding and t.  The candidates
     are solved in batches, all boundaries in one :func:`_solve` call on the
     kernel's exact slope x_u: ``grow`` times as many as strips are still
     missing, where ``grow`` starts at 1 and doubles, up to 64, after each
@@ -392,13 +389,7 @@ def _collect_strips(
     k = p.constants
     increasing = k.gamma > 1.0
     n = len(t_grid)
-
-    def targets_for(winding: int) -> tuple[float, float]:
-        # a-boundary carries the -tau residue for increasing exit angle,
-        # the 0 residue for decreasing (the mirrored case)
-        if increasing:
-            return TWO_PI * winding - tau, TWO_PI * winding
-        return TWO_PI * winding, TWO_PI * winding - tau
+    residues = _residues(tau, k.gamma)
 
     def pieces():
         """Blocks (i, u_low, brackets): the pieces' period counts and lowest u, and brackets(c) -> (u_los, u_his)."""
@@ -406,7 +397,11 @@ def _collect_strips(
             ends = np.full(n, LN_FLOOR), np.full(n, math.log(p.eps))
             yield np.zeros(1, dtype=int), np.array([LN_FLOOR]), lambda c: ends
             return
-        for i, los, his in _case_pieces(0.0, *piece) if piece else ():
+        if piece is None:
+            return
+        lo, hi = piece
+        for _, i, shifts in _lattice(np.array([lo]), 0.0):
+            los, his = lo + shifts[0], hi + shifts[0]
             u_low = (k.c2 - his) / k.g_v
             above = np.count_nonzero(u_low >= LN_FLOOR)
             yield i[:above], u_low[:above], lambda c, los=los, his=his: (
@@ -459,13 +454,15 @@ def _collect_strips(
 
         u_ab, batch_passes = _solve(
             boundary,
-            np.repeat([targets_for(w) for w in windings], n),
+            np.repeat([[TWO_PI * w + r for r in residues] for w in windings], n),
             np.repeat(u_los, 2, axis=0).ravel(),
             np.repeat(u_his, 2, axis=0).ravel(),
         )
         passes += batch_passes
         if np.isnan(u_ab).any():
-            raise RuntimeError("target not bracketed by the monotone interval")
+            c, j = divmod(int(np.argmax(np.isnan(u_ab))), 2 * n)
+            w, t_j = windings[c], t_grid[j % n]
+            raise ValueError(f"strip target not bracketed by its monotone piece at tau={tau}, winding={w}, t={t_j}")
         u_a, u_b = u_ab.reshape(m, 2, n).transpose(1, 0, 2)
         a_vals, b_vals = _libm_exp(np.minimum(u_a, u_b)), _libm_exp(np.maximum(u_a, u_b))
         # the return image must stay inside the rectangle's width: its
@@ -494,9 +491,7 @@ def _boundary_misses(family: StripFamily, p: SaddleParams):
     from their targets.  A sample out of order (not 0 < a < b <= eps) is
     evaluated at a = b = eps instead, where its misses mean nothing.
     """
-    increasing = family.gamma > 1.0
-    lo_res = -family.tau if increasing else 0.0
-    hi_res = 0.0 if increasing else -family.tau
+    lo_res, hi_res = _residues(family.tau, family.gamma)
     t = np.concatenate([s.t_grid for s in family.strips])
     a = np.concatenate([s.a_of_t for s in family.strips])
     b = np.concatenate([s.b_of_t for s in family.strips])

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bykov import cli
+from bykov import cli, horseshoe
 from bykov.cli import build_parser, main
 from bykov.flow import SAMPLE_SPACING, sojourn_analysis
 
 README_FLOW = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme_flow.json"
 README_PARAMS = README_FLOW.with_name("readme_params.json")
+DENSE_PARAMS = README_FLOW.with_name("dense_params.json")
 
 
 @pytest.fixture()
@@ -300,6 +301,19 @@ def test_curve_out_of_memory_names_n_samples(target, n_samples, dense_config, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", ["1e7", "562949953421311.0"])
+def test_curve_verify_at_large_t(t, tmp_path):
+    # x_w grows like t, and the oracle agrees with it to an ulp: at t = 1e7
+    # that is 1.86e-9, past 1e-9, so the bound on x_w is 2 ulp of it there
+    out = tmp_path / "out"
+    argv = ["curve", "--config", str(DENSE_PARAMS), "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "50"]
+    assert main([*argv, "--t", t, "--verify", "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "curve_manifest.json").read_text())["diagnostics"]
+    x_w = [float(line.split(",")[3]) for line in (out / "curve.csv").read_text().splitlines()[1:]]
+    assert 1e-9 < diagnostics["oracle_x_w_miss"] <= 2.0 * math.ulp(max(map(abs, x_w)))
+    assert diagnostics["oracle_log_y_miss"] <= 1e-9
+
+
 def test_reversals_verify(dense_config, tmp_path):
     code = main(
         ["reversals", "--config", dense_config, "--n-max", "300", "--verify",
@@ -338,6 +352,27 @@ def test_strips_manifest_records_solver_passes_without_verify(case1_config, tmp_
     assert diagnostics["solver_passes"] == 14 and "boundary_residual" not in diagnostics
     # only the manifest gains the key; the artifact is the same bytes either way
     assert (tmp_path / "plain" / "strips.csv").read_bytes() == (tmp_path / "verified" / "strips.csv").read_bytes()
+
+
+def test_strips_unbracketed_target_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the first batch solves the first five candidates, each 2 x 33 boundary
+    # samples; candidate 1's b-boundary at t index 5 comes back unbracketed
+    solve = horseshoe._solve
+
+    def losing_one(fn, targets, lo, hi):
+        roots, passes = solve(fn, targets, lo, hi)
+        roots[3 * 33 + 5] = math.nan
+        return roots, passes
+
+    monkeypatch.setattr(horseshoe, "_solve", losing_one)
+    out = tmp_path / "out"
+    assert main(["strips", "--config", str(DENSE_PARAMS), "--tau", "0.4", "--n-limit", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: strip target not bracketed by its monotone piece at tau=0.4, winding=-1, t=0.0625\n"
+    )
+    assert not out.exists()
 
 
 def test_strips_resonance_exit_code(resonant_config, tmp_path):
@@ -441,6 +476,9 @@ def test_simulate_manifest_and_verify(flow_config, tmp_path):
     manifest = json.loads((tmp_path / "out" / "simulate_manifest.json").read_text())
     assert manifest["diagnostics"]["chirality"] in ("different", "inconclusive")
     assert manifest["diagnostics"]["collapse"] is None
+    # the chirality check's identity residual and the samples it measured at each node
+    assert 0.0 <= manifest["diagnostics"]["max_identity_residual"] <= 1e-12
+    assert manifest["diagnostics"]["samples_near_v"] + manifest["diagnostics"]["samples_near_w"] > 0
     traj = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
     assert traj[0] == "t,x1,x2,x3,x4,r2"
     assert len(traj) > 10
@@ -593,6 +631,8 @@ FLOW = {"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "example4d"}
         ([1, 2], "parameter document must be a JSON object"),
         ({**FLOW, "alpha1": None}, "alpha1"),
         ({**FLOW, "alpha1": "1.0"}, "alpha1"),
+        ({**FLOW, "model": "dim5"}, "model must be one of ('dim3', 'example4d', 'example4d_same_lift'), got 'dim5'"),
+        ({**FLOW, "model": 5}, "model must be a str, got 5"),
     ],
 )
 def test_simulate_rejects_malformed(doc, message, tmp_path, capsys):
@@ -648,6 +688,10 @@ def test_flow_tolerances_are_refused(command, tolerances, field, flow_config, tm
         # the poles are 2 apart, so above radius 1 their neighbourhoods overlap
         (["sojourn", "--radius", "1.2"], "--radius must be > 0 and <= 1"),
         (["sojourn", "--radius", "1.5", "--verify"], "--radius must be > 0 and <= 1"),
+        # from |phi| = 2^50 on, one ulp of the exit angle is a quarter radian or more
+        (["curve", "--s-min", "1e-3", "--s-max", "0.1", "--t", "1125899906842624"], "--t must satisfy |t| < 2^50"),
+        (["reversals", "--t=-1125899906842624"], "--t must satisfy |t| < 2^50, got -1125899906842624.0"),
+        (["tangency", "--t", "1e16"], "--t must satisfy |t| < 2^50, got 1e+16"),
     ],
 )
 def test_non_finite_options_are_refused(command, message, case1_config, flow_config, tmp_path, capsys):

@@ -371,9 +371,26 @@ def test_boundary_residual_replays_interior_boundaries():
     assert 0.0 < boundary_residual(near_v, rep) < SAMPLE_SPACING**2 / 0.3
 
 
+def test_chirality_inconclusive_on_mixed_signs(monkeypatch):
+    # on the models' fields theta' = rot, one sign per node; a field with
+    # theta' = x3 gives both signs near v
+    monkeypatch.setattr(flow, "make_rhs", lambda config: lambda x1, x2, x3, x4: (-x3 * x2, x3 * x1, 0 * x3, 0 * x4))
+    states = np.array([(0.05, 0.0, 0.05, 0.99), (0.05, 0.0, -0.05, 0.99), (0.05, 0.0, 0.05, -0.99)])
+    series = TrajectorySeries(
+        times=np.arange(3.0), states=states, accepted=2, rejected=0, max_error_estimate=0.0, error_budget=0.0
+    )
+    rep = chirality_check(CFG, series)
+    assert (rep.verdict, rep.message) == ("inconclusive", "mixed angular-velocity signs near a node")
+    assert (rep.samples_near_v, rep.samples_near_w) == (2, 1)
+
+
 def test_sojourn_insufficient_data():
     series = integrate((0.0, 0.0, 0.0, 1.0), T=5.0, rtol=1e-8, atol=1e-10, config=CFG)
     with pytest.raises(InsufficientDataError):
+        sojourn_analysis(series)
+    # four dwells, v w v w: after the two transient ones, one of each node
+    series = synthetic_dwell_series([("v", 1.0), ("w", 1.5), ("v", 2.0), ("w", 2.5)])
+    with pytest.raises(InsufficientDataError, match="^not enough same-node dwell pairs after transient discard$"):
         sojourn_analysis(series)
 
 

@@ -20,8 +20,8 @@ from bykov.horseshoe import (
     PeriodicTangencyError,
     ResonanceError,
     Strip,
-    _case_pieces,
     _eigen_class,
+    _lattice,
     _return_chain,
     _solve,
     _wanted_piece,
@@ -260,20 +260,21 @@ def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
     walked = []
 
     def recording(*args):
-        for block in _case_pieces(*args):
+        for block in _lattice(*args):
             walked[:] = [block]
             yield block
 
-    monkeypatch.setattr(horseshoe, "_case_pieces", recording)
+    monkeypatch.setattr(horseshoe, "_lattice", recording)
     tracemalloc.start()
     try:
         family = build_strips(1e-200, 3, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    i, _, his = walked[-1]
+    _, i, shifts = walked[-1]
+    hi = _wanted_piece(p, classify_region(p), 1 if k.gamma > 1.0 else -1)[1]
     assert (family.case, len(family)) == ("II", 0)
-    assert i[-1] > 2_000_000 and (k.c2 - his[-1]) / k.g_v < LN_FLOOR
+    assert i[-1] > 2_000_000 and (k.c2 - (hi + shifts[0, -1])) / k.g_v < LN_FLOOR
     assert peak < 20e6
 
 
@@ -569,10 +570,12 @@ def test_case4_pieces_have_full_length():
 
 
 def _first_pieces(t, piece, count):
-    """The first ``count`` copies of ``piece`` that :func:`_case_pieces` yields, as (phi_lo, phi_hi) pairs."""
+    """The first ``count`` copies of ``piece`` from the lattice walk of its start, as (phi_lo, phi_hi) pairs."""
     if piece is None:
         return []
-    pairs = (pair for _, los, his in _case_pieces(t, *piece) for pair in zip(los.tolist(), his.tolist()))
+    lo, hi = piece
+    blocks = ((lo + shifts[0], hi + shifts[0]) for _, _, shifts in _lattice(np.array([lo]), t))
+    pairs = (pair for los, his in blocks for pair in zip(los.tolist(), his.tolist()))
     return list(itertools.islice(pairs, count))
 
 

@@ -29,6 +29,7 @@ from bykov.oracles import (
     psi_vw,
     psi_wv,
     rect_polar,
+    replay_pulse,
     return_jacobian_fd,
     turning_range_grid,
 )
@@ -103,6 +104,13 @@ def test_stable_manifold_errors(unit_params):
         phi_w(DiskPoint(section=IN_W, r=0.0, phi=1.0), k)
     with pytest.raises(OnManifoldError):
         rect_polar(RectPoint(X=0.0, Y=0.0), branch_hint=0.0)
+
+
+def test_replay_pulse_refuses_an_orbit_that_leaves_the_section(dense_params):
+    # from s0 = 0.1 the first return lands below the section, at height -0.236
+    assert replay_pulse(0.1, 2, dense_params).heights
+    with pytest.raises(ValueError, match=r"^pulse replay left the section after crossing 1: height -0\.23"):
+        replay_pulse(0.1, 3, dense_params)
 
 
 def test_shear_trivial_and_simple():

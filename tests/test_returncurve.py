@@ -218,6 +218,9 @@ def test_exit_curve_rejects_bad_parameter(dense_params):
         curve_sample(0.0, 0.0, dense_params)
     with pytest.raises(ValueError):
         curve_sample(0.0, dense_params.eps * 1.5, dense_params)
+    for s in ([0.1, 0.0], [-1e-300], [0.2, -0.0]):
+        with pytest.raises(ValueError, match="^curve parameter s must be strictly positive$"):
+            curve_arrays(0.0, s, dense_params)
 
 
 def test_derivative_matches_finite_differences(dense_params):
