@@ -135,14 +135,15 @@ def cmd_curve(args):
 
 def _curve(args, p):
     """The body of :func:`cmd_curve`, which allocates every array of n_samples."""
-    if args.n_samples == 1:
-        s_values = np.array([args.s_min])
-    else:
-        s_values = np.geomspace(args.s_min, args.s_max, args.n_samples)
+    s_values = np.geomspace(args.s_min, args.s_max, args.n_samples)
     phi, x_w, y_w, dxw_ds = curve_arrays(args.t, s_values, p)
     deep = np.flatnonzero(~np.isfinite(dxw_ds))
     if deep.size:
         raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={_fmt(s_values[deep[0]])}")
+    # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more
+    deep = np.flatnonzero(~(np.abs(phi) < 2.0**50))
+    if deep.size:
+        raise ParameterError(f"--s-min={args.s_min} is too deep: |phi| >= 2^50 at s={_fmt(s_values[deep[0]])}")
     rows = _csv(CURVE_HEADER, s_values, [args.t] * len(s_values), phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)
     diagnostics: dict = {"n_samples": args.n_samples}
     if args.verify:
@@ -341,11 +342,12 @@ def cmd_simulate(args):
         diagnostics["samples_near_v"] = chirality.samples_near_v
         diagnostics["samples_near_w"] = chirality.samples_near_w
     if args.verify:
-        if config.dim == 4 and config.lam == 0.0 and series.states[0][2] == 0.0:
-            resid = invariant_subspace_residuals(series, config)["x3=0"]
-            diagnostics["x3_residual"] = resid
+        # lam = 0, as in every 3D config, keeps the start's coordinate planes invariant
+        planes = invariant_subspace_residuals(series, config) if config.lam == 0.0 else {}
+        for plane, resid in planes.items():
+            diagnostics[plane.replace("=0", "_residual")] = resid
             if not resid <= 1e-12:
-                raise VerifyFailure(f"x3 = 0 subspace drift {resid}")
+                raise VerifyFailure(f"{plane.replace('=', ' = ')} subspace drift {resid}")
         spacing = float(np.max(np.linalg.norm(np.diff(series.states, axis=0), axis=1)))
         if not spacing <= SAMPLE_SPACING:
             raise VerifyFailure(f"sample spacing {spacing} exceeds {SAMPLE_SPACING}")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import statistics
 import textwrap
 from array import array
 from dataclasses import dataclass
@@ -533,19 +534,6 @@ def _pole_distance(states: np.ndarray, pole) -> np.ndarray:
         return np.sqrt(sum((column - c) ** 2 for column, c in zip(states.T, pole)))
 
 
-def _within(states: np.ndarray, pole, radius: float) -> np.ndarray:
-    """Mask of the samples closer than ``radius`` to ``pole``, as ``math.dist`` decides.
-
-    The column sum and ``math.dist`` may differ in the last bits, so samples
-    within a relative 1e-12 of the radius are settled by ``math.dist``.
-    """
-    dist = _pole_distance(states, pole)
-    near = dist < radius
-    for i in np.flatnonzero(np.abs(dist - radius) <= 1e-12 * radius):
-        near[i] = math.dist(states[i].tolist(), pole) < radius
-    return near
-
-
 @dataclass(frozen=True)
 class ChiralityReport:
     verdict: str
@@ -584,7 +572,7 @@ def chirality_check(config: ModelConfig, series: TrajectorySeries) -> ChiralityR
     measurable = plane > PLANE_FLOOR
     theta_dot, side = [], []
     for pole in (V_POLE, W_POLE):
-        near = _within(states, pole, CHIRALITY_RADIUS) & measurable
+        near = (_pole_distance(states, pole) < CHIRALITY_RADIUS) & measurable
         theta_dot.append(cross[near] / plane[near])
         # +1 or -1 where every sample has that sign (copysign reads -0.0 as
         # negative), 0 where the signs are mixed
@@ -642,9 +630,8 @@ def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
 
     def crossing(i: int, d: np.ndarray, radius: float) -> float:
         # linear interpolation of the boundary crossing between samples i-1, i
+        # a change of node crosses the radius strictly, so d0 != d1
         d0, d1 = d[i - 1], d[i]
-        if d1 == d0:
-            return float(times[i])
         w = (radius - d0) / (d1 - d0)
         return float(times[i - 1] + w * (times[i] - times[i - 1]))
 
@@ -689,16 +676,14 @@ def sojourn_analysis(series: TrajectorySeries, neighborhood_radius: float = 0.3)
     ratios = {
         n: tuple(b / a for a, b in zip(durations[n], durations[n][1:])) for n in ("v", "w")
     }
-    pooled = sorted(ratios["v"] + ratios["w"])
+    pooled = ratios["v"] + ratios["w"]
     if not pooled:
         raise InsufficientDataError("not enough same-node dwell pairs after transient discard")
-    mid = len(pooled) // 2
-    median = pooled[mid] if len(pooled) % 2 else 0.5 * (pooled[mid - 1] + pooled[mid])
     return SojournReport(
         dwells=tuple(dwells),
         ratios_v=ratios["v"],
         ratios_w=ratios["w"],
-        median_ratio=median,
+        median_ratio=statistics.median(pooled),
         discarded=DWELL_DISCARD,
     )
 
@@ -728,7 +713,7 @@ def invariant_subspace_residuals(series: TrajectorySeries, config: ModelConfig) 
     """Max drift out of the coordinate subspaces the start belongs to.
 
     4D: the hyperplane x3 = 0 (exactly invariant when lam = 0); 3D: the
-    planes x = 0 and y = 0.  Raises when the start lies in none of them.
+    planes x = 0 and y = 0.  Empty when the start lies in none of them.
     """
     out: dict[str, float] = {}
     first = series.states[0]
@@ -740,6 +725,4 @@ def invariant_subspace_residuals(series: TrajectorySeries, config: ModelConfig) 
             out["x=0"] = float(np.max(np.abs(series.states[:, 0])))
         if first[1] == 0.0:
             out["y=0"] = float(np.max(np.abs(series.states[:, 1])))
-    if not out:
-        raise ValueError("initial state lies in none of the tracked invariant subspaces")
     return out

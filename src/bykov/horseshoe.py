@@ -69,6 +69,8 @@ __all__ = [
 UNIT_TOL = 1e-6
 # least distance of a strip target from the exit angle at a piece end
 SLACK = 1e-9
+# most n-pulse points a search returns
+PULSE_POINTS = 4
 
 
 class ResonanceError(ValueError):
@@ -632,7 +634,6 @@ def find_multipulse(
     p: SaddleParams,
     x0: float = 0.0,
     s_window: tuple[float, float] | None = None,
-    max_points: int = 4,
 ) -> list[PulsePoint]:
     """Points of the unstable-manifold segment whose orbit closes onto the stable trace.
 
@@ -649,14 +650,12 @@ def find_multipulse(
     cut at its first seed whose orbit leaves the section; its crossings,
     from its far end back toward its start, are solved in one
     :func:`_solve` by safeguarded Newton on the chain's slope in u.  A level
-    stops at the grid that brings it to 2 max_points roots, and one without
-    crossings ends the search with an empty list, which is not an error.
-    Each point's trace and residual come from one more pass of the chain.
+    stops at the grid that brings it to 2 ``PULSE_POINTS`` roots; one without
+    crossings ends the search with an empty list, not an error.  Each
+    point's trace and residual come from one more pass of the chain.
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    if max_points < 1:
-        raise ParameterError(f"max_points must be >= 1, got {max_points}")
     if s_window is not None and not 0.0 < s_window[0] < min(s_window[1], p.eps):
         raise ParameterError(f"s_window must satisfy 0 < s_min < min(s_max, eps), got {s_window}, eps={p.eps}")
     k = p.constants
@@ -702,7 +701,7 @@ def find_multipulse(
         winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
         lo, hi = np.sort([us[cell], us[cell + 1]], axis=0)
         roots, _ = _solve(lambda u, live: angle(u, depth), target + TWO_PI * winding, lo, hi)
-        return roots[~np.isnan(roots)][: max_points * 4].tolist()
+        return roots[~np.isnan(roots)][: PULSE_POINTS * 4].tolist()
 
     n_grid = max(64, int((u_hi - u_lo) / (math.pi / (k.g_v * 48))) + 1)
     level = [np.linspace(u_lo, u_hi, min(n_grid, 200_000))]
@@ -710,7 +709,7 @@ def find_multipulse(
         roots: list[float] = []
         for us in level:
             roots.extend(solve_level(depth, us))
-            if len(roots) >= max_points * 2:
+            if len(roots) >= PULSE_POINTS * 2:
                 break
         if not roots:
             # a level without crossings leaves no seeds for the next one
@@ -729,5 +728,5 @@ def find_multipulse(
             residual=float(residual[i]),
             trace=tuple((float(x_w[i]), float(y_w[i])) for x_w, y_w, _ in chain),
         )
-        for i in np.flatnonzero(resolved)[:max_points]
+        for i in np.flatnonzero(resolved)[:PULSE_POINTS]
     ]

@@ -191,7 +191,7 @@ def test_ac7_hyperbolicity(case1_params, dense_params):
 def test_ac8_multipulse(case1_params):
     lines = []
     for n in (2, 3):
-        points = find_multipulse(n, case1_params, max_points=3)
+        points = find_multipulse(n, case1_params)
         assert points, f"no {n}-pulse point found"
         replay = replay_pulse(points[0].s, n, case1_params)
         assert replay.out_w_crossings == n

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bykov import cli, horseshoe
+from bykov import cli, flow, horseshoe
 from bykov.cli import build_parser, main
 from bykov.flow import SAMPLE_SPACING, sojourn_analysis
 
@@ -168,6 +168,17 @@ def test_classify_rejects_malformed(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_refuses_a_nan_rate(tmp_path, capsys):
+    # json writes and reads NaN, which passes no range check written as a comparison
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({**json.loads(DENSE_PARAMS.read_text()), "C_w": math.nan}))
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(path), "--verify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: C_w must be a finite number, got nan\n")
+    assert not out.exists()
+
+
 CASE1 = {"alpha_v": 0.2, "C_v": 1.0, "E_v": 0.8, "alpha_w": 2.5, "C_w": 4.0, "E_w": 2.0,
          "a": 2.0, "eps": 0.5}
 
@@ -312,6 +323,26 @@ def test_curve_verify_at_large_t(t, tmp_path):
     x_w = [float(line.split(",")[3]) for line in (out / "curve.csv").read_text().splitlines()[1:]]
     assert 1e-9 < diagnostics["oracle_x_w_miss"] <= 2.0 * math.ulp(max(map(abs, x_w)))
     assert diagnostics["oracle_log_y_miss"] <= 1e-9
+
+
+@pytest.mark.parametrize("s_min, code", [("1e-280", 2), ("1e-20", 0)])
+def test_curve_refuses_rows_past_the_resolved_angle(s_min, code, tmp_path, capsys):
+    # at g_v = 2e13 and t = 0 the angle phi = c2 + t - g_v ln s reaches 2^50
+    # at s = 1.8e-25, where one ulp of it is a quarter radian and the
+    # kernel's x_w is no longer resolved
+    dense = json.loads(DENSE_PARAMS.read_text())
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({**dense, "alpha_v": 1e13 * dense["alpha_v"], "alpha_w": 1e13 * dense["alpha_w"]}))
+    out = tmp_path / "out"
+    argv = ["curve", "--config", str(path), "--s-min", s_min, "--s-max", "0.5", "--n-samples", "50", "--out", str(out)]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr().err == f"error: --s-min={s_min} is too deep: |phi| >= 2^50 at s={s_min}\n"
+        assert not out.exists()
+    else:
+        phi = [abs(float(line.split(",")[2])) for line in (out / "curve.csv").read_text().splitlines()[1:]]
+        # the deepest row, s = 1e-20, has |phi| = 9.07e14
+        assert 9e14 < max(phi) < 2.0**50
 
 
 def test_reversals_verify(dense_config, tmp_path):
@@ -620,6 +651,34 @@ def test_simulate_3d_model(tmp_path):
     assert code == 0
     header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x,y,z,r2"
+
+
+@pytest.mark.parametrize(
+    "x0, planes", [("0,0.3,0.5", {"x_residual"}), ("0.3,0,0.5", {"y_residual"}), ("0.3,0.4,0.5", set())]
+)
+def test_simulate_verify_replays_the_planes_of_the_3d_model(x0, planes, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "m3.json"
+    cfg.write_text(json.dumps({"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "dim3"}))
+    argv = ["simulate", "--config", str(cfg), f"--x0={x0}", "--T", "50", "--verify"]
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+    diagnostics = json.loads((tmp_path / "ok" / "simulate_manifest.json").read_text())["diagnostics"]
+    # the field keeps x = 0 and y = 0 exactly
+    assert {key: diagnostics[key] for key in diagnostics if key.endswith("_residual")} == dict.fromkeys(planes, 0.0)
+    if not planes:
+        return
+    # a field that pushes x and y off their planes
+    broken = flow._FIELDS["dim3"] + "d1 += 1e-3 * x3\nd2 += 1e-3 * x3\n"
+    monkeypatch.setitem(flow._FIELDS, "dim3", broken)
+    flow._compiled.cache_clear()
+    out = tmp_path / "broken"
+    try:
+        assert main([*argv, "--out", str(out)]) == 1
+    finally:
+        monkeypatch.undo()
+        flow._compiled.cache_clear()
+    plane = next(iter(planes)).replace("_residual", " = 0")
+    assert capsys.readouterr().err.startswith(f"verification failed: {plane} subspace drift ")
+    assert not out.exists()
 
 
 FLOW = {"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "example4d"}

@@ -273,7 +273,7 @@ def _chirality_loop(config, series, radius=0.2, plane_floor=1e-20):
             continue
         theta_dot = cross / plane
         for node, pole in (("v", V_POLE), ("w", W_POLE)):
-            if math.dist((x1, x2, x3, x4), pole) < radius:
+            if math.sqrt(sum((x - c) ** 2 for x, c in zip((x1, x2, x3, x4), pole))) < radius:
                 signs[node].append(math.copysign(1.0, theta_dot))
                 ranges[node][0] = min(ranges[node][0], theta_dot)
                 ranges[node][1] = max(ranges[node][1], theta_dot)
@@ -322,8 +322,8 @@ def test_chirality_signed_zero_and_plane_floor(monkeypatch):
         (tiny, 0.0, 0.0, -0.98),
         (0.1, 0.0, 0.0, -0.99),
         (0.0, 0.0, 0.0, -1.0),
-        # a sum of squares in numpy puts these a last bit on the other side
-        # of radius 0.2 than math.dist does: out, then in
+        # a sum of squares puts these a last bit on the other side of
+        # radius 0.2 than math.dist does: in, then out
         (0.12240425968235416, 0.1453714152183817, -0.0611456011136618, 1.012065003666333),
         (0.0051413094050552065, -0.17731770497542912, 0.0923315022149281, 0.9973747117143262),
     ])
@@ -428,6 +428,20 @@ def test_invariant_planes_3d():
     assert invariant_subspace_residuals(series, cfg3)["x=0"] < 1e-12
     series = integrate((0.4, 0.0, z0), T=60.0, rtol=1e-10, atol=1e-12, config=cfg3)
     assert invariant_subspace_residuals(series, cfg3)["y=0"] < 1e-12
+    # a start in none of the planes has nothing to replay
+    series = integrate((0.3, 0.4, z0), T=1.0, rtol=1e-10, atol=1e-12, config=cfg3)
+    assert invariant_subspace_residuals(series, cfg3) == {}
+    series = integrate(FIG_START, T=1.0, rtol=1e-10, atol=1e-12, config=CFG)
+    assert invariant_subspace_residuals(series, CFG) == {}
+
+
+def test_4d_diagnostics_refuse_a_3d_series():
+    cfg3 = ModelConfig(alpha1=1.0, alpha2=-0.1, model="dim3")
+    series = integrate((0.1, 0.4, 0.9), T=1.0, rtol=1e-10, atol=1e-12, config=cfg3)
+    with pytest.raises(ValueError, match="^sphere residual is defined for the 4D model$"):
+        sphere_residual(series)
+    with pytest.raises(ValueError, match="^chirality is diagnosed on the 4D models$"):
+        chirality_check(cfg3, series)
 
 
 def test_step_underflow_marks_partial_series():

@@ -35,7 +35,6 @@ from bykov.horseshoe import (
 )
 from bykov.oracles import IN_V, OUT_W, WallPoint, composed_return, psi_wv, replay_pulse
 from bykov.params import (
-    ParameterError,
     SaddleParams,
     classify_region,
     derive_constants,
@@ -744,9 +743,41 @@ def test_build_strips_fuzz_random_fixtures():
     assert built >= 20
 
 
+# one parameter point in two units of time: the second's six rates are the
+# first's times 1e10, so gamma (0.8875), a and every rate ratio agree
+SLOW_RATES = {
+    "alpha_v": 1.732201882904939e-10, "C_v": 8.386040365815899e-11, "E_v": 5.245946837763761e-11,
+    "alpha_w": 6.119991289121093e-10, "C_w": 9.237402221188311e-11, "E_w": 3.3382552227938616e-10,
+}
+SLOW = SaddleParams(**SLOW_RATES, a=1.2989510885788786, eps=0.5)
+FAST = SaddleParams(**{name: 1e10 * rate for name, rate in SLOW_RATES.items()}, a=SLOW.a, eps=SLOW.eps)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="classify_region's boundary band is an absolute 1e-9, so the tag depends on the unit of time",
+)
+def test_region_tag_does_not_depend_on_the_unit_of_time():
+    assert SLOW.constants.gamma == FAST.constants.gamma
+    assert classify_region(SLOW).tag == classify_region(FAST).tag
+
+
+def test_boundary_point_gives_an_empty_family():
+    # BoundaryB has no monotone piece to build on: the family is empty, not
+    # an error, and its boundary residual is 0.0; the same point in the
+    # faster unit is DenseReversals_D and has its five strips
+    assert classify_region(SLOW).tag == "BoundaryB"
+    family = build_strips(0.1, 5, SLOW)
+    assert (len(family), family.solver_passes) == (0, 0)
+    assert strip_boundary_residual(family, SLOW) == 0.0
+    assert strip_family_violations(family, SLOW) == []
+    assert classify_region(FAST).tag == "DenseReversals_D"
+    assert len(build_strips(0.1, 5, FAST)) == 5
+
+
 def test_multipulse_two_and_three(case1_params):
     for n in (2, 3):
-        points = find_multipulse(n, case1_params, max_points=3)
+        points = find_multipulse(n, case1_params)
         assert points, f"no {n}-pulse point found"
         replay = replay_pulse(points[0].s, n, case1_params)
         assert replay.out_w_crossings == n
@@ -760,17 +791,17 @@ def test_multipulse_counts_crossings_per_winding(case1_params):
     x_lo = curve_sample(0.0, math.exp(u_lo), case1_params).x_w
     x_hi = curve_sample(0.0, math.exp(u_hi), case1_params).x_w
     expected = math.floor(x_hi / TWO_PI) - math.ceil(x_lo / TWO_PI) + 1
-    points = find_multipulse(2, case1_params, s_window=(1e-6, case1_params.eps), max_points=50)
+    points = find_multipulse(2, case1_params, s_window=(1e-6, case1_params.eps))
     assert len(points) == expected >= 1
 
 
 def test_multipulse_empty_window_is_not_error(case1_params):
-    tiny = find_multipulse(2, case1_params, s_window=(0.49, 0.5), max_points=4)
+    tiny = find_multipulse(2, case1_params, s_window=(0.49, 0.5))
     assert isinstance(tiny, list)
 
 
 def test_multipulse_three_pulse_replay_structure(case1_params):
-    points = find_multipulse(3, case1_params, max_points=2)
+    points = find_multipulse(3, case1_params)
     assert points
     for pt in points:
         # first return lands strictly inside the wall section, second exits on the trace
@@ -814,7 +845,7 @@ PINNED_PULSES = {
         (4, "d90032da23cabeb6a6b36033327471657908b238544428adb00a8368920c3eb4"),
     ),
     "case1-n2-window": (
-        "case1_params", 2, {"s_window": (1e-6, 0.5), "max_points": 50},
+        "case1_params", 2, {"s_window": (1e-6, 0.5)},
         (3, "481713fede042c720fa127edee6afe2297a1aa3a6da51125174354e95ff61ceb"),
     ),
     "case1-n2-x0": (
@@ -1313,7 +1344,7 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
 def test_multipulse_chains_only_the_grids_it_harvests(fixture, request, monkeypatch):
-    # the harvest of a level stops at 2 max_points roots, usually within its
+    # the harvest of a level stops at 2 PULSE_POINTS roots, usually within its
     # first grid or two, so the later grids are never built; one chain on
     # the grids of every root of a level made 19,769, 31,242 and 32,331
     # element-returns here
@@ -1354,16 +1385,6 @@ def test_multipulse_deep_window_terminates(case1_params):
     # it; the bisection must stop there rather than spin
     points = find_multipulse(2, case1_params, s_window=(1e-300, 1e-290))
     assert points and all(0.0 < pt.s < 1e-289 and pt.residual <= 5e-9 for pt in points)
-
-
-@pytest.mark.parametrize("max_points", [0, -1, -4])
-def test_multipulse_refuses_max_points_below_one(case1_params, max_points):
-    # a negative count would slice roots off the end and 0 would read as
-    # "no crossing"; both are a refusal that names the field
-    with pytest.raises(ParameterError, match=f"max_points must be >= 1, got {max_points}"):
-        find_multipulse(2, case1_params, max_points=max_points)
-    with pytest.raises(ValueError, match="max_points"):
-        find_multipulse(3, case1_params, max_points=max_points)
 
 
 def _serial_bisect(fn, target, lo, hi, tol=1e-13):

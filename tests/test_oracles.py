@@ -104,6 +104,26 @@ def test_stable_manifold_errors(unit_params):
         phi_w(DiskPoint(section=IN_W, r=0.0, phi=1.0), k)
     with pytest.raises(OnManifoldError):
         rect_polar(RectPoint(X=0.0, Y=0.0), branch_hint=0.0)
+    with pytest.raises(OnManifoldError, match=r"\(y <= 0\)$"):
+        flight_map_v(0.3, -1e-3, unit_params)
+    with pytest.raises(OnManifoldError, match=r"\(r <= 0\)$"):
+        flight_map_w(0.0, 0.3, unit_params)
+
+
+def test_local_maps_refuse_the_wrong_section(unit_params):
+    k = derive_constants(unit_params)
+    with pytest.raises(ValueError, match=f"^phi_v expects a point on {IN_V}, got {OUT_W}$"):
+        phi_v(WallPoint(section=OUT_W, x=0.0, y=0.5), k)
+    with pytest.raises(ValueError, match=f"^phi_w expects a point on {IN_W}, got {OUT_V}$"):
+        phi_w(DiskPoint(section=OUT_V, r=0.5, phi=1.0), k)
+    with pytest.raises(ValueError, match=f"^psi_wv expects a point on {OUT_W}, got {IN_V}$"):
+        psi_wv(WallPoint(section=IN_V, x=0.0, y=0.5))
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_replay_pulse_refuses_fewer_than_two_pulses(n, dense_params):
+    with pytest.raises(ValueError, match=f"^pulse count must be at least 2, got {n}$"):
+        replay_pulse(0.1, n, dense_params)
 
 
 def test_replay_pulse_refuses_an_orbit_that_leaves_the_section(dense_params):

@@ -89,6 +89,12 @@ def test_rationality_integers():
     assert rec.is_rational_within_tol and (rec.p, rec.q) == (1, 1)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.5])
+def test_rationality_refuses_gamma_at_or_below_zero(gamma):
+    with pytest.raises(ParameterError, match=f"^gamma must be positive, got {gamma}$"):
+        is_gamma_rational(gamma)
+
+
 def test_rationality_sqrt2_small_denominators():
     # best convergent with q <= 1e4 is 8119/5741, error ~1.07e-8
     rec = is_gamma_rational(math.sqrt(2.0))
@@ -152,7 +158,7 @@ PUBLIC_SIGNATURES = {
         "strip_boundary_residual": ("family", "p"),
         "strip_family_violations": ("family", "p"),
         "strip_image_report": ("family", "p"),
-        "find_multipulse": ("n", "p", "x0", "s_window", "max_points"),
+        "find_multipulse": ("n", "p", "x0", "s_window"),
     },
     flow: {
         "load_model_config": ("source",),
