@@ -1,7 +1,8 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts out.
 
-Each ``cmd_*`` loads its config, computes and replays its ``--verify``
-checks, then returns ``(file_name, content, diagnostics)``; ``_run`` writes
+``_run`` reads and parses the config once and hands each ``cmd_*`` the
+loaded point; the command computes and replays its ``--verify`` checks,
+then returns ``(file_name, content, diagnostics)``, and ``_run`` writes
 that one artifact and its manifest.  A ``.json`` artifact is the command's
 result object as it is, a result dataclass written as its fields in
 declaration order (``dataclasses.asdict``), with ``indent=2``, and echoed
@@ -81,6 +82,10 @@ def _atomic_write(path: Path, lines) -> None:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
+        # mkstemp's file is 0600; give it the mode that open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,8 +108,7 @@ def _csv(header: str, *columns):
         yield ",".join(map(_cell, row))
 
 
-def cmd_classify(args):
-    p = load_saddle_params(args.config)
+def cmd_classify(args, p):
     region = classify_region(p)
     doc = {**vars(region), "constants": p.constants}
     if args.verify:
@@ -119,8 +123,7 @@ def cmd_classify(args):
     return "region.json", doc, {"tag": region.tag}
 
 
-def cmd_curve(args):
-    p = load_saddle_params(args.config)
+def cmd_curve(args, p):
     if not (0.0 < args.s_min < args.s_max <= p.eps):
         raise ParameterError(
             f"need 0 < s_min < s_max <= eps, got s_min={args.s_min}, s_max={args.s_max}, eps={p.eps}"
@@ -161,8 +164,7 @@ def _curve(args, p):
     return "curve.csv", rows, diagnostics
 
 
-def cmd_reversals(args):
-    p = load_saddle_params(args.config)
+def cmd_reversals(args, p):
     seq = reversal_sequence(args.t, args.n_max, p)
     columns = (seq.s_values, seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % (2 * math.pi))
     rows = _csv("n,s,log_s,phi,x_w,x_w_mod_2pi,kind", range(len(seq)), *columns, seq.kinds)
@@ -182,8 +184,7 @@ def cmd_reversals(args):
     return "reversals.csv", rows, diagnostics
 
 
-def cmd_tangency(args):
-    p = load_saddle_params(args.config)
+def cmd_tangency(args, p):
     report = find_tangency(args.x0, args.t, args.n_max, p)
     center_y = report.bump.center[1]
     # the centre's true height; below the float range its y underflows to 0.0
@@ -203,8 +204,7 @@ def cmd_tangency(args):
     return "tangency.json", report, diagnostics
 
 
-def cmd_strips(args):
-    p = load_saddle_params(args.config)
+def cmd_strips(args, p):
     family = build_strips(args.tau, args.n_limit, p)
     strips = family.strips
     index = [strip.index for strip in strips for _ in strip.t_grid]
@@ -230,11 +230,9 @@ def cmd_strips(args):
     return "strips.csv", rows, diagnostics
 
 
-def cmd_jacobian(args):
-    p = load_saddle_params(args.config)
+def cmd_jacobian(args, p):
     if args.k_min > args.k_max:
         raise ParameterError(f"need k_min <= k_max, got k_min={args.k_min}, k_max={args.k_max}")
-    p.constants  # a config error surfaces here, not as a height of the sweep
     reports = []
     worst_miss = 0.0
     # below k = -1023, 2^-k overflows; those heights lie above eps too
@@ -267,8 +265,7 @@ def cmd_jacobian(args):
     return "jacobian.csv", rows, diagnostics
 
 
-def cmd_multipulse(args):
-    p = load_saddle_params(args.config)
+def cmd_multipulse(args, p):
     if (args.s_min is None) != (args.s_max is None):
         raise ParameterError("--s-min and --s-max must be given together")
     window = (args.s_min, args.s_max) if args.s_min is not None else None
@@ -283,15 +280,14 @@ def cmd_multipulse(args):
     return "multipulse.json", points, diagnostics
 
 
-def _simulate(args):
-    """Integrate the run of ``simulate`` or ``sojourn``: (config, series, its manifest record).
+def _simulate(args, config):
+    """Integrate the run of ``simulate`` or ``sojourn``: (series, its manifest record).
 
     The record holds the step counts, where the orbit fell exactly onto a
     coordinate subspace (named by its CSV column), the samples, the
     vector-field evaluations and the smallest nonzero |coordinate|.  Under
     --verify a failed run is refused here.
     """
-    config = load_model_config(args.config)
     try:
         x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
@@ -317,15 +313,15 @@ def _simulate(args):
         "rhs_calls": 1 + 6 * (series.accepted + series.rejected),
         "floor_abs": float(np.min(magnitude, where=nonzero, initial=math.inf)) if nonzero.any() else None,
     }
-    return config, series, record
+    return series, record
 
 
 def _traj_header(config) -> str:
     return TRAJ_HEADER if config.dim == 4 else "t,x,y,z,r2"
 
 
-def cmd_simulate(args):
-    config, series, diagnostics = _simulate(args)
+def cmd_simulate(args, config):
+    series, diagnostics = _simulate(args, config)
     # one row at a time, formatted as it is written: a nested list of the
     # whole table, or its text, would add to the peak memory of the run
     table = np.column_stack([series.times, series.states, series.r2()])
@@ -354,11 +350,11 @@ def cmd_simulate(args):
     return "trajectory.csv", rows, diagnostics
 
 
-def cmd_sojourn(args):
+def cmd_sojourn(args, config):
     # the poles are 2 apart: above 1 their neighbourhoods overlap
     if not 0.0 < args.radius <= 1.0:
         raise ParameterError(f"--radius must be > 0 and <= 1, got {args.radius}")
-    _, series, diagnostics = _simulate(args)
+    series, diagnostics = _simulate(args, config)
     collapse = diagnostics["collapse"]
     # checked before the analysis, whose refusal of a short run exits 2
     if args.verify and collapse is not None:
@@ -375,7 +371,7 @@ def cmd_sojourn(args):
 
 
 def _run(args) -> int:
-    """Run ``args.fn``; write its artifact and manifest atomically, echoing a JSON artifact."""
+    """Run ``args.fn`` on the config ``args.load`` parses; write its artifact and manifest atomically, echo JSON."""
     started = time.monotonic()
     # nan passes no comparison, so it slips through every range check
     # written as one; inf would run a search or a horizon without end
@@ -385,7 +381,9 @@ def _run(args) -> int:
     # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more
     if abs(getattr(args, "t", 0.0)) >= 2.0**50:
         raise ParameterError(f"--t must satisfy |t| < 2^50, got {args.t}")
-    name, content, diagnostics = args.fn(args)
+    # read once, so that the manifest's digest is that of the bytes parsed
+    raw = Path(args.config).read_bytes()
+    name, content, diagnostics = args.fn(args, args.load(json.loads(raw.decode("utf-8"))))
     echo = name.endswith(".json")
     if echo:
         content = [json.dumps(content, indent=2, default=dataclasses.asdict)]
@@ -400,7 +398,7 @@ def _run(args) -> int:
     manifest = {
         "command": args.command,
         "tool_version": __version__,
-        "config_digest": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "config_digest": hashlib.sha256(raw).hexdigest(),
         "tolerances": {"rtol": getattr(args, "rtol", None), "atol": getattr(args, "atol", None)},
         "outputs": [str(path)],
         "wall_clock_s": time.monotonic() - started,
@@ -421,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary):
-        """A subcommand that runs ``fn``, with the options every command takes."""
+    def command(name, fn, summary, load=load_saddle_params):
+        """A subcommand that runs ``fn`` on the config that ``load`` parses, with the options every command takes."""
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=True, help="JSON parameter file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--verify", action="store_true", help="replay invariants, exit 1 on failure")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, load=load)
         return sp
 
     command("classify", cmd_classify, "region classification of a parameter point")
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-max", type=float, default=None)
 
     def flow_run(name, fn, summary):
-        sp = command(name, fn, summary)
+        sp = command(name, fn, summary, load_model_config)
         sp.add_argument("--rtol", type=float, default=1e-10)
         sp.add_argument("--atol", type=float, default=1e-12)
         sp.add_argument(

@@ -73,6 +73,9 @@ W_POLE = (0.0, 0.0, 0.0, -1.0)
 
 # largest integration step
 H_MAX = 1.0
+# the run stops within STOP_MARGIN * max(1, T) of the horizon T, so it
+# takes no step unless T > STOP_MARGIN
+STOP_MARGIN = 1e-12
 # largest state-norm distance between consecutive output samples
 SAMPLE_SPACING = 0.05
 # |r^2 - 1| that counts as on the sphere, and the time allowed after first
@@ -130,7 +133,7 @@ MODEL_FIELDS = {"alpha1": float, "alpha2": float, "lambda": float, "model": str}
 
 
 def load_model_config(source) -> ModelConfig:
-    """Load a flow config from JSON; exactly the keys alpha1, alpha2, lambda, model."""
+    """A flow config from a decoded JSON object; exactly the keys alpha1, alpha2, lambda, model."""
     data = load_exact_keys(source, MODEL_FIELDS)
     return ModelConfig(alpha1=data["alpha1"], alpha2=data["alpha2"], lam=data["lambda"], model=data["model"])
 
@@ -290,7 +293,7 @@ def run({ys}, T, rtol, atol, a1, a2, lam):
     failure = None
     # stop within an ulp-scale sliver of the horizon: adding a remainder
     # below ulp(t) would stall the loop
-    stop = 1e-12 * max(1.0, T)
+    stop = {stop_margin!r} * max(1.0, T)
     floor = max(1.0, T * 1e-3)
     while T - t > stop:
         if h > {h_max!r}:
@@ -435,6 +438,7 @@ def _compiled(model: str) -> tuple:
         # a square is never -0.0, so the sum needs no leading 0.0
         err2=" + ".join(f"e{j} * e{j}" for j in range(1, n + 1)),
         h_max=H_MAX,
+        stop_margin=STOP_MARGIN,
         spacing=SAMPLE_SPACING,
         margin=0.9 * SAMPLE_SPACING,
         shrink=0.7 * SAMPLE_SPACING,
@@ -475,8 +479,8 @@ def integrate(
     x0 = tuple(float(v) for v in x0)
     if len(x0) != config.dim or not all(map(math.isfinite, x0)):
         raise ParameterError(f"x0 must be {config.dim} finite numbers, got {x0}")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ParameterError(f"T must be finite and > 0, got {T}")
+    if not (math.isfinite(T) and T > STOP_MARGIN):
+        raise ParameterError(f"T must be finite and > {STOP_MARGIN}, got {T}")
     _, run = _compiled(config.model)
     times, states, accepted, rejected, max_err, err_budget, failure = run(
         *x0, T, rtol, atol, config.alpha1, config.alpha2, config.lam

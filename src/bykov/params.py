@@ -13,11 +13,9 @@ surrogate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 __all__ = [
     "ParameterError",
@@ -281,29 +279,24 @@ def classify_region(p: SaddleParams) -> Region:
     )
 
 
-def load_exact_keys(source: str | Path | dict, fields: dict[str, type]) -> dict:
-    """Read a JSON object whose keys are exactly ``fields``, each of its declared type.
+def load_exact_keys(source, fields: dict[str, type]) -> dict:
+    """Check a decoded JSON document: an object whose keys are exactly ``fields``, each of its declared type.
 
     ``fields`` maps a key to ``float`` (any JSON number, returned as float)
     or ``str``.  Unknown keys are an error: a typo must not silently change
     the dynamics.  Missing keys and mistyped values are reported by name.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
-    if not isinstance(data, dict):
+    if not isinstance(source, dict):
         raise ParameterError("parameter document must be a JSON object")
-    unknown = sorted(set(data) - set(fields))
+    unknown = sorted(set(source) - set(fields))
     if unknown:
         raise ParameterError(f"unknown parameter key(s): {', '.join(unknown)}")
-    missing = sorted(set(fields) - set(data))
+    missing = sorted(set(fields) - set(source))
     if missing:
         raise ParameterError(f"missing parameter key(s): {', '.join(missing)}")
     values = {}
     for name, kind in fields.items():
-        value = data[name]
+        value = source[name]
         if kind is float:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be a number, got {value!r}")
@@ -314,6 +307,8 @@ def load_exact_keys(source: str | Path | dict, fields: dict[str, type]) -> dict:
     return values
 
 
-def load_saddle_params(source: str | Path | dict) -> SaddleParams:
-    """Load parameters from JSON with exactly the eight canonical keys."""
-    return SaddleParams(**load_exact_keys(source, dict.fromkeys(SADDLE_FIELDS, float)))
+def load_saddle_params(source) -> SaddleParams:
+    """Parameters from a decoded JSON object with exactly the eight canonical keys."""
+    p = SaddleParams(**load_exact_keys(source, dict.fromkeys(SADDLE_FIELDS, float)))
+    p.constants  # a section constant that overflows or underflows is refused here, by field
+    return p

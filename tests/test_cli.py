@@ -1,8 +1,11 @@
 import argparse
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +216,14 @@ def test_classify_reports_constant_overflow(tmp_path, capsys):
     assert all(name in err for name in ("C_w", "E_w", "eps"))
 
 
-@pytest.mark.parametrize("command", [["curve", "--s-min", "1e-3", "--s-max", "1.0"], ["jacobian"]])
+@pytest.mark.parametrize(
+    "command",
+    [["curve", "--s-min", "1e-3", "--s-max", "1.0"], ["jacobian"], ["classify"], ["reversals"], ["tangency"],
+     ["strips"], ["multipulse"]],
+)
 def test_saddle_commands_report_constant_underflow(command, tmp_path, capsys):
-    # eps > 1 with a large C_w/E_w: c4 = eps**(1 - C_w/E_w) underflows to 0
+    # eps > 1 with a large C_w/E_w: c4 = eps**(1 - C_w/E_w) underflows to 0,
+    # which the loader refuses for every command
     path = tmp_path / "steep.json"
     path.write_text(json.dumps({**CASE1, "E_w": 0.002, "eps": 2.0}))
     code = main([command[0], "--config", str(path), "--out", str(tmp_path / "out"), *command[1:]])
@@ -571,8 +579,8 @@ def test_trajectory_rows_stream_into_a_temporary_file(flow_config, tmp_path, cap
     seen = []
     simulate = cli.cmd_simulate
 
-    def failing(args):
-        name, rows, diagnostics = simulate(args)
+    def failing(args, config):
+        name, rows, diagnostics = simulate(args, config)
 
         def rows_then_error():
             yield from itertools.islice(rows, 100)
@@ -615,6 +623,27 @@ def _strict_json(text):
         raise ValueError(f"not JSON: {token}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "command, config, options", [("classify", README_PARAMS, []), ("simulate", README_FLOW, ["--T", "5"])]
+)
+def test_config_digest_is_that_of_the_parsed_bytes(command, config, options, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), *options]) == 0
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+    assert manifest["config_digest"] == hashlib.sha256(config.read_bytes()).hexdigest()
+
+
+def test_artifacts_follow_the_umask(case1_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["strips", "--config", case1_config, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((out / "strips.csv").stat().st_mode) == 0o644
+    assert stat.S_IMODE((out / "strips_manifest.json").stat().st_mode) == 0o644
 
 
 def test_manifest_is_strict_json(flow_config, tmp_path):
@@ -816,6 +845,18 @@ def test_sojourn_verify_refuses_the_run(lam, options, analysis, message, tmp_pat
     assert main(["sojourn", "--config", str(config), *options, "--verify", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sojourn"])
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_horizon_at_the_stop_margin_is_refused(command, verify, tmp_path, capsys):
+    # the integrator takes no step for T <= STOP_MARGIN: a run of one sample
+    # at t = 0 is no trajectory, and under --verify it has no spacing to check
+    out = tmp_path / "out"
+    argv = [command, "--config", str(README_FLOW), "--T", "1e-13", "--out", str(out), *verify]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: T must be finite and > {flow.STOP_MARGIN}")
     assert not out.exists()
 
 

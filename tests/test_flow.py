@@ -98,7 +98,7 @@ def test_loader_exact_keys(tmp_path):
     good = {"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "example4d"}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(good))
-    assert load_model_config(path) == CFG
+    assert load_model_config(json.loads(path.read_text())) == CFG
     with pytest.raises(ParameterError, match="extra"):
         load_model_config({**good, "extra": 1})
     with pytest.raises(ParameterError, match="model"):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -160,6 +161,14 @@ def test_build_strips_shrinks_tau():
 def test_build_strips_rejects_resonance(unit_params):
     with pytest.raises(ResonanceError):
         build_strips(0.3, 2, unit_params)
+
+
+def test_build_strips_rejects_gamma_within_the_resonance_band():
+    # gamma - 1 = 5.0004e-13: inside the 1e-12 band, though not exactly 1
+    p = SaddleParams(alpha_v=1.0, C_v=1.0, E_v=1.0, alpha_w=1.0 + 5e-13, C_w=1.0, E_w=1.0, a=2.0, eps=0.5)
+    assert 1e-13 < p.constants.gamma - 1.0 < 1e-12
+    with pytest.raises(ResonanceError):
+        build_strips(0.3, 2, p)
 
 
 def test_build_strips_refuses_periodic_tangency(rational_params):
@@ -456,6 +465,28 @@ def test_strips_case2_rational_gamma(rational_params):
     assert strip_family_violations(family, rational_params) == []
 
 
+def _case4_margins(family, p):
+    """Each strip's least distance, in rectangle-widths, of its boundary targets inside its piece's window.
+
+    At the turning maximum the monotone pieces run between the grazing
+    angles theta/2 + i pi; a strip's piece is the one holding the angle of
+    its mid-height, and the piece's window is the range of exit angles that
+    both of its ends reach at every t of the grid.
+    """
+    k = derive_constants(p)
+    graze = turning_harmonic(p)[2] / 2.0
+    margins = []
+    for strip in family.strips:
+        t = strip.t_grid
+        phi = -k.g_v * np.log(np.sqrt(strip.a_of_t * strip.b_of_t)) + t + k.c2
+        (i,) = set(np.floor((phi - graze) / math.pi).tolist())
+        ends = [_exit_values(t, (k.c2 + t - graze - j * math.pi) / k.g_v, p).x_w for j in (i, i + 1)]
+        lo, hi = np.max(np.minimum(*ends)), np.min(np.maximum(*ends))
+        targets = (TWO_PI * strip.winding - family.tau, TWO_PI * strip.winding)
+        margins.append(min(targets[0] - lo, hi - targets[1]) / family.tau)
+    return margins
+
+
 def test_strips_case4_boundary():
     """Level pinned at the turning maximum: inflection case with exclusion margin."""
     base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
@@ -471,14 +502,16 @@ def test_strips_case4_boundary():
     assert strip_family_violations(family, p) == []
     report = strip_image_report(family, p)
     assert all(r["spans_vertically"] and r["within_width"] for r in report)
-    # targets stay at least ten rectangle-widths from the inflection values
-    k = derive_constants(p)
-    for strip in family.strips:
-        for i, t in enumerate(strip.t_grid):
-            for s in (float(strip.a_of_t[i]), float(strip.b_of_t[i])):
-                phi = -k.g_v * math.log(s) + float(t) + k.c2
-                # distance in phi from the grazing angle never vanishes
-                assert abs(curve_sample(float(t), s, p).dxw_ds) > 0.0
+    # targets stay at least ten rectangle-widths from the inflection values;
+    # at tau = 0.045 that margin is what passes over winding 3
+    for tau, windings in ((0.02, [2, 3]), (0.045, [2, 4])):
+        family = build_strips(tau, 2, p)
+        assert [strip.winding for strip in family.strips] == windings
+        assert min(_case4_margins(family, p)) >= 10.0
+        for strip in family.strips:
+            for t, a, b in zip(*(getattr(strip, name).tolist() for name in ("t_grid", "a_of_t", "b_of_t"))):
+                # the boundaries keep off the grazing angles, where dxw_ds vanishes
+                assert abs(curve_sample(t, a, p).dxw_ds) > 0.0 and abs(curve_sample(t, b, p).dxw_ds) > 0.0
 
 
 def test_trace_sign_constant_inside_strips(dense_params):
@@ -653,7 +686,7 @@ JACOBIAN_BITS = {
 
 @pytest.mark.parametrize("config, x, k_max", sorted(JACOBIAN_BITS))
 def test_jacobian_bits(config, x, k_max):
-    p = load_saddle_params(CONFIGS / config)
+    p = load_saddle_params(json.loads((CONFIGS / config).read_text()))
     jacs = [return_jacobian(x, 2.0**-k, p) for k in range(4, k_max + 1)]
     rows = "\n".join(" ".join(v.hex() for v in jac.ravel().tolist()) for jac in jacs)
     assert hashlib.sha256(rows.encode()).hexdigest() == JACOBIAN_BITS[(config, x, k_max)]

@@ -276,7 +276,7 @@ def test_loader_roundtrip(tmp_path):
     p = SaddleParams(alpha_v=0.2, C_v=1.0, E_v=0.8, alpha_w=2.5, C_w=4.0, E_w=2.0, a=2.0, eps=0.5)
     path = tmp_path / "p.json"
     path.write_text(json.dumps(p.to_dict()))
-    assert load_saddle_params(path) == p
+    assert load_saddle_params(json.loads(path.read_text())) == p
 
 
 def test_loader_rejects_unknown_key(tmp_path):
@@ -287,7 +287,7 @@ def test_loader_rejects_unknown_key(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ParameterError, match="alpha_x"):
-        load_saddle_params(path)
+        load_saddle_params(json.loads(path.read_text()))
 
 
 def test_loader_rejects_missing_key():
