@@ -92,6 +92,19 @@ def _return_step(x, ln_y, p: SaddleParams):
     return (y_w, -c.x_w), lambda dx, du: (y_w * (c.log_y_t * dx + c.log_y_u * du), -(c.x_t * dx + c.x_u * du))
 
 
+def _jacobian_rows(x: float, y: float, p: SaddleParams) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The rows of :func:`return_jacobian` as floats, from the kernel on scalars, with its refusals."""
+    if y <= 0.0:
+        raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangent = _return_step(x, math.log(y), p)[1]
+        (j00, j10), (j01, j11) = tangent(1.0, 0.0), tangent(0.0, 1.0)
+        rows = (float(j00), float(j01 / y)), (float(j10), float(j11 / y))
+    if not all(map(math.isfinite, rows[0] + rows[1])):
+        raise ValueError(f"the return-map Jacobian is not finite at y={y}")
+    return rows
+
+
 def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
     """Exact Jacobian of the unreduced return (y_w, -x_w) at (x, y), y > 0.
 
@@ -99,15 +112,7 @@ def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
     divided by y.  At subnormal y the divisions overflow; a Jacobian with an
     entry that is not finite is refused rather than classified.
     """
-    if y <= 0.0:
-        raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tangent = _return_step(x, math.log(y), p)[1]
-        (j00, j10), (j01, j11) = tangent(1.0, 0.0), tangent(0.0, 1.0)
-        jac = np.array([[j00, j01 / y], [j10, j11 / y]])
-    if not np.isfinite(jac).all():
-        raise ValueError(f"the return-map Jacobian is not finite at y={y}")
-    return jac
+    return np.array(_jacobian_rows(x, y, p))
 
 
 @dataclass(frozen=True)
@@ -151,16 +156,17 @@ def _eigen_class(m1: float, m2: float) -> str:
     return "saddle"
 
 
-def _report(x: float, y: float, jac: np.ndarray) -> JacobianReport:
-    """Determinant, trace and eigenvalue class of the Jacobian jac at (x, y), on floats."""
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    trace = float(jac[0, 0] + jac[1, 1])
+def _report(x: float, y: float, jac) -> JacobianReport:
+    """Determinant, trace and eigenvalue class of the Jacobian at (x, y) from its rows jac of floats."""
+    (j00, j01), (j10, j11) = jac
+    det = j00 * j11 - j01 * j10
+    trace = j00 + j11
     return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=_eigen_class(*_eigen_moduli(trace, det)))
 
 
 def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
     """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian."""
-    return _report(x, y, return_jacobian(x, y, p))
+    return _report(x, y, _jacobian_rows(x, y, p))
 
 
 def _libm_exp(u) -> np.ndarray:
@@ -175,32 +181,49 @@ def _libm_exp(u) -> np.ndarray:
     return np.where(u < 709.0, y, math.inf)
 
 
+def _linspace_rows(a: np.ndarray, b: np.ndarray, num: int) -> np.ndarray:
+    """np.stack([np.linspace(a_i, b_i, num) for a_i, b_i in zip(a, b)]) of (m, k) ends, bit for bit, in one pass.
+
+    linspace takes point i as a + i * ((b - a) / (num - 1)), but as
+    a + (i / (num - 1)) * (b - a) throughout a call in which some step
+    (b - a) / (num - 1) is zero, and puts b itself last; the zero-step rule
+    is applied here row by row.  Returns an (m, num, k) array; num >= 2.
+    """
+    delta = (b - a)[:, None]
+    step = delta / (num - 1)
+    i = np.arange(num, dtype=float)[:, None]
+    zero_step = (step == 0.0).any(axis=2, keepdims=True)
+    rows = np.where(zero_step, (i / (num - 1)) * delta, i * step) + a[:, None]
+    rows[:, -1] = b
+    return rows
+
+
 # bracket width at which _solve stops
 BISECT_TOL = 1e-13
 
 
-def _solve(fn, targets, lo, hi) -> tuple[np.ndarray, int]:
+def _solve(fn, targets, lo, hi, v_lo, v_hi) -> tuple[np.ndarray, int]:
     """Roots u of f(u) = targets over float arrays of brackets [lo, hi], and the Newton passes taken.
 
-    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4).  ``fn(u, live)``
+    Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4).  The caller
+    hands in the values ``v_lo`` and ``v_hi`` of f at the bracket ends,
+    which start every element at its regula falsi point.  ``fn(u, live)``
     returns the values and slopes in u of the elements indexed by ``live``,
-    element by element; ``u`` is an array of their points, or a ``(2, n)``
-    array of both ends of all ``n`` brackets in the first call, which starts
-    every element at its regula falsi point.  Each pass then calls ``fn`` on
-    the elements still active, keeps a sign bracket per element and takes
-    the bracket's midpoint where the Newton point leaves the closed bracket
-    or would not shrink the step to half the one before last, so a slope
-    that is wrong, or a function that is not monotone in the bracket, costs
-    passes but not the bracket.  Each element stops on its own: when its
-    step is at most ``1e-15 * max(1, |u|)``, when its bracket is at most
-    ``BISECT_TOL`` wide (or one ulp of its larger end, from |u| >= 512 on,
-    where BISECT_TOL is below one ulp), or when its residual is exactly 0.
-    An element comes back nan when its bracket does not straddle the target
-    or when the value turns non-finite on it.
+    element by element, at an array ``u`` of their points.  Each pass calls
+    ``fn`` on the elements still active, keeps a sign bracket per element
+    and takes the bracket's midpoint where the Newton point leaves the
+    closed bracket or would not shrink the step to half the one before
+    last, so a slope that is wrong, or a function that is not monotone in
+    the bracket, costs passes but not the bracket.  Each element stops on
+    its own: when its step is at most ``1e-15 * max(1, |u|)``, when its
+    bracket is at most ``BISECT_TOL`` wide (or one ulp of its larger end,
+    from |u| >= 512 on, where BISECT_TOL is below one ulp), or when its
+    residual is exactly 0; the active arrays shrink only on a pass where
+    some element stops.  An element comes back nan when its bracket does
+    not straddle the target or when the value turns non-finite on it.
     """
     tol = np.maximum(BISECT_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    live = np.arange(len(lo))
-    f_lo, f_hi = fn(np.stack([lo, hi]), live)[0] - targets
+    f_lo, f_hi = v_lo - targets, v_hi - targets
     # lo only ever moves onto a point of its own sign
     below = f_lo < 0.0
     ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (below != (f_hi < 0.0))
@@ -224,10 +247,13 @@ def _solve(fn, targets, lo, hi) -> tuple[np.ndarray, int]:
             before, step = step, np.abs(new - u)
             done = (step <= 1e-15 * np.maximum(1.0, np.abs(u))) | (hi - lo <= tol)
             stop = done | ~finite
-            roots[live[stop]] = np.where(finite, new, np.nan)[stop]
-            live, targets, lo, hi, below, tol, u, step, before = (
-                v[~stop] for v in (live, targets, lo, hi, below, tol, new, step, before)
-            )
+            u = new
+            if stop.any():
+                roots[live[stop]] = np.where(finite, new, np.nan)[stop]
+                keep = ~stop
+                live, targets, lo, hi, below, tol, u, step, before = (
+                    v[keep] for v in (live, targets, lo, hi, below, tol, u, step, before)
+                )
     return roots, passes
 
 
@@ -454,12 +480,10 @@ def _collect_strips(
             slope = _exit_slope(t[live], u, p)
             return slope.values.x_w, slope.x_u
 
-        u_ab, batch_passes = _solve(
-            boundary,
-            np.repeat([[TWO_PI * w + r for r in residues] for w in windings], n),
-            np.repeat(u_los, 2, axis=0).ravel(),
-            np.repeat(u_his, 2, axis=0).ravel(),
-        )
+        targets = np.repeat([[TWO_PI * w + r for r in residues] for w in windings], n)
+        lo, hi = (np.repeat(ends, 2, axis=0).ravel() for ends in (u_los, u_his))
+        v_lo, v_hi = boundary(np.stack([lo, hi]), slice(None))[0]
+        u_ab, batch_passes = _solve(boundary, targets, lo, hi, v_lo, v_hi)
         passes += batch_passes
         if np.isnan(u_ab).any():
             c, j = divmod(int(np.argmax(np.isnan(u_ab))), 2 * n)
@@ -469,10 +493,8 @@ def _collect_strips(
         a_vals, b_vals = _libm_exp(np.minimum(u_a, u_b)), _libm_exp(np.maximum(u_a, u_b))
         # the return image must stay inside the rectangle's width: its
         # horizontal extent is the exit height, so early windings whose
-        # heights still exceed tau are skipped (strips accumulate downward);
-        # one linspace per candidate, since linspace changes its formula for
-        # a whole call when any of its steps is zero
-        s_chk = np.stack([np.linspace(a, b, 5) for a, b in zip(a_vals, b_vals)])
+        # heights still exceed tau are skipped (strips accumulate downward)
+        s_chk = _linspace_rows(a_vals, b_vals, 5)
         with np.errstate(under="ignore"):
             heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
         fits = ~np.any(heights > tau, axis=(1, 2))
@@ -566,12 +588,14 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     """
     if not family.strips:
         return []
+    # the heights of both side curves of every strip, (strips, 2, 33)
+    edges = np.array([[s.a_of_t[[0, -1]], s.b_of_t[[0, -1]]] for s in family.strips])
+    sides = _linspace_rows(edges[:, 0], edges[:, 1], 33).transpose(0, 2, 1)
     ts, ss = [], []
-    for strip in family.strips:
-        t_grid, a, b = strip.t_grid, strip.a_of_t, strip.b_of_t
-        edges = [0, len(t_grid) - 1]
-        ts.append(np.concatenate([t_grid, t_grid, np.repeat(t_grid[edges], 33)]))
-        ss.append(np.concatenate([a, b, np.linspace(a[edges], b[edges], 33, axis=1).ravel()]))
+    for strip, side in zip(family.strips, sides):
+        t_grid = strip.t_grid
+        ts.append(np.concatenate([t_grid, t_grid, np.repeat(t_grid[[0, -1]], 33)]))
+        ss.append(np.concatenate([strip.a_of_t, strip.b_of_t, side.ravel()]))
     starts = np.cumsum([0] + [len(t) for t in ts[:-1]])
     curve = _exit_values(np.concatenate(ts), np.log(np.concatenate(ss)), p)
     # the return map is (x, y) -> (y_w, -x_w) with the height reduced
@@ -619,14 +643,16 @@ def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.n
     dx, du = 0.0, 1.0
     steps = []
     with np.errstate(under="ignore", divide="ignore"):
-        for _ in range(depth + 1):
+        while True:
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
             (x, y_up), tangent = _return_step(x, np.log(y), p)
             dx, dy = tangent(dx, du)
             steps.append((-y_up, x, -dy))
+            # the last return starts no further one
+            if len(steps) > depth:
+                return steps
             y = wrap_pi(y_up)
             du = dy / y
-    return steps
 
 
 def find_multipulse(
@@ -699,8 +725,13 @@ def find_multipulse(
         cell = np.repeat(cells, counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)
         winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
-        lo, hi = np.sort([us[cell], us[cell + 1]], axis=0)
-        roots, _ = _solve(lambda u, live: angle(u, depth), target + TWO_PI * winding, lo, hi)
+        # a cell's ends in ascending u, with their values from the grid's own
+        # pass; every grid is monotone, so its two ends order all its cells
+        ends = np.stack([cell, cell + 1])
+        if us[-1] < us[0]:
+            ends = ends[::-1]
+        (lo, hi), (v_lo, v_hi) = us[ends], vals[ends]
+        roots, _ = _solve(lambda u, live: angle(u, depth), target + TWO_PI * winding, lo, hi, v_lo, v_hi)
         return roots[~np.isnan(roots)][: PULSE_POINTS * 4].tolist()
 
     n_grid = max(64, int((u_hi - u_lo) / (math.pi / (k.g_v * 48))) + 1)

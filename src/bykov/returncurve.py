@@ -222,7 +222,8 @@ class _ExitValues(NamedTuple):
 def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
     """The exit-curve formula: x_w and ln y_w with one sin and one cos of phi."""
     k = p.constants
-    u = np.asarray(u, dtype=float)
+    # a float (np.float64 included) stays a float: numpy's operations on a 0-d array cost several times more
+    u = u if isinstance(u, float) else np.asarray(u, dtype=float)
     phi = -k.g_v * u + t + k.c2
     sin = np.sin(phi)
     cos = np.cos(phi)

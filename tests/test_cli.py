@@ -14,6 +14,7 @@ import pytest
 from bykov import cli, flow, horseshoe
 from bykov.cli import build_parser, main
 from bykov.flow import SAMPLE_SPACING, sojourn_analysis
+from bykov.params import load_saddle_params
 
 README_FLOW = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme_flow.json"
 README_PARAMS = README_FLOW.with_name("readme_params.json")
@@ -323,7 +324,8 @@ def test_curve_out_of_memory_names_n_samples(target, n_samples, dense_config, tm
 @pytest.mark.parametrize("t", ["1e7", "562949953421311.0"])
 def test_curve_verify_at_large_t(t, tmp_path):
     # x_w grows like t, and the oracle agrees with it to an ulp: at t = 1e7
-    # that is 1.86e-9, past 1e-9, so the bound on x_w is 2 ulp of it there
+    # that is 1.86e-9, past 1e-9, and so is the bound on x_w, 16 * 2^-52 of
+    # the size of its terms (README)
     out = tmp_path / "out"
     argv = ["curve", "--config", str(DENSE_PARAMS), "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "50"]
     assert main([*argv, "--t", t, "--verify", "--out", str(out)]) == 0
@@ -351,6 +353,30 @@ def test_curve_refuses_rows_past_the_resolved_angle(s_min, code, tmp_path, capsy
         phi = [abs(float(line.split(",")[2])) for line in (out / "curve.csv").read_text().splitlines()[1:]]
         # the deepest row, s = 1e-20, has |phi| = 9.07e14
         assert 9e14 < max(phi) < 2.0**50
+
+
+@pytest.mark.parametrize("eps, s_min, s_max", [(0.5, "1e-20", "0.5"), (0.01, "1e-20", "0.01")])
+def test_curve_verify_at_large_g_v(eps, s_min, s_max, tmp_path):
+    # g_v = 2e13: the kernel and the composition oracle each round at the size
+    # of x_w's largest term, g_w delta_v |u|; at eps = 0.5 they part by 4 ulp
+    # of max(|x_w|, |phi|) at s = 2.52e-20, and at eps = 0.01, where c2 holds
+    # phi far below that term near the top, by up to 110 ulp of it
+    dense = json.loads(DENSE_PARAMS.read_text())
+    path = tmp_path / "steep.json"
+    steep = {**dense, "alpha_v": 1e13 * dense["alpha_v"], "alpha_w": 1e13 * dense["alpha_w"], "eps": eps}
+    path.write_text(json.dumps(steep))
+    out = tmp_path / "out"
+    argv = ["curve", "--config", str(path), "--s-min", s_min, "--s-max", s_max, "--n-samples", "400", "--verify"]
+    assert main([*argv, "--out", str(out)]) == 0
+    k = load_saddle_params(steep).constants
+    rows = [list(map(float, line.split(","))) for line in (out / "curve.csv").read_text().splitlines()[1:]]
+    # the manifest's worst miss is under 16 * 2^-52 of the largest W over the rows (README)
+    terms = max(
+        abs(k.g_w) * (k.delta_v * abs(math.log(s)) + abs(math.log(k.c1)) + abs(math.log(steep["a"])) + 1.0) + abs(phi)
+        for s, _, phi, *_ in rows
+    )
+    miss = json.loads((out / "curve_manifest.json").read_text())["diagnostics"]["oracle_x_w_miss"]
+    assert 1e-9 < miss <= 16.0 * 2.0**-52 * (terms + abs(k.c3) + math.pi)
 
 
 def test_reversals_verify(dense_config, tmp_path):
@@ -398,8 +424,8 @@ def test_strips_unbracketed_target_is_a_usage_error(tmp_path, capsys, monkeypatc
     # samples; candidate 1's b-boundary at t index 5 comes back unbracketed
     solve = horseshoe._solve
 
-    def losing_one(fn, targets, lo, hi):
-        roots, passes = solve(fn, targets, lo, hi)
+    def losing_one(*args):
+        roots, passes = solve(*args)
         roots[3 * 33 + 5] = math.nan
         return roots, passes
 
@@ -923,6 +949,12 @@ VERIFY_FAILURES = {
     "curve-oracle": (
         "dense_config", ["curve", "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "4"], "eta_log",
         lambda r: (r[0] + 1e-6, r[1]), "disagrees with the composition oracle",
+    ),
+    # the deepest row, where x_w's terms are largest on the dense config, moved by 1e-6
+    "curve-deep-row": (
+        "dense_config", ["curve", "--s-min", "1e-300", "--s-max", "0.5", "--n-samples", "2000"], "curve_arrays",
+        lambda r: (r[0], r[1] + np.where(np.arange(len(r[1])) == 0, 1e-6, 0.0), *r[2:]),
+        "curve row at s=1e-300 disagrees with the composition oracle",
     ),
     "curve-nan": (
         "dense_config", ["curve", "--s-min", "1e-3", "--s-max", "0.5", "--n-samples", "4"], "eta_log",

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -326,9 +327,9 @@ def test_build_strips_skips_pieces_too_high_for_tau(monkeypatch):
     assert p.constants.g_v == 100.0
     calls, solve = [], _solve
 
-    def counting(fn, targets, lo, hi):
+    def counting(fn, targets, *ends):
         calls.append(len(targets))
-        return solve(fn, targets, lo, hi)
+        return solve(fn, targets, *ends)
 
     monkeypatch.setattr(horseshoe, "_solve", counting)
     got = _family_bits(0.05, 5, p)
@@ -962,6 +963,12 @@ def test_build_strips_newton_passes(fixture, tau, request):
     assert (len(family), family.solver_passes) == (5, PINNED_PASSES[fixture, tau])
 
 
+def _solve_ends(fn, targets, lo, hi):
+    """_solve on the brackets [lo, hi], with the values at their ends taken from fn, as the search's callers hand them in."""
+    v_lo, v_hi = fn(np.stack([lo, hi]), slice(None))[0]
+    return _solve(fn, targets, lo, hi, v_lo, v_hi)
+
+
 def _boundary_slope(t, p):
     """The strip boundaries' fn for _solve: x_w and its slope x_u at (t[live], u)."""
 
@@ -998,7 +1005,7 @@ def _collect_strips_per_strip(tau, n_limit, p, case, piece, t_grid, endpoint_mar
         tgt_a, tgt_b = targets_for(winding)
         targets = np.concatenate([np.full(n, tgt_a), np.full(n, tgt_b)])
         lows, highs = np.concatenate([u_los, u_los]), np.concatenate([u_his, u_his])
-        u_ab, more = _solve(_boundary_slope(t_pair, p), targets, lows, highs)
+        u_ab, more = _solve_ends(_boundary_slope(t_pair, p), targets, lows, highs)
         passes += more
         if np.isnan(u_ab).any():
             raise RuntimeError("target not bracketed by the monotone interval")
@@ -1209,8 +1216,8 @@ def _level_brackets(fixture, p):
         calls, depths = [], []
         solve, chain = horseshoe._solve, horseshoe._return_chain
 
-        def recording(fn, targets, lo, hi):
-            out = solve(fn, targets, lo, hi)
+        def recording(fn, targets, lo, hi, v_lo, v_hi):
+            out = solve(fn, targets, lo, hi, v_lo, v_hi)
             calls.append((depths[-1], targets, lo, hi))
             return out
 
@@ -1276,7 +1283,7 @@ def test_solve_chain_roots_match_bisect(fixture, seed, cut, request):
         x_w, _, slope = _return_chain(u, depth, p)[-1]
         return x_w, slope
 
-    roots, _ = _solve(fn, targets, lo, hi)
+    roots, _ = _solve_ends(fn, targets, lo, hi)
     f_lo, f_hi = fn(np.stack([lo, hi]), None)[0] - targets
     straddles = np.isfinite(f_lo) & np.isfinite(f_hi) & ((f_lo < 0.0) != (f_hi < 0.0))
     assert np.all(np.isnan(roots[~straddles]))
@@ -1361,8 +1368,10 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
     # a pin, since a wrong slope still converges through the bracket's
     # midpoints, only in more passes; one halving per call made 284 chains,
     # the accumulation windows' march, edge solves and separate grids made
-    # 44, and one chain on all grids of a level made 29, where each grid the
-    # harvest reaches is now its own chain (two per level here)
+    # 44, and one chain on all grids of a level made 29; each grid the
+    # harvest reaches is its own chain (two per level here), and a solve
+    # whose bracket ends were chained again, not read from the grid's own
+    # pass, made 31
     calls = []
     chain = horseshoe._return_chain
 
@@ -1372,7 +1381,7 @@ def test_multipulse_batches_its_halvings(case1_params, monkeypatch):
 
     monkeypatch.setattr(horseshoe, "_return_chain", counted)
     assert len(find_multipulse(4, case1_params)) == 4
-    assert len(calls) == 31
+    assert len(calls) == 26
 
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
@@ -1495,7 +1504,7 @@ def test_solve_boundaries_matches_bisect(p, g_v, seed):
     x_lo, x_hi = _exit_values(t, np.stack([lo, hi]), p).x_w
     target = np.where(rng.random(n) < 0.125, np.maximum(x_lo, x_hi) + 1.0, target)
     lo = np.where(rng.random(n) < 0.0625, np.nan, lo)
-    got, _ = _solve(_boundary_slope(t, p), target, lo, hi)
+    got, _ = _solve_ends(_boundary_slope(t, p), target, lo, hi)
     want = _serial_bisect(lambda u: _exit_values(t, u, p).x_w, target, lo, hi)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     found = ~np.isnan(got)
@@ -1543,7 +1552,7 @@ def test_solve_finds_cubic_roots_in_their_brackets(n, seed, center, hole):
     """
     fn = _cubic(center, hole)
     target, lo, hi = _cubic_brackets(n, seed, center)
-    roots, passes = _solve(fn, target, lo, hi)
+    roots, passes = _solve_ends(fn, target, lo, hi)
     assert passes <= 60
     f_lo, f_hi = fn(np.stack([lo, hi]), None)[0] - target
     straddles = np.isfinite(f_lo) & np.isfinite(f_hi) & ((f_lo < 0.0) != (f_hi < 0.0))
@@ -1571,7 +1580,107 @@ def test_solve_stops_at_one_ulp(center):
     # |u| >= 512: a 1e-13 bracket holds no double inside it, and Newton
     # must stop there rather than spin; the pass count is pinned
     target, lo, hi = _cubic_brackets(400, 1, center)
-    roots, passes = _solve(_cubic(center, True), target, lo, hi)
+    roots, passes = _solve_ends(_cubic(center, True), target, lo, hi)
     assert (passes, np.count_nonzero(~np.isnan(roots))) == (9, 29)
 
 
+
+
+@st.composite
+def _linspace_ends(draw):
+    """(a, b) of shape (m, k): each entry a span, an empty span (a == b) or a subnormal one whose step is 0."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    a, b = np.empty((m, k)), np.empty((m, k))
+    for i, j in itertools.product(range(m), range(k)):
+        kind = draw(st.sampled_from(["span", "empty", "subnormal"]))
+        if kind == "subnormal":
+            # a few multiples of the least subnormal: (b - a) / (num - 1) underflows to 0
+            a[i, j] = draw(st.integers(-8, 8)) * 5e-324
+            b[i, j] = a[i, j] + draw(st.integers(1, 3)) * 5e-324
+        else:
+            a[i, j] = draw(st.floats(-1e6, 1e6))
+            b[i, j] = a[i, j] if kind == "empty" else draw(st.floats(-1e6, 1e6))
+    return a, b
+
+
+@given(ends=_linspace_ends(), num=st.sampled_from([5, 33]))
+@example(ends=(np.array([[0.1, 0.2], [5e-324, 0.3]]), np.array([[0.7, 0.9], [1e-323, 0.4]])), num=5)
+@example(ends=(np.array([[0.25], [0.1]]), np.array([[0.25], [0.3]])), num=33)
+def test_linspace_rows_is_stacked_linspace(ends, num):
+    """One pass over all rows gives the bits of one np.linspace per row, with linspace's zero-step rule row by row.
+
+    A row with an empty or subnormal span has a zero step, and linspace then
+    forms every point of that row another way; the examples mix such rows
+    with rows whose steps are not zero.
+    """
+    a, b = ends
+    want = np.stack([np.linspace(a_i, b_i, num) for a_i, b_i in zip(a, b)])
+    got = horseshoe._linspace_rows(a, b, num)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_jacobian_report_reads_the_jacobian_entries(fixture, request):
+    """The report at AC7's strip samples is the report of return_jacobian, field for field, and its det and trace are numpy's.
+
+    AC7 samples each of five strips at tau = 0.4 at its first, middle and
+    last t and a quarter, half and three quarters up; det and trace are
+    also formed test-side on return_jacobian's np.float64 entries.
+    """
+    p = request.getfixturevalue(fixture)
+    for strip in build_strips(0.4, 5, p).strips:
+        for i in (0, len(strip.t_grid) // 2, len(strip.t_grid) - 1):
+            t = float(strip.t_grid[i])
+            for frac in (0.25, 0.5, 0.75):
+                y = float(strip.a_of_t[i] + frac * (strip.b_of_t[i] - strip.a_of_t[i]))
+                jac = return_jacobian(t, y, p)
+                rep = jacobian_report(t, y, p)
+                assert rep == horseshoe._report(t, y, jac.tolist())
+                assert rep.det.hex() == float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]).hex()
+                assert rep.trace.hex() == float(jac[0, 0] + jac[1, 1]).hex()
+    # at the least subnormal height -x_u / y overflows, and the report is refused
+    with pytest.raises(ValueError, match="not finite at y=5e-324"):
+        jacobian_report(0.1, 5e-324, p)
+
+
+def _pulse_draws():
+    """The 90 seeded multi-pulse draws: fixtures case1/dense/rational in turn, n in {2, 3, 4}, x0 in [-pi, pi]."""
+    rng = random.Random(2030)
+    for i in range(90):
+        yield ("case1_params", "dense_params", "rational_params")[i % 3], rng.choice((2, 3, 4)), rng.uniform(-math.pi, math.pi)
+
+
+def test_multipulse_hands_solve_its_grid_values(request, monkeypatch):
+    """The bracket-end values that solve_level reads from its grid pass are a fresh chain's at those ends, bit for bit.
+
+    A grid that descends in u hands its cells' ends over swapped; on every
+    one of the 90 draws each _solve call is checked against _return_chain
+    run again, on lo and on hi, at the depth of the grid's pass.
+    """
+    calls, grids = [], []
+    solve, chain = horseshoe._solve, horseshoe._return_chain
+
+    def recording(fn, targets, lo, hi, v_lo, v_hi):
+        # the grid pass is the last chain before the solve
+        calls.append((*grids[-1], lo, hi, v_lo, v_hi))
+        return solve(fn, targets, lo, hi, v_lo, v_hi)
+
+    def chaining(u, depth, p):
+        grids.append((depth, u[-1] < u[0]))
+        return chain(u, depth, p)
+
+    monkeypatch.setattr(horseshoe, "_solve", recording)
+    monkeypatch.setattr(horseshoe, "_return_chain", chaining)
+    kinds = set()
+    for fixture, n, x0 in _pulse_draws():
+        p = request.getfixturevalue(fixture)
+        calls.clear()
+        find_multipulse(n, p, x0=x0)
+        for depth, descends, lo, hi, v_lo, v_hi in calls:
+            assert np.all(lo <= hi)
+            for u, v in ((lo, v_lo), (hi, v_hi)):
+                assert np.array_equal(chain(u, depth, p)[-1][0].view(np.int64), v.view(np.int64))
+            if len(lo):
+                kinds.add(bool(descends))
+    # grids that ascend and grids that descend both hand over brackets
+    assert kinds == {False, True}

@@ -890,3 +890,22 @@ def test_slope_step_x_u_matches_test_side_formula(fixture, request):
         ref = -(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / stretch_sq(phi, p.a))
         assert np.shape(x_u) == np.broadcast(*args).shape
         assert _hex(x_u) == _hex(ref)
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_exit_steps_keep_their_bits_for_every_form_of_u(fixture, request):
+    """The values step, the slope step and exit_curve give one set of bits for u as a float, np.float64, 0-d and 1-element array.
+
+    A float u stays a float through the kernel, where numpy's ufuncs run on
+    scalars, and an array keeps its shape, a 0-d one included; 1,001
+    heights from the top to s = 1e-300 at three t.
+    """
+    p = request.getfixturevalue(fixture)
+    for t in (0.0, 0.3, -2.5):
+        for u in np.linspace(math.log(p.eps), LN_FLOOR, 1001).tolist():
+            got = set()
+            for form in (u, np.float64(u), np.array(u), np.array([u])):
+                values, slope, curve = _exit_values(t, form, p), _exit_slope(t, form, p), exit_curve(t, form, p)
+                assert {np.shape(f) for f in (*values, slope.x_u, *curve)} == {np.shape(form)}
+                got.add(tuple(float(np.ravel(f)[0]).hex() for f in (*values, slope.x_u, slope.sc, *curve)))
+            assert len(got) == 1, (t, u)
