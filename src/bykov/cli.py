@@ -7,23 +7,28 @@ that one artifact and its manifest.  A ``.json`` artifact is the command's
 result object as it is, a result dataclass written as its fields in
 declaration order (``dataclasses.asdict``), with ``indent=2``, and echoed
 to stdout once it and the manifest are written; a ``.csv`` artifact is an
-iterator of rows, each formatted as it is written, and is not echoed.
-Every file is written to a temporary file that replaces the target only
-once complete.  Nothing is written or echoed unless the command and its
-checks succeed, so a failed ``--verify`` leaves no files.
+iterator of blocks of ``CSV_BLOCK`` rows, each block formatted column by
+column as it is written, and is not echoed.  Every file is written to a
+temporary file that replaces the target only once complete.  Nothing is
+written or echoed unless the command and its checks succeed, so a failed
+``--verify`` leaves no files.
 
 Exit codes: 0 success, 1 invariant violation under --verify, 2 usage or
 config error.  Data files carry no timestamps, so identical inputs produce
 byte-identical output; run metadata (including wall-clock) goes to the
 manifest instead.
+
+One parser serves every :func:`main` call of a process; a subcommand
+records the name of its loader, and ``_run`` looks up ``cmd_<command>``
+and that loader in this module when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -67,6 +72,9 @@ CURVE_HEADER = "s,t,phi,x_w,x_w_mod_2pi,y_w,dxw_ds"
 STRIPS_HEADER = "n,t,a_n,b_n"
 JACOBIAN_HEADER = "x,y,det,trace,class"
 TRAJ_HEADER = "t,x1,x2,x3,x4,r2"
+# rows formatted and written per block: two writes per block, and at most
+# one block of text in memory
+CSV_BLOCK = 1024
 
 
 class VerifyFailure(RuntimeError):
@@ -101,11 +109,27 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else str(value) if isinstance(value, int) else _fmt(value)
 
 
+def _cells(column):
+    """The text of a slice of a CSV column: a numpy array (always numeric) in one ``repr`` pass, else by :func:`_cell`.
+
+    ``repr`` of an element of ``astype(float).tolist()`` is what
+    :func:`_fmt` gives the element itself, np.int64 and np.bool_ included.
+    """
+    if isinstance(column, np.ndarray):
+        return map(repr, column.astype(float, copy=False).tolist())
+    return map(_cell, column)
+
+
 def _csv(header: str, *columns):
-    """Rows of a CSV artifact, lazily: strings and ints as they are, floats through :func:`_fmt`."""
+    """A CSV artifact, lazily: the header, then ``CSV_BLOCK`` rows at a time, joined by newlines.
+
+    The columns are sequences (numpy arrays, lists, tuples, ranges); as with
+    ``zip``, the shortest one ends the table.
+    """
     yield header
-    for row in zip(*columns):
-        yield ",".join(map(_cell, row))
+    for start in range(0, min(map(len, columns), default=0), CSV_BLOCK):
+        block = (_cells(column[start : start + CSV_BLOCK]) for column in columns)
+        yield "\n".join(map(",".join, zip(*block)))
 
 
 def cmd_classify(args, p):
@@ -328,12 +352,7 @@ def _traj_header(config) -> str:
 
 def cmd_simulate(args, config):
     series, diagnostics = _simulate(args, config)
-    # one row at a time, formatted as it is written: a nested list of the
-    # whole table, or its text, would add to the peak memory of the run
-    table = np.column_stack([series.times, series.states, series.r2()])
-    rows = itertools.chain(
-        [_traj_header(config)], (",".join(map(repr, row)) for row in map(np.ndarray.tolist, table))
-    )
+    rows = _csv(_traj_header(config), series.times, *series.states.T, series.r2())
     diagnostics["max_error_estimate"] = series.max_error_estimate
     diagnostics["failure"] = series.failure
     if config.dim == 4:
@@ -377,7 +396,7 @@ def cmd_sojourn(args, config):
 
 
 def _run(args) -> int:
-    """Run ``args.fn`` on the config ``args.load`` parses; write its artifact and manifest atomically, echo JSON."""
+    """Run ``cmd_<command>`` on the config its loader parses; write its artifact and manifest atomically, echo JSON."""
     started = time.monotonic()
     # nan passes no comparison, so it slips through every range check
     # written as one; inf would run a search or a horizon without end
@@ -389,7 +408,8 @@ def _run(args) -> int:
         raise ParameterError(f"--t must satisfy |t| < 2^50, got {args.t}")
     # read once, so that the manifest's digest is that of the bytes parsed
     raw = Path(args.config).read_bytes()
-    name, content, diagnostics = args.fn(args, args.load(json.loads(raw.decode("utf-8"))))
+    fn, load = globals()[f"cmd_{args.command}"], globals()[args.load]
+    name, content, diagnostics = fn(args, load(json.loads(raw.decode("utf-8"))))
     echo = name.endswith(".json")
     if echo:
         content = [json.dumps(content, indent=2, default=dataclasses.asdict)]
@@ -425,49 +445,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, load=load_saddle_params):
-        """A subcommand that runs ``fn`` on the config that ``load`` parses, with the options every command takes."""
+    def command(name, summary, load="load_saddle_params"):
+        """A subcommand that runs ``cmd_<name>`` on the config that the loader named ``load`` parses.
+
+        Both are looked up by name when a command runs, so one parser
+        serves a process in which either is replaced.
+        """
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=True, help="JSON parameter file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--verify", action="store_true", help="replay invariants, exit 1 on failure")
-        sp.set_defaults(fn=fn, load=load)
+        sp.set_defaults(load=load)
         return sp
 
-    command("classify", cmd_classify, "region classification of a parameter point")
+    command("classify", "region classification of a parameter point")
 
-    sp = command("curve", cmd_curve, "exit-curve samples as CSV")
+    sp = command("curve", "exit-curve samples as CSV")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--s-min", type=float, required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--n-samples", type=int, default=200)
 
-    sp = command("reversals", cmd_reversals, "turning points of the exit curve")
+    sp = command("reversals", "turning points of the exit curve")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--n-max", type=int, default=10**4)
 
-    sp = command("tangency", cmd_tangency, "nearest reversal and tangency-creating bump")
+    sp = command("tangency", "nearest reversal and tangency-creating bump")
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--n-max", type=int, default=10**4)
 
-    sp = command("strips", cmd_strips, "horizontal strip construction")
+    sp = command("strips", "horizontal strip construction")
     sp.add_argument("--tau", type=float, default=0.4)
     sp.add_argument("--n-limit", type=int, default=5)
 
-    sp = command("jacobian", cmd_jacobian, "return-map derivative sweep along y = 2^-k")
+    sp = command("jacobian", "return-map derivative sweep along y = 2^-k")
     sp.add_argument("--x", type=float, default=0.1)
     sp.add_argument("--k-min", type=int, default=4)
     sp.add_argument("--k-max", type=int, default=20)
 
-    sp = command("multipulse", cmd_multipulse, "n-pulse connection search")
+    sp = command("multipulse", "n-pulse connection search")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--s-min", type=float, default=None)
     sp.add_argument("--s-max", type=float, default=None)
 
-    def flow_run(name, fn, summary):
-        sp = command(name, fn, summary, load_model_config)
+    def flow_run(name, summary):
+        sp = command(name, summary, "load_model_config")
         sp.add_argument("--rtol", type=float, default=1e-10)
         sp.add_argument("--atol", type=float, default=1e-12)
         sp.add_argument(
@@ -476,17 +500,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--T", type=float, default=500.0)
         return sp
 
-    flow_run("simulate", cmd_simulate, "integrate the explicit vector field")
-    sp = flow_run("sojourn", cmd_sojourn, "dwell-time table and growth-ratio estimate")
+    flow_run("simulate", "integrate the explicit vector field")
+    sp = flow_run("sojourn", "dwell-time table and growth-ratio estimate")
     sp.add_argument("--radius", type=float, default=0.3)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built once."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalise other codes
         return int(exc.code) if exc.code else EXIT_OK

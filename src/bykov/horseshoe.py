@@ -71,6 +71,12 @@ UNIT_TOL = 1e-6
 SLACK = 1e-9
 # most n-pulse points a search returns
 PULSE_POINTS = 4
+# most seeds of an n-pulse search's level-0 grid, and most crossings that one
+# seed grid may bracket: each crossing takes a slot in every array of the
+# grid's solve, and a steep angle brackets far more than any root can be
+# told apart (at g_v = 2e13, 2.2e14 crossings on 1,024 seeds, about 8e9 per
+# ulp of u)
+GRID_LIMIT = 200_000
 
 
 class ResonanceError(ValueError):
@@ -677,7 +683,8 @@ def find_multipulse(
     from its far end back toward its start, are solved in one
     :func:`_solve` by safeguarded Newton on the chain's slope in u.  A level
     stops at the grid that brings it to 2 ``PULSE_POINTS`` roots; one without
-    crossings ends the search with an empty list, not an error.  Each
+    crossings ends the search with an empty list, not an error, and a grid
+    that brackets more than ``GRID_LIMIT`` crossings is refused.  Each
     point's trace and residual come from one more pass of the chain.
     """
     if n < 2:
@@ -721,7 +728,15 @@ def find_multipulse(
         v0, v1 = vals[cells], vals[cells + 1]
         k_lo = np.ceil((np.minimum(v0, v1) - target) / TWO_PI)
         k_hi = np.floor((np.maximum(v0, v1) - target) / TWO_PI)
-        counts = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(int)
+        counts = np.maximum(k_hi - k_lo + 1.0, 0.0)
+        # refused before the arrays of one slot per crossing are allocated
+        crossings = counts.sum()
+        if not crossings <= GRID_LIMIT:
+            raise ParameterError(
+                f"n={n}: at g_v={k.g_v!r} a seed grid of level {depth} brackets {crossings:,.0f} crossings,"
+                f" more than the {GRID_LIMIT:,} one grid may solve"
+            )
+        counts = counts.astype(int)
         cell = np.repeat(cells, counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)
         winding = np.repeat(k_lo, counts) + (np.arange(len(cell)) - first)
@@ -735,7 +750,7 @@ def find_multipulse(
         return roots[~np.isnan(roots)][: PULSE_POINTS * 4].tolist()
 
     n_grid = max(64, int((u_hi - u_lo) / (math.pi / (k.g_v * 48))) + 1)
-    level = [np.linspace(u_lo, u_hi, min(n_grid, 200_000))]
+    level = [np.linspace(u_lo, u_hi, min(n_grid, GRID_LIMIT))]
     for depth in range(n - 1):
         roots: list[float] = []
         for us in level:

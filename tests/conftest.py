@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,46 @@ from bykov.params import SaddleParams
 # same examples on every run, and no per-example wall-clock limit on a slow host
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+
+
+def _numpy_math_fingerprint() -> str:
+    """sha256 prefix of numpy's float64 log, exp, arctan2, sin and cos on a fixed probe.
+
+    numpy picks the kernels of these ufuncs by CPU at import (on x86-64,
+    AVX-512 or AVX2), and the kernels differ in the last bit of some
+    results; a bit pin of a result that passes through them holds for one
+    set of kernels.
+    """
+    grid = np.linspace(-3.0, 3.0, 257)
+    y, x = np.meshgrid(grid, 1.7 * grid + 0.01)
+    t = np.linspace(-700.0, 700.0, 4097)
+    results = (np.log(np.geomspace(1e-300, 1e300, 4097)), np.exp(t), np.arctan2(y, x), np.sin(t), np.cos(t))
+    return hashlib.sha256(b"".join(r.tobytes() for r in results)).hexdigest()[:16]
+
+
+NUMPY_MATH_FINGERPRINT = _numpy_math_fingerprint()
+# fingerprint -> the key of the bit pins that hold for that math; both were
+# taken with numpy 2.4.6 on x86-64, "avx2" under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+NUMPY_MATH = {
+    "851fb2c127ad326c": "avx512",
+    "8beac76999676b03": "avx2",
+}
+
+
+def math_pin(pin):
+    """``pin`` for this process's numpy math: a table keyed as ``NUMPY_MATH``'s values gives its entry."""
+    if not isinstance(pin, dict):
+        return pin
+    key = NUMPY_MATH.get(NUMPY_MATH_FINGERPRINT)
+    if key not in pin:
+        pytest.fail(f"no bit pin for numpy {np.__version__} with float64 math fingerprint {NUMPY_MATH_FINGERPRINT}")
+    return pin[key]
+
+
+def pytest_report_header(config):
+    key = NUMPY_MATH.get(NUMPY_MATH_FINGERPRINT, "unknown")
+    return f"numpy {np.__version__}, float64 math fingerprint {NUMPY_MATH_FINGERPRINT} ({key})"
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bykov import cli, flow, horseshoe
 from bykov.cli import build_parser, main
@@ -355,6 +358,25 @@ def test_curve_refuses_rows_past_the_resolved_angle(s_min, code, tmp_path, capsy
         assert 9e14 < max(phi) < 2.0**50
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_multipulse_refuses_a_grid_of_too_many_crossings(n, verify, tmp_path, capsys):
+    # at g_v = 2e13 the level-0 grid's 1,024 seeds bracket 2.2e14 crossings of
+    # the exit angle, whose arrays would take 1.58 PiB
+    dense = json.loads(DENSE_PARAMS.read_text())
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({**dense, "alpha_v": 1e13 * dense["alpha_v"], "alpha_w": 1e13 * dense["alpha_w"]}))
+    out = tmp_path / "out"
+    assert main(["multipulse", "--config", str(path), "--n", n, *verify, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n={n}: at g_v=20000000000000.0 a seed grid of level 0 brackets 222,995,330,580,718 crossings,"
+        " more than the 200,000 one grid may solve\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps, s_min, s_max", [(0.5, "1e-20", "0.5"), (0.01, "1e-20", "0.01")])
 def test_curve_verify_at_large_g_v(eps, s_min, s_max, tmp_path):
     # g_v = 2e13: the kernel and the composition oracle each round at the size
@@ -599,7 +621,7 @@ def test_simulate_unmeetable_tolerance_ends_on_underflow(verify, code, flow_conf
 
 
 def test_trajectory_rows_stream_into_a_temporary_file(flow_config, tmp_path, capsys, monkeypatch):
-    # the rows are written as they are formatted; a row that fails partway
+    # the blocks of rows are written as they are formatted; a failure partway
     # through leaves neither the artifact, its temporary file nor a manifest
     out = tmp_path / "out"
     seen = []
@@ -623,25 +645,111 @@ def test_trajectory_rows_stream_into_a_temporary_file(flow_config, tmp_path, cap
 
 
 def test_csv_cell_error_keeps_the_earlier_artifact(dense_config, tmp_path, capsys, monkeypatch):
+    # 2,500 rows are three blocks of the 7 columns; the third block's first
+    # column fails after two blocks went into the temporary file
     out = tmp_path / "out"
-    argv = ["curve", "--config", dense_config, "--s-min", "1e-6", "--s-max", "0.5", "--out", str(out)]
-    assert main(argv) == 0
+    argv = ["curve", "--config", dense_config, "--s-min", "1e-6", "--s-max", "0.5", "--n-samples", "2500"]
+    assert main([*argv, "--out", str(out)]) == 0
     before = {f.name: f.read_bytes() for f in out.iterdir()}
-    fmt = cli._fmt
-    cells = []
+    cells = cli._cells
+    seen = []
 
-    def failing(value):
-        cells.append(sorted(f.name for f in out.iterdir()))
-        if len(cells) > 300:
-            raise ValueError("cell 301 cannot be formatted")
-        return fmt(value)
+    def failing(column):
+        seen.append(sorted(f.name for f in out.iterdir()))
+        if len(seen) > 14:
+            raise ValueError("column slice 15 cannot be formatted")
+        return cells(column)
 
-    monkeypatch.setattr(cli, "_fmt", failing)
-    assert main(argv) == 2
-    assert capsys.readouterr().err.endswith("error: cell 301 cannot be formatted\n")
+    monkeypatch.setattr(cli, "_cells", failing)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: column slice 15 cannot be formatted\n")
     # the cells were formatted with the temporary file open beside the old artifact
-    assert len(cells) == 301 and len(cells[-1]) == 3
+    assert len(seen) == 15 and all(len(names) == 3 for names in seen)
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+# values where repr changes form (below 1e-4 and from 1e16 on), signed
+# zeros, non-finite and subnormal values
+CSV_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308, 2.2250738585072014e-308,
+    1e-4, math.nextafter(1e-4, 0.0), 1e-5, math.nextafter(1e-5, 1.0), 1e16, math.nextafter(1e16, 0.0), 0.1, -1.5,
+]
+CSV_COLUMNS = {
+    "float": lambda floats, ints, texts: floats,
+    "np.float64-list": lambda floats, ints, texts: [np.float64(v) for v in floats],
+    "float-array": lambda floats, ints, texts: np.array(floats),
+    "int": lambda floats, ints, texts: ints,
+    "numpy-int": lambda floats, ints, texts: np.array(ints, dtype=np.int64),
+    "numpy-bool": lambda floats, ints, texts: np.array(ints, dtype=np.int64) % 2 == 0,
+    "str": lambda floats, ints, texts: texts,
+}
+
+
+def _tiled(pool, rows):
+    return [pool[i % len(pool)] for i in range(rows)]
+
+
+@given(
+    kinds=st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=4),
+    rows=st.sampled_from([0, 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1]),
+    floats=st.lists(st.one_of(st.sampled_from(CSV_FLOATS), st.floats()), min_size=1, max_size=8),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    texts=st.lists(st.text(st.characters(exclude_characters="\n"), max_size=4), min_size=1, max_size=8),
+)
+def test_csv_blocks_are_the_rows_cell_by_cell(kinds, rows, floats, ints, texts):
+    """_csv's blocks, split at their newlines, are the rows that _cell formats cell by cell."""
+    floats, ints, texts = (_tiled(pool, rows) for pool in (floats, ints, texts))
+    columns = [CSV_COLUMNS[kind](floats, ints, texts) for kind in kinds]
+    rows_by_cell = ["h", *(",".join(map(cli._cell, row)) for row in zip(*columns))]
+    blocks = list(cli._csv("h", *columns))
+    # compared as lists of lines, which pytest reports by the first row that differs
+    assert "\n".join(blocks).split("\n") == rows_by_cell
+    assert len(blocks) == 1 + -(-rows // cli.CSV_BLOCK)
+
+
+def test_main_builds_the_parser_once(case1_config, tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    # a cache of its own, so the process's parser neither serves nor keeps this one
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    for k in range(2):
+        assert main(["classify", "--config", case1_config, "--out", str(tmp_path / f"out{k}")]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "command, loader, loaded, config, options",
+    [
+        ("classify", "load_saddle_params", "SaddleParams", "case1_config", []),
+        ("simulate", "load_model_config", "ModelConfig", "flow_config", ["--T", "5"]),
+    ],
+)
+def test_a_replaced_command_and_loader_run(command, loader, loaded, config, options, request, tmp_path, monkeypatch):
+    # the parser is built before the replacements, and runs them
+    argv = [command, "--config", request.getfixturevalue(config), *options]
+    assert main([*argv, "--out", str(tmp_path / "before")]) == 0
+    load = getattr(cli, loader)
+    calls = []
+
+    def replaced_loader(doc):
+        calls.append(loader)
+        return load(doc)
+
+    def replaced_command(args, p):
+        calls.append(command)
+        return "replaced.json", {"loaded": type(p).__name__}, {}
+
+    monkeypatch.setattr(cli, loader, replaced_loader)
+    monkeypatch.setattr(cli, f"cmd_{command}", replaced_command)
+    out = tmp_path / "after"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert calls == [loader, command]
+    assert json.loads((out / "replaced.json").read_text()) == {"loaded": loaded}
 
 
 def _strict_json(text):

@@ -58,7 +58,7 @@ from bykov.returncurve import (
     turning_function,
     wrap_pi,
 )
-from conftest import admissible_params
+from conftest import admissible_params, math_pin
 
 TWO_PI = 2.0 * math.pi
 
@@ -499,7 +499,12 @@ def test_strips_case4_boundary():
     assert family.case == "IV"
     assert len(family) == 2
     got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
-    assert got.hexdigest() == "198acd68212ada8f24b4d618f52afc3f84cbfc52b06cd4d8a910a4584a5aab79"
+    assert got.hexdigest() == math_pin(
+        {
+            "avx512": "198acd68212ada8f24b4d618f52afc3f84cbfc52b06cd4d8a910a4584a5aab79",
+            "avx2": "c3579ab57010c596024a477321f0d36b7ba7c344cc9ab11343cced4cf578e7b5",
+        }
+    )
     assert strip_family_violations(family, p) == []
     report = strip_image_report(family, p)
     assert all(r["spans_vertically"] and r["within_width"] for r in report)
@@ -678,10 +683,17 @@ CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 # (config, x, deepest accepted k) -> sha256 of the float.hex entries of
 # return_jacobian at y = 2^-k, k = 4..k_max, one row per height; a change
-# in the order of the chain rule's operations shows here
+# in the order of the chain rule's operations shows here; a digest that
+# numpy's float64 math moves is a table keyed as conftest.NUMPY_MATH's values
 JACOBIAN_BITS = {
-    ("dense_params.json", 0.0, 1021): "fd4102368d7a2387f783564c983574f00a44f0979ff240fc87a166df72692f10",
-    ("readme_params.json", 0.1, 1023): "56e704ba59d7b2b7c49e2205f4bf15c91d935f9bb590aef8fefab69f17778fe8",
+    ("dense_params.json", 0.0, 1021): {
+        "avx512": "fd4102368d7a2387f783564c983574f00a44f0979ff240fc87a166df72692f10",
+        "avx2": "a4c6b11c0b2350fea8a0ea6ca5ea05b91effa62d6d6145436a5502aee4df430a",
+    },
+    ("readme_params.json", 0.1, 1023): {
+        "avx512": "56e704ba59d7b2b7c49e2205f4bf15c91d935f9bb590aef8fefab69f17778fe8",
+        "avx2": "17cd90f71dd4d18976cee95e2868e6d979bda1bffd05234ba93855a6021bc3b8",
+    },
 }
 
 
@@ -690,7 +702,7 @@ def test_jacobian_bits(config, x, k_max):
     p = load_saddle_params(json.loads((CONFIGS / config).read_text()))
     jacs = [return_jacobian(x, 2.0**-k, p) for k in range(4, k_max + 1)]
     rows = "\n".join(" ".join(v.hex() for v in jac.ravel().tolist()) for jac in jacs)
-    assert hashlib.sha256(rows.encode()).hexdigest() == JACOBIAN_BITS[(config, x, k_max)]
+    assert hashlib.sha256(rows.encode()).hexdigest() == math_pin(JACOBIAN_BITS[(config, x, k_max)])
 
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params"])
@@ -864,7 +876,8 @@ def _pulse_digest(points) -> str:
 # re-pinned once more when one outward seed grid per root replaced the
 # accumulation windows: three points of case1-n3 and one of rational-n4-x0
 # moved by one ulp of u, and the last point of case1-n4 went from
-# u = -1.2660977126 to u = -1.2643348469 (replay residual 1.7e-13)
+# u = -1.2660977126 to u = -1.2643348469 (replay residual 1.7e-13);
+# a digest that numpy's float64 math moves is a table keyed as conftest.NUMPY_MATH's values
 PINNED_PULSES = {
     "case1-n2": (
         "case1_params", 2, {},
@@ -888,20 +901,26 @@ PINNED_PULSES = {
     ),
     "dense-n3": (
         "dense_params", 3, {},
-        (4, "a01200433fa183975da574720c05a489cdb562505a1ba0a41e35b87283984b9b"),
+        {
+            "avx512": (4, "a01200433fa183975da574720c05a489cdb562505a1ba0a41e35b87283984b9b"),
+            "avx2": (4, "5bbfabf264ee32614dff579fdd96c09b6a8358eb8202a4f60b00d14260708df6"),
+        },
     ),
     "rational-n4-x0": (
         "rational_params", 4, {"x0": 0.3},
-        (4, "da97f8a1eae8a8d27c66c70a1e8c2265ecad368d9fb062b2ef1776179e5d7730"),
+        {
+            "avx512": (4, "da97f8a1eae8a8d27c66c70a1e8c2265ecad368d9fb062b2ef1776179e5d7730"),
+            "avx2": (4, "af4303132b003417aecf3d3f6e4b5b35d8f85808d74a8f1dd52d2f241769bda8"),
+        },
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_PULSES))
 def test_multipulse_bit_for_bit(name, request):
-    fixture, n, kwargs, (count, digest) = PINNED_PULSES[name]
+    fixture, n, kwargs, pin = PINNED_PULSES[name]
     points = find_multipulse(n, request.getfixturevalue(fixture), **kwargs)
-    assert (len(points), _pulse_digest(points)) == (count, digest)
+    assert (len(points), _pulse_digest(points)) == math_pin(pin)
 
 
 @pytest.mark.parametrize("name", ["case1-n4", "dense-n3", "rational-n4-x0"])
@@ -919,17 +938,36 @@ def test_multipulse_points_are_resolved_in_u(name, request):
 
 # sha256 of a_of_t + b_of_t over all strips of build_strips(tau, 5, p); the
 # case1 digests moved (by at most 1.1e-14 in u) when Case I became one piece
-# bracketed by the s-underflow floor and the top
+# bracketed by the s-underflow floor and the top;
+# a digest that numpy's float64 math moves is a table keyed as conftest.NUMPY_MATH's values
 PINNED_STRIPS = {
-    ("case1_params", 0.05): "c845af5a3c9583c81983319cde22b5053d211b67fe3d8e4eca572a6d8ebd03a6",
-    ("case1_params", 0.25): "0a3009ffe95627184c278585f4132576232b550714a838cae28f2e449ea9f1d0",
-    ("case1_params", 0.4): "839d6b9ca4b44c7eec64c9a4d54759336e421c5e45ffbd056c8076d9bd199f88",
+    ("case1_params", 0.05): {
+        "avx512": "c845af5a3c9583c81983319cde22b5053d211b67fe3d8e4eca572a6d8ebd03a6",
+        "avx2": "a7b8030a1d145b6b01027a817b2d660b6eb9ed7256e953587ec891ee9bd101d1",
+    },
+    ("case1_params", 0.25): {
+        "avx512": "0a3009ffe95627184c278585f4132576232b550714a838cae28f2e449ea9f1d0",
+        "avx2": "e75f447e75f2ded3abf02c23534338f7e32de26b8c4b09b326579aa8e949198f",
+    },
+    ("case1_params", 0.4): {
+        "avx512": "839d6b9ca4b44c7eec64c9a4d54759336e421c5e45ffbd056c8076d9bd199f88",
+        "avx2": "c587bf25e746b686d5d1a290ad2a8acce41678b084fe65286e93d45cae68a1a3",
+    },
     ("dense_params", 0.05): "f3069d41115f154ed103d457e8c81540a65dd4b7355d8ae38c93e3f5e6c5df15",
     ("dense_params", 0.25): "d1c7d239b21932669b1623073a84ba07e5b155d29d2927263285941016152a39",
-    ("dense_params", 0.4): "1cc9fed1ecc34581424ea89400a1100afb74a9a01e01b313f3c1e396b4f845da",
+    ("dense_params", 0.4): {
+        "avx512": "1cc9fed1ecc34581424ea89400a1100afb74a9a01e01b313f3c1e396b4f845da",
+        "avx2": "b328211fad8e87f6aa614fc5519728f0fb05721ac237e3d3b70fe3be6d609af6",
+    },
     ("rational_params", 0.05): "79d4cc24716c0bf0bf52e9e080a1f3bc85ef20fd97fffdd6b3a2b64acfec2415",
-    ("rational_params", 0.25): "8a68e0a8a7c0ef61502e40ef32c9f6bdcc5b0ef605df99337103308cee63ba6c",
-    ("rational_params", 0.4): "c859cd792846a26193fea17ef44eea46497fce17af8ba47e59427f391e7bb363",
+    ("rational_params", 0.25): {
+        "avx512": "8a68e0a8a7c0ef61502e40ef32c9f6bdcc5b0ef605df99337103308cee63ba6c",
+        "avx2": "d1b0c1e78d49b741bdeb4819e3c6c4d8690ef00d1381facd5bcd34b59d00bea1",
+    },
+    ("rational_params", 0.4): {
+        "avx512": "c859cd792846a26193fea17ef44eea46497fce17af8ba47e59427f391e7bb363",
+        "avx2": "b05b6f0b002322061b24e480e32ba4703a57c1efa01cbbe8e23831795100d9a0",
+    },
 }
 
 
@@ -938,7 +976,7 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     family = build_strips(tau, 5, request.getfixturevalue(fixture))
     assert len(family) == 5
     got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
-    assert got.hexdigest() == PINNED_STRIPS[fixture, tau]
+    assert got.hexdigest() == math_pin(PINNED_STRIPS[fixture, tau])
 
 
 # Newton passes of build_strips(tau, 5, p): a count, since a wrong slope

@@ -41,7 +41,7 @@ from bykov.returncurve import (
     turning_function,
     wrap_pi,
 )
-from conftest import admissible_params, random_admissible
+from conftest import admissible_params, math_pin, random_admissible
 
 TWO_PI = 2.0 * math.pi
 
@@ -584,30 +584,70 @@ def _sequence_digest(*seqs) -> str:
 
 # (point, t, n_max, digest of reversal_sequence and reversal_angle_set): the
 # dense fixture over a t x n_max grid, the rational and near-maximum
-# fixtures and the five interior draws
+# fixtures and the five interior draws;
+# a digest that numpy's float64 math moves is a table keyed as conftest.NUMPY_MATH's values
 PINNED_SEQUENCES = [
     ("dense", 0.0, 1, "ccea1a923cca47411832d31f20335aec6a4ff5f62bd80a3a7f5976502b45872f"),
     ("dense", 0.0, 2, "4558311d73f3c6d1594c7f33c30a4cb3898007b35eb35698c264dda43ca68a7f"),
     ("dense", 0.0, 3, "317324c205a71f524b37b9baf703f068d11ffa1bb8a5750f78194e7a37e247c7"),
-    ("dense", 0.0, 1000, "61c70a1798c596b189c0f179f5586150f372a6fd21439ac7919379d78e7b92f1"),
-    ("dense", 0.0, 10000, "67b9f054847086475829a5376a43e1c008fe52752855c98ff543acdd949c9298"),
+    ("dense", 0.0, 1000, {
+        "avx512": "61c70a1798c596b189c0f179f5586150f372a6fd21439ac7919379d78e7b92f1",
+        "avx2": "6a91f0f9d0c29bc5d2a6226f6ded2be3cafda20b652cfb76cbcbc6fe9e8c2026",
+    }),
+    ("dense", 0.0, 10000, {
+        "avx512": "67b9f054847086475829a5376a43e1c008fe52752855c98ff543acdd949c9298",
+        "avx2": "ddf7daec2eec85a580f04d999882ae54f244339e56cd972e69e35288a010c450",
+    }),
     ("dense", 0.3, 1, "cf364b3134f6b7ad27e311e313fce1709f76373340a71c480e6f9ee26b2d97f5"),
     ("dense", 0.3, 2, "5a845e2e5be76fe77443534a374c9baf79d255edb03e3beb5411c5ac5f7f8389"),
     ("dense", 0.3, 3, "b5fa892a47f27218fc93b26efc6976651cab137da2f9b7a878b50b8334a2ae4e"),
-    ("dense", 0.3, 1000, "a1bfe7e019f4fd9a4a9688617444649d961f9609f37c0b40f866f48716c2f800"),
-    ("dense", 0.3, 10000, "f47d01ebe62abbbfda15911c5f51108192b1fe5c11f48e56d77e03f2d1c6807b"),
+    ("dense", 0.3, 1000, {
+        "avx512": "a1bfe7e019f4fd9a4a9688617444649d961f9609f37c0b40f866f48716c2f800",
+        "avx2": "be9279c2ab2388d940ba7633013e797a2c68e5aa5c9a6358a58a41fff818d449",
+    }),
+    ("dense", 0.3, 10000, {
+        "avx512": "f47d01ebe62abbbfda15911c5f51108192b1fe5c11f48e56d77e03f2d1c6807b",
+        "avx2": "c9c91dbf834e555cea45bce8e9df6330b450b6ab6c4ee846373f6486bf00f59f",
+    }),
     ("dense", -1.0, 1, "6a855bb182bf9da3044c05a3c3c3b84da0d4baa362d9d6cc670697e073b06dcb"),
     ("dense", -1.0, 2, "3c6f9ad0d7f9a554c118fcd8ab5bb26ccb948181ea247c299deee0f2cb9fef74"),
     ("dense", -1.0, 3, "40d199666395a23e628813fdfee116a968c5e8d56e847fbd429d92f22208aa29"),
-    ("dense", -1.0, 1000, "02cd44869bfed82f2c39b5a1e82f54e3f7b64d7827308091b0c2732fea40e535"),
-    ("dense", -1.0, 10000, "55828bbd5e8fffa4f87f9bea0ad66bb58cd6efa4cb82ccbabbe3fa120ef70045"),
-    ("rational", 0.0, 1000, "46b89af1ade37e5dbf498972e629a85022cdb1c6de29f86d747fdc175185f711"),
-    ("near-max", 0.0, 1000, "3d939e345bb365406931debdc0348c7eb2bc5d36e52c4cb37413eb9ced00b403"),
-    ("draw0", 0.3, 3000, "25a41da2c0be1ab268414c83f31615520fd32f25413da461f46555827bb3b91b"),
-    ("draw1", 0.3, 3000, "48ff03eae7c5c9b9efd928f5b0dba491eda1e3eae5b0b8dd190c123dd14c25cd"),
-    ("draw2", 0.3, 3000, "649321a387b3f743350cb934ff72636af01f9bde15b03b970e161d820462876d"),
-    ("draw3", 0.3, 3000, "d5271465b79729ca415349b9b29797f24842dc4497a448de4e2915c59322f82a"),
-    ("draw4", 0.3, 3000, "9e844f5bd9a742fa09d54ea2a13f921177a3dd72f3af8c2720f0e8bf11911f83"),
+    ("dense", -1.0, 1000, {
+        "avx512": "02cd44869bfed82f2c39b5a1e82f54e3f7b64d7827308091b0c2732fea40e535",
+        "avx2": "880bf06a5b1d88210c7f772af41f1e68b6db2508535845eed2382758281b3291",
+    }),
+    ("dense", -1.0, 10000, {
+        "avx512": "55828bbd5e8fffa4f87f9bea0ad66bb58cd6efa4cb82ccbabbe3fa120ef70045",
+        "avx2": "ed8fe605c1f326283a86260314cddd179a704705a65d9d04982894efc7b6721d",
+    }),
+    ("rational", 0.0, 1000, {
+        "avx512": "46b89af1ade37e5dbf498972e629a85022cdb1c6de29f86d747fdc175185f711",
+        "avx2": "a4229fe3df79ac2a0afccb6a9671f619f42b3feac1b9c85be924e1cd9407b261",
+    }),
+    ("near-max", 0.0, 1000, {
+        "avx512": "3d939e345bb365406931debdc0348c7eb2bc5d36e52c4cb37413eb9ced00b403",
+        "avx2": "1699925bdfce4a6999af94776dcf6e07a1c98e90131050f2048bfd7bba2fdd31",
+    }),
+    ("draw0", 0.3, 3000, {
+        "avx512": "25a41da2c0be1ab268414c83f31615520fd32f25413da461f46555827bb3b91b",
+        "avx2": "2a6e1b2ae4df340e516381cbbe700857c4638d77039a1f36750470aef94e658a",
+    }),
+    ("draw1", 0.3, 3000, {
+        "avx512": "48ff03eae7c5c9b9efd928f5b0dba491eda1e3eae5b0b8dd190c123dd14c25cd",
+        "avx2": "8ec03b7ef14bedc48dffc1010473d985575eef29f5f780ce28b875f7a8518e8c",
+    }),
+    ("draw2", 0.3, 3000, {
+        "avx512": "649321a387b3f743350cb934ff72636af01f9bde15b03b970e161d820462876d",
+        "avx2": "7934a6dc2d0797a6ef7f8697149115ecadc535b2a27b81cbc8d17b68df7684cb",
+    }),
+    ("draw3", 0.3, 3000, {
+        "avx512": "d5271465b79729ca415349b9b29797f24842dc4497a448de4e2915c59322f82a",
+        "avx2": "9cf39a6044b0efce8206bcfb3a06e342ccd7ac3080adf6f9476ccaf4ec392749",
+    }),
+    ("draw4", 0.3, 3000, {
+        "avx512": "9e844f5bd9a742fa09d54ea2a13f921177a3dd72f3af8c2720f0e8bf11911f83",
+        "avx2": "210820cdd15811c190b9b1de0b5f9573e6808d13679fd8bf0a15eb5846cfaeeb",
+    }),
 ]
 
 
@@ -618,7 +658,7 @@ def test_reversal_sequence_bit_for_bit(dense_params, rational_params, near_max_p
     for name, t, n_max, _ in PINNED_SEQUENCES:
         p = points[name]
         got.append((name, t, n_max, _sequence_digest(reversal_sequence(t, n_max, p), reversal_angle_set(t, n_max, p))))
-    assert got == PINNED_SEQUENCES
+    assert got == [(name, t, n_max, math_pin(pin)) for name, t, n_max, pin in PINNED_SEQUENCES]
 
 
 def test_reversal_sequence_work_ends_at_underflow(dense_params):
@@ -628,10 +668,17 @@ def test_reversal_sequence_work_ends_at_underflow(dense_params):
 
 
 # (fixture, digest of reversal_sequence(0.3, 10**9) and reversal_angle_set(0.3,
-# 300_000), strip windings of build_strips(0.3, 3)) at alpha_v and alpha_w x150
+# 300_000), strip windings of build_strips(0.3, 3)) at alpha_v and alpha_w x150;
+# a digest that numpy's float64 math moves is a table keyed as conftest.NUMPY_MATH's values
 PINNED_DEEP_WALKS = [
-    ("dense", "c6864785931a3e91d971dbd191cdee1799860271e6f65322e04dfbe95c4905a3", [-22, -23, -24]),
-    ("rational", "f2102ddee966a4b66686347bb1dca9e3194700c225e8587957ac0e006d255bfd", [-23, -24, -25]),
+    ("dense", {
+        "avx512": "c6864785931a3e91d971dbd191cdee1799860271e6f65322e04dfbe95c4905a3",
+        "avx2": "873bc6bee4a3115c30aa3fa09f20ed41a85d9e9e3f238e3e3d893deff55f551d",
+    }, [-22, -23, -24]),
+    ("rational", {
+        "avx512": "f2102ddee966a4b66686347bb1dca9e3194700c225e8587957ac0e006d255bfd",
+        "avx2": "70f3d4fbc5fc55c56df7461b315a90d3e683e3b3f3688ff0f42029039189c6d9",
+    }, [-23, -24, -25]),
 ]
 
 
@@ -650,7 +697,7 @@ def test_lattice_walk_across_blocks_bit_for_bit(dense_params, rational_params):
         assert len(seq) == 131_796
         digest = _sequence_digest(seq, reversal_angle_set(0.3, 300_000, deep))
         got.append((name, digest, [strip.winding for strip in build_strips(0.3, 3, deep).strips]))
-    assert got == PINNED_DEEP_WALKS
+    assert got == [(name, math_pin(pin), windings) for name, pin, windings in PINNED_DEEP_WALKS]
 
 
 @given(p=admissible_params, t=st.floats(-TWO_PI, TWO_PI))
