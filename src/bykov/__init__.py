@@ -15,13 +15,3 @@ one-dimensional connection.  It provides:
 """
 
 __version__ = "0.1.0"
-
-from .params import (  # noqa: F401
-    SaddleParams,
-    DerivedConstants,
-    Region,
-    derive_constants,
-    classify_region,
-    is_gamma_rational,
-    load_saddle_params,
-)

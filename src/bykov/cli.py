@@ -52,17 +52,16 @@ from .flow import (
     sphere_residual,
 )
 from .horseshoe import (
-    _report,
     build_strips,
     find_multipulse,
-    return_jacobian,
+    jacobian_report,
     strip_boundary_residual,
     strip_family_violations,
     strip_image_report,
 )
 from .oracles import OUT_W, WallPoint, eta_log, psi_wv, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import ParameterError, classify_region, load_saddle_params
-from .returncurve import _exit_slope, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
+from .returncurve import _exit_bend, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -205,8 +204,10 @@ def cmd_reversals(args, p):
         period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / p.constants.g_v)
         if not np.all(period_miss <= 1e-10):
             raise VerifyFailure("period ln s_{n+2} - ln s_n = -pi/g_v violated")
-        x_u = np.abs(_exit_slope(args.t, log_s, p).x_u)
-        bad = np.flatnonzero(~(x_u <= 1e-8))
+        slope, x_uu = _exit_bend(args.t, log_s, p)
+        x_u = np.abs(slope.x_u)
+        # a reversal placed to within an ulp of u leaves x_u up to |x_uu| ulp(u); c = 16 (README)
+        bad = np.flatnonzero(~(x_u <= np.maximum(1e-8, 16.0 * np.abs(x_uu) * np.spacing(np.abs(log_s)))))
         if bad.size:
             raise VerifyFailure(f"nonzero turning derivative at reversal {bad[0]}")
         diagnostics["period_miss"] = float(np.max(period_miss, initial=0.0))
@@ -271,7 +272,7 @@ def cmd_jacobian(args, p):
         if y > p.eps:
             continue
         try:
-            jac = return_jacobian(args.x, y, p)
+            rep = jacobian_report(args.x, y, p)
         except ValueError as exc:
             raise ParameterError(f"k_max={args.k_max} is too deep at k={kk}: {exc}") from exc
         if args.verify:
@@ -282,11 +283,10 @@ def cmd_jacobian(args, p):
             scale = max(abs(float(fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0])), abs(float(np.trace(fd))), 1.0)
             if not gap <= 1e-4 * scale:
                 raise VerifyFailure(f"finite-difference stencil not converged at y={y}: gap {gap}")
-            miss = float(np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd))))
+            miss = float(np.max(np.abs(np.array(rep.jacobian) - fd)) / max(1.0, np.max(np.abs(fd))))
             if not miss <= 1e-5:
                 raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
             worst_miss = max(worst_miss, miss)
-        rep = _report(args.x, y, jac.tolist())
         reports.append((rep.x, rep.y, rep.det, rep.trace, rep.eigen_class))
     rows = _csv(JACOBIAN_HEADER, *zip(*reports))
     diagnostics: dict = {"count": len(reports)}

@@ -69,6 +69,12 @@ __all__ = [
 UNIT_TOL = 1e-6
 # least distance of a strip target from the exit angle at a piece end
 SLACK = 1e-9
+# most candidates of one strip family whose return image is too wide for
+# tau: a steep angle puts more windings above the heights that fit than can
+# be walked (at g_v = 2e13 every candidate fails, about 28,000 a second on a
+# 2-CPU x86-64 host); the largest family built in the tests, at g_v = 1e4,
+# solves 10,427 candidates for its 5 strips
+STRIP_MISSES = 100_000
 # most n-pulse points a search returns
 PULSE_POINTS = 4
 # most seeds of an n-pulse search's level-0 grid, and most crossings that one
@@ -123,10 +129,11 @@ def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Determinant, trace and eigenvalue class of the return-map Jacobian at a point."""
+    """The return-map Jacobian at a point, as rows of floats, with its determinant, trace and eigenvalue class."""
 
     x: float
     y: float
+    jacobian: tuple[tuple[float, float], tuple[float, float]]
     det: float
     trace: float
     eigen_class: str
@@ -162,17 +169,12 @@ def _eigen_class(m1: float, m2: float) -> str:
     return "saddle"
 
 
-def _report(x: float, y: float, jac) -> JacobianReport:
-    """Determinant, trace and eigenvalue class of the Jacobian at (x, y) from its rows jac of floats."""
-    (j00, j01), (j10, j11) = jac
+def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
+    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian, with the rows it classified."""
+    jac = (j00, j01), (j10, j11) = _jacobian_rows(x, y, p)
     det = j00 * j11 - j01 * j10
     trace = j00 + j11
-    return JacobianReport(x=x, y=y, det=det, trace=trace, eigen_class=_eigen_class(*_eigen_moduli(trace, det)))
-
-
-def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
-    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian."""
-    return _report(x, y, _jacobian_rows(x, y, p))
+    return JacobianReport(x, y, jac, det, trace, _eigen_class(*_eigen_moduli(trace, det)))
 
 
 def _libm_exp(u) -> np.ndarray:
@@ -337,7 +339,8 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
     :func:`strip_family_violations`.  A family may hold fewer than
     ``n_limit`` strips: the pieces stop at the s-underflow floor, and when
     the first piece's exit-angle window common to all t cannot hold tau
-    and both margins, no piece's can.
+    and both margins, no piece's can.  A family whose candidates fail the
+    height check more than ``STRIP_MISSES`` times is refused.
     """
     if n_limit < 1:
         raise ParameterError(f"n_limit must be >= 1, got {n_limit}")
@@ -410,7 +413,9 @@ def _collect_strips(
 
     A candidate becomes a strip when its 5-point height check keeps the
     return image within tau; a boundary target that its bracket does not
-    straddle raises a ValueError naming tau, the winding and t.  The candidates
+    straddle raises a ValueError naming tau, the winding and t, and more than
+    ``STRIP_MISSES`` failed height checks a ParameterError naming tau, g_v
+    and their count.  The candidates
     are solved in batches, all boundaries in one :func:`_solve` call on the
     kernel's exact slope x_u: ``grow`` times as many as strips are still
     missing, where ``grow`` starts at 1 and doubles, up to 64, after each
@@ -471,9 +476,14 @@ def _collect_strips(
                     yield w, u_los, u_his
 
     strips: list[Strip] = []
-    passes, grow = 0, 1
+    passes, grow, misses = 0, 1, 0
     stream = candidates()
     while len(strips) < n_limit:
+        if misses > STRIP_MISSES:
+            raise ParameterError(
+                f"tau={tau}: at g_v={k.g_v!r} the return images of {misses:,} candidate strips were wider than tau,"
+                f" more than the {STRIP_MISSES:,} one family may try; {len(strips)} of {n_limit} strips fit"
+            )
         batch = list(islice(stream, grow * (n_limit - len(strips))))
         if not batch:
             break
@@ -501,14 +511,14 @@ def _collect_strips(
         # horizontal extent is the exit height, so early windings whose
         # heights still exceed tau are skipped (strips accumulate downward)
         s_chk = _linspace_rows(a_vals, b_vals, 5)
-        with np.errstate(under="ignore"):
-            heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
+        heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
         fits = ~np.any(heights > tau, axis=(1, 2))
         for c in np.flatnonzero(fits)[: n_limit - len(strips)].tolist():
             strips.append(
                 Strip(index=len(strips), winding=windings[c], t_grid=t_grid.copy(), a_of_t=a_vals[c], b_of_t=b_vals[c])
             )
         if not fits.all():
+            misses += m - int(np.count_nonzero(fits))
             # the next batch is larger while candidates fail, up to 64 per missing strip
             grow = min(2 * grow, 64)
     return strips, passes
@@ -605,8 +615,7 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     starts = np.cumsum([0] + [len(t) for t in ts[:-1]])
     curve = _exit_values(np.concatenate(ts), np.log(np.concatenate(ss)), p)
     # the return map is (x, y) -> (y_w, -x_w) with the height reduced
-    with np.errstate(under="ignore"):
-        xs = np.exp(curve.log_y)
+    xs = np.exp(curve.log_y)
     ys = wrap_pi(-curve.x_w)
     y_los, y_his = np.minimum.reduceat(ys, starts).tolist(), np.maximum.reduceat(ys, starts).tolist()
     x_los, x_his = np.minimum.reduceat(xs, starts).tolist(), np.maximum.reduceat(xs, starts).tolist()
@@ -648,7 +657,7 @@ def _return_chain(u, depth: int, p: SaddleParams) -> list[tuple[np.ndarray, np.n
     x = np.zeros_like(y)
     dx, du = 0.0, 1.0
     steps = []
-    with np.errstate(under="ignore", divide="ignore"):
+    with np.errstate(divide="ignore"):
         while True:
             y = np.where((0.0 < y) & (y <= p.eps), y, np.nan)
             (x, y_up), tangent = _return_step(x, np.log(y), p)

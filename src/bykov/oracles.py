@@ -252,7 +252,6 @@ def composed_return(point: WallPoint, p: SaddleParams) -> WallPoint:
 class PulseReplay:
     """Forward replay of a candidate multi-pulse connection."""
 
-    s0: float
     out_w_crossings: int
     residual: float
     heights: tuple[float, ...]
@@ -278,7 +277,7 @@ def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseRe
         point = psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w))
         if not 0.0 < point.y <= p.eps and len(heights) < n - 1:
             raise ValueError(f"pulse replay left the section after crossing {len(heights)}: height {point.y}")
-    return PulseReplay(s0=s0, out_w_crossings=1 + len(heights), residual=circle_dist(x_w, x0), heights=tuple(heights))
+    return PulseReplay(out_w_crossings=1 + len(heights), residual=circle_dist(x_w, x0), heights=tuple(heights))
 
 
 def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray, float]:

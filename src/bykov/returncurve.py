@@ -21,8 +21,9 @@ values step :func:`_exit_values`, which takes sin phi and cos phi once and
 returns x_w and ln y_w; the strips' windows, height checks and images, the
 tangency heights and the ``curve --verify`` replay call it directly.  The
 slope step :func:`_exit_slope` adds x_u alone, which is all that the
-sampled curve (:func:`curve_arrays`), the strip boundaries' Newton solve,
-the strips' monotonicity check and the ``reversals --verify`` replay read.
+sampled curve (:func:`curve_arrays`), the strip boundaries' Newton solve
+and the strips' monotonicity check read; the bend step :func:`_exit_bend`
+adds x_uu to it for the ``reversals --verify`` replay.
 :func:`exit_curve` adds the other three partials on top of it, for the
 return step of :mod:`bykov.horseshoe` (the Jacobian and the multi-pulse
 return chain).  With
@@ -31,6 +32,7 @@ the partials are
 
     x_t      = B/C                          B = 1 + g_w sigma sc
     x_u      = -(g_w delta_v + g_v B/C)
+    x_uu     = g_v^2 (g_w sigma cos 2phi C + 2 sigma sc B) / C^2
     (ln y)_t = -delta_w sigma sc/C
     (ln y)_u = delta + delta_w g_v sigma sc/C
 
@@ -257,6 +259,21 @@ def _exit_slope(t, u, p: SaddleParams) -> _ExitSlope:
     return _ExitSlope(v, x_u, sigma, sc)
 
 
+def _exit_bend(t, u, p: SaddleParams) -> tuple[_ExitSlope, np.ndarray]:
+    """The slope step plus x_uu, the rate of x_u in u, which only the ``reversals --verify`` replay reads.
+
+    With B = 1 + g_w sigma sc, x_uu = g_v^2 (g_w sigma cos 2phi C + 2 sigma sc B) / C^2
+    is written here only, so the slope step that the strip boundaries' Newton
+    solve calls does not grow.
+    """
+    k = p.constants
+    slope = _exit_slope(t, u, p)
+    v, sigma, sc = slope.values, slope.sigma, slope.sc
+    c = v.stretch
+    bend = k.g_w * sigma * (v.cos * v.cos - v.sin * v.sin) * c + 2.0 * sigma * sc * (1.0 + k.g_w * sigma * sc)
+    return slope, k.g_v * k.g_v * bend / (c * c)
+
+
 def exit_curve(t, u, p: SaddleParams) -> ExitCurve:
     """The one exit-curve kernel with its partials; broadcasts over t and u = ln s.
 
@@ -288,7 +305,7 @@ def curve_arrays(t: float, s, p: SaddleParams):
     slope = _exit_slope(t, np.log(s_arr), p)
     v = slope.values
     # at subnormal s the slope overflows; the caller decides what to refuse
-    with np.errstate(under="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         return v.phi, v.x_w, np.exp(v.log_y), slope.x_u / s_arr
 
 
@@ -312,7 +329,6 @@ class ReversalSequence:
     local maximum or minimum of the exit angle in s.
     """
 
-    t: float
     s_values: np.ndarray
     log_s_values: np.ndarray
     phi_values: np.ndarray
@@ -405,9 +421,7 @@ def _reversal_walk(t: float, n_max: int, p: SaddleParams, ln_floor: float) -> Re
         if count == n_max:
             break
     phis, log_s, x_vals = (np.concatenate(column) for column in zip(*blocks))
-    with np.errstate(under="ignore"):
-        s_vals = np.exp(log_s)
-    return ReversalSequence(t, s_vals, log_s, phis, x_vals, (kinds * (count // 2 + 1))[:count])
+    return ReversalSequence(np.exp(log_s), log_s, phis, x_vals, (kinds * (count // 2 + 1))[:count])
 
 
 def _check_walk(n_max: int, **angles: float) -> None:
@@ -430,7 +444,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     region = classify_region(p)
     if region.case in ("I", "IV"):
         none = np.empty(0)
-        return ReversalSequence(t, none, none, none, none, (), reason=region.tag)
+        return ReversalSequence(none, none, none, none, (), reason=region.tag)
     return _reversal_walk(t, n_max, p, LN_FLOOR)
 
 
@@ -500,8 +514,7 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     gap_x = circle_dist(reduced, reduced[best])
     gap_x[best] = math.inf
     rows = np.append(np.flatnonzero(gap_x < 0.12), best)
-    with np.errstate(under="ignore"):
-        heights = np.exp(_exit_values(t, angles.log_s_values[rows], p).log_y)
+    heights = np.exp(_exit_values(t, angles.log_s_values[rows], p).log_y)
     center_y = float(heights[-1])
     # the nearest one's gap is taken again from math.hypot, which np.hypot can miss by an ulp
     gap_y = heights - center_y

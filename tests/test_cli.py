@@ -7,6 +7,7 @@ import json
 import math
 import os
 import stat
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,15 @@ def dense_config(tmp_path):
              "C_w": 2.6, "E_w": 2.0, "a": 2.0, "eps": 0.5}
         )
     )
+    return str(path)
+
+
+@pytest.fixture()
+def steep_config(tmp_path):
+    """The dense config with alpha_v and alpha_w times 1e13: g_v = 2e13."""
+    dense = json.loads(DENSE_PARAMS.read_text())
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({**dense, "alpha_v": 1e13 * dense["alpha_v"], "alpha_w": 1e13 * dense["alpha_w"]}))
     return str(path)
 
 
@@ -414,6 +424,31 @@ def test_reversals_verify(dense_config, tmp_path):
     assert 0.0 <= manifest["diagnostics"]["max_abs_x_u"] <= 1e-8
     for f in manifest["outputs"]:
         assert (tmp_path / "out" / "reversals.csv").exists()
+
+
+def test_reversals_verify_at_large_g_v(steep_config, tmp_path):
+    # g_v = 2e13: a reversal placed to the nearest float u leaves |x_u| up to
+    # 1.32 |x_uu| ulp(u), here 1.8e25, far above the floor 1e-8
+    out = tmp_path / "out"
+    assert main(["reversals", "--config", steep_config, "--n-max", "100", "--verify", "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "reversals_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["count"] == 100 and diagnostics["max_abs_x_u"] > 1e24
+
+
+def test_strips_refuses_a_family_of_too_many_misses(steep_config, tmp_path, capsys):
+    # g_v = 2e13: no candidate's return image fits under tau, and the walk
+    # would not end; the refusal comes after STRIP_MISSES candidates
+    out = tmp_path / "out"
+    started = time.monotonic()
+    assert main(["strips", "--config", steep_config, "--tau", "0.4", "--n-limit", "5", "--out", str(out)]) == 2
+    assert time.monotonic() - started < 10.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tau=0.4: at g_v=20000000000000.0 the return images of 100,155 candidate strips were wider than tau,"
+        " more than the 100,000 one family may try; 0 of 5 strips fit\n"
+    )
+    assert not out.exists()
 
 
 def test_strips_verify(case1_config, tmp_path):
@@ -1076,6 +1111,12 @@ VERIFY_FAILURES = {
     "reversals-turning": (
         "dense_config", ["reversals", "--n-max", "20"], "reversal_sequence",
         lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + 0.01),
+        "nonzero turning derivative at reversal 0",
+    ),
+    # every steep reversal moved by 1e-6 in u, a million ulps of it
+    "reversals-turning-steep": (
+        "steep_config", ["reversals", "--n-max", "100"], "reversal_sequence",
+        lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + 1e-6),
         "nonzero turning derivative at reversal 0",
     ),
     "tangency-history": (

@@ -23,6 +23,7 @@ from bykov.horseshoe import (
     ResonanceError,
     Strip,
     _eigen_class,
+    _eigen_moduli,
     _lattice,
     _return_chain,
     _solve,
@@ -37,6 +38,7 @@ from bykov.horseshoe import (
 )
 from bykov.oracles import IN_V, OUT_W, WallPoint, composed_return, psi_wv, replay_pulse
 from bykov.params import (
+    ParameterError,
     SaddleParams,
     classify_region,
     derive_constants,
@@ -362,6 +364,15 @@ def test_build_strips_grows_batches_at_large_g_v(monkeypatch):
     # their targets by more than strip_family_violations' 1e-9 (ROADMAP
     # item 10); 45 halvings missed them by 7.9e-7
     assert strip_boundary_residual(family, p) < 1e-8
+    # over 10,000 candidates fail on the way: within STRIP_MISSES, and refused under a bound of 10,000
+    assert horseshoe.STRIP_MISSES > 10_000
+    monkeypatch.setattr(horseshoe, "STRIP_MISSES", 10_000)
+    with pytest.raises(ParameterError) as err:
+        build_strips(0.05, 5, p)
+    assert str(err.value) == (
+        "tau=0.05: at g_v=10000.0 the return images of 10,039 candidate strips were wider than tau,"
+        " more than the 10,000 one family may try; 4 of 5 strips fit"
+    )
 
 
 # Case I windings at both ends of the tail.  "top": gamma 5.38 at tau = eps,
@@ -1659,11 +1670,12 @@ def test_linspace_rows_is_stacked_linspace(ends, num):
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
 def test_jacobian_report_reads_the_jacobian_entries(fixture, request):
-    """The report at AC7's strip samples is the report of return_jacobian, field for field, and its det and trace are numpy's.
+    """The report at AC7's strip samples carries return_jacobian's entries bit for bit and classifies them.
 
     AC7 samples each of five strips at tau = 0.4 at its first, middle and
     last t and a quarter, half and three quarters up; det and trace are
-    also formed test-side on return_jacobian's np.float64 entries.
+    formed test-side on return_jacobian's np.float64 entries, and the class
+    from them.
     """
     p = request.getfixturevalue(fixture)
     for strip in build_strips(0.4, 5, p).strips:
@@ -1673,7 +1685,9 @@ def test_jacobian_report_reads_the_jacobian_entries(fixture, request):
                 y = float(strip.a_of_t[i] + frac * (strip.b_of_t[i] - strip.a_of_t[i]))
                 jac = return_jacobian(t, y, p)
                 rep = jacobian_report(t, y, p)
-                assert rep == horseshoe._report(t, y, jac.tolist())
+                assert (rep.x, rep.y) == (t, y)
+                assert [v.hex() for row in rep.jacobian for v in row] == [float(v).hex() for v in jac.ravel()]
+                assert rep.eigen_class == _eigen_class(*_eigen_moduli(rep.trace, rep.det))
                 assert rep.det.hex() == float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]).hex()
                 assert rep.trace.hex() == float(jac[0, 0] + jac[1, 1]).hex()
     # at the least subnormal height -x_u / y overflows, and the report is refused

@@ -24,6 +24,7 @@ from bykov.returncurve import (
     LN_FLOOR,
     S_UNDERFLOW,
     NoReversalsError,
+    _exit_bend,
     _exit_slope,
     _exit_values,
     _reversal_walk,
@@ -937,6 +938,26 @@ def test_slope_step_x_u_matches_test_side_formula(fixture, request):
         ref = -(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / stretch_sq(phi, p.a))
         assert np.shape(x_u) == np.broadcast(*args).shape
         assert _hex(x_u) == _hex(ref)
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_bend_step_x_uu_matches_centred_differences(fixture, request):
+    """x_uu against Richardson-extrapolated centred differences of the slope step's x_u, at 3 t and 301 heights.
+
+    Steps 1e-4 and 5e-5 in u; agreement to 1e-6 relative to max(1, |x_uu|).
+    The bend step carries the slope step's values bit for bit.
+    """
+    p = request.getfixturevalue(fixture)
+    ts = np.array([-2.5, 0.0, 0.3])[:, None]
+    us = np.linspace(math.log(p.eps), LN_FLOOR, 301)
+
+    def centred(h):
+        return (_exit_slope(ts, us + h, p).x_u - _exit_slope(ts, us - h, p).x_u) / (2.0 * h)
+
+    fd = (4.0 * centred(5e-5) - centred(1e-4)) / 3.0
+    slope, x_uu = _exit_bend(ts, us, p)
+    assert np.all(np.abs(fd - x_uu) <= 1e-6 * np.maximum(1.0, np.abs(x_uu)))
+    assert _hex(slope.x_u) == _hex(_exit_slope(ts, us, p).x_u)
 
 
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
