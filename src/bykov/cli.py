@@ -100,23 +100,15 @@ def _atomic_write(path: Path, lines) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _cell(value) -> str:
-    return value if isinstance(value, str) else str(value) if isinstance(value, int) else _fmt(value)
-
-
 def _cells(column):
-    """The text of a slice of a CSV column: a numpy array (always numeric) in one ``repr`` pass, else by :func:`_cell`.
+    """The text of a slice of a CSV column: a numpy array as floats in one ``repr`` pass, any other column by ``str``.
 
-    ``repr`` of an element of ``astype(float).tolist()`` is what
-    :func:`_fmt` gives the element itself, np.int64 and np.bool_ included.
+    The other columns hold labels, indices or Python floats, and ``str`` of a
+    Python float is its ``repr``.
     """
     if isinstance(column, np.ndarray):
         return map(repr, column.astype(float, copy=False).tolist())
-    return map(_cell, column)
+    return map(str, column)
 
 
 def _csv(header: str, *columns):
@@ -165,11 +157,11 @@ def _curve(args, p):
     phi, x_w, y_w, dxw_ds = curve_arrays(args.t, s_values, p)
     deep = np.flatnonzero(~np.isfinite(dxw_ds))
     if deep.size:
-        raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={_fmt(s_values[deep[0]])}")
+        raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={float(s_values[deep[0]])}")
     # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more
     deep = np.flatnonzero(~(np.abs(phi) < 2.0**50))
     if deep.size:
-        raise ParameterError(f"--s-min={args.s_min} is too deep: |phi| >= 2^50 at s={_fmt(s_values[deep[0]])}")
+        raise ParameterError(f"--s-min={args.s_min} is too deep: |phi| >= 2^50 at s={float(s_values[deep[0]])}")
     rows = _csv(CURVE_HEADER, s_values, [args.t] * len(s_values), phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)
     diagnostics: dict = {"n_samples": args.n_samples}
     if args.verify:
@@ -201,6 +193,13 @@ def cmd_reversals(args, p):
     if args.verify:
         # in u = ln s, which never underflows; |x_u| <= 1e-8 is |dxw_ds| <= 1e-8/s
         log_s = seq.log_s_values
+        # past the first-order bound below, as curve past |phi| = 2^50
+        deep = np.flatnonzero(p.constants.g_v * np.abs(log_s) >= 2.0**50)
+        if deep.size:
+            raise ParameterError(
+                f"cannot verify reversal {deep[0]} of --n-max={args.n_max}: there g_v |ln s| >= 2^50,"
+                " and one ulp of ln s moves phi by a quarter radian or more"
+            )
         period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / p.constants.g_v)
         if not np.all(period_miss <= 1e-10):
             raise VerifyFailure("period ln s_{n+2} - ln s_n = -pi/g_v violated")
@@ -239,7 +238,7 @@ def cmd_strips(args, p):
     family = build_strips(args.tau, args.n_limit, p)
     strips = family.strips
     index = [strip.index for strip in strips for _ in strip.t_grid]
-    t, a, b = ([v for strip in strips for v in getattr(strip, name)] for name in ("t_grid", "a_of_t", "b_of_t"))
+    t, a, b = ([v for strip in strips for v in getattr(strip, name).tolist()] for name in ("t_grid", "a_of_t", "b_of_t"))
     rows = _csv(STRIPS_HEADER, index, t, a, b)
     diagnostics = {
         "case": family.case,

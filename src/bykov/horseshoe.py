@@ -52,7 +52,6 @@ from .returncurve import (
 __all__ = [
     "ResonanceError",
     "PeriodicTangencyError",
-    "return_jacobian",
     "JacobianReport",
     "jacobian_report",
     "Strip",
@@ -104,29 +103,6 @@ def _return_step(x, ln_y, p: SaddleParams):
     return (y_w, -c.x_w), lambda dx, du: (y_w * (c.log_y_t * dx + c.log_y_u * du), -(c.x_t * dx + c.x_u * du))
 
 
-def _jacobian_rows(x: float, y: float, p: SaddleParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The rows of :func:`return_jacobian` as floats, from the kernel on scalars, with its refusals."""
-    if y <= 0.0:
-        raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tangent = _return_step(x, math.log(y), p)[1]
-        (j00, j10), (j01, j11) = tangent(1.0, 0.0), tangent(0.0, 1.0)
-        rows = (float(j00), float(j01 / y)), (float(j10), float(j11 / y))
-    if not all(map(math.isfinite, rows[0] + rows[1])):
-        raise ValueError(f"the return-map Jacobian is not finite at y={y}")
-    return rows
-
-
-def return_jacobian(x: float, y: float, p: SaddleParams) -> np.ndarray:
-    """Exact Jacobian of the unreduced return (y_w, -x_w) at (x, y), y > 0.
-
-    :func:`_return_step` on the unit tangents in (x, ln y), the second column
-    divided by y.  At subnormal y the divisions overflow; a Jacobian with an
-    entry that is not finite is refused rather than classified.
-    """
-    return np.array(_jacobian_rows(x, y, p))
-
-
 @dataclass(frozen=True)
 class JacobianReport:
     """The return-map Jacobian at a point, as rows of floats, with its determinant, trace and eigenvalue class."""
@@ -170,8 +146,21 @@ def _eigen_class(m1: float, m2: float) -> str:
 
 
 def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
-    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian, with the rows it classified."""
-    jac = (j00, j01), (j10, j11) = _jacobian_rows(x, y, p)
+    """Hyperbolicity of the unperturbed return map at (x, y) from its exact Jacobian, with the rows it classified.
+
+    The Jacobian of the unreduced return (y_w, -x_w) at y > 0 is
+    :func:`_return_step` on the unit tangents in (x, ln y), the second column
+    divided by y.  At subnormal y the divisions overflow; a Jacobian with an
+    entry that is not finite is refused rather than classified.
+    """
+    if y <= 0.0:
+        raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangent = _return_step(x, math.log(y), p)[1]
+        (j00, j10), (j01, j11) = tangent(1.0, 0.0), tangent(0.0, 1.0)
+        jac = (j00, j01), (j10, j11) = (float(j00), float(j01 / y)), (float(j10), float(j11 / y))
+    if not all(map(math.isfinite, jac[0] + jac[1])):
+        raise ValueError(f"the return-map Jacobian is not finite at y={y}")
     det = j00 * j11 - j01 * j10
     trace = j00 + j11
     return JacobianReport(x, y, jac, det, trace, _eigen_class(*_eigen_moduli(trace, det)))
@@ -187,23 +176,6 @@ def _libm_exp(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     y = np.fromiter(map(math.exp, np.minimum(u, 709.0).ravel().tolist()), float, u.size).reshape(u.shape)
     return np.where(u < 709.0, y, math.inf)
-
-
-def _linspace_rows(a: np.ndarray, b: np.ndarray, num: int) -> np.ndarray:
-    """np.stack([np.linspace(a_i, b_i, num) for a_i, b_i in zip(a, b)]) of (m, k) ends, bit for bit, in one pass.
-
-    linspace takes point i as a + i * ((b - a) / (num - 1)), but as
-    a + (i / (num - 1)) * (b - a) throughout a call in which some step
-    (b - a) / (num - 1) is zero, and puts b itself last; the zero-step rule
-    is applied here row by row.  Returns an (m, num, k) array; num >= 2.
-    """
-    delta = (b - a)[:, None]
-    step = delta / (num - 1)
-    i = np.arange(num, dtype=float)[:, None]
-    zero_step = (step == 0.0).any(axis=2, keepdims=True)
-    rows = np.where(zero_step, (i / (num - 1)) * delta, i * step) + a[:, None]
-    rows[:, -1] = b
-    return rows
 
 
 # bracket width at which _solve stops
@@ -510,7 +482,7 @@ def _collect_strips(
         # the return image must stay inside the rectangle's width: its
         # horizontal extent is the exit height, so early windings whose
         # heights still exceed tau are skipped (strips accumulate downward)
-        s_chk = _linspace_rows(a_vals, b_vals, 5)
+        s_chk = np.linspace(a_vals, b_vals, 5, axis=1)
         heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
         fits = ~np.any(heights > tau, axis=(1, 2))
         for c in np.flatnonzero(fits)[: n_limit - len(strips)].tolist():
@@ -606,7 +578,7 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
         return []
     # the heights of both side curves of every strip, (strips, 2, 33)
     edges = np.array([[s.a_of_t[[0, -1]], s.b_of_t[[0, -1]]] for s in family.strips])
-    sides = _linspace_rows(edges[:, 0], edges[:, 1], 33).transpose(0, 2, 1)
+    sides = np.linspace(edges[:, 0], edges[:, 1], 33, axis=1).transpose(0, 2, 1)
     ts, ss = [], []
     for strip, side in zip(family.strips, sides):
         t_grid = strip.t_grid

@@ -32,7 +32,7 @@ import numpy as np
 
 from .flow import ModelConfig, make_rhs
 from .params import DerivedConstants, SaddleParams
-from .returncurve import TWO_PI, BumpSpec, circle_dist, curve_sample, turning_function, wrap_pi
+from .returncurve import TWO_PI, BumpSpec, circle_dist, curve_arrays, turning_function, wrap_pi
 
 __all__ = [
     "IN_V",
@@ -340,13 +340,12 @@ def turning_range_grid(p: SaddleParams) -> tuple[float, float]:
 
 
 def rotation_identity_residual(s0: float, n: int, t: float, p: SaddleParams) -> float:
-    """|x_w(s0 e^{-n pi/g_v}) - x_w(s0) - n pi (1 - gamma)|, both points evaluated directly."""
+    """|x_w(s0 e^{-n pi/g_v}) - x_w(s0) - n pi (1 - gamma)|, both points evaluated directly in one call."""
     k = p.constants
     if not 0.0 < s0 <= p.eps:
         raise ValueError(f"s0 must lie in (0, eps], got {s0}")
     s_n = s0 * math.exp(-n * math.pi / k.g_v)
     if not 0.0 < s_n <= p.eps:
         raise ValueError(f"shifted parameter {s_n} left (0, eps]")
-    x0 = curve_sample(t, s0, p).x_w
-    xn = curve_sample(t, s_n, p).x_w
+    x0, xn = curve_arrays(t, np.array([s0, s_n]), p)[1].tolist()
     return abs(xn - x0 - n * math.pi * (1.0 - k.gamma))

@@ -435,6 +435,33 @@ def test_reversals_verify_at_large_g_v(steep_config, tmp_path):
     assert diagnostics["count"] == 100 and diagnostics["max_abs_x_u"] > 1e24
 
 
+def test_reversals_verify_refuses_past_the_resolved_angle(tmp_path, capsys):
+    # g_v = 9.9e14: every reversal has g_v |ln s| >= 2^50, where one ulp of
+    # ln s moves phi by a quarter radian or more; --verify exited 1 at
+    # reversal 22 on this output, which is right to rounding
+    path = tmp_path / "deep.json"
+    path.write_text(
+        json.dumps(
+            {"alpha_v": 462975547444421.06, "C_v": 0.5190416824823951, "E_v": 0.4684342086994675,
+             "alpha_w": 3.626419179159816, "C_w": 0.29624911443279245, "E_w": 0.43661591865351945,
+             "a": 2.9758836852365382, "eps": 0.24448648117307067}
+        )
+    )
+    argv = ["reversals", "--config", str(path), "--t", "1.2828368696590893", "--n-max", "3000"]
+    out = tmp_path / "out"
+    assert main([*argv, "--verify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot verify reversal 0 of --n-max=3000: there g_v |ln s| >= 2^50,"
+        " and one ulp of ln s moves phi by a quarter radian or more\n"
+    )
+    assert not out.exists()
+    # without --verify the sequence is written as before
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len((out / "reversals.csv").read_text().splitlines()) == 3001
+
+
 def test_strips_refuses_a_family_of_too_many_misses(steep_config, tmp_path, capsys):
     # g_v = 2e13: no candidate's return image fits under tau, and the walk
     # would not end; the refusal comes after STRIP_MISSES candidates
@@ -732,10 +759,14 @@ def _tiled(pool, rows):
     texts=st.lists(st.text(st.characters(exclude_characters="\n"), max_size=4), min_size=1, max_size=8),
 )
 def test_csv_blocks_are_the_rows_cell_by_cell(kinds, rows, floats, ints, texts):
-    """_csv's blocks, split at their newlines, are the rows that _cell formats cell by cell."""
+    """_csv's blocks, split at their newlines, are the rows cell by cell: an array's cells as floats, a list's by str."""
     floats, ints, texts = (_tiled(pool, rows) for pool in (floats, ints, texts))
     columns = [CSV_COLUMNS[kind](floats, ints, texts) for kind in kinds]
-    rows_by_cell = ["h", *(",".join(map(cli._cell, row)) for row in zip(*columns))]
+    cells = [
+        [repr(float(v)) for v in column] if isinstance(column, np.ndarray) else [str(v) for v in column]
+        for column in columns
+    ]
+    rows_by_cell = ["h", *map(",".join, zip(*cells))]
     blocks = list(cli._csv("h", *columns))
     # compared as lists of lines, which pytest reports by the first row that differs
     assert "\n".join(blocks).split("\n") == rows_by_cell

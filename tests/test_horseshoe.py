@@ -31,7 +31,6 @@ from bykov.horseshoe import (
     build_strips,
     find_multipulse,
     jacobian_report,
-    return_jacobian,
     strip_boundary_residual,
     strip_family_violations,
     strip_image_report,
@@ -693,7 +692,7 @@ def test_jacobian_refused_where_it_overflows(case1_params, k):
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 # (config, x, deepest accepted k) -> sha256 of the float.hex entries of
-# return_jacobian at y = 2^-k, k = 4..k_max, one row per height; a change
+# the report's Jacobian at y = 2^-k, k = 4..k_max, one row per height; a change
 # in the order of the chain rule's operations shows here; a digest that
 # numpy's float64 math moves is a table keyed as conftest.NUMPY_MATH's values
 JACOBIAN_BITS = {
@@ -711,7 +710,7 @@ JACOBIAN_BITS = {
 @pytest.mark.parametrize("config, x, k_max", sorted(JACOBIAN_BITS))
 def test_jacobian_bits(config, x, k_max):
     p = load_saddle_params(json.loads((CONFIGS / config).read_text()))
-    jacs = [return_jacobian(x, 2.0**-k, p) for k in range(4, k_max + 1)]
+    jacs = [np.array(jacobian_report(x, 2.0**-k, p).jacobian) for k in range(4, k_max + 1)]
     rows = "\n".join(" ".join(v.hex() for v in jac.ravel().tolist()) for jac in jacs)
     assert hashlib.sha256(rows.encode()).hexdigest() == math_pin(JACOBIAN_BITS[(config, x, k_max)])
 
@@ -730,7 +729,7 @@ def test_eigen_class_matches_eigvals_at_every_height(fixture, x, request):
         except ValueError:
             refused.append(k)
             continue
-        moduli = sorted(np.abs(np.linalg.eigvals(return_jacobian(x, 2.0**-k, p))))
+        moduli = sorted(np.abs(np.linalg.eigvals(np.array(rep.jacobian))))
         assert rep.eigen_class == _eigen_class(*moduli), k
     assert set(refused) <= {1022, 1023}
 
@@ -988,6 +987,38 @@ def test_build_strips_bit_for_bit(fixture, tau, request):
     assert len(family) == 5
     got = hashlib.sha256(b"".join(s.a_of_t.tobytes() + s.b_of_t.tobytes() for s in family.strips))
     assert got.hexdigest() == math_pin(PINNED_STRIPS[fixture, tau])
+
+
+# a case-II point at which, at tau = 0.2, the exit heights along a side
+# curve of strip 4 reach their least value inside the side, not at a corner:
+# on the configs below every extent sits on a boundary curve
+SIDE_MIN_PARAMS = SaddleParams(alpha_v=8.0, C_v=0.44, E_v=1.04, alpha_w=2.25, C_w=0.49, E_w=1.07, a=2.77, eps=0.26)
+
+# (config, tau) -> sha256 of the float.hex of each strip's image extents
+# (y min, y max, x min, x max) from strip_image_report on the 5-strip
+# family, one row per strip; a side grid that stops short of its top moves
+# the side-min point's digest
+PINNED_IMAGES = {
+    ("dense_params.json", 0.4): "f69bd9c8994647c5da8c5783597cd2af53a091a5e54f42a649c055e5075b6210",
+    ("readme_params.json", 0.4): {
+        "avx512": "10d0b838ba0087e49fa0517930839bdc8a4b10722c55a4d6fbf7feaeeb0768b5",
+        "avx2": "ebb1f3c395ec5e323912084b11013660c9a4b146c05c9b9312cdd95a4936899a",
+    },
+    ("side-min", 0.2): {
+        "avx512": "43a824469ea187252a3b9de70daadc0aca0e6dbe841dfc7ad3f2376d9877c377",
+        "avx2": "198ff3efaf14ba6426d2b82a235757b7b5060e3e3be0808b4b54e19b65e46ac1",
+    },
+}
+
+
+@pytest.mark.parametrize("config, tau", sorted(PINNED_IMAGES))
+def test_strip_image_extents_bit_for_bit(config, tau):
+    p = SIDE_MIN_PARAMS if config == "side-min" else load_saddle_params(json.loads((CONFIGS / config).read_text()))
+    family = build_strips(tau, 5, p)
+    assert len(family) == 5
+    keys = ("image_y_min", "image_y_max", "image_x_min", "image_x_max")
+    rows = "\n".join(" ".join(r[key].hex() for key in keys) for r in strip_image_report(family, p))
+    assert hashlib.sha256(rows.encode()).hexdigest() == math_pin(PINNED_IMAGES[config, tau])
 
 
 # Newton passes of build_strips(tau, 5, p): a count, since a wrong slope
@@ -1633,49 +1664,14 @@ def test_solve_stops_at_one_ulp(center):
     assert (passes, np.count_nonzero(~np.isnan(roots))) == (9, 29)
 
 
-
-
-@st.composite
-def _linspace_ends(draw):
-    """(a, b) of shape (m, k): each entry a span, an empty span (a == b) or a subnormal one whose step is 0."""
-    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    a, b = np.empty((m, k)), np.empty((m, k))
-    for i, j in itertools.product(range(m), range(k)):
-        kind = draw(st.sampled_from(["span", "empty", "subnormal"]))
-        if kind == "subnormal":
-            # a few multiples of the least subnormal: (b - a) / (num - 1) underflows to 0
-            a[i, j] = draw(st.integers(-8, 8)) * 5e-324
-            b[i, j] = a[i, j] + draw(st.integers(1, 3)) * 5e-324
-        else:
-            a[i, j] = draw(st.floats(-1e6, 1e6))
-            b[i, j] = a[i, j] if kind == "empty" else draw(st.floats(-1e6, 1e6))
-    return a, b
-
-
-@given(ends=_linspace_ends(), num=st.sampled_from([5, 33]))
-@example(ends=(np.array([[0.1, 0.2], [5e-324, 0.3]]), np.array([[0.7, 0.9], [1e-323, 0.4]])), num=5)
-@example(ends=(np.array([[0.25], [0.1]]), np.array([[0.25], [0.3]])), num=33)
-def test_linspace_rows_is_stacked_linspace(ends, num):
-    """One pass over all rows gives the bits of one np.linspace per row, with linspace's zero-step rule row by row.
-
-    A row with an empty or subnormal span has a zero step, and linspace then
-    forms every point of that row another way; the examples mix such rows
-    with rows whose steps are not zero.
-    """
-    a, b = ends
-    want = np.stack([np.linspace(a_i, b_i, num) for a_i, b_i in zip(a, b)])
-    got = horseshoe._linspace_rows(a, b, num)
-    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
 def test_jacobian_report_reads_the_jacobian_entries(fixture, request):
-    """The report at AC7's strip samples carries return_jacobian's entries bit for bit and classifies them.
+    """The report at AC7's strip samples carries float rows and classifies them by their det and trace.
 
     AC7 samples each of five strips at tau = 0.4 at its first, middle and
     last t and a quarter, half and three quarters up; det and trace are
-    formed test-side on return_jacobian's np.float64 entries, and the class
-    from them.
+    formed test-side on the report's rows as np.float64 entries, and the
+    class from them.
     """
     p = request.getfixturevalue(fixture)
     for strip in build_strips(0.4, 5, p).strips:
@@ -1683,10 +1679,10 @@ def test_jacobian_report_reads_the_jacobian_entries(fixture, request):
             t = float(strip.t_grid[i])
             for frac in (0.25, 0.5, 0.75):
                 y = float(strip.a_of_t[i] + frac * (strip.b_of_t[i] - strip.a_of_t[i]))
-                jac = return_jacobian(t, y, p)
                 rep = jacobian_report(t, y, p)
+                jac = np.array(rep.jacobian)
                 assert (rep.x, rep.y) == (t, y)
-                assert [v.hex() for row in rep.jacobian for v in row] == [float(v).hex() for v in jac.ravel()]
+                assert jac.shape == (2, 2) and {type(v) for row in rep.jacobian for v in row} == {float}
                 assert rep.eigen_class == _eigen_class(*_eigen_moduli(rep.trace, rep.det))
                 assert rep.det.hex() == float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]).hex()
                 assert rep.trace.hex() == float(jac[0, 0] + jac[1, 1]).hex()

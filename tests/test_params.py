@@ -152,7 +152,6 @@ PUBLIC_SIGNATURES = {
         "find_tangency": ("x0", "t", "n_max", "p"),
     },
     horseshoe: {
-        "return_jacobian": ("x", "y", "p"),
         "jacobian_report": ("x", "y", "p"),
         "build_strips": ("tau", "n_limit", "p"),
         "strip_boundary_residual": ("family", "p"),
