@@ -61,7 +61,7 @@ from .horseshoe import (
 )
 from .oracles import OUT_W, WallPoint, eta_log, psi_wv, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import ParameterError, classify_region, load_saddle_params
-from .returncurve import _exit_bend, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
+from .returncurve import TWO_PI, _exit_bend, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -228,7 +228,7 @@ def cmd_tangency(args, p):
             raise VerifyFailure(f"amplitude {report.amplitude!r} is not the last history distance {history[-1][1]!r}")
         # the wall transition with the bump carries the chosen reversal onto the trace x0
         moved = psi_wv(WallPoint(section=OUT_W, x=report.x_best, y=center_y), report.bump)
-        residual = diagnostics["bump_residual"] = circle_dist(-moved.y, report.x0)
+        residual = diagnostics["bump_residual"] = circle_dist(-moved.y, math.remainder(report.x0, TWO_PI))
         if not residual <= 2.0 * math.ulp(max(abs(report.x_best), math.pi)):
             raise VerifyFailure(f"the bump moves reversal {report.n_best} to {residual!r} from x0")
     return "tangency.json", report, diagnostics
@@ -402,9 +402,12 @@ def _run(args) -> int:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more
-    if abs(getattr(args, "t", 0.0)) >= 2.0**50:
-        raise ParameterError(f"--t must satisfy |t| < 2^50, got {args.t}")
+    # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more;
+    # jacobian's --x is the same incoming-wall angle as --t
+    for name in ("t", "x"):
+        value = getattr(args, name, 0.0)
+        if abs(value) >= 2.0**50:
+            raise ParameterError(f"--{name} must satisfy |{name}| < 2^50, got {value}")
     # read once, so that the manifest's digest is that of the bytes parsed
     raw = Path(args.config).read_bytes()
     fn, load = globals()[f"cmd_{args.command}"], globals()[args.load]

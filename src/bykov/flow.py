@@ -50,22 +50,6 @@ import numpy as np
 
 from .params import ParameterError, load_exact_keys
 
-__all__ = [
-    "ModelConfig",
-    "TrajectorySeries",
-    "InsufficientDataError",
-    "MODEL_NAMES",
-    "load_model_config",
-    "make_rhs",
-    "equilibria_spectrum",
-    "integrate",
-    "sphere_residual",
-    "chirality_check",
-    "sojourn_analysis",
-    "boundary_residual",
-    "invariant_subspace_residuals",
-]
-
 MODEL_NAMES = ("dim3", "example4d", "example4d_same_lift")
 
 V_POLE = (0.0, 0.0, 0.0, 1.0)

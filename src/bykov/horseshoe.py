@@ -49,21 +49,6 @@ from .returncurve import (
     wrap_pi,
 )
 
-__all__ = [
-    "ResonanceError",
-    "PeriodicTangencyError",
-    "JacobianReport",
-    "jacobian_report",
-    "Strip",
-    "StripFamily",
-    "build_strips",
-    "strip_boundary_residual",
-    "strip_family_violations",
-    "strip_image_report",
-    "PulsePoint",
-    "find_multipulse",
-]
-
 # an eigenvalue modulus this close to 1 is not called hyperbolic
 UNIT_TOL = 1e-6
 # least distance of a strip target from the exit angle at a piece end
@@ -254,7 +239,6 @@ class StripFamily:
 
     tau: float
     case: str
-    gamma: float
     strips: tuple[Strip, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
     # Newton passes of the boundary solves, summed over the batches
@@ -353,9 +337,7 @@ def build_strips(tau: float, n_limit: int, p: SaddleParams) -> StripFamily:
 
     t_grid = np.linspace(0.0, tau_eff, 33)
     strips, passes = _collect_strips(tau_eff, n_limit, p, case, piece, t_grid, endpoint_margin)
-    return StripFamily(
-        tau=tau_eff, case=case, gamma=gamma, strips=tuple(strips), notes=tuple(notes), solver_passes=passes
-    )
+    return StripFamily(tau=tau_eff, case=case, strips=tuple(strips), notes=tuple(notes), solver_passes=passes)
 
 
 def _collect_strips(
@@ -503,7 +485,7 @@ def _boundary_misses(family: StripFamily, p: SaddleParams):
     from their targets.  A sample out of order (not 0 < a < b <= eps) is
     evaluated at a = b = eps instead, where its misses mean nothing.
     """
-    lo_res, hi_res = _residues(family.tau, family.gamma)
+    lo_res, hi_res = _residues(family.tau, p.constants.gamma)
     t = np.concatenate([s.t_grid for s in family.strips])
     a = np.concatenate([s.a_of_t for s in family.strips])
     b = np.concatenate([s.b_of_t for s in family.strips])
@@ -535,7 +517,7 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     """
     if not family.strips:
         return []
-    increasing = family.gamma > 1.0
+    increasing = p.constants.gamma > 1.0
     # one row per strip; the strips of a family share their t-grid length
     t_grid = np.array([s.t_grid for s in family.strips])
     t, a, b, ordered, miss_a, miss_b = _boundary_misses(family, p)
@@ -672,6 +654,9 @@ def find_multipulse(
         raise ParameterError(f"n must be >= 2, got {n}")
     if s_window is not None and not 0.0 < s_window[0] < min(s_window[1], p.eps):
         raise ParameterError(f"s_window must satisfy 0 < s_min < min(s_max, eps), got {s_window}, eps={p.eps}")
+    # only x0 mod 2 pi matters, and x0 + 2 pi k would round away the residue of a
+    # large x0; the remainder is exact, and x0 itself on [-pi, pi]
+    x0 = math.remainder(x0, TWO_PI)
     k = p.constants
     u_hi = math.log(p.eps) - 1e-12
     if s_window is not None:

@@ -34,34 +34,6 @@ from .flow import ModelConfig, make_rhs
 from .params import DerivedConstants, SaddleParams
 from .returncurve import TWO_PI, BumpSpec, circle_dist, curve_arrays, turning_function, wrap_pi
 
-__all__ = [
-    "IN_V",
-    "OUT_V",
-    "IN_W",
-    "OUT_W",
-    "OnManifoldError",
-    "WallPoint",
-    "DiskPoint",
-    "RectPoint",
-    "phi_v",
-    "phi_w",
-    "psi_vw",
-    "psi_wv",
-    "polar_rect",
-    "rect_polar",
-    "flight_map_v",
-    "flight_map_w",
-    "eta_composed",
-    "eta_log",
-    "composed_return",
-    "PulseReplay",
-    "replay_pulse",
-    "return_jacobian_fd",
-    "numeric_jacobian",
-    "turning_range_grid",
-    "rotation_identity_residual",
-]
-
 # grid spacing h = pi / 100000 puts each sampled extremum within
 # R (1 - cos h) < 5e-10 R of the true one
 TURNING_GRID_POINTS = 100_001
@@ -277,7 +249,10 @@ def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseRe
         point = psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w))
         if not 0.0 < point.y <= p.eps and len(heights) < n - 1:
             raise ValueError(f"pulse replay left the section after crossing {len(heights)}: height {point.y}")
-    return PulseReplay(out_w_crossings=1 + len(heights), residual=circle_dist(x_w, x0), heights=tuple(heights))
+    # x0 is read mod 2 pi, reduced exactly as find_multipulse reduces it
+    return PulseReplay(
+        out_w_crossings=1 + len(heights), residual=circle_dist(x_w, math.remainder(x0, TWO_PI)), heights=tuple(heights)
+    )
 
 
 def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray, float]:

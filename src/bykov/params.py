@@ -17,24 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = [
-    "ParameterError",
-    "SaddleParams",
-    "DerivedConstants",
-    "GammaRationality",
-    "Region",
-    "REGION_TAGS",
-    "RATIONALITY_TOL",
-    "Q_MAX",
-    "derive_constants",
-    "is_gamma_rational",
-    "turning_harmonic",
-    "turning_level",
-    "classify_region",
-    "load_exact_keys",
-    "load_saddle_params",
-]
-
 SADDLE_FIELDS = ("alpha_v", "C_v", "E_v", "alpha_w", "C_w", "E_w", "a", "eps")
 
 # each region tag and its case: I has no reversals, II and III rational
@@ -80,7 +62,7 @@ class SaddleParams:
     eps: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("alpha_v", "C_v", "E_v", "alpha_w", "C_w", "E_w"):
+        for name in SADDLE_FIELDS[:6]:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ParameterError(f"{name} must be a finite number, got {value!r}")

@@ -70,25 +70,6 @@ from .params import (
     turning_level,
 )
 
-__all__ = [
-    "NoReversalsError",
-    "ReturnCurveSample",
-    "ReversalSequence",
-    "TangencyReport",
-    "BumpSpec",
-    "wrap_pi",
-    "circle_dist",
-    "turning_function",
-    "turning_crossings",
-    "ExitCurve",
-    "exit_curve",
-    "curve_sample",
-    "curve_arrays",
-    "reversal_sequence",
-    "reversal_angle_set",
-    "find_tangency",
-]
-
 TWO_PI = 2.0 * math.pi
 S_UNDERFLOW = 1e-300
 LN_FLOOR = math.log(S_UNDERFLOW)
@@ -498,16 +479,19 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     if region.case == "II":
         warning = "gamma is rational within tolerance; reversal angles form a finite set"
     angles = reversal_angle_set(t, n_max, p)
+    # only x0 mod 2 pi matters, and x0 - angle would round away the residue of a
+    # large x0; the remainder is exact, and x0 itself on [-pi, pi]
+    trace = math.remainder(x0, TWO_PI)
     # reduced once, exactly: both distance passes and the amplitude read the same
     # angles, so the amplitude is the last history distance bit for bit
     reduced = wrap_pi(angles.x_values)
-    dist = circle_dist(reduced, x0)
+    dist = circle_dist(reduced, trace)
     best = int(np.argmin(dist))
     # a record wherever the running minimum drops
     records = np.flatnonzero(np.diff(np.minimum.accumulate(dist), prepend=math.inf) < 0.0)
     history = tuple(zip((records + 1).tolist(), dist[records].tolist()))
     x_best = float(angles.x_values[best])
-    signed = wrap_pi(x0 - reduced[best])
+    signed = wrap_pi(trace - reduced[best])
     # keep the support clear of the other turning points.  One 0.12 or more
     # away in x cannot bring 0.45 * sep below the 0.05 cap, so heights are
     # needed only for the nearer ones and the chosen one, which comes last

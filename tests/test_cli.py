@@ -548,6 +548,18 @@ def test_tangency_and_multipulse(dense_config, case1_config, tmp_path, capsys):
     assert len(doc) >= 1
 
 
+def test_tangency_and_multipulse_read_x0_mod_2pi(tmp_path, capsys):
+    # the trace angle is reduced exactly before use, so a large --x0 is its
+    # residue: --verify replays the bump and the pulses against the residue
+    config = str(README_PARAMS.with_name("dense_params.json"))
+    argv = ["tangency", "--config", config, "--x0", "1e300", "--verify", "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["x0"] == 1e300
+    argv = ["multipulse", "--config", config, "--n", "2", "--x0", "1e12", "--verify", "--out", str(tmp_path / "m")]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+
+
 @pytest.mark.parametrize("config, x, k_max", [("dense_params.json", "0.0", 1021), ("readme_params.json", "0.1", 1023)])
 def test_jacobian_verify_at_every_accepted_height(config, x, k_max, tmp_path):
     # k_max is the last height whose Jacobian is finite; every height down
@@ -980,6 +992,8 @@ def test_flow_tolerances_are_refused(command, tolerances, field, flow_config, tm
         (["curve", "--s-min", "1e-3", "--s-max", "0.1", "--t", "1125899906842624"], "--t must satisfy |t| < 2^50"),
         (["reversals", "--t=-1125899906842624"], "--t must satisfy |t| < 2^50, got -1125899906842624.0"),
         (["tangency", "--t", "1e16"], "--t must satisfy |t| < 2^50, got 1e+16"),
+        # jacobian's --x is the same incoming-wall angle
+        (["jacobian", "--x", "1e17"], "--x must satisfy |x| < 2^50, got 1e+17"),
     ],
 )
 def test_non_finite_options_are_refused(command, message, case1_config, flow_config, tmp_path, capsys):

@@ -446,7 +446,7 @@ def test_build_strips_case1_is_one_piece(rates, a, eps, above, factor, tau_frac,
         patch.setattr(horseshoe, "_exit_values", kernel)
         patch.setattr(horseshoe, "_solve", solving)
         family = build_strips(tau_frac * eps, n_limit, p)
-    assert family.case == "I" and (family.gamma > 1.0) != above
+    assert family.case == "I" and (p.constants.gamma > 1.0) != above
     assert events == ["kernel"] + ["solve", "kernel"] * events.count("solve")
     _assert_clean_family(family, p, len(family))
 
@@ -1172,7 +1172,7 @@ def _family_bits(tau, n_limit, p):
         return [v.hex() for v in values.tolist()]
 
     strips = [(s.index, s.winding, hexes(s.t_grid), hexes(s.a_of_t), hexes(s.b_of_t)) for s in family.strips]
-    return family.tau.hex(), family.case, family.gamma.hex(), family.notes, strips
+    return family.tau.hex(), family.case, family.notes, strips
 
 
 def _strip_draws(fixture):
@@ -1425,6 +1425,16 @@ def test_multipulse_off_trace_intermediate_returns(case1_params, x0, n):
     for pt in points:
         replay = replay_pulse(pt.s, n, case1_params, x0=x0)
         assert replay.out_w_crossings == n and replay.residual < 1e-8
+
+
+@pytest.mark.parametrize("x0", [1e12, 1e300])
+def test_multipulse_reads_x0_mod_2pi(dense_params, x0):
+    # x0 + 2 pi k would round away the residue of so large an x0, and no
+    # crossing would be found
+    points = find_multipulse(2, dense_params, x0=x0)
+    assert len(points) == 4 and points == find_multipulse(2, dense_params, x0=wrap_pi(x0))
+    for pt in points:
+        assert replay_pulse(pt.s, 2, dense_params, x0=x0) == replay_pulse(pt.s, 2, dense_params, x0=wrap_pi(x0))
 
 
 def test_multipulse_stops_at_first_empty_level(case1_params, monkeypatch):

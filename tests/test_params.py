@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bykov import flow, horseshoe, oracles, params, returncurve
+from bykov import cli, flow, horseshoe, oracles, params, returncurve
 from bykov.params import (
     Q_MAX,
     RATIONALITY_TOL,
@@ -127,8 +127,8 @@ def test_policy_within_dirichlet_bound():
     assert 0.0 < Q_MAX**2 * RATIONALITY_TOL <= 0.01
 
 
-# parameter names of every public function of the saddle-map modules: a new
-# knob has to be added here
+# parameter names of every public function, one defined in its module under a
+# name without a leading underscore: a new knob has to be added here
 PUBLIC_SIGNATURES = {
     params: {
         "derive_constants": ("p",),
@@ -188,13 +188,29 @@ PUBLIC_SIGNATURES = {
         "turning_range_grid": ("p",),
         "rotation_identity_residual": ("s0", "n", "t", "p"),
     },
+    cli: {
+        "cmd_classify": ("args", "p"),
+        "cmd_curve": ("args", "p"),
+        "cmd_reversals": ("args", "p"),
+        "cmd_tangency": ("args", "p"),
+        "cmd_strips": ("args", "p"),
+        "cmd_jacobian": ("args", "p"),
+        "cmd_multipulse": ("args", "p"),
+        "cmd_simulate": ("args", "config"),
+        "cmd_sojourn": ("args", "config"),
+        "build_parser": (),
+        "main": ("argv",),
+    },
 }
 
 
 @pytest.mark.parametrize("module", list(PUBLIC_SIGNATURES), ids=lambda m: m.__name__)
 def test_public_signatures(module):
-    public = {name: getattr(module, name) for name in module.__all__}
-    got = {name: tuple(inspect.signature(fn).parameters) for name, fn in public.items() if inspect.isfunction(fn)}
+    got = {
+        name: tuple(inspect.signature(fn).parameters)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+    }
     assert got == PUBLIC_SIGNATURES[module]
 
 

@@ -405,6 +405,16 @@ def test_find_tangency_creates_second_order_contact(dense_params):
     assert abs(lin) * 1e-4 < 1e-2 * abs(quad) * 1e-8
 
 
+@pytest.mark.parametrize("x0", [1e12, 1e300])
+def test_find_tangency_reads_x0_mod_2pi(dense_params, x0):
+    # x0 - angle would round away the residue of so large an x0, and the
+    # scan would pick another reversal
+    report = find_tangency(x0, 0.0, 10_000, dense_params)
+    residue = find_tangency(wrap_pi(x0), 0.0, 10_000, dense_params)
+    assert report.x0 == x0
+    assert replace(report, x0=residue.x0) == residue
+
+
 def test_find_tangency_stagnates_for_rational_gamma(rational_params):
     amps = [find_tangency(1.0, 0.0, n, rational_params).amplitude for n in (100, 1000, 10_000)]
     assert amps[0] == pytest.approx(amps[2], abs=1e-9)
