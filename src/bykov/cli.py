@@ -192,21 +192,26 @@ def cmd_reversals(args, p):
     diagnostics = {"count": len(seq), "reason": seq.reason}
     if args.verify:
         # in u = ln s, which never underflows; |x_u| <= 1e-8 is |dxw_ds| <= 1e-8/s
-        log_s = seq.log_s_values
+        log_s, g_v = seq.log_s_values, p.constants.g_v
         # past the first-order bound below, as curve past |phi| = 2^50
-        deep = np.flatnonzero(p.constants.g_v * np.abs(log_s) >= 2.0**50)
+        deep = np.flatnonzero(g_v * np.abs(log_s) >= 2.0**50)
         if deep.size:
             raise ParameterError(
                 f"cannot verify reversal {deep[0]} of --n-max={args.n_max}: there g_v |ln s| >= 2^50,"
                 " and one ulp of ln s moves phi by a quarter radian or more"
             )
-        period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / p.constants.g_v)
-        if not np.all(period_miss <= 1e-10):
+        # each u rounds at the size of c2 + t - phi, in units of 1/g_v; c = 16 (README)
+        phi = np.abs(seq.phi_values)
+        terms = abs(p.constants.c2) + abs(args.t) + np.maximum(phi[2:], phi[:-2])
+        period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / g_v)
+        if not np.all(period_miss <= np.maximum(1e-10, 16.0 * np.spacing(terms) / g_v)):
             raise VerifyFailure("period ln s_{n+2} - ln s_n = -pi/g_v violated")
         slope, x_uu = _exit_bend(args.t, log_s, p)
         x_u = np.abs(slope.x_u)
-        # a reversal placed to within an ulp of u leaves x_u up to |x_uu| ulp(u); c = 16 (README)
-        bad = np.flatnonzero(~(x_u <= np.maximum(1e-8, 16.0 * np.abs(x_uu) * np.spacing(np.abs(log_s)))))
+        # the rounding of u, at most 8.35 ulp(|u| + (|t| + 1)/g_v), leaves x_u
+        # up to |x_uu| times it; c = 16 (README)
+        ulp_u = np.spacing(np.abs(log_s) + (abs(args.t) + 1.0) / g_v)
+        bad = np.flatnonzero(~(x_u <= np.maximum(1e-8, 16.0 * np.abs(x_uu) * ulp_u)))
         if bad.size:
             raise VerifyFailure(f"nonzero turning derivative at reversal {bad[0]}")
         diagnostics["period_miss"] = float(np.max(period_miss, initial=0.0))
@@ -237,7 +242,7 @@ def cmd_tangency(args, p):
 def cmd_strips(args, p):
     family = build_strips(args.tau, args.n_limit, p)
     strips = family.strips
-    index = [strip.index for strip in strips for _ in strip.t_grid]
+    index = [n for n, strip in enumerate(strips) for _ in strip.t_grid]
     t, a, b = ([v for strip in strips for v in getattr(strip, name).tolist()] for name in ("t_grid", "a_of_t", "b_of_t"))
     rows = _csv(STRIPS_HEADER, index, t, a, b)
     diagnostics = {
@@ -286,7 +291,7 @@ def cmd_jacobian(args, p):
             if not miss <= 1e-5:
                 raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
             worst_miss = max(worst_miss, miss)
-        reports.append((rep.x, rep.y, rep.det, rep.trace, rep.eigen_class))
+        reports.append((args.x, y, rep.det, rep.trace, rep.eigen_class))
     rows = _csv(JACOBIAN_HEADER, *zip(*reports))
     diagnostics: dict = {"count": len(reports)}
     if args.verify:

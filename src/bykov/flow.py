@@ -632,10 +632,6 @@ def _dwell_segments(series: TrajectorySeries, radius: float) -> list[Dwell]:
         if node is not None:
             t_enter = crossing(i, dist[node], radius) if i > 0 else float(times[0])
         current = node
-    if current is not None:
-        # open-ended final dwell: keep it marked by exit at the horizon
-        t_exit = float(times[-1])
-        dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
     return dwells
 
 
@@ -644,15 +640,13 @@ def sojourn_analysis(series: TrajectorySeries, neighborhood_radius: float = 0.3)
 
     The headline statistic is the median of ratios of consecutive same-node
     dwell durations, computed after dropping the first ``DWELL_DISCARD``
-    dwells (transient) and a final dwell cut off by the horizon.  The poles
+    dwells (transient); a dwell still open at the horizon is not counted.  The poles
     are 2 apart, so the radius must lie in (0, 1] for their open
     neighbourhoods to be disjoint.
     """
     if not 0.0 < neighborhood_radius <= 1.0:
         raise ParameterError(f"neighborhood_radius must lie in (0, 1], got {neighborhood_radius}")
     dwells = _dwell_segments(series, neighborhood_radius)
-    if dwells and dwells[-1].t_exit >= float(series.times[-1]):
-        dwells = dwells[:-1]
     if len(dwells) < 2:
         raise InsufficientDataError(
             f"need at least 2 complete dwell episodes, found {len(dwells)}"

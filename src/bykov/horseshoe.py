@@ -92,8 +92,6 @@ def _return_step(x, ln_y, p: SaddleParams):
 class JacobianReport:
     """The return-map Jacobian at a point, as rows of floats, with its determinant, trace and eigenvalue class."""
 
-    x: float
-    y: float
     jacobian: tuple[tuple[float, float], tuple[float, float]]
     det: float
     trace: float
@@ -148,7 +146,7 @@ def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
         raise ValueError(f"the return-map Jacobian is not finite at y={y}")
     det = j00 * j11 - j01 * j10
     trace = j00 + j11
-    return JacobianReport(x, y, jac, det, trace, _eigen_class(*_eigen_moduli(trace, det)))
+    return JacobianReport(jac, det, trace, _eigen_class(*_eigen_moduli(trace, det)))
 
 
 def _libm_exp(u) -> np.ndarray:
@@ -224,9 +222,8 @@ def _solve(fn, targets, lo, hi, v_lo, v_hi) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class Strip:
-    """One horizontal strip: boundary heights over the t-grid and its winding."""
+    """One horizontal strip: boundary heights over the family's t-grid and its winding."""
 
-    index: int
     winding: int
     t_grid: np.ndarray
     a_of_t: np.ndarray
@@ -468,9 +465,7 @@ def _collect_strips(
         heights = np.exp(_exit_values(t_grid, np.log(s_chk), p).log_y)
         fits = ~np.any(heights > tau, axis=(1, 2))
         for c in np.flatnonzero(fits)[: n_limit - len(strips)].tolist():
-            strips.append(
-                Strip(index=len(strips), winding=windings[c], t_grid=t_grid.copy(), a_of_t=a_vals[c], b_of_t=b_vals[c])
-            )
+            strips.append(Strip(winding=windings[c], t_grid=t_grid, a_of_t=a_vals[c], b_of_t=b_vals[c]))
         if not fits.all():
             misses += m - int(np.count_nonzero(fits))
             # the next batch is larger while candidates fail, up to 64 per missing strip
@@ -478,21 +473,24 @@ def _collect_strips(
     return strips, passes
 
 
+def _strip_table(family: StripFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, a and b of a nonempty family's boundary samples, as (strips, points) arrays."""
+    return tuple(np.array([getattr(s, name) for s in family.strips]) for name in ("t_grid", "a_of_t", "b_of_t"))
+
+
 def _boundary_misses(family: StripFamily, p: SaddleParams):
-    """Every boundary sample of a nonempty family, strip by strip: (t, a, b, ordered, miss_a, miss_b).
+    """Every boundary sample of a nonempty family, as (strips, points) arrays: (t, a, b, ordered, miss_a, miss_b).
 
     miss_a and miss_b are the circle distances of the exit angles at a and b
     from their targets.  A sample out of order (not 0 < a < b <= eps) is
     evaluated at a = b = eps instead, where its misses mean nothing.
     """
     lo_res, hi_res = _residues(family.tau, p.constants.gamma)
-    t = np.concatenate([s.t_grid for s in family.strips])
-    a = np.concatenate([s.a_of_t for s in family.strips])
-    b = np.concatenate([s.b_of_t for s in family.strips])
+    t, a, b = _strip_table(family)
     ordered = (0.0 < a) & (a < b) & (b <= p.eps)
     a = np.where(ordered, a, p.eps)
     b = np.where(ordered, b, p.eps)
-    x_a, x_b = np.split(_exit_values(np.concatenate([t, t]), np.log(np.concatenate([a, b])), p).x_w, 2)
+    x_a, x_b = _exit_values(np.stack([t, t]), np.log(np.stack([a, b])), p).x_w
     return t, a, b, ordered, circle_dist(x_a, lo_res), circle_dist(x_b, hi_res)
 
 
@@ -518,30 +516,30 @@ def strip_family_violations(family: StripFamily, p: SaddleParams) -> list[str]:
     if not family.strips:
         return []
     increasing = p.constants.gamma > 1.0
-    # one row per strip; the strips of a family share their t-grid length
-    t_grid = np.array([s.t_grid for s in family.strips])
     t, a, b, ordered, miss_a, miss_b = _boundary_misses(family, p)
     miss_a, miss_b = miss_a > 1e-9, miss_b > 1e-9
     # dx_w/ds = x_u / s has the sign of x_u
-    fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
+    fracs = np.array([0.125, 0.375, 0.625, 0.875])[:, None, None]
     slope = _exit_slope(t, np.log(a + fracs * (b - a)), p).x_u
     wrong = np.any((slope <= 0) if increasing else (slope >= 0), axis=0)
     out: list[str] = []
-    for i in np.flatnonzero(~ordered | miss_a | miss_b | wrong).tolist():
-        head = f"strip {family.strips[i // t_grid.shape[1]].index}:"
-        if not ordered[i]:
-            out.append(f"{head} boundaries out of order at t={t[i]}")
+    for i, j in zip(*np.nonzero(~ordered | miss_a | miss_b | wrong)):
+        head, at = f"strip {i}:", f"at t={t[i, j]}"
+        if not ordered[i, j]:
+            out.append(f"{head} boundaries out of order {at}")
             continue
-        if miss_a[i]:
-            out.append(f"{head} lower boundary misses target at t={t[i]}")
-        if miss_b[i]:
-            out.append(f"{head} upper boundary misses target at t={t[i]}")
-        if wrong[i]:
-            out.append(f"{head} wrong monotonicity inside at t={t[i]}")
-    # at each t, the spans sorted by (a, b, index); neighbours must not touch
-    columns = zip(*(zip(s.a_of_t.tolist(), s.b_of_t.tolist(), [s.index] * len(s.t_grid)) for s in family.strips))
-    for t_i, spans in zip(t_grid[0], columns):
-        spans = sorted(spans)
+        if miss_a[i, j]:
+            out.append(f"{head} lower boundary misses target {at}")
+        if miss_b[i, j]:
+            out.append(f"{head} upper boundary misses target {at}")
+        if wrong[i, j]:
+            out.append(f"{head} wrong monotonicity inside {at}")
+    # at each t, the spans sorted by (a, b, index); neighbours must not
+    # touch.  The stored boundaries: _boundary_misses moved unordered ones to eps
+    _, a, b = _strip_table(family)
+    columns = zip(a.T.tolist(), b.T.tolist())
+    for t_i, (a_j, b_j) in zip(t[0], columns):
+        spans = sorted(zip(a_j, b_j, range(len(a_j))))
         for (_, b1, i1), (a2, _, i2) in zip(spans, spans[1:]):
             if b1 >= a2:
                 out.append(f"strips {i1} and {i2} overlap in s at t={t_i}")
@@ -558,24 +556,20 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
     """
     if not family.strips:
         return []
-    # the heights of both side curves of every strip, (strips, 2, 33)
-    edges = np.array([[s.a_of_t[[0, -1]], s.b_of_t[[0, -1]]] for s in family.strips])
-    sides = np.linspace(edges[:, 0], edges[:, 1], 33, axis=1).transpose(0, 2, 1)
-    ts, ss = [], []
-    for strip, side in zip(family.strips, sides):
-        t_grid = strip.t_grid
-        ts.append(np.concatenate([t_grid, t_grid, np.repeat(t_grid[[0, -1]], 33)]))
-        ss.append(np.concatenate([strip.a_of_t, strip.b_of_t, side.ravel()]))
-    starts = np.cumsum([0] + [len(t) for t in ts[:-1]])
-    curve = _exit_values(np.concatenate(ts), np.log(np.concatenate(ss)), p)
+    t, a, b = _strip_table(family)
+    # the heights of both side curves of every strip, at its first and last t, (strips, 2, 33)
+    sides = np.linspace(a[:, [0, -1]], b[:, [0, -1]], 33, axis=2)
+    # one row per strip: its two boundaries, then its two sides
+    ts = np.hstack([t, t, np.repeat(t[:, [0, -1]], 33, axis=1)])
+    curve = _exit_values(ts, np.log(np.hstack([a, b, sides.reshape(len(t), -1)])), p)
     # the return map is (x, y) -> (y_w, -x_w) with the height reduced
     xs = np.exp(curve.log_y)
     ys = wrap_pi(-curve.x_w)
-    y_los, y_his = np.minimum.reduceat(ys, starts).tolist(), np.maximum.reduceat(ys, starts).tolist()
-    x_los, x_his = np.minimum.reduceat(xs, starts).tolist(), np.maximum.reduceat(xs, starts).tolist()
+    y_los, y_his = ys.min(axis=1).tolist(), ys.max(axis=1).tolist()
+    x_los, x_his = xs.min(axis=1).tolist(), xs.max(axis=1).tolist()
     return [
         {
-            "index": strip.index,
+            "index": i,
             "winding": strip.winding,
             "image_y_min": y_lo,
             "image_y_max": y_hi,
@@ -584,7 +578,7 @@ def strip_image_report(family: StripFamily, p: SaddleParams) -> list[dict]:
             "spans_vertically": y_lo <= 1e-6 and y_hi >= family.tau - 1e-6,
             "within_width": 0.0 <= x_lo and x_hi <= family.tau,
         }
-        for strip, y_lo, y_hi, x_lo, x_hi in zip(family.strips, y_los, y_his, x_los, x_his)
+        for i, (strip, y_lo, y_hi, x_lo, x_hi) in enumerate(zip(family.strips, y_los, y_his, x_los, x_his))
     ]
 
 

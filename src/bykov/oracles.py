@@ -265,7 +265,10 @@ def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray,
     overflow an entry near the float limit.
     Returns the extrapolated matrix and the largest entry change between
     the two step sizes, a measure of how far the stencil has converged.
+    The return map has period 2 pi in x, so the differences are taken at
+    x mod 2 pi, reduced exactly, where FD_STEP is not lost to ulp(x).
     """
+    x = math.remainder(x, TWO_PI)
     u = math.log(y)
 
     def centred(h: float) -> np.ndarray:

@@ -435,6 +435,16 @@ def test_reversals_verify_at_large_g_v(steep_config, tmp_path):
     assert diagnostics["count"] == 100 and diagnostics["max_abs_x_u"] > 1e24
 
 
+@pytest.mark.parametrize("t", ["1e7", "1e12", "1e15"])
+def test_reversals_verify_at_large_t(dense_config, t, tmp_path):
+    # u = (c2 + t - phi)/g_v rounds at ulp(t)/g_v, and both misses pass
+    # their floors 1e-10 and 1e-8 from t = 1e7 on; the bounds carry t (README)
+    out = tmp_path / "out"
+    assert main(["reversals", "--config", dense_config, "--t", t, "--verify", "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "reversals_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["period_miss"] > 1e-10 and diagnostics["max_abs_x_u"] > 1e-8
+
+
 def test_reversals_verify_refuses_past_the_resolved_angle(tmp_path, capsys):
     # g_v = 9.9e14: every reversal has g_v |ln s| >= 2^50, where one ulp of
     # ln s moves phi by a quarter radian or more; --verify exited 1 at
@@ -570,6 +580,13 @@ def test_jacobian_verify_at_every_accepted_height(config, x, k_max, tmp_path):
     diagnostics = json.loads((out / "jacobian_manifest.json").read_text())["diagnostics"]
     assert diagnostics["count"] == k_max - 3 and diagnostics["oracle_rel_error"] < 1e-5
     assert main([*argv, "--k-max", str(k_max + 1), "--out", str(tmp_path / "deeper")]) == 2
+
+
+def test_jacobian_verify_at_large_x(dense_config, tmp_path):
+    # the oracle differences at x mod 2 pi, where its step is not lost to ulp(x)
+    out = tmp_path / "out"
+    assert main(["jacobian", "--config", dense_config, "--x", "1e6", "--verify", "--out", str(out)]) == 0
+    assert json.loads((out / "jacobian_manifest.json").read_text())["diagnostics"]["oracle_rel_error"] < 1e-5
 
 
 def test_multipulse_manifest_records_the_replay(tmp_path, capsys):
@@ -1161,6 +1178,17 @@ VERIFY_FAILURES = {
     # every steep reversal moved by 1e-6 in u, a million ulps of it
     "reversals-turning-steep": (
         "steep_config", ["reversals", "--n-max", "100"], "reversal_sequence",
+        lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + 1e-6),
+        "nonzero turning derivative at reversal 0",
+    ),
+    # at t = 1e7 the bounds carry ulp(t)/g_v, still far below a move of 1e-6
+    "reversals-period-far-t": (
+        "dense_config", ["reversals", "--n-max", "20", "--t", "1e7"], "reversal_sequence",
+        lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + 1e-6 * (np.arange(len(r)) == 5)),
+        "period ln s_{n+2} - ln s_n = -pi/g_v violated",
+    ),
+    "reversals-turning-far-t": (
+        "dense_config", ["reversals", "--n-max", "20", "--t", "1e7"], "reversal_sequence",
         lambda r: dataclasses.replace(r, log_s_values=r.log_s_values + 1e-6),
         "nonzero turning derivative at reversal 0",
     ),

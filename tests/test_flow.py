@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -876,7 +877,7 @@ def test_manifest_counts_match_the_list_reference(run, tmp_path, monkeypatch):
 
 
 def _dwell_loop(series, radius):
-    """Reference for ``_dwell_segments``: one pass over every sample."""
+    """Reference for ``_dwell_segments``: one pass over every sample, complete dwells only."""
     dim = series.states.shape[1]
     poles = {"v": np.array(V_POLE[-dim:]), "w": np.array(W_POLE[-dim:])}
     dist = {n: np.linalg.norm(series.states - pole, axis=1) for n, pole in poles.items()}
@@ -905,9 +906,6 @@ def _dwell_loop(series, radius):
             if node is not None:
                 t_enter = crossing(i, dist[node], radius) if i > 0 else float(times[0])
             current = node
-    if current is not None:
-        t_exit = float(times[-1])
-        dwells.append(Dwell(node=current, t_enter=t_enter, t_exit=t_exit, duration=t_exit - t_enter))
     return dwells
 
 
@@ -924,3 +922,17 @@ def test_dwell_segments_match_sample_loop():
             # repr tells every float bit apart, -0.0 from 0.0 too
             assert repr(got) == repr(_dwell_loop(series, radius))
             assert len(got) > 2
+
+
+def test_run_ending_inside_a_node_has_no_open_dwell():
+    durations = [("v" if i % 2 == 0 else "w", 1.5**i) for i in range(10)]
+    full = synthetic_dwell_series(durations)
+    # cut inside the last dwell, at its first sample on the pole
+    series = dataclasses.replace(full, times=full.times[:-4], states=full.states[:-4])
+    assert np.array_equal(series.states[-1], W_POLE)
+    dwells = _dwell_segments(series, 0.3)
+    assert repr(dwells) == repr(_dwell_segments(full, 0.3)[:-1])
+    assert dwells[-1].t_exit < series.times[-1]
+    # the report is that of the run without the last dwell
+    want = sojourn_analysis(synthetic_dwell_series(durations[:-1]))
+    assert repr(sojourn_analysis(series)) == repr(want)
