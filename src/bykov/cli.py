@@ -193,15 +193,18 @@ def cmd_reversals(args, p):
     if args.verify:
         # in u = ln s, which never underflows; |x_u| <= 1e-8 is |dxw_ds| <= 1e-8/s
         log_s, g_v = seq.log_s_values, p.constants.g_v
-        # past the first-order bound below, as curve past |phi| = 2^50
-        deep = np.flatnonzero(g_v * np.abs(log_s) >= 2.0**50)
+        phi = np.abs(seq.phi_values)
+        # past the first-order bounds below, as curve past |phi| = 2^50
+        steep = g_v * np.abs(log_s) >= 2.0**50
+        deep = np.flatnonzero(steep | (phi >= 2.0**50))
         if deep.size:
+            n = deep[0]
+            size, moved = ("g_v |ln s|", "ln s moves phi by") if steep[n] else ("|phi|", "phi is")
             raise ParameterError(
-                f"cannot verify reversal {deep[0]} of --n-max={args.n_max}: there g_v |ln s| >= 2^50,"
-                " and one ulp of ln s moves phi by a quarter radian or more"
+                f"cannot verify reversal {n} of --n-max={args.n_max}: there {size} >= 2^50,"
+                f" and one ulp of {moved} a quarter radian or more"
             )
         # each u rounds at the size of c2 + t - phi, in units of 1/g_v; c = 16 (README)
-        phi = np.abs(seq.phi_values)
         terms = abs(p.constants.c2) + abs(args.t) + np.maximum(phi[2:], phi[:-2])
         period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / g_v)
         if not np.all(period_miss <= np.maximum(1e-10, 16.0 * np.spacing(terms) / g_v)):

@@ -31,8 +31,13 @@ interpolation.  The step is written out over the model's coordinate slots
 (three for the 3D model, four for the lifts), with the tableau's nonzero
 weights as float literals.  Stage 7's b-weighted sum also gives the new
 state, and the 4D fields' lam terms are added only where they can change a
-bit; ``_step_lines`` says why every run keeps its bits.  A run that leaves
-a coordinate exactly 0.0 after it started nonzero is flagged in
+bit; ``_step_lines`` says why every run keeps its bits.  The loop is
+``while True:`` with the horizon test first, so that its back edge is an
+unconditional ``JUMP_BACKWARD``: CPython 3.11 specialises a function after
+8 calls or 8 such jumps and counts no conditional one, so ``while T - t >
+stop:`` would leave a single run on generic float operations.  3.10 has no
+specialisation, and 3.12 and later specialise from creation.  A run that
+leaves a coordinate exactly 0.0 after it started nonzero is flagged in
 ``TrajectorySeries.collapse``.
 """
 
@@ -257,7 +262,12 @@ _DP_E = (
 # slots j: the stage lines, the field at each stage and the b and e sums
 # come from ``_step_lines``.  Step control is written as comparisons:
 # ``min(a, b)`` is ``b if b < a else a`` and ``max(a, b)`` is
-# ``b if b > a else a``, the builtins' results, nan included.
+# ``b if b > a else a``, the builtins' results, nan included.  The loop is
+# ``while True:`` and tests the horizon first: its back edge is then a
+# ``JUMP_BACKWARD``, which CPython 3.11 counts toward specialising ``run``
+# eight steps into its first call; the conditional back edge of ``while
+# T - t > stop:`` does not count.  3.10 has no specialisation, and 3.12 and
+# later specialise from creation.
 _RUN = """\
 def run({ys}, T, rtol, atol, a1, a2, lam):
     sqrt = math.sqrt
@@ -279,7 +289,9 @@ def run({ys}, T, rtol, atol, a1, a2, lam):
     # below ulp(t) would stall the loop
     stop = {stop_margin!r} * max(1.0, T)
     floor = max(1.0, T * 1e-3)
-    while T - t > stop:
+    while True:
+        if not T - t > stop:
+            break
         if h > {h_max!r}:
             h = {h_max!r}
         speed = sqrt({speed2})

@@ -472,6 +472,23 @@ def test_reversals_verify_refuses_past_the_resolved_angle(tmp_path, capsys):
     assert len((out / "reversals.csv").read_text().splitlines()) == 3001
 
 
+def test_reversals_verify_refuses_an_angle_past_2_50(tmp_path, capsys):
+    # t = 2^50 - 1 puts phi_0 = c2 + t past 2^50 while |t| < 2^50, where one
+    # ulp of phi is a quarter radian; --verify exited 1 at reversal 26 on
+    # this output, which is right to rounding
+    argv = ["reversals", "--config", str(DENSE_PARAMS), "--t", "1125899906842623"]
+    out = tmp_path / "out"
+    assert main([*argv, "--verify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot verify reversal 0 of --n-max=10000: there |phi| >= 2^50,"
+        " and one ulp of phi is a quarter radian or more\n"
+    )
+    assert not out.exists()
+    assert main([*argv, "--out", str(out)]) == 0
+
+
 def test_strips_refuses_a_family_of_too_many_misses(steep_config, tmp_path, capsys):
     # g_v = 2e13: no candidate's return image fits under tau, and the walk
     # would not end; the refusal comes after STRIP_MISSES candidates

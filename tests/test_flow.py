@@ -1,4 +1,5 @@
 import dataclasses
+import dis
 import hashlib
 import itertools
 import json
@@ -588,6 +589,18 @@ def test_integrate_bit_for_bit(name):
     assert (series.max_error_estimate.hex(), series.error_budget.hex()) == (max_err, budget)
     assert (series.failure is not None) == (name == "underflow")
     assert (series.collapse is not None) == (name == "collapse")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="no specialising interpreter before CPython 3.11")
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_run_specialises_during_its_first_call(model):
+    # CPython 3.11 specialises a function after 8 calls or 8 JUMP_BACKWARDs;
+    # the DP5 loop must end on one, so that one run uses the float-specialised ops
+    flow._compiled.cache_clear()
+    config = ModelConfig(alpha1=1.0, alpha2=-0.1, model=model)
+    integrate((0.1, 0.4, 0.9) if model == "dim3" else FIG_START, T=1.0, config=config)
+    _, run = flow._compiled(model)
+    assert "BINARY_OP_MULTIPLY_FLOAT" in {op.opname for op in dis.get_instructions(run, adaptive=True)}
 
 
 def _reference_field(config):
