@@ -194,16 +194,18 @@ def cmd_reversals(args, p):
         # in u = ln s, which never underflows; |x_u| <= 1e-8 is |dxw_ds| <= 1e-8/s
         log_s, g_v = seq.log_s_values, p.constants.g_v
         phi = np.abs(seq.phi_values)
-        # past the first-order bounds below, as curve past |phi| = 2^50
-        steep = g_v * np.abs(log_s) >= 2.0**50
+        # past the first-order bounds below: from g_v |ln s| = 2^48 on, the
+        # 8.35-ulp error of ln s moves phi by up to half a radian (README),
+        # and from |phi| = 2^50 on, as in curve, one ulp of phi is a quarter radian
+        steep = g_v * np.abs(log_s) >= 2.0**48
         deep = np.flatnonzero(steep | (phi >= 2.0**50))
         if deep.size:
             n = deep[0]
-            size, moved = ("g_v |ln s|", "ln s moves phi by") if steep[n] else ("|phi|", "phi is")
-            raise ParameterError(
-                f"cannot verify reversal {n} of --n-max={args.n_max}: there {size} >= 2^50,"
-                f" and one ulp of {moved} a quarter radian or more"
-            )
+            if steep[n]:
+                there = "g_v |ln s| >= 2^48, and one ulp of ln s moves phi by 2^-5 radian or more"
+            else:
+                there = "|phi| >= 2^50, and one ulp of phi is a quarter radian or more"
+            raise ParameterError(f"cannot verify reversal {n} of --n-max={args.n_max}: there {there}")
         # each u rounds at the size of c2 + t - phi, in units of 1/g_v; c = 16 (README)
         terms = abs(p.constants.c2) + abs(args.t) + np.maximum(phi[2:], phi[:-2])
         period_miss = np.abs(log_s[2:] - log_s[:-2] + math.pi / g_v)

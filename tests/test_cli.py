@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -166,6 +168,37 @@ def test_verify_replays_points_at_any_depth(command, fixture, request, tmp_path,
     diagnostics = json.loads((out / f"{command[0]}_manifest.json").read_text())["diagnostics"]
     if command[0] == "multipulse":
         assert diagnostics["count"] >= 1 and diagnostics["replay_residual"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (["curve", DENSE_PARAMS, "--s-min", "1e-300", "--s-max", "0.5", "--n-samples", "2000"], "curve.csv"),
+        (["curve", README_PARAMS, "--s-min", "1e-300", "--s-max", "0.5", "--n-samples", "2000"], "curve.csv"),
+        (["reversals", DENSE_PARAMS, "--n-max", "10000"], "reversals.csv"),
+        (["strips", README_PARAMS, "--tau", "0.4", "--n-limit", "40"], "strips.csv"),
+        (["multipulse", DENSE_PARAMS, "--n", "3"], "multipulse.json"),
+        (["multipulse", DENSE_PARAMS, "--n", "4"], "multipulse.json"),
+        (["multipulse", README_PARAMS, "--n", "4"], "multipulse.json"),
+        (["multipulse", README_PARAMS, "--n", "2", "--s-min", "1e-300", "--s-max", "1e-290"], "multipulse.json"),
+        (["simulate", README_FLOW], "trajectory.csv"),
+        (["sojourn", README_FLOW], "sojourn.json"),
+        (["classify", README_PARAMS], "region.json"),
+    ],
+    ids=[
+        "curve-dense-deep", "curve-readme-deep", "reversals-dense", "strips-readme-40", "multipulse-dense-n3",
+        "multipulse-dense-n4", "multipulse-readme-n4", "multipulse-readme-deep", "simulate-readme", "sojourn-readme",
+        "classify-readme",
+    ],
+)
+def test_verify_on_the_example_configs(argv, artifact, tmp_path, capsys):
+    # each command's --verify replay passes on the committed configs, down
+    # to s = 1e-300 and out to 40 strips and 4 pulses
+    command, config, *options = argv
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), *options, "--verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(path.name for path in out.iterdir()) == sorted([artifact, f"{command}_manifest.json"])
 
 
 def test_failed_write_echoes_nothing(case1_config, tmp_path, capsys):
@@ -387,8 +420,12 @@ def test_multipulse_refuses_a_grid_of_too_many_crossings(n, verify, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps, s_min, s_max", [(0.5, "1e-20", "0.5"), (0.01, "1e-20", "0.01")])
-def test_curve_verify_at_large_g_v(eps, s_min, s_max, tmp_path):
+@pytest.mark.parametrize(
+    "eps, s_min, s_max, n_samples",
+    [(0.5, "1e-20", "0.5", "400"), (0.01, "1e-20", "0.01", "400"), (0.5, "1e-20", "0.5", "50")],
+    ids=["0.5-1e-20-0.5", "0.01-1e-20-0.01", "0.5-1e-20-0.5-n50"],
+)
+def test_curve_verify_at_large_g_v(eps, s_min, s_max, n_samples, tmp_path):
     # g_v = 2e13: the kernel and the composition oracle each round at the size
     # of x_w's largest term, g_w delta_v |u|; at eps = 0.5 they part by 4 ulp
     # of max(|x_w|, |phi|) at s = 2.52e-20, and at eps = 0.01, where c2 holds
@@ -398,7 +435,7 @@ def test_curve_verify_at_large_g_v(eps, s_min, s_max, tmp_path):
     steep = {**dense, "alpha_v": 1e13 * dense["alpha_v"], "alpha_w": 1e13 * dense["alpha_w"], "eps": eps}
     path.write_text(json.dumps(steep))
     out = tmp_path / "out"
-    argv = ["curve", "--config", str(path), "--s-min", s_min, "--s-max", s_max, "--n-samples", "400", "--verify"]
+    argv = ["curve", "--config", str(path), "--s-min", s_min, "--s-max", s_max, "--n-samples", n_samples, "--verify"]
     assert main([*argv, "--out", str(out)]) == 0
     k = load_saddle_params(steep).constants
     rows = [list(map(float, line.split(","))) for line in (out / "curve.csv").read_text().splitlines()[1:]]
@@ -436,11 +473,11 @@ def test_reversals_verify_at_large_g_v(steep_config, tmp_path):
 
 
 @pytest.mark.parametrize("t", ["1e7", "1e12", "1e15"])
-def test_reversals_verify_at_large_t(dense_config, t, tmp_path):
+def test_reversals_verify_at_large_t(t, tmp_path):
     # u = (c2 + t - phi)/g_v rounds at ulp(t)/g_v, and both misses pass
     # their floors 1e-10 and 1e-8 from t = 1e7 on; the bounds carry t (README)
     out = tmp_path / "out"
-    assert main(["reversals", "--config", dense_config, "--t", t, "--verify", "--out", str(out)]) == 0
+    assert main(["reversals", "--config", str(DENSE_PARAMS), "--t", t, "--verify", "--out", str(out)]) == 0
     diagnostics = json.loads((out / "reversals_manifest.json").read_text())["diagnostics"]
     assert diagnostics["period_miss"] > 1e-10 and diagnostics["max_abs_x_u"] > 1e-8
 
@@ -448,7 +485,8 @@ def test_reversals_verify_at_large_t(dense_config, t, tmp_path):
 def test_reversals_verify_refuses_past_the_resolved_angle(tmp_path, capsys):
     # g_v = 9.9e14: every reversal has g_v |ln s| >= 2^50, where one ulp of
     # ln s moves phi by a quarter radian or more; --verify exited 1 at
-    # reversal 22 on this output, which is right to rounding
+    # reversal 22 on this output, which is right to rounding; the refusal
+    # starts at 2^48
     path = tmp_path / "deep.json"
     path.write_text(
         json.dumps(
@@ -463,13 +501,37 @@ def test_reversals_verify_refuses_past_the_resolved_angle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: cannot verify reversal 0 of --n-max=3000: there g_v |ln s| >= 2^50,"
-        " and one ulp of ln s moves phi by a quarter radian or more\n"
+        "error: cannot verify reversal 0 of --n-max=3000: there g_v |ln s| >= 2^48,"
+        " and one ulp of ln s moves phi by 2^-5 radian or more\n"
     )
     assert not out.exists()
     # without --verify the sequence is written as before
     assert main([*argv, "--out", str(out)]) == 0
     assert len((out / "reversals.csv").read_text().splitlines()) == 3001
+
+
+def test_reversals_verify_refuses_from_2_48(tmp_path, capsys):
+    # g_v = 7.8e14 and g_v |ln s| = 2^49.78 at every reversal: from 2^48 on,
+    # the 8.35-ulp error of ln s moves phi by up to half a radian, past the
+    # first-order |x_uu| bound; --verify exited 1 at reversal 145 on this
+    # output, which is right to rounding
+    path = tmp_path / "steep.json"
+    path.write_text(
+        json.dumps(
+            {"alpha_v": 322522341095780.4, "C_v": 1.7141778453841765, "E_v": 0.4111984217115721,
+             "alpha_w": 0.9896535728140026, "C_w": 1.448133424128104, "E_w": 2.0668126255771764,
+             "a": 2.1066857972006474, "eps": 0.29087282446890306}
+        )
+    )
+    argv = ["reversals", "--config", str(path), "--t", "2.7568303766591082", "--n-max", "2832"]
+    out = tmp_path / "out"
+    assert main([*argv, "--verify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot verify reversal 0 of --n-max=2832: there g_v |ln s| >= 2^48")
+    assert not out.exists()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len((out / "reversals.csv").read_text().splitlines()) == 2833
 
 
 def test_reversals_verify_refuses_an_angle_past_2_50(tmp_path, capsys):
@@ -599,10 +661,10 @@ def test_jacobian_verify_at_every_accepted_height(config, x, k_max, tmp_path):
     assert main([*argv, "--k-max", str(k_max + 1), "--out", str(tmp_path / "deeper")]) == 2
 
 
-def test_jacobian_verify_at_large_x(dense_config, tmp_path):
+def test_jacobian_verify_at_large_x(tmp_path):
     # the oracle differences at x mod 2 pi, where its step is not lost to ulp(x)
     out = tmp_path / "out"
-    assert main(["jacobian", "--config", dense_config, "--x", "1e6", "--verify", "--out", str(out)]) == 0
+    assert main(["jacobian", "--config", str(DENSE_PARAMS), "--x", "1e6", "--verify", "--out", str(out)]) == 0
     assert json.loads((out / "jacobian_manifest.json").read_text())["diagnostics"]["oracle_rel_error"] < 1e-5
 
 
@@ -622,9 +684,10 @@ def test_multipulse_manifest_records_the_replay(tmp_path, capsys):
     assert "replay_residual" not in json.loads((tmp_path / "plain" / "multipulse_manifest.json").read_text())["diagnostics"]
 
 
-def test_tangency_manifest_records_the_bump_replay(dense_config, tmp_path, capsys):
+def test_tangency_manifest_records_the_bump_replay(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["tangency", "--config", dense_config, "--n-max", "10000", "--verify", "--out", str(out)]) == 0
+    argv = ["tangency", "--config", str(DENSE_PARAMS), "--x0", "0.0"]
+    assert main([*argv, "--n-max", "10000", "--verify", "--out", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
     diagnostics = json.loads((out / "tangency_manifest.json").read_text())["diagnostics"]
     assert diagnostics["amplitude"] == report["amplitude"] == report["history"][-1][1]
@@ -632,7 +695,7 @@ def test_tangency_manifest_records_the_bump_replay(dense_config, tmp_path, capsy
     # the centre lies below the float range, so its height is written as 0.0
     assert diagnostics["center_log_y"] < math.log(5e-324) and diagnostics["center_underflow"] is True
     assert report["bump"]["center"][1] == 0.0
-    assert main(["tangency", "--config", dense_config, "--n-max", "3", "--out", str(tmp_path / "shallow")]) == 0
+    assert main([*argv, "--n-max", "3", "--out", str(tmp_path / "shallow")]) == 0
     diagnostics = json.loads((tmp_path / "shallow" / "tangency_manifest.json").read_text())["diagnostics"]
     assert diagnostics["center_underflow"] is False and "bump_residual" not in diagnostics
     center_y = json.loads(capsys.readouterr().out)["bump"]["center"][1]
@@ -723,7 +786,9 @@ def test_simulate_unmeetable_tolerance_ends_on_underflow(verify, code, flow_conf
     out = tmp_path / "out"
     argv = ["simulate", "--config", flow_config, "--rtol", "0", "--atol", "1e-300", "--T", "1", "--out", str(out)]
     assert main(argv + verify) == code
-    if not verify:
+    if verify:
+        assert not out.exists()
+    else:
         manifest = json.loads((out / "simulate_manifest.json").read_text())
         assert manifest["diagnostics"]["failure"].startswith("step-size underflow")
 
@@ -882,14 +947,17 @@ def test_config_digest_is_that_of_the_parsed_bytes(command, config, options, tmp
 
 
 def test_artifacts_follow_the_umask(case1_config, tmp_path, capsys):
-    out = tmp_path / "out"
+    # a CSV and a JSON artifact, and their manifests, get the mode the umask
+    # gives a new file, not mkstemp's 0600
     old = os.umask(0o022)
     try:
-        assert main(["strips", "--config", case1_config, "--out", str(out)]) == 0
+        assert main(["strips", "--config", case1_config, "--out", str(tmp_path / "strips")]) == 0
+        assert main(["classify", "--config", str(DENSE_PARAMS), "--verify", "--out", str(tmp_path / "classify")]) == 0
     finally:
         os.umask(old)
-    assert stat.S_IMODE((out / "strips.csv").stat().st_mode) == 0o644
-    assert stat.S_IMODE((out / "strips_manifest.json").stat().st_mode) == 0o644
+    for command, artifact in (("strips", "strips.csv"), ("classify", "region.json")):
+        for name in (artifact, f"{command}_manifest.json"):
+            assert stat.S_IMODE((tmp_path / command / name).stat().st_mode) == 0o644
 
 
 def test_manifest_is_strict_json(flow_config, tmp_path):
@@ -972,9 +1040,10 @@ FLOW = {"alpha1": 1.0, "alpha2": -0.1, "lambda": 0.0, "model": "example4d"}
 def test_simulate_rejects_malformed(doc, message, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
-    code = main(["simulate", "--config", str(cfg), "--T", "1", "--out", str(tmp_path / "out")])
-    assert code == 2
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sojourn"])
@@ -1135,6 +1204,17 @@ OPTIONS = {
     "simulate": ["--config", "--out", "--verify", "--rtol", "--atol", "--x0", "--T"],
     "sojourn": ["--config", "--out", "--verify", "--rtol", "--atol", "--x0", "--T", "--radius"],
 }
+
+
+def test_module_run_exits_with_the_code_of_main(tmp_path):
+    # python -m bykov.cli runs main in a fresh interpreter and exits with its code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    argv = ["jacobian", "--config", str(DENSE_PARAMS), "--x", "1e17", "--out", str(out)]
+    run = subprocess.run([sys.executable, "-m", "bykov.cli", *argv], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: --x must satisfy |x| < 2^50, got 1e+17\n")
+    assert not out.exists()
 
 
 def test_subcommand_options():

@@ -338,6 +338,10 @@ def test_rotation_identity_random(dense_params):
 def test_rotation_identity_rejects_out_of_range(dense_params):
     with pytest.raises(ValueError):
         rotation_identity_residual(dense_params.eps * 2.0, 1, 0.0, dense_params)
+    # n = -1 shifts s0 = eps above eps, and n = 10^4 underflows s_n to 0
+    for n in (-1, 10**4):
+        with pytest.raises(ValueError, match=r"shifted parameter .* left \(0, eps\]"):
+            rotation_identity_residual(dense_params.eps, n, 0.0, dense_params)
 
 
 def test_reversal_angles_equidistribute(dense_params):
