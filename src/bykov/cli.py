@@ -61,7 +61,7 @@ from .horseshoe import (
 )
 from .oracles import OUT_W, WallPoint, eta_log, psi_wv, replay_pulse, return_jacobian_fd, turning_range_grid
 from .params import ParameterError, classify_region, load_saddle_params
-from .returncurve import TWO_PI, _exit_bend, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
+from .returncurve import PHI_LIMIT, TWO_PI, _exit_bend, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -158,11 +158,10 @@ def _curve(args, p):
     deep = np.flatnonzero(~np.isfinite(dxw_ds))
     if deep.size:
         raise ParameterError(f"s_min={args.s_min} is too deep: dxw_ds overflows at s={float(s_values[deep[0]])}")
-    # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more
-    deep = np.flatnonzero(~(np.abs(phi) < 2.0**50))
+    deep = np.flatnonzero(~(np.abs(phi) < PHI_LIMIT))
     if deep.size:
         raise ParameterError(f"--s-min={args.s_min} is too deep: |phi| >= 2^50 at s={float(s_values[deep[0]])}")
-    rows = _csv(CURVE_HEADER, s_values, [args.t] * len(s_values), phi, x_w, x_w % (2 * math.pi), y_w, dxw_ds)
+    rows = _csv(CURVE_HEADER, s_values, [args.t] * len(s_values), phi, x_w, x_w % TWO_PI, y_w, dxw_ds)
     diagnostics: dict = {"n_samples": args.n_samples}
     if args.verify:
         k = p.constants
@@ -187,7 +186,7 @@ def _curve(args, p):
 
 def cmd_reversals(args, p):
     seq = reversal_sequence(args.t, args.n_max, p)
-    columns = (seq.s_values, seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % (2 * math.pi))
+    columns = (seq.s_values, seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % TWO_PI)
     rows = _csv("n,s,log_s,phi,x_w,x_w_mod_2pi,kind", range(len(seq)), *columns, seq.kinds)
     diagnostics = {"count": len(seq), "reason": seq.reason}
     if args.verify:
@@ -196,9 +195,9 @@ def cmd_reversals(args, p):
         phi = np.abs(seq.phi_values)
         # past the first-order bounds below: from g_v |ln s| = 2^48 on, the
         # 8.35-ulp error of ln s moves phi by up to half a radian (README),
-        # and from |phi| = 2^50 on, as in curve, one ulp of phi is a quarter radian
+        # and from |phi| = PHI_LIMIT on, as in curve, one ulp of phi is a quarter radian
         steep = g_v * np.abs(log_s) >= 2.0**48
-        deep = np.flatnonzero(steep | (phi >= 2.0**50))
+        deep = np.flatnonzero(steep | (phi >= PHI_LIMIT))
         if deep.size:
             n = deep[0]
             if steep[n]:
@@ -297,6 +296,8 @@ def cmd_jacobian(args, p):
                 raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
             worst_miss = max(worst_miss, miss)
         reports.append((args.x, y, rep.det, rep.trace, rep.eigen_class))
+    if not reports:
+        raise ParameterError(f"no 2^-k with k_min={args.k_min} <= k <= k_max={args.k_max} lies in (0, eps], eps={p.eps}")
     rows = _csv(JACOBIAN_HEADER, *zip(*reports))
     diagnostics: dict = {"count": len(reports)}
     if args.verify:
@@ -412,11 +413,10 @@ def _run(args) -> int:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    # from |phi| = 2^50 on, one ulp of the angle is a quarter radian or more;
-    # jacobian's --x is the same incoming-wall angle as --t
+    # the exit curve's angle range; jacobian's --x is the same angle as --t
     for name in ("t", "x"):
         value = getattr(args, name, 0.0)
-        if abs(value) >= 2.0**50:
+        if abs(value) >= PHI_LIMIT:
             raise ParameterError(f"--{name} must satisfy |{name}| < 2^50, got {value}")
     # read once, so that the manifest's digest is that of the bytes parsed
     raw = Path(args.config).read_bytes()

@@ -30,8 +30,8 @@ samples closer than ``SAMPLE_SPACING`` in state norm without
 interpolation.  The step is written out over the model's coordinate slots
 (three for the 3D model, four for the lifts), with the tableau's nonzero
 weights as float literals.  Stage 7's b-weighted sum also gives the new
-state, and the 4D fields' lam terms are added only where they can change a
-bit; ``_step_lines`` says why every run keeps its bits.  The loop is
+state, and the 4D fields' lam terms are added only where lam is nonzero;
+``_step_lines`` says why every run keeps its bits.  The loop is
 ``while True:`` with the horizon test first, so that its back edge is an
 unconditional ``JUMP_BACKWARD``: CPython 3.11 specialises a function after
 8 calls or 8 such jumps and counts no conditional one, so ``while T - t >
@@ -133,7 +133,8 @@ def load_model_config(source) -> ModelConfig:
 # coefficients.  Each square is formed once; s + x4 * x4 is the sum
 # x1^2 + x2^2 + x3^2 + x4^2 in the same order, so the bits are those of the
 # formulas in the module docstring.  The lam terms, added last as there,
-# stand on lines of their own, which the step guards (``_stage``).
+# stand on lines of their own, which the step runs after the rest of the
+# field under one ``if lam:`` (``_stage``); no other line reads d3 or d4.
 _FIELD_4D = """\
 p1 = x1 * x1
 p2 = x2 * x2
@@ -352,9 +353,14 @@ def _step_lines(field: str, n: int) -> list[str]:
     and every zero weight is left out.  Each run keeps the bits of the full
     tableau summed term by term from 0.0, as in a textbook DP5 step:
 
-    - A stage increment of -0.0 (all its terms -0.0) can only flip the sign
-      of a zero stage input, which the polynomial field turns into signed
-      zeros only; the new state's 0.0 + P and the squares e * e absorb them.
+    - The sign of a zero stage output changes no state, error estimate or
+      step size.  It can only flip the sign of a stage increment that is a
+      zero, and so of a zero stage input, which the polynomial field turns
+      into signed zeros only; the new state's 0.0 + P, the squares e * e
+      and the speed's squares absorb them.  So the 4D fields' lam terms
+      are added under ``if lam:`` (``_stage``): with lam = +-0.0 a term is
+      a signed zero where q is finite, and where q is not, the stage output
+      is non-finite without it and the step is rejected as below.
     - Stage 7 gives the new state.  Its row of a is b (FSAL), so its
       b-weighted sum P is formed once: stage 7 runs at y + h * P, and the
       new state is w = y + h * (0.0 + P).  With finite stages, the terms
@@ -369,11 +375,6 @@ def _step_lines(field: str, n: int) -> list[str]:
       3's input through a32 = 9/40, which the field maps to a non-finite
       k3.  A non-finite err rejects the step with h *= 0.2, whatever dy
       is.  e enters err only as e * e, so its sign never matters.
-    - The 4D fields' lam terms are added under ``if lam or not d:``
-      (``_stage``).  With lam = +-0.0 the term is a signed zero, which can
-      only change the sign of a sum that is already a zero, or nan where
-      x1, x2 or x4 is non-finite; the sum is then already non-finite,
-      since q is, and the step is rejected as above.
     """
     slots = range(1, n + 1)
 
@@ -400,14 +401,10 @@ def _step_lines(field: str, n: int) -> list[str]:
 
 
 def _stage(field: str, i: int) -> list[str]:
-    """The field with its outputs d1..d4 renamed to stage i's k{i}_1..k{i}_4, lam terms guarded."""
-    lines = []
-    for line in re.sub(r"\bd(\d)\b", rf"k{i}_\1", field).splitlines():
-        if "lam" in line:
-            lines += [f"if lam or not {line.split()[0]}:", "    " + line]
-        else:
-            lines.append(line)
-    return lines
+    """The field with outputs d1..d4 renamed to stage i's k{i}_1..k{i}_4, lam terms last under ``if lam:``."""
+    lines = re.sub(r"\bd(\d)\b", rf"k{i}_\1", field).splitlines()
+    terms = ["    " + line for line in lines if "lam" in line]
+    return [line for line in lines if "lam" not in line] + (["if lam:", *terms] if terms else [])
 
 
 @functools.cache

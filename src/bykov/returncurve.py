@@ -71,6 +71,8 @@ from .params import (
 )
 
 TWO_PI = 2.0 * math.pi
+# the exit curve's angle range |phi| < 2^50, past which an ulp of phi is 1/4 rad or more (``_unwound``)
+PHI_LIMIT = 2.0**50
 S_UNDERFLOW = 1e-300
 LN_FLOOR = math.log(S_UNDERFLOW)
 
@@ -132,8 +134,8 @@ def _unwound(phi, cos, sin, a: float):
     quarter turn mod 2*pi and the representative base + 2*pi*n nearest phi
     sits within a quarter turn of it; rint((phi - base) / TWO_PI) finds that
     n with a margin of a quarter turn against the rounding error of
-    phi - base.  That holds for |phi| < 2**50, where the rule gives the
-    quadrant-midpoint rule's bits; from 2**50 on, one ulp of phi is a
+    phi - base.  That holds for |phi| < PHI_LIMIT = 2**50, where the rule
+    gives the quadrant-midpoint rule's bits; from there on, one ulp of phi is a
     quarter radian or more, and the two rules may pick turns 2*pi apart.
     """
     base = np.arctan2(sin / a, a * cos)

@@ -123,6 +123,8 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         (["multipulse", "--s-min", "0.1", "--s-max", "0.001"], ["s_window"]),
         (["strips", "--n-limit", "0", "--verify"], ["n_limit"]),
         (["jacobian", "--k-min", "9", "--k-max", "4"], ["k_min", "k_max"]),
+        # every height 2^-k of the range lies above eps = 0.5
+        (["jacobian", "--k-min=-5", "--k-max=-1"], ["k_min=-5", "k_max=-1", "eps=0.5"]),
         (["jacobian", "--k-min", "1030", "--k-max", "1030"], ["k_max", "y="]),
         (["jacobian", "--k-min", "1075", "--k-max", "1075"], ["k_max", "y > 0"]),
         # the first height refused names the error, not the last one asked for
@@ -136,7 +138,7 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         (["strips", "--tau", "0"], ["tau must lie in", "got 0.0"]),
     ],
     ids=[
-        "negative-s-min", "inverted-window", "no-strips", "inverted-k", "subnormal-y", "zero-y", "too-deep-range",
+        "negative-s-min", "inverted-window", "no-strips", "inverted-k", "no-heights", "subnormal-y", "zero-y", "too-deep-range",
         "subnormal-s", "no-samples", "half-window", "one-pulse", "zero-tau",
     ],
 )

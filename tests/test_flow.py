@@ -603,6 +603,24 @@ def test_run_specialises_during_its_first_call(model):
     assert "BINARY_OP_MULTIPLY_FLOAT" in {op.opname for op in dis.get_instructions(run, adaptive=True)}
 
 
+@pytest.mark.parametrize("model", ["example4d", "example4d_same_lift"])
+def test_step_tests_lam_alone(model):
+    # each stage's lam terms sit under one ``if lam:``, and no line tests a
+    # stage output (``not k`` would raise on a numpy column)
+    guarded = False
+    terms = []
+    for line in flow._step_lines(flow._FIELDS[model], 4):
+        if line == "if lam:":
+            guarded = True
+        elif line.startswith("    "):
+            assert guarded and "lam * " in line
+            terms.append(line)
+        else:
+            guarded = False
+            assert "lam" not in line
+    assert len(terms) == 2 * 6
+
+
 def _reference_field(config):
     """The vector field as written out formula by formula, independent of ``flow._FIELDS``."""
     a1, a2, lam = config.alpha1, config.alpha2, config.lam
