@@ -28,13 +28,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .params import (
-    ParameterError,
-    Region,
-    SaddleParams,
-    classify_region,
-    turning_harmonic,
-)
+from .params import ParameterError, SaddleParams, classify_region
 from .returncurve import (
     LN_FLOOR,
     TWO_PI,
@@ -43,6 +37,7 @@ from .returncurve import (
     _lattice,
     _reversals,
     _turn,
+    _wanted_piece,
     circle_dist,
     exit_curve,
     turning_crossings,
@@ -243,30 +238,6 @@ class StripFamily:
 
     def __len__(self) -> int:
         return len(self.strips)
-
-
-def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[float, float] | None:
-    """The first monotone phi-piece (phi_lo, phi_hi) on which A - K has the sign ``want_sign``, or None.
-
-    The pieces repeat with period pi, and phi_lo lies in [0, pi).  The
-    crossings r0 < r1 split a period into (r0, r1) and (r1, r0 + pi), of
-    opposite signs; (r0, r1) has A > K when r0 is upward, i.e. when
-    dA/dphi = -2R sin(2 phi - theta) > 0: the direction test of the
-    reversal kinds.  At the boundary of B the level grazes one extremum,
-    once per period, and A - K keeps one sign between the grazes: negative
-    below the maximum, positive above the minimum; the other sign has no
-    piece.
-    """
-    theta = turning_harmonic(p)[2]
-    if region.case == "IV":
-        at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
-        if want_sign != (1 if at_min else -1):
-            return None
-        graze = (0.5 * (theta + math.pi) if at_min else 0.5 * theta) % math.pi
-        return graze, graze + math.pi
-    r0, r1 = turning_crossings(p)
-    upward = math.sin(2.0 * r0 - theta) < 0.0
-    return (r0, r1) if upward == (want_sign > 0) else (r1, r0 + math.pi)
 
 
 def _residues(tau: float, gamma: float) -> tuple[float, float]:

@@ -45,8 +45,9 @@ crosses the level K = alpha_v E_w / alpha_w; indeed
 sign(dx_w/ds) = sign(A(phi) - K) pointwise.  In the double angle A is the
 harmonic m + R cos(2 phi - theta) (:func:`bykov.params.turning_harmonic`),
 so the crossings are (theta -/+ arccos((K - m)/R))/2 mod pi in closed form
-and the sign of sin(2 phi - theta) tells their direction; no grid is
-involved.  The turning points form the lattice phi_n = root_j + m pi,
+and the sign of sin(2 phi - theta) tells their direction (:func:`_upward`,
+which the reversal kinds and the strips' monotone piece both read); no grid
+is involved.  The turning points form the lattice phi_n = root_j + m pi,
 so s_n = s_0 exp(-n pi / g_v) and x_w(s_n) = x_w(s_0) + n pi (1 - gamma),
 the rotation identity that drives the density and tangency analysis.  One
 block walk of the lattice (:func:`_lattice`) serves every caller: the
@@ -64,6 +65,7 @@ import numpy as np
 
 from .params import (
     ParameterError,
+    Region,
     SaddleParams,
     classify_region,
     turning_harmonic,
@@ -167,6 +169,36 @@ def turning_crossings(p: SaddleParams) -> list[float]:
         return []
     half = 0.5 * math.acos(offset / r)
     return sorted((0.5 * theta + sign * half) % math.pi for sign in (-1.0, 1.0))
+
+
+def _upward(root: float, p: SaddleParams) -> bool:
+    """Whether A crosses the level upward at the crossing ``root``: dA/dphi = -2R sin(2 phi - theta) > 0.
+
+    The one direction test: the reversal kinds (:func:`_reversals`) and the
+    strips' piece (:func:`_wanted_piece`) both read it.
+    """
+    return math.sin(2.0 * root - turning_harmonic(p)[2]) < 0.0
+
+
+def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[float, float] | None:
+    """The first monotone phi-piece (phi_lo, phi_hi) on which A - K has the sign ``want_sign``, or None.
+
+    The pieces repeat with period pi, and phi_lo lies in [0, pi).  The
+    crossings r0 < r1 split a period into (r0, r1) and (r1, r0 + pi), of
+    opposite signs; (r0, r1) has A > K when r0 is upward (:func:`_upward`).
+    At the boundary of B the level grazes one extremum, once per period,
+    and A - K keeps one sign between the grazes: negative below the
+    maximum, positive above the minimum; the other sign has no piece.
+    """
+    if region.case == "IV":
+        at_min = abs(region.a_min - region.k) < abs(region.a_max - region.k)
+        if want_sign != (1 if at_min else -1):
+            return None
+        theta = turning_harmonic(p)[2]
+        graze = (0.5 * (theta + math.pi) if at_min else 0.5 * theta) % math.pi
+        return graze, graze + math.pi
+    r0, r1 = turning_crossings(p)
+    return (r0, r1) if _upward(r0, p) == (want_sign > 0) else (r1, r0 + math.pi)
 
 
 @dataclass(frozen=True)
@@ -326,6 +358,9 @@ class ReversalSequence:
 # periods in the first block of a lattice walk; each later block doubles, up to LAST_BLOCK
 FIRST_BLOCK = 1024
 LAST_BLOCK = 1 << 16
+# most entries of one reversal walk: a walk peaks at 73 traced bytes an entry
+# (89 in find_tangency), so a refused one would need 1.1 GB or more
+WALK_LIMIT = 15_000_000
 
 
 def _lattice(bases, t: float):
@@ -363,19 +398,17 @@ def _reversals(t: float, p: SaddleParams, ln_floor: float):
     Yields (kinds, phi_n, ln s_n, x_n) with entries in order and ``kinds``
     the labels of entries 0 and 1, which alternate from there.  The turning
     kind follows the crossing direction of the turning function: an upward
-    crossing (dA/dphi = -2R sin(2 phi - theta) > 0) makes the exit angle
-    switch from falling to rising as s decreases, i.e. a local maximum in
-    s.  The exit angles come from the rotation identity, since direct
-    evaluation would underflow: entry 2q + r is entry r turned q times by
-    pi (1 - gamma).  Raises when A does not cross the level transversally.
+    crossing (:func:`_upward`) makes the exit angle switch from falling to
+    rising as s decreases, i.e. a local maximum in s.  The exit angles come
+    from the rotation identity, since direct evaluation would underflow:
+    entry 2q + r is entry r turned q times by pi (1 - gamma).  Raises when
+    A does not cross the level transversally.
     """
     k = p.constants
     roots = np.asarray(turning_crossings(p))
     if len(roots) < 2:
         raise NoReversalsError("parameter point has no transversal turning points")
-    theta = turning_harmonic(p)[2]
-    upward = math.sin(2.0 * roots[0] - theta) < 0.0
-    labels = ("maxima", "minima") if upward else ("minima", "maxima")
+    labels = ("maxima", "minima") if _upward(roots[0], p) else ("minima", "maxima")
     head = None
     for j, q, shifts in _lattice(roots, t):
         # entry 2q + r from row r, a strided copy per row
@@ -395,7 +428,16 @@ def _reversals(t: float, p: SaddleParams, ln_floor: float):
 
 
 def _reversal_walk(t: float, n_max: int, p: SaddleParams, ln_floor: float) -> ReversalSequence:
-    """The first ``n_max`` turning points from t that lie above ``ln_floor`` in ln s."""
+    """The first ``n_max`` turning points from t that lie above ``ln_floor`` in ln s.
+
+    Refuses, before any block is built, a walk of more than ``WALK_LIMIT``
+    entries: ``n_max``, or if smaller the 2 (L/pi + 1) lattice angles or
+    fewer in the span L = c2 - g_v ln_floor of phi above the floor.
+    """
+    k = p.constants
+    entries = min(n_max, 2.0 * ((k.c2 - k.g_v * ln_floor) / math.pi + 1.0))
+    if entries > WALK_LIMIT:
+        raise ParameterError(f"--n-max={n_max} walks {entries:.4g} reversals, more than the {WALK_LIMIT:,} a walk may hold")
     blocks = []
     count = 0
     for kinds, *block in _reversals(t, p, ln_floor):
@@ -480,7 +522,7 @@ def find_tangency(x0: float, t: float, n_max: int, p: SaddleParams) -> TangencyR
     warning = None
     if region.case == "II":
         warning = "gamma is rational within tolerance; reversal angles form a finite set"
-    angles = reversal_angle_set(t, n_max, p)
+    angles = _reversal_walk(t, n_max, p, -math.inf)
     # only x0 mod 2 pi matters, and x0 - angle would round away the residue of a
     # large x0; the remainder is exact, and x0 itself on [-pi, pi]
     trace = math.remainder(x0, TWO_PI)

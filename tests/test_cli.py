@@ -465,6 +465,20 @@ def test_reversals_verify(dense_config, tmp_path):
         assert (tmp_path / "out" / "reversals.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "fixture, command", [("dense_config", ["tangency", "--x0", "0.0"]), ("steep_config", ["reversals"])]
+)
+def test_walk_past_the_limit_is_refused(fixture, command, request, tmp_path, capsys):
+    # tangency walks without a floor, and steep's 8.8e15 reversals above it exceed --n-max 1e12
+    out = tmp_path / "out"
+    argv = [command[0], "--config", request.getfixturevalue(fixture), *command[1:], "--n-max", "1000000000000"]
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--n-max=1000000000000 walks 1e+12 reversals, more than the 15,000,000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reversals_verify_at_large_g_v(steep_config, tmp_path):
     # g_v = 2e13: a reversal placed to the nearest float u leaves |x_u| up to
     # 1.32 |x_uu| ulp(u), here 1.8e25, far above the floor 1e-8

@@ -27,7 +27,6 @@ from bykov.horseshoe import (
     _lattice,
     _return_chain,
     _solve,
-    _wanted_piece,
     build_strips,
     find_multipulse,
     jacobian_report,
@@ -49,6 +48,7 @@ from bykov.returncurve import (
     S_UNDERFLOW,
     _exit_values,
     _stretch,
+    _wanted_piece,
     circle_dist,
     curve_sample,
     exit_curve,

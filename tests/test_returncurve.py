@@ -446,6 +446,17 @@ def test_n_max_is_refused_before_the_region(fixture, fn, n_max, request):
         fn(*args, request.getfixturevalue(fixture))
 
 
+@pytest.mark.parametrize(
+    "fn, args, scale",
+    [(find_tangency, (0.0, 0.0), 1.0), (reversal_angle_set, (0.0,), 1.0), (reversal_sequence, (0.0,), 1e13)],
+)
+def test_walk_past_the_limit_is_refused(fn, args, scale, dense_params):
+    """No floor, or 8.8e15 reversals above it at g_v 2e13: n_max 1e12 is refused before any block is built."""
+    p = replace(dense_params, alpha_v=scale * dense_params.alpha_v, alpha_w=scale * dense_params.alpha_w)
+    with pytest.raises(ParameterError, match=r"--n-max=1000000000000 walks 1e\+12 reversals, more than the 15,000,000"):
+        fn(*args, 10**12, p)
+
+
 def test_find_tangency_requires_reversals(case1_params):
     base = SaddleParams(alpha_v=2.0, C_v=1.2, E_v=1.0, alpha_w=2.0, C_w=2.6, E_w=1.0, a=2.0, eps=0.5)
     m, r, _ = turning_harmonic(base)
