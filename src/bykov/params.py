@@ -103,35 +103,37 @@ def derive_constants(p: SaddleParams) -> DerivedConstants:
 
     Pure function of the validated parameters.  ``g_w`` is negative: the
     two nodes have different chirality, so the angular rate at the second
-    node enters with the opposite sign.
+    node enters with the opposite sign, and ``c3`` takes that sign from it.
     """
     delta_v = p.C_v / p.E_v
     delta_w = p.C_w / p.E_w
+    g_v = p.alpha_v / p.E_v
+    g_w = -p.alpha_w / p.E_w
     log_eps = math.log(p.eps)
     return DerivedConstants(
         delta_v=delta_v,
         delta_w=delta_w,
         delta=delta_v * delta_w,
-        g_v=p.alpha_v / p.E_v,
-        g_w=-p.alpha_w / p.E_w,
+        g_v=g_v,
+        g_w=g_w,
         gamma=(p.alpha_w / p.alpha_v) * (p.C_v / p.E_w),
-        c1=_section_power(p, "c1", "C_v", "E_v"),
-        c2=(p.alpha_v / p.E_v) * log_eps,
-        c3=(-p.alpha_w / p.E_w) * log_eps,
-        c4=_section_power(p, "c4", "C_w", "E_w"),
+        c1=_section_power(p, "c1", delta_v, "C_v", "E_v"),
+        c2=g_v * log_eps,
+        c3=g_w * log_eps,
+        c4=_section_power(p, "c4", delta_w, "C_w", "E_w"),
     )
 
 
-def _section_power(p: SaddleParams, name: str, rate_c: str, rate_e: str) -> float:
-    """eps ** (1 - C/E) for one node; an overflow or underflow names the three fields behind it."""
-    c, e = getattr(p, rate_c), getattr(p, rate_e)
+def _section_power(p: SaddleParams, name: str, index: float, rate_c: str, rate_e: str) -> float:
+    """eps ** (1 - index) for one node's saddle index C/E; an overflow or underflow names the three fields behind it."""
     try:
-        value = p.eps ** (1.0 - c / e)
+        value = p.eps ** (1.0 - index)
     except OverflowError:
         value = math.inf
     if 0.0 < value < math.inf:
         return value
     failure = "underflows to 0" if value == 0.0 else "overflows"
+    c, e = getattr(p, rate_c), getattr(p, rate_e)
     raise ParameterError(
         f"{name} = eps**(1 - {rate_c}/{rate_e}) {failure} for {rate_c}={c}, {rate_e}={e}, eps={p.eps}"
     )

@@ -1209,6 +1209,15 @@ def test_bad_start_names_x0(command, x0, flow_config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["reversals", "--t=-1e15"], ["jacobian", "--x=-1e10"], ["tangency", "--x0=-1e3"]], ids=["t", "x", "x0"]
+)
+def test_negative_value_in_exponent_notation_joined_with_equals(argv, tmp_path):
+    # argparse 3.10 and 3.11 take a split "-1e15" for an option string and
+    # exit 2; README documents the joined form, which is all this asserts
+    assert main([argv[0], "--config", str(DENSE_PARAMS), *argv[1:], "--out", str(tmp_path / "out")]) == 0
+
+
 OPTIONS = {
     "classify": ["--config", "--out", "--verify"],
     "curve": ["--config", "--out", "--verify", "--t", "--s-min", "--s-max", "--n-samples"],

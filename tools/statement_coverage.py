@@ -16,6 +16,11 @@ pytest's own code.
 A trace function stops CPython from specialising bytecode, so this run
 deselects ``test_run_specialises_during_its_first_call`` and leaves it to the
 untraced one.
+
+CI runs this tool with numpy held to its AVX2 kernels
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, numpy >= 2.4)
+and the plain suite on the runner's own, so every test it runs meets both
+kernel sets of an AVX-512 runner.
 """
 
 from __future__ import annotations
