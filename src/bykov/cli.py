@@ -186,8 +186,9 @@ def _curve(args, p):
 
 def cmd_reversals(args, p):
     seq = reversal_sequence(args.t, args.n_max, p)
-    columns = (seq.s_values, seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % TWO_PI)
-    rows = _csv("n,s,log_s,phi,x_w,x_w_mod_2pi,kind", range(len(seq)), *columns, seq.kinds)
+    columns = (np.exp(seq.log_s_values), seq.log_s_values, seq.phi_values, seq.x_values, seq.x_values % TWO_PI)
+    # entry n's kind is kinds[n % 2]; the table ends with its shortest column, the n column
+    rows = _csv("n,s,log_s,phi,x_w,x_w_mod_2pi,kind", range(len(seq)), *columns, seq.kinds * (len(seq) // 2 + 1))
     diagnostics = {"count": len(seq), "reason": seq.reason}
     if args.verify:
         # in u = ln s, which never underflows; |x_u| <= 1e-8 is |dxw_ds| <= 1e-8/s

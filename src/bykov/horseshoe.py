@@ -54,6 +54,10 @@ SLACK = 1e-9
 # 2-CPU x86-64 host); the largest family built in the tests, at g_v = 1e4,
 # solves 10,427 candidates for its 5 strips
 STRIP_MISSES = 100_000
+# most candidates one batch of a strip family solves, so that a family's
+# memory does not grow with n_limit while its candidates fail: the 320 that
+# n_limit 5 reaches at 64 per missing strip, so a family of 5 keeps its batches
+STRIP_BATCH = 320
 # most n-pulse points a search returns
 PULSE_POINTS = 4
 # most seeds of an n-pulse search's level-0 grid, and most crossings that one
@@ -341,10 +345,11 @@ def _collect_strips(
     are solved in batches, all boundaries in one :func:`_solve` call on the
     kernel's exact slope x_u: ``grow`` times as many as strips are still
     missing, where ``grow`` starts at 1 and doubles, up to 64, after each
-    batch in which a candidate fails.  A batch may thus solve candidates
-    past the last strip; they are dropped, and since each bracket stops on
-    its own, a boundary does not depend on its batch and the strips are
-    those of solving one candidate at a time.  Returns the strips and the
+    batch in which a candidate fails, and never more than ``STRIP_BATCH``.
+    A batch may thus solve candidates past the last strip; they are
+    dropped, and since each bracket stops on its own, a boundary does not
+    depend on its batch and the strips are those of solving one candidate
+    at a time.  Returns the strips and the
     Newton passes of all batches.
     """
     k = p.constants
@@ -406,7 +411,7 @@ def _collect_strips(
                 f"tau={tau}: at g_v={k.g_v!r} the return images of {misses:,} candidate strips were wider than tau,"
                 f" more than the {STRIP_MISSES:,} one family may try; {len(strips)} of {n_limit} strips fit"
             )
-        batch = list(islice(stream, grow * (n_limit - len(strips))))
+        batch = list(islice(stream, min(grow * (n_limit - len(strips)), STRIP_BATCH)))
         if not batch:
             break
         # both boundaries of every candidate in one solve

@@ -336,15 +336,16 @@ def curve_sample(t: float, s: float, p: SaddleParams) -> ReturnCurveSample:
 
 @dataclass(frozen=True)
 class ReversalSequence:
-    """Turning points of the exit curve along one vertical segment.
+    """Turning points of the exit curve along one vertical segment, as the lattice walk computes them.
 
-    ``s_values`` stops at float underflow (1e-300); ``log_s_values`` is
-    always exact.  ``x_values`` are the exit angles at the turning points,
-    obtained from the rotation identity, and ``kinds`` labels each as a
-    local maximum or minimum of the exit angle in s.
+    Per entry, ``log_s_values`` holds ln s (exact at any depth; s itself
+    is ``np.exp`` of it, which underflows below 1e-300), ``phi_values``
+    the angle and ``x_values`` the exit angle from the rotation identity.
+    Entry n is a local maximum or minimum of the exit angle in s by
+    ``kinds[n % 2]``: the kinds alternate, so ``kinds`` holds two labels,
+    entry 0's first (none at a point without reversals).
     """
 
-    s_values: np.ndarray
     log_s_values: np.ndarray
     phi_values: np.ndarray
     x_values: np.ndarray
@@ -352,14 +353,14 @@ class ReversalSequence:
     reason: str | None = None
 
     def __len__(self) -> int:
-        return len(self.s_values)
+        return len(self.log_s_values)
 
 
 # periods in the first block of a lattice walk; each later block doubles, up to LAST_BLOCK
 FIRST_BLOCK = 1024
 LAST_BLOCK = 1 << 16
-# most entries of one reversal walk: a walk peaks at 73 traced bytes an entry
-# (89 in find_tangency), so a refused one would need 1.1 GB or more
+# most entries of one reversal walk: a walk peaks at 49 traced bytes an entry
+# (73 in find_tangency), so a refused one would need 0.7 GB or more
 WALK_LIMIT = 15_000_000
 
 
@@ -446,7 +447,7 @@ def _reversal_walk(t: float, n_max: int, p: SaddleParams, ln_floor: float) -> Re
         if count == n_max:
             break
     phis, log_s, x_vals = (np.concatenate(column) for column in zip(*blocks))
-    return ReversalSequence(np.exp(log_s), log_s, phis, x_vals, (kinds * (count // 2 + 1))[:count])
+    return ReversalSequence(log_s, phis, x_vals, kinds)
 
 
 def _check_walk(n_max: int, **angles: float) -> None:
@@ -469,7 +470,7 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
     region = classify_region(p)
     if region.case in ("I", "IV"):
         none = np.empty(0)
-        return ReversalSequence(none, none, none, none, (), reason=region.tag)
+        return ReversalSequence(none, none, none, (), reason=region.tag)
     return _reversal_walk(t, n_max, p, LN_FLOOR)
 
 

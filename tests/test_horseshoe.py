@@ -288,6 +288,25 @@ def test_build_strips_memory_does_not_grow_with_g_v(monkeypatch):
     assert peak < 20e6
 
 
+def test_build_strips_batches_do_not_grow_with_n_limit(dense_params, monkeypatch):
+    # g_v = 2e13: every candidate fails the height check at tau 0.4, so the
+    # batches grow until the refusal; at 64 per missing strip, n_limit 200
+    # would solve 3,200 candidates in its fifth batch
+    p = replace(dense_params, alpha_v=1e13 * dense_params.alpha_v, alpha_w=1e13 * dense_params.alpha_w)
+    sizes, solve = [], _solve
+
+    def recording(fn, targets, *args):
+        sizes.append(len(targets))
+        return solve(fn, targets, *args)
+
+    monkeypatch.setattr(horseshoe, "_solve", recording)
+    monkeypatch.setattr(horseshoe, "STRIP_MISSES", 5_000)
+    with pytest.raises(ParameterError, match=r"5,320 candidate strips were wider than tau, .*; 0 of 200 strips fit"):
+        build_strips(0.4, 200, p)
+    # both boundaries of every candidate at the 33 points of the t-grid
+    assert max(sizes) == 2 * 33 * horseshoe.STRIP_BATCH == 2 * 33 * 320
+
+
 @pytest.mark.parametrize(
     "fixture, tau",
     [
@@ -750,10 +769,9 @@ def test_saddle_classification_inside_strips(case1_params, dense_params):
 
 def test_double_contraction_near_reversal(dense_params):
     """At a turning point the expanding direction dies: both eigenvalues inside the circle."""
-    seq = reversal_sequence(0.0, 6, dense_params)
+    s_values = np.exp(reversal_sequence(0.0, 6, dense_params).log_s_values)
     found = False
-    for i in range(len(seq)):
-        s = float(seq.s_values[i])
+    for s in s_values.tolist():
         if s < 1e-12:
             break
         rep = jacobian_report(0.0, s, dense_params)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -274,6 +275,12 @@ def test_height_scaling_law(dense_params):
         assert y2 / y1 == pytest.approx(expected, rel=1e-10)
 
 
+def _entry_kinds(seq) -> tuple[str, ...]:
+    """The kind of every entry, expanded from the alternating pair as ``bykov reversals`` writes its column."""
+    n = len(seq)
+    return (seq.kinds * (n // 2 + 1))[:n]
+
+
 def test_reversal_sequence_empty_outside(case1_params):
     seq = reversal_sequence(0.0, 10, case1_params)
     assert len(seq) == 0
@@ -283,34 +290,37 @@ def test_reversal_sequence_empty_outside(case1_params):
 def test_reversal_sequence_dense(dense_params):
     seq = reversal_sequence(0.0, 40, dense_params)
     assert len(seq) == 40
-    assert np.all(np.diff(seq.s_values) < 0.0)
+    s_values, kinds = np.exp(seq.log_s_values), _entry_kinds(seq)
+    assert np.all(np.diff(s_values) < 0.0)
     k = derive_constants(dense_params)
     ratio = math.exp(-math.pi / k.g_v)
     for i in range(len(seq) - 2):
-        assert seq.s_values[i + 2] / seq.s_values[i] == pytest.approx(ratio, rel=1e-10)
-    assert set(seq.kinds) == {"maxima", "minima"}
-    assert all(a != b for a, b in zip(seq.kinds, seq.kinds[1:]))
+        assert s_values[i + 2] / s_values[i] == pytest.approx(ratio, rel=1e-10)
+    assert set(kinds) == {"maxima", "minima"}
+    assert all(a != b for a, b in zip(kinds, kinds[1:]))
     for i in range(10):
-        s = float(seq.s_values[i])
+        s = float(s_values[i])
         assert abs(curve_sample(0.0, s, dense_params).dxw_ds) < 1e-8 / s
 
 
 def test_reversal_kinds_match_second_difference(dense_params):
     seq = reversal_sequence(0.0, 8, dense_params)
+    s_values, kinds = np.exp(seq.log_s_values), _entry_kinds(seq)
     for i in range(len(seq)):
-        s = float(seq.s_values[i])
+        s = float(s_values[i])
         h = 1e-5 * s
         x0 = curve_sample(0.0, s - h, dense_params).x_w
         x1 = curve_sample(0.0, s, dense_params).x_w
         x2 = curve_sample(0.0, s + h, dense_params).x_w
         second = (x2 - 2.0 * x1 + x0) / (h * h)
-        assert (seq.kinds[i] == "maxima") == (second < 0.0)
+        assert (kinds[i] == "maxima") == (second < 0.0)
 
 
 def test_reversal_angles_match_direct_evaluation(dense_params):
     seq = reversal_sequence(0.3, 30, dense_params)
+    s_values = np.exp(seq.log_s_values)
     for i in range(len(seq)):
-        s = float(seq.s_values[i])
+        s = float(s_values[i])
         if s < 1e-200:
             break
         assert curve_sample(0.3, s, dense_params).x_w == pytest.approx(
@@ -361,7 +371,7 @@ def test_reversal_angles_finite_orbit_for_rational_gamma(rational_params):
     for kind in ("maxima", "minima"):
         vals = {
             round(float(v) % TWO_PI, 8)
-            for v, kd in zip(angles.x_values, angles.kinds)
+            for v, kd in zip(angles.x_values, _entry_kinds(angles))
             if kd == kind
         }
         # two interleaved rotations by pi(1 - gamma) = -pi/2: at most 2q = 4
@@ -455,6 +465,24 @@ def test_walk_past_the_limit_is_refused(fn, args, scale, dense_params):
     p = replace(dense_params, alpha_v=scale * dense_params.alpha_v, alpha_w=scale * dense_params.alpha_w)
     with pytest.raises(ParameterError, match=r"--n-max=1000000000000 walks 1e\+12 reversals, more than the 15,000,000"):
         fn(*args, 10**12, p)
+
+
+@pytest.mark.parametrize("fn, args, bound", [(reversal_angle_set, (0.0,), 60), (find_tangency, (0.0, 0.0), 80)])
+def test_walk_memory_per_entry(fn, args, bound, dense_params):
+    """A walk holds ln s, phi and x per entry, not s or a label: at most ``bound`` traced bytes an entry at its peak.
+
+    At 200,000 entries a walk peaks at 55 bytes an entry and find_tangency at
+    73; holding s and every entry's label as well took them to 79 and 89.
+    """
+    n = 200_000
+    fn(*args, 1000, dense_params)
+    tracemalloc.start()
+    try:
+        fn(*args, n, dense_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n
 
 
 def test_find_tangency_requires_reversals(case1_params):
@@ -602,9 +630,9 @@ def _sequence_digest(*seqs) -> str:
     """sha256 over float.hex of phi, ln s, s and x_w and over the kinds of each sequence."""
     rows = []
     for seq in seqs:
-        for values in (seq.phi_values, seq.log_s_values, seq.s_values, seq.x_values):
+        for values in (seq.phi_values, seq.log_s_values, np.exp(seq.log_s_values), seq.x_values):
             rows.append(" ".join(float(v).hex() for v in values))
-        rows.append(" ".join(seq.kinds))
+        rows.append(" ".join(_entry_kinds(seq)))
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
@@ -775,7 +803,7 @@ def test_reversal_walk_matches_period_loop(p, t, n_max):
         return
     for n, stop_at_underflow in itertools.product((n_max, 3000), (True, False)):
         seq = _reversal_walk(t, n, p, LN_FLOOR if stop_at_underflow else -math.inf)
-        phis, log_s, kinds = seq.phi_values, seq.log_s_values, seq.kinds
+        phis, log_s, kinds = seq.phi_values, seq.log_s_values, _entry_kinds(seq)
         got = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in zip(phis.tolist(), log_s.tolist(), kinds)]
         want = [(phi.hex(), ln_s.hex(), kind) for phi, ln_s, kind in _reversal_loop(t, n, p, k, stop_at_underflow)]
         assert len(phis) == len(log_s) == len(kinds)
