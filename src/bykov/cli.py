@@ -414,11 +414,10 @@ def _run(args) -> int:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    # the exit curve's angle range; jacobian's --x is the same angle as --t
-    for name in ("t", "x"):
-        value = getattr(args, name, 0.0)
-        if abs(value) >= PHI_LIMIT:
-            raise ParameterError(f"--{name} must satisfy |{name}| < 2^50, got {value}")
+    # the exit curve's angle range
+    t = getattr(args, "t", 0.0)
+    if abs(t) >= PHI_LIMIT:
+        raise ParameterError(f"--t must satisfy |t| < 2^50, got {t}")
     # read once, so that the manifest's digest is that of the bytes parsed
     raw = Path(args.config).read_bytes()
     fn, load = globals()[f"cmd_{args.command}"], globals()[args.load]

@@ -132,13 +132,16 @@ def jacobian_report(x: float, y: float, p: SaddleParams) -> JacobianReport:
 
     The Jacobian of the unreduced return (y_w, -x_w) at y > 0 is
     :func:`_return_step` on the unit tangents in (x, ln y), the second column
-    divided by y.  At subnormal y the divisions overflow; a Jacobian with an
+    divided by y.  The return map has period 2 pi in x, so the step runs at x
+    mod 2 pi, reduced exactly, and every finite x has the Jacobian of its
+    residue.  Deep enough, the entries overflow: the dense config is refused
+    from y = 2^-1022 on and the README config from 2^-1024; a Jacobian with an
     entry that is not finite is refused rather than classified.
     """
     if y <= 0.0:
         raise ValueError(f"the return-map Jacobian requires y > 0, got {y}")
     with np.errstate(over="ignore", invalid="ignore"):
-        tangent = _return_step(x, math.log(y), p)[1]
+        tangent = _return_step(math.remainder(x, TWO_PI), math.log(y), p)[1]
         (j00, j10), (j01, j11) = tangent(1.0, 0.0), tangent(0.0, 1.0)
         jac = (j00, j01), (j10, j11) = (float(j00), float(j01 / y)), (float(j10), float(j11 / y))
     if not all(map(math.isfinite, jac[0] + jac[1])):

@@ -40,7 +40,9 @@ TURNING_GRID_POINTS = 100_001
 # the grid is evaluated this many points at a time, so only one slice's
 # temporaries are alive at once
 TURNING_GRID_SLICE = 8192
-# return_jacobian_fd's coarse step in t and u: near |u| = 700, 1e-6 drowns in rounding and 1e-4 does not converge
+# return_jacobian_fd's coarse step in t, and FD_STEP / max(1, g_v) its step in
+# u, where phi turns g_v times faster: near |u| = 700, 1e-6 drowns in rounding
+# and 1e-4 does not converge
 FD_STEP = 1e-5
 
 IN_V = "In_v"
@@ -259,10 +261,11 @@ def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray,
     """Finite-difference Jacobian of the unreduced return (y_w, -x_w) at (x, y).
 
     Richardson-extrapolated centred differences of :func:`eta_log` in
-    (t, u = ln y) with steps FD_STEP and FD_STEP/2, which never cross the
-    stable manifold.  The differences go to (x, y) by d/dy = (1/y) d/du and
-    dy_w = y_w d ln y_w only after extrapolating, whose factor 4 would
-    overflow an entry near the float limit.
+    (t, u = ln y) with steps FD_STEP and FD_STEP/2 in t, and those divided by
+    max(1, g_v) in u, where phi = -g_v u + t + c2 turns g_v times faster; no
+    step crosses the stable manifold.  The differences go to (x, y) by
+    d/dy = (1/y) d/du and dy_w = y_w d ln y_w only after extrapolating, whose
+    factor 4 would overflow an entry near the float limit.
     Returns the extrapolated matrix and the largest entry change between
     the two step sizes, a measure of how far the stencil has converged.
     The return map has period 2 pi in x, so the differences are taken at
@@ -274,7 +277,8 @@ def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray,
     def centred(h: float) -> np.ndarray:
         """Rows ln y_w and x_w, columns d/dt and d/du."""
         d_t = np.subtract(eta_log(x + h, u, p), eta_log(x - h, u, p)) / (2.0 * h)
-        d_u = np.subtract(eta_log(x, u + h, p), eta_log(x, u - h, p)) / (2.0 * h)
+        h_u = h / max(1.0, p.constants.g_v)
+        d_u = np.subtract(eta_log(x, u + h_u, p), eta_log(x, u - h_u, p)) / (2.0 * h_u)
         return np.column_stack([d_t, d_u])[::-1]
 
     y_w = math.exp(eta_log(x, u, p)[1])

@@ -205,8 +205,6 @@ def _wanted_piece(p: SaddleParams, region: Region, want_sign: int) -> tuple[floa
 class ReturnCurveSample:
     """One point of the exit curve, with the turning derivative attached."""
 
-    s: float
-    t: float
     phi: float
     x_w: float
     y_w: float
@@ -329,9 +327,7 @@ def curve_sample(t: float, s: float, p: SaddleParams) -> ReturnCurveSample:
     if not 0.0 < s <= p.eps:
         raise ValueError(f"curve parameter s must lie in (0, eps], got {s}")
     phi, x_w, y_w, dxw = curve_arrays(t, s, p)
-    return ReturnCurveSample(
-        s=float(s), t=float(t), phi=float(phi), x_w=float(x_w), y_w=float(y_w), dxw_ds=float(dxw)
-    )
+    return ReturnCurveSample(phi=float(phi), x_w=float(x_w), y_w=float(y_w), dxw_ds=float(dxw))
 
 
 @dataclass(frozen=True)
