@@ -59,7 +59,7 @@ from .horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from .oracles import OUT_W, WallPoint, eta_log, psi_wv, replay_pulse, return_jacobian_fd, turning_range_grid
+from .oracles import OUT_W, WallPoint, eta_log, psi_wv, replay_pulse, return_jacobian_chain, turning_range_grid
 from .params import ParameterError, classify_region, load_saddle_params
 from .returncurve import PHI_LIMIT, TWO_PI, _exit_bend, _exit_values, circle_dist, curve_arrays, find_tangency, reversal_sequence
 
@@ -283,18 +283,18 @@ def cmd_jacobian(args, p):
         try:
             rep = jacobian_report(args.x, y, p)
         except ValueError as exc:
+            if not reports:
+                raise ParameterError(
+                    f"k_min={args.k_min} is refused at its first height k={kk}, y={y}, g_v={p.constants.g_v}: {exc}"
+                ) from exc
             raise ParameterError(f"k_max={args.k_max} is too deep at k={kk}: {exc}") from exc
         if args.verify:
-            # the exact Jacobian against Richardson differences of the
-            # elementary-map composition
-            fd, gap = return_jacobian_fd(args.x, y, p)
-            # a nan entry makes the scale nan, which no gap passes
-            scale = max(abs(float(fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0])), abs(float(np.trace(fd))), 1.0)
-            if not gap <= 1e-4 * scale:
-                raise VerifyFailure(f"finite-difference stencil not converged at y={y}: gap {gap}")
-            miss = float(np.max(np.abs(np.array(rep.jacobian) - fd)) / max(1.0, np.max(np.abs(fd))))
+            # the exact Jacobian against the chain rule through the elementary maps;
+            # a nan entry makes the miss nan, which fails
+            chain = return_jacobian_chain(args.x, y, p)
+            miss = float(np.max(np.abs(np.array(rep.jacobian) - chain)) / max(1.0, np.max(np.abs(chain))))
             if not miss <= 1e-5:
-                raise VerifyFailure(f"Jacobian misses the finite-difference oracle at y={y}: {miss:.3g} relative")
+                raise VerifyFailure(f"Jacobian misses the chain-rule oracle at y={y}: {miss:.3g} relative")
             worst_miss = max(worst_miss, miss)
         reports.append((args.x, y, rep.det, rep.trace, rep.eigen_class))
     if not reports:

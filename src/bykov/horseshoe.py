@@ -11,8 +11,9 @@ of the exit-curve kernel :func:`bykov.returncurve.exit_curve` is written
 once, in :func:`_return_step`, which the exact Jacobian of g (its
 hyperbolicity) and the multi-pulse return chain share; the quarter turn is
 written there and in :func:`strip_image_report`, which turns the strips'
-boundary samples on the kernel's values step, without partials.  Finite
-differences live only in :mod:`bykov.oracles`, as an oracle.
+boundary samples on the kernel's values step, without partials.  The
+Jacobian's oracle, the chain rule through the elementary maps, lives in
+:mod:`bykov.oracles`.
 Every root is solved by one safeguarded Newton, :func:`_solve`, on the
 kernel's or the chain's slope.  What needs only x_w and ln y_w (the strips'
 windows, height checks and images) runs on the kernel's values step, which

@@ -1,12 +1,14 @@
 """Independent oracles: the elementary maps and their compositions, pulse
-replay, return-map and vector-field finite differences, turning-function grid,
-rotation-identity residual.
+replay, the return-map Jacobian by the chain rule through those maps,
+vector-field finite differences, turning-function grid, rotation-identity
+residual.
 
 Everything here deliberately avoids the closed-form shortcuts of
 :mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
-step by step through the elementary maps (and differentiated numerically
-from there), and the turning-function range is sampled from its direct
-trigonometric form, so the two routes can be compared against each other.
+step by step through the elementary maps (and differentiated by multiplying
+their own Jacobians), and the turning-function range is sampled from its
+direct trigonometric form, so the two routes can be compared against each
+other.
 The composition is written twice: in s as the maps are stated
 (:func:`eta_composed`), and in log radii (:func:`eta_log`), which every
 ``--verify`` replays because it represents every height.
@@ -40,10 +42,6 @@ TURNING_GRID_POINTS = 100_001
 # the grid is evaluated this many points at a time, so only one slice's
 # temporaries are alive at once
 TURNING_GRID_SLICE = 8192
-# return_jacobian_fd's coarse step in t, and FD_STEP / max(1, g_v) its step in
-# u, where phi turns g_v times faster: near |u| = 700, 1e-6 drowns in rounding
-# and 1e-4 does not converge
-FD_STEP = 1e-5
 
 IN_V = "In_v"
 OUT_V = "Out_v"
@@ -257,35 +255,30 @@ def replay_pulse(s0: float, n: int, p: SaddleParams, x0: float = 0.0) -> PulseRe
     )
 
 
-def return_jacobian_fd(x: float, y: float, p: SaddleParams) -> tuple[np.ndarray, float]:
-    """Finite-difference Jacobian of the unreduced return (y_w, -x_w) at (x, y).
+def return_jacobian_chain(x: float, y: float, p: SaddleParams) -> np.ndarray:
+    """Jacobian of the unreduced return (y_w, -x_w) at (x, y), the chain rule through :func:`eta_log`'s maps.
 
-    Richardson-extrapolated centred differences of :func:`eta_log` in
-    (t, u = ln y) with steps FD_STEP and FD_STEP/2 in t, and those divided by
-    max(1, g_v) in u, where phi = -g_v u + t + c2 turns g_v times faster; no
-    step crosses the stable manifold.  The differences go to (x, y) by
-    d/dy = (1/y) d/du and dy_w = y_w d ln y_w only after extrapolating, whose
-    factor 4 would overflow an entry near the float limit.
-    Returns the extrapolated matrix and the largest entry change between
-    the two step sizes, a measure of how far the stencil has converged.
-    The return map has period 2 pi in x, so the differences are taken at
-    x mod 2 pi, reduced exactly, where FD_STEP is not lost to ulp(x).
+    At t = x mod 2 pi, reduced exactly (the return map has period 2 pi in x),
+    and u = ln y, it multiplies the maps' Jacobians: :func:`phi_v` in log
+    radii, (t, u) -> (ln r, phi), is [[0, delta_v], [1, -g_v]]; the shear is
+    [[1, .], [0, .]], where :func:`psi_vw` carries the turn (-sin phi, cos phi)
+    of the unit direction to (dX, dY) and :func:`rect_polar`'s ln r and angle
+    move by (X dX + Y dY)/|.|^2 and (X dY - Y dX)/|.|^2; :func:`phi_w` in log
+    radii, (ln r, phi) -> (ln y_w, x_w), is [[delta_w, 0], [-g_w, 1]].  The
+    product goes to (x, y) by d/dy = (1/y) d/du and dy_w = y_w d ln y_w.  No
+    step is taken, and no partial of the exit-curve kernel is shared.
     """
-    x = math.remainder(x, TWO_PI)
-    u = math.log(y)
-
-    def centred(h: float) -> np.ndarray:
-        """Rows ln y_w and x_w, columns d/dt and d/du."""
-        d_t = np.subtract(eta_log(x + h, u, p), eta_log(x - h, u, p)) / (2.0 * h)
-        h_u = h / max(1.0, p.constants.g_v)
-        d_u = np.subtract(eta_log(x, u + h_u, p), eta_log(x, u - h_u, p)) / (2.0 * h_u)
-        return np.column_stack([d_t, d_u])[::-1]
-
-    y_w = math.exp(eta_log(x, u, p)[1])
-    coarse, fine = centred(FD_STEP), centred(FD_STEP / 2.0)
+    k = p.constants
+    t, u = math.remainder(x, TWO_PI), math.log(y)
+    unit = polar_rect(DiskPoint(section=OUT_V, r=1.0, phi=-k.g_v * u + t + k.c2))
+    sheared, turned = psi_vw(unit, p.a), psi_vw(RectPoint(X=-unit.Y, Y=unit.X), p.a)
+    (X, Y), (dX, dY) = (sheared.X, sheared.Y), (turned.X, turned.Y)
+    norm2 = X * X + Y * Y
+    shear = np.array([[1.0, (X * dX + Y * dY) / norm2], [0.0, (X * dY - Y * dX) / norm2]])
+    chain = np.array([[k.delta_w, 0.0], [-k.g_w, 1.0]]) @ shear @ np.array([[0.0, k.delta_v], [1.0, -k.g_v]])
+    y_w = math.exp(eta_log(t, u, p)[1])
     with np.errstate(over="ignore"):
-        to_xy = np.array([[y_w, y_w / y], [-1.0, -1.0 / y]])
-        return to_xy * ((4.0 * fine - coarse) / 3.0), float(np.max(np.abs(to_xy * (fine - coarse))))
+        return np.array([[y_w, y_w / y], [-1.0, -1.0 / y]]) * chain
 
 
 def numeric_jacobian(config: ModelConfig, state) -> np.ndarray:

@@ -51,18 +51,19 @@ def dense_config(tmp_path):
     return str(path)
 
 
-def _dense_times(factor, tmp_path):
-    """The dense config with alpha_v and alpha_w times ``factor``: g_v = 2 factor."""
-    dense = json.loads(DENSE_PARAMS.read_text())
-    path = tmp_path / f"dense_x{factor:g}.json"
-    path.write_text(json.dumps({**dense, "alpha_v": factor * dense["alpha_v"], "alpha_w": factor * dense["alpha_w"]}))
+def _scaled(factor, tmp_path, config=DENSE_PARAMS):
+    """``config`` with alpha_v and alpha_w, and so g_v, times ``factor``: g_v is 2 on dense, 0.25 on README."""
+    params = json.loads(config.read_text())
+    path = tmp_path / f"{config.stem}_x{factor:g}.json"
+    scaled = {**params, "alpha_v": factor * params["alpha_v"], "alpha_w": factor * params["alpha_w"]}
+    path.write_text(json.dumps(scaled))
     return str(path)
 
 
 @pytest.fixture()
 def steep_config(tmp_path):
     """The dense config with alpha_v and alpha_w times 1e13: g_v = 2e13."""
-    return _dense_times(1e13, tmp_path)
+    return _scaled(1e13, tmp_path)
 
 
 @pytest.fixture()
@@ -130,8 +131,9 @@ def test_n_max_is_refused(command, dense_config, tmp_path, capsys):
         (["jacobian", "--k-min", "9", "--k-max", "4"], ["k_min", "k_max"]),
         # every height 2^-k of the range lies above eps = 0.5
         (["jacobian", "--k-min=-5", "--k-max=-1"], ["k_min=-5", "k_max=-1", "eps=0.5"]),
-        (["jacobian", "--k-min", "1030", "--k-max", "1030"], ["k_max", "y="]),
-        (["jacobian", "--k-min", "1075", "--k-max", "1075"], ["k_max", "y > 0"]),
+        # a refusal at the first height names k_min, that height and g_v, not depth
+        (["jacobian", "--k-min", "1030", "--k-max", "1030"], ["k_min=1030", "k=1030", "y=", "g_v=0.25"]),
+        (["jacobian", "--k-min", "1075", "--k-max", "1075"], ["k_min=1075", "k=1075", "y=0.0", "g_v=0.25", "y > 0"]),
         # the first height refused names the error, not the last one asked for
         (["jacobian", "--k-min", "1020", "--k-max", "1030"], ["k_max=1030 is too deep at k=1024:", "y="]),
         # the slope dx_w/ds = x_u / s overflows, which would also warn
@@ -673,7 +675,7 @@ def test_tangency_and_multipulse_read_x0_mod_2pi(tmp_path, capsys):
 @pytest.mark.parametrize("config, x, k_max", [("dense_params.json", "0.0", 1021), ("readme_params.json", "0.1", 1023)])
 def test_jacobian_verify_at_every_accepted_height(config, x, k_max, tmp_path):
     # k_max is the last height whose Jacobian is finite; every height down
-    # to it meets the finite-difference oracle's 1e-5 bound
+    # to it meets the chain-rule oracle's 1e-5 bound
     argv = ["jacobian", "--config", str(README_PARAMS.with_name(config)), "--x", x, "--k-min", "4"]
     out = tmp_path / "out"
     assert main([*argv, "--k-max", str(k_max), "--verify", "--out", str(out)]) == 0
@@ -684,7 +686,7 @@ def test_jacobian_verify_at_every_accepted_height(config, x, k_max, tmp_path):
 
 def test_jacobian_verify_at_large_x(tmp_path):
     # the Jacobian and its oracle both run at x mod 2 pi, reduced exactly,
-    # so neither phi nor the oracle's step is lost to ulp(x)
+    # so phi is not lost to ulp(x)
     for x in ("1e6", "1e10", "1e17", "-1e300"):
         out = tmp_path / x
         assert main(["jacobian", "--config", str(DENSE_PARAMS), f"--x={x}", "--verify", "--out", str(out)]) == 0
@@ -692,22 +694,70 @@ def test_jacobian_verify_at_large_x(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "factor",
+    "config, factor",
     [
-        500,
-        1000,
-        pytest.param(1e5, marks=pytest.mark.xfail(
-            strict=True,
-            reason="at g_v 2e5 the finite-difference oracle misses the exact Jacobian by 1.15e-5 relative at "
-            "y = 2^-5 (2-CPU x86-64 AVX-512 host): a u-step small enough to follow phi drowns in rounding "
-            "(ROADMAP item 22)",
-        )),
+        (DENSE_PARAMS, 500),
+        (DENSE_PARAMS, 1000),
+        (DENSE_PARAMS, 1e5),
+        (DENSE_PARAMS, 5e9),
+        (DENSE_PARAMS, 1e150),
+        (README_PARAMS, 4e5),
+        (README_PARAMS, 4e10),
     ],
+    ids=["500", "1000", "1e5", "g_v-1e10", "1e150", "readme-g_v-1e5", "readme-g_v-1e10"],
 )
-def test_jacobian_verify_at_large_g_v(factor, tmp_path):
-    # the oracle's u-step is FD_STEP / g_v, so its stencil turns phi by the
-    # same angle at every g_v; with FD_STEP in u it had not converged at 500
-    assert main(["jacobian", "--config", _dense_times(factor, tmp_path), "--verify", "--out", str(tmp_path / "out")]) == 0
+def test_jacobian_verify_at_large_g_v(config, factor, tmp_path):
+    # the oracle takes no step, so it follows phi at every g_v
+    out = tmp_path / "out"
+    assert main(["jacobian", "--config", _scaled(factor, tmp_path, config), "--verify", "--out", str(out)]) == 0
+    assert json.loads((out / "jacobian_manifest.json").read_text())["diagnostics"]["oracle_rel_error"] < 1e-12
+
+
+def _report_rows(change):
+    """``jacobian_report`` with its rows passed through ``change(rows, y)``."""
+    return lambda r, x, y, p: dataclasses.replace(r, jacobian=change(r.jacobian, y))
+
+
+def _kernel_field(field, change):
+    """``exit_curve`` with ``field`` replaced by ``change(curve, constants)``."""
+    return lambda c, t, u, p: c._replace(**{field: change(c, p.constants)})
+
+
+# name -> (module, patched name, change to what the original returns, given
+# its arguments). The four kernel mutants each flip the sign of one term,
+# read off the kernel's own fields through x_t = B/C (B = 1 + g_w sigma sc)
+# and log_y_t = -delta_w sigma sc / C
+JACOBIAN_MUTANTS = {
+    "transposed-rows": (cli, "jacobian_report", _report_rows(lambda rows, y: tuple(zip(*rows)))),
+    "undivided-column": (cli, "jacobian_report", _report_rows(lambda rows, y: tuple((a, b * y) for a, b in rows))),
+    # x_t = (1 - g_w sigma sc) / C
+    "x_t-sigma-sc": (
+        horseshoe, "exit_curve", _kernel_field("x_t", lambda c, k: c.x_t + 2.0 * k.g_w * c.log_y_t / k.delta_w),
+    ),
+    # x_u = -(g_w delta_v - g_v B/C)
+    "x_u-g_v": (horseshoe, "exit_curve", _kernel_field("x_u", lambda c, k: c.x_u + 2.0 * k.g_v * c.x_t)),
+    "log_y_t-sign": (horseshoe, "exit_curve", _kernel_field("log_y_t", lambda c, k: -c.log_y_t)),
+    # log_y_u = delta - delta_w g_v sigma sc / C
+    "log_y_u-g_v": (
+        horseshoe, "exit_curve", _kernel_field("log_y_u", lambda c, k: c.log_y_u + 2.0 * k.g_v * c.log_y_t),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config, x", [(README_PARAMS, "0.1"), (DENSE_PARAMS, "0.1"), (DENSE_PARAMS, "1e10")],
+    ids=["readme", "dense", "dense-x1e10"],
+)
+@pytest.mark.parametrize("name", list(JACOBIAN_MUTANTS))
+def test_jacobian_verify_kills_the_jacobian_mutants(name, config, x, tmp_path, capsys, monkeypatch):
+    module, target, change = JACOBIAN_MUTANTS[name]
+    original = getattr(module, target)
+    monkeypatch.setattr(module, target, lambda *args: change(original(*args), *args))
+    out = tmp_path / "out"
+    assert main(["jacobian", "--config", str(config), f"--x={x}", "--verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("verification failed: Jacobian misses the chain-rule oracle")
+    assert not out.exists()
 
 
 def test_multipulse_manifest_records_the_replay(tmp_path, capsys):
@@ -1360,22 +1410,18 @@ VERIFY_FAILURES = {
         "dense_config", ["strips", "--n-limit", "2"], "strip_image_report",
         lambda r: [{**r[0], "within_width": False}] + r[1:], "strip image fails to stand across the rectangle",
     ),
-    "jacobian-stencil": (
-        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0], 1e9),
-        "finite-difference stencil not converged at y=0.0625",
-    ),
     "jacobian-miss": (
-        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0] * 1.01, r[1]),
-        "Jacobian misses the finite-difference oracle at y=0.0625",
+        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_chain", lambda r: r * 1.01,
+        "Jacobian misses the chain-rule oracle at y=0.0625",
     ),
     # a shallow height's miss is reported ahead of the heights that are too deep
     "jacobian-miss-deep": (
-        "case1_config", ["jacobian", "--k-max", "1030"], "return_jacobian_fd", lambda r: (r[0] * 1.01, r[1]),
-        "Jacobian misses the finite-difference oracle at y=0.0625",
+        "case1_config", ["jacobian", "--k-max", "1030"], "return_jacobian_chain", lambda r: r * 1.01,
+        "Jacobian misses the chain-rule oracle at y=0.0625",
     ),
     "jacobian-nan": (
-        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_fd", lambda r: (r[0] * math.nan, math.nan),
-        "finite-difference stencil not converged at y=0.0625: gap nan",
+        "case1_config", ["jacobian", "--k-max", "6"], "return_jacobian_chain", lambda r: r * math.nan,
+        "Jacobian misses the chain-rule oracle at y=0.0625: nan relative",
     ),
     "multipulse-replay": (
         "case1_config", ["multipulse"], "replay_pulse", lambda r: dataclasses.replace(r, residual=1e-6),

@@ -183,7 +183,7 @@ PUBLIC_SIGNATURES = {
         "eta_log": ("t", "u", "p"),
         "composed_return": ("point", "p"),
         "replay_pulse": ("s0", "n", "p", "x0"),
-        "return_jacobian_fd": ("x", "y", "p"),
+        "return_jacobian_chain": ("x", "y", "p"),
         "numeric_jacobian": ("config", "state"),
         "turning_range_grid": ("p",),
         "rotation_identity_residual": ("s0", "n", "t", "p"),
@@ -221,7 +221,7 @@ VERIFY_ORACLES = {
     "eta_log",
     "psi_wv",
     "replay_pulse",
-    "return_jacobian_fd",
+    "return_jacobian_chain",
     "turning_range_grid",
     "OUT_W",
     "WallPoint",
