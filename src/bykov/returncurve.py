@@ -18,9 +18,14 @@ that rounding has a quarter turn of margin for every |phi| < 2^50.
 :func:`exit_curve` evaluates it in u = ln s, where phi is affine in (t, u)
 and ln y_w is exact down to any depth.  The formula itself lives in the
 values step :func:`_exit_values`, which takes sin phi and cos phi once and
-returns x_w and ln y_w; the strips' windows, height checks and images, the
-tangency heights and the ``curve --verify`` replay call it directly.  The
-slope step :func:`_exit_slope` adds x_u alone, which is all that the
+returns x_w and ln y_w.  It has two bodies with the same bits, which one
+test holds together: floats and arrays under ``BLOCK_MIN`` heights take
+the expression, and larger arrays the block body :func:`_values_block`,
+which writes every intermediate into the rows of one array, since the
+expression's temporaries made glibc grow and trim the heap on every
+call.  The strips' windows, height checks and images, the tangency
+heights and the ``curve --verify`` replay call the values step directly.
+The slope step :func:`_exit_slope` adds x_u alone, which is all that the
 sampled curve (:func:`curve_arrays`), the strip boundaries' Newton solve
 and the strips' monotonicity check read; the bend step :func:`_exit_bend`
 adds x_uu to it for the ``reversals --verify`` replay.
@@ -77,6 +82,11 @@ TWO_PI = 2.0 * math.pi
 PHI_LIMIT = 2.0**50
 S_UNDERFLOW = 1e-300
 LN_FLOOR = math.log(S_UNDERFLOW)
+# heights from which the values and slope steps take the block body (_values_block):
+# in a loop that never faults, the block body's extra ufunc calls make it 5-15%
+# slower than the expression up to 1,024 heights, and it breaks even near 2,048
+# (medians of nine timeit runs, dense config, 2-CPU Xeon with AVX-512)
+BLOCK_MIN = 2048
 
 
 class NoReversalsError(ValueError):
@@ -235,10 +245,18 @@ class _ExitValues(NamedTuple):
 
 
 def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
-    """The exit-curve formula: x_w and ln y_w with one sin and one cos of phi."""
+    """The exit-curve formula: x_w and ln y_w with one sin and one cos of phi.
+
+    Arrays of ``BLOCK_MIN`` heights or more take the block body
+    :func:`_values_block`; floats and smaller arrays take the expression
+    below, with the same bits.
+    """
     k = p.constants
     # a float (np.float64 included) stays a float: numpy's operations on a 0-d array cost several times more
-    u = u if isinstance(u, float) else np.asarray(u, dtype=float)
+    if not isinstance(u, float):
+        u = np.asarray(u, dtype=float)
+        if u.size >= BLOCK_MIN:
+            return _values_block(t, u, p)[0]
     phi = -k.g_v * u + t + k.c2
     sin = np.sin(phi)
     cos = np.cos(phi)
@@ -247,6 +265,51 @@ def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
     x_w = -k.g_w * k.delta_v * u - 0.5 * k.g_w * ln_c + _unwound(phi, cos, sin, p.a) + k.c3 - k.g_w * math.log(k.c1)
     log_y = math.log(k.c4) + k.delta_w * math.log(k.c1) + k.delta * u + 0.5 * k.delta_w * ln_c
     return _ExitValues(phi, x_w, log_y, sin, cos, c)
+
+
+def _values_block(t, u: np.ndarray, p: SaddleParams) -> tuple[_ExitValues, np.ndarray]:
+    """The values step's array body: every intermediate in a row of one block, in the expression's operation order.
+
+    Returns the values, which are six rows of the block, and its two other
+    rows, which the slope step fills.  The values and slope expressions
+    allocate 35 arrays of u's shape a call; at 12,000 heights each is
+    96 KB, just under glibc's 128 KiB mmap threshold, so the heap grew and
+    was trimmed back on every call, with over 100 minor page faults.  The
+    block is mmapped on the first call, and freeing it raises glibc's mmap
+    and trim thresholds above its size (for blocks up to 32 MiB), so from
+    then on it comes from a heap that stays grown.  Each row is written by
+    the expression's own ufunc on the same operands; the in-place steps
+    swap only the operands of a sum or product, which keeps every bit.
+    """
+    k = p.constants
+    a = p.a
+    block = np.empty((8,) + np.broadcast_shapes(np.shape(t), u.shape))
+    phi, x_w, log_y, sin, cos, c, ln_c, w = block
+    np.multiply(-k.g_v, u, out=phi)
+    phi += t
+    phi += k.c2
+    np.sin(phi, out=sin)
+    np.cos(phi, out=cos)
+    # _stretch
+    np.multiply(a * a, cos, out=c)
+    c *= cos
+    c += np.divide(np.multiply(sin, sin, out=w), a * a, out=w)
+    np.log(c, out=ln_c)
+    np.multiply(-k.g_w * k.delta_v, u, out=x_w)
+    x_w -= np.multiply(0.5 * k.g_w, ln_c, out=w)
+    np.multiply(k.delta, u, out=log_y)
+    log_y += math.log(k.c4) + k.delta_w * math.log(k.c1)
+    log_y += np.multiply(0.5 * k.delta_w, ln_c, out=w)
+    # _unwound, in the rows of ln_c and w, which nothing reads any more
+    base = np.arctan2(np.divide(sin, a, out=w), np.multiply(a, cos, out=ln_c), out=w)
+    turn = np.subtract(phi, base, out=ln_c)
+    turn /= TWO_PI
+    np.rint(turn, out=turn)
+    turn *= TWO_PI
+    x_w += np.add(base, turn, out=turn)
+    x_w += k.c3
+    x_w -= k.g_w * math.log(k.c1)
+    return _ExitValues(phi, x_w, log_y, sin, cos, c), block[6:]
 
 
 class _ExitSlope(NamedTuple):
@@ -265,8 +328,19 @@ def _exit_slope(t, u, p: SaddleParams) -> _ExitSlope:
     takes it, sigma and sc = sin phi cos phi from this step.
     """
     k = p.constants
-    v = _exit_values(t, u, p)
     sigma = p.a * p.a - 1.0 / (p.a * p.a)
+    if not isinstance(u, float):
+        u = np.asarray(u, dtype=float)
+        if u.size >= BLOCK_MIN:
+            # the block body: sc and x_u take the values' two free rows
+            v, (sc, x_u) = _values_block(t, u, p)
+            np.multiply(v.sin, v.cos, out=sc)
+            np.multiply(k.g_v * k.g_w * sigma, sc, out=x_u)
+            x_u += k.g_v
+            x_u /= v.stretch
+            x_u += k.g_w * k.delta_v
+            return _ExitSlope(v, np.negative(x_u, out=x_u), sigma, sc)
+    v = _exit_values(t, u, p)
     sc = v.sin * v.cos
     x_u = -(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / v.stretch)
     return _ExitSlope(v, x_u, sigma, sc)
@@ -319,7 +393,10 @@ def curve_arrays(t: float, s, p: SaddleParams):
     v = slope.values
     # at subnormal s the slope overflows; the caller decides what to refuse
     with np.errstate(over="ignore"):
-        return v.phi, v.x_w, np.exp(v.log_y), slope.x_u / s_arr
+        if not isinstance(v.log_y, np.ndarray):
+            return v.phi, v.x_w, np.exp(v.log_y), slope.x_u / s_arr
+        # the kernel's arrays are this call's own: y_w and dx_w/ds take the rows of ln y_w and x_u
+        return v.phi, v.x_w, np.exp(v.log_y, out=v.log_y), np.divide(slope.x_u, s_arr, out=slope.x_u)
 
 
 def curve_sample(t: float, s: float, p: SaddleParams) -> ReturnCurveSample:
@@ -468,18 +545,6 @@ def reversal_sequence(t: float, n_max: int, p: SaddleParams) -> ReversalSequence
         none = np.empty(0)
         return ReversalSequence(none, none, none, (), reason=region.tag)
     return _reversal_walk(t, n_max, p, LN_FLOOR)
-
-
-def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
-    """Analytic continuation of the reversal sequence past s-underflow.
-
-    The exit angles of the turning points obey the rotation identity
-    exactly, so they stay computable long after the s-values themselves
-    degrade to zero; ``log_s_values`` remains exact throughout.  Raises
-    when no reversals exist.
-    """
-    _check_walk(n_max, t=t)
-    return _reversal_walk(t, n_max, p, -math.inf)
 
 
 @dataclass(frozen=True)

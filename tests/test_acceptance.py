@@ -32,9 +32,8 @@ from bykov.returncurve import (
     curve_arrays,
     curve_sample,
     find_tangency,
-    reversal_angle_set,
 )
-from conftest import random_admissible
+from conftest import random_admissible, reversal_angle_set
 
 TWO_PI = 2.0 * math.pi
 

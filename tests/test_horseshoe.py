@@ -53,13 +53,12 @@ from bykov.returncurve import (
     curve_sample,
     exit_curve,
     find_tangency,
-    reversal_angle_set,
     reversal_sequence,
     turning_crossings,
     turning_function,
     wrap_pi,
 )
-from conftest import admissible_params, math_pin
+from conftest import admissible_params, math_pin, reversal_angle_set
 
 TWO_PI = 2.0 * math.pi
 

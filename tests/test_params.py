@@ -148,7 +148,6 @@ PUBLIC_SIGNATURES = {
         "curve_sample": ("t", "s", "p"),
         "curve_arrays": ("t", "s", "p"),
         "reversal_sequence": ("t", "n_max", "p"),
-        "reversal_angle_set": ("t", "n_max", "p"),
         "find_tangency": ("x0", "t", "n_max", "p"),
     },
     horseshoe: {

@@ -37,13 +37,12 @@ from bykov.returncurve import (
     curve_sample,
     exit_curve,
     find_tangency,
-    reversal_angle_set,
     reversal_sequence,
     turning_crossings,
     turning_function,
     wrap_pi,
 )
-from conftest import admissible_params, math_pin, random_admissible
+from conftest import admissible_params, math_pin, random_admissible, reversal_angle_set
 
 TWO_PI = 2.0 * math.pi
 
@@ -1013,20 +1012,63 @@ def test_bend_step_x_uu_matches_centred_differences(fixture, request):
     assert _hex(slope.x_u) == _hex(_exit_slope(ts, us, p).x_u)
 
 
+def _exit_steps(t, u, p):
+    """Every output of the values step, the slope step and exit_curve at (t, u)."""
+    values, slope, curve = _exit_values(t, u, p), _exit_slope(t, u, p), exit_curve(t, u, p)
+    return values, slope, (*values, slope.x_u, slope.sc, *curve)
+
+
 @pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
 def test_exit_steps_keep_their_bits_for_every_form_of_u(fixture, request):
-    """The values step, the slope step and exit_curve give one set of bits for u as a float, np.float64, 0-d and 1-element array.
+    """The values step, the slope step and exit_curve give one set of bits for every form of u.
 
     A float u stays a float through the kernel, where numpy's ufuncs run on
     scalars, and an array keeps its shape, a 0-d one included; 1,001
-    heights from the top to s = 1e-300 at three t.
+    heights from the top to s = 1e-300 at three t.  A float, np.float64,
+    0-d and 1-element array take the expression body; the same heights
+    repeated into one array of BLOCK_MIN or more, alone and against a
+    (3, 1) column of the three t, take the block body, which must give
+    the float body's bits at every element.
     """
     p = request.getfixturevalue(fixture)
-    for t in (0.0, 0.3, -2.5):
-        for u in np.linspace(math.log(p.eps), LN_FLOOR, 1001).tolist():
+    ts = (0.0, 0.3, -2.5)
+    heights = np.linspace(math.log(p.eps), LN_FLOOR, 1001)
+    want = {}
+    for t in ts:
+        for u in heights.tolist():
             got = set()
             for form in (u, np.float64(u), np.array(u), np.array([u])):
-                values, slope, curve = _exit_values(t, form, p), _exit_slope(t, form, p), exit_curve(t, form, p)
-                assert {np.shape(f) for f in (*values, slope.x_u, *curve)} == {np.shape(form)}
-                got.add(tuple(float(np.ravel(f)[0]).hex() for f in (*values, slope.x_u, slope.sc, *curve)))
+                _, _, outputs = _exit_steps(t, form, p)
+                assert {np.shape(f) for f in outputs} == {np.shape(form)}
+                got.add(tuple(float(np.ravel(f)[0]).hex() for f in outputs))
             assert len(got) == 1, (t, u)
+            want.setdefault(t, []).append(got.pop())
+    long = np.resize(heights, returncurve.BLOCK_MIN + 7)
+    for t, rows in [(t, [t]) for t in ts] + [(np.array(ts)[:, None], ts)]:
+        values, slope, outputs = _exit_steps(t, long, p)
+        # the block body: a step's outputs are rows of one block
+        for rows_of_one_block in (values, (*slope.values, slope.x_u, slope.sc)):
+            assert len({id(f.base) for f in rows_of_one_block}) == 1 and rows_of_one_block[0].base is not None
+        assert {f.shape for f in outputs} == {np.broadcast(t, long).shape}
+        for i, t_i in enumerate(rows):
+            got = zip(*(_hex(np.reshape(f, (len(rows), -1))[i]) for f in outputs))
+            assert list(got) == [want[t_i][j % len(heights)] for j in range(len(long))], t_i
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params", "rational_params"])
+def test_curve_arrays_matches_curve_sample_to_the_smallest_subnormal(fixture, request):
+    """curve_arrays' four rows (the block body) equal curve_sample (the float body) bit for bit, from eps to s = 5e-324.
+
+    No warning is raised on the way (tier-1 turns warnings into errors):
+    the slope overflows at subnormal s on both routes, and curve_arrays
+    exponentiates and divides in the rows of its block.
+    """
+    p = request.getfixturevalue(fixture)
+    s = np.exp(np.linspace(math.log(p.eps), math.log(5e-324), returncurve.BLOCK_MIN + 7))
+    s[0], s[-1] = p.eps, 5e-324
+    arrays = curve_arrays(0.3, s, p)
+    assert all(row.base is arrays[0].base is not None for row in arrays)
+    samples = [curve_sample(0.3, s_i, p) for s_i in s.tolist()]
+    for name, row in zip(("phi", "x_w", "y_w", "dxw_ds"), arrays):
+        assert _hex(row) == [getattr(sample, name).hex() for sample in samples], name
+    assert math.isinf(samples[-1].dxw_ds) and samples[-1].y_w == 0.0
