@@ -11,6 +11,8 @@ one-dimensional connection.  It provides:
   diagnostics and multi-pulse connections
 * ``flow``        - direct integration of the explicit 3D/4D vector fields
 * ``oracles``     - the elementary maps and the independent checks built on them
+  that a command, a ``--verify`` replay or the benchmark runs; the referees
+  that only tests read are in ``tests/referees.py``
 * ``cli``         - command-line front end emitting CSV/JSON artifacts
 """
 

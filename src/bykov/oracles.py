@@ -1,7 +1,8 @@
 """Independent oracles: the elementary maps and their compositions, pulse
-replay, the return-map Jacobian by the chain rule through those maps,
-vector-field finite differences, turning-function grid, rotation-identity
-residual.
+replay, the return-map Jacobian by the chain rule through those maps, and
+the turning-function grid.  The referees that only tests read (the
+time-of-flight local maps, vector-field finite differences and the
+rotation-identity residual) are in ``tests/referees.py``.
 
 Everything here deliberately avoids the closed-form shortcuts of
 :mod:`bykov.returncurve` and :mod:`bykov.params`; the exit curve is rebuilt
@@ -12,9 +13,6 @@ other.
 The composition is written twice: in s as the maps are stated
 (:func:`eta_composed`), and in log radii (:func:`eta_log`), which every
 ``--verify`` replays because it represents every height.
-The one exception is :func:`rotation_identity_residual`, which evaluates
-the closed form twice to check the identity the reversal enumeration
-extrapolates with.
 
 Each node sits in a cylindrical neighbourhood whose boundary splits into a
 wall (angle/height coordinates ``x, y``) and a top disk (polar ``r, phi``).
@@ -32,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import ModelConfig, make_rhs
 from .params import DerivedConstants, SaddleParams
-from .returncurve import TWO_PI, BumpSpec, circle_dist, curve_arrays, turning_function, wrap_pi
+from .returncurve import TWO_PI, BumpSpec, circle_dist, turning_function, wrap_pi
 
 # grid spacing h = pi / 100000 puts each sampled extremum within
 # R (1 - cos h) < 5e-10 R of the true one
@@ -84,17 +81,21 @@ def phi_v(p: WallPoint, k: DerivedConstants) -> DiskPoint:
 
     (x, y) with 0 < y <= eps is sent to (r, phi) = (c1 * y**delta_v,
     -g_v*ln(y) + x + c2).  Heights y <= 0 lie on (or below) the stable
-    manifold and never exit.
+    manifold and never exit.  A height y > 0 whose radius underflows to 0
+    is refused by a plain ValueError: the point is on no manifold, and
+    :func:`eta_log` represents it.
     """
     if p.section != IN_V:
         raise ValueError(f"phi_v expects a point on {IN_V}, got {p.section}")
     if p.y <= 0.0:
         raise OnManifoldError("point on the stable manifold of the first node (y <= 0)")
-    return DiskPoint(
-        section=OUT_V,
-        r=k.c1 * p.y**k.delta_v,
-        phi=-k.g_v * math.log(p.y) + p.x + k.c2,
-    )
+    r = k.c1 * p.y**k.delta_v
+    if r == 0.0:
+        raise ValueError(
+            f"radius c1 * y**delta_v underflows to 0 at y = {p.y!r}, delta_v = {k.delta_v!r};"
+            " eta_log represents every height"
+        )
+    return DiskPoint(section=OUT_V, r=r, phi=-k.g_v * math.log(p.y) + p.x + k.c2)
 
 
 def phi_w(p: DiskPoint, k: DerivedConstants) -> WallPoint:
@@ -157,34 +158,6 @@ def rect_polar(p: RectPoint, branch_hint: float) -> DiskPoint:
     return DiskPoint(section=IN_W, r=math.hypot(p.X, p.Y), phi=phi)
 
 
-def flight_map_v(x: float, y: float, p: SaddleParams) -> DiskPoint:
-    """Time-of-flight oracle for :func:`phi_v` using exact exponentials.
-
-    Integrates the linear node dynamics from (rho, theta, z) = (eps, x, y)
-    until z = eps; independent of the closed-form map.
-    """
-    if y <= 0.0:
-        raise OnManifoldError("point on the stable manifold of the first node (y <= 0)")
-    flight = math.log(p.eps / y) / p.E_v
-    return DiskPoint(
-        section=OUT_V,
-        r=p.eps * math.exp(-p.C_v * flight),
-        phi=x + p.alpha_v * flight,
-    )
-
-
-def flight_map_w(r: float, phi: float, p: SaddleParams) -> WallPoint:
-    """Time-of-flight oracle for :func:`phi_w` (enter disk at z = eps, exit at rho = eps)."""
-    if r <= 0.0:
-        raise OnManifoldError("point on the stable manifold of the second node (r <= 0)")
-    flight = math.log(p.eps / r) / p.E_w
-    return WallPoint(
-        section=OUT_W,
-        x=phi - p.alpha_w * flight,
-        y=p.eps * math.exp(-p.C_w * flight),
-    )
-
-
 def eta_composed(t: float, s: float, p: SaddleParams) -> tuple[float, float]:
     """Exit-wall image of (t, s) built through the elementary maps.
 
@@ -212,12 +185,6 @@ def eta_log(t: float, u: float, p: SaddleParams) -> tuple[float, float]:
     unit = rect_polar(psi_vw(polar_rect(DiskPoint(section=OUT_V, r=1.0, phi=phi)), p.a), branch_hint=phi)
     ln_r = math.log(k.c1) + k.delta_v * u + math.log(unit.r)
     return k.c3 - k.g_w * ln_r + unit.phi, math.log(k.c4) + k.delta_w * ln_r
-
-
-def composed_return(point: WallPoint, p: SaddleParams) -> WallPoint:
-    """First-return image built through the elementary maps only."""
-    x_w, y_w = eta_composed(point.x, point.y, p)
-    return psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w))
 
 
 @dataclass(frozen=True)
@@ -281,19 +248,6 @@ def return_jacobian_chain(x: float, y: float, p: SaddleParams) -> np.ndarray:
         return np.array([[y_w, y_w / y], [-1.0, -1.0 / y]]) * chain
 
 
-def numeric_jacobian(config: ModelConfig, state) -> np.ndarray:
-    """Centered finite-difference Jacobian of the vector field at a state, step 1e-6."""
-    field = make_rhs(config)
-    state = np.asarray(state, dtype=float)
-    columns = []
-    for j in range(len(state)):
-        dp, dm = state.copy(), state.copy()
-        dp[j] += 1e-6
-        dm[j] -= 1e-6
-        columns.append(np.subtract(field(*dp), field(*dm)) / 2e-6)
-    return np.column_stack(columns)
-
-
 def turning_range_grid(p: SaddleParams) -> tuple[float, float]:
     """Smallest and largest value of the turning function on a uniform grid over [0, pi].
 
@@ -312,15 +266,3 @@ def turning_range_grid(p: SaddleParams) -> tuple[float, float]:
         lo = np.minimum(lo, np.min(vals))
         hi = np.maximum(hi, np.max(vals))
     return float(lo), float(hi)
-
-
-def rotation_identity_residual(s0: float, n: int, t: float, p: SaddleParams) -> float:
-    """|x_w(s0 e^{-n pi/g_v}) - x_w(s0) - n pi (1 - gamma)|, both points evaluated directly in one call."""
-    k = p.constants
-    if not 0.0 < s0 <= p.eps:
-        raise ValueError(f"s0 must lie in (0, eps], got {s0}")
-    s_n = s0 * math.exp(-n * math.pi / k.g_v)
-    if not 0.0 < s_n <= p.eps:
-        raise ValueError(f"shifted parameter {s_n} left (0, eps]")
-    x0, xn = curve_arrays(t, np.array([s0, s_n]), p)[1].tolist()
-    return abs(xn - x0 - n * math.pi * (1.0 - k.gamma))

@@ -7,7 +7,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from bykov.params import SaddleParams
-from bykov.returncurve import ReversalSequence, _check_walk, _reversal_walk
 
 # same examples on every run, and no per-example wall-clock limit on a slow host
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
@@ -91,18 +90,6 @@ def rational_params() -> SaddleParams:
 def unit_params() -> SaddleParams:
     """Fully degenerate reference point: all rates 1, no shear, unit section."""
     return SaddleParams(alpha_v=1, C_v=1, E_v=1, alpha_w=1, C_w=1, E_w=1, a=1.0, eps=1.0)
-
-
-def reversal_angle_set(t: float, n_max: int, p: SaddleParams) -> ReversalSequence:
-    """The reversal walk with no floor: the first ``n_max`` turning points from t, past s-underflow.
-
-    The exit angles obey the rotation identity exactly, so they stay
-    computable long after s itself underflows to zero, and ``log_s_values``
-    stays exact; ``find_tangency`` walks the same lattice.  Refuses what
-    ``find_tangency`` refuses of n_max and t, and raises when no reversals exist.
-    """
-    _check_walk(n_max, t=t)
-    return _reversal_walk(t, n_max, p, -math.inf)
 
 
 def random_admissible(rng: np.random.Generator, a_min: float = 1.0) -> SaddleParams:

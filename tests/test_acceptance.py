@@ -26,14 +26,15 @@ from bykov.horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from bykov.oracles import eta_composed, replay_pulse, return_jacobian_chain, rotation_identity_residual
+from bykov.oracles import eta_composed, replay_pulse, return_jacobian_chain
 from bykov.params import classify_region, derive_constants
 from bykov.returncurve import (
     curve_arrays,
     curve_sample,
     find_tangency,
 )
-from conftest import random_admissible, reversal_angle_set
+from conftest import random_admissible
+from referees import reversal_angle_set, rotation_identity_residual
 
 TWO_PI = 2.0 * math.pi
 

@@ -40,8 +40,8 @@ from bykov.flow import (
     sojourn_analysis,
     sphere_residual,
 )
-from bykov.oracles import numeric_jacobian
 from bykov.params import ParameterError
+from referees import numeric_jacobian
 
 CFG = ModelConfig(alpha1=1.0, alpha2=-0.1)
 FIG_START = (-0.5, -0.139, -0.8807, 0.3013)

@@ -34,7 +34,7 @@ from bykov.horseshoe import (
     strip_family_violations,
     strip_image_report,
 )
-from bykov.oracles import IN_V, OUT_W, WallPoint, composed_return, psi_wv, replay_pulse
+from bykov.oracles import IN_V, OUT_W, WallPoint, eta_composed, psi_wv, replay_pulse
 from bykov.params import (
     ParameterError,
     SaddleParams,
@@ -58,7 +58,8 @@ from bykov.returncurve import (
     turning_function,
     wrap_pi,
 )
-from conftest import admissible_params, math_pin, reversal_angle_set
+from conftest import admissible_params, math_pin
+from referees import reversal_angle_set
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,8 +97,9 @@ def test_return_map_is_definitional_composition(dense_params):
             y=float(dense_params.eps * 10 ** rng.uniform(-5, 0)),
         )
         got = return_map(point, dense_params)
-        # against the elementary-map composition
-        comp = composed_return(point, dense_params)
+        # against the elementary-map composition: eta, then the quarter turn
+        x_w, y_w = eta_composed(point.x, point.y, dense_params)
+        comp = psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w))
         assert got.x == pytest.approx(comp.x, rel=1e-9, abs=1e-9)
         assert got.y == pytest.approx(comp.y, abs=1e-9)
 
@@ -814,9 +816,9 @@ def test_strip_images_match_composition_oracle(case1_params):
         for i in (0, len(strip.t_grid) - 1):
             t = float(strip.t_grid[i])
             for s in (float(strip.a_of_t[i]), float(strip.b_of_t[i])):
-                point = WallPoint(section=IN_V, x=t, y=s)
-                assert composed_return(point, case1_params).y == pytest.approx(
-                    return_map(point, case1_params).y, abs=1e-9
+                x_w, y_w = eta_composed(t, s, case1_params)
+                assert psi_wv(WallPoint(section=OUT_W, x=x_w, y=y_w)).y == pytest.approx(
+                    return_map(WallPoint(section=IN_V, x=t, y=s), case1_params).y, abs=1e-9
                 )
 
 

@@ -21,8 +21,6 @@ from bykov.oracles import (
     WallPoint,
     eta_composed,
     eta_log,
-    flight_map_v,
-    flight_map_w,
     phi_v,
     phi_w,
     polar_rect,
@@ -36,6 +34,7 @@ from bykov.oracles import (
 from bykov.params import SaddleParams, derive_constants
 from bykov.returncurve import BumpSpec, circle_dist, turning_function, wrap_pi
 from conftest import admissible_params, random_admissible
+from referees import flight_map_v, flight_map_w
 
 
 def test_phi_v_unit_section(unit_params):
@@ -108,6 +107,18 @@ def test_stable_manifold_errors(unit_params):
         flight_map_v(0.3, -1e-3, unit_params)
     with pytest.raises(OnManifoldError, match=r"\(r <= 0\)$"):
         flight_map_w(0.0, 0.3, unit_params)
+
+
+@pytest.mark.parametrize("fixture", ["case1_params", "dense_params"])
+def test_eta_composed_blames_an_underflowing_radius(fixture, request):
+    # c1 * s**delta_v underflows to 0 at s = 1e-300 on the README and dense
+    # configs: the point is on no manifold, and eta_log represents it
+    p = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match=r"^radius c1 \* y\*\*delta_v underflows to 0 at y = 1e-300, ") as info:
+        eta_composed(0.1, 1e-300, p)
+    assert not isinstance(info.value, OnManifoldError)
+    assert "eta_log" in str(info.value)
+    assert all(map(math.isfinite, eta_log(0.1, math.log(1e-300), p)))
 
 
 def test_local_maps_refuse_the_wrong_section(unit_params):

@@ -176,16 +176,11 @@ PUBLIC_SIGNATURES = {
         "psi_wv": ("p", "bump"),
         "polar_rect": ("p",),
         "rect_polar": ("p", "branch_hint"),
-        "flight_map_v": ("x", "y", "p"),
-        "flight_map_w": ("r", "phi", "p"),
         "eta_composed": ("t", "s", "p"),
         "eta_log": ("t", "u", "p"),
-        "composed_return": ("point", "p"),
         "replay_pulse": ("s0", "n", "p", "x0"),
         "return_jacobian_chain": ("x", "y", "p"),
-        "numeric_jacobian": ("config", "state"),
         "turning_range_grid": ("p",),
-        "rotation_identity_residual": ("s0", "n", "t", "p"),
     },
     cli: {
         "cmd_classify": ("args", "p"),
@@ -211,6 +206,34 @@ def test_public_signatures(module):
         if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
     }
     assert got == PUBLIC_SIGNATURES[module]
+
+
+SRC = Path(params.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_public_function_has_a_production_caller():
+    """Each public top-level function of ``src/bykov`` is read by name in ``src/bykov`` or ``perfbench``.
+
+    The files are parsed, not imported; a name counts when it is a ``Name``,
+    an ``Attribute``'s attribute or an imported name.  A referee that only
+    tests read belongs in ``tests/referees.py``.
+    """
+    read, public = set(), set()
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+        if path.parent == SRC:
+            public |= {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    # cli._run looks up cmd_<command> in globals(), so no source names a cmd_* function
+    uncalled = sorted(name for name in public - read if not name.startswith("cmd_"))
+    assert uncalled == []
 
 
 # the oracles that ``bykov <command> --verify`` replays and the wall point
@@ -247,7 +270,7 @@ def _bykov_imports(path: Path) -> set[tuple[str, str]]:
     return found
 
 
-PRODUCTION_SOURCES = [p for p in sorted(Path(params.__file__).parent.glob("*.py")) if p.stem != "oracles"]
+PRODUCTION_SOURCES = [p for p in sorted(SRC.glob("*.py")) if p.stem != "oracles"]
 
 
 @pytest.mark.parametrize("path", PRODUCTION_SOURCES, ids=lambda p: p.name)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bykov import returncurve
 from bykov.horseshoe import build_strips
-from bykov.oracles import eta_composed, rotation_identity_residual, turning_range_grid
+from bykov.oracles import eta_composed, turning_range_grid
 from bykov.params import (
     ParameterError,
     SaddleParams,
@@ -42,7 +42,8 @@ from bykov.returncurve import (
     turning_function,
     wrap_pi,
 )
-from conftest import admissible_params, math_pin, random_admissible, reversal_angle_set
+from conftest import admissible_params, math_pin, random_admissible
+from referees import reversal_angle_set, rotation_identity_residual
 
 TWO_PI = 2.0 * math.pi
 
