@@ -23,8 +23,12 @@ test holds together: floats and arrays under ``BLOCK_MIN`` heights take
 the expression, and larger arrays the block body :func:`_values_block`,
 which writes every intermediate into the rows of one array, since the
 expression's temporaries made glibc grow and trim the heap on every
-call.  The strips' windows, height checks and images, the tangency
-heights and the ``curve --verify`` replay call the values step directly.
+call.  A large call allocates that block and nothing else, and
+:func:`curve_arrays` takes ln s into a ninth row of it: glibc's trim
+threshold is twice the first block freed, and a ``sweep`` op clears it by
+248 KB, against 64 KB with ln s apart (see :func:`_values_block`).
+The strips' windows, height checks and images, the tangency heights and
+the ``curve --verify`` replay call the values step directly.
 The slope step :func:`_exit_slope` adds x_u alone, which is all that the
 sampled curve (:func:`curve_arrays`), the strip boundaries' Newton solve
 and the strips' monotonicity check read; the bend step :func:`_exit_bend`
@@ -256,7 +260,7 @@ def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
     if not isinstance(u, float):
         u = np.asarray(u, dtype=float)
         if u.size >= BLOCK_MIN:
-            return _values_block(t, u, p)[0]
+            return _values_block(t, u, p, _block(8, t, u))
     phi = -k.g_v * u + t + k.c2
     sin = np.sin(phi)
     cos = np.cos(phi)
@@ -267,24 +271,34 @@ def _exit_values(t, u, p: SaddleParams) -> _ExitValues:
     return _ExitValues(phi, x_w, log_y, sin, cos, c)
 
 
-def _values_block(t, u: np.ndarray, p: SaddleParams) -> tuple[_ExitValues, np.ndarray]:
-    """The values step's array body: every intermediate in a row of one block, in the expression's operation order.
+def _block(rows: int, t, u) -> np.ndarray:
+    """An empty block of ``rows`` rows of the shape that t and u broadcast to."""
+    return np.empty((rows,) + np.broadcast_shapes(np.shape(t), np.shape(u)))
 
-    Returns the values, which are six rows of the block, and its two other
-    rows, which the slope step fills.  The values and slope expressions
-    allocate 35 arrays of u's shape a call; at 12,000 heights each is
-    96 KB, just under glibc's 128 KiB mmap threshold, so the heap grew and
-    was trimmed back on every call, with over 100 minor page faults.  The
-    block is mmapped on the first call, and freeing it raises glibc's mmap
-    and trim thresholds above its size (for blocks up to 32 MiB), so from
-    then on it comes from a heap that stays grown.  Each row is written by
-    the expression's own ufunc on the same operands; the in-place steps
+
+def _values_block(t, u: np.ndarray, p: SaddleParams, block: np.ndarray) -> _ExitValues:
+    """The values step's array body: every intermediate in a row of ``block``, in the expression's operation order.
+
+    Fills the block's first eight rows and returns the values, six of them;
+    the slope step takes the other two, and :func:`curve_arrays` keeps u in
+    a ninth.  The values and slope expressions allocate 35 arrays of u's
+    shape a call; at 12,000 heights each is 96 KB, just under glibc's
+    128 KiB mmap threshold, so the heap grew and was trimmed back on every
+    call, with over 100 minor page faults.  So a large call allocates one
+    array, the block, and nothing else.  The first block is mmapped, and
+    freeing it sets glibc's mmap threshold to its size and its trim
+    threshold to twice that (for blocks up to 32 MiB); later blocks come
+    from the heap, which glibc trims whenever more than the trim threshold
+    lies free at its top.  A ``sweep`` op leaves up to 1,440 KB free there:
+    the 864 KB block with ln s in it clears the threshold by 248 KB, where
+    a 768 KB block and a separate ln s cleared it by 64 KB, and in some
+    heap layouts the heap was trimmed after every op.  Each row is written
+    by the expression's own ufunc on the same operands; the in-place steps
     swap only the operands of a sum or product, which keeps every bit.
     """
     k = p.constants
     a = p.a
-    block = np.empty((8,) + np.broadcast_shapes(np.shape(t), u.shape))
-    phi, x_w, log_y, sin, cos, c, ln_c, w = block
+    phi, x_w, log_y, sin, cos, c, ln_c, w = block[:8]
     np.multiply(-k.g_v, u, out=phi)
     phi += t
     phi += k.c2
@@ -309,7 +323,7 @@ def _values_block(t, u: np.ndarray, p: SaddleParams) -> tuple[_ExitValues, np.nd
     x_w += np.add(base, turn, out=turn)
     x_w += k.c3
     x_w -= k.g_w * math.log(k.c1)
-    return _ExitValues(phi, x_w, log_y, sin, cos, c), block[6:]
+    return _ExitValues(phi, x_w, log_y, sin, cos, c)
 
 
 class _ExitSlope(NamedTuple):
@@ -327,23 +341,30 @@ def _exit_slope(t, u, p: SaddleParams) -> _ExitSlope:
     x_u = -(g_w delta_v + g_v B/C) is written here only; :func:`exit_curve`
     takes it, sigma and sc = sin phi cos phi from this step.
     """
-    k = p.constants
-    sigma = p.a * p.a - 1.0 / (p.a * p.a)
     if not isinstance(u, float):
         u = np.asarray(u, dtype=float)
         if u.size >= BLOCK_MIN:
-            # the block body: sc and x_u take the values' two free rows
-            v, (sc, x_u) = _values_block(t, u, p)
-            np.multiply(v.sin, v.cos, out=sc)
-            np.multiply(k.g_v * k.g_w * sigma, sc, out=x_u)
-            x_u += k.g_v
-            x_u /= v.stretch
-            x_u += k.g_w * k.delta_v
-            return _ExitSlope(v, np.negative(x_u, out=x_u), sigma, sc)
+            return _slope_block(t, u, p, _block(8, t, u))
+    k = p.constants
+    sigma = p.a * p.a - 1.0 / (p.a * p.a)
     v = _exit_values(t, u, p)
     sc = v.sin * v.cos
     x_u = -(k.g_w * k.delta_v + (k.g_v * k.g_w * sigma * sc + k.g_v) / v.stretch)
     return _ExitSlope(v, x_u, sigma, sc)
+
+
+def _slope_block(t, u: np.ndarray, p: SaddleParams, block: np.ndarray) -> _ExitSlope:
+    """The slope step's array body: the values block (:func:`_values_block`), with sc and x_u in its rows 6 and 7."""
+    k = p.constants
+    sigma = p.a * p.a - 1.0 / (p.a * p.a)
+    v = _values_block(t, u, p, block)
+    sc, x_u = block[6:8]
+    np.multiply(v.sin, v.cos, out=sc)
+    np.multiply(k.g_v * k.g_w * sigma, sc, out=x_u)
+    x_u += k.g_v
+    x_u /= v.stretch
+    x_u += k.g_w * k.delta_v
+    return _ExitSlope(v, np.negative(x_u, out=x_u), sigma, sc)
 
 
 def _exit_bend(t, u, p: SaddleParams) -> tuple[_ExitSlope, np.ndarray]:
@@ -387,9 +408,15 @@ def exit_curve(t, u, p: SaddleParams) -> ExitCurve:
 def curve_arrays(t: float, s, p: SaddleParams):
     """The exit curve in s; returns (phi, x_w, y_w, dxw_ds) arrays."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
+    # written so that a NaN height fails it too
+    if not np.all(s_arr > 0.0):
         raise ValueError("curve parameter s must be strictly positive")
-    slope = _exit_slope(t, np.log(s_arr), p)
+    if s_arr.size >= BLOCK_MIN:
+        # ln s takes the block's ninth row: the call allocates the block and nothing else
+        block = _block(9, t, s_arr)
+        slope = _slope_block(t, np.log(s_arr, out=block[8]), p, block)
+    else:
+        slope = _exit_slope(t, np.log(s_arr), p)
     v = slope.values
     # at subnormal s the slope overflows; the caller decides what to refuse
     with np.errstate(over="ignore"):

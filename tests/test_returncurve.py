@@ -220,7 +220,10 @@ def test_exit_curve_rejects_bad_parameter(dense_params):
         curve_sample(0.0, 0.0, dense_params)
     with pytest.raises(ValueError):
         curve_sample(0.0, dense_params.eps * 1.5, dense_params)
-    for s in ([0.1, 0.0], [-1e-300], [0.2, -0.0]):
+    # a NaN height too, in the expression body and in the block body
+    long = np.full(returncurve.BLOCK_MIN + 7, 0.1)
+    long[100] = math.nan
+    for s in ([0.1, 0.0], [-1e-300], [0.2, -0.0], [0.1, math.nan], long):
         with pytest.raises(ValueError, match="^curve parameter s must be strictly positive$"):
             curve_arrays(0.0, s, dense_params)
 
@@ -1073,3 +1076,23 @@ def test_curve_arrays_matches_curve_sample_to_the_smallest_subnormal(fixture, re
     for name, row in zip(("phi", "x_w", "y_w", "dxw_ds"), arrays):
         assert _hex(row) == [getattr(sample, name).hex() for sample in samples], name
     assert math.isinf(samples[-1].dxw_ds) and samples[-1].y_w == 0.0
+
+
+def test_curve_arrays_allocates_one_array(dense_params):
+    """A large curve_arrays call allocates its block and nothing else: ln s is one of its rows.
+
+    The sweep workload's call, eight reversal periods at 1,500 heights a
+    period.  Its traced peak exceeds what the call still holds on return,
+    the four rows, by less than 16 KB; a separate ln s would add 96 KB.
+    """
+    p = dense_params
+    s = p.eps * np.exp(-np.linspace(0.0, 8.0 * math.pi * p.E_v / p.alpha_v, 12_000))
+    curve_arrays(0.3, s, p)
+    tracemalloc.start()
+    try:
+        arrays = curve_arrays(0.3, s, p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 16_384
+    assert all(row.base is arrays[0].base is not None for row in arrays)

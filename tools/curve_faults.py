@@ -1,51 +1,78 @@
-"""Minor page faults and wall time of one 12,000-point ``curve_arrays`` call, as the ``sweep`` workload makes it.
+"""Minor page faults per ``sweep`` op across heap layouts: whether glibc trims the heap after every op.
 
 Usage, from the root of a checkout (bykov is imported from its ``src/``)::
 
-    python tools/curve_faults.py [CALLS]
+    python tools/curve_faults.py
 
-Runs five warm-up calls on the dense config, then CALLS calls (default 500)
-in ten batches, and prints the minor faults per call from
-``resource.getrusage`` and the fastest and median batch's time per call.
+Runs real ``sweep`` ops (``perfbench/workloads.py``, seed 1), with the
+reference loop of ``perfbench/calibrate.py`` between ops as
+``perfbench/run.py`` runs them, in 24 fresh interpreters.  Each interpreter
+first allocates a string of 0, 200, ..., 4,600 bytes, before it imports
+numpy or bykov, so that each puts the heap in another layout, as
+checkouts whose paths differ in length do.  After two warm-up passes it
+counts the minor faults (``resource.getrusage``) of four passes of ten
+ops.  Prints the faults per op for each shift, then the number of shifts
+above 100 faults per op.  An op that leaves more free memory at the top of
+the heap than glibc's dynamic trim threshold has the heap trimmed after
+it, and the next op faults its pages back in: about 300 faults an op,
+against under 10.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import resource
-import statistics
+import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+SHIFTS = range(0, 4_800, 200)
+WARM_PASSES, PASSES = 2, 4
+# a trimming layout faults about 300 times an op, a grown heap under 10
+TRIM_FAULTS = 100
+# the child's code: the shift's string comes before numpy, bykov and perfbench are imported
+CHILD = "pad = 'x' * {shift}\nimport sys\nsys.path.insert(0, {tools!r})\nimport curve_faults\ncurve_faults.child()\n"
 
-import numpy as np  # noqa: E402
 
-from bykov.params import load_saddle_params  # noqa: E402
-from bykov.returncurve import curve_arrays  # noqa: E402
+def child() -> None:
+    """Print the minor faults per op of ``PASSES`` passes of seed-1 ``sweep`` ops, after ``WARM_PASSES``."""
+    import resource
+    import tempfile
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from calibrate import reference_s
+    from tracing import NoTracer
+    from workloads import Sweep
+
+    tracer = NoTracer()
+
+    def run_pass(k: int) -> int:
+        ops = sweep.pass_ops(k)
+        for op in ops:
+            op.run(tracer)
+            reference_s()
+        return len(ops)
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        sweep = Sweep(1, Path(work_dir))
+        reference_s()
+        for k in range(WARM_PASSES):
+            run_pass(k)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ops = sum(run_pass(k) for k in range(WARM_PASSES, WARM_PASSES + PASSES))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(faults / ops)
 
 
 def main() -> None:
-    calls = int(sys.argv[1]) if len(sys.argv) > 1 else 500
-    p = load_saddle_params(json.loads((ROOT / "perfbench" / "configs" / "dense_params.json").read_text()))
-    # eight reversal periods at 1,500 points a period, as in the sweep workload
-    s = p.eps * np.exp(-np.linspace(0.0, 8.0 * math.pi * p.E_v / p.alpha_v, 12_000))
-    for _ in range(5):
-        curve_arrays(0.3, s, p)
-    batch = max(1, calls // 10)
-    times = []
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        start = time.perf_counter()
-        for _ in range(batch):
-            curve_arrays(0.3, s, p)
-        times.append((time.perf_counter() - start) / batch * 1e6)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    print(f"minor faults per call: {faults / (10 * batch):.2f}")
-    print(f"us per call: fastest batch {min(times):.1f}, median batch {statistics.median(times):.1f}")
+    trimmed = 0
+    print("shift (bytes)  minor faults per sweep op")
+    for shift in SHIFTS:
+        code = CHILD.format(shift=shift, tools=str(ROOT / "tools"))
+        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, check=True)
+        per_op = float(out.stdout)
+        trimmed += per_op > TRIM_FAULTS
+        print(f"{shift:>13}  {per_op:.1f}")
+    print(f"shifts above {TRIM_FAULTS} faults per op: {trimmed} of {len(SHIFTS)}")
 
 
 if __name__ == "__main__":
